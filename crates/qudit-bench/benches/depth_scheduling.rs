@@ -1,11 +1,13 @@
 //! Criterion bench: commutation-aware depth scheduling on the lowered
 //! E10-style k-Toffoli sweep.
 //!
-//! Three timings per workload: building the dependency DAG sequentially,
-//! building it gate-parallel on the work-stealing pool, and the full
-//! `ScheduleDepth` pass (DAG + first-fit ASAP placement).  The workload is
-//! the optimised G-gate circuits of the standard flow — exactly what the
-//! scheduled pipeline hands the scheduler.
+//! Four timings per workload: building the explicit dependency DAG
+//! sequentially and gate-parallel on the work-stealing pool (the
+//! `schedule_over` reference's input), the fused `schedule_depth` scan, and
+//! the `ScheduleDepth` pass around it.  The scan is one sequential walk
+//! with a running-maximum early exit per wire; it never builds the DAG.
+//! The workload is the optimised G-gate circuits of the standard flow —
+//! exactly what the scheduled pipeline hands the scheduler.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qudit_core::commute::{schedule_depth, DependencyDag};

@@ -259,7 +259,7 @@ impl Circuit {
     pub fn used_qudits(&self) -> Vec<QuditId> {
         let mut used = vec![false; self.width];
         for gate in &self.gates {
-            for q in gate.qudits() {
+            for q in gate.support() {
                 used[q.index()] = true;
             }
         }

@@ -22,18 +22,19 @@
 //!   gate `i` because the oracle could not prove them commuting.  Building
 //!   the DAG is embarrassingly parallel per gate and fans out over a
 //!   [`WorkStealingPool`] for large circuits ([`DependencyDag::build_on`]);
-//! * [`schedule_depth`] / [`schedule_depth_on`] — an as-soon-as-possible
-//!   list scheduler: each gate is placed in the earliest layer that
-//!   respects its dependencies *and* has all of its wires free (first-fit,
-//!   so a late gate may slide into an idle-wire hole that the emission
-//!   order left behind).  The scheduled circuit is a permutation of the
-//!   input in which only oracle-commuting gates changed relative order,
-//!   its [`circuit_depth`](crate::depth::circuit_depth) never exceeds the
+//! * [`schedule_depth`] — an as-soon-as-possible list scheduler: each
+//!   gate is placed in the earliest layer that respects its dependencies
+//!   *and* has all of its wires free (first-fit, so a late gate may slide
+//!   into an idle-wire hole that the emission order left behind).  The
+//!   scheduled circuit is a permutation of the input in which only
+//!   oracle-commuting gates changed relative order, its
+//!   [`circuit_depth`](crate::depth::circuit_depth) never exceeds the
 //!   input's, and scheduling is idempotent.  The scheduler fuses the DAG
-//!   scan into layer assignment (only the *maximum* predecessor layer
-//!   matters, so most pair checks are pruned before the oracle runs);
-//!   [`schedule_over`] is the unfused reference over an explicit DAG, and
-//!   the two are pinned equal by the test suite.
+//!   scan into layer assignment in one sequential pass: only the *maximum*
+//!   predecessor layer matters, so each gate scans its wires backward and
+//!   stops as soon as the wire's running maximum of assigned layers can no
+//!   longer raise that bound.  [`schedule_over`] is the unfused reference
+//!   over an explicit DAG, and the two are pinned equal by the test suite.
 //!
 //! # Oracle rules
 //!
@@ -95,11 +96,6 @@ use crate::ops::{Permutation, SingleQuditOp};
 use crate::pool::WorkStealingPool;
 use crate::qudit::QuditId;
 
-/// Gate count at and above which the
-/// [`ScheduleDepth`](crate::pipeline::ScheduleDepth) pass runs its
-/// dependency scans on a [`WorkStealingPool`] instead of sequentially.
-pub const PARALLEL_SCHEDULE_THRESHOLD: usize = 256;
-
 /// How a gate uses one of its qudits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Role {
@@ -114,18 +110,20 @@ enum Role {
 
 /// The role a gate assigns to `q`, or `None` when the gate does not touch it.
 fn role_of(gate: &Gate, q: QuditId) -> Option<Role> {
-    if gate.target() == q {
-        return Some(Role::Target);
-    }
-    if let GateOp::AddFrom { source, .. } = gate.op() {
-        if *source == q {
-            return Some(Role::Source);
-        }
-    }
+    roles(gate).find(|&(p, _)| p == q).map(|(_, role)| role)
+}
+
+/// Every qudit of the gate with its role, in [`Gate::support`] order.
+fn roles(gate: &Gate) -> impl Iterator<Item = (QuditId, Role)> + '_ {
+    let source = match gate.op() {
+        GateOp::AddFrom { source, .. } => Some((*source, Role::Source)),
+        GateOp::Single(_) => None,
+    };
     gate.controls()
         .iter()
-        .find(|c| c.qudit == q)
-        .map(|c| Role::Control(c.predicate))
+        .map(|c| (c.qudit, Role::Control(c.predicate)))
+        .chain(source)
+        .chain(std::iter::once((gate.target(), Role::Target)))
 }
 
 /// Returns `true` when the operation is a translation `|t⟩ ↦ |t + y mod d⟩`
@@ -152,14 +150,18 @@ fn target_permutation(gate: &Gate, dimension: Dimension) -> Option<Permutation> 
 /// computational basis.  Controls are basis projectors, so the *whole gate*
 /// is then a diagonal operator: it commutes with anything that only reads
 /// its target, whatever the control predicate.
-fn target_is_diagonal(gate: &Gate, dimension: Dimension) -> bool {
+///
+/// `permutation` is the gate's [`target_permutation`]: every fixed
+/// operation but a unitary has one, and a permutation matrix is diagonal
+/// exactly when it is the identity, so only unitaries need their matrix.
+fn target_is_diagonal(gate: &Gate, permutation: Option<&Permutation>) -> bool {
     match gate.op() {
-        GateOp::Single(op) => {
-            let matrix = op.to_matrix(dimension);
+        GateOp::Single(SingleQuditOp::Unitary(matrix)) => {
             let size = matrix.size();
             (0..size)
                 .all(|r| (0..size).all(|c| r == c || matrix[(r, c)].norm() <= MATRIX_TOLERANCE))
         }
+        GateOp::Single(_) => permutation.is_some_and(Permutation::is_identity),
         GateOp::AddFrom { .. } => false,
     }
 }
@@ -181,9 +183,6 @@ fn predicate_invariant_under(
 /// builder computes these once per gate instead of once per pair, which is
 /// what keeps the oracle cheap on multi-thousand-gate circuits.
 struct GateInfo {
-    /// The gate's qudits (controls, `X±⋆` source, target), as emitted by
-    /// [`Gate::qudits`].
-    support: Vec<QuditId>,
     /// The fixed level permutation the gate applies to its target, when it
     /// has one (`None` for `X±⋆`, whose shift depends on the source value,
     /// and for non-permutation unitaries).
@@ -198,11 +197,11 @@ struct GateInfo {
 
 impl GateInfo {
     fn of(gate: &Gate, dimension: Dimension) -> Self {
+        let permutation = target_permutation(gate, dimension);
         GateInfo {
-            support: gate.qudits(),
-            permutation: target_permutation(gate, dimension),
+            diagonal: target_is_diagonal(gate, permutation.as_ref()),
+            permutation,
             additive: is_additive(gate.op()),
-            diagonal: target_is_diagonal(gate, dimension),
         }
     }
 }
@@ -248,12 +247,10 @@ fn commute_with_info(
     b: &Gate,
     ib: &GateInfo,
 ) -> bool {
-    for &q in &ia.support {
-        if !ib.support.contains(&q) {
+    for (q, role_a) in roles(a) {
+        let Some(role_b) = role_of(b, q) else {
             continue;
-        }
-        let role_a = role_of(a, q).expect("q comes from a's qudit list");
-        let role_b = role_of(b, q).expect("q was found in b's qudit list");
+        };
         let compatible = match (role_a, role_b) {
             // Read-read: both gates are block-diagonal in q's basis.
             (Role::Source | Role::Control(_), Role::Source | Role::Control(_)) => true,
@@ -395,8 +392,8 @@ impl DependencyDag {
         // Per-wire gate index lists (ascending): only wire-sharing pairs can
         // fail to commute, so each gate scans just the gates on its wires.
         let mut wire_gates: Vec<Vec<usize>> = vec![Vec::new(); circuit.width()];
-        for (j, info) in infos.iter().enumerate() {
-            for q in &info.support {
+        for (j, gate) in gates.iter().enumerate() {
+            for q in gate.support() {
                 wire_gates[q.index()].push(j);
             }
         }
@@ -407,8 +404,8 @@ impl DependencyDag {
         // per-wire lists are then merged, which both sorts and dedups
         // without any per-candidate membership scan.
         let predecessors_of = |j: usize| -> Vec<usize> {
-            let mut per_wire: Vec<Vec<usize>> = Vec::with_capacity(infos[j].support.len());
-            for q in &infos[j].support {
+            let mut per_wire: Vec<Vec<usize>> = Vec::with_capacity(gates[j].arity());
+            for q in gates[j].support() {
                 let blockers: Vec<usize> = wire_gates[q.index()]
                     .iter()
                     .take_while(|&&i| i < j)
@@ -508,10 +505,10 @@ impl Occupancy {
 
     /// The smallest layer `≥ earliest` in which every wire of `support` is
     /// free; marks it occupied.
-    fn place(&mut self, support: &[QuditId], earliest: usize) -> usize {
+    fn place(&mut self, support: impl Iterator<Item = QuditId> + Clone, earliest: usize) -> usize {
         let mut slot = earliest;
         'fit: loop {
-            for q in support {
+            for q in support.clone() {
                 if self.wires[q.index()].get(slot).copied().unwrap_or(false) {
                     slot += 1;
                     continue 'fit;
@@ -588,90 +585,58 @@ pub fn schedule_over(circuit: &Circuit, dag: &DependencyDag) -> Schedule {
             .map(|&i| layer[i])
             .max()
             .unwrap_or(0);
-        layer[j] = occupied.place(&gate.qudits(), earliest);
+        layer[j] = occupied.place(gate.support(), earliest);
     }
     assemble_schedule(circuit, layer)
 }
-
-/// Gate-count granularity of the scheduler's parallel prefix scans: each
-/// block's dependency bounds against the already-layered prefix are
-/// computed gate-parallel, then the block is placed sequentially.
-const SCHEDULE_BLOCK: usize = 512;
 
 /// The fused scheduler: computes exactly the layers of
 /// [`schedule_over`]`(circuit, DependencyDag::build(circuit))` without
 /// materialising the DAG.
 ///
 /// Only the *maximum* layer over a gate's non-commuting predecessors
-/// matters, so candidates whose layer cannot raise the running maximum are
-/// skipped before the oracle is consulted — on the lowered synthesis
-/// circuits that prunes the vast majority of pair checks (the dependency
-/// lists are dense, but dominated by low layers).  Scans run backward so
-/// the maximum rises as early as possible.
-fn schedule_layers(circuit: &Circuit, pool: Option<&WorkStealingPool>) -> Vec<usize> {
+/// matters.  Each wire keeps its gates in order together with the running
+/// maximum of their layers, and a gate scans each of its wires backward:
+/// a candidate whose layer cannot raise the bound is skipped before the
+/// oracle is consulted, and the scan stops once the running maximum up to
+/// the current candidate is at most the bound.  The exit is exact even
+/// where first-fit left a wire's layers out of order, because nothing
+/// earlier on the wire has a larger layer.
+fn schedule_layers(circuit: &Circuit) -> Vec<usize> {
     let gates = circuit.gates();
-    let n = gates.len();
     let dimension = circuit.dimension();
     let infos: Vec<GateInfo> = gates.iter().map(|g| GateInfo::of(g, dimension)).collect();
-    let mut wire_gates: Vec<Vec<usize>> = vec![Vec::new(); circuit.width()];
-    for (j, info) in infos.iter().enumerate() {
-        for q in &info.support {
-            wire_gates[q.index()].push(j);
-        }
-    }
-
-    let mut layer = vec![0usize; n];
+    // Per wire, in circuit order: (gate index, its layer, the running
+    // maximum of the layers up to and including it).
+    let mut wires: Vec<Vec<(usize, usize, usize)>> = vec![Vec::new(); circuit.width()];
+    let mut layer = vec![0usize; gates.len()];
     let mut occupied = Occupancy::new(circuit.width());
-    let mut block_start = 0;
-    while block_start < n {
-        let block_end = (block_start + SCHEDULE_BLOCK).min(n);
-        // Phase A — for each gate of the block, the largest layer among its
-        // non-commuting dependencies in the already-layered prefix.  The
-        // prefix layers are frozen, so the bounds are independent per gate
-        // and fan out over the pool.
-        let bound_of = |j: usize| -> usize {
-            let mut best = 0usize;
-            for q in &infos[j].support {
-                let wire = &wire_gates[q.index()];
-                let end = wire.partition_point(|&i| i < block_start);
-                for &i in wire[..end].iter().rev() {
-                    if layer[i] > best
-                        && !commute_with_info(dimension, &gates[i], &infos[i], &gates[j], &infos[j])
-                    {
-                        best = layer[i];
-                    }
+    for (j, gate) in gates.iter().enumerate() {
+        let mut bound = 0usize;
+        for q in gate.support() {
+            for &(i, placed, running_max) in wires[q.index()].iter().rev() {
+                if running_max <= bound {
+                    break;
+                }
+                if placed > bound
+                    && !commute_with_info(dimension, &gates[i], &infos[i], gate, &infos[j])
+                {
+                    bound = placed;
                 }
             }
-            best
-        };
-        let bounds: Vec<usize> = match pool.filter(|p| p.threads() > 1 && block_start > 0) {
-            Some(pool) => pool.map((block_start..block_end).collect(), bound_of),
-            None => (block_start..block_end).map(bound_of).collect(),
-        };
-        // Phase B — finish each bound against the block's own earlier gates
-        // (whose layers were just assigned) and place first-fit, in order.
-        for j in block_start..block_end {
-            let mut best = bounds[j - block_start];
-            for q in &infos[j].support {
-                let wire = &wire_gates[q.index()];
-                let start = wire.partition_point(|&i| i < block_start);
-                let end = wire.partition_point(|&i| i < j);
-                for &i in wire[start..end].iter().rev() {
-                    if layer[i] > best
-                        && !commute_with_info(dimension, &gates[i], &infos[i], &gates[j], &infos[j])
-                    {
-                        best = layer[i];
-                    }
-                }
-            }
-            layer[j] = occupied.place(&infos[j].support, best + 1);
         }
-        block_start = block_end;
+        let placed = occupied.place(gate.support(), bound + 1);
+        layer[j] = placed;
+        for q in gate.support() {
+            let wire = &mut wires[q.index()];
+            let running_max = wire.last().map_or(placed, |&(_, _, max)| max.max(placed));
+            wire.push((j, placed, running_max));
+        }
     }
     layer
 }
 
-/// Reorders commuting gates to minimise depth (sequential DAG build).
+/// Reorders commuting gates to minimise depth (one sequential scan).
 ///
 /// The returned circuit implements exactly the same operator as the input —
 /// only gate pairs the oracle proves commuting change relative order — and
@@ -705,17 +670,7 @@ fn schedule_layers(circuit: &Circuit, pool: Option<&WorkStealingPool>) -> Vec<us
 /// # }
 /// ```
 pub fn schedule_depth(circuit: &Circuit) -> Circuit {
-    assemble_schedule(circuit, schedule_layers(circuit, None)).circuit
-}
-
-/// [`schedule_depth`] with the dependency scans fanned out over a
-/// [`WorkStealingPool`] (block by block; see the module docs).
-///
-/// The dependency bounds depend only on the circuit, never on the worker
-/// count, so the parallel path returns byte-identical schedules for every
-/// pool size — callers may switch between the two freely.
-pub fn schedule_depth_on(circuit: &Circuit, pool: &WorkStealingPool) -> Circuit {
-    assemble_schedule(circuit, schedule_layers(circuit, Some(pool))).circuit
+    assemble_schedule(circuit, schedule_layers(circuit)).circuit
 }
 
 #[cfg(test)]
@@ -961,7 +916,6 @@ mod tests {
                 sequential,
                 "threads = {threads}"
             );
-            assert_eq!(schedule_depth_on(&c, &pool), schedule_depth(&c));
         }
     }
 
@@ -997,14 +951,108 @@ mod tests {
 
     #[test]
     fn fused_scheduler_matches_dag_scheduler() {
-        // The fused (layer-pruned) path must reproduce the explicit
-        // DAG-based schedule exactly, including across block boundaries.
-        let c = random_circuit(0xFEED_FACE_CAFE_BEEF, 4, 2 * super::SCHEDULE_BLOCK + 37);
+        // The fused (early-exit) path must reproduce the explicit DAG-based
+        // schedule exactly on a long circuit.
+        let c = random_circuit(0xFEED_FACE_CAFE_BEEF, 4, 1061);
         let via_dag = schedule_over(&c, &DependencyDag::build(&c));
-        let fused = schedule_depth(&c);
-        assert_eq!(via_dag.circuit, fused);
-        let pool = WorkStealingPool::with_threads(4);
-        assert_eq!(schedule_depth_on(&c, &pool), fused);
+        assert_eq!(via_dag.circuit, schedule_depth(&c));
+    }
+
+    #[test]
+    fn early_exit_sees_past_a_hole_filler() {
+        // q1 carries g1 in layer 3 and then g2, which first-fit drops into
+        // q1's idle layer 1: the wire's layers run out of order.  g3 gets a
+        // bound of 1 from its control wire q2, then meets g2 (layer 1) first
+        // on q1.  Stopping there would leave g3 free to take layer 2, ahead
+        // of g1, which it does not commute with; the running maximum (3)
+        // keeps the scan going until g1 raises the bound.
+        let d = dim(3);
+        let mut c = Circuit::new(d, 3);
+        let g1 = Gate::controlled(SingleQuditOp::Swap(0, 1), q(1), vec![Control::zero(q(0))]);
+        let g3 = Gate::controlled(SingleQuditOp::Add(1), q(1), vec![Control::zero(q(2))]);
+        for gate in [
+            Gate::single(SingleQuditOp::Add(1), q(2)),
+            Gate::single(SingleQuditOp::Add(1), q(0)),
+            Gate::single(SingleQuditOp::Add(1), q(0)),
+            g1.clone(),
+            Gate::single(SingleQuditOp::Swap(0, 1), q(1)),
+            g3.clone(),
+        ] {
+            c.push(gate).unwrap();
+        }
+        assert!(!gates_commute(d, &g1, &g3));
+        let reference = schedule_over(&c, &DependencyDag::build(&c));
+        assert_eq!(reference.layers, vec![1, 1, 1, 2, 3, 4]);
+        assert_eq!(reference.circuit.gates()[4], g1);
+        assert_eq!(reference.circuit.gates()[5], g3);
+        assert_eq!(schedule_depth(&c), reference.circuit);
+    }
+
+    /// A seeded random circuit over any `d ≥ 2` and `width ≥ 2`: plain,
+    /// controlled and `X±⋆` gates, with diagonal and dense non-permutation
+    /// unitaries and permutation-valued unitaries among the operations.
+    fn random_mixed_circuit(seed: u64, d: u32, width: usize, gates: usize) -> Circuit {
+        let dimension = dim(d);
+        let mut c = Circuit::new(dimension, width);
+        let mut state = seed | 1;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 16) as usize
+        };
+        for _ in 0..gates {
+            let target = next() % width;
+            let other = (target + 1 + next() % (width - 1)) % width;
+            let level = (next() % d as usize) as u32;
+            let op = match next() % 7 {
+                0 => SingleQuditOp::Add(1 + level % (d - 1)),
+                1 => SingleQuditOp::Swap(level, (level + 1) % d),
+                2 => SingleQuditOp::clifford_phase(dimension),
+                3 => SingleQuditOp::fourier(dimension),
+                4 => SingleQuditOp::Unitary(SingleQuditOp::Swap(0, 1).to_matrix(dimension)),
+                5 => SingleQuditOp::Unitary(crate::math::SquareMatrix::identity(d as usize)),
+                _ => SingleQuditOp::Add(d - 1),
+            };
+            let control = match next() % 3 {
+                0 => Control::level(q(other), level),
+                1 => Control::odd(q(other)),
+                _ => Control::zero(q(other)),
+            };
+            let gate = match next() % 4 {
+                0 => Gate::single(op, q(target)),
+                1 => Gate::controlled(op, q(target), vec![control]),
+                2 => Gate::add_from(q(other), next() % 2 == 0, q(target), vec![]),
+                _ if width > 2 => {
+                    let third = (0..width).find(|&w| w != target && w != other).unwrap();
+                    Gate::add_from(q(third), next() % 2 == 0, q(target), vec![control])
+                }
+                _ => Gate::single(op, q(target)),
+            };
+            c.push(gate).unwrap();
+        }
+        c
+    }
+
+    #[test]
+    fn fused_scheduler_matches_dag_scheduler_on_random_circuits() {
+        let mut cases = 0;
+        for seed in 0..56u64 {
+            for d in 2..=5u32 {
+                let width = 2 + (seed as usize + d as usize) % 5;
+                let gates = 20 + (seed as usize * 7) % 60;
+                let c =
+                    random_mixed_circuit(0x5EED_0000 + seed * 31 + u64::from(d), d, width, gates);
+                let reference = schedule_over(&c, &DependencyDag::build(&c));
+                assert_eq!(
+                    schedule_depth(&c),
+                    reference.circuit,
+                    "seed {seed}, d = {d}, width = {width}"
+                );
+                cases += 1;
+            }
+        }
+        assert!(cases >= 200);
     }
 
     #[test]

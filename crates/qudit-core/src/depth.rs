@@ -31,14 +31,9 @@ pub fn circuit_depth(circuit: &Circuit) -> usize {
     let mut finish = vec![0usize; circuit.width()];
     let mut depth = 0usize;
     for gate in circuit.gates() {
-        let start = gate
-            .qudits()
-            .iter()
-            .map(|q| finish[q.index()])
-            .max()
-            .unwrap_or(0);
+        let start = gate.support().map(|q| finish[q.index()]).max().unwrap_or(0);
         let layer = start + 1;
-        for q in gate.qudits() {
+        for q in gate.support() {
             finish[q.index()] = layer;
         }
         depth = depth.max(layer);
@@ -52,14 +47,9 @@ pub fn layers(circuit: &Circuit) -> Vec<Vec<usize>> {
     let mut finish = vec![0usize; circuit.width()];
     let mut result: Vec<Vec<usize>> = Vec::new();
     for (index, gate) in circuit.gates().iter().enumerate() {
-        let start = gate
-            .qudits()
-            .iter()
-            .map(|q| finish[q.index()])
-            .max()
-            .unwrap_or(0);
+        let start = gate.support().map(|q| finish[q.index()]).max().unwrap_or(0);
         let layer = start + 1;
-        for q in gate.qudits() {
+        for q in gate.support() {
             finish[q.index()] = layer;
         }
         if result.len() < layer {

@@ -130,19 +130,30 @@ impl Gate {
     }
 
     /// All qudits the gate touches (controls, the `AddFrom` source, and the
-    /// target), in that order.
+    /// target), in that order.  Collects [`Gate::support`]; hot loops should
+    /// walk that iterator instead, which never allocates.
     pub fn qudits(&self) -> Vec<QuditId> {
-        let mut out: Vec<QuditId> = self.controls.iter().map(|c| c.qudit).collect();
-        if let GateOp::AddFrom { source, .. } = &self.op {
-            out.push(*source);
-        }
-        out.push(self.target);
-        out
+        self.support().collect()
+    }
+
+    /// Iterates over the qudits the gate touches without allocating, in the
+    /// order of [`Gate::qudits`]: controls, the `AddFrom` source, the target.
+    pub fn support(&self) -> impl Iterator<Item = QuditId> + Clone + '_ {
+        let source = match self.op {
+            GateOp::AddFrom { source, .. } => Some(source),
+            GateOp::Single(_) => None,
+        };
+        self.controls
+            .iter()
+            .map(|c| c.qudit)
+            .chain(source)
+            .chain(std::iter::once(self.target))
     }
 
     /// Number of qudits the gate touches.
     pub fn arity(&self) -> usize {
-        self.qudits().len()
+        let source = usize::from(matches!(self.op, GateOp::AddFrom { .. }));
+        self.controls.len() + source + 1
     }
 
     /// Returns `true` when the gate permutes the computational basis.
@@ -171,8 +182,7 @@ impl Gate {
     /// control levels do not exist, or the operation itself is invalid for
     /// the dimension.
     pub fn validate(&self, dimension: Dimension, width: usize) -> Result<()> {
-        let qudits = self.qudits();
-        for q in &qudits {
+        for q in self.support() {
             if q.index() >= width {
                 return Err(QuditError::QuditOutOfRange {
                     qudit: q.index(),
@@ -180,11 +190,9 @@ impl Gate {
                 });
             }
         }
-        for (i, a) in qudits.iter().enumerate() {
-            for b in qudits.iter().skip(i + 1) {
-                if a == b {
-                    return Err(QuditError::DuplicateQudit { qudit: a.index() });
-                }
+        for (i, a) in self.support().enumerate() {
+            if self.support().skip(i + 1).any(|b| a == b) {
+                return Err(QuditError::DuplicateQudit { qudit: a.index() });
             }
         }
         for c in &self.controls {
@@ -210,6 +218,24 @@ impl Gate {
             target: self.target,
             controls: self.controls.clone(),
         }
+    }
+
+    /// Returns `true` when `self == other.inverse(dimension)`, without
+    /// building the inverse.
+    pub(crate) fn is_inverse_of(&self, other: &Gate, dimension: Dimension) -> bool {
+        self.target == other.target
+            && self.controls == other.controls
+            && match (&self.op, &other.op) {
+                (GateOp::Single(a), GateOp::Single(b)) => a.is_inverse_of(b, dimension),
+                (
+                    GateOp::AddFrom { source, negate },
+                    GateOp::AddFrom {
+                        source: other_source,
+                        negate: other_negate,
+                    },
+                ) => source == other_source && negate != other_negate,
+                _ => false,
+            }
     }
 
     /// Returns the gate with every qudit id (controls, `AddFrom` source and
@@ -254,6 +280,7 @@ impl Gate {
     /// Returns `true` when all controls fire for the given basis state.
     ///
     /// `digits[q]` is the level of qudit `q`.
+    #[inline]
     pub fn fires(&self, digits: &[u32]) -> bool {
         self.controls
             .iter()
@@ -270,6 +297,7 @@ impl Gate {
     ///
     /// Panics if `digits` is shorter than the largest qudit index used by the
     /// gate.
+    #[inline]
     pub fn apply_to_basis(&self, digits: &mut [u32], dimension: Dimension) -> Result<()> {
         if !self.fires(digits) {
             return Ok(());
@@ -435,6 +463,65 @@ mod tests {
             vec![QuditId::new(1), QuditId::new(2), QuditId::new(3)]
         );
         assert_eq!(gate.arity(), 3);
+    }
+
+    #[test]
+    fn support_matches_qudits_and_arity() {
+        let plain = Gate::single(SingleQuditOp::Add(1), QuditId::new(4));
+        let controlled = Gate::controlled(
+            SingleQuditOp::Swap(0, 1),
+            QuditId::new(0),
+            vec![
+                Control::zero(QuditId::new(3)),
+                Control::odd(QuditId::new(1)),
+            ],
+        );
+        let shift = Gate::add_from(
+            QuditId::new(2),
+            false,
+            QuditId::new(0),
+            vec![Control::zero(QuditId::new(5))],
+        );
+        let bare_shift = Gate::add_from(QuditId::new(1), true, QuditId::new(0), vec![]);
+        for gate in [plain, controlled, shift, bare_shift] {
+            let support: Vec<QuditId> = gate.support().collect();
+            assert_eq!(support, gate.qudits(), "{gate}");
+            assert_eq!(gate.arity(), support.len(), "{gate}");
+        }
+    }
+
+    #[test]
+    fn is_inverse_of_agrees_with_inverse() {
+        let d = dim(4);
+        let gates = [
+            Gate::single(SingleQuditOp::Add(1), QuditId::new(0)),
+            Gate::single(SingleQuditOp::Add(3), QuditId::new(0)),
+            Gate::single(SingleQuditOp::Swap(0, 1), QuditId::new(0)),
+            Gate::single(SingleQuditOp::ParityFlipEven, QuditId::new(0)),
+            Gate::single(
+                SingleQuditOp::Perm(crate::ops::Permutation::from_map(vec![1, 2, 3, 0]).unwrap()),
+                QuditId::new(0),
+            ),
+            Gate::single(
+                SingleQuditOp::Perm(crate::ops::Permutation::from_map(vec![3, 0, 1, 2]).unwrap()),
+                QuditId::new(0),
+            ),
+            Gate::single(SingleQuditOp::fourier(d), QuditId::new(0)),
+            Gate::single(SingleQuditOp::fourier(d).inverse(d), QuditId::new(0)),
+            Gate::controlled(
+                SingleQuditOp::Add(1),
+                QuditId::new(0),
+                vec![Control::zero(QuditId::new(1))],
+            ),
+            Gate::add_from(QuditId::new(1), false, QuditId::new(0), vec![]),
+            Gate::add_from(QuditId::new(1), true, QuditId::new(0), vec![]),
+            Gate::add_from(QuditId::new(2), true, QuditId::new(0), vec![]),
+        ];
+        for a in &gates {
+            for b in &gates {
+                assert_eq!(a.is_inverse_of(b, d), *a == b.inverse(d), "{a} vs {b}");
+            }
+        }
     }
 
     #[test]

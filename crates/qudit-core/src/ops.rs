@@ -459,6 +459,7 @@ impl SingleQuditOp {
     /// # Errors
     ///
     /// Returns [`QuditError::NotClassical`] for non-permutation unitaries.
+    #[inline]
     pub fn apply_level(&self, level: u32, dimension: Dimension) -> Result<u32> {
         match self {
             SingleQuditOp::Swap(i, j) => Ok(if level == *i {
@@ -485,6 +486,28 @@ impl SingleQuditOp {
             SingleQuditOp::ParityFlipOdd => SingleQuditOp::ParityFlipOdd,
             SingleQuditOp::Perm(p) => SingleQuditOp::Perm(p.inverse()),
             SingleQuditOp::Unitary(m) => SingleQuditOp::Unitary(m.adjoint()),
+        }
+    }
+
+    /// Returns `true` when `self == other.inverse(dimension)`, without
+    /// building the inverse.
+    pub(crate) fn is_inverse_of(&self, other: &SingleQuditOp, dimension: Dimension) -> bool {
+        match (self, other) {
+            (SingleQuditOp::Perm(p), SingleQuditOp::Perm(q)) => {
+                p.map.len() == q.map.len()
+                    && q.map
+                        .iter()
+                        .enumerate()
+                        .all(|(from, &to)| p.map.get(to as usize) == Some(&(from as u32)))
+            }
+            (SingleQuditOp::Unitary(a), SingleQuditOp::Unitary(m)) => {
+                let n = m.size();
+                a.size() == n && (0..n).all(|r| (0..n).all(|c| a[(c, r)] == m[(r, c)].conj()))
+            }
+            (SingleQuditOp::Perm(_) | SingleQuditOp::Unitary(_), _)
+            | (_, SingleQuditOp::Perm(_) | SingleQuditOp::Unitary(_)) => false,
+            // The remaining inverses are fieldless or `Copy`: no allocation.
+            _ => *self == other.inverse(dimension),
         }
     }
 

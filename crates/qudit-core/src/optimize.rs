@@ -58,42 +58,36 @@ where
     let mut last_touch: Vec<Vec<usize>> = vec![Vec::new(); width];
 
     for gate in gates {
-        let qudits = gate.qudits();
         // The candidate for cancellation is the most recent retained gate on
         // any of this gate's qudits — and it must be the most recent on all
         // of them.
-        let candidate = qudits
-            .iter()
+        let candidate = gate
+            .support()
             .filter_map(|q| last_touch[q.index()].last().copied())
             .max();
         let cancels = candidate.is_some_and(|index| {
             let previous = kept[index].as_ref().expect("candidate is retained");
-            let same_support = qudits
-                .iter()
-                .all(|q| last_touch[q.index()].last() == Some(&index));
-            let same_qudits = {
-                let mut a = previous.qudits();
-                let mut b = qudits.clone();
-                a.sort_unstable();
-                b.sort_unstable();
-                a == b
-            };
-            same_support && same_qudits && previous.inverse(dimension) == gate
+            // `previous` touches every qudit of `gate`; neither gate repeats a
+            // qudit, so equal arity means equal supports.
+            gate.support()
+                .all(|q| last_touch[q.index()].last() == Some(&index))
+                && previous.arity() == gate.arity()
+                && gate.is_inverse_of(previous, dimension)
         });
         if let (true, Some(index)) = (cancels, candidate) {
             // Remove the previous gate and drop the current one.
             kept[index] = None;
-            for q in &qudits {
+            for q in gate.support() {
                 let stack = &mut last_touch[q.index()];
                 debug_assert_eq!(stack.last(), Some(&index));
                 stack.pop();
             }
         } else {
             let index = kept.len();
-            kept.push(Some(gate));
-            for q in &qudits {
+            for q in gate.support() {
                 last_touch[q.index()].push(index);
             }
+            kept.push(Some(gate));
         }
     }
 

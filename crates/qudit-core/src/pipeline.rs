@@ -1154,11 +1154,9 @@ where
 /// the input's operator; the output's depth never exceeds the input's, and
 /// the pass is idempotent — a second run returns its input unchanged.
 ///
-/// Circuits of at least [`commute::PARALLEL_SCHEDULE_THRESHOLD`] gates
-/// build the dependency DAG gate-parallel on a [`WorkStealingPool`] —
-/// unless the calling thread is already a pool worker, where the sequential
-/// build avoids nested pools.  The DAG depends only on the circuit, so
-/// every execution mode produces the identical schedule.
+/// The pass runs one sequential scan: each gate walks its wires backward
+/// and stops once a wire's running maximum of assigned layers cannot raise
+/// its dependency bound, so no explicit DAG is built and no pool is used.
 ///
 /// # Example
 ///
@@ -1195,15 +1193,6 @@ impl Pass for ScheduleDepth {
     }
 
     fn run(&self, circuit: Circuit) -> Result<Circuit> {
-        self.run_with(circuit, &mut PassContext::new())
-    }
-
-    fn run_with(&self, circuit: Circuit, ctx: &mut PassContext) -> Result<Circuit> {
-        if circuit.len() >= commute::PARALLEL_SCHEDULE_THRESHOLD {
-            if let Some(pool) = parallel_pool(ctx) {
-                return Ok(commute::schedule_depth_on(&circuit, &pool));
-            }
-        }
         Ok(commute::schedule_depth(&circuit))
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! * property-based: scheduled circuits are equivalent to their inputs on
 //!   every simulation backend (`Dense`, `Sparse`, `Auto`), scheduling is
-//!   idempotent, never increases depth, and the pool-parallel path matches
-//!   the sequential one for 1 and 4 workers (the CI thread matrix
+//!   idempotent, never increases depth, and the fused scan matches the
+//!   explicit-DAG reference `schedule_over` (the CI thread matrix
 //!   additionally runs this whole suite under `QUDIT_THREADS=1` and `=4`);
 //! * regression: on the E10 k-Toffoli family, `ScheduleDepth` never
 //!   increases `circuit_depth`, and golden depth values pin a few fixed
@@ -13,9 +13,8 @@
 //!   scheduler, is re-simulated and checked.
 
 use proptest::prelude::*;
-use qudit_core::commute::{schedule_depth, schedule_depth_on};
+use qudit_core::commute::{schedule_depth, schedule_over, DependencyDag};
 use qudit_core::depth::circuit_depth;
-use qudit_core::pool::WorkStealingPool;
 use qudit_core::{Circuit, Dimension, Gate, QuditId, SingleQuditOp};
 use qudit_sim::circuit_permutation;
 use qudit_sim::equivalence::{verify_mct_sampled_with, MctSpec};
@@ -61,8 +60,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Scheduling preserves the circuit's operator on every backend, never
-    /// increases the measured depth, is idempotent, and is identical on the
-    /// sequential and pool-parallel paths (1 and 4 workers).
+    /// increases the measured depth, is idempotent, and is identical to the
+    /// explicit-DAG reference schedule.
     #[test]
     fn scheduling_preserves_semantics_on_every_backend(
         d in 3u32..=4,
@@ -96,11 +95,11 @@ proptest! {
         }
         // Idempotence: a second run changes nothing.
         prop_assert_eq!(schedule_depth(&scheduled), scheduled.clone());
-        // Pool-parallel path: identical for both CI worker counts.
-        for threads in [1usize, 4] {
-            let pool = WorkStealingPool::with_threads(threads);
-            prop_assert_eq!(&schedule_depth_on(&lowered, &pool), &scheduled);
-        }
+        // The fused scan reproduces the explicit-DAG reference exactly.
+        prop_assert_eq!(
+            &schedule_over(&lowered, &DependencyDag::build(&lowered)).circuit,
+            &scheduled
+        );
     }
 
     /// The scheduled standard pipeline (the opt-in preset) produces a
