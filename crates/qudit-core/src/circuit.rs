@@ -202,14 +202,11 @@ impl Circuit {
                 width: self.width,
             });
         }
-        for (i, &v) in digits.iter().enumerate() {
-            if v >= self.dimension.get() {
-                return Err(QuditError::LevelOutOfRange {
-                    level: v,
-                    dimension: self.dimension.get(),
-                });
-            }
-            let _ = i;
+        if let Some(&level) = digits.iter().find(|&&v| v >= self.dimension.get()) {
+            return Err(QuditError::LevelOutOfRange {
+                level,
+                dimension: self.dimension.get(),
+            });
         }
         let mut state = digits.to_vec();
         for gate in &self.gates {

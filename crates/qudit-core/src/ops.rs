@@ -470,7 +470,24 @@ impl SingleQuditOp {
                 level
             }),
             SingleQuditOp::Add(y) => Ok((level + *y) % dimension.get()),
-            _ => Ok(self.to_permutation(dimension)?.apply(level)),
+            // The parity flips swap (0 1)(2 3)… and (1 2)(3 4)…; a level
+            // whose partner would be `d` stays put.
+            SingleQuditOp::ParityFlipEven => Ok(if level % 2 == 1 {
+                level - 1
+            } else if level + 1 < dimension.get() {
+                level + 1
+            } else {
+                level
+            }),
+            SingleQuditOp::ParityFlipOdd => Ok(if level.is_multiple_of(2) {
+                level.saturating_sub(1)
+            } else if level + 1 < dimension.get() {
+                level + 1
+            } else {
+                level
+            }),
+            SingleQuditOp::Perm(p) => Ok(p.apply(level)),
+            SingleQuditOp::Unitary(_) => Ok(self.to_permutation(dimension)?.apply(level)),
         }
     }
 
@@ -638,6 +655,31 @@ mod tests {
         let p = SingleQuditOp::ParityFlipOdd.to_permutation(d).unwrap();
         assert_eq!(p.as_map(), &[0, 2, 1, 4, 3]);
         assert!(SingleQuditOp::ParityFlipOdd.validate(dim(6)).is_err());
+    }
+
+    #[test]
+    fn apply_level_matches_the_permutation_table() {
+        for d in 2..10 {
+            let dimension = dim(d);
+            let ops = [
+                SingleQuditOp::Swap(0, d - 1),
+                SingleQuditOp::Add(d - 1),
+                SingleQuditOp::ParityFlipEven,
+                SingleQuditOp::ParityFlipOdd,
+                SingleQuditOp::Perm(Permutation::cycle_add(dimension, 1)),
+                SingleQuditOp::Unitary(SingleQuditOp::ParityFlipOdd.to_matrix(dimension)),
+            ];
+            for op in ops {
+                let table = op.to_permutation(dimension).unwrap();
+                for level in dimension.levels() {
+                    assert_eq!(
+                        op.apply_level(level, dimension).unwrap(),
+                        table.apply(level),
+                        "{op:?} at d={d}, level {level}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

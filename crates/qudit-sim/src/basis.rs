@@ -1,11 +1,17 @@
-//! Mixed-radix indexing of computational basis states.
+//! Mixed-radix indexing of computational basis states, and the
+//! [`BasisBatch`] kernel that pushes many basis states through a classical
+//! circuit at once.
 //!
 //! A register of `width` qudits of dimension `d` has `d^width` basis states.
 //! Basis states are written as digit vectors `[x_0, x_1, …]` with qudit 0 the
 //! most significant digit, matching the top-to-bottom ordering of the
 //! circuit figures in the paper.
 
-use qudit_core::Dimension;
+use std::ops::{Add, BitAnd, Range, Sub};
+
+use qudit_core::{
+    Circuit, ControlPredicate, Dimension, Gate, GateOp, QuditError, Result, SingleQuditOp,
+};
 
 /// Converts a digit vector to its basis-state index.
 ///
@@ -70,6 +76,458 @@ pub fn index_to_digits(index: usize, dimension: Dimension, width: usize) -> Vec<
 pub fn all_basis_states(dimension: Dimension, width: usize) -> impl Iterator<Item = Vec<u32>> {
     let size = dimension.register_size(width);
     (0..size).map(move |i| index_to_digits(i, dimension, width))
+}
+
+/// Number of states [`BasisBatch::apply`] pushes through each gate before
+/// moving on to the next gate: one block's digit rows stay cache-resident
+/// for the whole circuit.  Callers that stream a large register through
+/// the kernel use the same size for their batches.
+pub(crate) const BLOCK_STATES: usize = 4096;
+
+/// One digit of a [`BasisBatch`] row: `u8` while every level fits in a
+/// byte, `u32` above that.  The kernel is written once over this trait.
+trait Lane:
+    Copy + Ord + Add<Output = Self> + Sub<Output = Self> + BitAnd<Output = Self> + Send + Sync
+{
+    const ZERO: Self;
+    const ONE: Self;
+    /// Converts a level known to fit the lane.
+    fn of(level: u32) -> Self;
+    fn level(self) -> u32;
+}
+
+impl Lane for u8 {
+    const ZERO: Self = 0;
+    const ONE: Self = 1;
+    fn of(level: u32) -> Self {
+        level as u8
+    }
+    fn level(self) -> u32 {
+        u32::from(self)
+    }
+}
+
+impl Lane for u32 {
+    const ZERO: Self = 0;
+    const ONE: Self = 1;
+    fn of(level: u32) -> Self {
+        level
+    }
+    fn level(self) -> u32 {
+        self
+    }
+}
+
+/// The digit rows of a batch, `width` rows of `len` lanes each, row `q`
+/// holding qudit `q`'s digit of every state.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Rows {
+    Narrow(Vec<u8>),
+    Wide(Vec<u32>),
+}
+
+/// A batch of computational basis states stored structure-of-arrays: one
+/// contiguous digit row per qudit.
+///
+/// [`BasisBatch::apply`] pushes every state through a classical circuit at
+/// once.  It decodes each gate once per block of states — the controls
+/// become a byte mask, the operation a branchless compare/select over the
+/// target row — so the inner loops vectorise.  The result equals
+/// [`Circuit::apply_to_basis`] state by state.  Digits are stored as bytes
+/// for `d ≤ 255` and as `u32` above that.
+///
+/// # Example
+///
+/// ```
+/// # use qudit_core::{Circuit, Control, Dimension, Gate, QuditId, SingleQuditOp};
+/// # use qudit_sim::basis::BasisBatch;
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let d = Dimension::new(3)?;
+/// let mut circuit = Circuit::new(d, 2);
+/// circuit.push(Gate::controlled(
+///     SingleQuditOp::Add(1),
+///     QuditId::new(1),
+///     vec![Control::zero(QuditId::new(0))],
+/// ))?;
+///
+/// let mut batch = BasisBatch::from_range(d, 2, 0..9);
+/// batch.apply(&circuit)?;
+/// assert_eq!(batch.state(2), vec![0, 0]); // |0 2⟩ ↦ |0 0⟩
+/// assert_eq!(batch.state(5), vec![1, 2]); // control off: unchanged
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BasisBatch {
+    dimension: Dimension,
+    width: usize,
+    len: usize,
+    rows: Rows,
+}
+
+impl BasisBatch {
+    fn narrow(dimension: Dimension) -> bool {
+        dimension.get() <= u32::from(u8::MAX)
+    }
+
+    /// The basis states with indices in `range`, in index order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` reaches past `d^width`.
+    pub fn from_range(dimension: Dimension, width: usize, range: Range<usize>) -> Self {
+        assert!(
+            range.end <= dimension.register_size(width),
+            "index out of range"
+        );
+        let len = range.len();
+        let digits = if len == 0 {
+            vec![0; width]
+        } else {
+            index_to_digits(range.start, dimension, width)
+        };
+        let rows = if Self::narrow(dimension) {
+            Rows::Narrow(odometer_rows(digits, len, dimension))
+        } else {
+            Rows::Wide(odometer_rows(digits, len, dimension))
+        };
+        BasisBatch {
+            dimension,
+            width,
+            len,
+            rows,
+        }
+    }
+
+    /// The given basis states, in order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QuditError::QuditOutOfRange`] when a state does not have
+    /// `width` digits and [`QuditError::LevelOutOfRange`] when a digit is
+    /// `≥ d`, as [`Circuit::apply_to_basis`] does.
+    pub fn from_states<S: AsRef<[u32]>>(
+        dimension: Dimension,
+        width: usize,
+        states: &[S],
+    ) -> Result<Self> {
+        for state in states {
+            let state = state.as_ref();
+            if state.len() != width {
+                return Err(QuditError::QuditOutOfRange {
+                    qudit: state.len(),
+                    width,
+                });
+            }
+            if let Some(&level) = state.iter().find(|&&v| v >= dimension.get()) {
+                return Err(QuditError::LevelOutOfRange {
+                    level,
+                    dimension: dimension.get(),
+                });
+            }
+        }
+        let rows = if Self::narrow(dimension) {
+            Rows::Narrow(transpose_rows(states, width))
+        } else {
+            Rows::Wide(transpose_rows(states, width))
+        };
+        Ok(BasisBatch {
+            dimension,
+            width,
+            len: states.len(),
+            rows,
+        })
+    }
+
+    /// Number of states in the batch.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Returns `true` when the batch holds no states.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The digit vector of state `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i ≥ len()`.
+    pub fn state(&self, i: usize) -> Vec<u32> {
+        assert!(i < self.len, "state {i} out of range");
+        let len = self.len;
+        match &self.rows {
+            Rows::Narrow(rows) => (0..self.width).map(|q| rows[q * len + i].level()).collect(),
+            Rows::Wide(rows) => (0..self.width).map(|q| rows[q * len + i].level()).collect(),
+        }
+    }
+
+    /// The basis-state index of every state, in batch order.
+    pub fn indices(&self) -> Vec<usize> {
+        match &self.rows {
+            Rows::Narrow(rows) => row_indices(rows, self.len, self.dimension),
+            Rows::Wide(rows) => row_indices(rows, self.len, self.dimension),
+        }
+    }
+
+    /// Applies a classical circuit to every state of the batch in place.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QuditError::IncompatibleCircuits`] when the circuit's
+    /// dimension differs from the batch's or the circuit is wider, and
+    /// [`QuditError::NotClassical`] when it holds a non-permutation gate.
+    pub fn apply(&mut self, circuit: &Circuit) -> Result<()> {
+        if circuit.dimension() != self.dimension || circuit.width() > self.width {
+            return Err(QuditError::IncompatibleCircuits {
+                reason: format!(
+                    "circuit d={}, width={} does not fit a batch of d={}, width={}",
+                    circuit.dimension(),
+                    circuit.width(),
+                    self.dimension,
+                    self.width
+                ),
+            });
+        }
+        match &mut self.rows {
+            Rows::Narrow(rows) => apply_rows(rows, self.len, self.dimension, circuit),
+            Rows::Wide(rows) => apply_rows(rows, self.len, self.dimension, circuit),
+        }
+    }
+
+    /// The position of the first state that differs between two batches of
+    /// the same shape, or `None` when they are equal.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batches differ in dimension, width or length.
+    pub fn first_mismatch(&self, other: &BasisBatch) -> Option<usize> {
+        assert!(
+            self.dimension == other.dimension && self.width == other.width && self.len == other.len,
+            "batches must have the same shape"
+        );
+        match (&self.rows, &other.rows) {
+            (Rows::Narrow(a), Rows::Narrow(b)) => first_row_mismatch(a, b, self.len),
+            (Rows::Wide(a), Rows::Wide(b)) => first_row_mismatch(a, b, self.len),
+            _ => unreachable!("equal dimensions select the same lane"),
+        }
+    }
+}
+
+/// Rows of the `len` consecutive basis states starting at `digits`.
+fn odometer_rows<L: Lane>(mut digits: Vec<u32>, len: usize, dimension: Dimension) -> Vec<L> {
+    let mut rows = vec![L::ZERO; digits.len() * len];
+    for i in 0..len {
+        for (q, &digit) in digits.iter().enumerate() {
+            rows[q * len + i] = L::of(digit);
+        }
+        // Increment, least significant (last) qudit first.
+        for digit in digits.iter_mut().rev() {
+            *digit += 1;
+            if *digit < dimension.get() {
+                break;
+            }
+            *digit = 0;
+        }
+    }
+    rows
+}
+
+fn transpose_rows<L: Lane, S: AsRef<[u32]>>(states: &[S], width: usize) -> Vec<L> {
+    let len = states.len();
+    let mut rows = vec![L::ZERO; width * len];
+    for (i, state) in states.iter().enumerate() {
+        for (q, &digit) in state.as_ref().iter().enumerate() {
+            rows[q * len + i] = L::of(digit);
+        }
+    }
+    rows
+}
+
+fn row_indices<L: Lane>(rows: &[L], len: usize, dimension: Dimension) -> Vec<usize> {
+    let d = dimension.as_usize();
+    let mut indices = vec![0usize; len];
+    for row in rows.chunks_exact(len.max(1)) {
+        for (index, &digit) in indices.iter_mut().zip(row) {
+            *index = *index * d + digit.level() as usize;
+        }
+    }
+    indices
+}
+
+fn first_row_mismatch<L: Lane>(a: &[L], b: &[L], len: usize) -> Option<usize> {
+    if a == b {
+        return None;
+    }
+    a.chunks_exact(len)
+        .zip(b.chunks_exact(len))
+        .filter_map(|(x, y)| x.iter().zip(y).position(|(p, q)| p != q))
+        .min()
+}
+
+fn apply_rows<L: Lane>(
+    rows: &mut [L],
+    len: usize,
+    dimension: Dimension,
+    circuit: &Circuit,
+) -> Result<()> {
+    let mut mask = vec![0u8; len.min(BLOCK_STATES)];
+    for start in (0..len).step_by(BLOCK_STATES) {
+        let block = start..(start + BLOCK_STATES).min(len);
+        let mask = &mut mask[..block.len()];
+        for gate in circuit.gates() {
+            apply_gate(rows, len, block.clone(), dimension, gate, mask)?;
+        }
+    }
+    Ok(())
+}
+
+/// Applies one gate to the states `block` of every row (`stride` lanes per
+/// row).
+fn apply_gate<L: Lane>(
+    rows: &mut [L],
+    stride: usize,
+    block: Range<usize>,
+    dimension: Dimension,
+    gate: &Gate,
+    mask: &mut [u8],
+) -> Result<()> {
+    let span = |q: usize| q * stride + block.start..q * stride + block.end;
+    for (n, control) in gate.controls().iter().enumerate() {
+        let digits = &rows[span(control.qudit.index())];
+        let first = n == 0;
+        match control.predicate {
+            ControlPredicate::Level(l) => {
+                let l = L::of(l);
+                and_mask(mask, digits, first, |x| x == l);
+            }
+            ControlPredicate::Odd => and_mask(mask, digits, first, |x| (x & L::ONE) == L::ONE),
+            ControlPredicate::EvenNonzero => and_mask(mask, digits, first, |x| {
+                (x != L::ZERO) & ((x & L::ONE) == L::ZERO)
+            }),
+            ControlPredicate::NonZero => and_mask(mask, digits, first, |x| x != L::ZERO),
+        }
+    }
+    let mask = (!gate.controls().is_empty()).then_some(&*mask);
+    let target = span(gate.target().index());
+    match gate.op() {
+        GateOp::Single(SingleQuditOp::Swap(i, j)) => {
+            let (i, j) = (L::of(*i), L::of(*j));
+            select_row(&mut rows[target], mask, |x| {
+                if x == i {
+                    j
+                } else if x == j {
+                    i
+                } else {
+                    x
+                }
+            });
+        }
+        GateOp::Single(SingleQuditOp::Add(y)) => {
+            // x + y wraps exactly when x ≥ d − y.
+            let y = *y % dimension.get();
+            let wrap = L::of(dimension.get() - y);
+            let y = L::of(y);
+            select_row(&mut rows[target], mask, |x| {
+                if x >= wrap {
+                    x - wrap
+                } else {
+                    x + y
+                }
+            });
+        }
+        GateOp::Single(op) => {
+            let map = dimension
+                .levels()
+                .map(|level| op.apply_level(level, dimension).map(L::of))
+                .collect::<Result<Vec<L>>>()?;
+            select_row(&mut rows[target], mask, |x| map[x.level() as usize]);
+        }
+        GateOp::AddFrom { source, negate } => {
+            let (target, source) = target_and_source(rows, target, span(source.index()));
+            let d = L::of(dimension.get());
+            if *negate {
+                select_rows(target, source, mask, |x, s| {
+                    if x >= s {
+                        x - s
+                    } else {
+                        x + (d - s)
+                    }
+                });
+            } else {
+                select_rows(target, source, mask, |x, s| {
+                    if x >= d - s {
+                        x - (d - s)
+                    } else {
+                        x + s
+                    }
+                });
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Sets (`first`) or narrows the firing mask by one control's predicate.
+#[inline(always)]
+fn and_mask<L: Lane>(mask: &mut [u8], digits: &[L], first: bool, fires: impl Fn(L) -> bool) {
+    if first {
+        for (m, &x) in mask.iter_mut().zip(digits) {
+            *m = u8::from(fires(x));
+        }
+    } else {
+        for (m, &x) in mask.iter_mut().zip(digits) {
+            *m &= u8::from(fires(x));
+        }
+    }
+}
+
+/// Replaces each digit `x` of `row` by `f(x)` where the mask fires.
+#[inline(always)]
+fn select_row<L: Lane>(row: &mut [L], mask: Option<&[u8]>, f: impl Fn(L) -> L) {
+    match mask {
+        None => row.iter_mut().for_each(|x| *x = f(*x)),
+        Some(mask) => {
+            for (x, &m) in row.iter_mut().zip(mask) {
+                let y = f(*x);
+                *x = if m != 0 { y } else { *x };
+            }
+        }
+    }
+}
+
+/// [`select_row`] for an operation that also reads a source row.
+#[inline(always)]
+fn select_rows<L: Lane>(row: &mut [L], source: &[L], mask: Option<&[u8]>, f: impl Fn(L, L) -> L) {
+    match mask {
+        None => {
+            for (x, &s) in row.iter_mut().zip(source) {
+                *x = f(*x, s);
+            }
+        }
+        Some(mask) => {
+            for ((x, &s), &m) in row.iter_mut().zip(source).zip(mask) {
+                let y = f(*x, s);
+                *x = if m != 0 { y } else { *x };
+            }
+        }
+    }
+}
+
+/// Borrows the (disjoint) target span mutably and the source span shared.
+fn target_and_source<L>(
+    rows: &mut [L],
+    target: Range<usize>,
+    source: Range<usize>,
+) -> (&mut [L], &[L]) {
+    if target.start < source.start {
+        let (low, high) = rows.split_at_mut(source.start);
+        (&mut low[target], &high[..source.len()])
+    } else {
+        let (low, high) = rows.split_at_mut(target.start);
+        (&mut high[..target.len()], &low[source])
+    }
 }
 
 #[cfg(test)]

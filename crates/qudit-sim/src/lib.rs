@@ -3,10 +3,12 @@
 //!
 //! The crate provides:
 //!
-//! * [`basis`] — mixed-radix indexing of computational basis states;
-//! * [`PermutationSimulator`] and [`permutation_sim`] — fast classical
-//!   simulation of the permutation circuits produced by the synthesis
-//!   algorithms, plus full permutation-table extraction;
+//! * [`basis`] — mixed-radix indexing of computational basis states and the
+//!   [`BasisBatch`] kernel, which pushes blocks of basis states through a
+//!   classical circuit with vectorised compare/select loops;
+//! * [`PermutationSimulator`] and [`permutation_sim`] — single-state
+//!   classical simulation of the permutation circuits produced by the
+//!   synthesis algorithms, plus full permutation-table extraction;
 //! * [`StateVector`] and [`statevector`] — state-vector simulation supporting
 //!   arbitrary controlled unitaries (the scalar reference walk);
 //! * [`FusedProgram`] and [`dense`] — the cache-blocked dense engine: gate
@@ -63,9 +65,10 @@ pub mod sparse;
 pub mod stabilizer;
 pub mod statevector;
 
+pub use basis::BasisBatch;
 pub use dense::FusedProgram;
 pub use equivalence::{MctSpec, Verification};
-pub use permutation_sim::{circuit_permutation, classical_circuits_equal, PermutationSimulator};
+pub use permutation_sim::{circuit_permutation, PermutationSimulator};
 pub use pipeline::VerifyEquivalence;
 pub use sparse::{
     circuit_unitary_with, classical_prefix_len, simulate_basis, SimBackend, SimState, SparseState,

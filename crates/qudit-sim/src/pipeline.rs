@@ -4,8 +4,12 @@
 //! check in the spirit of refinement checking: after the inner pass runs,
 //! the input and output circuits are compared —
 //!
-//! * **classical circuits** via the permutation simulator (exhaustively when
-//!   the register is small, on deterministic random basis states otherwise);
+//! * **classical circuits** via the [`BasisBatch`] kernel, which pushes
+//!   blocks of basis states through both circuits as digit rows with
+//!   vectorised compare/select loops — every basis state in blocks when the
+//!   register is small (fanned out over the pool on larger sweeps), a
+//!   deterministic draw of random basis states otherwise — in
+//!   `O(width × block)` memory either way;
 //! * **all-Clifford circuits** over prime dimensions via exact stabilizer
 //!   tableau comparison ([`crate::stabilizer`]) — complete up to global
 //!   phase at *any* register width;
@@ -30,6 +34,7 @@ use qudit_core::{Circuit, QuditError, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::basis::{BasisBatch, BLOCK_STATES};
 use crate::sparse::{circuit_unitary_with, SimBackend, SimState};
 use crate::statevector::StateVector;
 
@@ -48,8 +53,9 @@ const MAX_SAMPLED_STATEVECTOR_STATES: usize = 1 << 20;
 const MAX_STATEVECTOR_SAMPLES: usize = 8;
 /// Fixed seed so verification failures are reproducible.
 const SAMPLE_SEED: u64 = 0x5EED_CAFE;
-/// Basis-state count above which the exhaustive classical sweep fans out
-/// over a work-stealing pool (each state checks independently).
+/// Basis-state count above which the exhaustive classical sweep fans its
+/// block ranges out over a work-stealing pool (each state checks
+/// independently).
 const PARALLEL_VERIFY_THRESHOLD: usize = 1024;
 
 /// A [`Pass`] decorator that checks the wrapped pass preserved the circuit's
@@ -148,6 +154,44 @@ impl VerifyEquivalence {
         }
     }
 
+    /// Draws the classical sample inputs — uniform basis states, every
+    /// other one with the controls of a random gate (from either circuit)
+    /// forced onto firing levels, since uniform states almost never satisfy
+    /// a deep multi-controlled gate (probability `d^-k`) — and returns the
+    /// first, in draw order, on which the circuits disagree.  Samples run
+    /// through the batch kernel a block at a time.
+    fn sampled_witness(&self, before: &Circuit, after: &Circuit) -> Result<Option<Vec<u32>>> {
+        let dimension = before.dimension();
+        let width = before.width();
+        let mut rng = StdRng::seed_from_u64(SAMPLE_SEED);
+        let gate_pool: Vec<&qudit_core::Gate> =
+            before.gates().iter().chain(after.gates()).collect();
+        for first in (0..self.samples).step_by(BLOCK_STATES) {
+            let last = (first + BLOCK_STATES).min(self.samples);
+            let mut inputs: Vec<Vec<u32>> = (first..last)
+                .map(|sample| {
+                    let mut input =
+                        crate::sampling::uniform_basis_state(dimension, width, &mut rng);
+                    if sample % 2 == 0 && !gate_pool.is_empty() {
+                        let gate = gate_pool[rng.gen_range(0..gate_pool.len())];
+                        crate::sampling::force_controls_matching(
+                            &mut input,
+                            gate.controls(),
+                            dimension,
+                            &mut rng,
+                        );
+                    }
+                    input
+                })
+                .collect();
+            let batch = BasisBatch::from_states(dimension, width, &inputs)?;
+            if let Some(i) = first_disagreement(before, after, batch)? {
+                return Ok(Some(inputs.swap_remove(i)));
+            }
+        }
+        Ok(None)
+    }
+
     fn check_equivalent(
         &self,
         before: &Circuit,
@@ -191,78 +235,15 @@ impl VerifyEquivalence {
             return Ok(());
         }
         if before.is_classical() && after.is_classical() {
-            if size <= self.max_exhaustive_states {
-                // One sweep over the basis yields the witness directly.
-                // Each state checks independently, so large sweeps fan out
-                // over the run's pinned pool — or an environment-sized one
-                // when the manager pinned none — never nested inside a
-                // batch worker (see qudit_core::pool); the witness (if any)
-                // is the first in basis order regardless of which worker
-                // found it.  Small sweeps stream the iterator without
-                // collecting.
-                let parallel = size >= PARALLEL_VERIFY_THRESHOLD && !qudit_core::pool::in_worker();
-                let pool = parallel.then(|| pinned_pool.unwrap_or_default());
-                match pool.filter(|pool| pool.threads() > 1) {
-                    Some(pool) => {
-                        let states: Vec<Vec<u32>> =
-                            crate::basis::all_basis_states(dimension, before.width()).collect();
-                        let chunk_size = states
-                            .len()
-                            .div_ceil(pool.threads().saturating_mul(4))
-                            .max(1);
-                        let chunks: Vec<&[Vec<u32>]> = states.chunks(chunk_size).collect();
-                        let witnesses = pool.map(chunks, |chunk| {
-                            for input in chunk {
-                                if before.apply_to_basis(input)? != after.apply_to_basis(input)? {
-                                    return Ok(Some(input.clone()));
-                                }
-                            }
-                            Ok::<_, QuditError>(None)
-                        });
-                        for witness in witnesses {
-                            if let Some(input) = witness? {
-                                return Err(self.fail(format!(
-                                    "output circuit is not equivalent to its input (basis state {input:?})"
-                                )));
-                            }
-                        }
-                    }
-                    None => {
-                        for input in crate::basis::all_basis_states(dimension, before.width()) {
-                            if before.apply_to_basis(&input)? != after.apply_to_basis(&input)? {
-                                return Err(self.fail(format!(
-                                    "output circuit is not equivalent to its input (basis state {input:?})"
-                                )));
-                            }
-                        }
-                    }
-                }
+            let witness = if size <= self.max_exhaustive_states {
+                exhaustive_witness(before, after, pinned_pool)?
             } else {
-                // Uniform basis states almost never satisfy a deep
-                // multi-controlled gate (probability d^-k), so bias half of
-                // the samples: force the controls of one randomly chosen gate
-                // (from either circuit) onto matching levels.
-                let mut rng = StdRng::seed_from_u64(SAMPLE_SEED);
-                let gate_pool: Vec<&qudit_core::Gate> =
-                    before.gates().iter().chain(after.gates()).collect();
-                for sample in 0..self.samples {
-                    let mut input =
-                        crate::sampling::uniform_basis_state(dimension, before.width(), &mut rng);
-                    if sample % 2 == 0 && !gate_pool.is_empty() {
-                        let gate = gate_pool[rng.gen_range(0..gate_pool.len())];
-                        crate::sampling::force_controls_matching(
-                            &mut input,
-                            gate.controls(),
-                            dimension,
-                            &mut rng,
-                        );
-                    }
-                    if before.apply_to_basis(&input)? != after.apply_to_basis(&input)? {
-                        return Err(self.fail(format!(
-                            "output circuit is not equivalent to its input (basis state {input:?})"
-                        )));
-                    }
-                }
+                self.sampled_witness(before, after)?
+            };
+            if let Some(input) = witness {
+                return Err(self.fail(format!(
+                    "output circuit is not equivalent to its input (basis state {input:?})"
+                )));
             }
         } else if size <= MAX_UNITARY_STATES {
             // Column states are basis states, so the backend's sparse
@@ -329,6 +310,60 @@ impl VerifyEquivalence {
         }
         Ok(())
     }
+}
+
+/// Sweeps every basis state through both circuits in blocks and returns
+/// the first, in basis order, on which they disagree.
+///
+/// Large sweeps hand their block ranges to the run's pinned pool — or an
+/// environment-sized one when the manager pinned none — never nested
+/// inside a batch worker (see `qudit_core::pool`); the witness is the first
+/// in basis order regardless of which worker found it.  Memory stays
+/// `O(width × block)` per worker for any register size.
+fn exhaustive_witness(
+    before: &Circuit,
+    after: &Circuit,
+    pinned_pool: Option<WorkStealingPool>,
+) -> Result<Option<Vec<u32>>> {
+    let dimension = before.dimension();
+    let width = before.width();
+    let size = dimension.register_size(width);
+    let parallel = size >= PARALLEL_VERIFY_THRESHOLD && !qudit_core::pool::in_worker();
+    let pool = parallel
+        .then(|| pinned_pool.unwrap_or_default())
+        .filter(|pool| pool.threads() > 1);
+    let block = match &pool {
+        Some(pool) => size.div_ceil(pool.threads().saturating_mul(4)),
+        None => size,
+    }
+    .clamp(1, BLOCK_STATES);
+    let check = |start: usize| -> Result<Option<Vec<u32>>> {
+        let batch = BasisBatch::from_range(dimension, width, start..(start + block).min(size));
+        Ok(first_disagreement(before, after, batch)?
+            .map(|i| crate::basis::index_to_digits(start + i, dimension, width)))
+    };
+    let starts = (0..size).step_by(block);
+    match pool {
+        Some(pool) => pool
+            .map(starts.collect(), check)
+            .into_iter()
+            .find_map(Result::transpose)
+            .transpose(),
+        None => starts.map(check).find_map(Result::transpose).transpose(),
+    }
+}
+
+/// Pushes a batch of inputs through both circuits and returns the position
+/// of the first input they map differently.
+fn first_disagreement(
+    before: &Circuit,
+    after: &Circuit,
+    mut batch: BasisBatch,
+) -> Result<Option<usize>> {
+    let mut other = batch.clone();
+    batch.apply(before)?;
+    other.apply(after)?;
+    Ok(batch.first_mismatch(&other))
 }
 
 impl Pass for VerifyEquivalence {
