@@ -1,9 +1,9 @@
 //! Criterion bench: simulation throughput of synthesised circuits
-//! (permutation simulation and state-vector simulation).
+//! (single basis-state propagation and state-vector simulation).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qudit_core::Dimension;
-use qudit_sim::{PermutationSimulator, StateVector};
+use qudit_sim::StateVector;
 use qudit_synthesis::KToffoli;
 
 fn bench_permutation_simulation(c: &mut Criterion) {
@@ -14,11 +14,8 @@ fn bench_permutation_simulation(c: &mut Criterion) {
         let synthesis = KToffoli::new(dimension, k).unwrap().synthesize().unwrap();
         let circuit = synthesis.g_gate_circuit().unwrap();
         group.bench_with_input(BenchmarkId::new("g_circuit_single_input", k), &k, |b, _| {
-            b.iter(|| {
-                let mut sim = PermutationSimulator::new(dimension, circuit.width());
-                sim.run(&circuit).unwrap();
-                sim.state()[k]
-            })
+            let zeros = vec![0; circuit.width()];
+            b.iter(|| circuit.apply_to_basis(&zeros).unwrap()[k])
         });
     }
     group.finish();

@@ -13,9 +13,7 @@ use qudit_core::route::NoiseAwareCost;
 use qudit_core::topology::CouplingGraph;
 use qudit_core::{Dimension, QuditId, SingleQuditOp};
 use qudit_reversible::{lower_bound, ReversibleFunction, ReversibleSynthesizer};
-use qudit_sim::equivalence::{
-    verify_mct_exhaustive, verify_mct_exhaustive_with, verify_mct_sampled_with, MctSpec,
-};
+use qudit_sim::equivalence::{verify_mct_exhaustive, verify_mct_sampled, MctSpec};
 use qudit_sim::random::random_unitary;
 use qudit_sim::{is_clifford_circuit, SimBackend};
 use qudit_synthesis::{
@@ -367,22 +365,21 @@ pub fn e10_table_from_results(
             .expect("the scheduled pipeline ends with depth scheduling");
         let (depth_before, depth_after) = (schedule.before.depth, schedule.after.depth);
         // Verify that the optimised circuit still implements the Toffoli
-        // (sampled for larger registers, exhaustive for small ones), routed
-        // through the Auto simulation backend: the optimised circuits are
-        // fully classical, so Auto resolves to the sparse engine and every
-        // checked input stays at one nonzero amplitude.
+        // (sampled for larger registers, exhaustive for small ones).  The
+        // `sim backend` column reports the engine the Auto classicality
+        // scan picks for the optimised circuit.
         let spec = MctSpec::toffoli(
             synthesis.layout().controls.clone(),
             synthesis.layout().target,
         );
         let backend = SimBackend::Auto.resolve(&report.circuit);
         let verified = if dim(d).register_size(synthesis.layout().width) <= 4096 {
-            verify_mct_exhaustive_with(&report.circuit, &spec, backend)
+            verify_mct_exhaustive(&report.circuit, &spec)
                 .unwrap()
                 .is_pass()
         } else {
             let mut rng = StdRng::seed_from_u64(5);
-            verify_mct_sampled_with(&report.circuit, &spec, 100, &mut rng, backend)
+            verify_mct_sampled(&report.circuit, &spec, 100, &mut rng)
                 .unwrap()
                 .is_pass()
         };
@@ -1379,14 +1376,13 @@ mod tests {
                 synthesis.layout().controls.clone(),
                 synthesis.layout().target,
             );
-            let backend = SimBackend::Auto.resolve(&report.circuit);
             let verified = if dim(d).register_size(report.circuit.width()) <= 4096 {
-                verify_mct_exhaustive_with(&report.circuit, &spec, backend)
+                verify_mct_exhaustive(&report.circuit, &spec)
                     .unwrap()
                     .is_pass()
             } else {
                 let mut rng = StdRng::seed_from_u64(7);
-                verify_mct_sampled_with(&report.circuit, &spec, 50, &mut rng, backend)
+                verify_mct_sampled(&report.circuit, &spec, 50, &mut rng)
                     .unwrap()
                     .is_pass()
             };

@@ -1,6 +1,7 @@
-//! Mixed-radix indexing of computational basis states, and the
-//! [`BasisBatch`] kernel that pushes many basis states through a classical
-//! circuit at once.
+//! Mixed-radix indexing of computational basis states, the [`BasisBatch`]
+//! kernel that pushes many basis states through a classical circuit at
+//! once, and the classical checks built on it: the witness search behind
+//! every classical verdict and [`circuit_permutation`].
 //!
 //! A register of `width` qudits of dimension `d` has `d^width` basis states.
 //! Basis states are written as digit vectors `[x_0, x_1, …]` with qudit 0 the
@@ -9,9 +10,11 @@
 
 use std::ops::{Add, BitAnd, Range, Sub};
 
+use qudit_core::pool::WorkStealingPool;
 use qudit_core::{
-    Circuit, ControlPredicate, Dimension, Gate, GateOp, QuditError, Result, SingleQuditOp,
+    Circuit, Control, ControlPredicate, Dimension, Gate, GateOp, QuditError, Result, SingleQuditOp,
 };
+use rand::Rng;
 
 /// Converts a digit vector to its basis-state index.
 ///
@@ -315,6 +318,138 @@ impl BasisBatch {
     }
 }
 
+/// Computes the full permutation table of a classical circuit.
+///
+/// Entry `i` of the result is the index of the basis state that input state
+/// `i` is mapped to.  The basis streams through the [`BasisBatch`] kernel a
+/// block at a time.
+///
+/// # Errors
+///
+/// Returns an error when the circuit contains a non-classical gate.
+pub fn circuit_permutation(circuit: &Circuit) -> Result<Vec<usize>> {
+    let dimension = circuit.dimension();
+    let width = circuit.width();
+    let size = dimension.register_size(width);
+    let mut table = Vec::with_capacity(size);
+    for start in (0..size).step_by(BLOCK_STATES) {
+        let mut batch =
+            BasisBatch::from_range(dimension, width, start..(start + BLOCK_STATES).min(size));
+        batch.apply(circuit)?;
+        table.extend(batch.indices());
+    }
+    Ok(table)
+}
+
+/// Basis-state count above which the exhaustive classical sweep fans its
+/// block ranges out over a work-stealing pool (each state checks
+/// independently).
+const PARALLEL_VERIFY_THRESHOLD: usize = 1024;
+
+/// Sweeps every basis state through both circuits in blocks and returns
+/// the first, in basis order, on which they disagree.
+///
+/// Large sweeps hand their block ranges to the run's pinned pool — or an
+/// environment-sized one when the manager pinned none — never nested
+/// inside a batch worker (see `qudit_core::pool`); the witness is the first
+/// in basis order regardless of which worker found it.  Memory stays
+/// `O(width × block)` per worker for any register size.
+pub(crate) fn exhaustive_witness(
+    before: &Circuit,
+    after: &Circuit,
+    pinned_pool: Option<WorkStealingPool>,
+) -> Result<Option<Vec<u32>>> {
+    let dimension = before.dimension();
+    let width = before.width();
+    let size = dimension.register_size(width);
+    let parallel = size >= PARALLEL_VERIFY_THRESHOLD && !qudit_core::pool::in_worker();
+    let pool = parallel
+        .then(|| pinned_pool.unwrap_or_default())
+        .filter(|pool| pool.threads() > 1);
+    let block = match &pool {
+        Some(pool) => size.div_ceil(pool.threads().saturating_mul(4)),
+        None => size,
+    }
+    .clamp(1, BLOCK_STATES);
+    let check = |start: usize| -> Result<Option<Vec<u32>>> {
+        let batch = BasisBatch::from_range(dimension, width, start..(start + block).min(size));
+        Ok(first_disagreement(before, after, batch)?
+            .map(|i| index_to_digits(start + i, dimension, width)))
+    };
+    let starts = (0..size).step_by(block);
+    match pool {
+        Some(pool) => pool
+            .map(starts.collect(), check)
+            .into_iter()
+            .find_map(Result::transpose)
+            .transpose(),
+        None => starts.map(check).find_map(Result::transpose).transpose(),
+    }
+}
+
+/// Pushes `inputs` through both circuits, [`BLOCK_STATES`] at a time, and
+/// returns the first, in order, on which they disagree.  The inputs are
+/// drained either way, so a lazy sampler advances its RNG exactly as far as
+/// on a passing run.
+pub(crate) fn first_witness(
+    before: &Circuit,
+    after: &Circuit,
+    mut inputs: impl Iterator<Item = Vec<u32>>,
+) -> Result<Option<Vec<u32>>> {
+    loop {
+        let mut block: Vec<Vec<u32>> = inputs.by_ref().take(BLOCK_STATES).collect();
+        if block.is_empty() {
+            return Ok(None);
+        }
+        let batch = BasisBatch::from_states(before.dimension(), before.width(), &block)?;
+        if let Some(i) = first_disagreement(before, after, batch)? {
+            inputs.for_each(drop);
+            return Ok(Some(block.swap_remove(i)));
+        }
+    }
+}
+
+/// `samples` basis states over `width` qudits, drawn lazily from `rng` for
+/// the sampled checks.  Each is a uniform draw; since uniform states almost
+/// never satisfy a deep multi-controlled gate (probability `d^-k`), every
+/// even-numbered one then has each of the controls `controls(rng)` picks
+/// forced onto a uniformly chosen matching level.
+pub(crate) fn biased_samples<'a, R: Rng>(
+    dimension: Dimension,
+    width: usize,
+    samples: usize,
+    rng: &'a mut R,
+    mut controls: impl FnMut(&mut R) -> &'a [Control] + 'a,
+) -> impl Iterator<Item = Vec<u32>> + 'a {
+    (0..samples).map(move |sample| {
+        let mut input: Vec<u32> = (0..width)
+            .map(|_| rng.gen_range(0..dimension.get()))
+            .collect();
+        if sample % 2 == 0 {
+            for control in controls(rng) {
+                let levels = control.predicate.matching_levels(dimension);
+                if !levels.is_empty() {
+                    input[control.qudit.index()] = levels[rng.gen_range(0..levels.len())];
+                }
+            }
+        }
+        input
+    })
+}
+
+/// Pushes a batch of inputs through both circuits and returns the position
+/// of the first input they map differently.
+fn first_disagreement(
+    before: &Circuit,
+    after: &Circuit,
+    mut batch: BasisBatch,
+) -> Result<Option<usize>> {
+    let mut other = batch.clone();
+    batch.apply(before)?;
+    other.apply(after)?;
+    Ok(batch.first_mismatch(&other))
+}
+
 /// Rows of the `len` consecutive basis states starting at `digits`.
 fn odometer_rows<L: Lane>(mut digits: Vec<u32>, len: usize, dimension: Dimension) -> Vec<L> {
     let mut rows = vec![L::ZERO; digits.len() * len];
@@ -533,6 +668,7 @@ fn target_and_source<L>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qudit_core::QuditId;
 
     fn dim(d: u32) -> Dimension {
         Dimension::new(d).unwrap()
@@ -571,5 +707,59 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn digit_out_of_range_panics() {
         let _ = digits_to_index(&[3], dim(3));
+    }
+
+    fn controlled_add(d: Dimension) -> Circuit {
+        let mut c = Circuit::new(d, 2);
+        c.push(Gate::controlled(
+            SingleQuditOp::Add(1),
+            QuditId::new(1),
+            vec![Control::zero(QuditId::new(0))],
+        ))
+        .unwrap();
+        c
+    }
+
+    #[test]
+    fn permutation_table_is_a_permutation() {
+        let circuit = controlled_add(dim(3));
+        let table = circuit_permutation(&circuit).unwrap();
+        let mut sorted = table.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..9).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn identical_circuits_compare_equal() {
+        let a = controlled_add(dim(3));
+        let b = controlled_add(dim(3));
+        assert_eq!(
+            circuit_permutation(&a).unwrap(),
+            circuit_permutation(&b).unwrap()
+        );
+        let empty = Circuit::new(dim(3), 2);
+        assert_ne!(
+            circuit_permutation(&a).unwrap(),
+            circuit_permutation(&empty).unwrap()
+        );
+    }
+
+    #[test]
+    fn inverse_circuit_gives_inverse_permutation() {
+        let d = dim(5);
+        let mut c = Circuit::new(d, 2);
+        c.push(Gate::single(SingleQuditOp::Add(3), QuditId::new(0)))
+            .unwrap();
+        c.push(Gate::controlled(
+            SingleQuditOp::Swap(1, 4),
+            QuditId::new(1),
+            vec![Control::odd(QuditId::new(0))],
+        ))
+        .unwrap();
+        let forward = circuit_permutation(&c).unwrap();
+        let backward = circuit_permutation(&c.inverse()).unwrap();
+        for (i, &f) in forward.iter().enumerate() {
+            assert_eq!(backward[f], i);
+        }
     }
 }

@@ -4,13 +4,25 @@
 //! circuit must implement its multi-controlled gate specification for every
 //! computational basis state (borrowed-ancilla semantics) or for every basis
 //! state with the clean ancilla in `|0⟩` (clean-ancilla semantics).
+//!
+//! The three classical checkers — [`verify_mct_exhaustive`] (every basis
+//! state), [`verify_mct_sampled`] (random draws) and
+//! [`verify_mct_with_clean_ancilla`] (the ancilla-`|0⟩` states) — compare
+//! the circuit against the specification's one-gate reference
+//! ([`MctSpec::circuit`]) on the [`BasisBatch`](crate::BasisBatch) witness
+//! search that [`VerifyEquivalence`](crate::VerifyEquivalence) runs too.
+//! Only a failing witness is replayed through [`Circuit::apply_to_basis`],
+//! to report its expected and actual outputs.  [`verify_mct_unitary`] and
+//! [`circuits_equal_up_to_phase`] compare unitaries instead.
 
 use qudit_core::math::{SquareMatrix, MATRIX_TOLERANCE};
-use qudit_core::{Circuit, Dimension, QuditId, Result, SingleQuditOp};
+use qudit_core::{Circuit, Control, Dimension, Gate, QuditError, QuditId, Result, SingleQuditOp};
 use rand::Rng;
 
-use crate::basis::{all_basis_states, index_to_digits};
-use crate::sparse::{circuit_unitary_with, SimBackend, SimState};
+use crate::basis::{
+    all_basis_states, biased_samples, exhaustive_witness, first_witness, index_to_digits,
+};
+use crate::sparse::{circuit_unitary_with, SimBackend};
 use crate::statevector::circuit_unitary;
 
 /// Specification of a multi-controlled gate `|0^k⟩-op`.
@@ -38,19 +50,49 @@ impl MctSpec {
         }
     }
 
-    /// Computes the expected output basis state for a given input.
+    /// Computes the expected output basis state for a given input: the
+    /// image of `input` under [`MctSpec::circuit`].
     ///
     /// # Errors
     ///
-    /// Returns an error if `op` is not classical.
+    /// Returns [`QuditError::QuditOutOfRange`] when the specification names
+    /// a qudit outside `input`, and an error when `op` is not classical or
+    /// a digit of `input` is `≥ d`.
     pub fn expected_output(&self, input: &[u32], dimension: Dimension) -> Result<Vec<u32>> {
-        let mut output = input.to_vec();
-        let all_zero = self.controls.iter().all(|c| input[c.index()] == 0);
-        if all_zero {
-            let t = self.target.index();
-            output[t] = self.op.apply_level(output[t], dimension)?;
-        }
-        Ok(output)
+        self.circuit(dimension, input.len())?.apply_to_basis(input)
+    }
+
+    /// The specification as a circuit of `width` qudits: one gate applying
+    /// `op` to the target when every control is `|0⟩`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QuditError::QuditOutOfRange`] when the specification names
+    /// a qudit outside the register, and the other [`Gate::validate`]
+    /// errors for an invalid gate.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// # use qudit_core::{Dimension, QuditId};
+    /// # use qudit_sim::MctSpec;
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let d = Dimension::new(3)?;
+    /// let spec = MctSpec::toffoli(vec![QuditId::new(0)], QuditId::new(1));
+    /// let reference = spec.circuit(d, 3)?;
+    /// assert_eq!(reference.apply_to_basis(&[0, 1, 2])?, vec![0, 0, 2]);
+    /// assert!(spec.circuit(d, 1).is_err());
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn circuit(&self, dimension: Dimension, width: usize) -> Result<Circuit> {
+        let mut circuit = Circuit::new(dimension, width);
+        circuit.push(Gate::controlled(
+            self.op.clone(),
+            self.target,
+            self.controls.iter().map(|&q| Control::zero(q)).collect(),
+        ))?;
+        Ok(circuit)
     }
 }
 
@@ -80,112 +122,47 @@ impl Verification {
     }
 }
 
-/// The shared verification loop: for every generated input, compares the
-/// spec's expected output against `actual_of(input, expected)`, which
-/// returns the observed output digits on a mismatch and `None` on
-/// agreement.
-fn run_verification<I, F>(
-    dimension: Dimension,
-    spec: &MctSpec,
-    inputs: I,
-    mut actual_of: F,
-) -> Result<Verification>
-where
-    I: IntoIterator<Item = Vec<u32>>,
-    F: FnMut(&[u32], &[u32]) -> Result<Option<Vec<u32>>>,
-{
-    let mut checked = 0usize;
-    for input in inputs {
-        let expected = spec.expected_output(&input, dimension)?;
-        if let Some(actual) = actual_of(&input, &expected)? {
-            return Ok(Verification::Fail {
-                input,
-                expected,
-                actual,
-            });
-        }
-        checked += 1;
-    }
-    Ok(Verification::Pass {
-        inputs_checked: checked,
-    })
-}
-
-/// The direct (basis-propagation) checker used by the classical verifiers.
-fn direct_checker(
+/// The verdict for a witness search over `checked` inputs.
+fn verdict(
+    reference: &Circuit,
     circuit: &Circuit,
-) -> impl FnMut(&[u32], &[u32]) -> Result<Option<Vec<u32>>> + '_ {
-    move |input, expected| {
-        let actual = circuit.apply_to_basis(input)?;
-        Ok((actual != expected).then_some(actual))
-    }
-}
-
-/// The engine-routed checker used by the `_with` verifiers: simulates each
-/// input on the resolved backend and reads the verdict off the final state
-/// *without densifying it* — on the sparse engine a classical circuit keeps
-/// each input at a single nonzero amplitude, so memory stays `O(1)` per
-/// input regardless of the register size.
-fn engine_checker(
-    circuit: &Circuit,
-    backend: SimBackend,
-) -> impl FnMut(&[u32], &[u32]) -> Result<Option<Vec<u32>>> + '_ {
-    let resolved = backend.resolve(circuit);
-    move |input, expected| {
-        let mut state = SimState::from_basis(circuit.dimension(), input, resolved)?;
-        state.apply_circuit(circuit)?;
-        if state.probability(expected) < 1.0 - 1e-9 {
-            Ok(Some(state.dominant_basis_state()))
-        } else {
-            Ok(None)
-        }
-    }
-}
-
-/// The random basis states the sampled verifiers check: uniform draws, with
-/// every other sample biased onto all-zero controls so the "fire" branch is
-/// exercised even for large k.
-fn sampled_inputs<'a, R: Rng>(
-    dimension: Dimension,
-    width: usize,
-    spec: &MctSpec,
-    samples: usize,
-    rng: &'a mut R,
-) -> impl Iterator<Item = Vec<u32>> + 'a {
-    let spec_controls: Vec<qudit_core::Control> = spec
-        .controls
-        .iter()
-        .map(|&q| qudit_core::Control::zero(q))
-        .collect();
-    (0..samples).map(move |sample| {
-        let mut input = crate::sampling::uniform_basis_state(dimension, width, rng);
-        if sample % 2 == 0 {
-            crate::sampling::force_controls_matching(&mut input, &spec_controls, dimension, rng);
-        }
-        input
+    checked: usize,
+    witness: Option<Vec<u32>>,
+) -> Result<Verification> {
+    Ok(match witness {
+        None => Verification::Pass {
+            inputs_checked: checked,
+        },
+        Some(input) => Verification::Fail {
+            expected: reference.apply_to_basis(&input)?,
+            actual: circuit.apply_to_basis(&input)?,
+            input,
+        },
     })
 }
 
 /// Exhaustively verifies that a classical circuit implements an [`MctSpec`]
-/// with borrowed-ancilla semantics (every non-target qudit restored).
+/// with borrowed-ancilla semantics (every non-target qudit restored).  A
+/// failure reports the first mismatching basis state in index order.
 ///
 /// # Errors
 ///
 /// Returns an error when the circuit is non-classical or the specification
 /// refers to qudits outside the circuit.
 pub fn verify_mct_exhaustive(circuit: &Circuit, spec: &MctSpec) -> Result<Verification> {
-    let dimension = circuit.dimension();
-    run_verification(
-        dimension,
-        spec,
-        all_basis_states(dimension, circuit.width()),
-        direct_checker(circuit),
-    )
+    let (dimension, width) = (circuit.dimension(), circuit.width());
+    let reference = spec.circuit(dimension, width)?;
+    let witness = exhaustive_witness(&reference, circuit, None)?;
+    verdict(&reference, circuit, dimension.register_size(width), witness)
 }
 
-/// Verifies an [`MctSpec`] on `samples` uniformly random basis states.
+/// Verifies an [`MctSpec`] on `samples` random basis states: uniform draws,
+/// with every other sample's controls forced to `|0⟩` so the "fire" branch
+/// is exercised even for large k.  A failure reports the first mismatching
+/// sample in draw order.
 ///
-/// Use this for registers too large for exhaustive checking.
+/// Use this for registers too large for exhaustive checking; memory stays
+/// `O(width × block)` for any register size.
 ///
 /// # Errors
 ///
@@ -197,79 +174,43 @@ pub fn verify_mct_sampled<R: Rng>(
     samples: usize,
     rng: &mut R,
 ) -> Result<Verification> {
-    let dimension = circuit.dimension();
-    let inputs: Vec<Vec<u32>> =
-        sampled_inputs(dimension, circuit.width(), spec, samples, rng).collect();
-    run_verification(dimension, spec, inputs, direct_checker(circuit))
+    let (dimension, width) = (circuit.dimension(), circuit.width());
+    let reference = spec.circuit(dimension, width)?;
+    let controls = reference.gates()[0].controls();
+    let inputs = biased_samples(dimension, width, samples, rng, |_| controls);
+    let witness = first_witness(&reference, circuit, inputs)?;
+    verdict(&reference, circuit, samples, witness)
 }
 
 /// Exhaustively verifies a circuit that uses one clean ancilla: only inputs
 /// with the ancilla in `|0⟩` are checked, and the ancilla must be returned to
-/// `|0⟩`.
+/// `|0⟩`.  A failure reports the first mismatching input in index order.
 ///
 /// # Errors
 ///
 /// Returns an error when the circuit is non-classical or the specification
-/// refers to qudits outside the circuit.
+/// or the ancilla refers to qudits outside the circuit.
 pub fn verify_mct_with_clean_ancilla(
     circuit: &Circuit,
     spec: &MctSpec,
     clean: QuditId,
 ) -> Result<Verification> {
-    let dimension = circuit.dimension();
-    run_verification(
-        dimension,
-        spec,
-        all_basis_states(dimension, circuit.width()).filter(|input| input[clean.index()] == 0),
-        direct_checker(circuit),
+    let (dimension, width) = (circuit.dimension(), circuit.width());
+    let reference = spec.circuit(dimension, width)?;
+    if clean.index() >= width {
+        return Err(QuditError::QuditOutOfRange {
+            qudit: clean.index(),
+            width,
+        });
+    }
+    let inputs = all_basis_states(dimension, width).filter(|input| input[clean.index()] == 0);
+    let witness = first_witness(&reference, circuit, inputs)?;
+    verdict(
+        &reference,
+        circuit,
+        dimension.register_size(width - 1),
+        witness,
     )
-}
-
-/// [`verify_mct_exhaustive`], but every input is simulated through the
-/// engine the [`SimBackend`] picks (`Auto` resolves via the classicality
-/// scan) instead of the direct basis-state propagator.
-///
-/// For the classical circuits the synthesis emits, the sparse engine keeps
-/// every input at a single nonzero amplitude, so the sweep stays `O(gates)`
-/// time and `O(1)` memory per input while exercising the exact simulation
-/// path the pipeline's checks use.
-///
-/// # Errors
-///
-/// Returns an error when the specification is non-classical or refers to
-/// qudits outside the circuit.
-pub fn verify_mct_exhaustive_with(
-    circuit: &Circuit,
-    spec: &MctSpec,
-    backend: SimBackend,
-) -> Result<Verification> {
-    let dimension = circuit.dimension();
-    run_verification(
-        dimension,
-        spec,
-        all_basis_states(dimension, circuit.width()),
-        engine_checker(circuit, backend),
-    )
-}
-
-/// [`verify_mct_sampled`], but routed through the [`SimBackend`]-selected
-/// engine like [`verify_mct_exhaustive_with`].
-///
-/// # Errors
-///
-/// Returns an error when the specification is non-classical or refers to
-/// qudits outside the circuit.
-pub fn verify_mct_sampled_with<R: Rng>(
-    circuit: &Circuit,
-    spec: &MctSpec,
-    samples: usize,
-    rng: &mut R,
-    backend: SimBackend,
-) -> Result<Verification> {
-    let dimension = circuit.dimension();
-    let inputs: Vec<Vec<u32>> =
-        sampled_inputs(dimension, circuit.width(), spec, samples, rng).collect();
-    run_verification(dimension, spec, inputs, engine_checker(circuit, backend))
 }
 
 /// Builds the ideal unitary of a multi-controlled single-qudit gate
@@ -514,51 +455,17 @@ mod tests {
     }
 
     #[test]
-    fn engine_routed_sampling_never_densifies_classical_circuits() {
+    fn sampled_verification_never_densifies_wide_registers() {
         // Width 30 over qutrits: 3^30 ≈ 2·10^14 basis states — any code
         // path that densifies the state would attempt a petabyte-scale
-        // allocation.  The sparse engine must verify samples in O(1) memory.
+        // allocation.  The sampled check must stay O(width × samples).
         let d = dim(3);
         let k = 29;
         let circuit = macro_toffoli(d, k);
         let spec = MctSpec::toffoli((0..k).map(QuditId::new).collect(), QuditId::new(k));
         let mut rng = StdRng::seed_from_u64(11);
-        assert!(
-            verify_mct_sampled_with(&circuit, &spec, 16, &mut rng, SimBackend::Auto)
-                .unwrap()
-                .is_pass()
-        );
-    }
-
-    #[test]
-    fn backend_routed_verification_agrees_with_the_direct_sweep() {
-        let d = dim(3);
-        let circuit = macro_toffoli(d, 2);
-        let spec = MctSpec::toffoli(vec![QuditId::new(0), QuditId::new(1)], QuditId::new(2));
-        for backend in [SimBackend::Dense, SimBackend::Sparse, SimBackend::Auto] {
-            assert!(
-                verify_mct_exhaustive_with(&circuit, &spec, backend)
-                    .unwrap()
-                    .is_pass(),
-                "backend {backend}"
-            );
-        }
-        // A wrong spec fails with a concrete witness on every backend.
-        let wrong = MctSpec::toffoli(vec![QuditId::new(0), QuditId::new(2)], QuditId::new(1));
-        for backend in [SimBackend::Dense, SimBackend::Sparse] {
-            let verdict = verify_mct_exhaustive_with(&circuit, &wrong, backend).unwrap();
-            match verdict {
-                Verification::Fail {
-                    expected, actual, ..
-                } => assert_ne!(expected, actual),
-                other => panic!("expected a failure, got {other:?}"),
-            }
-        }
-        let mut rng = StdRng::seed_from_u64(9);
-        assert!(
-            verify_mct_sampled_with(&circuit, &spec, 32, &mut rng, SimBackend::Auto)
-                .unwrap()
-                .is_pass()
-        );
+        assert!(verify_mct_sampled(&circuit, &spec, 16, &mut rng)
+            .unwrap()
+            .is_pass());
     }
 }

@@ -5,10 +5,10 @@
 //!
 //! * [`basis`] — mixed-radix indexing of computational basis states and the
 //!   [`BasisBatch`] kernel, which pushes blocks of basis states through a
-//!   classical circuit with vectorised compare/select loops;
-//! * [`PermutationSimulator`] and [`permutation_sim`] — single-state
-//!   classical simulation of the permutation circuits produced by the
-//!   synthesis algorithms, plus full permutation-table extraction;
+//!   classical circuit with vectorised compare/select loops; every
+//!   classical check in the crate (the [`equivalence`] specification
+//!   checkers, [`VerifyEquivalence`] and [`circuit_permutation`]) runs on
+//!   it;
 //! * [`StateVector`] and [`statevector`] — state-vector simulation supporting
 //!   arbitrary controlled unitaries (the scalar reference walk);
 //! * [`FusedProgram`] and [`dense`] — the cache-blocked dense engine: gate
@@ -20,8 +20,8 @@
 //!   (`Dense | Sparse | Auto`) that picks an engine per circuit via a
 //!   classicality scan;
 //! * [`equivalence`] — specification checkers for multi-controlled gates with
-//!   borrowed- or clean-ancilla semantics, and unitary equivalence up to
-//!   global phase;
+//!   borrowed- or clean-ancilla semantics (exhaustive, sampled or on the
+//!   clean-ancilla subspace), and unitary equivalence up to global phase;
 //! * [`pipeline`] — the [`VerifyEquivalence`] pass wrapper that makes any
 //!   compilation pipeline self-check semantics preservation after each stage;
 //! * [`stabilizer`] — the generalised-Pauli tableau engine for prime
@@ -57,18 +57,15 @@
 pub mod basis;
 pub mod dense;
 pub mod equivalence;
-pub mod permutation_sim;
 pub mod pipeline;
 pub mod random;
-mod sampling;
 pub mod sparse;
 pub mod stabilizer;
 pub mod statevector;
 
-pub use basis::BasisBatch;
+pub use basis::{circuit_permutation, BasisBatch};
 pub use dense::FusedProgram;
 pub use equivalence::{MctSpec, Verification};
-pub use permutation_sim::{circuit_permutation, PermutationSimulator};
 pub use pipeline::VerifyEquivalence;
 pub use sparse::{
     circuit_unitary_with, classical_prefix_len, simulate_basis, SimBackend, SimState, SparseState,

@@ -4,11 +4,11 @@
 //! check in the spirit of refinement checking: after the inner pass runs,
 //! the input and output circuits are compared —
 //!
-//! * **classical circuits** via the [`BasisBatch`] kernel, which pushes
-//!   blocks of basis states through both circuits as digit rows with
-//!   vectorised compare/select loops — every basis state in blocks when the
-//!   register is small (fanned out over the pool on larger sweeps), a
-//!   deterministic draw of random basis states otherwise — in
+//! * **classical circuits** via the [`BasisBatch`](crate::BasisBatch)
+//!   kernel, which pushes blocks of basis states through both circuits as
+//!   digit rows with vectorised compare/select loops — every basis state in
+//!   blocks when the register is small (fanned out over the pool on larger
+//!   sweeps), a deterministic draw of random basis states otherwise — in
 //!   `O(width × block)` memory either way;
 //! * **all-Clifford circuits** over prime dimensions via exact stabilizer
 //!   tableau comparison ([`crate::stabilizer`]) — complete up to global
@@ -34,7 +34,7 @@ use qudit_core::{Circuit, QuditError, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::basis::{BasisBatch, BLOCK_STATES};
+use crate::basis::{biased_samples, exhaustive_witness, first_witness};
 use crate::sparse::{circuit_unitary_with, SimBackend, SimState};
 use crate::statevector::StateVector;
 
@@ -53,10 +53,6 @@ const MAX_SAMPLED_STATEVECTOR_STATES: usize = 1 << 20;
 const MAX_STATEVECTOR_SAMPLES: usize = 8;
 /// Fixed seed so verification failures are reproducible.
 const SAMPLE_SEED: u64 = 0x5EED_CAFE;
-/// Basis-state count above which the exhaustive classical sweep fans its
-/// block ranges out over a work-stealing pool (each state checks
-/// independently).
-const PARALLEL_VERIFY_THRESHOLD: usize = 1024;
 
 /// A [`Pass`] decorator that checks the wrapped pass preserved the circuit's
 /// semantics.
@@ -161,35 +157,19 @@ impl VerifyEquivalence {
     /// first, in draw order, on which the circuits disagree.  Samples run
     /// through the batch kernel a block at a time.
     fn sampled_witness(&self, before: &Circuit, after: &Circuit) -> Result<Option<Vec<u32>>> {
-        let dimension = before.dimension();
-        let width = before.width();
         let mut rng = StdRng::seed_from_u64(SAMPLE_SEED);
-        let gate_pool: Vec<&qudit_core::Gate> =
-            before.gates().iter().chain(after.gates()).collect();
-        for first in (0..self.samples).step_by(BLOCK_STATES) {
-            let last = (first + BLOCK_STATES).min(self.samples);
-            let mut inputs: Vec<Vec<u32>> = (first..last)
-                .map(|sample| {
-                    let mut input =
-                        crate::sampling::uniform_basis_state(dimension, width, &mut rng);
-                    if sample % 2 == 0 && !gate_pool.is_empty() {
-                        let gate = gate_pool[rng.gen_range(0..gate_pool.len())];
-                        crate::sampling::force_controls_matching(
-                            &mut input,
-                            gate.controls(),
-                            dimension,
-                            &mut rng,
-                        );
-                    }
-                    input
-                })
-                .collect();
-            let batch = BasisBatch::from_states(dimension, width, &inputs)?;
-            if let Some(i) = first_disagreement(before, after, batch)? {
-                return Ok(Some(inputs.swap_remove(i)));
-            }
-        }
-        Ok(None)
+        let gates: Vec<&qudit_core::Gate> = before.gates().iter().chain(after.gates()).collect();
+        let inputs = biased_samples(
+            before.dimension(),
+            before.width(),
+            self.samples,
+            &mut rng,
+            |rng| match gates.len() {
+                0 => &[],
+                n => gates[rng.gen_range(0..n)].controls(),
+            },
+        );
+        first_witness(before, after, inputs)
     }
 
     fn check_equivalent(
@@ -310,60 +290,6 @@ impl VerifyEquivalence {
         }
         Ok(())
     }
-}
-
-/// Sweeps every basis state through both circuits in blocks and returns
-/// the first, in basis order, on which they disagree.
-///
-/// Large sweeps hand their block ranges to the run's pinned pool — or an
-/// environment-sized one when the manager pinned none — never nested
-/// inside a batch worker (see `qudit_core::pool`); the witness is the first
-/// in basis order regardless of which worker found it.  Memory stays
-/// `O(width × block)` per worker for any register size.
-fn exhaustive_witness(
-    before: &Circuit,
-    after: &Circuit,
-    pinned_pool: Option<WorkStealingPool>,
-) -> Result<Option<Vec<u32>>> {
-    let dimension = before.dimension();
-    let width = before.width();
-    let size = dimension.register_size(width);
-    let parallel = size >= PARALLEL_VERIFY_THRESHOLD && !qudit_core::pool::in_worker();
-    let pool = parallel
-        .then(|| pinned_pool.unwrap_or_default())
-        .filter(|pool| pool.threads() > 1);
-    let block = match &pool {
-        Some(pool) => size.div_ceil(pool.threads().saturating_mul(4)),
-        None => size,
-    }
-    .clamp(1, BLOCK_STATES);
-    let check = |start: usize| -> Result<Option<Vec<u32>>> {
-        let batch = BasisBatch::from_range(dimension, width, start..(start + block).min(size));
-        Ok(first_disagreement(before, after, batch)?
-            .map(|i| crate::basis::index_to_digits(start + i, dimension, width)))
-    };
-    let starts = (0..size).step_by(block);
-    match pool {
-        Some(pool) => pool
-            .map(starts.collect(), check)
-            .into_iter()
-            .find_map(Result::transpose)
-            .transpose(),
-        None => starts.map(check).find_map(Result::transpose).transpose(),
-    }
-}
-
-/// Pushes a batch of inputs through both circuits and returns the position
-/// of the first input they map differently.
-fn first_disagreement(
-    before: &Circuit,
-    after: &Circuit,
-    mut batch: BasisBatch,
-) -> Result<Option<usize>> {
-    let mut other = batch.clone();
-    batch.apply(before)?;
-    other.apply(after)?;
-    Ok(batch.first_mismatch(&other))
 }
 
 impl Pass for VerifyEquivalence {

@@ -410,7 +410,7 @@ mod tests {
             .unwrap();
         let unitary = circuit_unitary(&circuit).unwrap();
         assert!(unitary.is_unitary(MATRIX_TOLERANCE));
-        let table = crate::permutation_sim::circuit_permutation(&circuit).unwrap();
+        let table = crate::basis::circuit_permutation(&circuit).unwrap();
         let expected = SquareMatrix::from_permutation(&table).unwrap();
         assert!(unitary.approx_eq(&expected, MATRIX_TOLERANCE));
     }

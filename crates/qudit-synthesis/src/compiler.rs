@@ -1,9 +1,6 @@
 //! The typed compilation facade: [`CompileOptions`] + [`Compiler`].
 //!
-//! The paper's flow used to be exposed as a matrix of `Pipeline::standard*`
-//! preset constructors — one per feature combination, doubling with every
-//! orthogonal knob.  This module replaces the matrix with one composable
-//! configuration surface:
+//! One composable configuration surface for the paper's flow:
 //!
 //! * [`CompileOptions`] — a builder with orthogonal typed knobs
 //!   ([`Verify`], [`SimBackend`], scheduling, [`CacheMode`], [`Threads`])
@@ -17,8 +14,7 @@
 //! Internally the options translate to a data-driven
 //! [`PipelineSpec`] resolved against a
 //! [`PassRegistry`] ([`registry`]), so a future knob (routing, cost models,
-//! new schedulers) is one more registered stage instead of a new
-//! constructor family.
+//! new schedulers) is one more registered stage.
 //!
 //! # Quick start
 //!
@@ -521,8 +517,7 @@ impl fmt::Display for VerifyOutcome {
 /// run measured.
 ///
 /// This is the single return shape of both [`Compiler::compile`] and (per
-/// job) [`Compiler::compile_batch`], replacing the preset-dependent
-/// `PipelineReport`-or-`BatchReport` split of the legacy preset matrix.
+/// job) [`Compiler::compile_batch`].
 #[derive(Debug, Clone)]
 pub struct CompileResult {
     /// The compiled circuit.

@@ -1,10 +1,5 @@
 //! End-to-end suite for the `Compiler` / `CompileOptions` facade:
 //!
-//! * legacy-shim equivalence: every deprecated `Pipeline::standard*` preset
-//!   assembles a `PassManager` with the identical pass list as its
-//!   builder-constructed equivalent, and compiles the E10-family k-Toffoli
-//!   sweep gate-for-gate identically (statistics included) — the preset
-//!   matrix cannot drift from the builder;
 //! * knob coverage: every combination of the orthogonal option knobs
 //!   assembles, and the assembled pass list is exactly the one the options
 //!   describe;
@@ -16,176 +11,13 @@
 
 use proptest::prelude::*;
 use qudit_core::cache::LoweringCache;
-use qudit_core::pipeline::{CacheMode, PassManager};
+use qudit_core::pipeline::CacheMode;
 use qudit_core::{Circuit, Dimension, Gate, QuditId, SingleQuditOp};
 use qudit_sim::SimBackend;
-use qudit_synthesis::{
-    emit_multi_controlled, CompileOptions, KToffoli, OptLevel, Pipeline, Threads, Verify,
-};
+use qudit_synthesis::{emit_multi_controlled, CompileOptions, KToffoli, OptLevel, Threads, Verify};
 
 fn dim(d: u32) -> Dimension {
     Dimension::new(d).unwrap()
-}
-
-/// The E10-family macro circuits the equivalence checks compile.
-fn e10_family(ks: &[usize]) -> Vec<(Dimension, usize, Circuit)> {
-    let mut jobs = Vec::new();
-    for &d in &[3u32, 4] {
-        for &k in ks {
-            let synthesis = KToffoli::new(dim(d), k).unwrap().synthesize().unwrap();
-            jobs.push((
-                dim(d),
-                synthesis.layout().width,
-                synthesis.circuit().clone(),
-            ));
-        }
-    }
-    jobs
-}
-
-/// Asserts a legacy preset manager and its builder equivalent agree on the
-/// pass list and compile every job identically — circuits gate for gate,
-/// statistics profile for profile (wall times aside).
-fn assert_equivalent(
-    name: &str,
-    legacy: PassManager,
-    options: CompileOptions,
-    jobs: &[(Dimension, usize, Circuit)],
-) {
-    let modern = options.build_manager();
-    assert_eq!(
-        legacy.pass_names(),
-        modern.pass_names(),
-        "{name}: pass lists diverged"
-    );
-    for (_, _, job) in jobs {
-        let legacy_report = legacy.run(job.clone()).unwrap();
-        let modern_report = modern.run(job.clone()).unwrap();
-        assert_eq!(
-            legacy_report.circuit, modern_report.circuit,
-            "{name}: compiled circuits diverged"
-        );
-        assert_eq!(
-            legacy_report.stats.len(),
-            modern_report.stats.len(),
-            "{name}: stage counts diverged"
-        );
-        for (a, b) in legacy_report.stats.iter().zip(&modern_report.stats) {
-            assert_eq!(a.pass, b.pass, "{name}: pass names diverged");
-            assert_eq!(a.before, b.before, "{name}: input profiles diverged");
-            assert_eq!(a.after, b.after, "{name}: output profiles diverged");
-            assert_eq!(a.cache, b.cache, "{name}: cache tallies diverged");
-        }
-    }
-}
-
-/// Every legacy shim must assemble and compile exactly like its
-/// `CompileOptions` equivalent (the migration documented on each shim).
-#[test]
-#[allow(deprecated)]
-fn legacy_shims_match_their_builder_equivalents() {
-    // Unverified presets: the full quick E10 family.
-    let sweep = e10_family(&[3, 4, 6]);
-    for &(dimension, width, _) in &sweep {
-        assert_equivalent(
-            "standard",
-            Pipeline::standard(dimension, width),
-            CompileOptions::new().shape(dimension, width),
-            &sweep
-                .iter()
-                .filter(|(d, w, _)| *d == dimension && *w == width)
-                .cloned()
-                .collect::<Vec<_>>(),
-        );
-        assert_equivalent(
-            "standard_scheduled",
-            Pipeline::standard_scheduled(dimension, width),
-            CompileOptions::new().schedule(true).shape(dimension, width),
-            &sweep
-                .iter()
-                .filter(|(d, w, _)| *d == dimension && *w == width)
-                .cloned()
-                .collect::<Vec<_>>(),
-        );
-    }
-
-    // Shape-agnostic batch presets: one manager over the whole sweep.
-    assert_equivalent(
-        "standard_batch",
-        Pipeline::standard_batch(),
-        CompileOptions::new().cache(CacheMode::PerRun),
-        &sweep,
-    );
-    assert_equivalent(
-        "standard_batch_scheduled",
-        Pipeline::standard_batch_scheduled(),
-        CompileOptions::new()
-            .schedule(true)
-            .cache(CacheMode::PerRun),
-        &sweep,
-    );
-    assert_equivalent(
-        "standard_batch_with_cache(Off)",
-        Pipeline::standard_batch_with_cache(CacheMode::Off),
-        CompileOptions::new().cache(CacheMode::Off),
-        &sweep,
-    );
-    // Each side gets its own shared cache: the tallies must evolve
-    // identically from a cold start (sharing one instance would hand the
-    // second runner a warm cache).
-    assert_equivalent(
-        "standard_batch_with_cache(Shared)",
-        Pipeline::standard_batch_with_cache(CacheMode::Shared(LoweringCache::shared())),
-        CompileOptions::new().cache(CacheMode::Shared(LoweringCache::shared())),
-        &sweep,
-    );
-
-    // Verified presets: a reduced family (verification re-simulates every
-    // stage, so keep the registers small).
-    let verified_sweep = e10_family(&[3]);
-    for &(dimension, width, _) in &verified_sweep {
-        let jobs: Vec<_> = verified_sweep
-            .iter()
-            .filter(|(d, w, _)| *d == dimension && *w == width)
-            .cloned()
-            .collect();
-        assert_equivalent(
-            "standard_verified",
-            Pipeline::standard_verified(dimension, width),
-            CompileOptions::new()
-                .verify(Verify::Exhaustive)
-                .shape(dimension, width),
-            &jobs,
-        );
-        assert_equivalent(
-            "standard_verified_with_backend",
-            Pipeline::standard_verified_with_backend(dimension, width, SimBackend::Sparse),
-            CompileOptions::new()
-                .verify(Verify::Exhaustive)
-                .backend(SimBackend::Sparse)
-                .shape(dimension, width),
-            &jobs,
-        );
-        assert_equivalent(
-            "standard_scheduled_verified",
-            Pipeline::standard_scheduled_verified(dimension, width),
-            CompileOptions::new()
-                .schedule(true)
-                .verify(Verify::Exhaustive)
-                .shape(dimension, width),
-            &jobs,
-        );
-        assert_equivalent(
-            "standard_scheduled_verified_with_backend",
-            Pipeline::standard_scheduled_verified_with_backend(dimension, width, SimBackend::Dense),
-            CompileOptions::new()
-                .schedule(true)
-                .verify(Verify::Exhaustive)
-                .backend(SimBackend::Dense)
-                .shape(dimension, width),
-            &jobs,
-        );
-    }
 }
 
 /// Every combination of the orthogonal knobs assembles, and the assembled
