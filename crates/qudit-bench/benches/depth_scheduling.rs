@@ -1,36 +1,71 @@
 //! Criterion bench: commutation-aware depth scheduling on the lowered
-//! E10-style k-Toffoli sweep.
+//! E10-style k-Toffoli sweep, and the inverse-pair cancellation before it.
 //!
 //! Four timings per workload: building the explicit dependency DAG
 //! sequentially and gate-parallel on the work-stealing pool (the
 //! `schedule_over` reference's input), the fused `schedule_depth` scan, and
 //! the `ScheduleDepth` pass around it.  The scan is one sequential walk
-//! with a running-maximum early exit per wire; it never builds the DAG.
-//! The workload is the optimised G-gate circuits of the standard flow —
-//! exactly what the scheduled pipeline hands the scheduler.
+//! over a run-merged wire history with a running-maximum early exit per
+//! wire; it never builds the DAG.  The workload is the optimised G-gate
+//! circuits of the standard flow — exactly what the scheduled pipeline
+//! hands the scheduler.  `schedule_d5_k4` adds the longest wire history of
+//! the O2 family, and `schedule_distinct_perms` a 20k-gate circuit of
+//! all-distinct permutations, where the history never merges.  The
+//! `cancel_*` entries time `cancel_inverse_pairs` on the uncancelled O2
+//! circuits.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qudit_core::commute::{schedule_depth, DependencyDag};
 use qudit_core::depth::circuit_depth;
+use qudit_core::optimize::cancel_inverse_pairs;
 use qudit_core::pipeline::{Pass, ScheduleDepth};
 use qudit_core::pool::WorkStealingPool;
-use qudit_core::{Circuit, Dimension};
-use qudit_synthesis::{CompileOptions, KToffoli};
+use qudit_core::{Circuit, Dimension, Gate, Permutation, QuditId, SingleQuditOp};
+use qudit_synthesis::{CompileOptions, KToffoli, OptLevel};
 
 /// The scheduler's inputs: the optimised (cancelled, unscheduled) G-gate
 /// circuits of an E10-style sweep.
 fn lowered_jobs() -> Vec<(String, Circuit)> {
-    let compiler = CompileOptions::new().compiler();
     let mut out = Vec::new();
-    for &d in &[3u32, 4] {
-        for &k in &[4usize, 8] {
-            let dimension = Dimension::new(d).unwrap();
-            let synthesis = KToffoli::new(dimension, k).unwrap().synthesize().unwrap();
-            let circuit = compiler.compile(synthesis.circuit()).unwrap().circuit;
-            out.push((format!("d{d}_k{k}"), circuit));
+    for d in [3u32, 4] {
+        for k in [4usize, 8] {
+            out.push((format!("d{d}_k{k}"), ktoffoli(CompileOptions::new(), d, k)));
         }
     }
     out
+}
+
+/// A k-Toffoli compiled with the given options.
+fn ktoffoli(options: CompileOptions, d: u32, k: usize) -> Circuit {
+    let synthesis = KToffoli::new(Dimension::new(d).unwrap(), k)
+        .unwrap()
+        .synthesize()
+        .unwrap();
+    options
+        .compiler()
+        .compile(synthesis.circuit())
+        .unwrap()
+        .circuit
+}
+
+/// `gates` single-qudit gates on three d=13 wires; gate i applies the
+/// permutation of index 1_000_003·i mod 13! (factorial number system), so
+/// no two share a wire signature.
+fn distinct_perms(gates: u64) -> Circuit {
+    let dimension = Dimension::new(13).unwrap();
+    let mut circuit = Circuit::new(dimension, 3);
+    for i in 0..gates {
+        let mut draw = i * 1_000_003 % 6_227_020_800;
+        let mut map: Vec<u32> = dimension.levels().collect();
+        for l in (1..13u64).rev() {
+            map.swap(l as usize, (draw % (l + 1)) as usize);
+            draw /= l + 1;
+        }
+        let op = SingleQuditOp::Perm(Permutation::from_map(map).unwrap());
+        let target = QuditId::new((i.wrapping_mul(0x9E37_79B9) >> 16) as usize % 3);
+        circuit.push(Gate::single(op, target)).unwrap();
+    }
+    circuit
 }
 
 fn bench_dag_sequential(c: &mut Criterion) {
@@ -61,13 +96,31 @@ fn bench_dag_parallel(c: &mut Criterion) {
 }
 
 fn bench_schedule(c: &mut Criterion) {
-    let jobs = lowered_jobs();
+    let mut jobs = lowered_jobs();
+    jobs.push(("d5_k4".into(), ktoffoli(CompileOptions::new(), 5, 4)));
+    jobs.push(("distinct_perms".into(), distinct_perms(20_000)));
     let mut group = c.benchmark_group("depth_scheduling");
     for (label, circuit) in &jobs {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("schedule_{label}")),
             circuit,
             |b, circuit| b.iter(|| circuit_depth(&schedule_depth(circuit))),
+        );
+    }
+    group.finish();
+}
+
+fn bench_cancel(c: &mut Criterion) {
+    let uncancelled = CompileOptions::new()
+        .opt_level(OptLevel::O2)
+        .cancel(false)
+        .schedule(false);
+    let mut group = c.benchmark_group("depth_scheduling");
+    for (d, k) in [(3, 8), (5, 4)] {
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("cancel_d{d}_k{k}")),
+            &ktoffoli(uncancelled.clone(), d, k),
+            |b, circuit| b.iter(|| cancel_inverse_pairs(circuit).len()),
         );
     }
     group.finish();
@@ -91,6 +144,7 @@ criterion_group!(
     bench_dag_sequential,
     bench_dag_parallel,
     bench_schedule,
-    bench_pass
+    bench_pass,
+    bench_cancel
 );
 criterion_main!(benches);

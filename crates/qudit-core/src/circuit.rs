@@ -82,9 +82,23 @@ impl Circuit {
         self.width
     }
 
+    /// A circuit over gates already validated for this dimension and width
+    /// (a reordering or subsequence of another circuit's gates).
+    pub(crate) fn from_valid_gates(dimension: Dimension, width: usize, gates: Vec<Gate>) -> Self {
+        Circuit {
+            gates,
+            ..Circuit::new(dimension, width)
+        }
+    }
+
     /// The gates in time order.
     pub fn gates(&self) -> &[Gate] {
         &self.gates
+    }
+
+    /// Consumes the circuit, returning its gates in time order.
+    pub(crate) fn into_gates(self) -> Vec<Gate> {
+        self.gates
     }
 
     /// Number of gates.

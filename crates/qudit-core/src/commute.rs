@@ -31,10 +31,13 @@
 //!   [`circuit_depth`](crate::depth::circuit_depth) never exceeds the
 //!   input's, and scheduling is idempotent.  The scheduler fuses the DAG
 //!   scan into layer assignment in one sequential pass: only the *maximum*
-//!   predecessor layer matters, so each gate scans its wires backward and
-//!   stops as soon as the wire's running maximum of assigned layers can no
-//!   longer raise that bound.  [`schedule_over`] is the unfused reference
-//!   over an explicit DAG, and the two are pinned equal by the test suite.
+//!   predecessor layer matters, and the oracle is an AND over shared wires,
+//!   so each gate tests each of its wires on its own.  A wire's history
+//!   merges consecutive gates that use it the same way into one run, and
+//!   the backward scan stops as soon as the wire's running maximum of
+//!   assigned layers can no longer raise the bound.  [`schedule_over`] is
+//!   the unfused reference over an explicit DAG, and the two are pinned
+//!   equal by the test suite.
 //!
 //! # Oracle rules
 //!
@@ -126,167 +129,177 @@ fn roles(gate: &Gate) -> impl Iterator<Item = (QuditId, Role)> + '_ {
         .chain(std::iter::once((gate.target(), Role::Target)))
 }
 
-/// Returns `true` when the operation is a translation `|t⟩ ↦ |t + y mod d⟩`
-/// for some (possibly value-dependent) `y` — the abelian subgroup in which
-/// any two target operations commute.
-fn is_additive(op: &GateOp) -> bool {
-    matches!(
-        op,
-        GateOp::AddFrom { .. } | GateOp::Single(SingleQuditOp::Add(_))
-    )
+/// The fixed level map a gate applies to its target, read without
+/// allocating: a classical operation acts level by level through
+/// [`SingleQuditOp::apply_level`] (a `Perm` reads its own table), and only
+/// a permutation-valued unitary has its table extracted (once per gate).
+enum LevelMap<'a> {
+    /// `Swap`, `Add`, the parity flips or `Perm`.
+    Op(&'a SingleQuditOp),
+    Table(Permutation),
 }
 
-/// The fixed level permutation a gate applies to its target, if it has one
-/// (`X±⋆` has none: its shift depends on the source value; non-classical
-/// unitaries have none either).
-fn target_permutation(gate: &Gate, dimension: Dimension) -> Option<Permutation> {
-    match gate.op() {
-        GateOp::Single(op) => op.to_permutation(dimension).ok(),
-        GateOp::AddFrom { .. } => None,
-    }
-}
-
-/// Returns `true` when the gate's target operation is diagonal in the
-/// computational basis.  Controls are basis projectors, so the *whole gate*
-/// is then a diagonal operator: it commutes with anything that only reads
-/// its target, whatever the control predicate.
-///
-/// `permutation` is the gate's [`target_permutation`]: every fixed
-/// operation but a unitary has one, and a permutation matrix is diagonal
-/// exactly when it is the identity, so only unitaries need their matrix.
-fn target_is_diagonal(gate: &Gate, permutation: Option<&Permutation>) -> bool {
-    match gate.op() {
-        GateOp::Single(SingleQuditOp::Unitary(matrix)) => {
-            let size = matrix.size();
-            (0..size)
-                .all(|r| (0..size).all(|c| r == c || matrix[(r, c)].norm() <= MATRIX_TOLERANCE))
+impl LevelMap<'_> {
+    fn apply(&self, level: u32, dimension: Dimension) -> u32 {
+        match self {
+            LevelMap::Op(op) => op
+                .apply_level(level, dimension)
+                .expect("only classical operations are stored"),
+            LevelMap::Table(permutation) => permutation.apply(level),
         }
-        GateOp::Single(_) => permutation.is_some_and(Permutation::is_identity),
-        GateOp::AddFrom { .. } => false,
     }
 }
 
 /// Returns `true` when the predicate fires on exactly the same levels before
-/// and after the permutation — the condition under which a controlled gate
-/// commutes with a classical gate writing its control qudit.
+/// and after the map — the condition under which a controlled gate commutes
+/// with a classical gate writing its control qudit.
 fn predicate_invariant_under(
     predicate: ControlPredicate,
-    permutation: &Permutation,
+    map: &LevelMap<'_>,
     dimension: Dimension,
 ) -> bool {
+    if let LevelMap::Op(&SingleQuditOp::Swap(i, j)) = map {
+        // Only `i` and `j` move.
+        return predicate.matches(i) == predicate.matches(j);
+    }
     dimension
         .levels()
-        .all(|l| predicate.matches(permutation.apply(l)) == predicate.matches(l))
+        .all(|l| predicate.matches(map.apply(l, dimension)) == predicate.matches(l))
 }
 
 /// Precomputed per-gate facts the oracle consults for every pair.  The DAG
-/// builder computes these once per gate instead of once per pair, which is
-/// what keeps the oracle cheap on multi-thousand-gate circuits.
-struct GateInfo {
-    /// The fixed level permutation the gate applies to its target, when it
-    /// has one (`None` for `X±⋆`, whose shift depends on the source value,
-    /// and for non-permutation unitaries).
-    permutation: Option<Permutation>,
-    /// Whether the target operation is a translation `|t⟩ ↦ |t + y mod d⟩`.
+/// builder and the scheduler compute these once per gate instead of once per
+/// pair, which is what keeps the oracle cheap on multi-thousand-gate
+/// circuits.
+struct GateInfo<'a> {
+    gate: &'a Gate,
+    /// The fixed level map the gate applies to its target, when it has one
+    /// (`None` for `X±⋆`, whose shift depends on the source value, and for
+    /// non-permutation unitaries).
+    map: Option<LevelMap<'a>>,
+    /// Whether the target operation is a translation `|t⟩ ↦ |t + y mod d⟩`
+    /// for some (possibly value-dependent) `y` — the abelian subgroup in
+    /// which any two target operations commute.
     additive: bool,
     /// Whether the target operation is diagonal in the computational basis
     /// (the whole gate is then a diagonal operator — controls are basis
-    /// projectors).
+    /// projectors — so it commutes with anything that only reads its
+    /// target).  A permutation is diagonal exactly when it is the identity,
+    /// so only non-permutation unitaries need their matrix.
     diagonal: bool,
 }
 
-impl GateInfo {
-    fn of(gate: &Gate, dimension: Dimension) -> Self {
-        let permutation = target_permutation(gate, dimension);
+impl<'a> GateInfo<'a> {
+    fn of(gate: &'a Gate, dimension: Dimension) -> Self {
+        let map = match gate.op() {
+            GateOp::Single(op @ SingleQuditOp::Unitary(_)) => {
+                op.to_permutation(dimension).ok().map(LevelMap::Table)
+            }
+            GateOp::Single(op) => Some(LevelMap::Op(op)),
+            GateOp::AddFrom { .. } => None,
+        };
+        let diagonal = match (gate.op(), &map) {
+            (GateOp::Single(SingleQuditOp::Unitary(matrix)), _) => {
+                let size = matrix.size();
+                (0..size)
+                    .all(|r| (0..size).all(|c| r == c || matrix[(r, c)].norm() <= MATRIX_TOLERANCE))
+            }
+            (_, Some(map)) => dimension.levels().all(|l| map.apply(l, dimension) == l),
+            (_, None) => false,
+        };
         GateInfo {
-            diagonal: target_is_diagonal(gate, permutation.as_ref()),
-            permutation,
-            additive: is_additive(gate.op()),
+            gate,
+            map,
+            additive: matches!(
+                gate.op(),
+                GateOp::AddFrom { .. } | GateOp::Single(SingleQuditOp::Add(_))
+            ),
+            diagonal,
         }
     }
 }
 
 /// Returns `true` when the two target operations provably commute as
 /// `d × d` operators (sound; partial like the gate-level oracle).
-fn ops_commute(dimension: Dimension, a: &Gate, ia: &GateInfo, b: &Gate, ib: &GateInfo) -> bool {
-    if ia.additive && ib.additive {
+fn ops_commute(dimension: Dimension, a: &GateInfo<'_>, b: &GateInfo<'_>) -> bool {
+    if a.additive && b.additive {
         // Translations mod d form an abelian group; this covers `X±⋆`
         // against `X±⋆` and `X+y` in either order.
         return true;
     }
-    if ia.diagonal && ib.diagonal {
+    if a.diagonal && b.diagonal {
         // Diagonal matrices always commute — the diagonal-vs-diagonal rule.
         return true;
     }
-    match (&ia.permutation, &ib.permutation) {
+    match (&a.map, &b.map, a.gate.op(), b.gate.op()) {
+        // Two transpositions (`i ≠ j`, as validation ensures) commute exactly
+        // when they are equal or disjoint.
+        (
+            _,
+            _,
+            GateOp::Single(SingleQuditOp::Swap(i, j)),
+            GateOp::Single(SingleQuditOp::Swap(k, l)),
+        ) => (i, j) == (k, l) || (i, j) == (l, k) || (i != k && i != l && j != k && j != l),
         // Composition equality checked pointwise — no allocation.
-        (Some(pa), Some(pb)) => dimension
-            .levels()
-            .all(|l| pa.apply(pb.apply(l)) == pb.apply(pa.apply(l))),
-        // An `X±⋆` against a non-additive operation: no structural rule.
-        _ if !matches!(a.op(), GateOp::Single(_)) || !matches!(b.op(), GateOp::Single(_)) => false,
+        (Some(pa), Some(pb), _, _) => dimension.levels().all(|l| {
+            pa.apply(pb.apply(l, dimension), dimension)
+                == pb.apply(pa.apply(l, dimension), dimension)
+        }),
         // At least one side is a genuine (non-permutation) unitary: fall
         // back to the d × d matrix commutator — still cheap, d is small.
-        _ => {
-            let (GateOp::Single(a), GateOp::Single(b)) = (a.op(), b.op()) else {
-                unreachable!("the arm above filtered non-single operations");
-            };
+        (_, _, GateOp::Single(a), GateOp::Single(b)) => {
             let ma = a.to_matrix(dimension);
             let mb = b.to_matrix(dimension);
             (&ma * &mb).approx_eq(&(&mb * &ma), MATRIX_TOLERANCE)
+        }
+        // An `X±⋆` against a non-additive operation: no structural rule.
+        _ => false,
+    }
+}
+
+/// Whether `a` (using the shared qudit as `role_a`) and `b` (as `role_b`)
+/// are compatible on that qudit.  The oracle is the AND of this test over
+/// the qudits the two gates share.
+fn compatible_on(
+    dimension: Dimension,
+    a: &GateInfo<'_>,
+    role_a: Role,
+    b: &GateInfo<'_>,
+    role_b: Role,
+) -> bool {
+    match (role_a, role_b) {
+        // Read-read: both gates are block-diagonal in q's basis.
+        (Role::Source | Role::Control(_), Role::Source | Role::Control(_)) => true,
+        // Write-write: same target; the target operations must commute (the
+        // controls only ever substitute the identity, which commutes with
+        // everything).
+        (Role::Target, Role::Target) => ops_commute(dimension, a, b),
+        // Write-read through a control: a diagonal writer is invisible to
+        // any basis-diagonal reader; otherwise the writer must apply a fixed
+        // classical permutation that the reader's predicate cannot observe.
+        (Role::Target, Role::Control(predicate)) => {
+            a.diagonal
+                || a.map
+                    .as_ref()
+                    .is_some_and(|map| predicate_invariant_under(predicate, map, dimension))
+        }
+        // Write-read through an `X±⋆` source: the source *value* feeds the
+        // shift, so only a diagonal write (which never changes the value) is
+        // compatible.
+        (Role::Target, Role::Source) => a.diagonal,
+        // A reader against a writer: the rules above, with the roles swapped.
+        (Role::Source | Role::Control(_), Role::Target) => {
+            compatible_on(dimension, b, role_b, a, role_a)
         }
     }
 }
 
 /// The oracle on precomputed [`GateInfo`] — the allocation-free hot path
 /// behind [`gates_commute`].
-fn commute_with_info(
-    dimension: Dimension,
-    a: &Gate,
-    ia: &GateInfo,
-    b: &Gate,
-    ib: &GateInfo,
-) -> bool {
-    for (q, role_a) in roles(a) {
-        let Some(role_b) = role_of(b, q) else {
-            continue;
-        };
-        let compatible = match (role_a, role_b) {
-            // Read-read: both gates are block-diagonal in q's basis.
-            (Role::Source | Role::Control(_), Role::Source | Role::Control(_)) => true,
-            // Write-write: same target; the target operations must commute
-            // (the controls only ever substitute the identity, which
-            // commutes with everything).
-            (Role::Target, Role::Target) => ops_commute(dimension, a, ia, b, ib),
-            // Write-read through a control: a diagonal writer is invisible
-            // to any basis-diagonal reader; otherwise the writer must apply
-            // a fixed classical permutation that the reader's predicate
-            // cannot observe.
-            (Role::Target, Role::Control(predicate)) => {
-                ia.diagonal
-                    || ia
-                        .permutation
-                        .as_ref()
-                        .is_some_and(|p| predicate_invariant_under(predicate, p, dimension))
-            }
-            (Role::Control(predicate), Role::Target) => {
-                ib.diagonal
-                    || ib
-                        .permutation
-                        .as_ref()
-                        .is_some_and(|p| predicate_invariant_under(predicate, p, dimension))
-            }
-            // Write-read through an `X±⋆` source: the source *value* feeds
-            // the shift, so only a diagonal write (which never changes the
-            // value) is compatible.
-            (Role::Target, Role::Source) => ia.diagonal,
-            (Role::Source, Role::Target) => ib.diagonal,
-        };
-        if !compatible {
-            return false;
-        }
-    }
-    true
+fn commute_with_info(dimension: Dimension, a: &GateInfo<'_>, b: &GateInfo<'_>) -> bool {
+    roles(a.gate).all(|(q, role_a)| {
+        role_of(b.gate, q).is_none_or(|role_b| compatible_on(dimension, a, role_a, b, role_b))
+    })
 }
 
 /// The structural commutation oracle: returns `true` only when `a` and `b`
@@ -325,9 +338,7 @@ fn commute_with_info(
 pub fn gates_commute(dimension: Dimension, a: &Gate, b: &Gate) -> bool {
     commute_with_info(
         dimension,
-        a,
         &GateInfo::of(a, dimension),
-        b,
         &GateInfo::of(b, dimension),
     )
 }
@@ -409,9 +420,7 @@ impl DependencyDag {
                 let blockers: Vec<usize> = wire_gates[q.index()]
                     .iter()
                     .take_while(|&&i| i < j)
-                    .filter(|&&i| {
-                        !commute_with_info(dimension, &gates[i], &infos[i], &gates[j], &infos[j])
-                    })
+                    .filter(|&&i| !commute_with_info(dimension, &infos[i], &infos[j]))
                     .copied()
                     .collect();
                 if !blockers.is_empty() {
@@ -527,23 +536,20 @@ impl Occupancy {
     }
 }
 
-/// Reorders a circuit's gates by the given 1-based layer assignment (stable:
-/// ties keep the input order).
-fn assemble_schedule(circuit: &Circuit, layer: Vec<usize>) -> Schedule {
-    let gates = circuit.gates();
-    let mut order: Vec<usize> = (0..gates.len()).collect();
-    order.sort_by_key(|&j| layer[j]); // stable: ties keep input order
-    let mut scheduled = Circuit::new(circuit.dimension(), circuit.width());
-    let mut layers = Vec::with_capacity(order.len());
-    for &j in &order {
-        scheduled
-            .push(gates[j].clone())
-            .expect("gates were valid in the input circuit");
-        layers.push(layer[j]);
-    }
+/// Moves a circuit's gates into the order of the given 1-based layer
+/// assignment (stable: ties keep the input order).
+fn assemble_schedule(circuit: Circuit, layer: Vec<usize>) -> Schedule {
+    let (dimension, width) = (circuit.dimension(), circuit.width());
+    let mut order: Vec<usize> = (0..layer.len()).collect();
+    order.sort_by_key(|&j| layer[j]);
+    let mut gates: Vec<Option<Gate>> = circuit.into_gates().into_iter().map(Some).collect();
+    let gates = order
+        .iter()
+        .map(|&j| gates[j].take().expect("each gate moves once"))
+        .collect();
     Schedule {
-        circuit: scheduled,
-        layers,
+        circuit: Circuit::from_valid_gates(dimension, width, gates),
+        layers: order.iter().map(|&j| layer[j]).collect(),
     }
 }
 
@@ -587,7 +593,19 @@ pub fn schedule_over(circuit: &Circuit, dag: &DependencyDag) -> Schedule {
             .unwrap_or(0);
         layer[j] = occupied.place(gate.support(), earliest);
     }
-    assemble_schedule(circuit, layer)
+    assemble_schedule(circuit.clone(), layer)
+}
+
+/// A run of consecutive gates in one wire's history that use the wire the
+/// same way: the same [`Role`] and, for a target, the same operation.
+struct Run {
+    /// The first gate of the run, which stands for all of them.
+    gate: usize,
+    role: Role,
+    /// The largest layer of the run's gates.
+    layer: usize,
+    /// The largest layer of this run and every earlier run on the wire.
+    running_max: usize,
 }
 
 /// The fused scheduler: computes exactly the layers of
@@ -595,42 +613,59 @@ pub fn schedule_over(circuit: &Circuit, dag: &DependencyDag) -> Schedule {
 /// materialising the DAG.
 ///
 /// Only the *maximum* layer over a gate's non-commuting predecessors
-/// matters.  Each wire keeps its gates in order together with the running
-/// maximum of their layers, and a gate scans each of its wires backward:
-/// a candidate whose layer cannot raise the bound is skipped before the
-/// oracle is consulted, and the scan stops once the running maximum up to
-/// the current candidate is at most the bound.  The exit is exact even
-/// where first-fit left a wire's layers out of order, because nothing
-/// earlier on the wire has a larger layer.
+/// matters, and the oracle is an AND over shared wires, so that maximum is
+/// the largest, over the gate's wires, of the layers of earlier gates that
+/// are incompatible with it *on that wire*.  Gates using a wire the same way
+/// are interchangeable for that test, so each wire's history merges
+/// consecutive ones into one [`Run`] holding their maximum layer.  A gate
+/// scans each of its wires backward: a run whose layer cannot raise the
+/// bound is skipped before the oracle is consulted, and the scan stops once
+/// the running maximum up to the current run is at most the bound.  The exit
+/// is exact even where first-fit left a wire's layers out of order, because
+/// nothing earlier on the wire has a larger layer.
 fn schedule_layers(circuit: &Circuit) -> Vec<usize> {
-    let gates = circuit.gates();
     let dimension = circuit.dimension();
-    let infos: Vec<GateInfo> = gates.iter().map(|g| GateInfo::of(g, dimension)).collect();
-    // Per wire, in circuit order: (gate index, its layer, the running
-    // maximum of the layers up to and including it).
-    let mut wires: Vec<Vec<(usize, usize, usize)>> = vec![Vec::new(); circuit.width()];
-    let mut layer = vec![0usize; gates.len()];
+    let infos: Vec<GateInfo<'_>> = circuit.iter().map(|g| GateInfo::of(g, dimension)).collect();
+    let mut wires: Vec<Vec<Run>> = (0..circuit.width()).map(|_| Vec::new()).collect();
+    let mut layer = vec![0usize; infos.len()];
     let mut occupied = Occupancy::new(circuit.width());
-    for (j, gate) in gates.iter().enumerate() {
+    for (j, info) in infos.iter().enumerate() {
         let mut bound = 0usize;
-        for q in gate.support() {
-            for &(i, placed, running_max) in wires[q.index()].iter().rev() {
-                if running_max <= bound {
+        for (q, role) in roles(info.gate) {
+            for run in wires[q.index()].iter().rev() {
+                if run.running_max <= bound {
                     break;
                 }
-                if placed > bound
-                    && !commute_with_info(dimension, &gates[i], &infos[i], gate, &infos[j])
+                if run.layer > bound
+                    && !compatible_on(dimension, &infos[run.gate], run.role, info, role)
                 {
-                    bound = placed;
+                    bound = run.layer;
                 }
             }
         }
-        let placed = occupied.place(gate.support(), bound + 1);
+        let placed = occupied.place(info.gate.support(), bound + 1);
         layer[j] = placed;
-        for q in gate.support() {
+        for (q, role) in roles(info.gate) {
             let wire = &mut wires[q.index()];
-            let running_max = wire.last().map_or(placed, |&(_, _, max)| max.max(placed));
-            wire.push((j, placed, running_max));
+            match wire.last_mut() {
+                Some(run)
+                    if run.role == role
+                        && (role != Role::Target
+                            || infos[run.gate].gate.op() == info.gate.op()) =>
+                {
+                    run.layer = run.layer.max(placed);
+                    run.running_max = run.running_max.max(placed);
+                }
+                last => {
+                    let running_max = last.map_or(placed, |run| run.running_max.max(placed));
+                    wire.push(Run {
+                        gate: j,
+                        role,
+                        layer: placed,
+                        running_max,
+                    });
+                }
+            }
         }
     }
     layer
@@ -670,7 +705,14 @@ fn schedule_layers(circuit: &Circuit) -> Vec<usize> {
 /// # }
 /// ```
 pub fn schedule_depth(circuit: &Circuit) -> Circuit {
-    assemble_schedule(circuit, schedule_layers(circuit)).circuit
+    schedule_owned(circuit.clone())
+}
+
+/// [`schedule_depth`] on an owned circuit: the gates move into layer order
+/// instead of being cloned.
+pub(crate) fn schedule_owned(circuit: Circuit) -> Circuit {
+    let layer = schedule_layers(&circuit);
+    assemble_schedule(circuit, layer).circuit
 }
 
 #[cfg(test)]
@@ -706,6 +748,43 @@ mod tests {
             a.apply_to_basis(&mut ba, d).unwrap();
             ab == ba
         })
+    }
+
+    #[test]
+    fn transposition_shortcuts_agree_with_brute_force() {
+        // The oracle decides swap-vs-swap and swap-vs-control in O(1), and is
+        // complete on these pairs: it must match the brute-force answer.
+        for d in 2..=5u32 {
+            let dimension = dim(d);
+            let swaps = || {
+                let levels = move || dimension.levels();
+                levels().flat_map(move |i| {
+                    levels()
+                        .filter(move |&j| j != i)
+                        .map(move |j| Gate::single(SingleQuditOp::Swap(i, j), q(0)))
+                })
+            };
+            let predicates = dimension.levels().map(ControlPredicate::Level).chain([
+                ControlPredicate::Odd,
+                ControlPredicate::EvenNonzero,
+                ControlPredicate::NonZero,
+            ]);
+            let readers: Vec<Gate> = predicates
+                .map(|predicate| {
+                    let control = Control {
+                        qudit: q(0),
+                        predicate,
+                    };
+                    Gate::controlled(SingleQuditOp::Add(1), q(1), vec![control])
+                })
+                .collect();
+            for a in swaps() {
+                for b in swaps().chain(readers.iter().cloned()) {
+                    let truth = classically_commute(dimension, 2, &a, &b);
+                    assert_eq!(gates_commute(dimension, &a, &b), truth, "{a:?} vs {b:?}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -861,53 +940,9 @@ mod tests {
         assert_eq!(dag.critical_path_len(), 2);
     }
 
-    /// A deterministic pseudo-random circuit over `width ≥ 3` qudits of
-    /// dimension 3, mixing single-qudit ops, zero-/odd-controlled gates and
-    /// value-controlled shifts — the shared workload of the randomized
-    /// DAG/scheduler tests (extend the grammar here, in one place).
-    fn random_circuit(seed: u64, width: usize, gates: usize) -> Circuit {
-        let d = dim(3);
-        let mut c = Circuit::new(d, width);
-        // xorshift needs a nonzero state; nonzero seeds are used as-is.
-        let mut state = if seed == 0 {
-            0x2545_F491_4F6C_DD1D
-        } else {
-            seed
-        };
-        for _ in 0..gates {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let roll = (state >> 32) as usize;
-            let target = q(roll % width);
-            let gate = match roll % 5 {
-                0 => Gate::single(SingleQuditOp::Add(1 + (roll as u32) % 2), target),
-                1 => Gate::single(SingleQuditOp::Swap(0, 1 + (roll as u32 / 7) % 2), target),
-                2 => Gate::controlled(
-                    SingleQuditOp::Add(2),
-                    target,
-                    vec![Control::zero(q((target.index() + 1) % width))],
-                ),
-                3 => Gate::controlled(
-                    SingleQuditOp::Swap(0, 2),
-                    target,
-                    vec![Control::odd(q((target.index() + 2) % width))],
-                ),
-                _ => Gate::add_from(
-                    q((target.index() + 1) % width),
-                    roll.is_multiple_of(2),
-                    target,
-                    vec![],
-                ),
-            };
-            c.push(gate).unwrap();
-        }
-        c
-    }
-
     #[test]
     fn parallel_dag_build_matches_sequential() {
-        let c = random_circuit(0x9E37_79B9, 4, 600);
+        let c = random_mixed_circuit(0x9E37_79B9, 3, 4, 600);
         let sequential = DependencyDag::build(&c);
         for threads in [1, 2, 4] {
             let pool = WorkStealingPool::with_threads(threads);
@@ -941,7 +976,7 @@ mod tests {
 
     #[test]
     fn scheduling_never_increases_depth_and_is_idempotent() {
-        let c = random_circuit(0x1234_5678_9ABC_DEF0, 5, 200);
+        let c = random_mixed_circuit(0x1234_5678_9ABC_DEF0, 3, 5, 200);
         let once = schedule_depth(&c);
         assert!(circuit_depth(&once) <= circuit_depth(&c));
         assert_eq!(once.len(), c.len());
@@ -953,7 +988,7 @@ mod tests {
     fn fused_scheduler_matches_dag_scheduler() {
         // The fused (early-exit) path must reproduce the explicit DAG-based
         // schedule exactly on a long circuit.
-        let c = random_circuit(0xFEED_FACE_CAFE_BEEF, 4, 1061);
+        let c = random_mixed_circuit(0xFEED_FACE_CAFE_BEEF, 3, 4, 1061);
         let via_dag = schedule_over(&c, &DependencyDag::build(&c));
         assert_eq!(via_dag.circuit, schedule_depth(&c));
     }
@@ -990,7 +1025,9 @@ mod tests {
 
     /// A seeded random circuit over any `d ≥ 2` and `width ≥ 2`: plain,
     /// controlled and `X±⋆` gates, with diagonal and dense non-permutation
-    /// unitaries and permutation-valued unitaries among the operations.
+    /// unitaries and permutation-valued unitaries among the operations — the
+    /// shared workload of the randomized DAG/scheduler tests (extend the
+    /// grammar here, in one place).
     fn random_mixed_circuit(seed: u64, d: u32, width: usize, gates: usize) -> Circuit {
         let dimension = dim(d);
         let mut c = Circuit::new(dimension, width);

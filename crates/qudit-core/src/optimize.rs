@@ -6,58 +6,68 @@
 //! same control level).  [`cancel_inverse_pairs`] removes every pair of gates
 //! that are exact inverses of each other and adjacent on all of their qudits.
 //!
-//! # Windowed reduction
+//! # One stack sweep
 //!
-//! Large circuits are reduced in fixed-size *windows* of
-//! [`CANCEL_WINDOW_SIZE`] gates: every window is reduced independently with
-//! the per-qudit stack pass, the surviving gates are concatenated in order,
-//! and one final stack pass over the survivors removes the pairs that
-//! straddled a window boundary.  Deleting an adjacent inverse pair is a
-//! confluent rewriting step (it is free reduction in a partially commutative
-//! group: gates on disjoint qudits commute, gates sharing a qudit do not),
-//! so the windowed reduction removes exactly as many gates as a single
-//! sequential sweep and the result is fully reduced — a second application
-//! is the identity.
-//!
-//! Windows only depend on the gate list, never on the execution mode, so
-//! [`cancel_inverse_pairs`] and [`cancel_inverse_pairs_on`] (the same
-//! algorithm with the window reductions fanned out over a
-//! [`WorkStealingPool`]) return byte-identical circuits; pipelines may pick
-//! either freely without perturbing batch-vs-sequential comparisons.
+//! The reduction is a single pass over the gates with one stack of retained
+//! gates per qudit.  Deleting an adjacent inverse pair is a confluent
+//! rewriting step (it is free reduction in a partially commutative group:
+//! gates on disjoint qudits commute, gates sharing a qudit do not), so the
+//! sweep removes every cancellable pair however far apart its gates started,
+//! and the result is fully reduced — a second application is the identity.
+//! The work per gate is bounded by its arity, and the pass moves the gates it
+//! keeps instead of cloning them.
 
 use crate::circuit::Circuit;
-use crate::dimension::Dimension;
 use crate::gate::Gate;
-use crate::pool::WorkStealingPool;
 
-/// Number of gates per independently reduced window.
-///
-/// Circuits at most this long are reduced in a single sequential sweep (the
-/// windowed and single-sweep algorithms coincide there); longer circuits are
-/// split into `ceil(len / CANCEL_WINDOW_SIZE)` windows whose reductions are
-/// independent — the unit of parallelism of [`cancel_inverse_pairs_on`].
-pub const CANCEL_WINDOW_SIZE: usize = 1024;
-
-/// One sequential stack-pass over a gate sequence, returning the surviving
-/// gates in order.
+/// Removes adjacent gate/inverse pairs from a circuit.
 ///
 /// Two gates form a cancellable pair when the second is the exact inverse of
-/// the first (same controls, same target, inverse operation) and no surviving
-/// gate in between touches any qudit of the pair.  Cancellation is applied
+/// the first (same controls, same target, inverse operation) and no gate in
+/// between touches any qudit of the pair.  Cancellation is applied
 /// transitively: removing a pair can make an enclosing pair adjacent, which
-/// is then removed as well.  One pass reaches a fixed point (see the module
-/// docs), so the result contains no cancellable pair.
-fn reduce_gates<I>(dimension: Dimension, width: usize, gates: I) -> Vec<Gate>
-where
-    I: IntoIterator<Item = Gate>,
-{
+/// is then removed as well.
+///
+/// The result implements exactly the same unitary as the input and contains
+/// no further cancellable pair (see the module docs).
+///
+/// # Example
+///
+/// ```
+/// # use qudit_core::{Circuit, Dimension, Gate, QuditId, SingleQuditOp};
+/// # use qudit_core::optimize::cancel_inverse_pairs;
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let d = Dimension::new(5)?;
+/// // X+1 followed by X+2 is not an inverse pair: nothing is removed.
+/// let mut circuit = Circuit::new(d, 1);
+/// circuit.push(Gate::single(SingleQuditOp::Add(1), QuditId::new(0)))?;
+/// circuit.push(Gate::single(SingleQuditOp::Add(2), QuditId::new(0)))?;
+/// assert_eq!(cancel_inverse_pairs(&circuit).len(), 2);
+///
+/// // X+1 followed by X−1 (= X+4) cancels, leaving only the trailing X+2.
+/// let mut circuit = Circuit::new(d, 1);
+/// circuit.push(Gate::single(SingleQuditOp::Add(1), QuditId::new(0)))?;
+/// circuit.push(Gate::single(SingleQuditOp::Add(4), QuditId::new(0)))?;
+/// circuit.push(Gate::single(SingleQuditOp::Add(2), QuditId::new(0)))?;
+/// assert_eq!(cancel_inverse_pairs(&circuit).len(), 1);
+/// # Ok(())
+/// # }
+/// ```
+pub fn cancel_inverse_pairs(circuit: &Circuit) -> Circuit {
+    cancel_owned(circuit.clone())
+}
+
+/// [`cancel_inverse_pairs`] on an owned circuit: the retained gates move to
+/// the output instead of being cloned.
+pub(crate) fn cancel_owned(circuit: Circuit) -> Circuit {
+    let (dimension, width) = (circuit.dimension(), circuit.width());
     // `kept[i]` is Some(gate) while gate i is still in the output.
-    let mut kept: Vec<Option<Gate>> = Vec::new();
+    let mut kept: Vec<Option<Gate>> = Vec::with_capacity(circuit.len());
     // For each qudit, the indices (into `kept`) of the retained gates that
     // touch it, in order.
     let mut last_touch: Vec<Vec<usize>> = vec![Vec::new(); width];
 
-    for gate in gates {
+    for gate in circuit.into_gates() {
         // The candidate for cancellation is the most recent retained gate on
         // any of this gate's qudits — and it must be the most recent on all
         // of them.
@@ -91,113 +101,7 @@ where
         }
     }
 
-    kept.into_iter().flatten().collect()
-}
-
-/// Reduces the windows (sequentially or on a pool) and stitches the
-/// survivors with a final sequential pass.
-fn cancel_windowed(circuit: &Circuit, pool: Option<&WorkStealingPool>) -> Circuit {
-    let dimension = circuit.dimension();
-    let width = circuit.width();
-    let survivors = if circuit.len() <= CANCEL_WINDOW_SIZE {
-        reduce_gates(dimension, width, circuit.gates().iter().cloned())
-    } else {
-        let windows: Vec<&[Gate]> = circuit.gates().chunks(CANCEL_WINDOW_SIZE).collect();
-        let reduce_window =
-            |window: &[Gate]| reduce_gates(dimension, width, window.iter().cloned());
-        let reduced: Vec<Vec<Gate>> = match pool {
-            Some(pool) => pool.map(windows, reduce_window),
-            None => windows.into_iter().map(reduce_window).collect(),
-        };
-        // The boundary-straddling pairs only become adjacent now; one more
-        // pass over the (already much shorter) survivors reduces fully.
-        reduce_gates(dimension, width, reduced.into_iter().flatten())
-    };
-
-    let mut out = Circuit::new(dimension, width);
-    for gate in survivors {
-        out.push(gate)
-            .expect("gates were valid in the input circuit");
-    }
-    out
-}
-
-/// Removes adjacent gate/inverse pairs from a circuit.
-///
-/// Two gates form a cancellable pair when the second is the exact inverse of
-/// the first (same controls, same target, inverse operation) and no gate in
-/// between touches any qudit of the pair.  Cancellation is applied
-/// transitively: removing a pair can make an enclosing pair adjacent, which
-/// is then removed as well.
-///
-/// The result implements exactly the same unitary as the input and contains
-/// no further cancellable pair.  Circuits longer than [`CANCEL_WINDOW_SIZE`]
-/// are reduced window-by-window (see the module docs); use
-/// [`cancel_inverse_pairs_on`] to reduce the windows in parallel — both
-/// functions return the identical circuit.
-///
-/// # Example
-///
-/// ```
-/// # use qudit_core::{Circuit, Dimension, Gate, QuditId, SingleQuditOp};
-/// # use qudit_core::optimize::cancel_inverse_pairs;
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let d = Dimension::new(5)?;
-/// // X+1 followed by X+2 is not an inverse pair: nothing is removed.
-/// let mut circuit = Circuit::new(d, 1);
-/// circuit.push(Gate::single(SingleQuditOp::Add(1), QuditId::new(0)))?;
-/// circuit.push(Gate::single(SingleQuditOp::Add(2), QuditId::new(0)))?;
-/// assert_eq!(cancel_inverse_pairs(&circuit).len(), 2);
-///
-/// // X+1 followed by X−1 (= X+4) cancels, leaving only the trailing X+2.
-/// let mut circuit = Circuit::new(d, 1);
-/// circuit.push(Gate::single(SingleQuditOp::Add(1), QuditId::new(0)))?;
-/// circuit.push(Gate::single(SingleQuditOp::Add(4), QuditId::new(0)))?;
-/// circuit.push(Gate::single(SingleQuditOp::Add(2), QuditId::new(0)))?;
-/// assert_eq!(cancel_inverse_pairs(&circuit).len(), 1);
-/// # Ok(())
-/// # }
-/// ```
-pub fn cancel_inverse_pairs(circuit: &Circuit) -> Circuit {
-    cancel_windowed(circuit, None)
-}
-
-/// [`cancel_inverse_pairs`] with the window reductions fanned out over a
-/// [`WorkStealingPool`].
-///
-/// The windows are fixed-size chunks of the gate list (they depend only on
-/// the circuit, not on the worker count), so the result is byte-identical to
-/// the sequential [`cancel_inverse_pairs`] for every pool size — callers may
-/// switch between the two freely.
-///
-/// # Example
-///
-/// ```
-/// # use qudit_core::pool::WorkStealingPool;
-/// # use qudit_core::{Circuit, Dimension, Gate, QuditId, SingleQuditOp};
-/// # use qudit_core::optimize::{cancel_inverse_pairs, cancel_inverse_pairs_on};
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let d = Dimension::new(5)?;
-/// let mut circuit = Circuit::new(d, 2);
-/// for i in 0..2000u32 {
-///     circuit.push(Gate::single(SingleQuditOp::Add(1 + i % 3), QuditId::new(0)))?;
-/// }
-/// let pool = WorkStealingPool::with_threads(4);
-/// assert_eq!(
-///     cancel_inverse_pairs_on(&circuit, &pool),
-///     cancel_inverse_pairs(&circuit),
-/// );
-/// # Ok(())
-/// # }
-/// ```
-pub fn cancel_inverse_pairs_on(circuit: &Circuit, pool: &WorkStealingPool) -> Circuit {
-    cancel_windowed(circuit, Some(pool))
-}
-
-/// Convenience statistic: the number of gates removed by
-/// [`cancel_inverse_pairs`].
-pub fn cancelled_gate_count(circuit: &Circuit) -> usize {
-    circuit.len() - cancel_inverse_pairs(circuit).len()
+    Circuit::from_valid_gates(dimension, width, kept.into_iter().flatten().collect())
 }
 
 #[cfg(test)]
@@ -243,7 +147,6 @@ mod tests {
         c.push(gate).unwrap();
         let optimized = cancel_inverse_pairs(&c);
         assert!(optimized.is_empty());
-        assert_eq!(cancelled_gate_count(&c), 2);
     }
 
     #[test]
@@ -345,22 +248,12 @@ mod tests {
     }
 
     /// A deterministic pseudo-random circuit that mixes cancelling and
-    /// non-cancelling runs, long enough to span several windows.
-    fn multi_window_circuit(gates: usize) -> Circuit {
-        multi_window_circuit_seeded(gates, 0x2545_F491_4F6C_DD1D)
-    }
-
-    /// [`multi_window_circuit`] with a caller-chosen xorshift seed.
-    fn multi_window_circuit_seeded(gates: usize, seed: u64) -> Circuit {
+    /// non-cancelling runs, with inverse pairs far apart.
+    fn mixed_circuit(gates: usize, seed: u64) -> Circuit {
         let d = dim(3);
         let mut c = Circuit::new(d, 3);
-        // xorshift needs a nonzero state; every other seed is used as-is so
-        // the default stream (and the proptest's seed diversity) is kept.
-        let mut state = if seed == 0 {
-            0x2545_F491_4F6C_DD1D
-        } else {
-            seed
-        };
+        // xorshift needs a nonzero state.
+        let mut state = seed | 1;
         let mut pending: Vec<Gate> = Vec::new();
         while c.len() < gates {
             // xorshift* step.
@@ -395,118 +288,25 @@ mod tests {
     }
 
     #[test]
-    fn windowed_reduction_is_a_fixed_point() {
-        let c = multi_window_circuit(3 * CANCEL_WINDOW_SIZE + 100);
-        let once = cancel_inverse_pairs(&c);
-        assert!(once.len() < c.len(), "the workload must cancel something");
-        let twice = cancel_inverse_pairs(&once);
-        assert_eq!(once, twice, "reduction must reach a fixed point");
-        assert_same_action(&c, &once);
-    }
-
-    #[test]
-    fn parallel_windows_match_sequential_windows_exactly() {
-        let c = multi_window_circuit(4 * CANCEL_WINDOW_SIZE);
-        let sequential = cancel_inverse_pairs(&c);
-        for threads in [1, 2, 4, 7] {
-            let pool = WorkStealingPool::with_threads(threads);
-            assert_eq!(
-                cancel_inverse_pairs_on(&c, &pool),
-                sequential,
-                "threads = {threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn a_single_pair_straddling_the_window_boundary_cancels() {
-        // Directed coverage of the stitch pass: the *only* cancellable pair
-        // in the circuit sits exactly astride the first window boundary
-        // (gates CANCEL_WINDOW_SIZE−1 and CANCEL_WINDOW_SIZE).  Neither
-        // window can cancel it internally — only the final stitch pass over
-        // the survivors can.
-        let d = dim(5);
-        let mut c = Circuit::new(d, 2);
-        // Window 0 filler: non-cancelling (X+1 is not its own inverse in
-        // d = 5) and on a different qudit than the pair.
-        for _ in 0..CANCEL_WINDOW_SIZE - 1 {
-            c.push(Gate::single(SingleQuditOp::Add(1), QuditId::new(0)))
-                .unwrap();
-        }
-        // The pair: last gate of window 0, first gate of window 1.
-        c.push(Gate::single(SingleQuditOp::Add(2), QuditId::new(1)))
-            .unwrap();
-        c.push(Gate::single(SingleQuditOp::Add(3), QuditId::new(1)))
-            .unwrap();
-        // Window 1 filler.
-        for _ in 0..CANCEL_WINDOW_SIZE / 2 {
-            c.push(Gate::single(SingleQuditOp::Add(1), QuditId::new(0)))
-                .unwrap();
-        }
-        assert!(c.len() > CANCEL_WINDOW_SIZE, "the pair must straddle");
-
-        let reduced = cancel_inverse_pairs(&c);
-        assert_eq!(
-            reduced.len(),
-            c.len() - 2,
-            "exactly the straddling pair must cancel"
-        );
-        assert!(reduced
-            .gates()
-            .iter()
-            .all(|g| g.target() == QuditId::new(0)));
-        // The parallel windows agree, and the result matches the
-        // single-sweep reference.
-        let pool = WorkStealingPool::with_threads(4);
-        assert_eq!(cancel_inverse_pairs_on(&c, &pool), reduced);
-        let mut single_sweep = Circuit::new(d, 2);
-        for gate in reduce_gates(d, 2, c.gates().iter().cloned()) {
-            single_sweep.push(gate).unwrap();
-        }
-        assert_eq!(reduced, single_sweep);
-    }
-
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(8))]
-
-        /// Windowed == single-sweep for random circuits sized exactly at
-        /// window multiples ±1 — the sizes where an off-by-one in the
-        /// chunking would silently change which pairs become adjacent.
-        #[test]
-        fn windowed_reduction_matches_single_sweep_at_window_multiples(
-            seed in any::<u64>(),
-            multiple in 1usize..=3,
-            delta_roll in 0usize..=2,
-        ) {
-            let delta = delta_roll as isize - 1; // −1, 0, +1 around the multiple
-            let gates = (multiple * CANCEL_WINDOW_SIZE).saturating_add_signed(delta);
-            let c = multi_window_circuit_seeded(gates, seed);
-            prop_assert_eq!(c.len(), gates);
-            let windowed = cancel_inverse_pairs(&c);
-            let mut single_sweep = Circuit::new(c.dimension(), c.width());
-            for gate in reduce_gates(c.dimension(), c.width(), c.gates().iter().cloned()) {
-                single_sweep.push(gate).unwrap();
-            }
-            prop_assert_eq!(
-                &windowed, &single_sweep,
-                "windowed and single-sweep reductions diverge at \
-                 {} windows {:+} (seed {:#x}): {} vs {} gates",
-                multiple, delta, seed, windowed.len(), single_sweep.len()
-            );
+    fn one_sweep_is_a_fixed_point() {
+        for seed in [0x2545_F491_4F6C_DD1D, 7, 0xDEAD_BEEF] {
+            let c = mixed_circuit(3172, seed);
+            let once = cancel_inverse_pairs(&c);
+            assert!(once.len() < c.len(), "the workload must cancel something");
+            let twice = cancel_inverse_pairs(&once);
+            assert_eq!(once, twice, "reduction must reach a fixed point");
+            assert_same_action(&c, &once);
         }
     }
 
     #[test]
     fn boundary_straddling_pairs_cancel_across_windows() {
-        // A palindrome of non-self-inverse gates longer than a window: every
-        // pair straddles the midpoint, and full cancellation requires the
-        // stitch pass to work across window boundaries.
+        // A palindrome of 2048 non-self-inverse gates: the pairs nest, so
+        // the outermost one encloses 2046 gates — more than any fixed-size
+        // window of 1024 — and cancels only once everything inside it has.
         let d = dim(5);
         let mut c = Circuit::new(d, 2);
-        let half = CANCEL_WINDOW_SIZE;
-        let forward: Vec<Gate> = (0..half)
+        let forward: Vec<Gate> = (0..1024)
             .map(|i| Gate::single(SingleQuditOp::Add(1 + (i as u32) % 3), QuditId::new(i % 2)))
             .collect();
         for gate in &forward {
@@ -515,9 +315,7 @@ mod tests {
         for gate in forward.iter().rev() {
             c.push(gate.inverse(d)).unwrap();
         }
-        assert_eq!(c.len(), 2 * half);
+        assert_eq!(c.len(), 2048);
         assert!(cancel_inverse_pairs(&c).is_empty());
-        let pool = WorkStealingPool::with_threads(4);
-        assert!(cancel_inverse_pairs_on(&c, &pool).is_empty());
     }
 }

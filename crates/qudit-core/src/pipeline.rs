@@ -1039,12 +1039,9 @@ impl Pass for GateFusion {
 /// Pass removing adjacent gate/inverse pairs
 /// (wraps [`crate::optimize::cancel_inverse_pairs`]).
 ///
-/// The pass is parallel: circuits longer than
-/// [`optimize::CANCEL_WINDOW_SIZE`] gates are reduced window-by-window on a
-/// [`WorkStealingPool`] ([`optimize::cancel_inverse_pairs_on`]) — unless the
-/// calling thread is already a pool worker, where the sequential reduction
-/// avoids nested pools.  The windowed reduction is deterministic in the
-/// circuit alone, so every execution mode produces the identical circuit.
+/// The pass is one sequential stack sweep over the gates it is handed: the
+/// work per gate is bounded by its arity, and the retained gates move to the
+/// output instead of being cloned.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CancelInversePairs;
 
@@ -1054,16 +1051,7 @@ impl Pass for CancelInversePairs {
     }
 
     fn run(&self, circuit: Circuit) -> Result<Circuit> {
-        self.run_with(circuit, &mut PassContext::new())
-    }
-
-    fn run_with(&self, circuit: Circuit, ctx: &mut PassContext) -> Result<Circuit> {
-        if circuit.len() > optimize::CANCEL_WINDOW_SIZE {
-            if let Some(pool) = parallel_pool(ctx) {
-                return Ok(optimize::cancel_inverse_pairs_on(&circuit, &pool));
-            }
-        }
-        Ok(optimize::cancel_inverse_pairs(&circuit))
+        Ok(optimize::cancel_owned(circuit))
     }
 }
 
@@ -1154,9 +1142,11 @@ where
 /// the input's operator; the output's depth never exceeds the input's, and
 /// the pass is idempotent — a second run returns its input unchanged.
 ///
-/// The pass runs one sequential scan: each gate walks its wires backward
-/// and stops once a wire's running maximum of assigned layers cannot raise
-/// its dependency bound, so no explicit DAG is built and no pool is used.
+/// The pass runs one sequential scan: each gate walks the run-merged
+/// history of each of its wires backward and stops once the wire's running
+/// maximum of assigned layers cannot raise its dependency bound, so no
+/// explicit DAG is built and no pool is used.  The gates it is handed move
+/// into layer order instead of being cloned.
 ///
 /// # Example
 ///
@@ -1193,7 +1183,7 @@ impl Pass for ScheduleDepth {
     }
 
     fn run(&self, circuit: Circuit) -> Result<Circuit> {
-        Ok(commute::schedule_depth(&circuit))
+        Ok(commute::schedule_owned(circuit))
     }
 }
 

@@ -270,6 +270,8 @@ struct TenantQueue {
 
 /// Scheduler state shared by readers (producers) and workers (consumers).
 struct SchedulerState {
+    /// Tenants with a queued or in-flight job; a worker removes a tenant
+    /// when it finishes the tenant's last job.
     tenants: HashMap<String, TenantQueue>,
     /// Queued plus in-flight jobs — the quantity backpressure bounds.
     pending: usize,
@@ -578,6 +580,11 @@ fn worker_loop(shared: &Arc<Shared>) {
         let mut state = lock_unpoisoned(&shared.state);
         if let Some(queue) = state.tenants.get_mut(&job.request.tenant) {
             queue.busy = false;
+            // A drained tenant leaves the map, so it does not grow with
+            // tenant churn and idle workers scan only live queues.
+            if queue.jobs.is_empty() {
+                state.tenants.remove(&job.request.tenant);
+            }
         }
         state.pending -= 1;
         drop(state);
@@ -952,6 +959,24 @@ mod tests {
         assert_eq!((error.tenant.as_str(), error.id.as_str()), ("t", "1"));
         let garbage = parse_request("not json").unwrap_err();
         assert!(garbage.tenant.is_empty() && garbage.id.is_empty());
+    }
+
+    #[test]
+    fn drained_tenants_leave_the_scheduler_state() {
+        let service = CompileService::start(ServiceConfig::new()).unwrap();
+        let shared = service.shared.clone();
+        let mut client = ServiceClient::connect(service.local_addr()).unwrap();
+        for tenant in 0..100 {
+            let reply = client.roundtrip(&JobRequest {
+                tenant: format!("t{tenant}"),
+                id: "0".to_string(),
+                source: "OPENQASM 3.0;\nqudit[3] q[2];\nswap(0, 1) q[0];\n".to_string(),
+            });
+            assert!(reply.unwrap().is_ok());
+        }
+        // Shutdown joins the workers, so every completion is booked.
+        service.shutdown();
+        assert_eq!(lock_unpoisoned(&shared.state).tenants.len(), 0);
     }
 
     #[test]

@@ -9,12 +9,15 @@
 //!   with bit-identical outputs (the CI thread matrix additionally runs the
 //!   whole suite under `QUDIT_THREADS=1` and `=4`).
 
+mod common;
+
+use common::build_mct_circuit;
 use proptest::prelude::*;
 use qudit_core::cache::LoweringCache;
 use qudit_core::pipeline::CacheMode;
-use qudit_core::{Circuit, Dimension, Gate, QuditId, SingleQuditOp};
+use qudit_core::{Circuit, Dimension, Gate};
 use qudit_sim::SimBackend;
-use qudit_synthesis::{emit_multi_controlled, CompileOptions, KToffoli, OptLevel, Threads, Verify};
+use qudit_synthesis::{CompileOptions, KToffoli, OptLevel, Threads, Verify};
 
 fn dim(d: u32) -> Dimension {
     Dimension::new(d).unwrap()
@@ -105,34 +108,6 @@ fn pinned_pools_reach_the_verification_sweep() {
             None => reference = Some(result.circuit),
         }
     }
-}
-
-/// Builds a circuit of mixed multi-controlled gates over `width` qudits
-/// (one spare wire reserved as the borrowed pool for even `d`) — the same
-/// workload family as the pipeline proptests.
-fn build_mct_circuit(dimension: Dimension, specs: &[(usize, usize, u8, u32, u32)]) -> Circuit {
-    let d = dimension.get();
-    let max_controls = specs.iter().map(|s| s.0).max().expect("non-empty specs");
-    let width = max_controls + 2;
-    let mut circuit = Circuit::new(dimension, width);
-    for &(k, target_offset, op_kind, shift, level_seed) in specs {
-        let op = match op_kind % 3 {
-            0 => SingleQuditOp::Swap(0, 1 + shift % (d - 1)),
-            1 => SingleQuditOp::Add(1 + shift % (d - 1)),
-            _ => SingleQuditOp::Swap(shift % d, (shift + 1) % d),
-        };
-        let target = QuditId::new(k + (target_offset % (width - k)));
-        let controls: Vec<(QuditId, u32)> = (0..k)
-            .map(|i| (QuditId::new(i), (level_seed.wrapping_add(i as u32 * 7)) % d))
-            .collect();
-        let pool: Vec<QuditId> = (0..width)
-            .map(QuditId::new)
-            .filter(|q| *q != target && !controls.iter().any(|(c, _)| c == q))
-            .collect();
-        emit_multi_controlled(&mut circuit, &controls, target, &op, &pool)
-            .expect("multi-controlled emission succeeds for valid specs");
-    }
-    circuit
 }
 
 proptest! {

@@ -8,52 +8,32 @@
 //! * regression: on the E10 k-Toffoli family, `ScheduleDepth` never
 //!   increases `circuit_depth`, and golden depth values pin a few fixed
 //!   `(d, k)` points so future passes cannot silently regress depth;
+//! * reference: the fused scan equals `schedule_over` on the O2 k-Toffoli
+//!   family, on seeded circuits of all-distinct operations (where no two
+//!   gates share a wire signature, so the history never merges) and on a
+//!   merged run of readers behind a first-fit hole;
 //! * verification: the fully `VerifyEquivalence`-wrapped scheduled pipeline
 //!   accepts every circuit of the E10 sweep — each stage, including the
 //!   scheduler, is re-simulated and checked.
 
+mod common;
+
+use common::build_mct_circuit;
 use proptest::prelude::*;
 use qudit_core::commute::{schedule_depth, schedule_over, DependencyDag};
 use qudit_core::depth::circuit_depth;
-use qudit_core::{Circuit, Dimension, Gate, QuditId, SingleQuditOp};
+use qudit_core::pool::WorkStealingPool;
+use qudit_core::{Circuit, Control, Dimension, Gate, Permutation, QuditId, SingleQuditOp};
 use qudit_sim::circuit_permutation;
 use qudit_sim::equivalence::{verify_mct_sampled, MctSpec};
 use qudit_sim::sparse::{circuit_unitary_with, SimBackend};
-use qudit_synthesis::{emit_multi_controlled, CompileOptions, Compiler, KToffoli, Verify};
+use qudit_synthesis::{CompileOptions, CompileResult, Compiler, KToffoli, OptLevel, Verify};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// The standard-flow compiler pinned to one register shape.
 fn standard_compiler(dimension: Dimension, width: usize) -> Compiler {
     CompileOptions::new().shape(dimension, width).compiler()
-}
-
-/// Builds a circuit of multi-controlled gates over `width` qudits (one
-/// spare wire is reserved as the borrowed pool for even `d`) — the same
-/// workload family as the pipeline proptests.
-fn build_mct_circuit(dimension: Dimension, specs: &[(usize, usize, u8, u32, u32)]) -> Circuit {
-    let d = dimension.get();
-    let max_controls = specs.iter().map(|s| s.0).max().expect("non-empty specs");
-    let width = max_controls + 2;
-    let mut circuit = Circuit::new(dimension, width);
-    for &(k, target_offset, op_kind, shift, level_seed) in specs {
-        let op = match op_kind % 3 {
-            0 => SingleQuditOp::Swap(0, 1 + shift % (d - 1)),
-            1 => SingleQuditOp::Add(1 + shift % (d - 1)),
-            _ => SingleQuditOp::Swap(shift % d, (shift + 1) % d),
-        };
-        let target = QuditId::new(k + (target_offset % (width - k)));
-        let controls: Vec<(QuditId, u32)> = (0..k)
-            .map(|i| (QuditId::new(i), (level_seed.wrapping_add(i as u32 * 7)) % d))
-            .collect();
-        let pool: Vec<QuditId> = (0..width)
-            .map(QuditId::new)
-            .filter(|q| *q != target && !controls.iter().any(|(c, _)| c == q))
-            .collect();
-        emit_multi_controlled(&mut circuit, &controls, target, &op, &pool)
-            .expect("multi-controlled emission succeeds for valid specs");
-    }
-    circuit
 }
 
 proptest! {
@@ -229,4 +209,127 @@ fn verified_scheduled_pipeline_accepts_the_e10_sweep() {
             "scheduled circuit no longer implements the Toffoli for d={d}, k={k}"
         );
     }
+}
+
+/// Asserts the fused scan reproduces the explicit-DAG reference schedule.
+fn assert_matches_reference(circuit: &Circuit, what: &str) {
+    let dag = DependencyDag::build_on(circuit, &WorkStealingPool::new());
+    let reference = schedule_over(circuit, &dag);
+    let scheduled = schedule_depth(circuit);
+    assert_eq!(scheduled, reference.circuit, "{what}");
+    assert_eq!(circuit_depth(&scheduled), reference.depth(), "{what}");
+}
+
+/// The eleven k-Toffolis the O2 service benchmark compiles, with their gate
+/// counts into and out of `cancel-inverse-pairs`: `(d, k, in, out)`.
+const O2_FAMILY: [(u32, usize, usize, usize); 11] = [
+    (3, 4, 2145, 1793),
+    (3, 5, 4811, 4047),
+    (3, 6, 7381, 6217),
+    (3, 7, 11871, 10075),
+    (3, 8, 14441, 12245),
+    (4, 4, 2408, 2184),
+    (4, 5, 4144, 3760),
+    (4, 6, 6928, 6288),
+    (4, 7, 9712, 8816),
+    (4, 8, 12496, 11344),
+    (5, 4, 24919, 14335),
+];
+
+/// An O2 k-Toffoli compiled up to (not including) `schedule-depth`.
+fn o2_unscheduled(d: u32, k: usize) -> CompileResult {
+    let synthesis = KToffoli::new(Dimension::new(d).unwrap(), k)
+        .unwrap()
+        .synthesize()
+        .unwrap();
+    let options = CompileOptions::new()
+        .opt_level(OptLevel::O2)
+        .schedule(false);
+    options.compiler().compile(synthesis.circuit()).unwrap()
+}
+
+#[test]
+fn o2_cancellation_removes_the_recorded_gate_counts() {
+    for (d, k, gates_in, gates_out) in O2_FAMILY {
+        let cancel = o2_unscheduled(d, k)
+            .stats_for("cancel-inverse-pairs")
+            .cloned();
+        let counts = cancel.map(|stats| (stats.before.gates, stats.after.gates));
+        assert_eq!(counts, Some((gates_in, gates_out)), "d={d}, k={k}");
+    }
+}
+
+#[test]
+fn fused_scan_matches_the_reference_on_the_o2_ktoffoli_family() {
+    // The circuits as the scheduler receives them; d=5, k=4 has the longest
+    // wire history.
+    for (d, k, _, _) in O2_FAMILY {
+        assert_matches_reference(&o2_unscheduled(d, k).circuit, &format!("d={d}, k={k}"));
+    }
+}
+
+#[test]
+fn fused_scan_matches_the_reference_on_all_distinct_operations() {
+    // Every gate applies its own permutation or phase (draw i decodes, in
+    // the factorial number system, to the permutation of index 1_000_003·i
+    // mod d!, a bijection for i < d!), so no two gates share a wire
+    // signature and the history never merges.
+    for seed in 1..=6u64 {
+        let d = 6 + (seed % 3) as usize;
+        let width = 2 + (seed % 3) as usize;
+        let mut circuit = Circuit::new(Dimension::new(d as u32).unwrap(), width);
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        for i in 0..400usize {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let op = if i % 4 == 3 {
+                let mut phase = qudit_core::math::SquareMatrix::identity(d);
+                phase[(1, 1)] = qudit_core::math::Complex::from_phase(1.0 + i as f64 * 1e-3);
+                SingleQuditOp::Unitary(phase)
+            } else {
+                let mut draw = i * 1_000_003 % (1..=d).product::<usize>();
+                let mut map: Vec<u32> = (0..d as u32).collect();
+                for l in (1..d).rev() {
+                    map.swap(l, draw % (l + 1));
+                    draw /= l + 1;
+                }
+                SingleQuditOp::Perm(Permutation::from_map(map).unwrap())
+            };
+            let target = QuditId::new((state >> 32) as usize % width);
+            circuit.push(Gate::single(op, target)).unwrap();
+        }
+        assert_matches_reference(&circuit, &format!("seed {seed}, d = {d}"));
+    }
+}
+
+#[test]
+fn a_merged_run_of_readers_keeps_its_largest_layer() {
+    // r1 and r2 read q0 through the same |0⟩ control, so q0's history holds
+    // them as one run.  r1 waits behind three writes of q1 (layer 4), while
+    // r2 drops into the hole q0 has at layer 1.  The write w of q0 changes
+    // the control value, so it must follow r1: the run has to remember its
+    // largest layer (4), not the layer of its last gate (1).
+    let d = Dimension::new(3).unwrap();
+    let q = QuditId::new;
+    let r1 = Gate::controlled(SingleQuditOp::Swap(0, 1), q(1), vec![Control::zero(q(0))]);
+    let r2 = Gate::controlled(SingleQuditOp::Add(1), q(2), vec![Control::zero(q(0))]);
+    let w = Gate::single(SingleQuditOp::Add(1), q(0));
+    let mut circuit = Circuit::new(d, 3);
+    for gate in [
+        Gate::single(SingleQuditOp::Add(1), q(1)),
+        Gate::single(SingleQuditOp::Add(1), q(1)),
+        Gate::single(SingleQuditOp::Add(1), q(1)),
+        r1.clone(),
+        r2.clone(),
+        w.clone(),
+    ] {
+        circuit.push(gate).unwrap();
+    }
+    let reference = schedule_over(&circuit, &DependencyDag::build(&circuit));
+    assert_eq!(reference.layers, vec![1, 1, 2, 3, 4, 5]);
+    assert_eq!(reference.circuit.gates()[1], r2);
+    assert_eq!(reference.circuit.gates()[4], r1);
+    assert_eq!(reference.circuit.gates()[5], w);
+    assert_eq!(schedule_depth(&circuit), reference.circuit);
 }
