@@ -1,5 +1,5 @@
 //! A thread-safe, optionally bounded lowering cache keyed by `(gate kind,
-//! dimension, width-class)`, with serializable snapshots.
+//! dimension, width-class)`.
 //!
 //! The synthesis constructions emit the same conjugated gadgets thousands of
 //! times per circuit — every two-controlled swap of the same dimension
@@ -8,14 +8,15 @@
 //! qudits renamed to `0, 1, 2, …` in role order), looked up by the canonical
 //! description, and the cached expansion is renamed back to the actual
 //! wires.  The cache is shared across threads behind an [`RwLock`], so the
-//! parallel batch and per-gate lowering paths all feed the same table, and
-//! hit/miss counts are kept both globally (atomics, for the cache lifetime)
-//! and per pass run (via [`CacheCounters`], surfaced in pass statistics).
+//! jobs of a batch and the service's workers can all feed the same table,
+//! and hit/miss counts are kept both globally (atomics, for the cache
+//! lifetime) and per pass run (via [`CacheCounters`], surfaced in pass
+//! statistics).
 //!
 //! # Service-grade features
 //!
 //! The compile service (`qudit-synthesis::service`) keeps one cache alive
-//! across thousands of jobs, which needs three things a per-run cache does
+//! across thousands of jobs, which needs two things a per-run cache does
 //! not:
 //!
 //! * **A size bound** — [`LoweringCache::with_capacity`] caps the entry
@@ -26,11 +27,6 @@
 //!   acquisitions that had to block ([`CacheMetrics::contended`]) and
 //!   insert races lost ([`CacheMetrics::race_losses`]), the numbers that
 //!   justify sharding when they grow.
-//! * **Snapshots** — [`LoweringCache::snapshot`] serialises the table to a
-//!   version-tagged text format (expansions ride the exact-round-trip qasm
-//!   printer) and [`LoweringCache::restore_snapshot`] loads one back for a
-//!   warm start, rejecting corrupt input with
-//!   [`QuditError::SnapshotInvalid`].
 //!
 //! # Example
 //!
@@ -56,23 +52,17 @@
 //! assert_eq!(counters.hits, 1);
 //! assert_eq!(counters.misses, 1);
 //! assert_eq!(lowered, qudit_core::lowering::lower_circuit(&circuit)?);
-//!
-//! // Snapshot the warm cache and restore it into a bounded one.
-//! let snapshot = cache.snapshot();
-//! let restored = LoweringCache::with_capacity(128);
-//! assert_eq!(restored.restore_snapshot(&snapshot)?, cache.len());
 //! # Ok(())
 //! # }
 //! ```
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::control::{Control, ControlPredicate};
 use crate::dimension::Dimension;
-use crate::error::{QuditError, Result};
+use crate::error::Result;
 use crate::gate::{Gate, GateOp};
 use crate::ops::SingleQuditOp;
 use crate::qudit::QuditId;
@@ -325,8 +315,8 @@ struct CacheEntry {
 ///
 /// Shared across threads behind an [`RwLock`]: lookups take the read lock,
 /// and only a miss's insertion takes the write lock, so the hot path (hits)
-/// never serialises readers.  See the module docs for the capacity bound,
-/// metrics and snapshot features the long-running service leans on.
+/// never serialises readers.  See the module docs for the capacity bound
+/// and metrics the long-running service leans on.
 #[derive(Debug, Default)]
 pub struct LoweringCache {
     map: RwLock<HashMap<CacheKey, CacheEntry>>,
@@ -338,10 +328,6 @@ pub struct LoweringCache {
     evictions: AtomicU64,
     contended: AtomicU64,
 }
-
-/// Magic first line of the snapshot format; the `v1` suffix is the format
-/// version and is checked on restore.
-const SNAPSHOT_HEADER: &str = "qudit-lowering-cache v1";
 
 impl LoweringCache {
     /// Creates an empty, unbounded cache (entries are never evicted).
@@ -511,292 +497,6 @@ impl LoweringCache {
             }
         }
     }
-
-    /// Serialises every entry to the version-tagged snapshot text format.
-    ///
-    /// Entries are written in least-recently-used-first order, so restoring
-    /// into a bounded cache preserves the recency ranking, and expansions
-    /// ride the exact-inverse qasm printer ([`crate::qasm::print_circuit`]),
-    /// so gate lists round trip bit-for-bit.  The output is deterministic
-    /// for a quiescent cache.
-    pub fn snapshot(&self) -> String {
-        let map = self.read_map();
-        let mut entries: Vec<(u64, &CacheKey, &CacheEntry)> = map
-            .iter()
-            .map(|(key, entry)| (entry.stamp.load(Ordering::Relaxed), key, entry))
-            .collect();
-        entries.sort_by_key(|&(stamp, key, _)| (stamp, format_key(key)));
-        let mut out = String::new();
-        out.push_str(SNAPSHOT_HEADER);
-        out.push('\n');
-        let _ = writeln!(out, "entries {}", entries.len());
-        for (_, key, entry) in entries {
-            let Some(program) = expansion_to_program(key.dimension, &entry.gates) else {
-                // Unprintable expansions cannot exist today (cached values
-                // are always classical); skip defensively rather than
-                // corrupt the snapshot.
-                continue;
-            };
-            out.push_str("entry\n");
-            out.push_str(&format_key(key));
-            let _ = writeln!(out, "program {}", program.lines().count());
-            out.push_str(&program);
-            if !program.ends_with('\n') {
-                out.push('\n');
-            }
-        }
-        out
-    }
-
-    /// Restores a snapshot produced by [`LoweringCache::snapshot`] into
-    /// this cache, returning the number of entries inserted.
-    ///
-    /// Entries already present keep their current expansion; the capacity
-    /// bound applies as usual (restoring more entries than the bound keeps
-    /// the most-recently-written tail).  Restores count as neither hits nor
-    /// misses.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuditError::SnapshotInvalid`] for any malformed input —
-    /// wrong header or version, truncated entries, unparsable keys, or
-    /// embedded programs that fail to parse or disagree with their key's
-    /// dimension.  On error the cache is left unchanged.
-    pub fn restore_snapshot(&self, text: &str) -> Result<usize> {
-        let parsed = parse_snapshot(text)?;
-        let mut inserted = 0;
-        let mut map = self.write_map();
-        for (key, gates) in parsed {
-            if let std::collections::hash_map::Entry::Vacant(slot) = map.entry(key) {
-                slot.insert(CacheEntry {
-                    gates: Arc::new(gates),
-                    stamp: AtomicU64::new(self.next_stamp()),
-                });
-                inserted += 1;
-                self.evict_over_capacity(&mut map);
-            }
-        }
-        Ok(inserted)
-    }
-}
-
-/// Serialises a cache key as `stage`/`dimension`/`width`/`op`/`controls`
-/// lines (the entry body of the snapshot format).
-fn format_key(key: &CacheKey) -> String {
-    let mut out = String::new();
-    let stage = match key.stage {
-        LoweringStage::Elementary => "elementary",
-        LoweringStage::GGates => "ggates",
-    };
-    let width = match key.width_class {
-        WidthClass::Narrow => "narrow",
-        WidthClass::Wide => "wide",
-    };
-    let _ = writeln!(out, "stage {stage}");
-    let _ = writeln!(out, "dimension {}", key.dimension);
-    let _ = writeln!(out, "width {width}");
-    let op = match &key.op {
-        CachedOpKind::Swap(i, j) => format!("swap {i} {j}"),
-        CachedOpKind::Add(y) => format!("add {y}"),
-        CachedOpKind::ParityFlipEven => "parityflip_e".to_string(),
-        CachedOpKind::ParityFlipOdd => "parityflip_o".to_string(),
-        CachedOpKind::Perm(map) => {
-            let levels: Vec<String> = map.iter().map(u32::to_string).collect();
-            format!("perm {}", levels.join(" "))
-        }
-        CachedOpKind::AddFrom { negate: true } => "addfrom neg".to_string(),
-        CachedOpKind::AddFrom { negate: false } => "addfrom pos".to_string(),
-    };
-    let _ = writeln!(out, "op {op}");
-    let controls: Vec<String> = key
-        .controls
-        .iter()
-        .map(|predicate| match predicate {
-            ControlPredicate::Level(l) => format!("level:{l}"),
-            ControlPredicate::Odd => "odd".to_string(),
-            ControlPredicate::EvenNonzero => "even".to_string(),
-            ControlPredicate::NonZero => "nonzero".to_string(),
-        })
-        .collect();
-    let _ = writeln!(out, "controls {}", controls.join(" "));
-    out
-}
-
-/// Renders an expansion as a parseable qasm program over a register wide
-/// enough for every referenced qudit, or `None` when a gate fails register
-/// validation (cannot happen for the classical expansions the cache holds).
-fn expansion_to_program(dimension: u32, gates: &[Gate]) -> Option<String> {
-    let dimension = Dimension::new(dimension).ok()?;
-    let width = gates
-        .iter()
-        .flat_map(|gate| gate.qudits())
-        .map(|q| q.index() + 1)
-        .max()
-        .unwrap_or(1);
-    let mut circuit = crate::circuit::Circuit::new(dimension, width);
-    for gate in gates {
-        circuit.push(gate.clone()).ok()?;
-    }
-    Some(crate::qasm::print_circuit(&circuit))
-}
-
-/// The error type for one snapshot line.
-fn snapshot_error(line: usize, reason: impl Into<String>) -> QuditError {
-    QuditError::SnapshotInvalid {
-        line: line as u32,
-        reason: reason.into(),
-    }
-}
-
-/// Consumes one line, failing with a typed error when the input is over.
-fn take_line<'a>(lines: &[&'a str], at: &mut usize, expected: &str) -> Result<&'a str> {
-    let line = lines
-        .get(*at)
-        .ok_or_else(|| snapshot_error(*at + 1, format!("missing {expected} line")))?;
-    *at += 1;
-    Ok(line)
-}
-
-/// Consumes one `name value` field line, returning the value.
-fn take_field(lines: &[&str], at: &mut usize, name: &str) -> Result<String> {
-    let line_no = *at + 1;
-    let line = lines
-        .get(*at)
-        .ok_or_else(|| snapshot_error(line_no, format!("missing '{name}' field")))?;
-    *at += 1;
-    line.strip_prefix(name)
-        .and_then(|rest| rest.strip_prefix(' '))
-        .map(str::to_string)
-        .ok_or_else(|| snapshot_error(line_no, format!("expected '{name} …'")))
-}
-
-/// Parses the snapshot text format back into `(key, expansion)` pairs.
-fn parse_snapshot(text: &str) -> Result<Vec<(CacheKey, Vec<Gate>)>> {
-    let lines: Vec<&str> = text.lines().collect();
-    let mut at = 0usize;
-    if take_line(&lines, &mut at, "header")? != SNAPSHOT_HEADER {
-        return Err(snapshot_error(
-            1,
-            format!("expected snapshot header '{SNAPSHOT_HEADER}'"),
-        ));
-    }
-    let count_line = take_line(&lines, &mut at, "entries")?;
-    let declared: usize = count_line
-        .strip_prefix("entries ")
-        .and_then(|n| n.parse().ok())
-        .ok_or_else(|| snapshot_error(at, "expected 'entries <count>'"))?;
-    let mut entries = Vec::with_capacity(declared.min(1024));
-    while at < lines.len() {
-        let line_no = at + 1;
-        if take_line(&lines, &mut at, "entry")? != "entry" {
-            return Err(snapshot_error(line_no, "expected 'entry'"));
-        }
-        let field = |at: &mut usize, name: &str| take_field(&lines, at, name);
-        let stage = match field(&mut at, "stage")?.as_str() {
-            "elementary" => LoweringStage::Elementary,
-            "ggates" => LoweringStage::GGates,
-            other => return Err(snapshot_error(at, format!("unknown stage '{other}'"))),
-        };
-        let dimension: u32 = field(&mut at, "dimension")?
-            .parse()
-            .map_err(|_| snapshot_error(at, "dimension is not an integer"))?;
-        Dimension::new(dimension)
-            .map_err(|_| snapshot_error(at, format!("invalid dimension {dimension}")))?;
-        let width_class = match field(&mut at, "width")?.as_str() {
-            "narrow" => WidthClass::Narrow,
-            "wide" => WidthClass::Wide,
-            other => return Err(snapshot_error(at, format!("unknown width class '{other}'"))),
-        };
-        let op_text = field(&mut at, "op")?;
-        let op = parse_op(&op_text)
-            .ok_or_else(|| snapshot_error(at, format!("unparsable op description '{op_text}'")))?;
-        let controls_text = field(&mut at, "controls")?;
-        let mut controls = Vec::new();
-        for token in controls_text.split_whitespace() {
-            controls.push(match token {
-                "odd" => ControlPredicate::Odd,
-                "even" => ControlPredicate::EvenNonzero,
-                "nonzero" => ControlPredicate::NonZero,
-                level => {
-                    let level = level
-                        .strip_prefix("level:")
-                        .and_then(|l| l.parse::<u32>().ok())
-                        .ok_or_else(|| {
-                            snapshot_error(at, format!("unknown control predicate '{token}'"))
-                        })?;
-                    ControlPredicate::Level(level)
-                }
-            });
-        }
-        let program_lines: usize = field(&mut at, "program")?
-            .parse()
-            .map_err(|_| snapshot_error(at, "program line count is not an integer"))?;
-        let end = at
-            .checked_add(program_lines)
-            .filter(|end| *end <= lines.len())
-            .ok_or_else(|| snapshot_error(at + 1, "snapshot truncated inside a program"))?;
-        let program = lines[at..end].join("\n");
-        let program_start = at + 1;
-        at = end;
-        let circuit = crate::qasm::parse_source(&program).map_err(|error| {
-            snapshot_error(
-                program_start,
-                format!("embedded program does not parse: {error}"),
-            )
-        })?;
-        if circuit.dimension().get() != dimension {
-            return Err(snapshot_error(
-                program_start,
-                format!(
-                    "embedded program dimension {} disagrees with key dimension {dimension}",
-                    circuit.dimension().get()
-                ),
-            ));
-        }
-        entries.push((
-            CacheKey {
-                stage,
-                dimension,
-                width_class,
-                op,
-                controls,
-            },
-            circuit.gates().to_vec(),
-        ));
-    }
-    if entries.len() != declared {
-        return Err(snapshot_error(
-            2,
-            format!(
-                "snapshot declares {declared} entries but contains {}",
-                entries.len()
-            ),
-        ));
-    }
-    Ok(entries)
-}
-
-/// Parses the `op …` field of a snapshot entry.
-fn parse_op(text: &str) -> Option<CachedOpKind> {
-    let mut tokens = text.split_whitespace();
-    let kind = tokens.next()?;
-    let op = match kind {
-        "swap" => CachedOpKind::Swap(tokens.next()?.parse().ok()?, tokens.next()?.parse().ok()?),
-        "add" => CachedOpKind::Add(tokens.next()?.parse().ok()?),
-        "parityflip_e" => CachedOpKind::ParityFlipEven,
-        "parityflip_o" => CachedOpKind::ParityFlipOdd,
-        "perm" => {
-            let map: Option<Vec<u32>> = tokens.by_ref().map(|t| t.parse().ok()).collect();
-            return Some(CachedOpKind::Perm(map?));
-        }
-        "addfrom" => match tokens.next()? {
-            "neg" => CachedOpKind::AddFrom { negate: true },
-            "pos" => CachedOpKind::AddFrom { negate: false },
-            _ => return None,
-        },
-        _ => return None,
-    };
-    tokens.next().is_none().then_some(op)
 }
 
 #[cfg(test)]
@@ -1086,158 +786,6 @@ mod tests {
         }
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.metrics().evictions, 2);
-    }
-
-    #[test]
-    fn snapshot_round_trips_entries_and_future_hits() {
-        let cache = LoweringCache::new();
-        let mut counters = CacheCounters::default();
-        let sites: Vec<CanonicalSite> = (0..3).map(site_for_level).collect();
-        for (level, site) in sites.iter().enumerate() {
-            let expansion = vec![
-                Gate::single(SingleQuditOp::Swap(0, 1), QuditId::new(0)),
-                Gate::controlled(
-                    SingleQuditOp::Add(level as u32 % 3),
-                    QuditId::new(1),
-                    vec![Control::odd(QuditId::new(0))],
-                ),
-            ];
-            cache
-                .get_or_insert_with(site.key(), &mut counters, || Ok(expansion.clone()))
-                .unwrap();
-        }
-        let snapshot = cache.snapshot();
-        assert!(snapshot.starts_with(SNAPSHOT_HEADER));
-        let restored = LoweringCache::new();
-        assert_eq!(restored.restore_snapshot(&snapshot).unwrap(), 3);
-        assert_eq!(restored.len(), 3);
-        // Every key now hits with a bit-identical expansion.
-        for site in &sites {
-            let mut check = CacheCounters::default();
-            let from_restored = restored
-                .get_or_insert_with(site.key(), &mut check, || unreachable!())
-                .unwrap();
-            let from_original = cache
-                .get_or_insert_with(site.key(), &mut check, || unreachable!())
-                .unwrap();
-            assert_eq!(from_restored, from_original);
-        }
-        // Snapshots are deterministic and idempotent to re-restore.
-        assert_eq!(restored.snapshot(), restored.snapshot());
-        assert_eq!(restored.restore_snapshot(&snapshot).unwrap(), 0);
-        // Restores count as neither hits nor misses.
-        assert_eq!(restored.metrics().misses, 0);
-    }
-
-    #[test]
-    fn snapshot_covers_every_op_kind() {
-        // One entry per CachedOpKind variant, exercised through real gates.
-        let cache = LoweringCache::new();
-        let mut counters = CacheCounters::default();
-        let perm = crate::ops::Permutation::from_map(vec![1, 2, 0]).unwrap();
-        let gates = vec![
-            Gate::single(SingleQuditOp::Swap(0, 2), QuditId::new(0)),
-            Gate::single(SingleQuditOp::Add(2), QuditId::new(0)),
-            Gate::single(SingleQuditOp::Perm(perm), QuditId::new(0)),
-            Gate::add_from(QuditId::new(0), false, QuditId::new(1), Vec::new()),
-            Gate::add_from(QuditId::new(0), true, QuditId::new(1), Vec::new()),
-        ];
-        for gate in &gates {
-            let site = CanonicalSite::of(
-                LoweringStage::Elementary,
-                gate,
-                dim(3),
-                WidthClass::Wide,
-                &[],
-            )
-            .unwrap();
-            cache
-                .get_or_insert_with(site.key(), &mut counters, || Ok(vec![gate.clone()]))
-                .unwrap();
-        }
-        let snapshot = cache.snapshot();
-        let restored = LoweringCache::new();
-        assert_eq!(
-            restored.restore_snapshot(&snapshot).unwrap(),
-            gates.len(),
-            "every op kind round trips"
-        );
-        assert_eq!(restored.snapshot(), snapshot);
-    }
-
-    #[test]
-    fn restoring_into_a_bounded_cache_honours_the_bound() {
-        let cache = LoweringCache::new();
-        let mut counters = CacheCounters::default();
-        for level in 0..3 {
-            cache
-                .get_or_insert_with(
-                    site_for_level(level).key(),
-                    &mut counters,
-                    || Ok(Vec::new()),
-                )
-                .unwrap();
-        }
-        let bounded = LoweringCache::with_capacity(2);
-        bounded.restore_snapshot(&cache.snapshot()).unwrap();
-        assert_eq!(bounded.len(), 2);
-        assert_eq!(bounded.metrics().evictions, 1);
-    }
-
-    #[test]
-    fn corrupt_snapshots_are_rejected_with_typed_errors() {
-        let cases = [
-            ("", "missing"),
-            ("qudit-lowering-cache v999\nentries 0\n", "header"),
-            ("qudit-lowering-cache v1\nentries zero\n", "entries"),
-            (
-                "qudit-lowering-cache v1\nentries 1\n",
-                "snapshot declares 1 entries",
-            ),
-            (
-                "qudit-lowering-cache v1\nentries 1\nentry\nstage nowhere\n",
-                "unknown stage",
-            ),
-            (
-                concat!(
-                    "qudit-lowering-cache v1\nentries 1\nentry\n",
-                    "stage ggates\ndimension 1\nwidth narrow\nop add 1\ncontrols \nprogram 0\n",
-                ),
-                "invalid dimension",
-            ),
-            (
-                concat!(
-                    "qudit-lowering-cache v1\nentries 1\nentry\n",
-                    "stage ggates\ndimension 3\nwidth narrow\nop wiggle\ncontrols \nprogram 0\n",
-                ),
-                "unparsable op",
-            ),
-            (
-                concat!(
-                    "qudit-lowering-cache v1\nentries 1\nentry\n",
-                    "stage ggates\ndimension 3\nwidth narrow\nop add 1\ncontrols \nprogram 5\n",
-                ),
-                "truncated",
-            ),
-            (
-                concat!(
-                    "qudit-lowering-cache v1\nentries 1\nentry\n",
-                    "stage ggates\ndimension 3\nwidth narrow\nop add 1\ncontrols \n",
-                    "program 2\nOPENQASM 3.0;\nboop q[0];\n",
-                ),
-                "does not parse",
-            ),
-        ];
-        for (text, expected) in cases {
-            let cache = LoweringCache::new();
-            let error = cache.restore_snapshot(text).unwrap_err();
-            let message = error.to_string();
-            assert!(
-                message.contains(expected),
-                "snapshot {text:?}: expected {expected:?} in {message:?}"
-            );
-            assert!(cache.is_empty(), "failed restore must not mutate the cache");
-        }
     }
 
     #[test]

@@ -100,15 +100,6 @@ pub enum QuditError {
         /// The unresolvable stage name.
         stage: String,
     },
-    /// A lowering-cache snapshot failed to restore (see
-    /// [`crate::cache::LoweringCache::restore_snapshot`]): wrong header or
-    /// version, truncated input, or an unparsable entry.
-    SnapshotInvalid {
-        /// 1-based snapshot line of the failure.
-        line: u32,
-        /// Description of the corruption.
-        reason: String,
-    },
     /// A text-IR source failed to parse (see [`crate::qasm`]).
     ParseFailed {
         /// 1-based source line of the failure.
@@ -230,9 +221,6 @@ impl fmt::Display for QuditError {
             QuditError::UnknownPass { stage } => {
                 write!(f, "no pass is registered for pipeline stage '{stage}'")
             }
-            QuditError::SnapshotInvalid { line, reason } => {
-                write!(f, "cache snapshot is invalid at line {line}: {reason}")
-            }
             QuditError::ParseFailed {
                 line,
                 column,
@@ -325,10 +313,6 @@ mod tests {
             },
             QuditError::UnknownPass {
                 stage: "route-qudits".into(),
-            },
-            QuditError::SnapshotInvalid {
-                line: 3,
-                reason: "unknown stage 'nowhere'".into(),
             },
             QuditError::ParseFailed {
                 line: 2,

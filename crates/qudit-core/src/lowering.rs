@@ -13,13 +13,7 @@ use crate::dimension::Dimension;
 use crate::error::{QuditError, Result};
 use crate::gate::{Gate, GateOp};
 use crate::ops::{Permutation, SingleQuditOp};
-use crate::pool::WorkStealingPool;
 use crate::qudit::QuditId;
-
-/// Gate-count threshold above which the lowering passes fan the per-gate
-/// work out over a [`WorkStealingPool`].  Below it the per-task bookkeeping
-/// outweighs the parallelism.
-pub const PARALLEL_GATE_THRESHOLD: usize = 512;
 
 /// Lowers a single gate with at most one control into G-gates.
 ///
@@ -70,145 +64,47 @@ pub fn g_gate_count(circuit: &Circuit) -> Result<usize> {
     Ok(lower_circuit(circuit)?.len())
 }
 
-/// [`lower_gate`] through a [`LoweringCache`].
-///
-/// The gate is canonicalised (qudits renamed to role order), looked up by
-/// `(gate kind, dimension, width-class)`, and the cached expansion is
-/// renamed back onto the gate's actual wires.  G-gates pass through without
-/// touching the cache, and uncacheable gates (general unitaries) fall back
-/// to the direct path.
-///
-/// # Errors
-///
-/// Same as [`lower_gate`]; failed lowerings are never cached.
-pub fn lower_gate_cached(
-    gate: &Gate,
-    dimension: Dimension,
-    width_class: WidthClass,
-    cache: &LoweringCache,
-    counters: &mut CacheCounters,
-) -> Result<Vec<Gate>> {
-    if gate.is_g_gate() {
-        return Ok(vec![gate.clone()]);
-    }
-    let Some(site) = CanonicalSite::of(LoweringStage::GGates, gate, dimension, width_class, &[])
-    else {
-        return lower_gate(gate, dimension);
-    };
-    let canonical =
-        cache.get_or_insert_with(site.key(), counters, || lower_gate(site.gate(), dimension))?;
-    Ok(site.restore(&canonical))
-}
-
 /// [`lower_circuit`] through a [`LoweringCache`], tallying hits and misses
 /// into `counters`.
 ///
-/// The output is gate-for-gate identical to [`lower_circuit`].
+/// Each gate is canonicalised (qudits renamed to role order), looked up by
+/// `(gate kind, dimension, width-class)`, and the cached expansion is
+/// renamed back onto the gate's actual wires.  G-gates pass through without
+/// touching the cache, and uncacheable gates (general unitaries) take the
+/// direct path, so the output is gate-for-gate identical to
+/// [`lower_circuit`].
 ///
 /// # Errors
 ///
-/// Propagates the per-gate errors of [`lower_gate`].
+/// Propagates the per-gate errors of [`lower_gate`]; failed lowerings are
+/// never cached.
 pub fn lower_circuit_cached(
     circuit: &Circuit,
     cache: &LoweringCache,
     counters: &mut CacheCounters,
 ) -> Result<Circuit> {
+    let dimension = circuit.dimension();
     let width_class = WidthClass::of(circuit.width());
-    let mut out = Circuit::new(circuit.dimension(), circuit.width());
+    let mut out = Circuit::new(dimension, circuit.width());
     for gate in circuit.gates() {
-        for lowered in lower_gate_cached(gate, circuit.dimension(), width_class, cache, counters)? {
+        let site = if gate.is_g_gate() {
+            None
+        } else {
+            CanonicalSite::of(LoweringStage::GGates, gate, dimension, width_class, &[])
+        };
+        let lowered = match site {
+            Some(site) => {
+                site.restore(&cache.get_or_insert_with(site.key(), counters, || {
+                    lower_gate(site.gate(), dimension)
+                })?)
+            }
+            None => lower_gate(gate, dimension)?,
+        };
+        for lowered in lowered {
             out.push(lowered)?;
         }
     }
     Ok(out)
-}
-
-/// [`lower_circuit`] with the per-gate work fanned out over `pool`,
-/// optionally through a shared [`LoweringCache`].
-///
-/// Gates lower independently, so the circuit is split into contiguous chunks
-/// that the pool's workers process concurrently (stealing across workers
-/// when chunks are unevenly expensive); the chunk results are concatenated
-/// in gate order, so the output circuit is identical to the sequential path.
-///
-/// The returned counters are made order-independent: two workers can race to
-/// first-compute the same key (both observe a miss), so the miss count is
-/// derived from the number of *distinct* entries the call added to the cache
-/// instead of the raw per-worker tallies.  With a cache private to this call
-/// (or one pass of a [`crate::pipeline::CacheMode::PerRun`] pipeline) the
-/// counters therefore equal the sequential ones exactly; with a cache
-/// concurrently shared by other jobs they are a close approximation.
-///
-/// # Errors
-///
-/// Returns the first per-gate error in gate order.
-pub fn lower_circuit_parallel(
-    circuit: &Circuit,
-    cache: Option<&LoweringCache>,
-    pool: &WorkStealingPool,
-) -> Result<(Circuit, CacheCounters)> {
-    let dimension = circuit.dimension();
-    let width_class = WidthClass::of(circuit.width());
-    let (gates, counters) =
-        lower_gates_chunked(circuit.gates(), cache, pool, |gate, counters| match cache {
-            Some(cache) => lower_gate_cached(gate, dimension, width_class, cache, counters),
-            None => lower_gate(gate, dimension),
-        })?;
-    let mut out = Circuit::new(dimension, circuit.width());
-    out.extend_gates(gates)?;
-    Ok((out, counters))
-}
-
-/// The chunked fan-out shared by every parallel lowering path: applies
-/// `lower` to each gate, in contiguous chunks over `pool`'s workers, and
-/// concatenates the expansions in gate order.
-///
-/// When `cache` is the cache `lower` consults, the returned counters are
-/// made order-independent by deriving the miss count from the number of
-/// distinct entries the call added (see [`lower_circuit_parallel`]).
-///
-/// # Errors
-///
-/// Returns the first per-gate error in gate order.
-pub fn lower_gates_chunked<E, F>(
-    gates: &[Gate],
-    cache: Option<&LoweringCache>,
-    pool: &WorkStealingPool,
-    lower: F,
-) -> std::result::Result<(Vec<Gate>, CacheCounters), E>
-where
-    E: Send,
-    F: Fn(&Gate, &mut CacheCounters) -> std::result::Result<Vec<Gate>, E> + Sync,
-{
-    let entries_before = cache.map_or(0, LoweringCache::len);
-    let chunk_size = gates
-        .len()
-        .div_ceil(pool.threads().saturating_mul(4).max(1))
-        .max(1);
-    let chunks: Vec<&[Gate]> = gates.chunks(chunk_size).collect();
-    let results = pool.map(chunks, |chunk| {
-        let mut counters = CacheCounters::default();
-        let mut lowered = Vec::new();
-        for gate in chunk {
-            lowered.extend(lower(gate, &mut counters)?);
-        }
-        Ok((lowered, counters))
-    });
-    let mut out = Vec::new();
-    let mut total = CacheCounters::default();
-    for result in results {
-        let (lowered, counters) = result?;
-        total.merge(counters);
-        out.extend(lowered);
-    }
-    if let Some(cache) = cache {
-        let misses = (cache.len() - entries_before) as u64;
-        total = CacheCounters {
-            hits: total.total().saturating_sub(misses),
-            misses,
-        };
-    }
-    Ok((out, total))
 }
 
 fn lower_uncontrolled(gate: &Gate, dimension: Dimension) -> Result<Vec<Gate>> {

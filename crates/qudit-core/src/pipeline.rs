@@ -27,10 +27,10 @@
 //! * **Batching** — [`PassManager::run_batch`] compiles many circuits
 //!   concurrently on a [`WorkStealingPool`] and merges the per-pass
 //!   statistics order-independently into a [`BatchReport`].
-//! * **Pooling** — [`PassManager::with_pool`] pins the worker pool every
-//!   parallel-capable pass draws from (through [`PassContext::pool`]);
-//!   unpooled managers keep the historical behaviour of sizing a fresh
-//!   pool per pass from the environment.
+//! * **Pooling** — [`PassManager::with_pool`] pins the worker pool batch
+//!   jobs run on, and hands it to pool-aware passes (such as `qudit-sim`'s
+//!   `VerifyEquivalence`) through [`PassContext::pool`]; unpooled managers
+//!   size a default pool from the environment.
 //!
 //! Pipelines can also be *assembled from data* instead of hard-coded
 //! builder chains: a [`PipelineSpec`] names the stages, shape and cache
@@ -163,7 +163,7 @@ impl Pass for Box<dyn Pass> {
 /// cache hit/miss tally, which the [`PassManager`] moves into
 /// [`PassStats::cache`]; when the manager was configured with
 /// [`PassManager::with_pool`], the context also carries the run's
-/// [`WorkStealingPool`] so parallel-capable passes share one worker
+/// [`WorkStealingPool`] so pool-aware passes share one worker
 /// configuration instead of sizing a fresh pool each.
 #[derive(Debug, Default)]
 pub struct PassContext {
@@ -178,17 +178,7 @@ impl PassContext {
         PassContext::default()
     }
 
-    /// A context carrying a lowering cache.
-    pub fn with_cache(cache: Arc<LoweringCache>) -> Self {
-        PassContext {
-            cache: Some(cache),
-            counters: CacheCounters::default(),
-            pool: None,
-        }
-    }
-
-    /// Pins the worker pool parallel-capable passes should use (builder
-    /// style).
+    /// Pins the worker pool pool-aware passes should use (builder style).
     #[must_use]
     pub fn with_pool(mut self, pool: WorkStealingPool) -> Self {
         self.pool = Some(pool);
@@ -636,8 +626,8 @@ impl PassManager {
     }
 
     /// Pins the worker pool the manager's runs use: [`PassManager::run_batch`]
-    /// distributes jobs on it, and every parallel-capable pass receives it
-    /// through [`PassContext::pool`] instead of sizing a fresh pool from the
+    /// distributes jobs on it, and every pool-aware pass receives it through
+    /// [`PassContext::pool`] instead of sizing a fresh pool from the
     /// environment.
     #[must_use]
     pub fn with_pool(mut self, pool: WorkStealingPool) -> Self {
@@ -709,13 +699,11 @@ impl PassManager {
         // profile each intermediate circuit only once.
         let mut before = CircuitProfile::of(&current);
         for pass in &self.passes {
-            let mut ctx = match &cache {
-                Some(cache) => PassContext::with_cache(cache.clone()),
-                None => PassContext::new(),
+            let mut ctx = PassContext {
+                cache: cache.clone(),
+                counters: CacheCounters::default(),
+                pool: self.pool.clone(),
             };
-            if let Some(pool) = &self.pool {
-                ctx = ctx.with_pool(pool.clone());
-            }
             let start = Instant::now();
             current = pass.run_with(current, &mut ctx)?;
             let elapsed = start.elapsed();
@@ -740,10 +728,12 @@ impl PassManager {
     /// otherwise — returning one [`PipelineReport`] per circuit (in input
     /// order) inside a [`BatchReport`].
     ///
-    /// Every job runs the same pipeline; with [`CacheMode::PerRun`] each job
-    /// gets a private cache (deterministic statistics), while
-    /// [`CacheMode::Shared`] lets concurrent jobs reuse each other's
-    /// lowerings through the `RwLock`-protected shared cache.
+    /// Each job is cloned by the worker that compiles it, so the caller pays
+    /// no up-front copy of the whole batch.  Every job runs the same
+    /// pipeline; with [`CacheMode::PerRun`] each job gets a private cache
+    /// (deterministic statistics), while [`CacheMode::Shared`] lets
+    /// concurrent jobs reuse each other's lowerings through the
+    /// `RwLock`-protected shared cache.
     ///
     /// # Errors
     ///
@@ -772,7 +762,7 @@ impl PassManager {
     /// let manager = PassManager::new()
     ///     .with_pass(LowerToGGates)
     ///     .with_cache(CacheMode::PerRun);
-    /// let batch = manager.run_batch(circuits)?;
+    /// let batch = manager.run_batch(&circuits)?;
     /// assert_eq!(batch.len(), 4);
     /// let merged = batch.merged_stats();
     /// assert_eq!(merged[0].pass, "lower-to-g-gates");
@@ -780,48 +770,12 @@ impl PassManager {
     /// # Ok(())
     /// # }
     /// ```
-    pub fn run_batch(&self, circuits: Vec<Circuit>) -> Result<BatchReport> {
-        self.run_batch_on(circuits, &self.pool.clone().unwrap_or_default())
-    }
-
-    /// [`PassManager::run_batch`] on a caller-provided pool.
-    ///
-    /// # Errors
-    ///
-    /// See [`PassManager::run_batch`].
-    pub fn run_batch_on(
-        &self,
-        circuits: Vec<Circuit>,
-        pool: &WorkStealingPool,
-    ) -> Result<BatchReport> {
-        let results = pool.map(circuits, |circuit| self.run(circuit));
-        let mut reports = Vec::with_capacity(results.len());
-        for result in results {
-            reports.push(result?);
-        }
-        Ok(BatchReport { reports })
-    }
-
-    /// [`PassManager::run_batch_on`] over borrowed circuits: each job is
-    /// cloned by the worker that compiles it, so a borrowing caller (such
-    /// as `Compiler::compile_batch` in `qudit-synthesis`) pays no up-front
-    /// copy of the whole batch.
-    ///
-    /// # Errors
-    ///
-    /// See [`PassManager::run_batch`].
-    pub fn run_batch_refs(
-        &self,
-        circuits: &[Circuit],
-        pool: &WorkStealingPool,
-    ) -> Result<BatchReport> {
+    pub fn run_batch(&self, circuits: &[Circuit]) -> Result<BatchReport> {
+        let pool = self.pool.clone().unwrap_or_default();
         let results = pool.map(circuits.iter().collect(), |circuit: &Circuit| {
             self.run(circuit.clone())
         });
-        let mut reports = Vec::with_capacity(results.len());
-        for result in results {
-            reports.push(result?);
-        }
+        let reports = results.into_iter().collect::<Result<_>>()?;
         Ok(BatchReport { reports })
     }
 
@@ -844,22 +798,6 @@ impl fmt::Debug for PassManager {
             .field("pool", &self.pool)
             .finish()
     }
-}
-
-/// The pool a parallel-capable pass should fan out on, or `None` when it
-/// must stay sequential.
-///
-/// Sequential cases: the calling thread is already a pool worker (a nested
-/// pool per pass would oversubscribe the machine quadratically), or the
-/// effective pool has a single worker.  Otherwise the run's pinned pool
-/// ([`PassManager::with_pool`]) wins, falling back to a fresh
-/// environment-sized [`WorkStealingPool`] as before pooled managers existed.
-fn parallel_pool(ctx: &PassContext) -> Option<WorkStealingPool> {
-    if crate::pool::in_worker() {
-        return None;
-    }
-    let pool = ctx.pool().unwrap_or_default();
-    (pool.threads() > 1).then_some(pool)
 }
 
 /// A data-driven pipeline description: ordered stage names plus the
@@ -1061,12 +999,11 @@ impl Pass for CancelInversePairs {
 /// Gates with two or more controls make this pass fail; lower them first
 /// with `qudit-synthesis`'s `LowerToElementary` pass.
 ///
-/// The pass is cache-aware and parallel: when the run's [`PassContext`]
-/// carries a [`LoweringCache`] each gate kind is expanded once per
-/// `(kind, dimension, width-class)`, and circuits above
-/// [`lowering::PARALLEL_GATE_THRESHOLD`] gates are lowered gate-parallel on
-/// a [`WorkStealingPool`].  Both paths produce exactly the sequential
-/// output.
+/// The pass is one sequential walk over the gates.  When the run's
+/// [`PassContext`] carries a [`LoweringCache`], each gate kind is expanded
+/// once per `(kind, dimension, width-class)` and the walk records its hit
+/// and miss tally into the context; the output is the uncached one either
+/// way.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LowerToGGates;
 
@@ -1080,57 +1017,15 @@ impl Pass for LowerToGGates {
     }
 
     fn run_with(&self, circuit: Circuit, ctx: &mut PassContext) -> Result<Circuit> {
-        dispatch_lowering_pass(
-            circuit,
-            ctx,
-            lowering::lower_circuit,
-            lowering::lower_circuit_cached,
-            lowering::lower_circuit_parallel,
-        )
-    }
-}
-
-/// The cache/parallel dispatch shared by the lowering passes
-/// (`LowerToGGates` here, `LowerToElementary` in `qudit-synthesis`).
-///
-/// Circuits above [`lowering::PARALLEL_GATE_THRESHOLD`] gates run through
-/// `parallel` on a fresh pool — unless the calling thread is already a pool
-/// worker ([`crate::pool::in_worker`]), where a nested pool per pass would
-/// oversubscribe the machine quadratically.  Otherwise the pass runs
-/// `cached` when the context carries a cache, and `plain` when it does not.
-/// Cache tallies are recorded into the context either way.
-pub fn dispatch_lowering_pass<Plain, Cached, Parallel>(
-    circuit: Circuit,
-    ctx: &mut PassContext,
-    plain: Plain,
-    cached: Cached,
-    parallel: Parallel,
-) -> Result<Circuit>
-where
-    Plain: FnOnce(&Circuit) -> Result<Circuit>,
-    Cached: FnOnce(&Circuit, &LoweringCache, &mut CacheCounters) -> Result<Circuit>,
-    Parallel: FnOnce(
-        &Circuit,
-        Option<&LoweringCache>,
-        &WorkStealingPool,
-    ) -> Result<(Circuit, CacheCounters)>,
-{
-    let cache = ctx.cache().cloned();
-    if circuit.len() >= lowering::PARALLEL_GATE_THRESHOLD {
-        if let Some(pool) = parallel_pool(ctx) {
-            let (out, counters) = parallel(&circuit, cache.as_deref(), &pool)?;
-            ctx.record(counters);
-            return Ok(out);
+        match ctx.cache() {
+            Some(cache) => {
+                let mut counters = CacheCounters::default();
+                let out = lowering::lower_circuit_cached(&circuit, cache, &mut counters)?;
+                ctx.record(counters);
+                Ok(out)
+            }
+            None => lowering::lower_circuit(&circuit),
         }
-    }
-    match cache {
-        Some(cache) => {
-            let mut counters = CacheCounters::default();
-            let out = cached(&circuit, &cache, &mut counters)?;
-            ctx.record(counters);
-            Ok(out)
-        }
-        None => plain(&circuit),
     }
 }
 
@@ -1433,7 +1328,8 @@ mod tests {
             .map(|c| manager.run(c.clone()).unwrap())
             .collect();
         let batch = manager
-            .run_batch_on(circuits, &crate::pool::WorkStealingPool::with_threads(4))
+            .with_pool(WorkStealingPool::with_threads(4))
+            .run_batch(&circuits)
             .unwrap();
         assert_eq!(batch.len(), sequential.len());
         for (batch_report, reference) in batch.reports.iter().zip(&sequential) {
@@ -1454,7 +1350,7 @@ mod tests {
             .with_pass(LowerToGGates)
             .with_pass(CancelInversePairs)
             .with_cache(CacheMode::PerRun);
-        let batch = manager.run_batch(circuits).unwrap();
+        let batch = manager.run_batch(&circuits).unwrap();
         let merged = batch.merged_stats();
         assert_eq!(merged.len(), 2);
         assert_eq!(merged[0].jobs, 5);
@@ -1476,7 +1372,7 @@ mod tests {
             .with_shape(dim(3), 2);
         let good = sample_circuit();
         let bad = Circuit::new(dim(3), 5);
-        let result = manager.run_batch(vec![good, bad]);
+        let result = manager.run_batch(&[good, bad]);
         assert!(matches!(
             result,
             Err(QuditError::IncompatibleCircuits { .. })
@@ -1530,10 +1426,8 @@ mod tests {
 
     #[test]
     fn pinned_pools_reach_passes_and_batches() {
-        // A pinned single-worker pool forces the sequential paths; a
-        // multi-worker one the parallel paths.  Outputs are identical either
-        // way (pinned by the determinism suites); here we check the pool
-        // plumbing itself.
+        // Outputs do not depend on the pool (pinned by the determinism
+        // suites); here we check the pool plumbing itself.
         let manager = PassManager::new()
             .with_pass(LowerToGGates)
             .with_pass(CancelInversePairs)
@@ -1545,9 +1439,8 @@ mod tests {
         let wrapped = manager.map_passes(|p| p);
         assert_eq!(wrapped.pool().map(|p| p.threads()), Some(2));
         // `run_batch` uses the pinned pool (smoke: results still correct).
-        let batch = wrapped
-            .run_batch((0..4).map(|_| sample_circuit()).collect())
-            .unwrap();
+        let circuits: Vec<Circuit> = (0..4).map(|_| sample_circuit()).collect();
+        let batch = wrapped.run_batch(&circuits).unwrap();
         assert_eq!(batch.len(), 4);
 
         // The context hands the pinned pool to passes.

@@ -1,10 +1,11 @@
 //! A hand-rolled work-stealing pool: scoped threads by default, an optional
 //! persistent-worker crew for dispatch-heavy callers.
 //!
-//! The compilation flow is embarrassingly parallel in two places: lowering
-//! is independent per gate, and batch compilation is independent per
-//! circuit.  The build environment is offline (no `rayon`), so this module
-//! provides the minimal parallel primitive both need: [`WorkStealingPool`],
+//! The compilation flow is embarrassingly parallel in two places: batch
+//! compilation is independent per circuit, and verification is independent
+//! per block of basis states (or panel of amplitudes).  The build
+//! environment is offline (no `rayon`), so this module provides the minimal
+//! parallel primitive both need: [`WorkStealingPool`],
 //! a fixed-size pool with per-worker deques and work stealing, plus the
 //! convenience function [`parallel_map`].
 //!
@@ -65,7 +66,7 @@ thread_local! {
 /// Returns `true` when the calling thread is a pool worker.
 ///
 /// Nested data parallelism oversubscribes the machine (each of N batch
-/// workers spawning N gate-lowering workers runs N² threads), so the
+/// workers spawning N verification workers runs N² threads), so the
 /// parallel paths inside passes check this and fall back to their
 /// sequential implementation when the job as a whole is already running on
 /// a pool.

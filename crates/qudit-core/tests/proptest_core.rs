@@ -211,9 +211,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Cache correctness: cached lowering output is gate-for-gate identical
-    /// to uncached lowering across random dimensions and widths, and the
-    /// parallel path (with and without a cache) matches both.  The
-    /// order-independent parallel counters equal the sequential ones.
+    /// to uncached lowering across random dimensions and widths, with exact
+    /// hit/miss counters, and a parallel batch of `lower-to-g-gates` runs
+    /// with per-run caches reports the same circuit and the same counters
+    /// for every job.
     #[test]
     fn cached_and_parallel_lowering_match_uncached(
         dimension in any_dimension(),
@@ -222,7 +223,8 @@ proptest! {
         threads in 1usize..=4,
     ) {
         use qudit_core::cache::{CacheCounters, LoweringCache};
-        use qudit_core::lowering::{lower_circuit_cached, lower_circuit_parallel};
+        use qudit_core::lowering::lower_circuit_cached;
+        use qudit_core::pipeline::{CacheMode, LowerToGGates, PassManager};
         use qudit_core::pool::WorkStealingPool;
 
         // Clamp the specs to the chosen dimension and width.
@@ -249,15 +251,15 @@ proptest! {
         prop_assert_eq!(counters.total(), lookups);
         prop_assert_eq!(counters.misses, cache.len() as u64);
 
-        let pool = WorkStealingPool::with_threads(threads);
-        let (parallel, no_cache_counters) = lower_circuit_parallel(&circuit, None, &pool).unwrap();
-        prop_assert_eq!(&parallel, &reference);
-        prop_assert_eq!(no_cache_counters, CacheCounters::default());
-
-        let fresh = LoweringCache::new();
-        let (parallel_cached, parallel_counters) =
-            lower_circuit_parallel(&circuit, Some(&fresh), &pool).unwrap();
-        prop_assert_eq!(&parallel_cached, &reference);
-        prop_assert_eq!(parallel_counters, counters);
+        let batch = PassManager::new()
+            .with_pass(LowerToGGates)
+            .with_cache(CacheMode::PerRun)
+            .with_pool(WorkStealingPool::with_threads(threads))
+            .run_batch(&[circuit.clone(), circuit])
+            .unwrap();
+        for report in &batch.reports {
+            prop_assert_eq!(&report.circuit, &reference);
+            prop_assert_eq!(report.stats[0].cache, Some(counters));
+        }
     }
 }

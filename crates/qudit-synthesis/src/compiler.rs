@@ -863,12 +863,11 @@ impl Compiler {
     ///
     /// Returns the first job error in input order (later jobs still run).
     pub fn compile_batch(&self, circuits: &[Circuit]) -> qudit_core::Result<BatchResult> {
-        let pool = self.manager.pool().unwrap_or_default();
         let embedded: Vec<Circuit> = circuits
             .iter()
             .map(|circuit| self.embed(circuit))
             .collect::<qudit_core::Result<_>>()?;
-        let batch = self.manager.run_batch_refs(&embedded, &pool)?;
+        let batch = self.manager.run_batch(&embedded)?;
         let panel_threads = self.panel_threads();
         Ok(BatchResult {
             results: batch

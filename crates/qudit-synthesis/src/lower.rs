@@ -12,7 +12,6 @@
 
 use qudit_core::cache::{CacheCounters, CanonicalSite, LoweringCache, LoweringStage, WidthClass};
 use qudit_core::lowering as core_lowering;
-use qudit_core::pool::WorkStealingPool;
 use qudit_core::{
     Circuit, Control, ControlPredicate, Dimension, Gate, GateOp, QuditError, QuditId, SingleQuditOp,
 };
@@ -90,37 +89,6 @@ pub fn lower_to_elementary_cached(
         }
     }
     Ok(out)
-}
-
-/// [`lower_to_elementary`] with the per-gate work fanned out over `pool`,
-/// optionally through a shared [`LoweringCache`].
-///
-/// Chunks of macro gates lower concurrently and are concatenated in gate
-/// order, so the output circuit is identical to the sequential path.  As in
-/// [`qudit_core::lowering::lower_circuit_parallel`], the returned counters
-/// derive the miss count from the distinct entries added to the cache, which
-/// keeps them order-independent.
-///
-/// # Errors
-///
-/// Returns the first per-gate error in gate order.
-pub fn lower_to_elementary_parallel(
-    circuit: &Circuit,
-    cache: Option<&LoweringCache>,
-    pool: &WorkStealingPool,
-) -> Result<(Circuit, CacheCounters)> {
-    let dimension = circuit.dimension();
-    let width = circuit.width();
-    let (gates, counters) =
-        core_lowering::lower_gates_chunked(circuit.gates(), cache, pool, |gate, counters| {
-            match cache {
-                Some(cache) => lower_macro_gate_cached(gate, dimension, width, cache, counters),
-                None => lower_macro_gate(gate, dimension, width),
-            }
-        })?;
-    let mut out = Circuit::new(dimension, width);
-    out.extend_gates(gates).map_err(SynthesisError::from)?;
-    Ok((out, counters))
 }
 
 /// [`lower_macro_gate`] through the cache.

@@ -20,7 +20,8 @@
 //! the cancellation (the configuration the paper's G-gate counts are
 //! reported in).
 
-use qudit_core::pipeline::{dispatch_lowering_pass, Pass, PassContext};
+use qudit_core::cache::CacheCounters;
+use qudit_core::pipeline::{Pass, PassContext};
 use qudit_core::{Circuit, QuditError};
 
 use crate::error::SynthesisError;
@@ -41,11 +42,10 @@ fn pass_error(pass: &str, error: SynthesisError) -> QuditError {
 /// elementary gates with at most one control
 /// (wraps [`crate::lower::lower_to_elementary`]).
 ///
-/// Like `LowerToGGates`, the pass is cache-aware and parallel: with a
-/// lowering cache in the run's [`PassContext`] every gadget expansion is
-/// computed once per `(gate kind, dimension, width-class)`, and macro
-/// circuits above the parallel threshold lower gate-parallel on a
-/// work-stealing pool.
+/// Like `LowerToGGates`, the pass is one sequential walk over the gates:
+/// with a lowering cache in the run's [`PassContext`] every gadget expansion
+/// is computed once per `(gate kind, dimension, width-class)` and the walk
+/// records its hit and miss tally into the context.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LowerToElementary;
 
@@ -59,19 +59,16 @@ impl Pass for LowerToElementary {
     }
 
     fn run_with(&self, circuit: Circuit, ctx: &mut PassContext) -> qudit_core::Result<Circuit> {
-        let name = self.name();
-        dispatch_lowering_pass(
-            circuit,
-            ctx,
-            |c| lower::lower_to_elementary(c).map_err(|e| pass_error(name, e)),
-            |c, cache, counters| {
-                lower::lower_to_elementary_cached(c, cache, counters)
-                    .map_err(|e| pass_error(name, e))
-            },
-            |c, cache, pool| {
-                lower::lower_to_elementary_parallel(c, cache, pool).map_err(|e| pass_error(name, e))
-            },
-        )
+        let lowered = match ctx.cache() {
+            Some(cache) => {
+                let mut counters = CacheCounters::default();
+                let out = lower::lower_to_elementary_cached(&circuit, cache, &mut counters);
+                ctx.record(counters);
+                out
+            }
+            None => lower::lower_to_elementary(&circuit),
+        };
+        lowered.map_err(|e| pass_error(self.name(), e))
     }
 }
 

@@ -23,9 +23,7 @@
 //!   [`Compiler`] pinned to a persistent
 //!   [`WorkStealingPool`] (long-lived workers, no
 //!   thread-spawn per job) and one bounded, shared
-//!   [`LoweringCache`] ([`ServiceConfig::cache_capacity`]), optionally
-//!   warm-started from a snapshot ([`ServiceConfig::warm_start`]) and
-//!   exportable at any time ([`CompileService::cache_snapshot`]).
+//!   [`LoweringCache`] ([`ServiceConfig::cache_capacity`]).
 //!
 //! # Protocol
 //!
@@ -98,7 +96,6 @@ pub struct ServiceConfig {
     max_queue_depth: usize,
     max_pending: usize,
     cache_capacity: usize,
-    warm_start: Option<String>,
     options: CompileOptions,
 }
 
@@ -110,7 +107,6 @@ impl Default for ServiceConfig {
             max_queue_depth: 16,
             max_pending: 64,
             cache_capacity: 1024,
-            warm_start: None,
             options: CompileOptions::new(),
         }
     }
@@ -162,17 +158,6 @@ impl ServiceConfig {
     #[must_use]
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity.max(1);
-        self
-    }
-
-    /// Warm-starts the cache from a snapshot produced by
-    /// [`CompileService::cache_snapshot`] (or
-    /// [`LoweringCache::snapshot`]).  Corrupt snapshots fail
-    /// [`CompileService::start`] with a typed error instead of booting
-    /// cold.
-    #[must_use]
-    pub fn warm_start(mut self, snapshot: impl Into<String>) -> Self {
-        self.warm_start = Some(snapshot.into());
         self
     }
 
@@ -309,22 +294,14 @@ pub struct CompileService {
 }
 
 impl CompileService {
-    /// Boots the service: binds the listener, restores the warm-start
-    /// snapshot if one was configured, and spawns the acceptor and worker
-    /// threads.
+    /// Boots the service: binds the listener and spawns the acceptor and
+    /// worker threads.
     ///
     /// # Errors
     ///
-    /// Propagates bind failures; a corrupt warm-start snapshot fails with
-    /// [`io::ErrorKind::InvalidData`] wrapping the typed
-    /// [`qudit_core::QuditError::SnapshotInvalid`] message.
+    /// Propagates bind failures.
     pub fn start(config: ServiceConfig) -> io::Result<Self> {
         let cache = LoweringCache::shared_with_capacity(config.cache_capacity);
-        if let Some(snapshot) = &config.warm_start {
-            cache
-                .restore_snapshot(snapshot)
-                .map_err(|error| io::Error::new(io::ErrorKind::InvalidData, error.to_string()))?;
-        }
         let pool = WorkStealingPool::persistent(config.workers);
         let compiler = config
             .options
@@ -391,12 +368,6 @@ impl CompileService {
             compile_errors: self.shared.compile_errors.load(Ordering::Relaxed),
             cache: self.shared.cache.metrics(),
         }
-    }
-
-    /// Serialises the shared cache for a warm start of a later service (see
-    /// [`ServiceConfig::warm_start`]).
-    pub fn cache_snapshot(&self) -> String {
-        self.shared.cache.snapshot()
     }
 
     /// Stops the service: no new connections are accepted, queued jobs are
@@ -470,14 +441,21 @@ fn reader_loop(stream: TcpStream, shared: &Arc<Shared>) {
         return;
     }
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    // Raw bytes, decoded only once a line is complete: a read timeout can
+    // fall inside a multi-byte character, and the bytes read so far must
+    // survive it.
+    let mut line = Vec::new();
     loop {
-        match reader.read_line(&mut line) {
+        match reader.read_until(b'\n', &mut line) {
             Ok(0) => break,
             Ok(_) => {
-                let trimmed = line.trim();
-                if !trimmed.is_empty() {
-                    handle_line(trimmed, shared, &reply_to);
+                match std::str::from_utf8(&line) {
+                    Ok(text) if text.trim().is_empty() => {}
+                    Ok(text) => handle_line(text.trim(), shared, &reply_to),
+                    Err(_) => {
+                        shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                        send_reply(&reply_to, &error_reply("", "", "request line is not UTF-8"));
+                    }
                 }
                 line.clear();
             }

@@ -123,21 +123,21 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Cache correctness for the macro-gate stage: cached (and parallel)
-    /// elementary lowering of the synthesised macro circuits is
-    /// gate-for-gate identical to the uncached path, across random
-    /// dimensions and control counts (which vary the register width).
+    /// Cache correctness for the macro-gate stage: cached elementary
+    /// lowering of the synthesised macro circuits is gate-for-gate
+    /// identical to the uncached path, with exact hit/miss counters, across
+    /// random dimensions and control counts (which vary the register
+    /// width); the `lower-to-elementary` pass run with a per-run cache
+    /// reports the same circuit and the same counters.
     #[test]
     fn cached_macro_lowering_matches_uncached(
         dimension in any_dimension(),
         k in 2usize..=6,
-        threads in 1usize..=4,
     ) {
         use qudit_core::cache::{CacheCounters, LoweringCache};
-        use qudit_core::pool::WorkStealingPool;
-        use qudit_synthesis::lower::{
-            lower_to_elementary, lower_to_elementary_cached, lower_to_elementary_parallel,
-        };
+        use qudit_core::pipeline::{CacheMode, PassManager};
+        use qudit_synthesis::lower::{lower_to_elementary, lower_to_elementary_cached};
+        use qudit_synthesis::LowerToElementary;
 
         let circuit = KToffoli::new(dimension, k)
             .unwrap()
@@ -154,15 +154,13 @@ proptest! {
         prop_assert!(counters.total() > 0, "macro lowering made no cache lookups");
         prop_assert_eq!(counters.misses, cache.len() as u64);
 
-        let pool = WorkStealingPool::with_threads(threads);
-        let fresh = LoweringCache::new();
-        let (parallel, parallel_counters) =
-            lower_to_elementary_parallel(&circuit, Some(&fresh), &pool).unwrap();
-        prop_assert_eq!(&parallel, &reference);
-        prop_assert_eq!(parallel_counters, counters);
-
-        let (uncached_parallel, _) = lower_to_elementary_parallel(&circuit, None, &pool).unwrap();
-        prop_assert_eq!(&uncached_parallel, &reference);
+        let report = PassManager::new()
+            .with_pass(LowerToElementary)
+            .with_cache(CacheMode::PerRun)
+            .run(circuit)
+            .unwrap();
+        prop_assert_eq!(&report.circuit, &reference);
+        prop_assert_eq!(report.stats[0].cache, Some(counters));
     }
 }
 

@@ -1,6 +1,11 @@
 //! End-to-end tests of the compile service: concurrent clients, admission
-//! control, backpressure, bounded-cache consistency and snapshot
-//! warm-start.
+//! control, backpressure, bounded-cache consistency and the byte-level
+//! framing of request lines (multi-byte UTF-8 split across reads, invalid
+//! UTF-8).
+
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::time::Duration;
 
 use qudit_synthesis::service::{
     CompileService, JobRequest, JobStatus, ServiceClient, ServiceConfig,
@@ -182,47 +187,80 @@ fn backpressure_blocks_the_reader_instead_of_growing_memory() {
     assert_eq!(stats.rejected, 0);
 }
 
+/// A bare connection for writing request bytes verbatim: the writer half
+/// plus a buffered reader over the reply lines.
+fn raw_connection(service: &CompileService) -> (TcpStream, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(service.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    let reader = BufReader::new(stream.try_clone().expect("clone the socket"));
+    (stream, reader)
+}
+
+/// Reads one reply line, failing when the server hung up instead.
+fn read_reply(reader: &mut BufReader<TcpStream>) -> String {
+    let mut line = String::new();
+    let read = reader.read_line(&mut line).expect("reply line");
+    assert!(read > 0, "the server closed the connection without a reply");
+    line
+}
+
 #[test]
-fn snapshot_warm_start_round_trips_to_pure_hits() {
-    let sources: Vec<String> = (0..4)
-        .map(|j| mcs_source(3, 3 + j % 2, (0, 1 + (j as u32 % 2)), 2))
-        .collect();
-    // First service: compile the set cold, then export the cache.
-    let cold = CompileService::start(ServiceConfig::new().workers(1)).expect("service boots");
-    let mut client = ServiceClient::connect(cold.local_addr()).expect("connect");
-    for (j, source) in sources.iter().enumerate() {
-        let reply = client
-            .roundtrip(&job("warmup", j, source.clone()))
-            .expect("roundtrip");
-        assert!(reply.is_ok(), "{}", reply.message);
-    }
-    let snapshot = cold.cache_snapshot();
-    let cold_stats = cold.shutdown();
-    assert!(cold_stats.cache.misses > 0, "cold run populates the cache");
-
-    // Second service: warm-started from the snapshot, the same jobs hit
-    // the cache on every lookup — zero misses.
-    let warm = CompileService::start(ServiceConfig::new().workers(1).warm_start(snapshot.clone()))
-        .expect("warm service boots");
-    let mut client = ServiceClient::connect(warm.local_addr()).expect("connect");
-    for (j, source) in sources.iter().enumerate() {
-        let reply = client
-            .roundtrip(&job("warm", j, source.clone()))
-            .expect("roundtrip");
-        assert!(reply.is_ok(), "{}", reply.message);
-    }
-    let warm_stats = warm.shutdown();
-    assert_eq!(
-        warm_stats.cache.misses, 0,
-        "a warm-started cache answers every lookup"
+fn a_multi_byte_character_split_across_reads_keeps_its_line() {
+    let service = CompileService::start(ServiceConfig::new().workers(1)).expect("service boots");
+    let (mut writer, mut reader) = raw_connection(&service);
+    let request = concat!(
+        r#"{"tenant":"utf8","id":"split","source":"OPENQASM 3.0;\n// d ≥ 3\n"#,
+        r#"qudit[3] q[3];\nctrl @ ctrl @ swap(0, 1) q[0], q[1], q[2];\n"}"#,
+        "\n",
     );
-    assert!(warm_stats.cache.hits > 0);
-    assert_eq!(warm_stats.cache.entries as u64, cold_stats.cache.misses);
+    // Split after the first byte of `≥` and pause past the service's 25 ms
+    // read timeout, so the timeout falls inside the character.
+    let split = request.find('≥').expect("the request carries a ≥") + 1;
+    writer
+        .write_all(&request.as_bytes()[..split])
+        .expect("first half");
+    std::thread::sleep(Duration::from_millis(120));
+    writer
+        .write_all(&request.as_bytes()[split..])
+        .expect("second half");
 
-    // Corrupt snapshots fail the boot with a typed error.
-    let corrupt =
-        CompileService::start(ServiceConfig::new().warm_start("qudit-lowering-cache v999\n"));
-    let error = corrupt.err().expect("corrupt snapshot must not boot");
-    assert_eq!(error.kind(), std::io::ErrorKind::InvalidData);
-    assert!(error.to_string().contains("snapshot"));
+    let reply = read_reply(&mut reader);
+    assert!(reply.contains(r#""id":"split","status":"ok""#), "{reply}");
+    let stats = service.shutdown();
+    assert_eq!(stats.completed, 1);
+    assert_eq!(stats.protocol_errors, 0);
+    // Exactly one reply: after shutdown the connection only reports EOF.
+    let mut rest = String::new();
+    assert_eq!(
+        reader.read_line(&mut rest).expect("clean close"),
+        0,
+        "{rest}"
+    );
+}
+
+#[test]
+fn invalid_utf8_gets_an_error_reply_and_the_connection_stays_open() {
+    let service = CompileService::start(ServiceConfig::new().workers(1)).expect("service boots");
+    let (mut writer, mut reader) = raw_connection(&service);
+    writer
+        .write_all(b"{\"tenant\":\"t\",\"id\":\"\xFF\"}\n")
+        .expect("send");
+    let reply = read_reply(&mut reader);
+    assert!(reply.contains(r#""status":"error""#), "{reply}");
+    assert!(reply.contains("UTF-8"), "{reply}");
+
+    // The same connection still serves a valid job.
+    let next = concat!(
+        r#"{"tenant":"t","id":"next","source":"OPENQASM 3.0;\nqudit[3] q[2];\n"#,
+        r#"ctrl @ swap(0, 1) q[0], q[1];"}"#,
+        "\n",
+    );
+    writer.write_all(next.as_bytes()).expect("send");
+    let reply = read_reply(&mut reader);
+    assert!(reply.contains(r#""id":"next","status":"ok""#), "{reply}");
+    let stats = service.shutdown();
+    assert_eq!(stats.protocol_errors, 1);
+    assert_eq!(stats.completed, 1);
 }
