@@ -1,18 +1,19 @@
-//! Criterion bench: the dense vs. sparse vs. auto simulation backends on
-//! E10/E11-style workloads.
+//! Criterion bench: the basis-input amplitude path (`simulate_basis`)
+//! against the fused dense engine over the whole circuit, on E10/E11-style
+//! workloads.
 //!
 //! The workloads are the compiled k-Toffoli circuits of the experiment
 //! sweeps:
 //!
 //! * **pure classical** (E10-style) — the fully lowered and peephole-
-//!   optimised G-gate circuits.  A basis input stays at a single nonzero
-//!   amplitude, so the sparse engine applies every gate in `O(1)` while the
-//!   dense engine walks all `d^width` amplitudes per gate; the gap widens
+//!   optimised G-gate circuits.  A basis input stays a basis state, so
+//!   `simulate_basis` walks every gate on the digit vector while the dense
+//!   leg walks all `d^width` amplitudes per fused traversal; the gap widens
 //!   exponentially with the register width.
 //! * **classical prefix + non-classical suffix** (the `VerifyEquivalence`
 //!   situation) — the same circuit with one trailing single-qudit unitary.
-//!   The hybrid engine walks the prefix sparsely and densifies only for the
-//!   final mix.
+//!   `simulate_basis` walks the prefix on the digits and runs only the
+//!   final mix dense.
 //!
 //! * **classical verification** — `VerifyEquivalence` checking the G-gate
 //!   lowering of a k = 4 k-Toffoli against its input on a width-6 register,
@@ -20,14 +21,14 @@
 //!   d = 5 (15 625 states): the batched basis-state kernel of
 //!   `qudit_sim::basis`.
 //!
-//! All backends return bit-identical states; the bench asserts agreement on
-//! the final norm so a silently wrong fast path cannot post a good number.
+//! Both legs return `==`-equal states; the bench asserts that before timing
+//! so a silently wrong fast path cannot post a good number.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qudit_core::math::{Complex, SquareMatrix};
 use qudit_core::pipeline::{pass_fn, Pass};
 use qudit_core::{Circuit, Dimension, Gate, QuditId, SingleQuditOp};
-use qudit_sim::{simulate_basis, SimBackend, StateVector, VerifyEquivalence};
+use qudit_sim::{simulate_basis, FusedProgram, StateVector, VerifyEquivalence};
 use qudit_synthesis::{CompileOptions, KToffoli};
 
 /// The compiled (pure classical) G-gate circuit of a `(d=3, k)` k-Toffoli,
@@ -61,31 +62,39 @@ fn fourier3() -> SquareMatrix {
     SquareMatrix::from_rows(3, entries).unwrap()
 }
 
+/// The fused dense engine over the whole circuit from a basis input.
+fn dense(circuit: &Circuit, input: &[u32]) -> StateVector {
+    let program = FusedProgram::compile(circuit, input.len()).unwrap();
+    let mut state = StateVector::from_basis(circuit.dimension(), input).unwrap();
+    state.apply_fused(&program).unwrap();
+    state
+}
+
+/// Times the `dense` and `simulate` legs on one circuit after checking
+/// they agree.
+fn bench_legs(group: &mut criterion::BenchmarkGroup<'_>, circuit: &Circuit, label: &str) {
+    let zeros = vec![0u32; circuit.width()];
+    assert_eq!(
+        dense(circuit, &zeros),
+        simulate_basis(circuit, &zeros).unwrap(),
+        "legs must agree ({label})"
+    );
+    group.bench_with_input(BenchmarkId::new("dense", label), circuit, |b, circuit| {
+        b.iter(|| dense(circuit, &zeros).norm_sqr())
+    });
+    group.bench_with_input(
+        BenchmarkId::new("simulate", label),
+        circuit,
+        |b, circuit| b.iter(|| simulate_basis(circuit, &zeros).unwrap().norm_sqr()),
+    );
+}
+
 fn bench_pure_classical(c: &mut Criterion) {
     let mut group = c.benchmark_group("simulation_backends/classical");
     group.sample_size(10);
     for &k in &[4usize, 6, 8, 10] {
         let circuit = classical_job(k);
-        let width = circuit.width();
-        let zeros = vec![0u32; width];
-        // Cross-check once: all backends agree exactly.
-        let dense = simulate_basis(&circuit, &zeros, SimBackend::Dense).unwrap();
-        let sparse = simulate_basis(&circuit, &zeros, SimBackend::Sparse).unwrap();
-        assert_eq!(dense, sparse, "backends must agree (k = {k})");
-
-        for backend in [SimBackend::Dense, SimBackend::Sparse, SimBackend::Auto] {
-            group.bench_with_input(
-                BenchmarkId::new(backend.label(), format!("k{k}_w{width}")),
-                &circuit,
-                |b, circuit| {
-                    b.iter(|| {
-                        simulate_basis(circuit, &zeros, backend)
-                            .unwrap()
-                            .probability(&zeros)
-                    })
-                },
-            );
-        }
+        bench_legs(&mut group, &circuit, &format!("k{k}_w{}", circuit.width()));
     }
     group.finish();
 }
@@ -102,27 +111,14 @@ fn bench_classical_prefix_with_unitary_suffix(c: &mut Criterion) {
                 QuditId::new(width - 1),
             ))
             .unwrap();
-        let zeros = vec![0u32; width];
-        let dense = simulate_basis(&circuit, &zeros, SimBackend::Dense).unwrap();
-        let auto = simulate_basis(&circuit, &zeros, SimBackend::Auto).unwrap();
-        assert_eq!(dense, auto, "hybrid must be bit-identical (k = {k})");
-
-        for backend in [SimBackend::Dense, SimBackend::Auto] {
-            group.bench_with_input(
-                BenchmarkId::new(backend.label(), format!("k{k}_w{width}")),
-                &circuit,
-                |b, circuit| {
-                    b.iter(|| simulate_basis(circuit, &zeros, backend).unwrap().norm_sqr())
-                },
-            );
-        }
+        bench_legs(&mut group, &circuit, &format!("k{k}_w{width}"));
     }
     group.finish();
 }
 
 fn bench_dense_engine_reference(c: &mut Criterion) {
-    // The raw dense engine without the backend dispatch, as a sanity
-    // reference for the dispatch overhead.
+    // The scalar reference walk, as a sanity reference for the fused
+    // engine.
     let mut group = c.benchmark_group("simulation_backends/dense_reference");
     group.sample_size(10);
     for &k in &[4usize, 6] {

@@ -14,8 +14,8 @@ use qudit_core::topology::CouplingGraph;
 use qudit_core::{Dimension, QuditId, SingleQuditOp};
 use qudit_reversible::{lower_bound, ReversibleFunction, ReversibleSynthesizer};
 use qudit_sim::equivalence::{verify_mct_exhaustive, verify_mct_sampled, MctSpec};
+use qudit_sim::is_clifford_circuit;
 use qudit_sim::random::random_unitary;
-use qudit_sim::{is_clifford_circuit, SimBackend};
 use qudit_synthesis::{
     gadgets, ladders, CompileOptions, CompileResult, Compiler, ControlledUnitary, KToffoli,
     MultiControlledGate, OptLevel,
@@ -348,7 +348,6 @@ pub fn e10_table_from_results(
             "routed depth",
             "swaps",
             "weighted cost",
-            "sim backend",
             "clifford",
             "verified",
         ],
@@ -365,14 +364,11 @@ pub fn e10_table_from_results(
             .expect("the scheduled pipeline ends with depth scheduling");
         let (depth_before, depth_after) = (schedule.before.depth, schedule.after.depth);
         // Verify that the optimised circuit still implements the Toffoli
-        // (sampled for larger registers, exhaustive for small ones).  The
-        // `sim backend` column reports the engine the Auto classicality
-        // scan picks for the optimised circuit.
+        // (sampled for larger registers, exhaustive for small ones).
         let spec = MctSpec::toffoli(
             synthesis.layout().controls.clone(),
             synthesis.layout().target,
         );
-        let backend = SimBackend::Auto.resolve(&report.circuit);
         let verified = if dim(d).register_size(synthesis.layout().width) <= 4096 {
             verify_mct_exhaustive(&report.circuit, &spec)
                 .unwrap()
@@ -410,7 +406,6 @@ pub fn e10_table_from_results(
             routed_depth.to_string(),
             swaps.to_string(),
             fmt_f64(weighted),
-            backend.label().to_string(),
             is_clifford_circuit(&report.circuit).to_string(),
             verified.to_string(),
         ]);
@@ -476,7 +471,6 @@ pub fn e11_table_from_results(
             "cache hit %",
             "fused gates",
             "panel threads",
-            "sim backend",
             "clifford",
             "qasm bytes",
             "routed depth",
@@ -486,14 +480,10 @@ pub fn e11_table_from_results(
         ],
     );
     for ((&(d, k), report), routed) in sweep.iter().zip(results).zip(routed) {
-        // The backend the Auto classicality scan picks for this job's
-        // compiled circuit — what any downstream re-simulation (fidelity
-        // checks, `VerifyEquivalence`) of the sweep would run on — and
-        // whether the circuit is all-Clifford (tableau-verifiable at any
-        // width).  `qasm bytes` is the size of the compiled circuit in the
+        // Whether the compiled circuit is all-Clifford (tableau-verifiable
+        // at any width).  `qasm bytes` is the size of the compiled circuit in the
         // canonical text IR (see `qudit_core::qasm`) — the artefact a job
         // exported with `CompileResult::to_qasm` would occupy on disk.
-        let backend = SimBackend::Auto.resolve(&report.circuit);
         let clifford = is_clifford_circuit(&report.circuit);
         let qasm_bytes = qudit_core::qasm::print_circuit(&report.circuit).len();
         let routed_depth = routed
@@ -525,7 +515,6 @@ pub fn e11_table_from_results(
                 cache_rate,
                 report.fused_gates.to_string(),
                 report.panel_threads.to_string(),
-                backend.label().to_string(),
                 clifford.to_string(),
                 qasm_bytes.to_string(),
                 routed_depth.to_string(),

@@ -40,13 +40,24 @@
 //! * The pool-parallel path splits the vector into disjoint whole-block
 //!   chunks and runs the *same* kernel on each, so it is **byte-identical**
 //!   to sequential fused execution for every worker count.
+//!
+//! # Basis inputs
+//!
+//! [`simulate_basis`] and [`circuit_unitary`] start from basis states.  The
+//! leading classical gates of a circuit only move that single amplitude, so
+//! they run on the digit vector ([`Gate::apply_to_basis`]) and the dense
+//! vector is built where the first non-classical gate starts; the rest of
+//! the circuit runs through one [`FusedProgram`], compiled once per circuit
+//! (not once per unitary column).  The result is `==`-equal to the
+//! reference walk over the whole circuit.
 
-use qudit_core::math::Complex;
+use qudit_core::math::{Complex, SquareMatrix};
 use qudit_core::pool::{in_worker, WorkStealingPool};
 use qudit_core::{
     Circuit, ControlPredicate, Dimension, Gate, GateOp, QuditError, Result, SingleQuditOp,
 };
 
+use crate::basis::index_to_digits;
 use crate::statevector::StateVector;
 
 /// Minimum target stride for the panel (SoA) kernels; below this the rows
@@ -279,6 +290,111 @@ impl FusedProgram {
     pub fn fused_gates(&self) -> usize {
         self.source_gates - self.ops.len()
     }
+}
+
+/// A circuit compiled for basis-state inputs: its leading classical gates,
+/// walked on the digit vector, and a fused program for the rest.
+struct BasisProgram<'c> {
+    prefix: &'c [Gate],
+    suffix: FusedProgram,
+}
+
+impl<'c> BasisProgram<'c> {
+    /// Compiles `circuit` for a register of `width` qudits (at least the
+    /// circuit's width).
+    fn compile(circuit: &'c Circuit, width: usize) -> Result<Self> {
+        let gates = circuit.gates();
+        let split = gates.iter().take_while(|gate| gate.is_classical()).count();
+        Ok(BasisProgram {
+            prefix: &gates[..split],
+            suffix: FusedProgram::compile_gates(circuit.dimension(), width, &gates[split..])?,
+        })
+    }
+
+    /// Runs the program on the basis state `digits` (validated digits of
+    /// exactly the compiled width).
+    fn run(&self, digits: &[u32]) -> Result<StateVector> {
+        let dimension = self.suffix.dimension;
+        let mut digits = digits.to_vec();
+        for gate in self.prefix {
+            gate.apply_to_basis(&mut digits, dimension)?;
+        }
+        let mut state = StateVector::from_basis(dimension, &digits)?;
+        state.apply_fused(&self.suffix)?;
+        Ok(state)
+    }
+}
+
+/// Simulates a circuit on a basis-state input, returning the final state.
+///
+/// The input may be wider than the circuit (the extra qudits are idle).
+/// The result is `==`-equal to [`StateVector::apply_circuit`] on the same
+/// input (see the module docs for how the leading classical gates are
+/// skipped).
+///
+/// # Errors
+///
+/// Returns [`QuditError::IncompatibleCircuits`] when the input is narrower
+/// than the circuit and [`QuditError::LevelOutOfRange`] when a digit is not
+/// a level of the dimension.
+///
+/// # Example
+///
+/// ```
+/// use qudit_core::{Circuit, Control, Dimension, Gate, QuditId, SingleQuditOp};
+/// use qudit_sim::{simulate_basis, StateVector};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let d = Dimension::new(3)?;
+/// let mut circuit = Circuit::new(d, 2);
+/// circuit.push(Gate::controlled(
+///     SingleQuditOp::Swap(0, 1),
+///     QuditId::new(1),
+///     vec![Control::zero(QuditId::new(0))],
+/// ))?;
+/// let state = simulate_basis(&circuit, &[0, 0])?;
+/// assert!(state.probability(&[0, 1]) > 0.999);
+///
+/// // The same amplitudes as the scalar reference walk.
+/// let mut reference = StateVector::from_basis(d, &[0, 0])?;
+/// reference.apply_circuit(&circuit)?;
+/// assert_eq!(state, reference);
+/// # Ok(())
+/// # }
+/// ```
+pub fn simulate_basis(circuit: &Circuit, digits: &[u32]) -> Result<StateVector> {
+    if digits.len() < circuit.width() {
+        return Err(QuditError::IncompatibleCircuits {
+            reason: "input state is narrower than the circuit".to_string(),
+        });
+    }
+    for &digit in digits {
+        circuit.dimension().check_level(digit)?;
+    }
+    BasisProgram::compile(circuit, digits.len())?.run(digits)
+}
+
+/// Computes the full unitary matrix implemented by a circuit, one
+/// [`simulate_basis`] column per basis input.
+///
+/// The matrix has size `d^width`; only use this for small registers.
+///
+/// # Errors
+///
+/// Returns an error when a gate of the circuit is invalid.
+pub fn circuit_unitary(circuit: &Circuit) -> Result<SquareMatrix> {
+    let dimension = circuit.dimension();
+    let width = circuit.width();
+    let size = dimension.register_size(width);
+    let program = BasisProgram::compile(circuit, width)?;
+    let mut matrix = SquareMatrix::zeros(size);
+    for column in 0..size {
+        let state = program.run(&index_to_digits(column, dimension, width))?;
+        for (row, amp) in state.amplitudes().iter().enumerate() {
+            matrix[(row, column)] = *amp;
+        }
+    }
+    Ok(matrix)
 }
 
 /// The digit of the qudit with the given stride in a mixed-radix index.
@@ -794,6 +910,43 @@ mod tests {
         let mut fused = StateVector::new(d, width);
         fused.apply_fused(&program).unwrap();
         assert_amplitudes_match(&fused, &reference(&circuit, width));
+    }
+
+    #[test]
+    fn simulate_basis_matches_reference_on_all_basis_inputs() {
+        // A classical prefix (walked on the digits), then a unitary and a
+        // classical tail (the fused suffix).
+        let d = dim(3);
+        let mut circuit = Circuit::new(d, 3);
+        circuit
+            .push(Gate::controlled(
+                SingleQuditOp::Add(1),
+                QuditId::new(1),
+                vec![Control::odd(QuditId::new(0))],
+            ))
+            .unwrap();
+        circuit
+            .push(Gate::single(
+                SingleQuditOp::Unitary(fourier(3)),
+                QuditId::new(2),
+            ))
+            .unwrap();
+        circuit
+            .push(Gate::single(SingleQuditOp::Add(2), QuditId::new(0)))
+            .unwrap();
+        let unitary = circuit_unitary(&circuit).unwrap();
+        for (column, input) in crate::basis::all_basis_states(d, 3).enumerate() {
+            let mut reference = StateVector::from_basis(d, &input).unwrap();
+            reference.apply_circuit(&circuit).unwrap();
+            assert_eq!(
+                simulate_basis(&circuit, &input).unwrap(),
+                reference,
+                "input {input:?}"
+            );
+            for (row, amp) in reference.amplitudes().iter().enumerate() {
+                assert_eq!(unitary[(row, column)], *amp, "column {column}");
+            }
+        }
     }
 
     #[test]

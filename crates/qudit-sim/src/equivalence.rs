@@ -22,8 +22,8 @@ use rand::Rng;
 use crate::basis::{
     all_basis_states, biased_samples, exhaustive_witness, first_witness, index_to_digits,
 };
-use crate::sparse::{circuit_unitary_with, SimBackend};
-use crate::statevector::circuit_unitary;
+use crate::dense::circuit_unitary;
+use crate::stabilizer::{clifford_circuits_equal, is_clifford_circuit};
 
 /// Specification of a multi-controlled gate `|0^k⟩-op`.
 ///
@@ -261,41 +261,31 @@ pub fn verify_mct_unitary(circuit: &Circuit, spec: &MctSpec) -> Result<bool> {
 
 /// Checks that two circuits implement the same unitary up to global phase.
 ///
-/// Simulation runs on the [`Auto`](SimBackend::Auto) backend: each circuit's
-/// classical prefix is walked sparsely (see
-/// [`circuit_unitary`](crate::circuit_unitary())).  Use
-/// [`circuits_equal_up_to_phase_with`] to force a backend.
+/// The register contract is settled first, as [`clifford_circuits_equal`]
+/// documents it: circuits over different dimensions are incompatible, and
+/// the narrower circuit is widened to the wider register (the extra qudits
+/// act as identity).  A pair of all-Clifford circuits over a prime
+/// dimension is then compared by exact stabilizer tableaus, which stays
+/// tractable at any register width; any other pair compares dense
+/// unitaries ([`circuit_unitary`]).
 ///
 /// # Errors
 ///
-/// Returns an error when either circuit cannot be simulated.
+/// Returns [`QuditError::IncompatibleCircuits`] when the dimensions differ,
+/// and an error when either circuit cannot be simulated.
 pub fn circuits_equal_up_to_phase(a: &Circuit, b: &Circuit) -> Result<bool> {
-    circuits_equal_up_to_phase_with(a, b, SimBackend::Auto)
-}
-
-/// [`circuits_equal_up_to_phase`] on an explicit simulation backend.
-///
-/// Under [`Auto`](SimBackend::Auto) or
-/// [`Stabilizer`](SimBackend::Stabilizer), a pair of all-Clifford circuits
-/// over a prime dimension is compared by exact stabilizer tableaus instead of
-/// dense unitaries, which stays tractable at any register width.
-///
-/// # Errors
-///
-/// Returns an error when either circuit cannot be simulated.
-pub fn circuits_equal_up_to_phase_with(
-    a: &Circuit,
-    b: &Circuit,
-    backend: SimBackend,
-) -> Result<bool> {
-    if matches!(backend, SimBackend::Auto | SimBackend::Stabilizer)
-        && crate::stabilizer::is_clifford_circuit(a)
-        && crate::stabilizer::is_clifford_circuit(b)
-    {
-        return crate::stabilizer::clifford_circuits_equal(a, b);
+    if a.dimension() != b.dimension() {
+        return Err(QuditError::IncompatibleCircuits {
+            reason: "circuit dimensions differ".to_string(),
+        });
     }
-    let ua = circuit_unitary_with(a, backend)?;
-    let ub = circuit_unitary_with(b, backend)?;
+    let width = a.width().max(b.width());
+    let (a, b) = (a.widened(width)?, b.widened(width)?);
+    if is_clifford_circuit(&a) && is_clifford_circuit(&b) {
+        return clifford_circuits_equal(&a, &b);
+    }
+    let ua = circuit_unitary(&a)?;
+    let ub = circuit_unitary(&b)?;
     Ok(ua.approx_eq_up_to_phase(&ub, MATRIX_TOLERANCE.max(1e-7)))
 }
 
@@ -417,8 +407,30 @@ mod tests {
         let a = macro_toffoli(d, 2);
         let b = macro_toffoli(d, 2);
         assert!(circuits_equal_up_to_phase(&a, &b).unwrap());
-        for backend in [SimBackend::Dense, SimBackend::Sparse, SimBackend::Auto] {
-            assert!(circuits_equal_up_to_phase_with(&a, &b, backend).unwrap());
+    }
+
+    #[test]
+    fn phase_equivalence_settles_the_register_first() {
+        let add = |d: u32, width: usize| {
+            let mut circuit = Circuit::new(dim(d), width);
+            circuit
+                .push(Gate::single(SingleQuditOp::Add(1), QuditId::new(0)))
+                .unwrap();
+            circuit
+        };
+        // The narrower circuit is widened, on the tableau path (prime d)
+        // and on the dense path (d = 4) alike.
+        for d in [3, 4] {
+            assert!(circuits_equal_up_to_phase(&add(d, 2), &add(d, 3)).unwrap());
+            assert!(circuits_equal_up_to_phase(&add(d, 3), &add(d, 2)).unwrap());
+            assert!(!circuits_equal_up_to_phase(&add(d, 2), &Circuit::new(dim(d), 3)).unwrap());
+        }
+        // Different dimensions are incompatible whichever path would run.
+        for (da, db) in [(3, 5), (4, 3), (4, 6)] {
+            assert!(matches!(
+                circuits_equal_up_to_phase(&add(da, 2), &add(db, 2)),
+                Err(QuditError::IncompatibleCircuits { .. })
+            ));
         }
     }
 
@@ -439,9 +451,7 @@ mod tests {
             .unwrap();
         }
         let b = a.clone();
-        for backend in [SimBackend::Auto, SimBackend::Stabilizer] {
-            assert!(circuits_equal_up_to_phase_with(&a, &b, backend).unwrap());
-        }
+        assert!(circuits_equal_up_to_phase(&a, &b).unwrap());
         // Appending one more SUM gate breaks equality.
         let mut c = a.clone();
         c.push(Gate::add_from(

@@ -13,21 +13,20 @@
 //!   arbitrary controlled unitaries (the scalar reference walk);
 //! * [`FusedProgram`] and [`dense`] — the cache-blocked dense engine: gate
 //!   fusion, split-complex panel kernels and pool-parallel block dispatch,
-//!   exact (`==`-equal) against the reference walk;
-//! * [`SparseState`], [`SimState`] and [`sparse`] — the sparse amplitude-map
-//!   engine with a classical-gate fast path in `O(nnz)`, the hybrid
-//!   sparse-then-dense engine behind it, and the [`SimBackend`] dispatch
-//!   (`Dense | Sparse | Auto`) that picks an engine per circuit via a
-//!   classicality scan;
+//!   exact (`==`-equal) against the reference walk; [`simulate_basis`] and
+//!   [`circuit_unitary`] run on it from basis inputs, walking a circuit's
+//!   leading classical gates on the digit vector first;
 //! * [`equivalence`] — specification checkers for multi-controlled gates with
 //!   borrowed- or clean-ancilla semantics (exhaustive, sampled or on the
 //!   clean-ancilla subspace), and unitary equivalence up to global phase;
 //! * [`pipeline`] — the [`VerifyEquivalence`] pass wrapper that makes any
-//!   compilation pipeline self-check semantics preservation after each stage;
+//!   compilation pipeline self-check semantics preservation after each stage,
+//!   choosing its strategy from the circuits: [`BasisBatch`] for classical
+//!   pairs, the tableau for prime all-Clifford pairs, dense otherwise;
 //! * [`stabilizer`] — the generalised-Pauli tableau engine for prime
 //!   dimensions: Clifford gate classification, exact tableau equivalence up
 //!   to global phase, and `O(n³)` basis-probability queries at widths far
-//!   beyond dense reach ([`SimBackend::Stabilizer`]);
+//!   beyond dense reach ([`StabilizerState`]);
 //! * [`random`] — random unitaries, permutations, reversible functions and
 //!   Clifford circuits for workloads.
 //!
@@ -59,19 +58,15 @@ pub mod dense;
 pub mod equivalence;
 pub mod pipeline;
 pub mod random;
-pub mod sparse;
 pub mod stabilizer;
 pub mod statevector;
 
 pub use basis::{circuit_permutation, BasisBatch};
-pub use dense::FusedProgram;
+pub use dense::{circuit_unitary, simulate_basis, FusedProgram};
 pub use equivalence::{MctSpec, Verification};
-pub use pipeline::VerifyEquivalence;
-pub use sparse::{
-    circuit_unitary_with, classical_prefix_len, simulate_basis, SimBackend, SimState, SparseState,
-};
+pub use pipeline::{SimBackend, VerifyEquivalence};
 pub use stabilizer::{
     classify_gate, clifford_circuits_equal, is_clifford_circuit, is_clifford_gate, CliffordTableau,
     StabilizerState,
 };
-pub use statevector::{circuit_unitary, StateVector};
+pub use statevector::StateVector;

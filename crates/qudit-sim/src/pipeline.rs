@@ -18,16 +18,11 @@
 //!   random dense input states (which are sensitive to relative-phase
 //!   changes) on larger ones.
 //!
-//! A detected mismatch surfaces as [`QuditError::PassFailed`], naming the
-//! wrapped pass and the offending basis state.
-//!
-//! State-vector comparisons run on a configurable [`SimBackend`]
-//! ([`VerifyEquivalence::with_backend`]); the default `Auto` backend walks
-//! each circuit's classical prefix sparsely with bit-identical results, so
-//! verification of the paper's (mostly classical) pipelines no longer pays
-//! the dense `O(d^width)`-per-gate walk over the long permutation prefixes.
+//! The strategy follows from the two circuits alone; there is no engine
+//! option.  A detected mismatch surfaces as [`QuditError::PassFailed`],
+//! naming the wrapped pass and the offending basis state.
 
-use qudit_core::math::MATRIX_TOLERANCE;
+use qudit_core::math::{Complex, MATRIX_TOLERANCE};
 use qudit_core::pipeline::{Pass, PassContext, PassManager};
 use qudit_core::pool::WorkStealingPool;
 use qudit_core::{Circuit, QuditError, Result};
@@ -35,7 +30,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::basis::{biased_samples, exhaustive_witness, first_witness};
-use crate::sparse::{circuit_unitary_with, SimBackend, SimState};
+use crate::dense::{circuit_unitary, FusedProgram};
 use crate::statevector::StateVector;
 
 /// Default register-size bound for exhaustive classical checking.
@@ -53,6 +48,29 @@ const MAX_SAMPLED_STATEVECTOR_STATES: usize = 1 << 20;
 const MAX_STATEVECTOR_SAMPLES: usize = 8;
 /// Fixed seed so verification failures are reproducible.
 const SAMPLE_SEED: u64 = 0x5EED_CAFE;
+
+/// The simulation engine setting of [`VerifyEquivalence::with_backend`].
+///
+/// Verification picks its strategy from the circuits it is given, so the
+/// single value, `Auto`, changes nothing; the type remains for callers
+/// that still pass it.
+///
+/// # Example
+///
+/// ```
+/// use qudit_core::pipeline::{LowerToGGates, Pass};
+/// use qudit_sim::{SimBackend, VerifyEquivalence};
+///
+/// let pass = VerifyEquivalence::wrap(Box::new(LowerToGGates)).with_backend(SimBackend::Auto);
+/// assert_eq!(pass.name(), "verify(lower-to-g-gates)");
+/// assert_eq!(SimBackend::default(), SimBackend::Auto);
+/// ```
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum SimBackend {
+    /// The strategy follows from the circuits (the only value).
+    #[default]
+    Auto,
+}
 
 /// A [`Pass`] decorator that checks the wrapped pass preserved the circuit's
 /// semantics.
@@ -87,19 +105,16 @@ pub struct VerifyEquivalence {
     inner: Box<dyn Pass>,
     max_exhaustive_states: usize,
     samples: usize,
-    backend: SimBackend,
 }
 
 impl VerifyEquivalence {
-    /// Wraps a pass with the default verification limits and the
-    /// [`SimBackend::Auto`] simulation backend.
+    /// Wraps a pass with the default verification limits.
     pub fn wrap(inner: Box<dyn Pass>) -> Self {
         VerifyEquivalence {
             name: format!("verify({})", inner.name()),
             inner,
             max_exhaustive_states: DEFAULT_MAX_EXHAUSTIVE_STATES,
             samples: DEFAULT_SAMPLES,
-            backend: SimBackend::Auto,
         }
     }
 
@@ -113,19 +128,10 @@ impl VerifyEquivalence {
         self
     }
 
-    /// Selects the simulation backend the state-vector comparisons run on.
-    ///
-    /// The default, [`SimBackend::Auto`], scans each circuit for a classical
-    /// prefix and simulates that prefix sparsely; `Dense` restores the
-    /// pre-sparse behaviour and `Sparse` forces the hybrid engine.  Under
-    /// `Auto` and [`SimBackend::Stabilizer`], a pair of all-Clifford
-    /// circuits over a prime dimension is compared exactly via their
-    /// stabilizer tableaus instead — at any register width.  Every path is
-    /// exact (up to global phase), so the verdicts never depend on this
-    /// knob — only the wall time and the reachable widths do.
+    /// Accepts a [`SimBackend`]; its one value changes nothing, because the
+    /// strategy follows from the circuits.
     #[must_use]
-    pub fn with_backend(mut self, backend: SimBackend) -> Self {
-        self.backend = backend;
+    pub fn with_backend(self, _backend: SimBackend) -> Self {
         self
     }
 
@@ -133,14 +139,7 @@ impl VerifyEquivalence {
     /// decorator, turning the pipeline into a self-checking one.
     #[must_use]
     pub fn wrap_manager(manager: PassManager) -> PassManager {
-        Self::wrap_manager_with_backend(manager, SimBackend::Auto)
-    }
-
-    /// [`VerifyEquivalence::wrap_manager`] with an explicit simulation
-    /// backend for every wrapper.
-    #[must_use]
-    pub fn wrap_manager_with_backend(manager: PassManager, backend: SimBackend) -> PassManager {
-        manager.map_passes(|inner| Box::new(VerifyEquivalence::wrap(inner).with_backend(backend)))
+        manager.map_passes(|inner| Box::new(VerifyEquivalence::wrap(inner)))
     }
 
     fn fail(&self, reason: String) -> QuditError {
@@ -194,10 +193,8 @@ impl VerifyEquivalence {
         // global phase) in `O(gates · width²)` — independent of `d^width`,
         // so this is the branch that verifies at widths the dense engine
         // cannot touch.  Classical pairs keep the permutation sweep below
-        // (it is cheaper and never pays for classification); the Dense and
-        // Sparse backends keep their historical paths.
-        if matches!(self.backend, SimBackend::Auto | SimBackend::Stabilizer)
-            && dimension.is_prime()
+        // (it is cheaper and never pays for classification).
+        if dimension.is_prime()
             && !(before.is_classical() && after.is_classical())
             && crate::stabilizer::is_clifford_circuit(before)
             && crate::stabilizer::is_clifford_circuit(after)
@@ -226,10 +223,8 @@ impl VerifyEquivalence {
                 )));
             }
         } else if size <= MAX_UNITARY_STATES {
-            // Column states are basis states, so the backend's sparse
-            // fast-path covers each circuit's classical prefix.
-            let before_unitary = circuit_unitary_with(before, self.backend)?;
-            let after_unitary = circuit_unitary_with(after, self.backend)?;
+            let before_unitary = circuit_unitary(before)?;
+            let after_unitary = circuit_unitary(after)?;
             if !before_unitary.approx_eq_up_to_phase(&after_unitary, MATRIX_TOLERANCE.max(1e-7)) {
                 return Err(self.fail(
                     "output unitary differs from the input unitary (up to phase)".to_string(),
@@ -241,40 +236,28 @@ impl VerifyEquivalence {
             // a relative (per-basis-state) phase change — invisible to
             // basis-state inputs — destroys the fidelity with probability 1;
             // only a consistent global phase survives, matching the
-            // small-register comparison above.
+            // small-register comparison above.  Each circuit is compiled
+            // once; the fused engine fans over the run's pinned pool on
+            // registers large enough to pay (never nested inside a batch
+            // worker; the result is byte-identical for every pool width).
+            let width = before.width();
+            let before_program = FusedProgram::compile(before, width)?;
+            let after_program = FusedProgram::compile(after, width)?;
+            let sim_pool = pinned_pool.as_ref();
             let mut rng = StdRng::seed_from_u64(SAMPLE_SEED);
             let samples = self.samples.clamp(1, MAX_STATEVECTOR_SAMPLES);
             for sample in 0..samples {
-                let amplitudes: Vec<qudit_core::math::Complex> = (0..size)
-                    .map(|_| {
-                        qudit_core::math::Complex::new(
-                            rng.gen_range(-1.0..1.0),
-                            rng.gen_range(-1.0..1.0),
-                        )
-                    })
+                let amplitudes: Vec<Complex> = (0..size)
+                    .map(|_| Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
                     .collect();
                 let norm = amplitudes.iter().map(|a| a.norm_sqr()).sum::<f64>().sqrt();
-                let amplitudes: Vec<qudit_core::math::Complex> =
+                let amplitudes: Vec<Complex> =
                     amplitudes.iter().map(|a| a.scale(1.0 / norm)).collect();
-                // Routed through the hybrid engine for uniformity; a dense
-                // random input resolves to the dense representation, where
-                // the fused panel engine runs — fanned over the run's
-                // pinned pool on registers large enough to pay (never
-                // nested inside a batch worker; the fused result is
-                // byte-identical for every pool width).
-                let sim_pool = pinned_pool.as_ref();
-                let mut state_before = SimState::from_statevector(
-                    StateVector::from_amplitudes(dimension, before.width(), amplitudes.clone())?,
-                    self.backend,
-                );
-                state_before.apply_circuit_on(before, sim_pool)?;
-                let mut state_after = SimState::from_statevector(
-                    StateVector::from_amplitudes(dimension, before.width(), amplitudes)?,
-                    self.backend,
-                );
-                state_after.apply_circuit_on(after, sim_pool)?;
-                let state_before = state_before.into_statevector();
-                let state_after = state_after.into_statevector();
+                let mut state_before =
+                    StateVector::from_amplitudes(dimension, width, amplitudes.clone())?;
+                state_before.apply_fused_on(&before_program, sim_pool)?;
+                let mut state_after = StateVector::from_amplitudes(dimension, width, amplitudes)?;
+                state_after.apply_fused_on(&after_program, sim_pool)?;
                 if (state_before.fidelity(&state_after) - 1.0).abs() > 1e-9 {
                     return Err(self.fail(format!(
                         "output circuit is not equivalent to its input \
@@ -515,71 +498,47 @@ mod tests {
             }
         }
 
-        for backend in [SimBackend::Auto, SimBackend::Stabilizer] {
-            let identity = pass_fn("identity", Ok);
-            let manager = PassManager::new()
-                .with_pass(VerifyEquivalence::wrap(Box::new(identity)).with_backend(backend));
-            assert!(manager.run(circuit.clone()).is_ok(), "backend {backend}");
+        let identity = pass_fn("identity", Ok);
+        let manager = PassManager::new().with_pass(VerifyEquivalence::wrap(Box::new(identity)));
+        assert!(manager.run(circuit.clone()).is_ok());
 
-            // Dropping one gate flips the verdict (the "pass" output is
-            // still all-Clifford, so the tableau branch is the one that
-            // catches it).
-            let drop_last = pass_fn("drop-last", |c: Circuit| {
-                let mut out = Circuit::new(c.dimension(), c.width());
-                for gate in c.gates().iter().take(c.len() - 1) {
-                    out.push(gate.clone())?;
-                }
-                Ok(out)
-            });
-            let manager = PassManager::new()
-                .with_pass(VerifyEquivalence::wrap(Box::new(drop_last)).with_backend(backend));
-            match manager.run(circuit.clone()) {
-                Err(QuditError::PassFailed { pass, reason }) => {
-                    assert_eq!(pass, "drop-last");
-                    assert!(reason.contains("stabilizer"), "{reason}");
-                }
-                other => panic!("expected PassFailed, got {other:?}"),
+        // Dropping one gate flips the verdict (the "pass" output is still
+        // all-Clifford, so the tableau branch is the one that catches it).
+        let drop_last = pass_fn("drop-last", |c: Circuit| {
+            let mut out = Circuit::new(c.dimension(), c.width());
+            for gate in c.gates().iter().take(c.len() - 1) {
+                out.push(gate.clone())?;
             }
+            Ok(out)
+        });
+        let manager = PassManager::new().with_pass(VerifyEquivalence::wrap(Box::new(drop_last)));
+        match manager.run(circuit) {
+            Err(QuditError::PassFailed { pass, reason }) => {
+                assert_eq!(pass, "drop-last");
+                assert!(reason.contains("stabilizer"), "{reason}");
+            }
+            other => panic!("expected PassFailed, got {other:?}"),
         }
     }
 
     #[test]
     fn verdicts_are_backend_independent() {
-        // The same faithful and unfaithful passes must pass/fail identically
-        // under Dense, Sparse and Auto.
-        for backend in [SimBackend::Dense, SimBackend::Sparse, SimBackend::Auto] {
-            let ok = PassManager::new()
-                .with_pass(VerifyEquivalence::wrap(Box::new(LowerToGGates)).with_backend(backend));
-            assert!(ok.run(sample_circuit()).is_ok(), "backend {backend}");
-
-            let drop_all = pass_fn("drop-all", |c: Circuit| {
-                Ok(Circuit::new(c.dimension(), c.width()))
-            });
-            let bad = PassManager::new()
-                .with_pass(VerifyEquivalence::wrap(Box::new(drop_all)).with_backend(backend));
-            assert!(
-                matches!(
-                    bad.run(sample_circuit()),
-                    Err(QuditError::PassFailed { .. })
-                ),
-                "backend {backend}"
-            );
-        }
-    }
-
-    #[test]
-    fn wrap_manager_with_backend_wraps_every_pass() {
-        let manager = VerifyEquivalence::wrap_manager_with_backend(
-            PassManager::new()
-                .with_pass(LowerToGGates)
-                .with_pass(CancelInversePairs),
-            SimBackend::Sparse,
+        // `with_backend` takes the one inert value: the faithful and the
+        // unfaithful pass pass/fail exactly as without it.
+        let ok = PassManager::new().with_pass(
+            VerifyEquivalence::wrap(Box::new(LowerToGGates)).with_backend(SimBackend::Auto),
         );
-        assert_eq!(
-            manager.pass_names(),
-            vec!["verify(lower-to-g-gates)", "verify(cancel-inverse-pairs)"]
-        );
-        assert!(manager.run(sample_circuit()).is_ok());
+        assert!(ok.run(sample_circuit()).is_ok());
+
+        let drop_all = pass_fn("drop-all", |c: Circuit| {
+            Ok(Circuit::new(c.dimension(), c.width()))
+        });
+        let bad = PassManager::new()
+            .with_pass(VerifyEquivalence::wrap(Box::new(drop_all)).with_backend(SimBackend::Auto));
+        assert!(matches!(
+            bad.run(sample_circuit()),
+            Err(QuditError::PassFailed { .. })
+        ));
     }
 
     #[test]

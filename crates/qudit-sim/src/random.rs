@@ -258,7 +258,7 @@ pub fn random_classical_dialect_circuit<R: Rng>(
 /// of two or more qudits — the `SUM` gate ([`Gate::add_from`]) between two
 /// distinct random qudits.  The result always satisfies
 /// [`is_clifford_circuit`](crate::stabilizer::is_clifford_circuit()), so it
-/// simulates on [`SimBackend::Stabilizer`](crate::SimBackend::Stabilizer) at
+/// simulates on the [`StabilizerState`](crate::StabilizerState) tableau at
 /// any width.
 ///
 /// # Panics

@@ -30,15 +30,15 @@
 //!   tableau construction fans row chunks over the
 //!   [`WorkStealingPool`] with bit-identical (exact integer) results for
 //!   every thread count.
-//! * **[`StabilizerState`]** — the state tableau (`n` generator rows) used
-//!   by the hybrid simulation engine: basis-state initialisation, gate
+//! * **[`StabilizerState`]** — the state tableau (`n` generator rows) for
+//!   wide Clifford state queries: basis-state initialisation, gate
 //!   application by conjugation, basis-state probabilities in `O(n³)` via
 //!   symplectic Gaussian elimination mod `d`, and (small widths only)
 //!   densification up to an arbitrary global phase.
 //!
-//! The backend is wired into [`SimBackend::Stabilizer`](crate::SimBackend)
-//! and the `Auto` promotion rule in [`crate::sparse`], and into the
-//! `VerifyEquivalence` pass in [`crate::pipeline`].
+//! The tableau comparison backs the `VerifyEquivalence` pass in
+//! [`crate::pipeline`] and
+//! [`circuits_equal_up_to_phase`](crate::equivalence::circuits_equal_up_to_phase).
 
 use qudit_core::math::{Complex, SquareMatrix};
 use qudit_core::pool::WorkStealingPool;
@@ -433,9 +433,8 @@ pub fn classify_gate(gate: &Gate, dimension: Dimension) -> Result<CliffordAction
     });
     let mut mini = Circuit::new(dimension, m);
     mini.push(local)?;
-    // Forced-dense unitary extraction: the `Auto`-resolving entry point
-    // would call back into this classifier and recurse.
-    let unitary = crate::sparse::circuit_unitary_with(&mini, crate::sparse::SimBackend::Dense)?;
+    // `circuit_unitary` never classifies gates, so this cannot recurse.
+    let unitary = crate::dense::circuit_unitary(&mini)?;
     let adjoint = unitary.adjoint();
 
     let mut x_images = Vec::with_capacity(m);
@@ -1245,7 +1244,7 @@ mod tests {
             assert!((state.probability(&[level]) - 0.2).abs() < 1e-12);
         }
         // Densified, the state matches the dense engine up to global phase.
-        let dense = crate::simulate_basis(&circuit, &[0], crate::SimBackend::Dense).unwrap();
+        let dense = crate::simulate_basis(&circuit, &[0]).unwrap();
         let tableau_vec = state.to_statevector().unwrap();
         assert!((tableau_vec.fidelity(&dense) - 1.0).abs() < 1e-9);
     }
@@ -1270,7 +1269,7 @@ mod tests {
             .unwrap();
         let mut state = StabilizerState::from_basis(d, &[0, 0]).unwrap();
         state.apply_circuit(&circuit).unwrap();
-        let dense = crate::simulate_basis(&circuit, &[0, 0], crate::SimBackend::Dense).unwrap();
+        let dense = crate::simulate_basis(&circuit, &[0, 0]).unwrap();
         for input in crate::basis::all_basis_states(d, 2) {
             assert!(
                 (state.probability(&input) - dense.probability(&input)).abs() < 1e-9,
@@ -1335,7 +1334,7 @@ mod tests {
         state.apply_circuit(&circuit).unwrap();
         assert_eq!(state.dominant_basis_state(), vec![1, 1]);
         assert!((state.probability(&[1, 1]) - 1.0).abs() < 1e-12);
-        let dense = crate::simulate_basis(&circuit, &[0, 0], crate::SimBackend::Dense).unwrap();
+        let dense = crate::simulate_basis(&circuit, &[0, 0]).unwrap();
         assert!((state.to_statevector().unwrap().fidelity(&dense) - 1.0).abs() < 1e-9);
     }
 

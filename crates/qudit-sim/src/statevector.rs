@@ -312,26 +312,10 @@ impl StateVector {
     }
 }
 
-/// Computes the full unitary matrix implemented by a circuit.
-///
-/// The matrix has size `d^width`; only use this for small registers.
-///
-/// Delegates to [`circuit_unitary_with`](crate::sparse::circuit_unitary_with)
-/// on the [`Auto`](crate::SimBackend::Auto) backend: circuits with a
-/// classical prefix are simulated sparsely over that prefix (every column
-/// input is a basis state, so the prefix costs `O(1)` per gate instead of
-/// `O(d^width)`), with an `==`-equal result.
-///
-/// # Errors
-///
-/// Returns an error when a gate of the circuit is invalid.
-pub fn circuit_unitary(circuit: &Circuit) -> Result<SquareMatrix> {
-    crate::sparse::circuit_unitary_with(circuit, crate::sparse::SimBackend::Auto)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dense::circuit_unitary;
     use qudit_core::math::MATRIX_TOLERANCE;
     use qudit_core::{Control, QuditId};
 

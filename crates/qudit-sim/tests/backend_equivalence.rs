@@ -1,15 +1,18 @@
-//! Property-based equivalence of the simulation backends: random circuits —
-//! fully classical, mixed (classical prefix plus unitaries), and fully
-//! non-classical — must produce *identical* final states under the dense,
-//! sparse and auto backends, and the `VerifyEquivalence` pass must return
-//! the same verdict whichever backend it simulates on.
+//! Differential suite for the amplitude path against the reference, the
+//! scalar `StateVector::apply_circuit` walk: random circuits — fully
+//! classical, mixed (classical prefix plus unitaries), and fully
+//! non-classical — must give *identical* (`==`) final states through
+//! `simulate_basis` and identical columns through `circuit_unitary`, and the
+//! `VerifyEquivalence` pass must return the verdict the reference unitaries
+//! imply.  Directed cases pin the input validation of `simulate_basis`.
 
 use proptest::prelude::*;
+use qudit_core::math::{SquareMatrix, MATRIX_TOLERANCE};
 use qudit_core::pipeline::{pass_fn, PassManager};
-use qudit_core::{Circuit, Control, Dimension, Gate, QuditId, SingleQuditOp};
+use qudit_core::{Circuit, Control, Dimension, Gate, QuditError, QuditId, SingleQuditOp};
 use qudit_sim::pipeline::VerifyEquivalence;
 use qudit_sim::random::random_single_qudit_unitary;
-use qudit_sim::{basis, classical_prefix_len, simulate_basis, SimBackend};
+use qudit_sim::{basis, circuit_unitary, simulate_basis, StateVector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -40,7 +43,7 @@ fn build_circuit(dimension: Dimension, width: usize, family: Family, seeds: &[u6
         let non_classical = match family {
             Family::Classical => false,
             // Keep the first third classical so the circuit has a real
-            // classical prefix for the hybrid engine to exploit.
+            // classical prefix for the digit walk.
             Family::Mixed => seed % 3 == 0 && slot >= seeds.len() / 3,
             Family::Quantum => seed % 4 != 3,
         };
@@ -91,11 +94,36 @@ fn any_family() -> impl Strategy<Value = Family> {
     })
 }
 
+/// The reference walk from a basis input.
+fn reference_state(circuit: &Circuit, input: &[u32]) -> StateVector {
+    let mut state = StateVector::from_basis(circuit.dimension(), input).unwrap();
+    state.apply_circuit(circuit).unwrap();
+    state
+}
+
+/// The reference unitary, one reference walk per column.
+fn reference_unitary(circuit: &Circuit) -> SquareMatrix {
+    let (dimension, width) = (circuit.dimension(), circuit.width());
+    let size = dimension.register_size(width);
+    let mut matrix = SquareMatrix::zeros(size);
+    for column in 0..size {
+        let input = basis::index_to_digits(column, dimension, width);
+        for (row, amp) in reference_state(circuit, &input)
+            .amplitudes()
+            .iter()
+            .enumerate()
+        {
+            matrix[(row, column)] = *amp;
+        }
+    }
+    matrix
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// All three backends produce bit-identical final states on every basis
-    /// input, for every circuit family.
+    /// `simulate_basis` and `circuit_unitary` are `==` to the reference walk
+    /// on every basis input, for every circuit family.
     #[test]
     fn backends_agree_on_final_states(
         d in 3u32..=5,
@@ -108,25 +136,28 @@ proptest! {
         let circuit = build_circuit(dimension, width, family, &seeds);
         if family == Family::Classical {
             prop_assert!(circuit.is_classical());
-            prop_assert_eq!(classical_prefix_len(&circuit), circuit.len());
         }
         let size = dimension.register_size(width);
+        let unitary = circuit_unitary(&circuit).unwrap();
         for pick in input_picks {
-            let input = basis::index_to_digits(pick % size, dimension, width);
-            let dense = simulate_basis(&circuit, &input, SimBackend::Dense).unwrap();
-            let sparse = simulate_basis(&circuit, &input, SimBackend::Sparse).unwrap();
-            let auto = simulate_basis(&circuit, &input, SimBackend::Auto).unwrap();
-            prop_assert_eq!(&dense, &sparse, "sparse differs on {:?}", &input);
-            prop_assert_eq!(&dense, &auto, "auto differs on {:?}", &input);
-            // Sanity: the state stays normalised either way.
-            prop_assert!((dense.norm_sqr() - 1.0).abs() < 1e-6);
+            let column = pick % size;
+            let input = basis::index_to_digits(column, dimension, width);
+            let reference = reference_state(&circuit, &input);
+            let state = simulate_basis(&circuit, &input).unwrap();
+            prop_assert_eq!(&state, &reference, "simulate_basis differs on {:?}", &input);
+            for (row, amp) in reference.amplitudes().iter().enumerate() {
+                prop_assert_eq!(unitary[(row, column)], *amp, "unitary column {}", column);
+            }
+            // Sanity: the state stays normalised.
+            prop_assert!((state.norm_sqr() - 1.0).abs() < 1e-6);
         }
     }
 
-    /// `VerifyEquivalence` returns the same verdict on every backend: a
-    /// faithful (identity) pass passes everywhere, and an unfaithful pass
-    /// (dropping the last gate) produces the same accept/reject decision on
-    /// dense, sparse and auto.
+    /// `VerifyEquivalence`, whichever strategy the circuits select
+    /// (basis batch, tableau or dense), returns the verdict the reference
+    /// unitaries imply: a faithful (identity) pass passes, and dropping the
+    /// last gate passes exactly when the reference unitaries agree up to
+    /// phase.
     #[test]
     fn verify_equivalence_verdicts_match_across_backends(
         d in 3u32..=4,
@@ -137,33 +168,101 @@ proptest! {
         let dimension = Dimension::new(d).unwrap();
         let circuit = build_circuit(dimension, width, family, &seeds);
 
-        let mut faithful = Vec::new();
-        let mut unfaithful = Vec::new();
-        for backend in [SimBackend::Dense, SimBackend::Sparse, SimBackend::Auto] {
-            let identity = pass_fn("identity", Ok);
-            let manager = PassManager::new()
-                .with_pass(VerifyEquivalence::wrap(Box::new(identity)).with_backend(backend));
-            faithful.push(manager.run(circuit.clone()).is_ok());
+        let identity = pass_fn("identity", Ok);
+        let manager = PassManager::new().with_pass(VerifyEquivalence::wrap(Box::new(identity)));
+        prop_assert!(manager.run(circuit.clone()).is_ok());
 
-            let drop_last = pass_fn("drop-last", |c: Circuit| {
-                let mut out = Circuit::new(c.dimension(), c.width());
-                for gate in c.gates().iter().take(c.len().saturating_sub(1)) {
-                    out.push(gate.clone())?;
-                }
-                Ok(out)
-            });
-            let manager = PassManager::new()
-                .with_pass(VerifyEquivalence::wrap(Box::new(drop_last)).with_backend(backend));
-            unfaithful.push(manager.run(circuit.clone()).is_ok());
-        }
-        // The identity pass must verify on every backend.
-        prop_assert_eq!(faithful, vec![true, true, true]);
-        // Whatever the drop-last verdict is, it must not depend on the
-        // backend.
-        prop_assert!(
-            unfaithful.iter().all(|&ok| ok == unfaithful[0]),
-            "verdicts diverged: {:?}",
-            unfaithful
+        let drop_last = |c: &Circuit| {
+            let mut out = Circuit::new(c.dimension(), c.width());
+            for gate in c.gates().iter().take(c.len().saturating_sub(1)) {
+                out.push(gate.clone())?;
+            }
+            Ok(out)
+        };
+        let expected = reference_unitary(&circuit).approx_eq_up_to_phase(
+            &reference_unitary(&drop_last(&circuit).unwrap()),
+            MATRIX_TOLERANCE.max(1e-7),
+        );
+        let manager = PassManager::new().with_pass(VerifyEquivalence::wrap(Box::new(pass_fn(
+            "drop-last",
+            move |c: Circuit| drop_last(&c),
+        ))));
+        prop_assert_eq!(manager.run(circuit.clone()).is_ok(), expected);
+    }
+}
+
+/// A small mixed circuit: a controlled classical gate, a unitary, a shift.
+fn mixed_circuit(dimension: Dimension, width: usize) -> Circuit {
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut circuit = Circuit::new(dimension, width);
+    circuit
+        .push(Gate::controlled(
+            SingleQuditOp::Add(1),
+            QuditId::new(1),
+            vec![Control::level(QuditId::new(0), 1)],
+        ))
+        .unwrap();
+    circuit
+        .push(Gate::single(
+            SingleQuditOp::Unitary(random_single_qudit_unitary(dimension, &mut rng)),
+            QuditId::new(0),
+        ))
+        .unwrap();
+    circuit
+        .push(Gate::single(SingleQuditOp::Add(2), QuditId::new(1)))
+        .unwrap();
+    circuit
+}
+
+#[test]
+fn out_of_range_digits_are_rejected_like_from_basis() {
+    let dimension = Dimension::new(3).unwrap();
+    let circuit = mixed_circuit(dimension, 2);
+    for input in [[3u32, 0], [0, 7]] {
+        let expected = StateVector::from_basis(dimension, &input).unwrap_err();
+        assert!(matches!(expected, QuditError::LevelOutOfRange { .. }));
+        assert_eq!(simulate_basis(&circuit, &input).unwrap_err(), expected);
+    }
+    // A digit on an idle extra qudit is validated too.
+    assert!(matches!(
+        simulate_basis(&circuit, &[1, 0, 3]),
+        Err(QuditError::LevelOutOfRange { .. })
+    ));
+}
+
+#[test]
+fn wider_inputs_and_empty_registers_are_accepted() {
+    let dimension = Dimension::new(3).unwrap();
+    let circuit = mixed_circuit(dimension, 2);
+    // The extra qudit is idle: the result is the reference walk on the
+    // wider register.
+    for input in [[1u32, 0, 2], [0, 2, 1]] {
+        assert_eq!(
+            simulate_basis(&circuit, &input).unwrap(),
+            reference_state(&circuit, &input)
         );
     }
+    // Width 0: one amplitude, equal to one.
+    let empty = Circuit::new(dimension, 0);
+    let state = simulate_basis(&empty, &[]).unwrap();
+    assert_eq!(state, StateVector::from_basis(dimension, &[]).unwrap());
+    assert_eq!(state.amplitudes().len(), 1);
+    assert_eq!(circuit_unitary(&empty).unwrap().size(), 1);
+}
+
+#[test]
+fn register_mismatches_are_rejected() {
+    let d3 = Dimension::new(3).unwrap();
+    let circuit = mixed_circuit(Dimension::new(4).unwrap(), 2);
+    // An input narrower than the circuit.
+    assert!(matches!(
+        simulate_basis(&circuit, &[0]),
+        Err(QuditError::IncompatibleCircuits { .. })
+    ));
+    // The reference refuses a circuit over another dimension.
+    let mut state = StateVector::from_basis(d3, &[0, 0]).unwrap();
+    assert!(matches!(
+        state.apply_circuit(&circuit),
+        Err(QuditError::IncompatibleCircuits { .. })
+    ));
 }

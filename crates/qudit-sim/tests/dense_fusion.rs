@@ -3,19 +3,18 @@
 //! * property-based: applying a [`FusedProgram`] — sequentially or fanned
 //!   over a pinned pool — produces the same amplitudes as the scalar
 //!   gate-by-gate reference walk (`==`-equal, and bit-identical up to IEEE
-//!   zero signs), and the `Dense`/`Sparse`/`Auto` backends agree with the
-//!   reference on the same circuits under 1- and 4-worker pools;
+//!   zero signs), and `simulate_basis` agrees with the reference on the same
+//!   circuits;
 //! * directed: a fusion run straddling a non-commuting gate splits instead
-//!   of reordering across it, and a superposed-input `AddFrom` chain stays
-//!   on the sparse `O(nnz)` path under block-level nnz tracking while
-//!   matching the dense amplitudes exactly.
+//!   of reordering across it, and a superposed-input `AddFrom` chain keeps
+//!   three live amplitudes and matches the reference exactly.
 
 use proptest::prelude::*;
 use qudit_core::math::Complex;
 use qudit_core::pool::WorkStealingPool;
 use qudit_core::{Circuit, Control, Dimension, Gate, QuditId, SingleQuditOp};
 use qudit_sim::random::random_single_qudit_unitary;
-use qudit_sim::{FusedProgram, SimBackend, SimState, StateVector};
+use qudit_sim::{simulate_basis, FusedProgram, StateVector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -114,9 +113,9 @@ proptest! {
         }
     }
 
-    /// The `Dense`, `Sparse` and `Auto` backends (which route through the
-    /// fused engine on their dense legs) agree with the reference walk under
-    /// 1- and 4-worker pools.
+    /// `simulate_basis` (leading classical gates on the digits, the rest
+    /// fused) and the whole circuit fused from the basis input under 1- and
+    /// 4-worker pools agree with the reference walk.
     #[test]
     fn backends_match_reference_across_pools(
         d in 3u32..=4,
@@ -132,17 +131,18 @@ proptest! {
         let mut reference = StateVector::from_basis(dimension, &input).unwrap();
         reference.apply_circuit(&circuit).unwrap();
 
-        for backend in [SimBackend::Dense, SimBackend::Sparse, SimBackend::Auto] {
-            for threads in [1, 4] {
-                let pool = WorkStealingPool::with_threads(threads);
-                let mut state = SimState::from_basis(dimension, &input, backend).unwrap();
-                state.apply_circuit_on(&circuit, Some(&pool)).unwrap();
-                let fused = state.into_statevector();
-                prop_assert_eq!(
-                    reference.amplitudes(), fused.amplitudes(),
-                    "backend {} × {} threads diverged", backend, threads
-                );
-            }
+        let simulated = simulate_basis(&circuit, &input).unwrap();
+        prop_assert_eq!(reference.amplitudes(), simulated.amplitudes());
+
+        let program = FusedProgram::compile(&circuit, width).unwrap();
+        for threads in [1, 4] {
+            let pool = WorkStealingPool::with_threads(threads);
+            let mut fused = StateVector::from_basis(dimension, &input).unwrap();
+            fused.apply_fused_on(&program, Some(&pool)).unwrap();
+            prop_assert_eq!(
+                reference.amplitudes(), fused.amplitudes(),
+                "{} threads diverged", threads
+            );
         }
     }
 }
@@ -227,10 +227,9 @@ fn fusion_run_splits_at_a_non_commuting_gate() {
     }
 }
 
-/// An `AddFrom` chain on a *superposed* input stays on the sparse fast path:
-/// block-level nnz tracking sees that the mix touched one target block, so
-/// the classical suffix never densifies — and the final amplitudes equal the
-/// dense engine's.
+/// An `AddFrom` chain on a *superposed* input stays sparse: after one mix,
+/// every shift-by-source relocates the three live amplitudes without
+/// mixing them, and the fused result equals the reference walk exactly.
 #[test]
 fn superposed_addfrom_chain_stays_sparse() {
     let dimension = Dimension::new(3).unwrap();
@@ -239,12 +238,12 @@ fn superposed_addfrom_chain_stays_sparse() {
     let unitary = SingleQuditOp::Unitary(random_single_qudit_unitary(dimension, &mut rng));
 
     let mut circuit = Circuit::new(dimension, width);
-    // One mix on qudit 0 superposes the input (nnz: 1 → 3)…
+    // One mix on qudit 0 superposes the input over three levels…
     circuit
         .push(Gate::single(unitary, QuditId::new(0)))
         .unwrap();
     // …then a long classical AddFrom chain walks the superposition around
-    // the register without ever growing nnz.
+    // the register.
     for round in 0..4 {
         for wire in 0..width - 1 {
             circuit
@@ -259,16 +258,15 @@ fn superposed_addfrom_chain_stays_sparse() {
     }
 
     let input = vec![0u32; width];
-    let mut state = SimState::from_basis(dimension, &input, SimBackend::Sparse).unwrap();
-    state.apply_circuit(&circuit).unwrap();
-    assert!(
-        state.is_sparse(),
-        "block-nnz tracking must keep the AddFrom chain sparse"
-    );
-    assert_eq!(state.nnz(), 3, "AddFrom relocates, never grows, nnz");
+    let state = simulate_basis(&circuit, &input).unwrap();
+    let live = state
+        .amplitudes()
+        .iter()
+        .filter(|amp| **amp != Complex::ZERO)
+        .count();
+    assert_eq!(live, 3, "AddFrom relocates amplitudes, it never mixes them");
 
     let mut reference = StateVector::from_basis(dimension, &input).unwrap();
     reference.apply_circuit(&circuit).unwrap();
-    let sparse = state.into_statevector();
-    assert_eq!(reference.amplitudes(), sparse.amplitudes());
+    assert_eq!(reference.amplitudes(), state.amplitudes());
 }

@@ -3,7 +3,7 @@
 //! One composable configuration surface for the paper's flow:
 //!
 //! * [`CompileOptions`] — a builder with orthogonal typed knobs
-//!   ([`Verify`], [`SimBackend`], scheduling, [`CacheMode`], [`Threads`])
+//!   ([`Verify`], scheduling, [`CacheMode`], [`Threads`], routing)
 //!   plus the [`OptLevel`] shorthand for pass selection;
 //! * [`Compiler`] — the facade owning the worker pool and the assembled
 //!   [`PassManager`], with [`Compiler::compile`] and
@@ -13,8 +13,8 @@
 //!
 //! Internally the options translate to a data-driven
 //! [`PipelineSpec`] resolved against a
-//! [`PassRegistry`] ([`registry`]), so a future knob (routing, cost models,
-//! new schedulers) is one more registered stage.
+//! [`PassRegistry`] ([`registry`]), so a knob that adds a pass (as routing
+//! does) is one more registered stage.
 //!
 //! # Quick start
 //!
@@ -138,13 +138,11 @@ pub enum OptLevel {
 ///
 /// ```
 /// use qudit_core::pipeline::CacheMode;
-/// use qudit_sim::SimBackend;
 /// use qudit_synthesis::{CompileOptions, OptLevel, Threads, Verify};
 ///
 /// let options = CompileOptions::new()
 ///     .opt_level(OptLevel::O2)             // cancel + schedule
 ///     .verify(Verify::Sampled(64))         // self-check on 64 samples
-///     .backend(SimBackend::Sparse)         // … on the sparse engine
 ///     .cache(CacheMode::PerRun)            // deterministic cache counters
 ///     .threads(Threads::Fixed(2));
 /// assert_eq!(
@@ -161,7 +159,6 @@ pub enum OptLevel {
 #[derive(Clone)]
 pub struct CompileOptions {
     verify: Verify,
-    backend: SimBackend,
     fusion: bool,
     cancel: bool,
     schedule: bool,
@@ -177,7 +174,6 @@ impl fmt::Debug for CompileOptions {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CompileOptions")
             .field("verify", &self.verify)
-            .field("backend", &self.backend)
             .field("fusion", &self.fusion)
             .field("cancel", &self.cancel)
             .field("schedule", &self.schedule)
@@ -195,7 +191,6 @@ impl Default for CompileOptions {
     fn default() -> Self {
         CompileOptions {
             verify: Verify::Off,
-            backend: SimBackend::Auto,
             fusion: true,
             cancel: true,
             schedule: false,
@@ -223,21 +218,6 @@ impl CompileOptions {
             Verify::Sampled(samples) => Verify::Sampled(samples.max(1)),
             other => other,
         };
-        self
-    }
-
-    /// Selects the simulation backend verification runs on (default
-    /// [`SimBackend::Auto`]; irrelevant while verification is off — the
-    /// verdicts never depend on the backend, only the wall time does).
-    ///
-    /// Under [`SimBackend::Auto`] or [`SimBackend::Stabilizer`], stages
-    /// whose input and output are both all-Clifford circuits over a prime
-    /// dimension are checked by exact stabilizer-tableau comparison, which
-    /// is complete up to global phase at *any* register width; all other
-    /// stages fall back to the state-vector strategies.
-    #[must_use]
-    pub fn backend(mut self, backend: SimBackend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -322,8 +302,8 @@ impl CompileOptions {
     /// before scheduling — the `"route"` stage rewrites it so every
     /// two-qudit gate acts on a coupled pair, appending the
     /// inverse-permutation SWAP epilogue so the stage is
-    /// semantics-preserving (and verifies under every [`Verify`] mode and
-    /// backend).  [`CompileResult`] then reports `swap_count`,
+    /// semantics-preserving (and verifies under every [`Verify`] mode).
+    /// [`CompileResult`] then reports `swap_count`,
     /// `routed_depth` and `weighted_cost`.
     ///
     /// Composes with [`CompileOptions::shape`] only when the pinned width
@@ -349,9 +329,10 @@ impl CompileOptions {
         self.verify
     }
 
-    /// The configured simulation backend.
+    /// The simulation backend: always [`SimBackend::Auto`], since
+    /// verification picks its strategy from the circuits.
     pub fn sim_backend(&self) -> SimBackend {
-        self.backend
+        SimBackend::Auto
     }
 
     /// Whether the gate-fusion stage is enabled.
@@ -452,19 +433,10 @@ impl CompileOptions {
         };
         match self.verify {
             Verify::Off => manager,
-            Verify::Exhaustive => {
-                VerifyEquivalence::wrap_manager_with_backend(manager, self.backend)
-            }
-            Verify::Sampled(samples) => {
-                let backend = self.backend;
-                manager.map_passes(|inner| {
-                    Box::new(
-                        VerifyEquivalence::wrap(inner)
-                            .with_backend(backend)
-                            .with_limits(0, samples),
-                    )
-                })
-            }
+            Verify::Exhaustive => VerifyEquivalence::wrap_manager(manager),
+            Verify::Sampled(samples) => manager.map_passes(|inner| {
+                Box::new(VerifyEquivalence::wrap(inner).with_limits(0, samples))
+            }),
         }
     }
 
@@ -988,24 +960,13 @@ mod tests {
 
     #[test]
     fn verification_accepts_every_backend() {
-        // The verdict must not depend on the engine verification runs on —
-        // including the stabilizer backend, which falls back to state-vector
-        // strategies whenever a stage output is not all-Clifford.
+        // The one backend value is inert: verification picks its strategy
+        // from each stage's circuits and verifies the k-Toffoli.
         let synthesis = KToffoli::new(dim(3), 2).unwrap().synthesize().unwrap();
-        for backend in [
-            SimBackend::Auto,
-            SimBackend::Dense,
-            SimBackend::Sparse,
-            SimBackend::Stabilizer,
-        ] {
-            let compiler = CompileOptions::new()
-                .verify(Verify::Exhaustive)
-                .backend(backend)
-                .compiler();
-            assert_eq!(compiler.options().sim_backend(), backend);
-            let result = compiler.compile(synthesis.circuit()).unwrap();
-            assert!(result.verification.is_verified(), "backend {backend}");
-        }
+        let compiler = CompileOptions::new().verify(Verify::Exhaustive).compiler();
+        assert_eq!(compiler.options().sim_backend(), SimBackend::Auto);
+        let result = compiler.compile(synthesis.circuit()).unwrap();
+        assert!(result.verification.is_verified());
     }
 
     #[test]
@@ -1119,22 +1080,13 @@ mod tests {
     #[test]
     fn routed_compilations_verify_on_every_backend() {
         let synthesis = KToffoli::new(dim(3), 2).unwrap().synthesize().unwrap();
-        let graph = CouplingGraph::ring(3).unwrap();
-        for backend in [
-            SimBackend::Auto,
-            SimBackend::Dense,
-            SimBackend::Sparse,
-            SimBackend::Stabilizer,
-        ] {
-            let compiler = CompileOptions::new()
-                .topology(graph.clone())
-                .verify(Verify::Exhaustive)
-                .backend(backend)
-                .compiler();
-            let result = compiler.compile(synthesis.circuit()).unwrap();
-            assert!(result.verification.is_verified(), "backend {backend}");
-            assert!(result.stats_for("route").is_some());
-        }
+        let compiler = CompileOptions::new()
+            .topology(CouplingGraph::ring(3).unwrap())
+            .verify(Verify::Exhaustive)
+            .compiler();
+        let result = compiler.compile(synthesis.circuit()).unwrap();
+        assert!(result.verification.is_verified());
+        assert!(result.stats_for("route").is_some());
     }
 
     #[test]

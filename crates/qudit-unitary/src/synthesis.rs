@@ -273,8 +273,8 @@ fn embed_block(dimension: Dimension, la: u32, lb: u32, factor: &TwoLevelUnitary)
 mod tests {
     use super::*;
     use qudit_core::math::Complex;
+    use qudit_sim::circuit_unitary;
     use qudit_sim::random::random_unitary;
-    use qudit_sim::statevector::circuit_unitary;
     use qudit_sim::StateVector;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -8,8 +8,8 @@
 //! ```
 
 use qudit_core::Dimension;
+use qudit_sim::circuit_unitary;
 use qudit_sim::random::random_unitary;
-use qudit_sim::statevector::circuit_unitary;
 use qudit_unitary::{two_level_decompose, UnitarySynthesizer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

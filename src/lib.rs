@@ -42,7 +42,7 @@ pub mod prelude {
         Circuit, Control, ControlPredicate, Dimension, Gate, GateOp, QuditId, SingleQuditOp,
     };
     pub use qudit_reversible::ReversibleFunction;
-    pub use qudit_sim::{SimBackend, StateVector};
+    pub use qudit_sim::StateVector;
     pub use qudit_synthesis::{
         CompileOptions, Compiler, ControlledUnitary, KToffoli, MultiControlledGate, OptLevel,
         Threads, Verify,

@@ -5,8 +5,7 @@
 //!   describe;
 //! * property-based round-trip: random mixed multi-controlled circuits
 //!   compile under `Verify::Exhaustive` across
-//!   `SimBackend::{Dense, Sparse, Auto}` and `Threads::{Fixed(1), Fixed(4)}`
-//!   with bit-identical outputs (the CI thread matrix additionally runs the
+//!   `Threads::{Fixed(1), Fixed(4)}` with bit-identical outputs (the CI thread matrix additionally runs the
 //!   whole suite under `QUDIT_THREADS=1` and `=4`).
 
 mod common;
@@ -16,7 +15,6 @@ use proptest::prelude::*;
 use qudit_core::cache::LoweringCache;
 use qudit_core::pipeline::CacheMode;
 use qudit_core::{Circuit, Dimension, Gate};
-use qudit_sim::SimBackend;
 use qudit_synthesis::{CompileOptions, KToffoli, OptLevel, Threads, Verify};
 
 fn dim(d: u32) -> Dimension {
@@ -28,7 +26,6 @@ fn dim(d: u32) -> Dimension {
 #[test]
 fn every_knob_combination_assembles() {
     let verifies = [Verify::Off, Verify::Exhaustive, Verify::Sampled(16)];
-    let backends = [SimBackend::Dense, SimBackend::Sparse, SimBackend::Auto];
     let caches = || {
         [
             CacheMode::Off,
@@ -39,51 +36,48 @@ fn every_knob_combination_assembles() {
     let threads = [Threads::Auto, Threads::Fixed(1), Threads::Fixed(4)];
     let mut combinations = 0usize;
     for verify in verifies {
-        for backend in backends {
-            for fusion in [true, false] {
-                for cancel in [true, false] {
-                    for schedule in [true, false] {
-                        for cache in caches() {
-                            for thread in threads {
-                                let options = CompileOptions::new()
-                                    .verify(verify)
-                                    .backend(backend)
-                                    .fusion(fusion)
-                                    .cancel(cancel)
-                                    .schedule(schedule)
-                                    .cache(cache.clone())
-                                    .threads(thread);
-                                let manager = options.build_manager();
+        for fusion in [true, false] {
+            for cancel in [true, false] {
+                for schedule in [true, false] {
+                    for cache in caches() {
+                        for thread in threads {
+                            let options = CompileOptions::new()
+                                .verify(verify)
+                                .fusion(fusion)
+                                .cancel(cancel)
+                                .schedule(schedule)
+                                .cache(cache.clone())
+                                .threads(thread);
+                            let manager = options.build_manager();
 
-                                // The pass list is exactly what the knobs select.
-                                let mut expected = Vec::new();
-                                if fusion {
-                                    expected.push("gate-fusion");
-                                }
-                                expected.extend(["lower-to-elementary", "lower-to-g-gates"]);
-                                if cancel {
-                                    expected.push("cancel-inverse-pairs");
-                                }
-                                if schedule {
-                                    expected.push("schedule-depth");
-                                }
-                                let expected: Vec<String> = expected
-                                    .iter()
-                                    .map(|stage| match verify {
-                                        Verify::Off => stage.to_string(),
-                                        _ => format!("verify({stage})"),
-                                    })
-                                    .collect();
-                                assert_eq!(manager.pass_names(), expected, "{options:?}");
-                                combinations += 1;
+                            // The pass list is exactly what the knobs select.
+                            let mut expected = Vec::new();
+                            if fusion {
+                                expected.push("gate-fusion");
                             }
+                            expected.extend(["lower-to-elementary", "lower-to-g-gates"]);
+                            if cancel {
+                                expected.push("cancel-inverse-pairs");
+                            }
+                            if schedule {
+                                expected.push("schedule-depth");
+                            }
+                            let expected: Vec<String> = expected
+                                .iter()
+                                .map(|stage| match verify {
+                                    Verify::Off => stage.to_string(),
+                                    _ => format!("verify({stage})"),
+                                })
+                                .collect();
+                            assert_eq!(manager.pass_names(), expected, "{options:?}");
+                            combinations += 1;
                         }
                     }
                 }
             }
         }
     }
-    assert_eq!(combinations, 3 * 3 * 2 * 2 * 2 * 3 * 3);
+    assert_eq!(combinations, 3 * 2 * 2 * 2 * 3 * 3);
 }
 
 /// The pinned pool reaches the verification wrappers: above the parallel
@@ -114,8 +108,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Random mixed circuits compile under `Verify::Exhaustive` on every
-    /// simulation backend and fixed thread count, with bit-identical
-    /// outputs across the whole grid and a verified verdict everywhere.
+    /// fixed thread count, with bit-identical outputs and a verified
+    /// verdict everywhere.
     #[test]
     fn options_round_trip_on_random_mixed_circuits(
         d in 3u32..=4,
@@ -125,29 +119,25 @@ proptest! {
         let dimension = Dimension::new(d).unwrap();
         let circuit = build_mct_circuit(dimension, &specs);
         let mut reference: Option<Circuit> = None;
-        for backend in [SimBackend::Dense, SimBackend::Sparse, SimBackend::Auto] {
-            for threads in [Threads::Fixed(1), Threads::Fixed(4)] {
-                let compiler = CompileOptions::new()
-                    .verify(Verify::Exhaustive)
-                    .backend(backend)
-                    .schedule(schedule)
-                    .cache(CacheMode::PerRun)
-                    .threads(threads)
-                    .compiler();
-                let result = compiler.compile(&circuit).unwrap();
-                prop_assert!(result.verification.is_verified());
-                prop_assert!(result.circuit.gates().iter().all(Gate::is_g_gate));
-                prop_assert_eq!(
-                    result.depth,
-                    qudit_core::depth::circuit_depth(&result.circuit)
-                );
-                match &reference {
-                    Some(expected) => prop_assert_eq!(
-                        &result.circuit, expected,
-                        "backend {} / {:?} diverged", backend, threads
-                    ),
-                    None => reference = Some(result.circuit),
+        for threads in [Threads::Fixed(1), Threads::Fixed(4)] {
+            let compiler = CompileOptions::new()
+                .verify(Verify::Exhaustive)
+                .schedule(schedule)
+                .cache(CacheMode::PerRun)
+                .threads(threads)
+                .compiler();
+            let result = compiler.compile(&circuit).unwrap();
+            prop_assert!(result.verification.is_verified());
+            prop_assert!(result.circuit.gates().iter().all(Gate::is_g_gate));
+            prop_assert_eq!(
+                result.depth,
+                qudit_core::depth::circuit_depth(&result.circuit)
+            );
+            match &reference {
+                Some(expected) => {
+                    prop_assert_eq!(&result.circuit, expected, "{:?} diverged", threads)
                 }
+                None => reference = Some(result.circuit),
             }
         }
     }

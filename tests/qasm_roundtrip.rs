@@ -6,11 +6,10 @@
 //!   controls of every predicate kind) over dimensions {2, 3, 5};
 //! * `compile_source(print(c)) ≡ compile(c)` — gate-for-gate after the
 //!   standard `O1` flow, with identical `VerifyEquivalence` verdicts —
-//!   across `SimBackend::{Dense, Sparse, Auto}` × `Threads::{Fixed(1),
-//!   Fixed(4)}` (the CI matrix additionally runs the whole suite under
-//!   `QUDIT_THREADS=1` and `=4`);
-//! * the same equivalence on all-Clifford workloads through the
-//!   `Stabilizer` backend.
+//!   across `Threads::{Fixed(1), Fixed(4)}` (the CI matrix additionally
+//!   runs the whole suite under `QUDIT_THREADS=1` and `=4`);
+//! * the same equivalence on all-Clifford workloads, which verification
+//!   checks on the stabilizer tableau.
 
 use proptest::prelude::*;
 use qudit_core::pipeline::{pass_fn, PassManager};
@@ -20,7 +19,7 @@ use qudit_core::{Circuit, Dimension};
 use qudit_sim::random::{
     random_classical_dialect_circuit, random_clifford_circuit, random_dialect_circuit,
 };
-use qudit_sim::{SimBackend, VerifyEquivalence};
+use qudit_sim::VerifyEquivalence;
 use qudit_synthesis::{CompileOptions, OptLevel, Threads, Verify};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -71,7 +70,7 @@ proptest! {
     /// the whole `O1` pass stack — same compiled gates, depth and verified
     /// verdict when compilation succeeds, the *same typed error* when it
     /// does not (some random circuits legitimately need ancilla wires the
-    /// register lacks) — on every backend and fixed pool width.
+    /// register lacks) — on every fixed pool width.
     #[test]
     fn compile_source_matches_native_compile(
         seed in any::<u64>(),
@@ -81,51 +80,43 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let circuit = random_classical_dialect_circuit(dim(d), 4, gates, &mut rng);
         let printed = print_circuit(&circuit);
-        for backend in [SimBackend::Dense, SimBackend::Sparse, SimBackend::Auto] {
-            for threads in [Threads::Fixed(1), Threads::Fixed(4)] {
-                let compiler = CompileOptions::new()
-                    .opt_level(OptLevel::O1)
-                    .verify(Verify::Exhaustive)
-                    .backend(backend)
-                    .threads(threads)
-                    .compiler();
-                let native = compiler.compile(&circuit);
-                let text = compiler.compile_source(&printed);
-                match (native, text) {
-                    (Ok(native), Ok(text)) => {
-                        prop_assert_eq!(
-                            &text.circuit, &native.circuit,
-                            "backend {} / {:?} diverged", backend, threads
-                        );
-                        prop_assert_eq!(text.depth, native.depth);
-                        prop_assert_eq!(text.verification, native.verification);
-                        prop_assert!(text.verification.is_verified());
-                        // The exporter closes the loop: compiled output
-                        // reparses to the compiled circuit.
-                        prop_assert_eq!(
-                            parse_source(&text.to_qasm()).unwrap(),
-                            text.circuit
-                        );
-                    }
-                    (Err(native), Err(text)) => prop_assert_eq!(
-                        text, native,
-                        "backend {} / {:?}: errors diverged", backend, threads
-                    ),
-                    (native, text) => prop_assert!(
-                        false,
-                        "backend {} / {:?}: one path failed, the other did not \
-                         (native: {:?}, text: {:?})",
-                        backend, threads, native.is_ok(), text.is_ok()
-                    ),
+        for threads in [Threads::Fixed(1), Threads::Fixed(4)] {
+            let compiler = CompileOptions::new()
+                .opt_level(OptLevel::O1)
+                .verify(Verify::Exhaustive)
+                .threads(threads)
+                .compiler();
+            let native = compiler.compile(&circuit);
+            let text = compiler.compile_source(&printed);
+            match (native, text) {
+                (Ok(native), Ok(text)) => {
+                    prop_assert_eq!(&text.circuit, &native.circuit, "{:?} diverged", threads);
+                    prop_assert_eq!(text.depth, native.depth);
+                    prop_assert_eq!(text.verification, native.verification);
+                    prop_assert!(text.verification.is_verified());
+                    // The exporter closes the loop: compiled output
+                    // reparses to the compiled circuit.
+                    prop_assert_eq!(
+                        parse_source(&text.to_qasm()).unwrap(),
+                        text.circuit
+                    );
                 }
+                (Err(native), Err(text)) => {
+                    prop_assert_eq!(text, native, "{:?}: errors diverged", threads)
+                }
+                (native, text) => prop_assert!(
+                    false,
+                    "{:?}: one path failed, the other did not (native: {:?}, text: {:?})",
+                    threads, native.is_ok(), text.is_ok()
+                ),
             }
         }
     }
 
     /// The refinement check of the round trip itself: `VerifyEquivalence`
-    /// — on both the `Auto` and `Stabilizer` backends, across pool widths
-    /// 1 and 4 — accepts `c → parse(print(c))` as an equivalence-preserving
-    /// "pass" on random all-Clifford circuits.
+    /// — on the stabilizer tableau, across pool widths 1 and 4 — accepts
+    /// `c → parse(print(c))` as an equivalence-preserving "pass" on random
+    /// all-Clifford circuits.
     #[test]
     fn clifford_round_trip_verifies_on_the_stabilizer_backend(
         seed in any::<u64>(),
@@ -134,22 +125,18 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let circuit = random_clifford_circuit(dim(d), 3, 12, &mut rng);
         prop_assert_eq!(&parse_source(&print_circuit(&circuit)).unwrap(), &circuit);
-        for backend in [SimBackend::Auto, SimBackend::Stabilizer] {
-            for threads in [1usize, 4] {
-                let round_trip = pass_fn("qasm-round-trip", |c: Circuit| {
-                    let printed = print_circuit(&c);
-                    parse_source(&printed).map_err(qudit_core::QuditError::from)
-                });
-                let manager = PassManager::new()
-                    .with_pool(WorkStealingPool::with_threads(threads))
-                    .with_pass(
-                        VerifyEquivalence::wrap(Box::new(round_trip)).with_backend(backend),
-                    );
-                prop_assert!(
-                    manager.run(circuit.clone()).is_ok(),
-                    "round trip rejected on backend {} with {} threads", backend, threads
-                );
-            }
+        for threads in [1usize, 4] {
+            let round_trip = pass_fn("qasm-round-trip", |c: Circuit| {
+                let printed = print_circuit(&c);
+                parse_source(&printed).map_err(qudit_core::QuditError::from)
+            });
+            let manager = PassManager::new()
+                .with_pool(WorkStealingPool::with_threads(threads))
+                .with_pass(VerifyEquivalence::wrap(Box::new(round_trip)));
+            prop_assert!(
+                manager.run(circuit.clone()).is_ok(),
+                "round trip rejected with {} threads", threads
+            );
         }
     }
 }
@@ -205,18 +192,15 @@ fn fixed_source_compiles_identically_to_its_circuit() {
                   ctrl(odd) @ sum q[2], q[0], q[1];\n\
                   perm(2, 0, 1) q[0];\n";
     let circuit = parse_source(source).unwrap();
-    for backend in [SimBackend::Dense, SimBackend::Sparse, SimBackend::Auto] {
-        for threads in [Threads::Fixed(1), Threads::Fixed(4)] {
-            let compiler = CompileOptions::new()
-                .opt_level(OptLevel::O1)
-                .verify(Verify::Exhaustive)
-                .backend(backend)
-                .threads(threads)
-                .compiler();
-            let native = compiler.compile(&circuit).unwrap();
-            let text = compiler.compile_source(source).unwrap();
-            assert_eq!(text.circuit, native.circuit);
-            assert!(text.verification.is_verified());
-        }
+    for threads in [Threads::Fixed(1), Threads::Fixed(4)] {
+        let compiler = CompileOptions::new()
+            .opt_level(OptLevel::O1)
+            .verify(Verify::Exhaustive)
+            .threads(threads)
+            .compiler();
+        let native = compiler.compile(&circuit).unwrap();
+        let text = compiler.compile_source(source).unwrap();
+        assert_eq!(text.circuit, native.circuit);
+        assert!(text.verification.is_verified());
     }
 }

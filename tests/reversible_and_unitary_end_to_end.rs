@@ -5,8 +5,8 @@
 use qudit_core::Dimension;
 use qudit_reversible::{lower_bound, ReversibleFunction, ReversibleSynthesizer};
 use qudit_sim::basis::all_basis_states;
+use qudit_sim::circuit_unitary;
 use qudit_sim::random::random_unitary;
-use qudit_sim::statevector::circuit_unitary;
 use qudit_unitary::{recompose, two_level_decompose, UnitarySynthesizer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -2,25 +2,28 @@
 //! (`qudit_core::topology` + `qudit_core::route`):
 //!
 //! * routed circuit + inverse-permutation epilogue ≡ original, checked by
-//!   `VerifyEquivalence` across `SimBackend::{Dense, Sparse, Auto}` ×
-//!   pool widths 1 and 4 (and, at the facade level, across
-//!   `Threads::{Fixed(1), Fixed(4)}`);
+//!   `VerifyEquivalence` on pool widths 1 and 4 (and, at the facade level,
+//!   across `Threads::{Fixed(1), Fixed(4)}`);
 //! * every routed circuit passes the adjacency validator, and the
 //!   validator rejects hand-built violating circuits with typed errors;
 //! * routing is idempotent on already-routed circuits (the fast path
-//!   returns them untouched with zero swaps).
+//!   returns them untouched with zero swaps);
+//! * directed witnesses on the wire-SWAP ladder: every single-rung mutation
+//!   of `wire_swap` that changes its function is rejected by
+//!   `VerifyEquivalence`, and the two inputs |1 0⟩ then |0 1⟩ always
+//!   expose it.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use qudit_core::pipeline::PassManager;
+use qudit_core::pipeline::{pass_fn, PassManager};
 use qudit_core::pool::WorkStealingPool;
 use qudit_core::route::{
-    route_circuit, validate_adjacency, NoiseAwareCost, RoutePass, Router, UniformCost,
+    route_circuit, validate_adjacency, wire_swap, NoiseAwareCost, RoutePass, Router, UniformCost,
 };
 use qudit_core::topology::CouplingGraph;
-use qudit_core::{Circuit, Control, Dimension, Gate, QuditError, QuditId, SingleQuditOp};
-use qudit_sim::{SimBackend, VerifyEquivalence};
+use qudit_core::{Circuit, Control, Dimension, Gate, GateOp, QuditError, QuditId, SingleQuditOp};
+use qudit_sim::VerifyEquivalence;
 use qudit_synthesis::{CompileOptions, Threads, Verify};
 
 fn dim(d: u32) -> Dimension {
@@ -82,7 +85,7 @@ proptest! {
 
     /// The routed circuit plus its inverse-permutation epilogue is
     /// equivalent to the original: `VerifyEquivalence` accepts the
-    /// `"route"` stage on every backend and pool width, and the stage's
+    /// `"route"` stage on every pool width, and the stage's
     /// output honours the coupling graph.
     #[test]
     fn routed_circuits_verify_on_every_backend_and_pool_width(
@@ -99,17 +102,15 @@ proptest! {
         let circuit = build_circuit(dimension, width, &specs)
             .widened(graph.sites())
             .unwrap();
-        for backend in [SimBackend::Dense, SimBackend::Sparse, SimBackend::Auto] {
-            for threads in [1usize, 4] {
-                let stage = RoutePass::new(graph.clone(), Arc::new(UniformCost));
-                let manager = PassManager::new()
-                    .with_pool(WorkStealingPool::with_threads(threads))
-                    .with_pass(VerifyEquivalence::wrap(Box::new(stage)).with_backend(backend));
-                let routed = manager.run(circuit.clone()).unwrap_or_else(|e| {
-                    panic!("routing rejected on backend {backend} with {threads} threads: {e}")
-                });
-                prop_assert!(validate_adjacency(&routed.circuit, &graph).is_ok());
-            }
+        for threads in [1usize, 4] {
+            let stage = RoutePass::new(graph.clone(), Arc::new(UniformCost));
+            let manager = PassManager::new()
+                .with_pool(WorkStealingPool::with_threads(threads))
+                .with_pass(VerifyEquivalence::wrap(Box::new(stage)));
+            let routed = manager
+                .run(circuit.clone())
+                .unwrap_or_else(|e| panic!("routing rejected with {threads} threads: {e}"));
+            prop_assert!(validate_adjacency(&routed.circuit, &graph).is_ok());
         }
     }
 
@@ -194,8 +195,8 @@ fn validator_rejects_hand_built_violations() {
 }
 
 /// Facade-level refinement of the equivalence property: a routed, fully
-/// verified compile succeeds on every backend × `Threads::{Fixed(1),
-/// Fixed(4)}`, and the compiled circuit honours the graph.
+/// verified compile succeeds on `Threads::{Fixed(1), Fixed(4)}`, and the
+/// compiled circuit honours the graph.
 #[test]
 fn routed_compiles_verify_across_backends_and_thread_counts() {
     let dimension = dim(3);
@@ -219,21 +220,99 @@ fn routed_compiles_verify_across_backends_and_thread_counts() {
     circuit
         .push(Gate::single(SingleQuditOp::Swap(0, 2), QuditId::new(2)))
         .unwrap();
-    for backend in [SimBackend::Dense, SimBackend::Sparse, SimBackend::Auto] {
-        for threads in [Threads::Fixed(1), Threads::Fixed(4)] {
-            let result = CompileOptions::new()
-                .topology(graph.clone())
-                .cost(NoiseAwareCost::default())
-                .verify(Verify::Exhaustive)
-                .backend(backend)
-                .threads(threads)
-                .compiler()
-                .compile(&circuit)
-                .unwrap_or_else(|e| panic!("backend {backend} / {threads:?}: {e}"));
-            assert!(result.verification.is_verified());
-            assert!(validate_adjacency(&result.circuit, &graph).is_ok());
-            assert!(result.swap_count.is_some());
-            assert!(result.weighted_cost.unwrap_or(0.0) > 0.0);
+    for threads in [Threads::Fixed(1), Threads::Fixed(4)] {
+        let result = CompileOptions::new()
+            .topology(graph.clone())
+            .cost(NoiseAwareCost::default())
+            .verify(Verify::Exhaustive)
+            .threads(threads)
+            .compiler()
+            .compile(&circuit)
+            .unwrap_or_else(|e| panic!("{threads:?}: {e}"));
+        assert!(result.verification.is_verified());
+        assert!(validate_adjacency(&result.circuit, &graph).is_ok());
+        assert!(result.swap_count.is_some());
+        assert!(result.weighted_cost.unwrap_or(0.0) > 0.0);
+    }
+}
+
+/// Every single-rung mutation of the wire-SWAP ladder on `(0, 1)`: drop a
+/// rung, flip an `AddFrom` negate flag, or exchange an `AddFrom` rung's
+/// source and target.  Each comes with a label for failure messages.
+fn ladder_mutations(ladder: &[Gate]) -> Vec<(String, Vec<Gate>)> {
+    let mut mutations = Vec::new();
+    for (rung, gate) in ladder.iter().enumerate() {
+        let mut dropped = ladder.to_vec();
+        dropped.remove(rung);
+        mutations.push((format!("drop rung {rung}"), dropped));
+        if let GateOp::AddFrom { source, negate } = *gate.op() {
+            let target = gate.target();
+            for (label, mutant) in [
+                (
+                    "flip negate",
+                    Gate::add_from(source, !negate, target, vec![]),
+                ),
+                (
+                    "exchange wires",
+                    Gate::add_from(target, negate, source, vec![]),
+                ),
+            ] {
+                let mut mutated = ladder.to_vec();
+                mutated[rung] = mutant;
+                mutations.push((format!("{label} on rung {rung}"), mutated));
+            }
+        }
+    }
+    mutations
+}
+
+/// Directed witness tests on the wire-SWAP ladder, after the
+/// distinguishing-unitaries kata: two chosen basis inputs, |1 0⟩ and then
+/// |0 1⟩, separate the correct ladder from every single-rung mutation that
+/// changes its function, and `VerifyEquivalence` rejects each of those.
+/// At d = 2 level negation is the identity, so dropping the negation rung
+/// or flipping a negate flag leaves the function unchanged; those mutants
+/// have no witness and must verify.
+#[test]
+fn wire_swap_mutations_have_two_input_witnesses() {
+    for d in [2u32, 3, 4, 5] {
+        let dimension = dim(d);
+        let ladder = wire_swap(dimension, 0, 1);
+        let circuit = |gates: &[Gate]| {
+            let mut circuit = Circuit::new(dimension, 2);
+            for gate in gates {
+                circuit.push(gate.clone()).unwrap();
+            }
+            circuit
+        };
+        let correct = circuit(&ladder);
+        assert_eq!(correct.apply_to_basis(&[1, 0]).unwrap(), vec![0, 1]);
+        assert_eq!(correct.apply_to_basis(&[0, 1]).unwrap(), vec![1, 0]);
+
+        let mutations = ladder_mutations(&ladder);
+        assert_eq!(mutations.len(), 10, "4 drops, 3 flips, 3 exchanges");
+        for (label, gates) in mutations {
+            let mutant = circuit(&gates);
+            let witness = [[1u32, 0], [0, 1]].into_iter().find(|input| {
+                mutant.apply_to_basis(input).unwrap() != correct.apply_to_basis(input).unwrap()
+            });
+            let negation_no_op = d == 2 && (label == "drop rung 3" || label.starts_with("flip"));
+            assert_eq!(witness.is_none(), negation_no_op, "d={d}, {label}");
+
+            let replay = mutant.clone();
+            let manager = PassManager::new().with_pass(VerifyEquivalence::wrap(Box::new(pass_fn(
+                "mutate",
+                move |_| Ok(replay.clone()),
+            ))));
+            match manager.run(correct.clone()) {
+                Ok(_) => assert!(negation_no_op, "d={d}, {label}: mutant verified"),
+                Err(QuditError::PassFailed { pass, reason }) => {
+                    assert!(!negation_no_op, "d={d}, {label}: no-op rejected");
+                    assert_eq!(pass, "mutate");
+                    assert!(reason.contains("not equivalent"), "{reason}");
+                }
+                Err(other) => panic!("d={d}, {label}: unexpected error {other:?}"),
+            }
         }
     }
 }

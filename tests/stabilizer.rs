@@ -1,15 +1,17 @@
-//! Differential test harness for the stabilizer verification backend.
+//! Differential test harness for the stabilizer tableau.
 //!
 //! Random all-Clifford circuits over prime dimensions must agree with the
-//! Dense and Sparse state-vector engines on final states (up to the
-//! stabilizer representation's arbitrary global phase), on basis-state
-//! probabilities, and on `VerifyEquivalence` verdicts — across worker pools
-//! of 1 and 4 threads.  Non-Clifford gates must be rejected with the typed
-//! `QuditError::NonClifford`, and the `Auto` backend must fall back to the
-//! state-vector paths with an unchanged verdict on the E10 circuit family.
+//! reference state-vector walk (`StateVector::apply_circuit`) on final
+//! states (up to the stabilizer representation's arbitrary global phase)
+//! and on basis-state probabilities, and `VerifyEquivalence` — which checks
+//! non-classical Clifford pairs on the tableau — must return the verdict
+//! the reference unitaries imply, across worker pools of 1 and 4 threads.
+//! Non-Clifford gates must be rejected with the typed
+//! `QuditError::NonClifford`, and the E10 circuit family (not Clifford)
+//! must verify on the other strategies with unchanged verdicts.
 
 use proptest::prelude::*;
-use qudit_core::math::{Complex, SquareMatrix};
+use qudit_core::math::{Complex, SquareMatrix, MATRIX_TOLERANCE};
 use qudit_core::pipeline::{pass_fn, PassManager};
 use qudit_core::pool::WorkStealingPool;
 use qudit_core::{Circuit, Control, Dimension, Gate, QuditError, QuditId, SingleQuditOp};
@@ -17,7 +19,7 @@ use qudit_sim::basis::index_to_digits;
 use qudit_sim::random::{random_clifford_circuit, random_single_qudit_unitary};
 use qudit_sim::stabilizer::clifford_circuits_equal_on;
 use qudit_sim::{
-    classify_gate, clifford_circuits_equal, is_clifford_circuit, SimBackend, SimState, StateVector,
+    classify_gate, clifford_circuits_equal, is_clifford_circuit, StabilizerState, StateVector,
     VerifyEquivalence,
 };
 use qudit_synthesis::KToffoli;
@@ -51,27 +53,49 @@ fn fourier(d: u32) -> SquareMatrix {
     SquareMatrix::from_rows(d as usize, entries).unwrap()
 }
 
-/// Simulates `circuit` on a basis input through the given backend and
-/// returns the final state vector.
-fn final_state(circuit: &Circuit, input: &[u32], backend: SimBackend) -> StateVector {
-    let mut state = SimState::from_basis(circuit.dimension(), input, backend).unwrap();
+/// The reference walk from a basis input.
+fn reference_state(circuit: &Circuit, input: &[u32]) -> StateVector {
+    let mut state = StateVector::from_basis(circuit.dimension(), input).unwrap();
     state.apply_circuit(circuit).unwrap();
-    state.into_statevector()
+    state
 }
 
-/// Runs `VerifyEquivalence` around a gate-dropping pass and reports whether
-/// the verdict was "equivalent", on an explicit backend and pool width.
-fn drop_last_verdict(circuit: &Circuit, backend: SimBackend, threads: usize) -> bool {
-    let drop_last = pass_fn("drop-last", |c: Circuit| {
-        let mut out = Circuit::new(c.dimension(), c.width());
-        for gate in c.gates().iter().take(c.len().saturating_sub(1)) {
-            out.push(gate.clone())?;
+/// The reference unitary, one reference walk per column.
+fn reference_unitary(circuit: &Circuit) -> SquareMatrix {
+    let (dimension, width) = (circuit.dimension(), circuit.width());
+    let size = dimension.register_size(width);
+    let mut matrix = SquareMatrix::zeros(size);
+    for column in 0..size {
+        let input = index_to_digits(column, dimension, width);
+        for (row, amp) in reference_state(circuit, &input)
+            .amplitudes()
+            .iter()
+            .enumerate()
+        {
+            matrix[(row, column)] = *amp;
         }
-        Ok(out)
-    });
+    }
+    matrix
+}
+
+/// The circuit without its last gate.
+fn drop_last(circuit: &Circuit) -> qudit_core::Result<Circuit> {
+    let mut out = Circuit::new(circuit.dimension(), circuit.width());
+    for gate in circuit.gates().iter().take(circuit.len().saturating_sub(1)) {
+        out.push(gate.clone())?;
+    }
+    Ok(out)
+}
+
+/// Runs `VerifyEquivalence` around a gate-dropping pass on a pool of the
+/// given width and reports whether the verdict was "equivalent".
+fn drop_last_verdict(circuit: &Circuit, threads: usize) -> bool {
     let manager = PassManager::new()
         .with_pool(WorkStealingPool::with_threads(threads))
-        .with_pass(VerifyEquivalence::wrap(Box::new(drop_last)).with_backend(backend));
+        .with_pass(VerifyEquivalence::wrap(Box::new(pass_fn(
+            "drop-last",
+            |c: Circuit| drop_last(&c),
+        ))));
     match manager.run(circuit.clone()) {
         Ok(_) => true,
         Err(QuditError::PassFailed { .. }) => false,
@@ -83,10 +107,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Final states of random Clifford circuits agree between the
-    /// stabilizer engine and the Dense/Sparse engines on every overlapping
+    /// stabilizer tableau and the reference walk on every overlapping
     /// width, up to global phase, and probabilities are thread-invariant.
     #[test]
-    fn stabilizer_matches_dense_and_sparse_on_final_states(
+    fn stabilizer_matches_the_reference_on_final_states(
         d in prop::sample::select(vec![2u32, 3, 5]),
         width_seed in 0usize..1000,
         seed in any::<u64>(),
@@ -97,41 +121,36 @@ proptest! {
         let circuit = random_clifford_circuit(dimension, width, 24, &mut rng);
         let size = dimension.register_size(width);
         let input = index_to_digits(seed as usize % size, dimension, width);
-
-        let dense = final_state(&circuit, &input, SimBackend::Dense);
-        let sparse = final_state(&circuit, &input, SimBackend::Sparse);
-        prop_assert!(dense.fidelity(&sparse) > 1.0 - 1e-9);
+        let reference = reference_state(&circuit, &input);
 
         // The stabilizer state carries an arbitrary global phase, so the
         // state comparison is by fidelity; probabilities are phase-free and
-        // must match the dense reference everywhere, exactly across thread
-        // counts (the tableau arithmetic is integer-only).
+        // must match the reference everywhere, exactly across thread counts
+        // (the tableau arithmetic is integer-only).
         let mut probs_per_pool = Vec::new();
         for threads in [1usize, 4] {
             let pool = WorkStealingPool::with_threads(threads);
-            let mut state =
-                SimState::from_basis(dimension, &input, SimBackend::Stabilizer).unwrap();
+            let mut state = StabilizerState::from_basis(dimension, &input).unwrap();
             state.apply_circuit_on(&circuit, Some(&pool)).unwrap();
             let probs: Vec<f64> = (0..size)
                 .map(|i| state.probability(&index_to_digits(i, dimension, width)))
                 .collect();
             for (i, &p) in probs.iter().enumerate() {
-                let reference = dense
-                    .probability(&index_to_digits(i, dimension, width));
+                let expected = reference.probability(&index_to_digits(i, dimension, width));
                 prop_assert!(
-                    (p - reference).abs() < 1e-9,
-                    "threads={threads} state {i}: stabilizer {p} vs dense {reference}"
+                    (p - expected).abs() < 1e-9,
+                    "threads={threads} state {i}: stabilizer {p} vs reference {expected}"
                 );
             }
-            let sv = state.into_statevector();
-            prop_assert!(sv.fidelity(&dense) > 1.0 - 1e-9);
+            let sv = state.to_statevector().unwrap();
+            prop_assert!(sv.fidelity(&reference) > 1.0 - 1e-9);
             probs_per_pool.push(probs);
         }
         prop_assert_eq!(&probs_per_pool[0], &probs_per_pool[1]);
     }
 
-    /// `VerifyEquivalence` returns the same verdict on every backend and
-    /// pool width for random Clifford circuits.
+    /// `VerifyEquivalence` returns the verdict the reference unitaries
+    /// imply for random Clifford circuits, on every pool width.
     #[test]
     fn verify_equivalence_verdicts_agree_across_backends(
         d in prop::sample::select(vec![2u32, 3, 5]),
@@ -142,31 +161,24 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let circuit = random_clifford_circuit(dim(d), width, 12, &mut rng);
 
-        // The identity pass passes everywhere.
-        for backend in [
-            SimBackend::Auto,
-            SimBackend::Dense,
-            SimBackend::Sparse,
-            SimBackend::Stabilizer,
-        ] {
-            let identity = pass_fn("identity", Ok);
-            let manager = PassManager::new()
-                .with_pass(VerifyEquivalence::wrap(Box::new(identity)).with_backend(backend));
-            prop_assert!(manager.run(circuit.clone()).is_ok(), "backend {backend}");
-        }
+        // The identity pass passes.
+        let identity = pass_fn("identity", Ok);
+        let manager = PassManager::new().with_pass(VerifyEquivalence::wrap(Box::new(identity)));
+        prop_assert!(manager.run(circuit.clone()).is_ok());
 
         // Dropping the last gate may or may not preserve the operator (the
-        // gate could be an identity permutation) — but the verdict must not
-        // depend on the backend or the pool width.
-        let reference = drop_last_verdict(&circuit, SimBackend::Dense, 1);
-        for backend in [SimBackend::Auto, SimBackend::Sparse, SimBackend::Stabilizer] {
-            for threads in [1usize, 4] {
-                prop_assert_eq!(
-                    drop_last_verdict(&circuit, backend, threads),
-                    reference,
-                    "backend {} threads {}", backend, threads
-                );
-            }
+        // gate could be an identity permutation) — but the verdict must be
+        // the reference's, whatever the pool width.
+        let expected = reference_unitary(&circuit).approx_eq_up_to_phase(
+            &reference_unitary(&drop_last(&circuit).unwrap()),
+            MATRIX_TOLERANCE.max(1e-7),
+        );
+        for threads in [1usize, 4] {
+            prop_assert_eq!(
+                drop_last_verdict(&circuit, threads),
+                expected,
+                "threads {}", threads
+            );
         }
     }
 }
@@ -178,8 +190,8 @@ fn non_clifford_repertoire_is_rejected_with_typed_errors() {
             Err(QuditError::NonClifford { .. }) => {}
             other => panic!("{label}: expected NonClifford, got {other:?}"),
         }
-        // The forced-stabilizer engine surfaces the same typed error
-        // instead of panicking.
+        // The tableau state surfaces the same typed error instead of
+        // panicking.
         let mut circuit = Circuit::new(dimension, 3);
         circuit
             .push(Gate::single(
@@ -188,7 +200,7 @@ fn non_clifford_repertoire_is_rejected_with_typed_errors() {
             ))
             .unwrap();
         circuit.push(gate).unwrap();
-        let mut state = SimState::from_basis(dimension, &[0; 3], SimBackend::Stabilizer).unwrap();
+        let mut state = StabilizerState::from_basis(dimension, &[0; 3]).unwrap();
         match state.apply_circuit(&circuit) {
             Err(QuditError::NonClifford { .. }) => {}
             other => panic!("{label}: engine should reject, got {other:?}"),
@@ -247,45 +259,52 @@ fn non_clifford_repertoire_is_rejected_with_typed_errors() {
 #[test]
 fn auto_falls_back_on_the_e10_family_with_unchanged_verdicts() {
     // The E10 sweep circuits (synthesised k-Toffolis) contain level-controlled
-    // gates, so they are not Clifford: Auto must route them to the
-    // state-vector engines and every backend must return the same verdict.
+    // gates, so they are not Clifford: verification must check them on the
+    // basis-state strategy and return the expected verdicts.
     for (d, k) in [(3u32, 2usize), (4, 2), (5, 2), (3, 3)] {
         let synthesis = KToffoli::new(dim(d), k).unwrap().synthesize().unwrap();
         let circuit = synthesis.circuit();
         assert!(!is_clifford_circuit(circuit), "d={d} k={k}");
-        let resolved = SimBackend::Auto.resolve(circuit);
-        assert!(
-            matches!(resolved, SimBackend::Dense | SimBackend::Sparse),
-            "d={d} k={k}: Auto must fall back, got {resolved}"
-        );
-        for backend in [
-            SimBackend::Auto,
-            SimBackend::Dense,
-            SimBackend::Sparse,
-            SimBackend::Stabilizer,
-        ] {
-            // Faithful pass: accepted.
-            let identity = pass_fn("identity", Ok);
-            let manager = PassManager::new()
-                .with_pass(VerifyEquivalence::wrap(Box::new(identity)).with_backend(backend));
-            assert!(
-                manager.run(circuit.clone()).is_ok(),
-                "d={d} k={k} backend {backend}"
-            );
-            // Gate-dropping pass: rejected (a k-Toffoli is never a no-op).
-            let drop_all = pass_fn("drop-all", |c: Circuit| {
-                Ok(Circuit::new(c.dimension(), c.width()))
-            });
-            let manager = PassManager::new()
-                .with_pass(VerifyEquivalence::wrap(Box::new(drop_all)).with_backend(backend));
-            assert!(
-                matches!(
-                    manager.run(circuit.clone()),
-                    Err(QuditError::PassFailed { .. })
-                ),
-                "d={d} k={k} backend {backend}"
-            );
+        // Faithful pass: accepted.
+        let identity = pass_fn("identity", Ok);
+        let manager = PassManager::new().with_pass(VerifyEquivalence::wrap(Box::new(identity)));
+        assert!(manager.run(circuit.clone()).is_ok(), "d={d} k={k}");
+        // Gate-dropping pass: rejected (a k-Toffoli is never a no-op), with
+        // a basis-state witness rather than a tableau verdict.
+        let drop_all = pass_fn("drop-all", |c: Circuit| {
+            Ok(Circuit::new(c.dimension(), c.width()))
+        });
+        let manager = PassManager::new().with_pass(VerifyEquivalence::wrap(Box::new(drop_all)));
+        match manager.run(circuit.clone()) {
+            Err(QuditError::PassFailed { reason, .. }) => {
+                assert!(reason.contains("basis state"), "d={d} k={k}: {reason}");
+            }
+            other => panic!("d={d} k={k}: expected PassFailed, got {other:?}"),
         }
+    }
+}
+
+/// `VerifyEquivalence` on the identity and on a drop-everything pass, on a
+/// pool of the given width: the identity must pass and the drop must fail
+/// on the tableau.
+fn assert_tableau_verdicts(circuit: &Circuit, threads: usize) {
+    let identity = pass_fn("identity", Ok);
+    let manager = PassManager::new()
+        .with_pool(WorkStealingPool::with_threads(threads))
+        .with_pass(VerifyEquivalence::wrap(Box::new(identity)));
+    assert!(manager.run(circuit.clone()).is_ok());
+
+    let drop_all = pass_fn("drop-all", |c: Circuit| {
+        Ok(Circuit::new(c.dimension(), c.width()))
+    });
+    let manager = PassManager::new()
+        .with_pool(WorkStealingPool::with_threads(threads))
+        .with_pass(VerifyEquivalence::wrap(Box::new(drop_all)));
+    match manager.run(circuit.clone()) {
+        Err(QuditError::PassFailed { reason, .. }) => {
+            assert!(reason.contains("stabilizer"), "{reason}");
+        }
+        other => panic!("expected PassFailed, got {other:?}"),
     }
 }
 
@@ -305,7 +324,6 @@ fn stabilizer_verifies_random_clifford_circuits_at_width_24() {
         ))
         .unwrap();
     assert!(is_clifford_circuit(&circuit));
-    assert_eq!(SimBackend::Auto.resolve(&circuit), SimBackend::Stabilizer);
 
     // Exact self-equivalence, on 1 and 4 worker threads.
     for threads in [1usize, 4] {
@@ -320,32 +338,12 @@ fn stabilizer_verifies_random_clifford_circuits_at_width_24() {
     assert!(!clifford_circuits_equal(&circuit, &tampered).unwrap());
 
     // The same verdicts through the `VerifyEquivalence` pass.
-    for backend in [SimBackend::Auto, SimBackend::Stabilizer] {
-        for threads in [1usize, 4] {
-            let identity = pass_fn("identity", Ok);
-            let manager = PassManager::new()
-                .with_pool(WorkStealingPool::with_threads(threads))
-                .with_pass(VerifyEquivalence::wrap(Box::new(identity)).with_backend(backend));
-            assert!(manager.run(circuit.clone()).is_ok());
-
-            let drop_all = pass_fn("drop-all", |c: Circuit| {
-                Ok(Circuit::new(c.dimension(), c.width()))
-            });
-            let manager = PassManager::new()
-                .with_pool(WorkStealingPool::with_threads(threads))
-                .with_pass(VerifyEquivalence::wrap(Box::new(drop_all)).with_backend(backend));
-            match manager.run(circuit.clone()) {
-                Err(QuditError::PassFailed { reason, .. }) => {
-                    assert!(reason.contains("stabilizer"), "{reason}");
-                }
-                other => panic!("expected PassFailed, got {other:?}"),
-            }
-        }
+    for threads in [1usize, 4] {
+        assert_tableau_verdicts(&circuit, threads);
     }
 
     // Probability queries stay cheap at width 24.
-    let mut state =
-        SimState::from_basis(dimension, &vec![0u32; width], SimBackend::Stabilizer).unwrap();
+    let mut state = StabilizerState::from_basis(dimension, &vec![0u32; width]).unwrap();
     state.apply_circuit(&circuit).unwrap();
     let dominant = state.dominant_basis_state();
     assert!(state.probability(&dominant) > 0.0);
@@ -353,9 +351,10 @@ fn stabilizer_verifies_random_clifford_circuits_at_width_24() {
 
 #[test]
 fn classical_prefix_with_clifford_suffix_promotes_at_width_24() {
-    // The resolution crossover at scale: a circuit opening with classical
-    // gates and closing with non-classical Clifford gates must pick the
-    // stabilizer engine rather than densifying at the first unitary.
+    // A circuit opening with classical gates and closing with a
+    // non-classical Clifford gate is all-Clifford and non-classical, so
+    // verification takes the tableau rather than any state-vector path —
+    // at a width no dense strategy reaches.
     let dimension = dim(3);
     let width = 24;
     let mut circuit = Circuit::new(dimension, width);
@@ -375,12 +374,12 @@ fn classical_prefix_with_clifford_suffix_promotes_at_width_24() {
             QuditId::new(width - 1),
         ))
         .unwrap();
-    assert_eq!(SimBackend::Auto.resolve(&circuit), SimBackend::Stabilizer);
+    assert!(is_clifford_circuit(&circuit) && !circuit.is_classical());
+    assert_tableau_verdicts(&circuit, 1);
 
-    let mut state =
-        SimState::from_basis(dimension, &vec![1u32; width], SimBackend::Stabilizer).unwrap();
+    // Wide state queries run on the tableau state directly.
+    let mut state = StabilizerState::from_basis(dimension, &vec![1u32; width]).unwrap();
     state.apply_circuit(&circuit).unwrap();
-    assert!(state.is_stabilizer());
     let dominant = state.dominant_basis_state();
     assert!(state.probability(&dominant) > 0.0);
 }
