@@ -4,13 +4,14 @@
 //! The workload is the E11-style sweep: the macro circuits of several
 //! `(d, k)` k-Toffoli syntheses, compiled through the full standard flow
 //! (lower-to-elementary → lower-to-g-gates → cancel-inverse-pairs) as
-//! configured by `CompileOptions`.
+//! configured by `CompileOptions`.  The parallel legs pin a 4-worker pool
+//! (`Threads::Fixed(4)`), so each entry names the same configuration on
+//! every host.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qudit_core::pipeline::CacheMode;
-use qudit_core::pool::WorkStealingPool;
 use qudit_core::{Circuit, Dimension};
-use qudit_synthesis::{CompileOptions, Compiler, KToffoli};
+use qudit_synthesis::{CompileOptions, Compiler, KToffoli, Threads};
 
 /// The benchmark's compilation jobs: one macro circuit per `(d, k)`.
 fn jobs() -> Vec<Circuit> {
@@ -30,6 +31,10 @@ fn jobs() -> Vec<Circuit> {
     }
     out
 }
+
+/// Worker count of the parallel legs, fixed so the entries do not depend on
+/// the host's core count.
+const BATCH_THREADS: Threads = Threads::Fixed(4);
 
 /// The standard flow without a cache (shape-agnostic so one compiler covers
 /// the whole sweep).
@@ -57,23 +62,18 @@ fn bench_sequential(c: &mut Criterion) {
 
 fn bench_parallel(c: &mut Criterion) {
     let jobs = jobs();
-    let compiler = uncached_compiler();
-    let threads = WorkStealingPool::new().threads();
+    let compiler = CompileOptions::new().threads(BATCH_THREADS).compiler();
     let mut group = c.benchmark_group("batch_compilation");
-    group.bench_with_input(
-        BenchmarkId::from_parameter(format!("parallel_t{threads}")),
-        &jobs,
-        |b, jobs| {
-            b.iter(|| {
-                compiler
-                    .compile_batch(jobs)
-                    .unwrap()
-                    .circuits()
-                    .map(Circuit::len)
-                    .sum::<usize>()
-            })
-        },
-    );
+    group.bench_with_input(BenchmarkId::from_parameter("parallel"), &jobs, |b, jobs| {
+        b.iter(|| {
+            compiler
+                .compile_batch(jobs)
+                .unwrap()
+                .circuits()
+                .map(Circuit::len)
+                .sum::<usize>()
+        })
+    });
     group.finish();
 }
 
@@ -93,10 +93,9 @@ fn bench_cached(c: &mut Criterion) {
 
 fn bench_parallel_cached(c: &mut Criterion) {
     let jobs = jobs();
-    let threads = WorkStealingPool::new().threads();
     let mut group = c.benchmark_group("batch_compilation");
     group.bench_with_input(
-        BenchmarkId::from_parameter(format!("parallel_cached_t{threads}")),
+        BenchmarkId::from_parameter("parallel_cached"),
         &jobs,
         |b, jobs| {
             b.iter(|| {
@@ -104,6 +103,7 @@ fn bench_parallel_cached(c: &mut Criterion) {
                 // sweep (same dimension ⇒ same canonical gadgets).
                 let compiler = CompileOptions::new()
                     .cache(CacheMode::Shared(qudit_core::cache::LoweringCache::shared()))
+                    .threads(BATCH_THREADS)
                     .compiler();
                 compiler
                     .compile_batch(jobs)

@@ -2,22 +2,18 @@
 //!
 //! Workload: dense-path circuits at widths 8–12 (d = 3) mixing fusable
 //! same-target classical runs with single-qudit unitaries — the shape the
-//! panel kernels target.  Three legs per width:
+//! panel kernels target.  Two legs per width:
 //!
 //! * **scalar** — `StateVector::apply_circuit`, the gate-by-gate reference
 //!   walk (one full pass over the register per gate);
-//! * **fused** — `FusedProgram` applied sequentially: one pass per fused
-//!   gate group over stride-blocked split-complex panels;
-//! * **fused_pool** — the same program with independent panel blocks fanned
-//!   over the environment-sized `WorkStealingPool` (`QUDIT_THREADS` selects
-//!   the worker count, so the CI thread matrix measures both legs).
+//! * **fused** — `FusedProgram`: one pass per fused gate group over
+//!   stride-blocked split-complex panels.
 //!
 //! The engines are exact (`==`-equal) by contract; the bench asserts
 //! agreement before timing so a wrong fast path cannot post a good number.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qudit_core::math::{Complex, SquareMatrix};
-use qudit_core::pool::WorkStealingPool;
 use qudit_core::{Circuit, Control, Dimension, Gate, QuditId, SingleQuditOp};
 use qudit_sim::{FusedProgram, StateVector};
 
@@ -79,7 +75,6 @@ fn dense_job(width: usize) -> Circuit {
 fn bench_dense_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("dense_kernels/apply");
     group.sample_size(10);
-    let pool = WorkStealingPool::default();
     for &width in &[8usize, 10, 12] {
         let dimension = Dimension::new(3).unwrap();
         let circuit = dense_job(width);
@@ -89,15 +84,12 @@ fn bench_dense_kernels(c: &mut Criterion) {
             "workload must exercise fusion (w = {width})"
         );
 
-        // Cross-check once: scalar, fused and pooled-fused agree exactly.
+        // Cross-check once: scalar and fused agree exactly.
         let mut reference = StateVector::new(dimension, width);
         reference.apply_circuit(&circuit).unwrap();
         let mut fused = StateVector::new(dimension, width);
-        fused.apply_fused_on(&program, None).unwrap();
+        fused.apply_fused(&program).unwrap();
         assert_eq!(reference.amplitudes(), fused.amplitudes());
-        let mut pooled = StateVector::new(dimension, width);
-        pooled.apply_fused_on(&program, Some(&pool)).unwrap();
-        assert_eq!(reference.amplitudes(), pooled.amplitudes());
 
         let label = format!("w{width}_g{}", circuit.len());
         group.bench_with_input(
@@ -114,21 +106,10 @@ fn bench_dense_kernels(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("fused", &label), &program, |b, program| {
             b.iter(|| {
                 let mut state = StateVector::new(dimension, width);
-                state.apply_fused_on(program, None).unwrap();
+                state.apply_fused(program).unwrap();
                 state.norm_sqr()
             })
         });
-        group.bench_with_input(
-            BenchmarkId::new("fused_pool", &label),
-            &program,
-            |b, program| {
-                b.iter(|| {
-                    let mut state = StateVector::new(dimension, width);
-                    state.apply_fused_on(program, Some(&pool)).unwrap();
-                    state.norm_sqr()
-                })
-            },
-        );
     }
     group.finish();
 }

@@ -1,8 +1,7 @@
 //! Criterion bench: commutation-aware depth scheduling on the lowered
 //! E10-style k-Toffoli sweep, and the inverse-pair cancellation before it.
 //!
-//! Four timings per workload: building the explicit dependency DAG
-//! sequentially and gate-parallel on the work-stealing pool (the
+//! Three timings per workload: building the explicit dependency DAG (the
 //! `schedule_over` reference's input), the fused `schedule_depth` scan, and
 //! the `ScheduleDepth` pass around it.  The scan is one sequential walk
 //! over a run-merged wire history with a running-maximum early exit per
@@ -19,7 +18,6 @@ use qudit_core::commute::{schedule_depth, DependencyDag};
 use qudit_core::depth::circuit_depth;
 use qudit_core::optimize::cancel_inverse_pairs;
 use qudit_core::pipeline::{Pass, ScheduleDepth};
-use qudit_core::pool::WorkStealingPool;
 use qudit_core::{Circuit, Dimension, Gate, Permutation, QuditId, SingleQuditOp};
 use qudit_synthesis::{CompileOptions, KToffoli, OptLevel};
 
@@ -81,20 +79,6 @@ fn bench_dag_sequential(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_dag_parallel(c: &mut Criterion) {
-    let jobs = lowered_jobs();
-    let pool = WorkStealingPool::new();
-    let mut group = c.benchmark_group("depth_scheduling");
-    for (label, circuit) in &jobs {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("dag_parallel_t{}_{label}", pool.threads())),
-            circuit,
-            |b, circuit| b.iter(|| DependencyDag::build_on(circuit, &pool).edge_count()),
-        );
-    }
-    group.finish();
-}
-
 fn bench_schedule(c: &mut Criterion) {
     let mut jobs = lowered_jobs();
     jobs.push(("d5_k4".into(), ktoffoli(CompileOptions::new(), 5, 4)));
@@ -142,7 +126,6 @@ fn bench_pass(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_dag_sequential,
-    bench_dag_parallel,
     bench_schedule,
     bench_pass,
     bench_cancel

@@ -11,14 +11,12 @@
 //!   run outright.
 //! * **width 24 (tableau only)** — `3^24 ≈ 2.8·10¹¹` basis states, far
 //!   beyond any state-vector strategy; this is the workload the stabilizer
-//!   backend exists for.  Timed on 1 worker and on a 4-thread pool.
+//!   backend exists for.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qudit_core::math::MATRIX_TOLERANCE;
-use qudit_core::pool::WorkStealingPool;
 use qudit_core::{Circuit, Dimension};
 use qudit_sim::random::random_clifford_circuit;
-use qudit_sim::stabilizer::clifford_circuits_equal_on;
 use qudit_sim::{circuit_unitary, clifford_circuits_equal};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -81,12 +79,6 @@ fn bench_tableau_only_width_24(c: &mut Criterion) {
         BenchmarkId::new("tableau", format!("w{width}")),
         &(&a, &b),
         |bench, (a, b)| bench.iter(|| clifford_circuits_equal(a, b).unwrap()),
-    );
-    let pool = WorkStealingPool::with_threads(4);
-    group.bench_with_input(
-        BenchmarkId::new("tableau_pool4", format!("w{width}")),
-        &(&a, &b),
-        |bench, (a, b)| bench.iter(|| clifford_circuits_equal_on(a, b, Some(&pool)).unwrap()),
     );
     group.finish();
 }

@@ -470,7 +470,6 @@ pub fn e11_table_from_results(
             "cache hits",
             "cache hit %",
             "fused gates",
-            "panel threads",
             "clifford",
             "qasm bytes",
             "routed depth",
@@ -514,7 +513,6 @@ pub fn e11_table_from_results(
                 cache_hits,
                 cache_rate,
                 report.fused_gates.to_string(),
-                report.panel_threads.to_string(),
                 clifford.to_string(),
                 qasm_bytes.to_string(),
                 routed_depth.to_string(),
@@ -1177,14 +1175,13 @@ mod tests {
         assert!(ratio > 0.0);
     }
 
-    /// Drops the wall-time column (nondeterministic) and the panel-threads
-    /// column (run configuration, not compilation output) from a table's rows.
+    /// Drops the wall-time column (nondeterministic) from a table's rows.
     fn without_elapsed(table: &Table) -> Vec<Vec<String>> {
         let skipped: Vec<usize> = table
             .headers
             .iter()
             .enumerate()
-            .filter(|(_, h)| h.starts_with("elapsed") || *h == "panel threads")
+            .filter(|(_, h)| h.starts_with("elapsed"))
             .map(|(i, _)| i)
             .collect();
         assert!(!skipped.is_empty(), "table has an elapsed column");
@@ -1240,20 +1237,6 @@ mod tests {
             without_elapsed(&sequential_table),
             without_elapsed(&batch_table),
             "batch compilation must reproduce the sequential E11 table"
-        );
-
-        // The forced 4-worker batch leg must report its pool width.
-        let threads_column = batch_table
-            .headers
-            .iter()
-            .position(|h| h == "panel threads")
-            .unwrap();
-        assert!(
-            batch_table
-                .rows
-                .iter()
-                .all(|row| row[threads_column] == "4"),
-            "batch leg must report the configured panel-thread count"
         );
 
         // The lowering passes must report a positive cache hit-rate.

@@ -19,9 +19,9 @@
 //!   see the rule table below);
 //! * [`DependencyDag`] — the dependency DAG of a circuit under the oracle:
 //!   an edge `i → j` (for `i < j`) records that gate `j` must stay after
-//!   gate `i` because the oracle could not prove them commuting.  Building
-//!   the DAG is embarrassingly parallel per gate and fans out over a
-//!   [`WorkStealingPool`] for large circuits ([`DependencyDag::build_on`]);
+//!   gate `i` because the oracle could not prove them commuting.  The
+//!   scheduler no longer builds it; it survives as the reference the
+//!   scheduler tests compare against;
 //! * [`schedule_depth`] — an as-soon-as-possible list scheduler: each
 //!   gate is placed in the earliest layer that respects its dependencies
 //!   *and* has all of its wires free (first-fit, so a late gate may slide
@@ -96,7 +96,6 @@ use crate::dimension::Dimension;
 use crate::gate::{Gate, GateOp};
 use crate::math::MATRIX_TOLERANCE;
 use crate::ops::{Permutation, SingleQuditOp};
-use crate::pool::WorkStealingPool;
 use crate::qudit::QuditId;
 
 /// How a gate uses one of its qudits.
@@ -381,22 +380,8 @@ pub struct DependencyDag {
 }
 
 impl DependencyDag {
-    /// Builds the DAG sequentially.
+    /// Builds the DAG.
     pub fn build(circuit: &Circuit) -> Self {
-        Self::build_inner(circuit, None)
-    }
-
-    /// Builds the DAG with the per-gate dependency scans fanned out over a
-    /// [`WorkStealingPool`].
-    ///
-    /// Each gate's predecessor list depends only on the (read-only) circuit,
-    /// so the parallel build returns exactly the sequential DAG for every
-    /// pool size.
-    pub fn build_on(circuit: &Circuit, pool: &WorkStealingPool) -> Self {
-        Self::build_inner(circuit, Some(pool))
-    }
-
-    fn build_inner(circuit: &Circuit, pool: Option<&WorkStealingPool>) -> Self {
         let gates = circuit.gates();
         let dimension = circuit.dimension();
         let infos: Vec<GateInfo> = gates.iter().map(|g| GateInfo::of(g, dimension)).collect();
@@ -438,10 +423,7 @@ impl DependencyDag {
                 }
             }
         };
-        let preds = match pool.filter(|pool| pool.threads() > 1 && gates.len() > 1) {
-            Some(pool) => pool.map((0..gates.len()).collect(), predecessors_of),
-            None => (0..gates.len()).map(predecessors_of).collect(),
-        };
+        let preds = (0..gates.len()).map(predecessors_of).collect();
         DependencyDag { preds }
     }
 
@@ -942,15 +924,16 @@ mod tests {
 
     #[test]
     fn parallel_dag_build_matches_sequential() {
+        // The per-wire scans must find exactly the all-pairs dependency
+        // set.
         let c = random_mixed_circuit(0x9E37_79B9, 3, 4, 600);
-        let sequential = DependencyDag::build(&c);
-        for threads in [1, 2, 4] {
-            let pool = WorkStealingPool::with_threads(threads);
-            assert_eq!(
-                DependencyDag::build_on(&c, &pool),
-                sequential,
-                "threads = {threads}"
-            );
+        let dag = DependencyDag::build(&c);
+        let gates = c.gates();
+        for j in 0..gates.len() {
+            let all_pairs: Vec<usize> = (0..j)
+                .filter(|&i| !gates_commute(c.dimension(), &gates[i], &gates[j]))
+                .collect();
+            assert_eq!(dag.predecessors(j), all_pairs.as_slice(), "gate {j}");
         }
     }
 

@@ -21,9 +21,9 @@
 //!   [`pipeline::PassManager`] composing lowering/optimisation stages with
 //!   per-pass statistics, plus parallel batch compilation
 //!   ([`pipeline::PassManager::run_batch`]) with merged statistics;
-//! * [`pool`] — a hand-rolled scoped-thread work-stealing pool backing the
-//!   parallel lowering and batch paths (the environment is offline, so no
-//!   `rayon`);
+//! * [`pool`] — a hand-rolled scoped-thread work-stealing pool backing
+//!   batch compilation, the one level that fans out (the environment is
+//!   offline, so no `rayon`);
 //! * [`cache`] — the thread-safe lowering cache keyed by
 //!   `(gate kind, dimension, width-class)` with hit/miss accounting;
 //! * [`qasm`] — the OpenQASM-3-flavoured text IR: lexer, parser, semantic
@@ -61,11 +61,7 @@
 //! # }
 //! ```
 
-// `deny` rather than `forbid`: the persistent-worker crew in `pool` needs
-// one narrowly-scoped `#[allow(unsafe_code)]` module (long-lived threads
-// cannot borrow a caller's stack through safe channels); everything else in
-// the crate remains unsafe-free.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod ancilla;

@@ -28,9 +28,9 @@
 //!   concurrently on a [`WorkStealingPool`] and merges the per-pass
 //!   statistics order-independently into a [`BatchReport`].
 //! * **Pooling** — [`PassManager::with_pool`] pins the worker pool batch
-//!   jobs run on, and hands it to pool-aware passes (such as `qudit-sim`'s
-//!   `VerifyEquivalence`) through [`PassContext::pool`]; unpooled managers
-//!   size a default pool from the environment.
+//!   jobs run on; unpooled managers size a default pool from the
+//!   environment.  The job is the only unit of parallelism: every pass runs
+//!   sequentially inside its job.
 //!
 //! Pipelines can also be *assembled from data* instead of hard-coded
 //! builder chains: a [`PipelineSpec`] names the stages, shape and cache
@@ -161,34 +161,17 @@ impl Pass for Box<dyn Pass> {
 ///
 /// Carries the run's optional [`LoweringCache`] and collects the pass's
 /// cache hit/miss tally, which the [`PassManager`] moves into
-/// [`PassStats::cache`]; when the manager was configured with
-/// [`PassManager::with_pool`], the context also carries the run's
-/// [`WorkStealingPool`] so pool-aware passes share one worker
-/// configuration instead of sizing a fresh pool each.
+/// [`PassStats::cache`].
 #[derive(Debug, Default)]
 pub struct PassContext {
     cache: Option<Arc<LoweringCache>>,
     counters: CacheCounters,
-    pool: Option<WorkStealingPool>,
 }
 
 impl PassContext {
     /// A context without a cache (the default for plain [`Pass::run`]).
     pub fn new() -> Self {
         PassContext::default()
-    }
-
-    /// Pins the worker pool pool-aware passes should use (builder style).
-    #[must_use]
-    pub fn with_pool(mut self, pool: WorkStealingPool) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
-    /// The run's pinned worker pool, if the manager configured one
-    /// (cloned: persistent pools share their crew through the clone).
-    pub fn pool(&self) -> Option<WorkStealingPool> {
-        self.pool.clone()
     }
 
     /// The run's lowering cache, if caching is enabled.
@@ -625,18 +608,15 @@ impl PassManager {
         &self.cache
     }
 
-    /// Pins the worker pool the manager's runs use: [`PassManager::run_batch`]
-    /// distributes jobs on it, and every pool-aware pass receives it through
-    /// [`PassContext::pool`] instead of sizing a fresh pool from the
-    /// environment.
+    /// Pins the worker pool [`PassManager::run_batch`] distributes jobs on,
+    /// instead of sizing a fresh pool from the environment.
     #[must_use]
     pub fn with_pool(mut self, pool: WorkStealingPool) -> Self {
         self.pool = Some(pool);
         self
     }
 
-    /// The configured worker pool, if one was pinned (cloned: persistent
-    /// pools share their crew through the clone).
+    /// The configured worker pool, if one was pinned.
     pub fn pool(&self) -> Option<WorkStealingPool> {
         self.pool.clone()
     }
@@ -702,7 +682,6 @@ impl PassManager {
             let mut ctx = PassContext {
                 cache: cache.clone(),
                 counters: CacheCounters::default(),
-                pool: self.pool.clone(),
             };
             let start = Instant::now();
             current = pass.run_with(current, &mut ctx)?;
@@ -1040,7 +1019,7 @@ impl Pass for LowerToGGates {
 /// The pass runs one sequential scan: each gate walks the run-merged
 /// history of each of its wires backward and stops once the wire's running
 /// maximum of assigned layers cannot raise its dependency bound, so no
-/// explicit DAG is built and no pool is used.  The gates it is handed move
+/// explicit DAG is built.  The gates it is handed move
 /// into layer order instead of being cloned.
 ///
 /// # Example
@@ -1442,11 +1421,6 @@ mod tests {
         let circuits: Vec<Circuit> = (0..4).map(|_| sample_circuit()).collect();
         let batch = wrapped.run_batch(&circuits).unwrap();
         assert_eq!(batch.len(), 4);
-
-        // The context hands the pinned pool to passes.
-        let ctx = PassContext::new().with_pool(WorkStealingPool::with_threads(3));
-        assert_eq!(ctx.pool().map(|p| p.threads()), Some(3));
-        assert!(PassContext::new().pool().is_none());
     }
 
     #[test]

@@ -1,37 +1,24 @@
-//! A hand-rolled work-stealing pool: scoped threads by default, an optional
-//! persistent-worker crew for dispatch-heavy callers.
+//! A hand-rolled work-stealing pool over scoped threads.
 //!
-//! The compilation flow is embarrassingly parallel in two places: batch
-//! compilation is independent per circuit, and verification is independent
-//! per block of basis states (or panel of amplitudes).  The build
-//! environment is offline (no `rayon`), so this module provides the minimal
-//! parallel primitive both need: [`WorkStealingPool`],
-//! a fixed-size pool with per-worker deques and work stealing, plus the
-//! convenience function [`parallel_map`].
+//! Batch compilation is the one place the compilation flow fans out: every
+//! job is independent, and each job (a single compile plus its
+//! verification) is millisecond-scale work that runs sequentially on one
+//! worker.  The build environment is offline (no `rayon`), so this module
+//! provides the minimal parallel primitive [`PassManager::run_batch`]
+//! needs: [`WorkStealingPool`], a fixed-size pool with per-worker deques and
+//! work stealing.
 //!
-//! Tasks are distributed over the workers in contiguous chunks; an idle
-//! worker first drains its own deque from the front and then steals from the
-//! back of a victim's deque, so load imbalance (one circuit much larger than
-//! the rest) does not serialise the batch.  Results are returned in input
-//! order regardless of execution order, which keeps every parallel caller
-//! deterministic.
+//! Every [`WorkStealingPool::map`] call spawns its workers inside a
+//! [`std::thread::scope`], which lets the tasks borrow from the caller's
+//! stack (shared caches, pass managers) without `'static` bounds, and joins
+//! them before returning.  Tasks are distributed over the workers in
+//! contiguous chunks; an idle worker first drains its own deque from the
+//! front and then steals from the back of a victim's deque, so load
+//! imbalance (one circuit much larger than the rest) does not serialise the
+//! batch.  Results are returned in input order regardless of execution
+//! order, which keeps every caller deterministic.
 //!
-//! # Scoped vs persistent workers
-//!
-//! [`WorkStealingPool::new`] / [`WorkStealingPool::with_threads`] build the
-//! historical *scoped* pool: every [`WorkStealingPool::map`] call spawns its
-//! workers inside a [`std::thread::scope`] and joins them before returning.
-//! That is simple and borrows freely from the caller's stack, but pays one
-//! OS thread spawn per worker per dispatch — fine for experiment sweeps,
-//! wasteful for a long-running service dispatching thousands of small maps.
-//!
-//! [`WorkStealingPool::persistent`] builds a pool with a crew of long-lived
-//! worker threads instead: `map` enqueues the batch to the crew over a
-//! channel and blocks until the crew has finished it, so a dispatch costs a
-//! queue push instead of thread spawns.  The two modes run the same
-//! stealing loop over the same chunked deques and sort results by input
-//! index, so their outputs are byte-identical (pinned by test).  The crew
-//! threads are joined when the last clone of the pool is dropped.
+//! [`PassManager::run_batch`]: crate::pipeline::PassManager::run_batch
 //!
 //! # Example
 //!
@@ -42,37 +29,17 @@
 //! let squares = pool.map((0..100u64).collect(), |x| x * x);
 //! assert_eq!(squares[7], 49);
 //! assert_eq!(squares.len(), 100);
-//!
-//! // Same API, long-lived workers: nothing is spawned per call.
-//! let service_pool = WorkStealingPool::persistent(4);
-//! assert_eq!(service_pool.map((0..100u64).collect(), |x| x * x), squares);
 //! ```
 
 use std::any::Any;
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::AtomicBool;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
 
 /// Environment variable overriding the default worker count.
 pub const THREADS_ENV_VAR: &str = "QUDIT_THREADS";
-
-thread_local! {
-    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Returns `true` when the calling thread is a pool worker.
-///
-/// Nested data parallelism oversubscribes the machine (each of N batch
-/// workers spawning N verification workers runs N² threads), so the
-/// parallel paths inside passes check this and fall back to their
-/// sequential implementation when the job as a whole is already running on
-/// a pool.
-pub fn in_worker() -> bool {
-    IN_WORKER.with(Cell::get)
-}
 
 /// Locks a mutex, recovering the guard when a peer worker poisoned it.
 ///
@@ -90,8 +57,8 @@ fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Resolved **once** per process (first use) and snapshotted: a mid-process
 /// change to the environment variable does not re-size later pools, so
 /// concurrently constructed pools can never disagree on the default.
-/// Explicit sizes ([`WorkStealingPool::with_threads`],
-/// [`WorkStealingPool::persistent`]) bypass the snapshot entirely.
+/// Explicit sizes ([`WorkStealingPool::with_threads`]) bypass the snapshot
+/// entirely.
 fn default_threads() -> usize {
     static DEFAULT: OnceLock<usize> = OnceLock::new();
     *DEFAULT.get_or_init(|| {
@@ -109,34 +76,13 @@ fn default_threads() -> usize {
 
 /// A fixed-size work-stealing pool.
 ///
-/// Scoped by default — each [`WorkStealingPool::map`] call spawns its
-/// workers inside a [`std::thread::scope`], which lets the tasks borrow
-/// from the caller's stack (shared caches, pass managers) without any
-/// `'static` bounds, and joins them before returning.  The
-/// [`WorkStealingPool::persistent`] constructor swaps the per-call spawn
-/// for a crew of long-lived worker threads fed over a channel; see the
-/// module docs for the trade-off.
-///
-/// Clones of a persistent pool share one crew (the handle is an [`Arc`]);
-/// clones of a scoped pool are plain copies of the configured size.
-#[derive(Debug, Clone)]
+/// Each [`WorkStealingPool::map`] call spawns its workers inside a
+/// [`std::thread::scope`] and joins them before returning; the pool itself
+/// is just its configured size, so clones are plain copies.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkStealingPool {
     threads: usize,
-    crew: Option<Arc<crew::Crew>>,
 }
-
-impl PartialEq for WorkStealingPool {
-    fn eq(&self, other: &Self) -> bool {
-        self.threads == other.threads
-            && match (&self.crew, &other.crew) {
-                (None, None) => true,
-                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-                _ => false,
-            }
-    }
-}
-
-impl Eq for WorkStealingPool {}
 
 impl Default for WorkStealingPool {
     fn default() -> Self {
@@ -145,7 +91,7 @@ impl Default for WorkStealingPool {
 }
 
 impl WorkStealingPool {
-    /// A scoped pool sized to the machine: `std::thread::available_parallelism`,
+    /// A pool sized to the machine: `std::thread::available_parallelism`,
     /// overridable with the `QUDIT_THREADS` environment variable.
     ///
     /// The environment is read **once** per process and the resolved default
@@ -154,37 +100,20 @@ impl WorkStealingPool {
     pub fn new() -> Self {
         WorkStealingPool {
             threads: default_threads(),
-            crew: None,
         }
     }
 
-    /// A scoped pool with exactly `threads` workers (clamped to at least
-    /// one).
+    /// A pool with exactly `threads` workers (clamped to at least one).
     pub fn with_threads(threads: usize) -> Self {
         WorkStealingPool {
             threads: threads.max(1),
-            crew: None,
         }
     }
 
-    /// A pool with `threads` **persistent** workers (clamped to at least
-    /// one): the worker threads are spawned now, parked on a channel, and
-    /// reused by every [`WorkStealingPool::map`] call instead of being
-    /// re-spawned per dispatch.
-    ///
-    /// Results are byte-identical to the scoped pool's.  The crew is shared
-    /// by clones and joined when the last clone is dropped.
+    /// An alias of [`WorkStealingPool::with_threads`], kept only because
+    /// the `e2ebench` harness calls it.
     pub fn persistent(threads: usize) -> Self {
-        let threads = threads.max(1);
-        WorkStealingPool {
-            threads,
-            crew: Some(Arc::new(crew::Crew::spawn(threads))),
-        }
-    }
-
-    /// A persistent pool sized like [`WorkStealingPool::new`].
-    pub fn persistent_default() -> Self {
-        WorkStealingPool::persistent(default_threads())
+        WorkStealingPool::with_threads(threads)
     }
 
     /// The number of worker threads the pool dispatches over.
@@ -192,25 +121,17 @@ impl WorkStealingPool {
         self.threads
     }
 
-    /// Returns `true` when the pool runs on long-lived persistent workers.
-    pub fn is_persistent(&self) -> bool {
-        self.crew.is_some()
-    }
-
     /// Applies `f` to every item, in parallel, returning the results in
     /// input order.
     ///
     /// With a single worker (or a single item) the map runs inline on the
-    /// calling thread, so small inputs pay no threading overhead.  A
-    /// persistent pool called from one of its own workers also runs inline:
-    /// blocking a crew thread on work only the crew can perform would
-    /// deadlock under saturation.
+    /// calling thread, so small inputs pay no threading overhead.
     ///
     /// # Panics
     ///
     /// Propagates the first panic from `f` (by its original payload) after
-    /// the batch has been retired; the remaining tasks are abandoned, and
-    /// the pool stays usable for later calls.
+    /// every worker has exited; the remaining tasks are abandoned, and the
+    /// pool stays usable for later calls.
     pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
@@ -219,40 +140,22 @@ impl WorkStealingPool {
     {
         let n = items.len();
         let workers = self.threads.min(n);
-        if workers <= 1 || (self.crew.is_some() && in_worker()) {
+        if workers <= 1 {
             return items.into_iter().map(f).collect();
         }
         let batch = BatchState::new(items, workers, &f);
-        match &self.crew {
-            Some(crew) => crew.run(&batch, workers),
-            None => Self::run_scoped(&batch, workers),
-        }
-        batch.finish(n)
-    }
-
-    /// The scoped execution mode: spawn `workers` threads for this batch
-    /// and join them before returning.
-    fn run_scoped<T, R, F>(batch: &BatchState<'_, T, R, F>, workers: usize)
-    where
-        T: Send,
-        R: Send,
-        F: Fn(T) -> R + Sync,
-    {
         thread::scope(|scope| {
             for slot in 0..workers {
                 let batch = &batch;
-                scope.spawn(move || {
-                    IN_WORKER.with(|flag| flag.set(true));
-                    batch.work(slot);
-                });
+                scope.spawn(move || batch.work(slot));
             }
         });
+        batch.finish(n)
     }
 }
 
 /// One in-flight `map` batch: the chunked task deques, the shared result
-/// sink and the panic bookkeeping, shared by reference with every worker
-/// (scoped or persistent) that participates.
+/// sink and the panic bookkeeping, shared by reference with every worker.
 struct BatchState<'f, T, R, F> {
     /// Per-slot task deques (contiguous chunks of the input).
     queues: Vec<Mutex<VecDeque<(usize, T)>>>,
@@ -293,7 +196,6 @@ where
     /// steal from a victim's back to keep the victim's cache-warm front
     /// intact.  Stops early when a peer recorded a panic.
     fn work(&self, me: usize) {
-        use std::sync::atomic::Ordering;
         let workers = self.queues.len();
         let mut local: Vec<(usize, R)> = Vec::new();
         loop {
@@ -349,238 +251,11 @@ where
     }
 }
 
-/// The persistent-worker crew: long-lived threads parked on an injector
-/// channel of type-erased batch references.
-///
-/// This is the one module in the crate that needs `unsafe`: a long-lived
-/// thread cannot borrow a `map` caller's stack through safe channels (the
-/// closure and items are not `'static`), so batches are passed as erased
-/// raw pointers.  Soundness rests on one invariant, enforced by
-/// [`Crew::run`]: **the caller blocks until every injected reference has
-/// been consumed and its worker has exited the batch**, so no worker can
-/// touch the pointer after `map` returns and the `BatchState` leaves the
-/// caller's stack.  (This is the same contract `std::thread::scope` fakes
-/// with lifetimes — and the same technique rayon's registry uses.)
-#[allow(unsafe_code)]
-mod crew {
-    use super::{lock_unpoisoned, BatchState, IN_WORKER};
-    use std::collections::VecDeque;
-    use std::sync::{Arc, Condvar, Mutex};
-    use std::thread::JoinHandle;
-
-    /// A countdown latch: `run` waits until every injected batch reference
-    /// has been fully retired by a worker.
-    ///
-    /// Heap-allocated (`Arc`) and owned independently of the batch, so the
-    /// final decrement-and-notify never touches the caller's stack.
-    struct Latch {
-        outstanding: Mutex<usize>,
-        done: Condvar,
-    }
-
-    impl Latch {
-        fn new(count: usize) -> Arc<Self> {
-            Arc::new(Latch {
-                outstanding: Mutex::new(count),
-                done: Condvar::new(),
-            })
-        }
-
-        /// Marks one batch reference retired (worker fully out of the
-        /// batch) — the notify happens while the lock is held, so a woken
-        /// waiter cannot observe the count before this update completes.
-        fn retire_one(&self) {
-            let mut outstanding = lock_unpoisoned(&self.outstanding);
-            *outstanding -= 1;
-            self.done.notify_all();
-        }
-
-        fn wait_zero(&self) {
-            let mut outstanding = lock_unpoisoned(&self.outstanding);
-            while *outstanding > 0 {
-                outstanding = self
-                    .done
-                    .wait(outstanding)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-        }
-    }
-
-    /// A type-erased reference to a live [`BatchState`] on some caller's
-    /// stack, plus the worker slot it should run and the latch retiring it.
-    struct BatchRef {
-        data: *const (),
-        run: unsafe fn(*const (), usize),
-        slot: usize,
-        latch: Arc<Latch>,
-    }
-
-    // SAFETY: `data` points to a `BatchState<T, R, F>` with `T: Send`,
-    // `R: Send`, `F: Sync` (enforced by the only constructor, `Crew::run`),
-    // whose shared state is fully synchronised (mutexes/atomics), so the
-    // reference may be dereferenced from another thread; the caller keeps
-    // the pointee alive until the latch retires every reference.
-    unsafe impl Send for BatchRef {}
-
-    /// The erased entry point a worker calls: reconstitutes the concrete
-    /// `BatchState` type and runs the stealing loop for `slot`.
-    ///
-    /// # Safety
-    ///
-    /// `data` must point to a live `BatchState<T, R, F>` whose original
-    /// `map` caller is blocked on the corresponding latch.
-    unsafe fn run_erased<T, R, F>(data: *const (), slot: usize)
-    where
-        T: Send,
-        R: Send,
-        F: Fn(T) -> R + Sync,
-    {
-        // SAFETY: see the function contract; `Crew::run` blocks the owner
-        // of the pointee until this call (and the latch retire after it)
-        // has completed.
-        let batch = unsafe { &*(data as *const BatchState<'_, T, R, F>) };
-        batch.work(slot);
-    }
-
-    /// Injector state shared between the crew's workers and dispatchers.
-    struct Injector {
-        queue: VecDeque<BatchRef>,
-        shutdown: bool,
-    }
-
-    /// The crew: worker threads plus the injector channel that feeds them.
-    pub(super) struct Crew {
-        shared: Arc<Shared>,
-        workers: Vec<JoinHandle<()>>,
-    }
-
-    struct Shared {
-        injector: Mutex<Injector>,
-        available: Condvar,
-    }
-
-    impl std::fmt::Debug for Crew {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("Crew")
-                .field("workers", &self.workers.len())
-                .finish()
-        }
-    }
-
-    impl Crew {
-        /// Spawns `threads` persistent workers parked on the injector.
-        pub(super) fn spawn(threads: usize) -> Self {
-            let shared = Arc::new(Shared {
-                injector: Mutex::new(Injector {
-                    queue: VecDeque::new(),
-                    shutdown: false,
-                }),
-                available: Condvar::new(),
-            });
-            let workers = (0..threads)
-                .map(|_| {
-                    let shared = Arc::clone(&shared);
-                    std::thread::spawn(move || worker_loop(&shared))
-                })
-                .collect();
-            Crew { shared, workers }
-        }
-
-        /// Runs one batch on the crew and blocks until it is fully retired.
-        ///
-        /// This is the soundness linchpin: the batch references are erased
-        /// to raw pointers here, and this function does not return until
-        /// the latch confirms every reference was consumed and its worker
-        /// exited the batch — after which no live pointer to `batch`
-        /// remains anywhere in the crew.
-        pub(super) fn run<T, R, F>(&self, batch: &BatchState<'_, T, R, F>, workers: usize)
-        where
-            T: Send,
-            R: Send,
-            F: Fn(T) -> R + Sync,
-        {
-            let latch = Latch::new(workers);
-            {
-                let mut injector = lock_unpoisoned(&self.shared.injector);
-                for slot in 0..workers {
-                    injector.queue.push_back(BatchRef {
-                        data: batch as *const BatchState<'_, T, R, F> as *const (),
-                        run: run_erased::<T, R, F>,
-                        slot,
-                        latch: Arc::clone(&latch),
-                    });
-                }
-                self.shared.available.notify_all();
-            }
-            latch.wait_zero();
-        }
-    }
-
-    impl Drop for Crew {
-        fn drop(&mut self) {
-            {
-                let mut injector = lock_unpoisoned(&self.shared.injector);
-                injector.shutdown = true;
-                self.shared.available.notify_all();
-            }
-            for worker in self.workers.drain(..) {
-                // A worker that somehow died early is already accounted
-                // for; joining collects the rest.
-                let _ = worker.join();
-            }
-        }
-    }
-
-    /// A persistent worker: pull a batch reference, run it, retire it,
-    /// repeat until shutdown.
-    fn worker_loop(shared: &Shared) {
-        IN_WORKER.with(|flag| flag.set(true));
-        loop {
-            let batch_ref = {
-                let mut injector = lock_unpoisoned(&shared.injector);
-                loop {
-                    if let Some(batch_ref) = injector.queue.pop_front() {
-                        break batch_ref;
-                    }
-                    if injector.shutdown {
-                        return;
-                    }
-                    injector = shared
-                        .available
-                        .wait(injector)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                }
-            };
-            // SAFETY: the dispatcher in `Crew::run` keeps the pointee alive
-            // until this reference is retired below.
-            unsafe { (batch_ref.run)(batch_ref.data, batch_ref.slot) };
-            batch_ref.latch.retire_one();
-        }
-    }
-}
-
-/// [`WorkStealingPool::map`] on a default-sized pool.
-///
-/// # Example
-///
-/// ```
-/// let doubled = qudit_core::pool::parallel_map(vec![1, 2, 3], |x| x * 2);
-/// assert_eq!(doubled, vec![2, 4, 6]);
-/// ```
-pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    WorkStealingPool::new().map(items, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashSet;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::AtomicUsize;
     use std::time::Duration;
 
     #[test]
@@ -654,18 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn in_worker_is_visible_inside_tasks_only() {
-        assert!(!in_worker());
-        let pool = WorkStealingPool::with_threads(4);
-        let flags = pool.map(vec![(); 16], |()| in_worker());
-        assert!(flags.into_iter().all(|flag| flag));
-        assert!(!in_worker());
-        // The single-threaded inline path runs on the caller, not a worker.
-        let inline = WorkStealingPool::with_threads(1).map(vec![()], |()| in_worker());
-        assert_eq!(inline, vec![false]);
-    }
-
-    #[test]
     fn default_size_is_snapshotted_once_per_process() {
         // Whatever the first resolution saw, later constructions must agree
         // even if the environment variable changes mid-process.
@@ -720,7 +383,7 @@ mod tests {
             .or_else(|| caught.downcast_ref::<String>().cloned())
             .expect("payload is the original panic message");
         assert!(message.contains("persistent task 7 exploded"));
-        // The crew threads caught the panic and keep serving.
+        // The alias pool keeps serving after a panicked batch.
         let out = pool.map((0..100usize).collect(), |x| x + 1);
         assert_eq!(out, (1..=100).collect::<Vec<_>>());
     }
@@ -729,8 +392,7 @@ mod tests {
     fn persistent_results_are_byte_identical_to_scoped() {
         let scoped = WorkStealingPool::with_threads(4);
         let persistent = WorkStealingPool::persistent(4);
-        assert!(persistent.is_persistent());
-        assert!(!scoped.is_persistent());
+        assert_eq!(persistent, scoped);
         for size in [0usize, 1, 7, 64, 1000] {
             let items: Vec<u64> = (0..size as u64).collect();
             let a = scoped.map(items.clone(), |x| {
@@ -739,49 +401,6 @@ mod tests {
             let b = persistent.map(items, |x| x.wrapping_mul(0x9E37_79B9).rotate_left(7));
             assert_eq!(a, b, "batch size {size}");
         }
-    }
-
-    #[test]
-    fn persistent_workers_are_reused_across_dispatches() {
-        let pool = WorkStealingPool::persistent(2);
-        let mut seen = HashSet::new();
-        for _ in 0..10 {
-            let ids = pool.map(vec![0; 16], |_| {
-                thread::sleep(Duration::from_micros(200));
-                thread::current().id()
-            });
-            seen.extend(ids);
-        }
-        // Ten dispatches over two long-lived workers touch at most two
-        // distinct threads; a scoped pool would have spawned twenty.
-        assert!(seen.len() <= 2, "saw {} distinct workers", seen.len());
-    }
-
-    #[test]
-    fn persistent_map_from_a_worker_runs_inline() {
-        let pool = WorkStealingPool::persistent(2);
-        let inner = pool.clone();
-        let nested = pool.map(vec![0u32; 4], move |_| {
-            // Nested dispatch on the same crew must not deadlock.
-            inner.map(vec![1u32, 2, 3], |x| x * 2)
-        });
-        assert!(nested.iter().all(|v| *v == vec![2, 4, 6]));
-    }
-
-    #[test]
-    fn clones_share_one_crew() {
-        let pool = WorkStealingPool::persistent(2);
-        let clone = pool.clone();
-        assert_eq!(pool, clone);
-        assert_ne!(pool, WorkStealingPool::persistent(2));
-        assert_ne!(pool, WorkStealingPool::with_threads(2));
-        assert_eq!(
-            WorkStealingPool::with_threads(2),
-            WorkStealingPool::with_threads(2)
-        );
-        drop(pool);
-        // The crew survives while any clone lives.
-        assert_eq!(clone.map(vec![5, 6], |x| x + 1), vec![6, 7]);
     }
 
     #[test]

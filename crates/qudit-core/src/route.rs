@@ -23,9 +23,7 @@
 //!   suites enforce on every routed circuit;
 //! * [`RoutePass`] — the `"route"` pipeline stage (placement + routing +
 //!   epilogue, so the stage is semantics-preserving and verifies under
-//!   `VerifyEquivalence` on every backend);
-//! * [`route_batch`] — fans independent routing jobs over a
-//!   [`WorkStealingPool`].
+//!   `VerifyEquivalence` on every backend).
 //!
 //! # The SWAP ladder
 //!
@@ -77,7 +75,6 @@ use crate::error::{QuditError, Result};
 use crate::gate::{Gate, GateOp};
 use crate::ops::{Permutation, SingleQuditOp};
 use crate::pipeline::{Pass, PassContext};
-use crate::pool::WorkStealingPool;
 use crate::qudit::QuditId;
 use crate::topology::CouplingGraph;
 
@@ -729,30 +726,6 @@ pub fn route_circuit(
     Router::new(graph, cost).route(circuit)
 }
 
-/// Routes a batch of circuits, fanning the independent jobs over a
-/// [`WorkStealingPool`] when one is provided (results keep input order and
-/// are identical to the sequential ones for every pool width).
-///
-/// # Errors
-///
-/// Returns the first routing error in input order.
-pub fn route_batch(
-    circuits: &[Circuit],
-    graph: &CouplingGraph,
-    cost: &dyn CostModel,
-    pool: Option<&WorkStealingPool>,
-) -> Result<Vec<Routed>> {
-    let router = Router::new(graph, cost);
-    let results: Vec<Result<Routed>> = match pool.filter(|p| p.threads() > 1 && circuits.len() > 1)
-    {
-        Some(pool) => pool.map((0..circuits.len()).collect(), |i| {
-            router.route(&circuits[i])
-        }),
-        None => circuits.iter().map(|c| router.route(c)).collect(),
-    };
-    results.into_iter().collect()
-}
-
 /// The `"route"` pipeline stage: embeds the circuit in the graph's site
 /// register, routes it (greedy placement + lookahead SWAP ladders), and
 /// appends the inverse-permutation epilogue so the stage preserves the
@@ -980,22 +953,6 @@ mod tests {
         assert!((noisy.circuit_cost(&circuit) - 16.0).abs() < 1e-12);
         assert_eq!(noisy.name(), "noise-aware");
         assert_eq!(UniformCost.name(), "uniform");
-    }
-
-    #[test]
-    fn route_batch_matches_sequential_for_every_pool_width() {
-        let circuits: Vec<Circuit> = (3..6).map(|w| far_apart_circuit(dim(3), w)).collect();
-        let graph = CouplingGraph::linear(6).unwrap();
-        let sequential = route_batch(&circuits, &graph, &UniformCost, None).unwrap();
-        for threads in [1, 2, 4] {
-            let pool = WorkStealingPool::with_threads(threads);
-            let parallel = route_batch(&circuits, &graph, &UniformCost, Some(&pool)).unwrap();
-            for (s, p) in sequential.iter().zip(&parallel) {
-                assert_eq!(s.circuit, p.circuit, "threads {threads}");
-                assert_eq!(s.final_placement, p.final_placement);
-                assert_eq!(s.swap_count, p.swap_count);
-            }
-        }
     }
 
     #[test]

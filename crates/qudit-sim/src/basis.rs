@@ -10,7 +10,6 @@
 
 use std::ops::{Add, BitAnd, Range, Sub};
 
-use qudit_core::pool::WorkStealingPool;
 use qudit_core::{
     Circuit, Control, ControlPredicate, Dimension, Gate, GateOp, QuditError, Result, SingleQuditOp,
 };
@@ -341,50 +340,23 @@ pub fn circuit_permutation(circuit: &Circuit) -> Result<Vec<usize>> {
     Ok(table)
 }
 
-/// Basis-state count above which the exhaustive classical sweep fans its
-/// block ranges out over a work-stealing pool (each state checks
-/// independently).
-const PARALLEL_VERIFY_THRESHOLD: usize = 1024;
-
-/// Sweeps every basis state through both circuits in blocks and returns
-/// the first, in basis order, on which they disagree.
-///
-/// Large sweeps hand their block ranges to the run's pinned pool — or an
-/// environment-sized one when the manager pinned none — never nested
-/// inside a batch worker (see `qudit_core::pool`); the witness is the first
-/// in basis order regardless of which worker found it.  Memory stays
-/// `O(width × block)` per worker for any register size.
-pub(crate) fn exhaustive_witness(
-    before: &Circuit,
-    after: &Circuit,
-    pinned_pool: Option<WorkStealingPool>,
-) -> Result<Option<Vec<u32>>> {
+/// Sweeps every basis state through both circuits in blocks of
+/// [`BLOCK_STATES`] and returns the first, in basis order, on which they
+/// disagree.  Memory stays `O(width × block)` for any register size.
+pub(crate) fn exhaustive_witness(before: &Circuit, after: &Circuit) -> Result<Option<Vec<u32>>> {
     let dimension = before.dimension();
     let width = before.width();
     let size = dimension.register_size(width);
-    let parallel = size >= PARALLEL_VERIFY_THRESHOLD && !qudit_core::pool::in_worker();
-    let pool = parallel
-        .then(|| pinned_pool.unwrap_or_default())
-        .filter(|pool| pool.threads() > 1);
-    let block = match &pool {
-        Some(pool) => size.div_ceil(pool.threads().saturating_mul(4)),
-        None => size,
-    }
-    .clamp(1, BLOCK_STATES);
-    let check = |start: usize| -> Result<Option<Vec<u32>>> {
-        let batch = BasisBatch::from_range(dimension, width, start..(start + block).min(size));
-        Ok(first_disagreement(before, after, batch)?
-            .map(|i| index_to_digits(start + i, dimension, width)))
-    };
-    let starts = (0..size).step_by(block);
-    match pool {
-        Some(pool) => pool
-            .map(starts.collect(), check)
-            .into_iter()
-            .find_map(Result::transpose)
-            .transpose(),
-        None => starts.map(check).find_map(Result::transpose).transpose(),
-    }
+    let block = size.clamp(1, BLOCK_STATES);
+    (0..size)
+        .step_by(block)
+        .map(|start| -> Result<Option<Vec<u32>>> {
+            let batch = BasisBatch::from_range(dimension, width, start..(start + block).min(size));
+            Ok(first_disagreement(before, after, batch)?
+                .map(|i| index_to_digits(start + i, dimension, width)))
+        })
+        .find_map(Result::transpose)
+        .transpose()
 }
 
 /// Pushes `inputs` through both circuits, [`BLOCK_STATES`] at a time, and

@@ -1,6 +1,5 @@
 //! Cache-blocked dense simulation engine: fused gate groups applied over
-//! contiguous amplitude panels, optionally fanned out over a
-//! [`WorkStealingPool`].
+//! contiguous amplitude panels.
 //!
 //! # Why a second dense path
 //!
@@ -16,14 +15,10 @@
 //!    target block are processed in contiguous column panels of
 //!    [`PANEL_WIDTH`] amplitudes through split-complex (SoA) scratch
 //!    planes, turning the strided scalar walk into unit-stride loops the
-//!    compiler can vectorise, and
-//! 3. optionally **fans independent chunks** over a pinned
-//!    [`WorkStealingPool`] once the register reaches
-//!    [`PANEL_PARALLEL_THRESHOLD`] amplitudes.  Aligned power-of-`d`
-//!    chunks are closed under every operation whose block divides them, so
-//!    consecutive runs of such operations share a *single* pool dispatch
-//!    (the scoped-thread spawn is paid per run, not per gate); operations
-//!    whose block exceeds the chunk length run sequentially in between.
+//!    compiler can vectorise.
+//!
+//! The engine runs sequentially: a verification sweep is one step of one
+//! compile job, and jobs are what fan out (see `qudit_core::pool`).
 //!
 //! # Exactness contract
 //!
@@ -37,9 +32,6 @@
 //!   stored bit patterns can differ only in the sign of IEEE zeros, because
 //!   the reference walk skips all-zero blocks column by column while the
 //!   panel kernels skip them panel by panel.
-//! * The pool-parallel path splits the vector into disjoint whole-block
-//!   chunks and runs the *same* kernel on each, so it is **byte-identical**
-//!   to sequential fused execution for every worker count.
 //!
 //! # Basis inputs
 //!
@@ -52,7 +44,6 @@
 //! reference walk over the whole circuit.
 
 use qudit_core::math::{Complex, SquareMatrix};
-use qudit_core::pool::{in_worker, WorkStealingPool};
 use qudit_core::{
     Circuit, ControlPredicate, Dimension, Gate, GateOp, QuditError, Result, SingleQuditOp,
 };
@@ -69,11 +60,6 @@ pub const PANEL_MIN: usize = 16;
 /// `d × PANEL_WIDTH` f64 pairs fit comfortably in L1 for every practical
 /// `d`.
 pub const PANEL_WIDTH: usize = 128;
-
-/// Minimum register size (amplitude count) before a fused program is
-/// fanned out over the worker pool: below this even a batched scoped
-/// thread spawn costs more than the traversals themselves.
-pub const PANEL_PARALLEL_THRESHOLD: usize = 1 << 15;
 
 /// A `d×d` matrix in split-complex (SoA) row-major layout.
 #[derive(Debug, Clone, PartialEq)]
@@ -176,7 +162,6 @@ impl FusedOp {
 pub struct FusedProgram {
     dimension: Dimension,
     width: usize,
-    size: usize,
     source_gates: usize,
     ops: Vec<FusedOp>,
 }
@@ -205,7 +190,6 @@ impl FusedProgram {
     /// Returns an error when a gate is invalid for the register.
     pub fn compile_gates(dimension: Dimension, width: usize, gates: &[Gate]) -> Result<Self> {
         let d = dimension.as_usize();
-        let size = dimension.register_size(width);
         let stride_of = |qudit: usize| d.pow((width - 1 - qudit) as u32);
         let plan = qudit_core::fusion::plan_fusion(gates, true);
         let mut ops = Vec::with_capacity(plan.groups.len());
@@ -259,7 +243,6 @@ impl FusedProgram {
         Ok(FusedProgram {
             dimension,
             width,
-            size,
             source_gates: gates.len(),
             ops,
         })
@@ -403,32 +386,24 @@ fn digit_at(index: usize, stride: usize, d: usize) -> u32 {
     ((index / stride) % d) as u32
 }
 
-/// Applies one fused operation to a chunk of whole target blocks.
-///
-/// `start` is the chunk's offset in the full amplitude vector — control
-/// digits are functions of the *absolute* index.  Sequential execution
-/// passes the whole vector with `start == 0`; the pool path passes disjoint
-/// block-aligned chunks, so both run the identical code on identical data
-/// and produce byte-identical amplitudes.
-fn apply_op_chunk(op: &FusedOp, chunk: &mut [Complex], start: usize, d: usize) {
-    debug_assert_eq!(start % op.block, 0);
-    debug_assert_eq!(chunk.len() % op.block, 0);
+/// Applies one fused operation to the whole amplitude vector.
+fn apply_op(op: &FusedOp, amplitudes: &mut [Complex], d: usize) {
+    debug_assert_eq!(amplitudes.len() % op.block, 0);
     if op.uses_panels() {
-        apply_op_chunk_panels(op, chunk, start, d);
+        apply_op_panels(op, amplitudes, d);
     } else {
-        apply_op_chunk_scalar(op, chunk, start, d);
+        apply_op_scalar(op, amplitudes, d);
     }
 }
 
 /// The per-column scalar path: the reference walk of
 /// `StateVector::apply_gate`, extended to apply the fused member actions in
 /// sequence on the gathered block.
-fn apply_op_chunk_scalar(op: &FusedOp, chunk: &mut [Complex], start: usize, d: usize) {
+fn apply_op_scalar(op: &FusedOp, amplitudes: &mut [Complex], d: usize) {
     let t_stride = op.t_stride;
     let mut cur = vec![Complex::ZERO; d];
     let mut next = vec![Complex::ZERO; d];
-    for outer_local in (0..chunk.len()).step_by(op.block) {
-        let outer = start + outer_local;
+    for outer in (0..amplitudes.len()).step_by(op.block) {
         if !op
             .outer_controls
             .iter()
@@ -437,14 +412,13 @@ fn apply_op_chunk_scalar(op: &FusedOp, chunk: &mut [Complex], start: usize, d: u
             continue;
         }
         for inner in 0..t_stride {
-            let base_local = outer_local + inner;
             let base = outer + inner;
             // Gather the block and skip it when it carries no amplitude —
             // exactly the reference walk's occupancy skip, leaving the
             // stored bits untouched.
             let mut occupied = false;
             for (level, slot) in cur.iter_mut().enumerate() {
-                *slot = chunk[base_local + level * t_stride];
+                *slot = amplitudes[base + level * t_stride];
                 occupied |= *slot != Complex::ZERO;
             }
             if !occupied {
@@ -501,7 +475,7 @@ fn apply_op_chunk_scalar(op: &FusedOp, chunk: &mut [Complex], start: usize, d: u
                 }
             }
             for (level, &amp) in cur.iter().enumerate() {
-                chunk[base_local + level * t_stride] = amp;
+                amplitudes[base + level * t_stride] = amp;
             }
         }
     }
@@ -510,7 +484,7 @@ fn apply_op_chunk_scalar(op: &FusedOp, chunk: &mut [Complex], start: usize, d: u
 /// The panel (SoA) path: the `d` rows of a target block are processed in
 /// contiguous column panels through split-complex scratch planes, turning
 /// every inner loop into a unit-stride `f64` loop.
-fn apply_op_chunk_panels(op: &FusedOp, chunk: &mut [Complex], start: usize, d: usize) {
+fn apply_op_panels(op: &FusedOp, amplitudes: &mut [Complex], d: usize) {
     let t_stride = op.t_stride;
     let run_len = op.min_run_stride().min(t_stride);
     // Split-complex scratch planes: `d` rows of up to PANEL_WIDTH columns,
@@ -519,8 +493,7 @@ fn apply_op_chunk_panels(op: &FusedOp, chunk: &mut [Complex], start: usize, d: u
     let mut cur_im = vec![0.0f64; d * PANEL_WIDTH];
     let mut next_re = vec![0.0f64; d * PANEL_WIDTH];
     let mut next_im = vec![0.0f64; d * PANEL_WIDTH];
-    for outer_local in (0..chunk.len()).step_by(op.block) {
-        let outer = start + outer_local;
+    for outer in (0..amplitudes.len()).step_by(op.block) {
         if !op
             .outer_controls
             .iter()
@@ -542,12 +515,12 @@ fn apply_op_chunk_panels(op: &FusedOp, chunk: &mut [Complex], start: usize, d: u
             let run_end = run_start + run_len;
             for panel_start in (run_start..run_end).step_by(PANEL_WIDTH) {
                 let w = PANEL_WIDTH.min(run_end - panel_start);
-                let base_local = outer_local + panel_start;
+                let base = outer + panel_start;
                 // Gather into the SoA planes; skip wholly-empty panels so
                 // untouched regions keep their stored bits.
                 let mut occupied = false;
                 for level in 0..d {
-                    let row = &chunk[base_local + level * t_stride..][..w];
+                    let row = &amplitudes[base + level * t_stride..][..w];
                     let plane_re = &mut cur_re[level * PANEL_WIDTH..][..w];
                     let plane_im = &mut cur_im[level * PANEL_WIDTH..][..w];
                     for j in 0..w {
@@ -618,7 +591,7 @@ fn apply_op_chunk_panels(op: &FusedOp, chunk: &mut [Complex], start: usize, d: u
                     }
                 }
                 for level in 0..d {
-                    let row = &mut chunk[base_local + level * t_stride..][..w];
+                    let row = &mut amplitudes[base + level * t_stride..][..w];
                     let plane_re = &cur_re[level * PANEL_WIDTH..][..w];
                     let plane_im = &cur_im[level * PANEL_WIDTH..][..w];
                     for j in 0..w {
@@ -634,7 +607,7 @@ fn apply_op_chunk_panels(op: &FusedOp, chunk: &mut [Complex], start: usize, d: u
 }
 
 impl StateVector {
-    /// Applies a compiled [`FusedProgram`] in place, sequentially.
+    /// Applies a compiled [`FusedProgram`] in place.
     ///
     /// Produces amplitudes `==`-equal to applying the source circuit with
     /// [`StateVector::apply_circuit`] (see the module docs for the exact
@@ -645,25 +618,6 @@ impl StateVector {
     /// Returns an error when the program was compiled for a different
     /// register shape.
     pub fn apply_fused(&mut self, program: &FusedProgram) -> Result<()> {
-        self.apply_fused_on(program, None)
-    }
-
-    /// Applies a compiled [`FusedProgram`] in place, fanning independent
-    /// block chunks over `pool` when one is given and the register is at
-    /// least [`PANEL_PARALLEL_THRESHOLD`] amplitudes.
-    ///
-    /// Byte-identical to [`StateVector::apply_fused`] for every pool width:
-    /// the chunks are disjoint whole blocks and run the same kernel.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the program was compiled for a different
-    /// register shape.
-    pub fn apply_fused_on(
-        &mut self,
-        program: &FusedProgram,
-        pool: Option<&WorkStealingPool>,
-    ) -> Result<()> {
         if program.dimension != self.dimension() {
             return Err(QuditError::IncompatibleCircuits {
                 reason: "program and state dimensions differ".to_string(),
@@ -675,50 +629,9 @@ impl StateVector {
             });
         }
         let d = program.dimension.as_usize();
-        let size = program.size;
-        let parallel = pool
-            .filter(|pool| pool.threads() > 1 && !in_worker() && size >= PANEL_PARALLEL_THRESHOLD);
         let amplitudes = self.amplitudes_mut();
-        let Some(pool) = parallel else {
-            for op in &program.ops {
-                apply_op_chunk(op, amplitudes, 0, d);
-            }
-            return Ok(());
-        };
-        // The pool spawns its scoped workers on every `map`, so dispatching
-        // per operation would pay that spawn dozens of times per program.
-        // Instead the register is split into aligned power-of-`d` chunks —
-        // which are closed under every operation whose block divides the
-        // chunk — and *consecutive runs* of such operations are applied in a
-        // single dispatch, each worker walking its chunk through the whole
-        // run.  Operations with bigger blocks (targets near qudit 0) run
-        // sequentially between runs, preserving program order.
-        let mut chunk_len = 1usize;
-        while size / (chunk_len * d) >= 2 * pool.threads() {
-            chunk_len *= d;
-        }
-        let mut index = 0;
-        while index < program.ops.len() {
-            if program.ops[index].block > chunk_len {
-                apply_op_chunk(&program.ops[index], amplitudes, 0, d);
-                index += 1;
-                continue;
-            }
-            let run_start = index;
-            while index < program.ops.len() && program.ops[index].block <= chunk_len {
-                index += 1;
-            }
-            let run = &program.ops[run_start..index];
-            let chunks: Vec<(usize, &mut [Complex])> = amplitudes
-                .chunks_mut(chunk_len)
-                .enumerate()
-                .map(|(i, chunk)| (i * chunk_len, chunk))
-                .collect();
-            pool.map(chunks, |(start, chunk)| {
-                for op in run {
-                    apply_op_chunk(op, chunk, start, d);
-                }
-            });
+        for op in &program.ops {
+            apply_op(op, amplitudes, d);
         }
         Ok(())
     }
@@ -853,23 +766,21 @@ mod tests {
 
     #[test]
     fn parallel_execution_is_byte_identical_to_sequential() {
+        // At width 10 (3^10 = 59049 amplitudes) repeated runs are
+        // byte-identical and match the reference walk.
         let d = dim(3);
-        // Width 10 (3^10 = 59049 ≥ PANEL_PARALLEL_THRESHOLD) so the pool
-        // path actually engages.
         let width = 10;
         let circuit = mixed_circuit(d, width);
         let program = FusedProgram::compile(&circuit, width).unwrap();
-        let mut sequential = StateVector::new(d, width);
-        sequential.apply_fused(&program).unwrap();
-        for threads in [1usize, 2, 4] {
-            let pool = WorkStealingPool::with_threads(threads);
-            let mut parallel = StateVector::new(d, width);
-            parallel.apply_fused_on(&program, Some(&pool)).unwrap();
-            for (a, b) in parallel.amplitudes().iter().zip(sequential.amplitudes()) {
-                assert_eq!(a.re.to_bits(), b.re.to_bits());
-                assert_eq!(a.im.to_bits(), b.im.to_bits());
-            }
+        let mut first = StateVector::new(d, width);
+        first.apply_fused(&program).unwrap();
+        let mut second = StateVector::new(d, width);
+        second.apply_fused(&program).unwrap();
+        for (a, b) in first.amplitudes().iter().zip(second.amplitudes()) {
+            assert_eq!(a.re.to_bits(), b.re.to_bits());
+            assert_eq!(a.im.to_bits(), b.im.to_bits());
         }
+        assert_eq!(first.amplitudes(), reference(&circuit, width).amplitudes());
     }
 
     #[test]

@@ -152,7 +152,7 @@ fn verdict(
 pub fn verify_mct_exhaustive(circuit: &Circuit, spec: &MctSpec) -> Result<Verification> {
     let (dimension, width) = (circuit.dimension(), circuit.width());
     let reference = spec.circuit(dimension, width)?;
-    let witness = exhaustive_witness(&reference, circuit, None)?;
+    let witness = exhaustive_witness(&reference, circuit)?;
     verdict(&reference, circuit, dimension.register_size(width), witness)
 }
 

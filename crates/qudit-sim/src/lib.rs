@@ -12,8 +12,8 @@
 //! * [`StateVector`] and [`statevector`] — state-vector simulation supporting
 //!   arbitrary controlled unitaries (the scalar reference walk);
 //! * [`FusedProgram`] and [`dense`] — the cache-blocked dense engine: gate
-//!   fusion, split-complex panel kernels and pool-parallel block dispatch,
-//!   exact (`==`-equal) against the reference walk; [`simulate_basis`] and
+//!   fusion and split-complex panel kernels, exact (`==`-equal) against
+//!   the reference walk; [`simulate_basis`] and
 //!   [`circuit_unitary`] run on it from basis inputs, walking a circuit's
 //!   leading classical gates on the digit vector first;
 //! * [`equivalence`] — specification checkers for multi-controlled gates with

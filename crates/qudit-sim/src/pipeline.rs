@@ -7,9 +7,8 @@
 //! * **classical circuits** via the [`BasisBatch`](crate::BasisBatch)
 //!   kernel, which pushes blocks of basis states through both circuits as
 //!   digit rows with vectorised compare/select loops — every basis state in
-//!   blocks when the register is small (fanned out over the pool on larger
-//!   sweeps), a deterministic draw of random basis states otherwise — in
-//!   `O(width × block)` memory either way;
+//!   blocks when the register is small, a deterministic draw of random
+//!   basis states otherwise — in `O(width × block)` memory either way;
 //! * **all-Clifford circuits** over prime dimensions via exact stabilizer
 //!   tableau comparison ([`crate::stabilizer`]) — complete up to global
 //!   phase at *any* register width;
@@ -24,7 +23,6 @@
 
 use qudit_core::math::{Complex, MATRIX_TOLERANCE};
 use qudit_core::pipeline::{Pass, PassContext, PassManager};
-use qudit_core::pool::WorkStealingPool;
 use qudit_core::{Circuit, QuditError, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -171,12 +169,7 @@ impl VerifyEquivalence {
         first_witness(before, after, inputs)
     }
 
-    fn check_equivalent(
-        &self,
-        before: &Circuit,
-        after: &Circuit,
-        pinned_pool: Option<WorkStealingPool>,
-    ) -> Result<()> {
+    fn check_equivalent(&self, before: &Circuit, after: &Circuit) -> Result<()> {
         if before.dimension() != after.dimension() || before.width() != after.width() {
             return Err(self.fail(format!(
                 "pass changed the register: d={}, width={} -> d={}, width={}",
@@ -199,11 +192,7 @@ impl VerifyEquivalence {
             && crate::stabilizer::is_clifford_circuit(before)
             && crate::stabilizer::is_clifford_circuit(after)
         {
-            let parallel = !qudit_core::pool::in_worker();
-            let pool = parallel.then(|| pinned_pool.unwrap_or_default());
-            let equal =
-                crate::stabilizer::clifford_circuits_equal_on(before, after, pool.as_ref())?;
-            if !equal {
+            if !crate::stabilizer::clifford_circuits_equal(before, after)? {
                 return Err(self.fail(
                     "output circuit is not equivalent to its input (stabilizer tableaus differ)"
                         .to_string(),
@@ -213,7 +202,7 @@ impl VerifyEquivalence {
         }
         if before.is_classical() && after.is_classical() {
             let witness = if size <= self.max_exhaustive_states {
-                exhaustive_witness(before, after, pinned_pool)?
+                exhaustive_witness(before, after)?
             } else {
                 self.sampled_witness(before, after)?
             };
@@ -237,13 +226,10 @@ impl VerifyEquivalence {
             // basis-state inputs — destroys the fidelity with probability 1;
             // only a consistent global phase survives, matching the
             // small-register comparison above.  Each circuit is compiled
-            // once; the fused engine fans over the run's pinned pool on
-            // registers large enough to pay (never nested inside a batch
-            // worker; the result is byte-identical for every pool width).
+            // once.
             let width = before.width();
             let before_program = FusedProgram::compile(before, width)?;
             let after_program = FusedProgram::compile(after, width)?;
-            let sim_pool = pinned_pool.as_ref();
             let mut rng = StdRng::seed_from_u64(SAMPLE_SEED);
             let samples = self.samples.clamp(1, MAX_STATEVECTOR_SAMPLES);
             for sample in 0..samples {
@@ -255,9 +241,9 @@ impl VerifyEquivalence {
                     amplitudes.iter().map(|a| a.scale(1.0 / norm)).collect();
                 let mut state_before =
                     StateVector::from_amplitudes(dimension, width, amplitudes.clone())?;
-                state_before.apply_fused_on(&before_program, sim_pool)?;
+                state_before.apply_fused(&before_program)?;
                 let mut state_after = StateVector::from_amplitudes(dimension, width, amplitudes)?;
-                state_after.apply_fused_on(&after_program, sim_pool)?;
+                state_after.apply_fused(&after_program)?;
                 if (state_before.fidelity(&state_after) - 1.0).abs() > 1e-9 {
                     return Err(self.fail(format!(
                         "output circuit is not equivalent to its input \
@@ -282,16 +268,15 @@ impl Pass for VerifyEquivalence {
 
     fn run(&self, circuit: Circuit) -> Result<Circuit> {
         let output = self.inner.run(circuit.clone())?;
-        self.check_equivalent(&circuit, &output, None)?;
+        self.check_equivalent(&circuit, &output)?;
         Ok(output)
     }
 
     fn run_with(&self, circuit: Circuit, ctx: &mut PassContext) -> Result<Circuit> {
         // Forward the context so the wrapped pass keeps its cache access
-        // (and its cache statistics) under verification, and so the
-        // exhaustive sweep honours the run's pinned worker pool.
+        // (and its cache statistics) under verification.
         let output = self.inner.run_with(circuit.clone(), ctx)?;
-        self.check_equivalent(&circuit, &output, ctx.pool())?;
+        self.check_equivalent(&circuit, &output)?;
         Ok(output)
     }
 }

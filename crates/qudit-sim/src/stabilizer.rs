@@ -26,10 +26,8 @@
 //!   are exactly equal (agreement on all `2n` generator images forces
 //!   `C₁†C₂` to commute with the full Pauli group, hence be scalar), so
 //!   [`clifford_circuits_equal`] is a complete equivalence check at widths
-//!   far beyond the dense engine's reach.  Rows conjugate independently, so
-//!   tableau construction fans row chunks over the
-//!   [`WorkStealingPool`] with bit-identical (exact integer) results for
-//!   every thread count.
+//!   far beyond the dense engine's reach.  Construction conjugates the
+//!   rows one at a time, in exact integer arithmetic.
 //! * **[`StabilizerState`]** — the state tableau (`n` generator rows) for
 //!   wide Clifford state queries: basis-state initialisation, gate
 //!   application by conjugation, basis-state probabilities in `O(n³)` via
@@ -41,7 +39,6 @@
 //! [`circuits_equal_up_to_phase`](crate::equivalence::circuits_equal_up_to_phase).
 
 use qudit_core::math::{Complex, SquareMatrix};
-use qudit_core::pool::WorkStealingPool;
 use qudit_core::{Circuit, Dimension, Gate, QuditError, QuditId, Result};
 use std::collections::HashMap;
 
@@ -52,11 +49,6 @@ use crate::statevector::StateVector;
 /// unity during classification.  Conjugation multiplies three unitaries of
 /// size ≤ d², so the accumulated error is far below this.
 const SNAP_TOLERANCE: f64 = 1e-8;
-
-/// Minimum number of tableau rows before a construction sweep fans out over
-/// a worker pool (below this the chunk bookkeeping costs more than the
-/// conjugations).
-const PARALLEL_ROW_THRESHOLD: usize = 8;
 
 /// A generalised Pauli operator `ω_{2d}^phase · ∏_q X_q^{xs[q]} Z_q^{zs[q]}`
 /// over a register of qudits, in per-qudit normal order (`X` before `Z`).
@@ -497,42 +489,12 @@ pub fn classify_circuit(circuit: &Circuit) -> Result<Vec<CliffordAction>> {
         .collect()
 }
 
-/// Conjugates a set of rows through a gate sequence, fanning row chunks
-/// over the pool when one is supplied (rows conjugate independently and
-/// the arithmetic is exact, so results are identical for every thread
-/// count).
-fn sweep_rows(
-    rows: &mut Vec<PauliRow>,
-    actions: &[CliffordAction],
-    pool: Option<&WorkStealingPool>,
-) {
-    if actions.is_empty() {
-        return;
-    }
-    let parallel = pool
-        .filter(|pool| pool.threads() > 1)
-        .filter(|_| rows.len() >= PARALLEL_ROW_THRESHOLD && !qudit_core::pool::in_worker());
-    match parallel {
-        Some(pool) => {
-            let chunk_size = rows.len().div_ceil(pool.threads().saturating_mul(2)).max(1);
-            let chunks: Vec<Vec<PauliRow>> =
-                rows.chunks(chunk_size).map(<[PauliRow]>::to_vec).collect();
-            let swept = pool.map(chunks, |mut chunk| {
-                for row in &mut chunk {
-                    for action in actions {
-                        action.conjugate_row(row);
-                    }
-                }
-                chunk
-            });
-            *rows = swept.into_iter().flatten().collect();
-        }
-        None => {
-            for row in rows.iter_mut() {
-                for action in actions {
-                    action.conjugate_row(row);
-                }
-            }
+/// Conjugates a set of rows through a gate sequence, row by row (each row
+/// stays cache-resident through the whole sequence).
+fn sweep_rows(rows: &mut [PauliRow], actions: &[CliffordAction]) {
+    for row in rows {
+        for action in actions {
+            action.conjugate_row(row);
         }
     }
 }
@@ -604,26 +566,15 @@ impl CliffordTableau {
         }
     }
 
-    /// Builds the tableau of a circuit sequentially.
+    /// Builds the tableau of a circuit.
     ///
     /// # Errors
     ///
     /// Returns [`QuditError::NonClifford`] when a gate fails classification.
     pub fn from_circuit(circuit: &Circuit) -> Result<Self> {
-        Self::from_circuit_on(circuit, None)
-    }
-
-    /// [`CliffordTableau::from_circuit`] with an optional worker pool: the
-    /// `2n` rows conjugate independently, so row chunks fan out over the
-    /// pool with results identical to the sequential sweep.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuditError::NonClifford`] when a gate fails classification.
-    pub fn from_circuit_on(circuit: &Circuit, pool: Option<&WorkStealingPool>) -> Result<Self> {
         let actions = classify_circuit(circuit)?;
         let mut tableau = Self::identity(circuit.dimension(), circuit.width());
-        sweep_rows(&mut tableau.rows, &actions, pool);
+        sweep_rows(&mut tableau.rows, &actions);
         Ok(tableau)
     }
 }
@@ -641,30 +592,14 @@ impl CliffordTableau {
 /// classification, and [`QuditError::IncompatibleCircuits`] when the
 /// dimensions differ.
 pub fn clifford_circuits_equal(a: &Circuit, b: &Circuit) -> Result<bool> {
-    clifford_circuits_equal_on(a, b, None)
-}
-
-/// [`clifford_circuits_equal`] with an optional worker pool for the tableau
-/// row sweeps.
-///
-/// # Errors
-///
-/// Returns [`QuditError::NonClifford`] when a gate of either circuit fails
-/// classification, and [`QuditError::IncompatibleCircuits`] when the
-/// dimensions differ.
-pub fn clifford_circuits_equal_on(
-    a: &Circuit,
-    b: &Circuit,
-    pool: Option<&WorkStealingPool>,
-) -> Result<bool> {
     if a.dimension() != b.dimension() {
         return Err(QuditError::IncompatibleCircuits {
             reason: "circuit dimensions differ".to_string(),
         });
     }
     let width = a.width().max(b.width());
-    let ta = CliffordTableau::from_circuit_on(&a.widened(width)?, pool)?;
-    let tb = CliffordTableau::from_circuit_on(&b.widened(width)?, pool)?;
+    let ta = CliffordTableau::from_circuit(&a.widened(width)?)?;
+    let tb = CliffordTableau::from_circuit(&b.widened(width)?)?;
     Ok(ta == tb)
 }
 
@@ -787,17 +722,6 @@ impl StabilizerState {
         }
     }
 
-    /// Applies a pre-classified gate sequence, fanning generator-row chunks
-    /// over the pool when one is supplied (results are identical for every
-    /// thread count).
-    pub fn apply_actions_on(
-        &mut self,
-        actions: &[CliffordAction],
-        pool: Option<&WorkStealingPool>,
-    ) {
-        sweep_rows(&mut self.rows, actions, pool);
-    }
-
     /// Classifies and applies every gate of a circuit.
     ///
     /// # Errors
@@ -806,21 +730,6 @@ impl StabilizerState {
     /// classification, and an incompatibility error when the circuit does
     /// not match the register.
     pub fn apply_circuit(&mut self, circuit: &Circuit) -> Result<()> {
-        self.apply_circuit_on(circuit, None)
-    }
-
-    /// [`StabilizerState::apply_circuit`] with an optional worker pool.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuditError::NonClifford`] when a gate fails
-    /// classification, and an incompatibility error when the circuit does
-    /// not match the register.
-    pub fn apply_circuit_on(
-        &mut self,
-        circuit: &Circuit,
-        pool: Option<&WorkStealingPool>,
-    ) -> Result<()> {
         if circuit.dimension() != self.dimension {
             return Err(QuditError::IncompatibleCircuits {
                 reason: "circuit and state dimensions differ".to_string(),
@@ -832,7 +741,7 @@ impl StabilizerState {
             });
         }
         let actions = classify_circuit(circuit)?;
-        self.apply_actions_on(&actions, pool);
+        sweep_rows(&mut self.rows, &actions);
         Ok(())
     }
 
@@ -1198,12 +1107,14 @@ mod tests {
                 ))
                 .unwrap();
         }
-        let sequential = CliffordTableau::from_circuit(&circuit).unwrap();
-        for threads in [1usize, 2, 4] {
-            let pool = WorkStealingPool::with_threads(threads);
-            let pooled = CliffordTableau::from_circuit_on(&circuit, Some(&pool)).unwrap();
-            assert_eq!(sequential, pooled, "threads = {threads}");
+        // The row-major construction sweep must equal gate-major
+        // application of the same actions (exact integer arithmetic).
+        let swept = CliffordTableau::from_circuit(&circuit).unwrap();
+        let mut gate_by_gate = CliffordTableau::identity(d, 6);
+        for action in classify_circuit(&circuit).unwrap() {
+            gate_by_gate.apply_action(&action);
         }
+        assert_eq!(swept, gate_by_gate);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Exactness suite for the fused dense engine:
 //!
-//! * property-based: applying a [`FusedProgram`] — sequentially or fanned
-//!   over a pinned pool — produces the same amplitudes as the scalar
-//!   gate-by-gate reference walk (`==`-equal, and bit-identical up to IEEE
+//! * property-based: applying a [`FusedProgram`] produces the same
+//!   amplitudes as the scalar gate-by-gate reference walk (`==`-equal, and bit-identical up to IEEE
 //!   zero signs), and `simulate_basis` agrees with the reference on the same
 //!   circuits;
 //! * directed: a fusion run straddling a non-commuting gate splits instead
@@ -11,7 +10,6 @@
 
 use proptest::prelude::*;
 use qudit_core::math::Complex;
-use qudit_core::pool::WorkStealingPool;
 use qudit_core::{Circuit, Control, Dimension, Gate, QuditId, SingleQuditOp};
 use qudit_sim::random::random_single_qudit_unitary;
 use qudit_sim::{simulate_basis, FusedProgram, StateVector};
@@ -85,7 +83,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The fused engine equals the scalar gate-by-gate reference on random
-    /// mixed circuits, sequentially and on pinned 1- and 4-worker pools.
+    /// mixed circuits.
     #[test]
     fn fused_apply_matches_gate_by_gate(
         d in 3u32..=4,
@@ -105,17 +103,14 @@ proptest! {
         prop_assert_eq!(program.source_gates(), circuit.len());
         prop_assert!(program.traversals() <= circuit.len());
 
-        for threads in [None, Some(1), Some(4)] {
-            let pool = threads.map(WorkStealingPool::with_threads);
-            let mut fused = StateVector::from_basis(dimension, &input).unwrap();
-            fused.apply_fused_on(&program, pool.as_ref()).unwrap();
-            assert_exact(reference.amplitudes(), fused.amplitudes());
-        }
+        let mut fused = StateVector::from_basis(dimension, &input).unwrap();
+        fused.apply_fused(&program).unwrap();
+        assert_exact(reference.amplitudes(), fused.amplitudes());
     }
 
     /// `simulate_basis` (leading classical gates on the digits, the rest
-    /// fused) and the whole circuit fused from the basis input under 1- and
-    /// 4-worker pools agree with the reference walk.
+    /// fused) and the whole circuit fused from the basis input agree with
+    /// the reference walk.
     #[test]
     fn backends_match_reference_across_pools(
         d in 3u32..=4,
@@ -135,42 +130,35 @@ proptest! {
         prop_assert_eq!(reference.amplitudes(), simulated.amplitudes());
 
         let program = FusedProgram::compile(&circuit, width).unwrap();
-        for threads in [1, 4] {
-            let pool = WorkStealingPool::with_threads(threads);
-            let mut fused = StateVector::from_basis(dimension, &input).unwrap();
-            fused.apply_fused_on(&program, Some(&pool)).unwrap();
-            prop_assert_eq!(
-                reference.amplitudes(), fused.amplitudes(),
-                "{} threads diverged", threads
-            );
-        }
+        let mut fused = StateVector::from_basis(dimension, &input).unwrap();
+        fused.apply_fused(&program).unwrap();
+        prop_assert_eq!(reference.amplitudes(), fused.amplitudes());
     }
 }
 
-/// Sequential and pool-parallel fused application are *byte*-identical (not
-/// merely `==`-equal): the parallel path splits the register into disjoint
-/// whole-block chunks and runs the identical kernel in each.
+/// Fused application at width 10 (3^10 = 59049 states) is deterministic
+/// down to the bit and matches the reference walk.
 #[test]
 fn parallel_dispatch_is_byte_identical() {
     let dimension = Dimension::new(3).unwrap();
-    let width = 10; // 3^10 = 59049 states ≥ the parallel threshold.
+    let width = 10;
     let seeds: Vec<u64> = (0..12).map(|i| i * 9973 + 17).collect();
     let circuit = build_circuit(dimension, width, &seeds);
     let program = FusedProgram::compile(&circuit, width).unwrap();
 
     let input = vec![0u32; width];
-    let mut sequential = StateVector::from_basis(dimension, &input).unwrap();
-    sequential.apply_fused_on(&program, None).unwrap();
-
-    for threads in [1, 2, 4] {
-        let pool = WorkStealingPool::with_threads(threads);
-        let mut parallel = StateVector::from_basis(dimension, &input).unwrap();
-        parallel.apply_fused_on(&program, Some(&pool)).unwrap();
-        for (a, b) in sequential.amplitudes().iter().zip(parallel.amplitudes()) {
-            assert_eq!(a.re.to_bits(), b.re.to_bits(), "{threads} threads");
-            assert_eq!(a.im.to_bits(), b.im.to_bits(), "{threads} threads");
-        }
+    let mut first = StateVector::from_basis(dimension, &input).unwrap();
+    first.apply_fused(&program).unwrap();
+    let mut second = StateVector::from_basis(dimension, &input).unwrap();
+    second.apply_fused(&program).unwrap();
+    for (a, b) in first.amplitudes().iter().zip(second.amplitudes()) {
+        assert_eq!(a.re.to_bits(), b.re.to_bits());
+        assert_eq!(a.im.to_bits(), b.im.to_bits());
     }
+
+    let mut reference = StateVector::from_basis(dimension, &input).unwrap();
+    reference.apply_circuit(&circuit).unwrap();
+    assert_exact(reference.amplitudes(), first.amplitudes());
 }
 
 /// A run of same-target classical gates straddling a non-commuting gate must
@@ -222,7 +210,7 @@ fn fusion_run_splits_at_a_non_commuting_gate() {
         let mut reference = StateVector::from_basis(dimension, &input).unwrap();
         reference.apply_circuit(circuit).unwrap();
         let mut fused = StateVector::from_basis(dimension, &input).unwrap();
-        fused.apply_fused_on(&program, None).unwrap();
+        fused.apply_fused(&program).unwrap();
         assert_exact(reference.amplitudes(), fused.amplitudes());
     }
 }

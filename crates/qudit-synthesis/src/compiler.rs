@@ -92,7 +92,7 @@ pub enum Threads {
     #[default]
     Auto,
     /// A fixed worker count (values below 1 are treated as 1; `Fixed(1)`
-    /// forces every parallel path sequential).
+    /// compiles batches on the calling thread).
     Fixed(usize),
 }
 
@@ -275,10 +275,9 @@ impl CompileOptions {
     }
 
     /// Pins an existing pool on the compiler instead of letting it build
-    /// its own — overrides [`CompileOptions::threads`].  The compile
-    /// service pins one [`WorkStealingPool::persistent`] pool here so every
-    /// job dispatches onto long-lived workers instead of paying
-    /// thread-spawn per compilation (pool clones share the same crew).
+    /// its own — overrides [`CompileOptions::threads`].  Only
+    /// [`Compiler::compile_batch`] dispatches on it; every pass runs
+    /// sequentially inside its job.
     #[must_use]
     pub fn pool(mut self, pool: WorkStealingPool) -> Self {
         self.pool = Some(pool);
@@ -505,9 +504,6 @@ pub struct CompileResult {
     /// Gates removed by the macro-level `gate-fusion` stage (zero when the
     /// stage was disabled or found nothing profitable to fuse).
     pub fused_gates: usize,
-    /// Worker count the dense panel engine dispatches over for this
-    /// compilation's thread mode — the resolved [`Threads`] width.
-    pub panel_threads: usize,
     /// Wire-SWAP ladders the `"route"` stage inserted — `Some` whenever a
     /// [`CompileOptions::topology`] was set, `None` otherwise.
     pub swap_count: Option<usize>,
@@ -522,7 +518,7 @@ pub struct CompileResult {
 }
 
 impl CompileResult {
-    fn from_report(report: PipelineReport, options: &CompileOptions, panel_threads: usize) -> Self {
+    fn from_report(report: PipelineReport, options: &CompileOptions) -> Self {
         let verify = options.verify;
         let mut cache: Option<CacheCounters> = None;
         for stats in &report.stats {
@@ -564,7 +560,6 @@ impl CompileResult {
             stats: report.stats,
             cache,
             fused_gates,
-            panel_threads,
             swap_count,
             routed_depth,
             weighted_cost,
@@ -755,11 +750,7 @@ impl Compiler {
     /// ([`CompileOptions::shape`]).
     pub fn compile(&self, circuit: &Circuit) -> qudit_core::Result<CompileResult> {
         let report = self.manager.run(self.embed(circuit)?)?;
-        Ok(CompileResult::from_report(
-            report,
-            &self.options,
-            self.panel_threads(),
-        ))
+        Ok(CompileResult::from_report(report, &self.options))
     }
 
     /// Embeds a job in the coupling graph's full site register when routing
@@ -814,19 +805,6 @@ impl Compiler {
         self.compile(&circuit)
     }
 
-    /// The worker count the dense panel engine resolves the compiler's
-    /// [`Threads`] mode to: `Fixed(n)` clamps to at least one worker, `Auto`
-    /// sizes from the environment exactly like the pool itself does.
-    pub fn panel_threads(&self) -> usize {
-        if let Some(pool) = &self.options.pool {
-            return pool.threads().max(1);
-        }
-        match self.options.threads {
-            Threads::Auto => WorkStealingPool::default().threads(),
-            Threads::Fixed(threads) => threads.max(1),
-        }
-    }
-
     /// Compiles many circuits concurrently on the compiler's pool
     /// ([`Threads`]), returning one [`CompileResult`] per circuit in input
     /// order.
@@ -840,12 +818,11 @@ impl Compiler {
             .map(|circuit| self.embed(circuit))
             .collect::<qudit_core::Result<_>>()?;
         let batch = self.manager.run_batch(&embedded)?;
-        let panel_threads = self.panel_threads();
         Ok(BatchResult {
             results: batch
                 .reports
                 .into_iter()
-                .map(|report| CompileResult::from_report(report, &self.options, panel_threads))
+                .map(|report| CompileResult::from_report(report, &self.options))
                 .collect(),
         })
     }
@@ -929,7 +906,6 @@ mod tests {
         assert_eq!(result.verification, VerifyOutcome::Skipped);
         assert!(result.stats_for("gate-fusion").is_some());
         assert!(result.stats_for("cancel-inverse-pairs").is_some());
-        assert!(result.panel_threads >= 1);
         assert!(result.to_string().contains("verification skipped"));
 
         // Shape pinning rejects mismatched circuits.

@@ -19,11 +19,12 @@
 //!   reaches [`ServiceConfig::max_pending`], readers stop draining their
 //!   sockets until a worker finishes, so saturation propagates to clients
 //!   through TCP flow control instead of through memory growth.
-//! * **Shared substrates** — every job compiles through one
-//!   [`Compiler`] pinned to a persistent
-//!   [`WorkStealingPool`] (long-lived workers, no
-//!   thread-spawn per job) and one bounded, shared
-//!   [`LoweringCache`] ([`ServiceConfig::cache_capacity`]).
+//! * **Bounded lines** — a request line longer than 4 MiB gets one typed
+//!   `error` reply and the connection is closed, so a client that never
+//!   sends a newline cannot grow server memory.
+//! * **Shared substrates** — every job compiles sequentially on its worker
+//!   through one [`Compiler`] and one bounded, shared [`LoweringCache`]
+//!   ([`ServiceConfig::cache_capacity`]).
 //!
 //! # Protocol
 //!
@@ -42,7 +43,8 @@
 //! * `"status":"error"` with `error` when the job was malformed or the
 //!   compilation failed.
 //!
-//! Every submitted line gets exactly one reply.
+//! Every submitted line gets exactly one reply; after the reply to an
+//! oversized line the service closes the connection.
 //!
 //! # Example
 //!
@@ -67,7 +69,7 @@
 //! ```
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -76,7 +78,6 @@ use std::time::Duration;
 
 use qudit_core::cache::{CacheMetrics, LoweringCache};
 use qudit_core::pipeline::CacheMode;
-use qudit_core::pool::WorkStealingPool;
 
 use crate::compiler::{CompileOptions, Compiler};
 
@@ -84,11 +85,16 @@ use crate::compiler::{CompileOptions, Compiler};
 /// of the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
+/// The longest request line (without its newline) a connection may send:
+/// hundreds of times the largest request the benchmarks send, and a hard
+/// bound on what one connection buffers.
+const MAX_LINE_BYTES: usize = 4 << 20;
+
 /// Configuration of a [`CompileService`].
 ///
-/// The defaults bind an ephemeral loopback port, run two compile workers
-/// over a persistent pool of the same width, bound the shared cache at 1024
-/// entries, and apply the standard [`CompileOptions`] flow to every job.
+/// The defaults bind an ephemeral loopback port, run two compile workers,
+/// bound the shared cache at 1024 entries, and apply the standard
+/// [`CompileOptions`] flow to every job.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     bind: String,
@@ -126,9 +132,8 @@ impl ServiceConfig {
         self
     }
 
-    /// Number of compile workers — concurrent jobs in flight — and the
-    /// width of the persistent pool they share (default 2; values below 1
-    /// are treated as 1).
+    /// Number of compile workers — concurrent jobs in flight (default 2;
+    /// values below 1 are treated as 1).
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
@@ -162,8 +167,8 @@ impl ServiceConfig {
     }
 
     /// The compile options applied to every job (default
-    /// [`CompileOptions::new`]).  The cache and pool knobs are overridden
-    /// by the service's own shared cache and persistent pool.
+    /// [`CompileOptions::new`]).  The cache knob is overridden by the
+    /// service's own shared cache.
     #[must_use]
     pub fn options(mut self, options: CompileOptions) -> Self {
         self.options = options;
@@ -302,12 +307,10 @@ impl CompileService {
     /// Propagates bind failures.
     pub fn start(config: ServiceConfig) -> io::Result<Self> {
         let cache = LoweringCache::shared_with_capacity(config.cache_capacity);
-        let pool = WorkStealingPool::persistent(config.workers);
         let compiler = config
             .options
             .clone()
             .cache(CacheMode::Shared(cache.clone()))
-            .pool(pool)
             .compiler();
         let listener = TcpListener::bind(&config.bind)?;
         let addr = listener.local_addr()?;
@@ -431,7 +434,8 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, readers: &Mutex<Vec
 }
 
 /// One connection's reader: parses request lines, applies admission control
-/// and backpressure, and enqueues accepted jobs.
+/// and backpressure, and enqueues accepted jobs.  A line longer than
+/// [`MAX_LINE_BYTES`] gets one error reply and ends the connection.
 fn reader_loop(stream: TcpStream, shared: &Arc<Shared>) {
     let Ok(write_half) = stream.try_clone() else {
         return;
@@ -446,9 +450,18 @@ fn reader_loop(stream: TcpStream, shared: &Arc<Shared>) {
     // survive it.
     let mut line = Vec::new();
     loop {
-        match reader.read_until(b'\n', &mut line) {
+        // Read at most one byte past the cap, so an oversized line is
+        // detected without buffering it.
+        let budget = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+        match (&mut reader).take(budget).read_until(b'\n', &mut line) {
             Ok(0) => break,
             Ok(_) => {
+                if line.len() > MAX_LINE_BYTES && line.last() != Some(&b'\n') {
+                    shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                    let reason = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+                    send_reply(&reply_to, &error_reply("", "", &reason));
+                    break;
+                }
                 match std::str::from_utf8(&line) {
                     Ok(text) if text.trim().is_empty() => {}
                     Ok(text) => handle_line(text.trim(), shared, &reply_to),

@@ -1,7 +1,7 @@
 //! End-to-end tests of the compile service: concurrent clients, admission
 //! control, backpressure, bounded-cache consistency and the byte-level
 //! framing of request lines (multi-byte UTF-8 split across reads, invalid
-//! UTF-8).
+//! UTF-8, an oversized line).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -260,6 +260,42 @@ fn invalid_utf8_gets_an_error_reply_and_the_connection_stays_open() {
     writer.write_all(next.as_bytes()).expect("send");
     let reply = read_reply(&mut reader);
     assert!(reply.contains(r#""id":"next","status":"ok""#), "{reply}");
+    let stats = service.shutdown();
+    assert_eq!(stats.protocol_errors, 1);
+    assert_eq!(stats.completed, 1);
+}
+
+#[test]
+fn an_oversized_line_gets_one_error_reply_and_closes_only_its_connection() {
+    let service = CompileService::start(ServiceConfig::new().workers(1)).expect("service boots");
+    let mut other = ServiceClient::connect(service.local_addr()).expect("connect");
+    let (mut writer, mut reader) = raw_connection(&service);
+    // One byte past the 4 MiB cap, and never a newline.
+    let flood = std::thread::spawn(move || {
+        let chunk = vec![b'a'; 64 << 10];
+        let mut sent = 0;
+        while sent <= 4 << 20 && writer.write_all(&chunk).is_ok() {
+            sent += chunk.len();
+        }
+    });
+    let reply = read_reply(&mut reader);
+    assert!(reply.contains(r#""status":"error""#), "{reply}");
+    assert!(
+        reply.contains("request line exceeds 4194304 bytes"),
+        "{reply}"
+    );
+    // The service hung up after that one reply.
+    let mut rest = String::new();
+    assert_eq!(reader.read_line(&mut rest).unwrap_or(0), 0, "{rest}");
+    flood
+        .join()
+        .expect("the flood writer stops once the socket closes");
+
+    // Another tenant's connection is still served.
+    let reply = other
+        .roundtrip(&job("other", 0, mcs_source(3, 3, (0, 1), 2)))
+        .expect("reply");
+    assert!(reply.is_ok(), "{}", reply.message);
     let stats = service.shutdown();
     assert_eq!(stats.protocol_errors, 1);
     assert_eq!(stats.completed, 1);

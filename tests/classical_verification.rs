@@ -3,9 +3,10 @@
 //! A pass that drops one middle gate of a lowered (non-palindromic)
 //! k-Toffoli must be rejected with an exact `PassFailed` message.  The
 //! basis-state witness is the first mismatching state in basis order on the
-//! exhaustive path (whether the sweep runs sequentially or fans out over a
-//! pool) and the first in draw order on the sampled path.  The messages
-//! below are pinned byte-for-byte.
+//! exhaustive path and the first in draw order on the sampled path.  The
+//! messages below are pinned byte-for-byte, for a single run and for the
+//! same job inside a 4-worker batch (the one level that fans out), where
+//! the first failing job in input order decides the batch's error.
 
 use qudit_core::pipeline::{pass_fn, Pass, PassManager};
 use qudit_core::pool::WorkStealingPool;
@@ -51,60 +52,109 @@ fn drop_middle_gate() -> impl Pass {
     })
 }
 
-/// Runs a verified pass (optionally on a pinned pool) and returns its
-/// `PassFailed` error as `"<pass>: <reason>"`.
-fn failure(
-    circuit: Circuit,
-    verified: VerifyEquivalence,
-    pool: Option<WorkStealingPool>,
-) -> String {
-    let mut manager = PassManager::new().with_pass(verified);
-    if let Some(pool) = pool {
-        manager = manager.with_pool(pool);
-    }
-    match manager.run(circuit) {
+/// `inner` on the jobs in `victims`, the identity on every other job, under
+/// `inner`'s name — so a batch can mix failing and passing jobs.
+fn only_on(victims: Vec<Circuit>, inner: impl Pass + 'static) -> Box<dyn Pass> {
+    let name = inner.name().to_string();
+    Box::new(pass_fn(name, move |c: Circuit| {
+        if victims.contains(&c) {
+            inner.run(c)
+        } else {
+            Ok(c)
+        }
+    }))
+}
+
+/// A 4-worker manager running `verified`.
+fn batch_manager(verified: VerifyEquivalence) -> PassManager {
+    PassManager::new()
+        .with_pass(verified)
+        .with_pool(WorkStealingPool::with_threads(4))
+}
+
+/// A `PassFailed` error as `"<pass>: <reason>"`.
+fn pass_failed<T: std::fmt::Debug>(result: qudit_core::Result<T>) -> String {
+    match result {
         Err(QuditError::PassFailed { pass, reason }) => format!("{pass}: {reason}"),
         other => panic!("expected PassFailed, got {other:?}"),
     }
 }
 
-fn pools() -> [Option<WorkStealingPool>; 3] {
-    [
-        None,
-        Some(WorkStealingPool::with_threads(1)),
-        Some(WorkStealingPool::with_threads(4)),
-    ]
+/// Jobs the pass under test leaves alone: the empty register and the first
+/// half of `circuit`, both on `circuit`'s register.
+fn passing_jobs(circuit: &Circuit) -> [Circuit; 2] {
+    let mut half = Circuit::new(circuit.dimension(), circuit.width());
+    for gate in &circuit.gates()[..circuit.len() / 2] {
+        half.push(gate.clone()).unwrap();
+    }
+    [Circuit::new(circuit.dimension(), circuit.width()), half]
+}
+
+/// Runs `wrap(inner)` on `circuit` alone and as the middle job of a
+/// 4-worker batch between passing jobs, asserts both report the same
+/// `PassFailed` error and returns it as `"<pass>: <reason>"`.
+fn failure(
+    circuit: Circuit,
+    inner: impl Pass + 'static,
+    wrap: impl Fn(Box<dyn Pass>) -> VerifyEquivalence,
+) -> String {
+    let manager = batch_manager(wrap(only_on(vec![circuit.clone()], inner)));
+    let single = pass_failed(manager.run(circuit.clone()));
+    let [empty, half] = passing_jobs(&circuit);
+    let batch = pass_failed(manager.run_batch(&[empty, circuit, half]));
+    assert_eq!(batch, single, "the batch must report the job's own error");
+    single
 }
 
 #[test]
 fn exhaustive_path_pins_the_first_witness_in_basis_order() {
     let circuit = lowered_toffoli(4);
-    for pool in pools() {
-        let verified = VerifyEquivalence::wrap(Box::new(drop_middle_gate()));
-        assert_eq!(
-            failure(circuit.clone(), verified, pool),
-            "drop-middle: output circuit is not equivalent to its input (basis state [0, 1, 0, 0, 0, 0])"
-        );
-    }
+    assert_eq!(
+        failure(circuit, drop_middle_gate(), VerifyEquivalence::wrap),
+        "drop-middle: output circuit is not equivalent to its input (basis state [0, 1, 0, 0, 0, 0])"
+    );
 }
 
 #[test]
 fn sampled_path_pins_the_first_witness_in_draw_order() {
     let circuit = lowered_toffoli(5);
-    for pool in pools() {
-        let verified = VerifyEquivalence::wrap(Box::new(drop_middle_gate()));
-        assert_eq!(
-            failure(circuit.clone(), verified, pool),
-            "drop-middle: output circuit is not equivalent to its input (basis state [2, 1, 0, 0, 0, 1])"
-        );
-    }
+    assert_eq!(
+        failure(circuit, drop_middle_gate(), VerifyEquivalence::wrap),
+        "drop-middle: output circuit is not equivalent to its input (basis state [2, 1, 0, 0, 0, 1])"
+    );
+}
+
+#[test]
+fn a_batch_reports_its_first_failing_job_in_input_order() {
+    // The d = 5 job (sampled) runs longer than the d = 4 one (exhaustive),
+    // so on 4 workers the later job tends to fail first; the batch still
+    // reports whichever failing job comes first in the input.
+    let (d4, d5) = (lowered_toffoli(4), lowered_toffoli(5));
+    let manager = batch_manager(VerifyEquivalence::wrap(only_on(
+        vec![d4.clone(), d5.clone()],
+        drop_middle_gate(),
+    )));
+    let [empty4, half4] = passing_jobs(&d4);
+    let [empty5, _] = passing_jobs(&d5);
+    let d4_message = "drop-middle: output circuit is not equivalent to its input (basis state [0, 1, 0, 0, 0, 0])";
+    let d5_message = "drop-middle: output circuit is not equivalent to its input (basis state [2, 1, 0, 0, 0, 1])";
+    let jobs = [
+        empty4.clone(),
+        d5.clone(),
+        half4.clone(),
+        d4.clone(),
+        empty5.clone(),
+    ];
+    assert_eq!(pass_failed(manager.run_batch(&jobs)), d5_message);
+    let jobs = [empty5, d4, half4, d5, empty4];
+    assert_eq!(pass_failed(manager.run_batch(&jobs)), d4_message);
 }
 
 #[test]
 fn exhaustive_witness_is_the_earliest_across_blocks() {
     // Two appended gates fire on far-apart basis states of a 15 625-state
-    // register; the earlier one in basis order must win however the sweep
-    // is split.
+    // register; the earlier one in basis order must win across sweep
+    // blocks.
     let circuit = lowered_toffoli(5);
     let fires_on = |levels: &[u32]| {
         let controls = levels
@@ -115,20 +165,18 @@ fn exhaustive_witness_is_the_earliest_across_blocks() {
         Gate::controlled(SingleQuditOp::Swap(0, 1), QuditId::new(5), controls)
     };
     let extra = [fires_on(&[4, 4, 4, 4, 4]), fires_on(&[2, 3])];
-    for pool in pools() {
-        let extra = extra.clone();
-        let append = pass_fn("append-late", move |mut c: Circuit| {
-            for gate in &extra {
-                c.push(gate.clone())?;
-            }
-            Ok(c)
-        });
-        let verified = VerifyEquivalence::wrap(Box::new(append)).with_limits(1 << 14, 256);
-        assert_eq!(
-            failure(circuit.clone(), verified, pool),
-            "append-late: output circuit is not equivalent to its input (basis state [2, 3, 0, 0, 0, 0])"
-        );
-    }
+    let append = pass_fn("append-late", move |mut c: Circuit| {
+        for gate in &extra {
+            c.push(gate.clone())?;
+        }
+        Ok(c)
+    });
+    assert_eq!(
+        failure(circuit, append, |inner| {
+            VerifyEquivalence::wrap(inner).with_limits(1 << 14, 256)
+        }),
+        "append-late: output circuit is not equivalent to its input (basis state [2, 3, 0, 0, 0, 0])"
+    );
 }
 
 #[test]
@@ -155,11 +203,8 @@ fn wide_lane_sampled_path_pins_its_witness() {
             .push(Gate::add_from(a, l % 3 == 0, b, vec![]))
             .unwrap();
     }
-    for pool in pools() {
-        let verified = VerifyEquivalence::wrap(Box::new(drop_middle_gate()));
-        assert_eq!(
-            failure(circuit.clone(), verified, pool),
-            "drop-middle: output circuit is not equivalent to its input (basis state [33, 186])"
-        );
-    }
+    assert_eq!(
+        failure(circuit, drop_middle_gate(), VerifyEquivalence::wrap),
+        "drop-middle: output circuit is not equivalent to its input (basis state [33, 186])"
+    );
 }

@@ -4,9 +4,8 @@
 //!   assembles, and the assembled pass list is exactly the one the options
 //!   describe;
 //! * property-based round-trip: random mixed multi-controlled circuits
-//!   compile under `Verify::Exhaustive` across
-//!   `Threads::{Fixed(1), Fixed(4)}` with bit-identical outputs (the CI thread matrix additionally runs the
-//!   whole suite under `QUDIT_THREADS=1` and `=4`).
+//!   compile and verify under `Verify::Exhaustive` (the CI thread matrix
+//!   additionally runs the whole suite under `QUDIT_THREADS=1` and `=4`).
 
 mod common;
 
@@ -14,7 +13,8 @@ use common::build_mct_circuit;
 use proptest::prelude::*;
 use qudit_core::cache::LoweringCache;
 use qudit_core::pipeline::CacheMode;
-use qudit_core::{Circuit, Dimension, Gate};
+use qudit_core::pool::WorkStealingPool;
+use qudit_core::{Dimension, Gate};
 use qudit_synthesis::{CompileOptions, KToffoli, OptLevel, Threads, Verify};
 
 fn dim(d: u32) -> Dimension {
@@ -80,26 +80,37 @@ fn every_knob_combination_assembles() {
     assert_eq!(combinations, 3 * 2 * 2 * 2 * 3 * 3);
 }
 
-/// The pinned pool reaches the verification wrappers: above the parallel
-/// sweep threshold (1024 basis states), `Verify::Exhaustive` fans its
-/// basis sweep out on the compiler's pool — `Fixed(1)` stays sequential,
-/// `Fixed(4)` runs the pool path — and both verdicts and outputs agree.
+/// The pinned pool reaches the batch: the job is the unit of parallelism,
+/// so `Fixed(4)` and a pinned pool fan `compile_batch` out while every
+/// exhaustively verified job runs sequentially inside its worker, with
+/// verdicts and outputs equal to a single `compile`.
 #[test]
 fn pinned_pools_reach_the_verification_sweep() {
-    // d=4, k=4 → width 6, 4^6 = 4096 basis states ≥ the parallel-verify
-    // threshold, and still within the exhaustive bound.
+    // d=4, k=4 → width 6, 4^6 = 4096 basis states, within the exhaustive
+    // bound.
     let synthesis = KToffoli::new(dim(4), 4).unwrap().synthesize().unwrap();
-    let mut reference: Option<Circuit> = None;
-    for threads in [Threads::Fixed(1), Threads::Fixed(4)] {
-        let compiler = CompileOptions::new()
-            .verify(Verify::Exhaustive)
-            .threads(threads)
-            .compiler();
-        let result = compiler.compile(synthesis.circuit()).unwrap();
-        assert!(result.verification.is_verified(), "{threads:?}");
-        match &reference {
-            Some(expected) => assert_eq!(&result.circuit, expected, "{threads:?}"),
-            None => reference = Some(result.circuit),
+    let jobs = vec![synthesis.circuit().clone(); 4];
+    let reference = CompileOptions::new()
+        .verify(Verify::Exhaustive)
+        .compiler()
+        .compile(synthesis.circuit())
+        .unwrap();
+    assert!(reference.verification.is_verified());
+    let options = [
+        CompileOptions::new().threads(Threads::Fixed(1)),
+        CompileOptions::new().threads(Threads::Fixed(4)),
+        CompileOptions::new().pool(WorkStealingPool::with_threads(4)),
+    ];
+    for (options, threads) in options.into_iter().zip([1, 4, 4]) {
+        let compiler = options.verify(Verify::Exhaustive).compiler();
+        assert_eq!(
+            compiler.manager().pool().map(|p| p.threads()),
+            Some(threads)
+        );
+        let batch = compiler.compile_batch(&jobs).unwrap();
+        assert!(batch.is_verified(), "{threads} threads");
+        for result in &batch.results {
+            assert_eq!(result.circuit, reference.circuit, "{threads} threads");
         }
     }
 }
@@ -107,9 +118,8 @@ fn pinned_pools_reach_the_verification_sweep() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random mixed circuits compile under `Verify::Exhaustive` on every
-    /// fixed thread count, with bit-identical outputs and a verified
-    /// verdict everywhere.
+    /// Random mixed circuits compile under `Verify::Exhaustive` with a
+    /// verified verdict.
     #[test]
     fn options_round_trip_on_random_mixed_circuits(
         d in 3u32..=4,
@@ -118,28 +128,18 @@ proptest! {
     ) {
         let dimension = Dimension::new(d).unwrap();
         let circuit = build_mct_circuit(dimension, &specs);
-        let mut reference: Option<Circuit> = None;
-        for threads in [Threads::Fixed(1), Threads::Fixed(4)] {
-            let compiler = CompileOptions::new()
-                .verify(Verify::Exhaustive)
-                .schedule(schedule)
-                .cache(CacheMode::PerRun)
-                .threads(threads)
-                .compiler();
-            let result = compiler.compile(&circuit).unwrap();
-            prop_assert!(result.verification.is_verified());
-            prop_assert!(result.circuit.gates().iter().all(Gate::is_g_gate));
-            prop_assert_eq!(
-                result.depth,
-                qudit_core::depth::circuit_depth(&result.circuit)
-            );
-            match &reference {
-                Some(expected) => {
-                    prop_assert_eq!(&result.circuit, expected, "{:?} diverged", threads)
-                }
-                None => reference = Some(result.circuit),
-            }
-        }
+        let compiler = CompileOptions::new()
+            .verify(Verify::Exhaustive)
+            .schedule(schedule)
+            .cache(CacheMode::PerRun)
+            .compiler();
+        let result = compiler.compile(&circuit).unwrap();
+        prop_assert!(result.verification.is_verified());
+        prop_assert!(result.circuit.gates().iter().all(Gate::is_g_gate));
+        prop_assert_eq!(
+            result.depth,
+            qudit_core::depth::circuit_depth(&result.circuit)
+        );
     }
 
     /// Re-compiling compiled output is monotone for the full flow (fusion

@@ -5,22 +5,21 @@
 //!   Fourier/phase Cliffords, Haar-like unitaries, `SUM`, up to two
 //!   controls of every predicate kind) over dimensions {2, 3, 5};
 //! * `compile_source(print(c)) ≡ compile(c)` — gate-for-gate after the
-//!   standard `O1` flow, with identical `VerifyEquivalence` verdicts —
-//!   across `Threads::{Fixed(1), Fixed(4)}` (the CI matrix additionally
-//!   runs the whole suite under `QUDIT_THREADS=1` and `=4`);
+//!   standard `O1` flow, with identical `VerifyEquivalence` verdicts (the
+//!   CI matrix additionally runs the whole suite under `QUDIT_THREADS=1`
+//!   and `=4`);
 //! * the same equivalence on all-Clifford workloads, which verification
 //!   checks on the stabilizer tableau.
 
 use proptest::prelude::*;
 use qudit_core::pipeline::{pass_fn, PassManager};
-use qudit_core::pool::WorkStealingPool;
 use qudit_core::qasm::{parse_source, print_circuit};
 use qudit_core::{Circuit, Dimension};
 use qudit_sim::random::{
     random_classical_dialect_circuit, random_clifford_circuit, random_dialect_circuit,
 };
 use qudit_sim::VerifyEquivalence;
-use qudit_synthesis::{CompileOptions, OptLevel, Threads, Verify};
+use qudit_synthesis::{CompileOptions, OptLevel, Verify};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -70,7 +69,7 @@ proptest! {
     /// the whole `O1` pass stack — same compiled gates, depth and verified
     /// verdict when compilation succeeds, the *same typed error* when it
     /// does not (some random circuits legitimately need ancilla wires the
-    /// register lacks) — on every fixed pool width.
+    /// register lacks).
     #[test]
     fn compile_source_matches_native_compile(
         seed in any::<u64>(),
@@ -80,41 +79,36 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let circuit = random_classical_dialect_circuit(dim(d), 4, gates, &mut rng);
         let printed = print_circuit(&circuit);
-        for threads in [Threads::Fixed(1), Threads::Fixed(4)] {
-            let compiler = CompileOptions::new()
-                .opt_level(OptLevel::O1)
-                .verify(Verify::Exhaustive)
-                .threads(threads)
-                .compiler();
-            let native = compiler.compile(&circuit);
-            let text = compiler.compile_source(&printed);
-            match (native, text) {
-                (Ok(native), Ok(text)) => {
-                    prop_assert_eq!(&text.circuit, &native.circuit, "{:?} diverged", threads);
-                    prop_assert_eq!(text.depth, native.depth);
-                    prop_assert_eq!(text.verification, native.verification);
-                    prop_assert!(text.verification.is_verified());
-                    // The exporter closes the loop: compiled output
-                    // reparses to the compiled circuit.
-                    prop_assert_eq!(
-                        parse_source(&text.to_qasm()).unwrap(),
-                        text.circuit
-                    );
-                }
-                (Err(native), Err(text)) => {
-                    prop_assert_eq!(text, native, "{:?}: errors diverged", threads)
-                }
-                (native, text) => prop_assert!(
-                    false,
-                    "{:?}: one path failed, the other did not (native: {:?}, text: {:?})",
-                    threads, native.is_ok(), text.is_ok()
-                ),
+        let compiler = CompileOptions::new()
+            .opt_level(OptLevel::O1)
+            .verify(Verify::Exhaustive)
+            .compiler();
+        let native = compiler.compile(&circuit);
+        let text = compiler.compile_source(&printed);
+        match (native, text) {
+            (Ok(native), Ok(text)) => {
+                prop_assert_eq!(&text.circuit, &native.circuit);
+                prop_assert_eq!(text.depth, native.depth);
+                prop_assert_eq!(text.verification, native.verification);
+                prop_assert!(text.verification.is_verified());
+                // The exporter closes the loop: compiled output reparses
+                // to the compiled circuit.
+                prop_assert_eq!(
+                    parse_source(&text.to_qasm()).unwrap(),
+                    text.circuit
+                );
             }
+            (Err(native), Err(text)) => prop_assert_eq!(text, native, "errors diverged"),
+            (native, text) => prop_assert!(
+                false,
+                "one path failed, the other did not (native: {:?}, text: {:?})",
+                native.is_ok(), text.is_ok()
+            ),
         }
     }
 
     /// The refinement check of the round trip itself: `VerifyEquivalence`
-    /// — on the stabilizer tableau, across pool widths 1 and 4 — accepts
+    /// — on the stabilizer tableau — accepts
     /// `c → parse(print(c))` as an equivalence-preserving "pass" on random
     /// all-Clifford circuits.
     #[test]
@@ -125,19 +119,13 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let circuit = random_clifford_circuit(dim(d), 3, 12, &mut rng);
         prop_assert_eq!(&parse_source(&print_circuit(&circuit)).unwrap(), &circuit);
-        for threads in [1usize, 4] {
-            let round_trip = pass_fn("qasm-round-trip", |c: Circuit| {
-                let printed = print_circuit(&c);
-                parse_source(&printed).map_err(qudit_core::QuditError::from)
-            });
-            let manager = PassManager::new()
-                .with_pool(WorkStealingPool::with_threads(threads))
-                .with_pass(VerifyEquivalence::wrap(Box::new(round_trip)));
-            prop_assert!(
-                manager.run(circuit.clone()).is_ok(),
-                "round trip rejected with {} threads", threads
-            );
-        }
+        let round_trip = pass_fn("qasm-round-trip", |c: Circuit| {
+            let printed = print_circuit(&c);
+            parse_source(&printed).map_err(qudit_core::QuditError::from)
+        });
+        let manager =
+            PassManager::new().with_pass(VerifyEquivalence::wrap(Box::new(round_trip)));
+        prop_assert!(manager.run(circuit).is_ok(), "round trip rejected");
     }
 }
 
@@ -192,15 +180,12 @@ fn fixed_source_compiles_identically_to_its_circuit() {
                   ctrl(odd) @ sum q[2], q[0], q[1];\n\
                   perm(2, 0, 1) q[0];\n";
     let circuit = parse_source(source).unwrap();
-    for threads in [Threads::Fixed(1), Threads::Fixed(4)] {
-        let compiler = CompileOptions::new()
-            .opt_level(OptLevel::O1)
-            .verify(Verify::Exhaustive)
-            .threads(threads)
-            .compiler();
-        let native = compiler.compile(&circuit).unwrap();
-        let text = compiler.compile_source(source).unwrap();
-        assert_eq!(text.circuit, native.circuit);
-        assert!(text.verification.is_verified());
-    }
+    let compiler = CompileOptions::new()
+        .opt_level(OptLevel::O1)
+        .verify(Verify::Exhaustive)
+        .compiler();
+    let native = compiler.compile(&circuit).unwrap();
+    let text = compiler.compile_source(source).unwrap();
+    assert_eq!(text.circuit, native.circuit);
+    assert!(text.verification.is_verified());
 }

@@ -2,8 +2,7 @@
 //! (`qudit_core::topology` + `qudit_core::route`):
 //!
 //! * routed circuit + inverse-permutation epilogue ≡ original, checked by
-//!   `VerifyEquivalence` on pool widths 1 and 4 (and, at the facade level,
-//!   across `Threads::{Fixed(1), Fixed(4)}`);
+//!   `VerifyEquivalence` (on the stage and through the facade);
 //! * every routed circuit passes the adjacency validator, and the
 //!   validator rejects hand-built violating circuits with typed errors;
 //! * routing is idempotent on already-routed circuits (the fast path
@@ -17,14 +16,13 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use qudit_core::pipeline::{pass_fn, PassManager};
-use qudit_core::pool::WorkStealingPool;
 use qudit_core::route::{
     route_circuit, validate_adjacency, wire_swap, NoiseAwareCost, RoutePass, Router, UniformCost,
 };
 use qudit_core::topology::CouplingGraph;
 use qudit_core::{Circuit, Control, Dimension, Gate, GateOp, QuditError, QuditId, SingleQuditOp};
 use qudit_sim::VerifyEquivalence;
-use qudit_synthesis::{CompileOptions, Threads, Verify};
+use qudit_synthesis::{CompileOptions, Verify};
 
 fn dim(d: u32) -> Dimension {
     Dimension::new(d).unwrap()
@@ -85,7 +83,7 @@ proptest! {
 
     /// The routed circuit plus its inverse-permutation epilogue is
     /// equivalent to the original: `VerifyEquivalence` accepts the
-    /// `"route"` stage on every pool width, and the stage's
+    /// `"route"` stage, and the stage's
     /// output honours the coupling graph.
     #[test]
     fn routed_circuits_verify_on_every_backend_and_pool_width(
@@ -102,16 +100,12 @@ proptest! {
         let circuit = build_circuit(dimension, width, &specs)
             .widened(graph.sites())
             .unwrap();
-        for threads in [1usize, 4] {
-            let stage = RoutePass::new(graph.clone(), Arc::new(UniformCost));
-            let manager = PassManager::new()
-                .with_pool(WorkStealingPool::with_threads(threads))
-                .with_pass(VerifyEquivalence::wrap(Box::new(stage)));
-            let routed = manager
-                .run(circuit.clone())
-                .unwrap_or_else(|e| panic!("routing rejected with {threads} threads: {e}"));
-            prop_assert!(validate_adjacency(&routed.circuit, &graph).is_ok());
-        }
+        let stage = RoutePass::new(graph.clone(), Arc::new(UniformCost));
+        let manager = PassManager::new().with_pass(VerifyEquivalence::wrap(Box::new(stage)));
+        let routed = manager
+            .run(circuit)
+            .unwrap_or_else(|e| panic!("routing rejected: {e}"));
+        prop_assert!(validate_adjacency(&routed.circuit, &graph).is_ok());
     }
 
     /// Routing an already-routed circuit is a no-op: the router's fast
@@ -195,8 +189,7 @@ fn validator_rejects_hand_built_violations() {
 }
 
 /// Facade-level refinement of the equivalence property: a routed, fully
-/// verified compile succeeds on `Threads::{Fixed(1), Fixed(4)}`, and the
-/// compiled circuit honours the graph.
+/// verified compile succeeds, and the compiled circuit honours the graph.
 #[test]
 fn routed_compiles_verify_across_backends_and_thread_counts() {
     let dimension = dim(3);
@@ -220,20 +213,17 @@ fn routed_compiles_verify_across_backends_and_thread_counts() {
     circuit
         .push(Gate::single(SingleQuditOp::Swap(0, 2), QuditId::new(2)))
         .unwrap();
-    for threads in [Threads::Fixed(1), Threads::Fixed(4)] {
-        let result = CompileOptions::new()
-            .topology(graph.clone())
-            .cost(NoiseAwareCost::default())
-            .verify(Verify::Exhaustive)
-            .threads(threads)
-            .compiler()
-            .compile(&circuit)
-            .unwrap_or_else(|e| panic!("{threads:?}: {e}"));
-        assert!(result.verification.is_verified());
-        assert!(validate_adjacency(&result.circuit, &graph).is_ok());
-        assert!(result.swap_count.is_some());
-        assert!(result.weighted_cost.unwrap_or(0.0) > 0.0);
-    }
+    let result = CompileOptions::new()
+        .topology(graph.clone())
+        .cost(NoiseAwareCost::default())
+        .verify(Verify::Exhaustive)
+        .compiler()
+        .compile(&circuit)
+        .unwrap();
+    assert!(result.verification.is_verified());
+    assert!(validate_adjacency(&result.circuit, &graph).is_ok());
+    assert!(result.swap_count.is_some());
+    assert!(result.weighted_cost.unwrap_or(0.0) > 0.0);
 }
 
 /// Every single-rung mutation of the wire-SWAP ladder on `(0, 1)`: drop a

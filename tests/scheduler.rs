@@ -21,7 +21,6 @@ use common::build_mct_circuit;
 use proptest::prelude::*;
 use qudit_core::commute::{schedule_depth, schedule_over, DependencyDag};
 use qudit_core::depth::circuit_depth;
-use qudit_core::pool::WorkStealingPool;
 use qudit_core::{Circuit, Control, Dimension, Gate, Permutation, QuditId, SingleQuditOp};
 use qudit_sim::equivalence::{verify_mct_sampled, MctSpec};
 use qudit_sim::{circuit_permutation, circuit_unitary};
@@ -206,7 +205,7 @@ fn verified_scheduled_pipeline_accepts_the_e10_sweep() {
 
 /// Asserts the fused scan reproduces the explicit-DAG reference schedule.
 fn assert_matches_reference(circuit: &Circuit, what: &str) {
-    let dag = DependencyDag::build_on(circuit, &WorkStealingPool::new());
+    let dag = DependencyDag::build(circuit);
     let reference = schedule_over(circuit, &dag);
     let scheduled = schedule_depth(circuit);
     assert_eq!(scheduled, reference.circuit, "{what}");

@@ -5,7 +5,7 @@
 //! states (up to the stabilizer representation's arbitrary global phase)
 //! and on basis-state probabilities, and `VerifyEquivalence` — which checks
 //! non-classical Clifford pairs on the tableau — must return the verdict
-//! the reference unitaries imply, across worker pools of 1 and 4 threads.
+//! the reference unitaries imply.
 //! Non-Clifford gates must be rejected with the typed
 //! `QuditError::NonClifford`, and the E10 circuit family (not Clifford)
 //! must verify on the other strategies with unchanged verdicts.
@@ -13,11 +13,9 @@
 use proptest::prelude::*;
 use qudit_core::math::{Complex, SquareMatrix, MATRIX_TOLERANCE};
 use qudit_core::pipeline::{pass_fn, PassManager};
-use qudit_core::pool::WorkStealingPool;
 use qudit_core::{Circuit, Control, Dimension, Gate, QuditError, QuditId, SingleQuditOp};
 use qudit_sim::basis::index_to_digits;
 use qudit_sim::random::{random_clifford_circuit, random_single_qudit_unitary};
-use qudit_sim::stabilizer::clifford_circuits_equal_on;
 use qudit_sim::{
     classify_gate, clifford_circuits_equal, is_clifford_circuit, StabilizerState, StateVector,
     VerifyEquivalence,
@@ -87,15 +85,13 @@ fn drop_last(circuit: &Circuit) -> qudit_core::Result<Circuit> {
     Ok(out)
 }
 
-/// Runs `VerifyEquivalence` around a gate-dropping pass on a pool of the
-/// given width and reports whether the verdict was "equivalent".
-fn drop_last_verdict(circuit: &Circuit, threads: usize) -> bool {
-    let manager = PassManager::new()
-        .with_pool(WorkStealingPool::with_threads(threads))
-        .with_pass(VerifyEquivalence::wrap(Box::new(pass_fn(
-            "drop-last",
-            |c: Circuit| drop_last(&c),
-        ))));
+/// Runs `VerifyEquivalence` around a gate-dropping pass and reports whether
+/// the verdict was "equivalent".
+fn drop_last_verdict(circuit: &Circuit) -> bool {
+    let manager = PassManager::new().with_pass(VerifyEquivalence::wrap(Box::new(pass_fn(
+        "drop-last",
+        |c: Circuit| drop_last(&c),
+    ))));
     match manager.run(circuit.clone()) {
         Ok(_) => true,
         Err(QuditError::PassFailed { .. }) => false,
@@ -108,7 +104,7 @@ proptest! {
 
     /// Final states of random Clifford circuits agree between the
     /// stabilizer tableau and the reference walk on every overlapping
-    /// width, up to global phase, and probabilities are thread-invariant.
+    /// width, up to global phase.
     #[test]
     fn stabilizer_matches_the_reference_on_final_states(
         d in prop::sample::select(vec![2u32, 3, 5]),
@@ -125,32 +121,23 @@ proptest! {
 
         // The stabilizer state carries an arbitrary global phase, so the
         // state comparison is by fidelity; probabilities are phase-free and
-        // must match the reference everywhere, exactly across thread counts
-        // (the tableau arithmetic is integer-only).
-        let mut probs_per_pool = Vec::new();
-        for threads in [1usize, 4] {
-            let pool = WorkStealingPool::with_threads(threads);
-            let mut state = StabilizerState::from_basis(dimension, &input).unwrap();
-            state.apply_circuit_on(&circuit, Some(&pool)).unwrap();
-            let probs: Vec<f64> = (0..size)
-                .map(|i| state.probability(&index_to_digits(i, dimension, width)))
-                .collect();
-            for (i, &p) in probs.iter().enumerate() {
-                let expected = reference.probability(&index_to_digits(i, dimension, width));
-                prop_assert!(
-                    (p - expected).abs() < 1e-9,
-                    "threads={threads} state {i}: stabilizer {p} vs reference {expected}"
-                );
-            }
-            let sv = state.to_statevector().unwrap();
-            prop_assert!(sv.fidelity(&reference) > 1.0 - 1e-9);
-            probs_per_pool.push(probs);
+        // must match the reference everywhere.
+        let mut state = StabilizerState::from_basis(dimension, &input).unwrap();
+        state.apply_circuit(&circuit).unwrap();
+        for i in 0..size {
+            let digits = index_to_digits(i, dimension, width);
+            let (p, expected) = (state.probability(&digits), reference.probability(&digits));
+            prop_assert!(
+                (p - expected).abs() < 1e-9,
+                "state {i}: stabilizer {p} vs reference {expected}"
+            );
         }
-        prop_assert_eq!(&probs_per_pool[0], &probs_per_pool[1]);
+        let sv = state.to_statevector().unwrap();
+        prop_assert!(sv.fidelity(&reference) > 1.0 - 1e-9);
     }
 
     /// `VerifyEquivalence` returns the verdict the reference unitaries
-    /// imply for random Clifford circuits, on every pool width.
+    /// imply for random Clifford circuits.
     #[test]
     fn verify_equivalence_verdicts_agree_across_backends(
         d in prop::sample::select(vec![2u32, 3, 5]),
@@ -168,18 +155,12 @@ proptest! {
 
         // Dropping the last gate may or may not preserve the operator (the
         // gate could be an identity permutation) — but the verdict must be
-        // the reference's, whatever the pool width.
+        // the reference's.
         let expected = reference_unitary(&circuit).approx_eq_up_to_phase(
             &reference_unitary(&drop_last(&circuit).unwrap()),
             MATRIX_TOLERANCE.max(1e-7),
         );
-        for threads in [1usize, 4] {
-            prop_assert_eq!(
-                drop_last_verdict(&circuit, threads),
-                expected,
-                "threads {}", threads
-            );
-        }
+        prop_assert_eq!(drop_last_verdict(&circuit), expected);
     }
 }
 
@@ -284,22 +265,17 @@ fn auto_falls_back_on_the_e10_family_with_unchanged_verdicts() {
     }
 }
 
-/// `VerifyEquivalence` on the identity and on a drop-everything pass, on a
-/// pool of the given width: the identity must pass and the drop must fail
-/// on the tableau.
-fn assert_tableau_verdicts(circuit: &Circuit, threads: usize) {
+/// `VerifyEquivalence` on the identity and on a drop-everything pass: the
+/// identity must pass and the drop must fail on the tableau.
+fn assert_tableau_verdicts(circuit: &Circuit) {
     let identity = pass_fn("identity", Ok);
-    let manager = PassManager::new()
-        .with_pool(WorkStealingPool::with_threads(threads))
-        .with_pass(VerifyEquivalence::wrap(Box::new(identity)));
+    let manager = PassManager::new().with_pass(VerifyEquivalence::wrap(Box::new(identity)));
     assert!(manager.run(circuit.clone()).is_ok());
 
     let drop_all = pass_fn("drop-all", |c: Circuit| {
         Ok(Circuit::new(c.dimension(), c.width()))
     });
-    let manager = PassManager::new()
-        .with_pool(WorkStealingPool::with_threads(threads))
-        .with_pass(VerifyEquivalence::wrap(Box::new(drop_all)));
+    let manager = PassManager::new().with_pass(VerifyEquivalence::wrap(Box::new(drop_all)));
     match manager.run(circuit.clone()) {
         Err(QuditError::PassFailed { reason, .. }) => {
             assert!(reason.contains("stabilizer"), "{reason}");
@@ -325,11 +301,8 @@ fn stabilizer_verifies_random_clifford_circuits_at_width_24() {
         .unwrap();
     assert!(is_clifford_circuit(&circuit));
 
-    // Exact self-equivalence, on 1 and 4 worker threads.
-    for threads in [1usize, 4] {
-        let pool = WorkStealingPool::with_threads(threads);
-        assert!(clifford_circuits_equal_on(&circuit, &circuit.clone(), Some(&pool)).unwrap());
-    }
+    // Exact self-equivalence.
+    assert!(clifford_circuits_equal(&circuit, &circuit.clone()).unwrap());
     // Tampering is detected.
     let mut tampered = circuit.clone();
     tampered
@@ -338,9 +311,7 @@ fn stabilizer_verifies_random_clifford_circuits_at_width_24() {
     assert!(!clifford_circuits_equal(&circuit, &tampered).unwrap());
 
     // The same verdicts through the `VerifyEquivalence` pass.
-    for threads in [1usize, 4] {
-        assert_tableau_verdicts(&circuit, threads);
-    }
+    assert_tableau_verdicts(&circuit);
 
     // Probability queries stay cheap at width 24.
     let mut state = StabilizerState::from_basis(dimension, &vec![0u32; width]).unwrap();
@@ -375,7 +346,7 @@ fn classical_prefix_with_clifford_suffix_promotes_at_width_24() {
         ))
         .unwrap();
     assert!(is_clifford_circuit(&circuit) && !circuit.is_classical());
-    assert_tableau_verdicts(&circuit, 1);
+    assert_tableau_verdicts(&circuit);
 
     // Wide state queries run on the tableau state directly.
     let mut state = StabilizerState::from_basis(dimension, &vec![1u32; width]).unwrap();
