@@ -1,5 +1,5 @@
 //! Criterion bench: batch compilation of the k-Toffoli sweep — sequential
-//! vs. parallel (`Compiler::compile_batch`) vs. cached vs. parallel+cached.
+//! vs. parallel (`Compiler::compile_batch`).
 //!
 //! The workload is the E11-style sweep: the macro circuits of several
 //! `(d, k)` k-Toffoli syntheses, compiled through the full standard flow
@@ -9,9 +9,8 @@
 //! every host.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use qudit_core::pipeline::CacheMode;
 use qudit_core::{Circuit, Dimension};
-use qudit_synthesis::{CompileOptions, Compiler, KToffoli, Threads};
+use qudit_synthesis::{CompileOptions, KToffoli, Threads};
 
 /// The benchmark's compilation jobs: one macro circuit per `(d, k)`.
 fn jobs() -> Vec<Circuit> {
@@ -36,15 +35,10 @@ fn jobs() -> Vec<Circuit> {
 /// the host's core count.
 const BATCH_THREADS: Threads = Threads::Fixed(4);
 
-/// The standard flow without a cache (shape-agnostic so one compiler covers
-/// the whole sweep).
-fn uncached_compiler() -> Compiler {
-    CompileOptions::new().compiler()
-}
-
 fn bench_sequential(c: &mut Criterion) {
     let jobs = jobs();
-    let compiler = uncached_compiler();
+    // Shape-agnostic, so one compiler covers the whole sweep.
+    let compiler = CompileOptions::new().compiler();
     let mut group = c.benchmark_group("batch_compilation");
     group.bench_with_input(
         BenchmarkId::from_parameter("sequential"),
@@ -77,51 +71,5 @@ fn bench_parallel(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_cached(c: &mut Criterion) {
-    let jobs = jobs();
-    let compiler = CompileOptions::new().cache(CacheMode::PerRun).compiler();
-    let mut group = c.benchmark_group("batch_compilation");
-    group.bench_with_input(BenchmarkId::from_parameter("cached"), &jobs, |b, jobs| {
-        b.iter(|| {
-            jobs.iter()
-                .map(|job| compiler.compile(job).unwrap().circuit.len())
-                .sum::<usize>()
-        })
-    });
-    group.finish();
-}
-
-fn bench_parallel_cached(c: &mut Criterion) {
-    let jobs = jobs();
-    let mut group = c.benchmark_group("batch_compilation");
-    group.bench_with_input(
-        BenchmarkId::from_parameter("parallel_cached"),
-        &jobs,
-        |b, jobs| {
-            b.iter(|| {
-                // A shared cache reuses gadget expansions across the whole
-                // sweep (same dimension ⇒ same canonical gadgets).
-                let compiler = CompileOptions::new()
-                    .cache(CacheMode::Shared(qudit_core::cache::LoweringCache::shared()))
-                    .threads(BATCH_THREADS)
-                    .compiler();
-                compiler
-                    .compile_batch(jobs)
-                    .unwrap()
-                    .circuits()
-                    .map(Circuit::len)
-                    .sum::<usize>()
-            })
-        },
-    );
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_sequential,
-    bench_parallel,
-    bench_cached,
-    bench_parallel_cached
-);
+criterion_group!(benches, bench_sequential, bench_parallel);
 criterion_main!(benches);

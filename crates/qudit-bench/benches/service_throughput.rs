@@ -25,8 +25,7 @@ const CLIENTS: usize = 4;
 const JOBS_PER_CLIENT: usize = 25;
 
 /// The job mix: doubly-controlled swap gadgets over a few dimensions and
-/// widths — enough key variety to exercise the shared cache without
-/// saturating it.  Odd dimensions only: the even-dimension construction
+/// widths.  Odd dimensions only: the even-dimension construction
 /// borrows an ancilla, which a width-3 register cannot spare.
 fn source(job: usize) -> String {
     let dimension = [3u32, 5, 7][job % 3];
@@ -49,7 +48,6 @@ fn bench_service(_c: &mut Criterion) {
     let service = CompileService::start(
         ServiceConfig::new()
             .workers(2)
-            .cache_capacity(256)
             .max_queue_depth(JOBS_PER_CLIENT)
             .max_pending(CLIENTS * JOBS_PER_CLIENT),
     )
@@ -91,10 +89,6 @@ fn bench_service(_c: &mut Criterion) {
     assert_eq!(
         stats.rejected + stats.protocol_errors + stats.compile_errors,
         0
-    );
-    println!(
-        "bench: service_throughput: {jobs} jobs, cache {} hits / {} misses / {} entries",
-        stats.cache.hits, stats.cache.misses, stats.cache.entries,
     );
 
     latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));

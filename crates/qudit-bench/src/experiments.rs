@@ -8,7 +8,6 @@ use qudit_baselines::{
     clean_ancilla_count, di_wei_cubic_count, exponential_gate_count, yeh_wetering_clifford_t_count,
     CleanAncillaMct, CliffordTCostModel,
 };
-use qudit_core::pipeline::CacheMode;
 use qudit_core::route::NoiseAwareCost;
 use qudit_core::topology::CouplingGraph;
 use qudit_core::{Dimension, QuditId, SingleQuditOp};
@@ -39,14 +38,11 @@ fn lowering_compiler(dimension: Dimension, width: usize) -> Compiler {
         .compiler()
 }
 
-/// The scheduled, per-run-cached compiler of the E10/E11 sweeps (the
+/// The scheduled compiler of the E10/E11 sweeps (the
 /// standard flow plus depth scheduling, shape-agnostic for heterogeneous
 /// batches).
 fn scheduled_sweep_compiler() -> Compiler {
-    CompileOptions::new()
-        .schedule(true)
-        .cache(CacheMode::PerRun)
-        .compiler()
+    CompileOptions::new().schedule(true).compiler()
 }
 
 /// The routed leg of the E10/E11 sweeps: the same scheduled flow with a
@@ -60,7 +56,6 @@ fn routed_sweep_options(jobs: &[qudit_core::Circuit]) -> CompileOptions {
     let sites = jobs.iter().map(|job| job.width()).max().unwrap_or(1);
     CompileOptions::new()
         .schedule(true)
-        .cache(CacheMode::PerRun)
         .topology(CouplingGraph::linear(sites).expect("the sweep's widest job fits a chain"))
         .cost(NoiseAwareCost::default())
 }
@@ -305,7 +300,7 @@ pub fn sweep_jobs(sweep: &[(u32, usize)]) -> Vec<qudit_core::Circuit> {
 /// the depth columns report.
 ///
 /// The whole sweep is compiled concurrently through
-/// [`Compiler::compile_batch`] on the scheduled, per-run-cached compiler;
+/// [`Compiler::compile_batch`] on the scheduled compiler;
 /// the table is identical to compiling each job sequentially (wall times
 /// aside).
 pub fn e10_peephole(scale: Scale) -> Table {
@@ -426,15 +421,14 @@ pub fn e11_sweep(scale: Scale) -> Vec<(u32, usize)> {
 }
 
 /// E11 — the compilation pipeline itself: per-pass statistics (gate counts,
-/// depth, lowering-cache hits, wall time) of the scheduled standard flow
+/// depth, wall time) of the scheduled standard flow
 /// (macro → elementary → G → optimised → depth-scheduled) on the k-Toffoli
 /// circuits, as recorded by the `PassManager`.  The `schedule-depth` rows'
 /// depth-in/depth-out columns are the depth trajectory of the new
 /// scheduling stage.
 ///
-/// The sweep is compiled concurrently through [`Compiler::compile_batch`]
-/// with a per-job lowering cache, so the cache columns are deterministic
-/// and the table matches the sequential path (wall times aside).
+/// The sweep is compiled concurrently through [`Compiler::compile_batch`];
+/// the table matches the sequential path (wall times aside).
 pub fn e11_pipeline(scale: Scale) -> Table {
     let sweep = e11_sweep(scale);
     let jobs = sweep_jobs(&sweep);
@@ -467,8 +461,6 @@ pub fn e11_table_from_results(
             "gates out",
             "depth in",
             "depth out",
-            "cache hits",
-            "cache hit %",
             "fused gates",
             "clifford",
             "qasm bytes",
@@ -495,13 +487,6 @@ pub fn e11_table_from_results(
             .weighted_cost
             .expect("the routed sweep reports a weighted cost");
         for stats in &report.stats {
-            let (cache_hits, cache_rate) = match stats.cache {
-                Some(cache) if cache.total() > 0 => {
-                    (cache.hits.to_string(), fmt_f64(cache.hit_rate() * 100.0))
-                }
-                Some(_) => ("0".to_string(), "-".to_string()),
-                None => ("-".to_string(), "-".to_string()),
-            };
             table.push_row(vec![
                 d.to_string(),
                 k.to_string(),
@@ -510,8 +495,6 @@ pub fn e11_table_from_results(
                 stats.after.gates.to_string(),
                 stats.before.depth.to_string(),
                 stats.after.depth.to_string(),
-                cache_hits,
-                cache_rate,
                 report.fused_gates.to_string(),
                 clifford.to_string(),
                 qasm_bytes.to_string(),
@@ -1199,7 +1182,7 @@ mod tests {
     }
 
     #[test]
-    fn e11_batch_matches_sequential_and_reports_cache_hits() {
+    fn e11_batch_matches_sequential() {
         use qudit_synthesis::Threads;
 
         let sweep = e11_sweep(Scale::Quick);
@@ -1220,7 +1203,6 @@ mod tests {
         // Batch path, forced multi-threaded, on both legs.
         let batch = CompileOptions::new()
             .schedule(true)
-            .cache(CacheMode::PerRun)
             .threads(Threads::Fixed(4))
             .compiler()
             .compile_batch(&jobs)
@@ -1238,19 +1220,6 @@ mod tests {
             without_elapsed(&batch_table),
             "batch compilation must reproduce the sequential E11 table"
         );
-
-        // The lowering passes must report a positive cache hit-rate.
-        let hits_column = batch_table
-            .headers
-            .iter()
-            .position(|h| h == "cache hits")
-            .unwrap();
-        let total_hits: u64 = batch_table
-            .rows
-            .iter()
-            .filter_map(|row| row[hits_column].parse::<u64>().ok())
-            .sum();
-        assert!(total_hits > 0, "expected cache hits in the E11 sweep");
     }
 
     #[test]
@@ -1303,7 +1272,6 @@ mod tests {
             .collect();
         let batch = CompileOptions::new()
             .schedule(true)
-            .cache(CacheMode::PerRun)
             .threads(Threads::Fixed(4))
             .compiler()
             .compile_batch(&jobs)

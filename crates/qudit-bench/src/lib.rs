@@ -5,14 +5,14 @@
 //!   (E1–E11 plus the figure-verification table); each returns a
 //!   markdown-renderable [`tables::Table`].  The pipeline sweeps (E10/E11)
 //!   compile their jobs concurrently through
-//!   `PassManager::run_batch` with a per-job lowering cache.
+//!   `PassManager::run_batch`.
 //! * [`tables`] — small table-formatting helpers.
 //!
 //! The `experiments` binary prints the full report
 //! (`cargo run --release -p qudit-bench --bin experiments`), and the
 //! Criterion benches in `benches/` measure synthesis, simulation and batch
-//! compilation time (`benches/batch_compilation.rs` compares sequential,
-//! parallel, cached and parallel+cached compilation of the same sweep).
+//! compilation time (`benches/batch_compilation.rs` compares sequential and
+//! parallel compilation of the same sweep).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

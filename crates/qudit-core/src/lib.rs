@@ -13,7 +13,8 @@
 //!   shift `|⋆⟩-X±⋆` of Fig. 6) and circuits with validation, inversion and
 //!   classical basis-state evaluation;
 //! * [`lowering`] — lowering of singly-controlled classical gates to the
-//!   elementary G-gate set `{Xij} ∪ {|0⟩-X01}`;
+//!   elementary G-gate set `{Xij} ∪ {|0⟩-X01}`, one walk emitting into its
+//!   output with reused level buffers ([`lowering::Transpositions`]);
 //! * [`commute`] — the structural commutation oracle, the gate dependency
 //!   DAG and the commutation-aware depth scheduler behind the
 //!   [`pipeline::ScheduleDepth`] pass;
@@ -24,8 +25,8 @@
 //! * [`pool`] — a hand-rolled scoped-thread work-stealing pool backing
 //!   batch compilation, the one level that fans out (the environment is
 //!   offline, so no `rayon`);
-//! * [`cache`] — the thread-safe lowering cache keyed by
-//!   `(gate kind, dimension, width-class)` with hit/miss accounting;
+//! * [`cache`] — inert stand-ins for the retired lowering cache (nothing is
+//!   cached; the names remain for existing callers);
 //! * [`qasm`] — the OpenQASM-3-flavoured text IR: lexer, parser, semantic
 //!   lowering and an exact-inverse pretty-printer with spanned
 //!   [`qasm::ParseError`] diagnostics;

@@ -5,14 +5,17 @@
 //! are lowered by the `qudit-synthesis` crate; this module provides the
 //! final step shared by every construction: conjugating levels so that all
 //! controlled gates become `|0⟩-X01`.
+//!
+//! A lowering is one walk over the gates that emits straight into its output
+//! vector.  The level permutations it decomposes live in [`Transpositions`]
+//! buffers the walk reuses, so a warm walk allocates only the gates it emits.
 
-use crate::cache::{CacheCounters, CanonicalSite, LoweringCache, LoweringStage, WidthClass};
 use crate::circuit::Circuit;
-use crate::control::{Control, ControlPredicate};
+use crate::control::Control;
 use crate::dimension::Dimension;
 use crate::error::{QuditError, Result};
 use crate::gate::{Gate, GateOp};
-use crate::ops::{Permutation, SingleQuditOp};
+use crate::ops::{push_transpositions, SingleQuditOp};
 use crate::qudit::QuditId;
 
 /// Lowers a single gate with at most one control into G-gates.
@@ -23,21 +26,9 @@ use crate::qudit::QuditId;
 /// controls (or a value-controlled shift with an extra control), and
 /// [`QuditError::NotClassical`] for non-permutation unitaries.
 pub fn lower_gate(gate: &Gate, dimension: Dimension) -> Result<Vec<Gate>> {
-    if !gate.is_classical() {
-        return Err(QuditError::NotClassical);
-    }
-    if gate.is_g_gate() {
-        return Ok(vec![gate.clone()]);
-    }
-    match gate.controls().len() {
-        0 => lower_uncontrolled(gate, dimension),
-        1 => lower_single_controlled(gate, dimension),
-        n => Err(QuditError::UnsupportedLowering {
-            reason: format!(
-                "gate has {n} controls; use qudit-synthesis to lower multi-controlled gates"
-            ),
-        }),
-    }
+    let mut out = Vec::new();
+    GGateWalk::new(dimension).emit(gate, &mut out)?;
+    Ok(out)
 }
 
 /// Lowers every gate of a circuit into G-gates.
@@ -46,13 +37,15 @@ pub fn lower_gate(gate: &Gate, dimension: Dimension) -> Result<Vec<Gate>> {
 ///
 /// Propagates the per-gate errors of [`lower_gate`].
 pub fn lower_circuit(circuit: &Circuit) -> Result<Circuit> {
-    let mut out = Circuit::new(circuit.dimension(), circuit.width());
+    let dimension = circuit.dimension();
+    let mut walk = GGateWalk::new(dimension);
+    let mut out = Vec::with_capacity(circuit.len());
     for gate in circuit.gates() {
-        for lowered in lower_gate(gate, circuit.dimension())? {
-            out.push(lowered)?;
-        }
+        walk.emit(gate, &mut out)?;
     }
-    Ok(out)
+    // Every emitted gate acts on its source gate's wires with levels below
+    // `d`, so it is valid for the input's register.
+    Ok(Circuit::from_valid_gates(dimension, circuit.width(), out))
 }
 
 /// Returns the number of G-gates a circuit lowers to.
@@ -64,177 +57,180 @@ pub fn g_gate_count(circuit: &Circuit) -> Result<usize> {
     Ok(lower_circuit(circuit)?.len())
 }
 
-/// [`lower_circuit`] through a [`LoweringCache`], tallying hits and misses
-/// into `counters`.
-///
-/// Each gate is canonicalised (qudits renamed to role order), looked up by
-/// `(gate kind, dimension, width-class)`, and the cached expansion is
-/// renamed back onto the gate's actual wires.  G-gates pass through without
-/// touching the cache, and uncacheable gates (general unitaries) take the
-/// direct path, so the output is gate-for-gate identical to
-/// [`lower_circuit`].
-///
-/// # Errors
-///
-/// Propagates the per-gate errors of [`lower_gate`]; failed lowerings are
-/// never cached.
-pub fn lower_circuit_cached(
-    circuit: &Circuit,
-    cache: &LoweringCache,
-    counters: &mut CacheCounters,
-) -> Result<Circuit> {
-    let dimension = circuit.dimension();
-    let width_class = WidthClass::of(circuit.width());
-    let mut out = Circuit::new(dimension, circuit.width());
-    for gate in circuit.gates() {
-        let site = if gate.is_g_gate() {
-            None
+/// A run of transpositions `(i, j)`, in time order.
+type Pairs = [(u32, u32)];
+
+/// Level buffers for decomposing single-qudit permutations into
+/// transpositions, reused across one lowering walk.
+#[derive(Debug, Default)]
+pub struct Transpositions {
+    map: Vec<u32>,
+    inverse: Vec<u32>,
+    visited: Vec<bool>,
+    pairs: Vec<(u32, u32)>,
+}
+
+impl Transpositions {
+    /// The transpositions of `op`, in the time order of
+    /// [`SingleQuditOp::transpositions`], valid until the next call.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QuditError::NotClassical`] for non-permutation unitaries.
+    pub fn of(&mut self, op: &SingleQuditOp, dimension: Dimension) -> Result<&[(u32, u32)]> {
+        self.pairs.clear();
+        if let SingleQuditOp::Swap(i, j) = op {
+            self.pairs.push((*i, *j));
+            return Ok(&self.pairs);
+        }
+        self.map.clear();
+        if let SingleQuditOp::Unitary(_) = op {
+            self.map
+                .extend_from_slice(op.to_permutation(dimension)?.as_map());
         } else {
-            CanonicalSite::of(LoweringStage::GGates, gate, dimension, width_class, &[])
-        };
-        let lowered = match site {
-            Some(site) => {
-                site.restore(&cache.get_or_insert_with(site.key(), counters, || {
-                    lower_gate(site.gate(), dimension)
-                })?)
+            for level in dimension.levels() {
+                self.map.push(op.apply_level(level, dimension)?);
             }
-            None => lower_gate(gate, dimension)?,
-        };
-        for lowered in lowered {
-            out.push(lowered)?;
         }
+        push_transpositions(&self.map, &mut self.visited, &mut self.pairs);
+        Ok(&self.pairs)
     }
-    Ok(out)
+
+    /// The conjugation `σ` sending levels `(0, 1)` to `(i, j)` and the
+    /// remaining levels, in ascending order, to `2, 3, …`: the
+    /// transpositions of `σ⁻¹`, then those of `σ`.
+    fn conjugation(&mut self, dimension: Dimension, i: u32, j: u32) -> (&Pairs, &Pairs) {
+        let d = dimension.as_usize();
+        self.map.clear();
+        self.map.resize(d, 0);
+        self.inverse.clear();
+        self.inverse.resize(d, 0);
+        let rest = dimension.levels().filter(|&level| level != i && level != j);
+        for (slot, level) in [i, j].into_iter().chain(rest).enumerate() {
+            self.map[slot] = level;
+            self.inverse[level as usize] = slot as u32;
+        }
+        self.pairs.clear();
+        push_transpositions(&self.inverse, &mut self.visited, &mut self.pairs);
+        let split = self.pairs.len();
+        push_transpositions(&self.map, &mut self.visited, &mut self.pairs);
+        self.pairs.split_at(split)
+    }
 }
 
-fn lower_uncontrolled(gate: &Gate, dimension: Dimension) -> Result<Vec<Gate>> {
-    match gate.op() {
-        GateOp::Single(op) => {
-            let transpositions = op.transpositions(dimension)?;
-            Ok(transpositions
-                .into_iter()
-                .map(|(i, j)| Gate::single(SingleQuditOp::Swap(i, j), gate.target()))
-                .collect())
+/// One G-gate lowering walk: the buffers of the gate's own operation and of
+/// the conjugations its transpositions need.
+struct GGateWalk {
+    dimension: Dimension,
+    op: Transpositions,
+    sigma: Transpositions,
+}
+
+impl GGateWalk {
+    fn new(dimension: Dimension) -> Self {
+        GGateWalk {
+            dimension,
+            op: Transpositions::default(),
+            sigma: Transpositions::default(),
         }
-        GateOp::AddFrom { source, negate } => {
-            // target += ±value(source) = ∏_{y≠0} |y⟩(source)-X±y.
-            let d = dimension.get();
-            let mut out = Vec::new();
-            for y in 1..d {
-                let shift = if *negate { (d - y) % d } else { y };
-                if shift == 0 {
-                    continue;
+    }
+
+    /// Emits the G-gates of `gate` into `out`.
+    fn emit(&mut self, gate: &Gate, out: &mut Vec<Gate>) -> Result<()> {
+        if !gate.is_classical() {
+            return Err(QuditError::NotClassical);
+        }
+        if gate.is_g_gate() {
+            out.push(gate.clone());
+            return Ok(());
+        }
+        let target = gate.target();
+        match (gate.controls(), gate.op()) {
+            ([], GateOp::Single(op)) => {
+                for &(i, j) in self.op.of(op, self.dimension)? {
+                    out.push(Gate::single(SingleQuditOp::Swap(i, j), target));
                 }
-                let controlled = Gate::controlled(
-                    SingleQuditOp::Add(shift),
-                    gate.target(),
-                    vec![Control::level(*source, y)],
-                );
-                out.extend(lower_single_controlled(&controlled, dimension)?);
             }
-            Ok(out)
-        }
-    }
-}
-
-fn lower_single_controlled(gate: &Gate, dimension: Dimension) -> Result<Vec<Gate>> {
-    let control = gate.controls()[0];
-    match control.predicate {
-        ControlPredicate::Level(level) => {
-            lower_level_controlled(gate, control.qudit, level, dimension)
-        }
-        predicate => {
-            // Expand the predicate into one level-controlled gate per
-            // matching level; different control levels commute.
-            let mut out = Vec::new();
-            for level in predicate.matching_levels(dimension) {
-                let expanded = Gate::new(
-                    gate.op().clone(),
-                    gate.target(),
-                    vec![Control::level(control.qudit, level)],
-                );
-                out.extend(lower_gate(&expanded, dimension)?);
+            ([], GateOp::AddFrom { source, negate }) => {
+                // target += ±value(source) = ∏_{y≠0} |y⟩(source)-X±y.
+                let d = self.dimension.get();
+                for y in 1..d {
+                    let shift = if *negate { d - y } else { y };
+                    self.level_controlled(&SingleQuditOp::Add(shift), target, *source, y, out)?;
+                }
             }
-            Ok(out)
-        }
-    }
-}
-
-fn lower_level_controlled(
-    gate: &Gate,
-    control: QuditId,
-    level: u32,
-    dimension: Dimension,
-) -> Result<Vec<Gate>> {
-    match gate.op() {
-        GateOp::AddFrom { .. } => Err(QuditError::UnsupportedLowering {
-            reason: "value-controlled shift with an additional control is a three-qudit gate; \
-                     use qudit-synthesis to lower it"
-                .to_string(),
-        }),
-        GateOp::Single(op) => {
-            let transpositions = op.transpositions(dimension)?;
-            let mut out = Vec::new();
-            for (i, j) in transpositions {
-                out.extend(lower_controlled_swap(
-                    control,
-                    level,
-                    gate.target(),
-                    i,
-                    j,
-                    dimension,
-                ));
+            ([control], op) => {
+                // Expand the predicate into one level-controlled gate per
+                // matching level; different control levels commute.
+                let levels = self.dimension.levels();
+                for level in levels.filter(|&level| control.predicate.matches(level)) {
+                    let GateOp::Single(op) = op else {
+                        return Err(QuditError::UnsupportedLowering {
+                            reason: "value-controlled shift with an additional control is a \
+                                     three-qudit gate; use qudit-synthesis to lower it"
+                                .to_string(),
+                        });
+                    };
+                    self.level_controlled(op, target, control.qudit, level, out)?;
+                }
             }
-            Ok(out)
+            (controls, _) => {
+                return Err(QuditError::UnsupportedLowering {
+                    reason: format!(
+                        "gate has {} controls; use qudit-synthesis to lower multi-controlled gates",
+                        controls.len()
+                    ),
+                })
+            }
         }
+        Ok(())
     }
-}
 
-/// Lowers `|level⟩(control)-Xij(target)` into G-gates by conjugating the
-/// control level to `0` and the target levels to `(0, 1)`.
-fn lower_controlled_swap(
-    control: QuditId,
-    level: u32,
-    target: QuditId,
-    i: u32,
-    j: u32,
-    dimension: Dimension,
-) -> Vec<Gate> {
-    let mut out = Vec::new();
-    let conjugate_control = level != 0;
-    if conjugate_control {
-        out.push(Gate::single(SingleQuditOp::Swap(0, level), control));
-    }
-    let needs_sigma = !((i == 0 && j == 1) || (i == 1 && j == 0));
-    let sigma = if needs_sigma {
-        Some(Permutation::sending_01_to(dimension, i, j))
-    } else {
-        None
-    };
-    if let Some(sigma) = &sigma {
-        for (a, b) in sigma.inverse().transpositions() {
-            out.push(Gate::single(SingleQuditOp::Swap(a, b), target));
+    /// Emits `|level⟩(control)-op(target)`: per transposition `Xij` of `op`,
+    /// the control level is conjugated to `0` and the target levels to
+    /// `(0, 1)` around one `|0⟩-X01`.
+    fn level_controlled(
+        &mut self,
+        op: &SingleQuditOp,
+        target: QuditId,
+        control: QuditId,
+        level: u32,
+        out: &mut Vec<Gate>,
+    ) -> Result<()> {
+        let dimension = self.dimension;
+        for &(i, j) in self.op.of(op, dimension)? {
+            if level != 0 {
+                out.push(Gate::single(SingleQuditOp::Swap(0, level), control));
+            }
+            let (unconjugate, conjugate) = if matches!((i, j), (0, 1) | (1, 0)) {
+                (&[][..], &[][..])
+            } else {
+                self.sigma.conjugation(dimension, i, j)
+            };
+            for &(a, b) in unconjugate {
+                out.push(Gate::single(SingleQuditOp::Swap(a, b), target));
+            }
+            out.push(Gate::controlled(
+                SingleQuditOp::Swap(0, 1),
+                target,
+                vec![Control::zero(control)],
+            ));
+            for &(a, b) in conjugate {
+                out.push(Gate::single(SingleQuditOp::Swap(a, b), target));
+            }
+            if level != 0 {
+                out.push(Gate::single(SingleQuditOp::Swap(0, level), control));
+            }
         }
+        Ok(())
     }
-    out.push(Gate::controlled(
-        SingleQuditOp::Swap(0, 1),
-        target,
-        vec![Control::zero(control)],
-    ));
-    if let Some(sigma) = &sigma {
-        for (a, b) in sigma.transpositions() {
-            out.push(Gate::single(SingleQuditOp::Swap(a, b), target));
-        }
-    }
-    if conjugate_control {
-        out.push(Gate::single(SingleQuditOp::Swap(0, level), control));
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::control::ControlPredicate;
+    use crate::ops::Permutation;
 
     fn dim(d: u32) -> Dimension {
         Dimension::new(d).unwrap()
@@ -398,6 +394,41 @@ mod tests {
         assert!(lowered.gates().iter().all(Gate::is_g_gate));
         assert_eq!(g_gate_count(&circuit).unwrap(), lowered.len());
         assert!(!lowered.is_empty());
+    }
+
+    #[test]
+    fn reused_buffers_match_the_allocating_decompositions() {
+        let mut buffers = Transpositions::default();
+        for d in [2u32, 3, 4, 5, 7] {
+            let dimension = dim(d);
+            let mut ops = vec![
+                SingleQuditOp::Swap(d - 1, 0),
+                SingleQuditOp::Add(1),
+                SingleQuditOp::Add(d - 1),
+                SingleQuditOp::Perm(Permutation::cycle_add(dimension, 1).inverse()),
+                SingleQuditOp::Unitary(SingleQuditOp::Add(1).to_matrix(dimension)),
+            ];
+            ops.push(if d % 2 == 0 {
+                SingleQuditOp::ParityFlipEven
+            } else {
+                SingleQuditOp::ParityFlipOdd
+            });
+            for op in ops {
+                assert_eq!(
+                    buffers.of(&op, dimension).unwrap(),
+                    op.transpositions(dimension).unwrap(),
+                    "{op:?} at d={d}"
+                );
+            }
+            for i in 0..d {
+                for j in (0..d).filter(|&j| j != i) {
+                    let sigma = Permutation::sending_01_to(dimension, i, j);
+                    let (unconjugate, conjugate) = buffers.conjugation(dimension, i, j);
+                    assert_eq!(unconjugate, sigma.inverse().transpositions());
+                    assert_eq!(conjugate, sigma.transpositions());
+                }
+            }
+        }
     }
 
     #[test]

@@ -146,30 +146,9 @@ impl Permutation {
     /// first) reproduces the permutation; at most `d − 1` transpositions are
     /// returned, matching the bound used in the paper.
     pub fn transpositions(&self) -> Vec<(u32, u32)> {
-        let n = self.map.len();
-        let mut result = Vec::new();
-        let mut visited = vec![false; n];
-        for start in 0..n {
-            if visited[start] || self.map[start] as usize == start {
-                visited[start] = true;
-                continue;
-            }
-            // Collect the cycle containing `start`.
-            let mut cycle = vec![start as u32];
-            visited[start] = true;
-            let mut current = self.map[start] as usize;
-            while current != start {
-                visited[current] = true;
-                cycle.push(current as u32);
-                current = self.map[current] as usize;
-            }
-            // The cycle (c0 c1 … c_{L−1}) equals the time-ordered product
-            // (c0 c1), (c0 c2), …, (c0 c_{L−1}).
-            for target in cycle.iter().skip(1) {
-                result.push((cycle[0], *target));
-            }
-        }
-        result
+        let mut pairs = Vec::new();
+        push_transpositions(&self.map, &mut Vec::new(), &mut pairs);
+        pairs
     }
 
     /// Returns the parity of the permutation: `true` when it is even.
@@ -201,6 +180,31 @@ impl Permutation {
             *slot = remaining.pop().expect("enough levels remain");
         }
         Permutation { map }
+    }
+}
+
+/// Appends the transpositions of the level map `map` to `pairs` as the walk
+/// finds them: the cycle `(c0 c1 … c_{L−1})`, entered at its smallest level
+/// `c0`, is the time-ordered product `(c0 c1), (c0 c2), …, (c0 c_{L−1})`.
+/// `visited` is scratch space, reused across calls.
+pub(crate) fn push_transpositions(
+    map: &[u32],
+    visited: &mut Vec<bool>,
+    pairs: &mut Vec<(u32, u32)>,
+) {
+    visited.clear();
+    visited.resize(map.len(), false);
+    for start in 0..map.len() {
+        if visited[start] {
+            continue;
+        }
+        visited[start] = true;
+        let mut current = map[start] as usize;
+        while current != start {
+            visited[current] = true;
+            pairs.push((start as u32, current as u32));
+            current = map[current] as usize;
+        }
     }
 }
 

@@ -74,7 +74,7 @@ use crate::dimension::Dimension;
 use crate::error::{QuditError, Result};
 use crate::gate::{Gate, GateOp};
 use crate::ops::{Permutation, SingleQuditOp};
-use crate::pipeline::{Pass, PassContext};
+use crate::pipeline::Pass;
 use crate::qudit::QuditId;
 use crate::topology::CouplingGraph;
 
@@ -754,10 +754,6 @@ impl Pass for RoutePass {
     }
 
     fn run(&self, circuit: Circuit) -> Result<Circuit> {
-        self.run_with(circuit, &mut PassContext::new())
-    }
-
-    fn run_with(&self, circuit: Circuit, _ctx: &mut PassContext) -> Result<Circuit> {
         let routed = Router::new(&self.graph, self.cost.as_ref()).route(&circuit)?;
         routed.with_epilogue(&self.graph)
     }

@@ -210,21 +210,19 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Cache correctness: cached lowering output is gate-for-gate identical
-    /// to uncached lowering across random dimensions and widths, with exact
-    /// hit/miss counters, and a parallel batch of `lower-to-g-gates` runs
-    /// with per-run caches reports the same circuit and the same counters
-    /// for every job.
+    /// The G-gate walk reuses its level buffers across gates: lowering a
+    /// circuit in one walk must equal lowering each gate alone with fresh
+    /// buffers, across random dimensions and widths, and a parallel batch of
+    /// `lower-to-g-gates` runs must report the same circuit for every job.
     #[test]
-    fn cached_and_parallel_lowering_match_uncached(
+    fn lowering_walk_matches_per_gate_and_parallel_lowering(
         dimension in any_dimension(),
         width in 2usize..=6,
         specs in prop::collection::vec(gate_spec(6, 8), 1..16),
         threads in 1usize..=4,
     ) {
-        use qudit_core::cache::{CacheCounters, LoweringCache};
-        use qudit_core::lowering::lower_circuit_cached;
-        use qudit_core::pipeline::{CacheMode, LowerToGGates, PassManager};
+        use qudit_core::lowering::lower_gate;
+        use qudit_core::pipeline::{LowerToGGates, PassManager};
         use qudit_core::pool::WorkStealingPool;
 
         // Clamp the specs to the chosen dimension and width.
@@ -242,24 +240,19 @@ proptest! {
         let circuit = build_circuit(&specs, dimension, width);
         let reference = lower_circuit(&circuit).unwrap();
 
-        let cache = LoweringCache::new();
-        let mut counters = CacheCounters::default();
-        let cached = lower_circuit_cached(&circuit, &cache, &mut counters).unwrap();
-        prop_assert_eq!(&cached, &reference);
-        // Every non-G-gate consults the cache exactly once.
-        let lookups = circuit.gates().iter().filter(|g| !g.is_g_gate()).count() as u64;
-        prop_assert_eq!(counters.total(), lookups);
-        prop_assert_eq!(counters.misses, cache.len() as u64);
+        let mut per_gate = Vec::new();
+        for gate in circuit.gates() {
+            per_gate.extend(lower_gate(gate, dimension).unwrap());
+        }
+        prop_assert_eq!(reference.gates(), per_gate.as_slice());
 
         let batch = PassManager::new()
             .with_pass(LowerToGGates)
-            .with_cache(CacheMode::PerRun)
             .with_pool(WorkStealingPool::with_threads(threads))
             .run_batch(&[circuit.clone(), circuit])
             .unwrap();
         for report in &batch.reports {
             prop_assert_eq!(&report.circuit, &reference);
-            prop_assert_eq!(report.stats[0].cache, Some(counters));
         }
     }
 }

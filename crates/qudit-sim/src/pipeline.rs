@@ -22,7 +22,7 @@
 //! naming the wrapped pass and the offending basis state.
 
 use qudit_core::math::{Complex, MATRIX_TOLERANCE};
-use qudit_core::pipeline::{Pass, PassContext, PassManager};
+use qudit_core::pipeline::{Pass, PassManager};
 use qudit_core::{Circuit, QuditError, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -268,14 +268,6 @@ impl Pass for VerifyEquivalence {
 
     fn run(&self, circuit: Circuit) -> Result<Circuit> {
         let output = self.inner.run(circuit.clone())?;
-        self.check_equivalent(&circuit, &output)?;
-        Ok(output)
-    }
-
-    fn run_with(&self, circuit: Circuit, ctx: &mut PassContext) -> Result<Circuit> {
-        // Forward the context so the wrapped pass keeps its cache access
-        // (and its cache statistics) under verification.
-        let output = self.inner.run_with(circuit.clone(), ctx)?;
         self.check_equivalent(&circuit, &output)?;
         Ok(output)
     }

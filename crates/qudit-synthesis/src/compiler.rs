@@ -3,13 +3,13 @@
 //! One composable configuration surface for the paper's flow:
 //!
 //! * [`CompileOptions`] — a builder with orthogonal typed knobs
-//!   ([`Verify`], scheduling, [`CacheMode`], [`Threads`], routing)
+//!   ([`Verify`], scheduling, [`Threads`], routing)
 //!   plus the [`OptLevel`] shorthand for pass selection;
 //! * [`Compiler`] — the facade owning the worker pool and the assembled
 //!   [`PassManager`], with [`Compiler::compile`] and
 //!   [`Compiler::compile_batch`] returning the unified [`CompileResult`] /
 //!   [`BatchResult`] report types (circuit, per-pass statistics, depth,
-//!   cache counters, verification verdict).
+//!   verification verdict).
 //!
 //! Internally the options translate to a data-driven
 //! [`PipelineSpec`] resolved against a
@@ -125,7 +125,7 @@ pub enum OptLevel {
 ///
 /// Every knob composes with every other; the default
 /// (`CompileOptions::new()`) is the paper's standard flow — lowering plus
-/// inverse-pair cancellation, unverified, uncached, shape-agnostic,
+/// inverse-pair cancellation, unverified, shape-agnostic,
 /// environment-sized pool.
 ///
 /// Jobs can enter the pipeline as Rust [`Circuit`]s
@@ -137,13 +137,11 @@ pub enum OptLevel {
 /// # Example
 ///
 /// ```
-/// use qudit_core::pipeline::CacheMode;
 /// use qudit_synthesis::{CompileOptions, OptLevel, Threads, Verify};
 ///
 /// let options = CompileOptions::new()
 ///     .opt_level(OptLevel::O2)             // cancel + schedule
 ///     .verify(Verify::Sampled(64))         // self-check on 64 samples
-///     .cache(CacheMode::PerRun)            // deterministic cache counters
 ///     .threads(Threads::Fixed(2));
 /// assert_eq!(
 ///     options.compiler().pass_names(),
@@ -162,7 +160,6 @@ pub struct CompileOptions {
     fusion: bool,
     cancel: bool,
     schedule: bool,
-    cache: CacheMode,
     threads: Threads,
     pool: Option<WorkStealingPool>,
     shape: Option<(Dimension, usize)>,
@@ -177,7 +174,6 @@ impl fmt::Debug for CompileOptions {
             .field("fusion", &self.fusion)
             .field("cancel", &self.cancel)
             .field("schedule", &self.schedule)
-            .field("cache", &self.cache)
             .field("threads", &self.threads)
             .field("pool", &self.pool)
             .field("shape", &self.shape)
@@ -194,7 +190,6 @@ impl Default for CompileOptions {
             fusion: true,
             cancel: true,
             schedule: false,
-            cache: CacheMode::Off,
             threads: Threads::Auto,
             pool: None,
             shape: None,
@@ -205,7 +200,7 @@ impl Default for CompileOptions {
 }
 
 impl CompileOptions {
-    /// The default options: the standard flow (`O1`), unverified, uncached,
+    /// The default options: the standard flow (`O1`), unverified,
     /// shape-agnostic, environment-sized pool.
     pub fn new() -> Self {
         CompileOptions::default()
@@ -259,11 +254,10 @@ impl CompileOptions {
         }
     }
 
-    /// Selects how runs provision the lowering cache (default
-    /// [`CacheMode::Off`]).
+    /// The inert cache knob: lowering keeps no cache, so every
+    /// [`CacheMode`] compiles as the default does and the value is dropped.
     #[must_use]
-    pub fn cache(mut self, cache: CacheMode) -> Self {
-        self.cache = cache;
+    pub fn cache(self, _cache: CacheMode) -> Self {
         self
     }
 
@@ -349,19 +343,9 @@ impl CompileOptions {
         self.schedule
     }
 
-    /// The configured cache mode.
-    pub fn cache_mode(&self) -> &CacheMode {
-        &self.cache
-    }
-
     /// The configured pool sizing.
     pub fn thread_mode(&self) -> Threads {
         self.threads
-    }
-
-    /// The pinned pool, if any (see [`CompileOptions::pool`]).
-    pub fn pinned_pool(&self) -> Option<&WorkStealingPool> {
-        self.pool.as_ref()
     }
 
     /// The pinned register shape, if any.
@@ -406,7 +390,7 @@ impl CompileOptions {
         if let Some((dimension, width)) = self.shape {
             spec = spec.with_shape(dimension, width);
         }
-        spec.with_cache(self.cache.clone())
+        spec
     }
 
     /// Assembles the [`PassManager`] these options describe — the escape
@@ -498,9 +482,6 @@ pub struct CompileResult {
     pub stats: Vec<PassStats>,
     /// Depth of the compiled circuit.
     pub depth: usize,
-    /// Lowering-cache tally summed over every pass — `Some` whenever the
-    /// options enabled a cache, `None` otherwise.
-    pub cache: Option<CacheCounters>,
     /// Gates removed by the macro-level `gate-fusion` stage (zero when the
     /// stage was disabled or found nothing profitable to fuse).
     pub fused_gates: usize,
@@ -520,14 +501,6 @@ pub struct CompileResult {
 impl CompileResult {
     fn from_report(report: PipelineReport, options: &CompileOptions) -> Self {
         let verify = options.verify;
-        let mut cache: Option<CacheCounters> = None;
-        for stats in &report.stats {
-            if let Some(tally) = stats.cache {
-                cache
-                    .get_or_insert_with(CacheCounters::default)
-                    .merge(tally);
-            }
-        }
         // The last pass's output profile already measured the final
         // circuit's depth; only an empty pipeline needs a fresh scan.
         let depth = report
@@ -558,7 +531,6 @@ impl CompileResult {
             depth,
             circuit: report.circuit,
             stats: report.stats,
-            cache,
             fused_gates,
             swap_count,
             routed_depth,
@@ -659,15 +631,9 @@ impl BatchResult {
         self.results.iter().map(CompileResult::total_elapsed).sum()
     }
 
-    /// The cache tally summed over every job and pass.
+    /// Inert: always zero, since lowering keeps no cache.
     pub fn cache_counters(&self) -> CacheCounters {
-        let mut total = CacheCounters::default();
-        for result in &self.results {
-            if let Some(cache) = result.cache {
-                total.merge(cache);
-            }
-        }
-        total
+        CacheCounters::default()
     }
 
     /// Returns `true` when every job of the batch was verified.
@@ -695,21 +661,20 @@ impl fmt::Display for BatchResult {
 /// # Example
 ///
 /// ```
-/// use qudit_core::pipeline::CacheMode;
 /// use qudit_core::Dimension;
 /// use qudit_synthesis::{CompileOptions, Compiler, KToffoli};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// // A heterogeneous sweep through one shape-agnostic, cached compiler.
+/// // A heterogeneous sweep through one shape-agnostic compiler.
 /// let mut jobs = Vec::new();
 /// for (d, k) in [(3u32, 4usize), (4, 3), (5, 2)] {
 ///     let synthesis = KToffoli::new(Dimension::new(d)?, k)?.synthesize()?;
 ///     jobs.push(synthesis.circuit().clone());
 /// }
-/// let compiler = Compiler::new(CompileOptions::new().cache(CacheMode::PerRun));
+/// let compiler = Compiler::new(CompileOptions::new());
 /// let batch = compiler.compile_batch(&jobs)?;
 /// assert_eq!(batch.len(), 3);
-/// assert!(batch.cache_counters().hits > 0);
+/// assert!(batch.circuits().all(|c| c.gates().iter().all(|g| g.is_g_gate())));
 /// # Ok(())
 /// # }
 /// ```
@@ -895,14 +860,12 @@ mod tests {
     fn compile_produces_the_unified_report() {
         let synthesis = KToffoli::new(dim(3), 3).unwrap().synthesize().unwrap();
         let compiler = CompileOptions::new()
-            .cache(CacheMode::PerRun)
             .shape(dim(3), synthesis.layout().width)
             .compiler();
         let result = compiler.compile(synthesis.circuit()).unwrap();
         assert!(result.circuit.gates().iter().all(Gate::is_g_gate));
         assert_eq!(result.stats.len(), 4);
         assert_eq!(result.depth, circuit_depth(&result.circuit));
-        assert!(result.cache.expect("cache enabled").total() > 0);
         assert_eq!(result.verification, VerifyOutcome::Skipped);
         assert!(result.stats_for("gate-fusion").is_some());
         assert!(result.stats_for("cancel-inverse-pairs").is_some());
@@ -958,10 +921,7 @@ mod tests {
                     .clone()
             })
             .collect();
-        let compiler = CompileOptions::new()
-            .cache(CacheMode::PerRun)
-            .threads(Threads::Fixed(2))
-            .compiler();
+        let compiler = CompileOptions::new().threads(Threads::Fixed(2)).compiler();
         let batch = compiler.compile_batch(&jobs).unwrap();
         assert_eq!(batch.len(), 3);
         assert!(!batch.is_empty());
@@ -969,7 +929,6 @@ mod tests {
         let merged = batch.merged_stats();
         assert_eq!(merged.len(), 4);
         assert_eq!(merged[0].jobs, 3);
-        assert!(batch.cache_counters().total() > 0);
         assert!(batch.to_string().contains("batch of 3 circuits"));
         // Batch jobs equal per-job compiles, gate for gate.
         for (job, result) in jobs.iter().zip(&batch.results) {

@@ -31,6 +31,21 @@ pub fn two_controlled_swap_odd(
     i: u32,
     j: u32,
 ) -> Result<Vec<Gate>> {
+    let mut gates = Vec::with_capacity(5);
+    emit_two_controlled_swap_odd(dimension, c1, c2, target, i, j, &mut gates)?;
+    Ok(gates)
+}
+
+/// [`two_controlled_swap_odd`], emitted onto the end of `out`.
+pub(crate) fn emit_two_controlled_swap_odd(
+    dimension: Dimension,
+    c1: QuditId,
+    c2: QuditId,
+    target: QuditId,
+    i: u32,
+    j: u32,
+    out: &mut Vec<Gate>,
+) -> Result<()> {
     if dimension.get() < 3 {
         return Err(SynthesisError::DimensionTooSmall {
             dimension: dimension.get(),
@@ -47,13 +62,14 @@ pub fn two_controlled_swap_odd(
     }
     let d = dimension.get();
     let swap = SingleQuditOp::swap(dimension, i, j)?;
-    Ok(vec![
+    out.extend([
         Gate::controlled(swap.clone(), target, vec![Control::zero(c1)]),
         Gate::controlled(SingleQuditOp::Add(1), c2, vec![Control::zero(c1)]),
         Gate::controlled(swap.clone(), target, vec![Control::even_nonzero(c2)]),
         Gate::controlled(SingleQuditOp::Add(d - 1), c2, vec![Control::zero(c1)]),
         Gate::controlled(swap, target, vec![Control::even_nonzero(c2)]),
-    ])
+    ]);
+    Ok(())
 }
 
 /// Emits the Fig. 2 gadget: `|0⟩(c1)|0⟩(c2)-Xij` on `target` for **even**
@@ -76,6 +92,23 @@ pub fn two_controlled_swap_even(
     j: u32,
     borrowed: QuditId,
 ) -> Result<Vec<Gate>> {
+    let mut gates = Vec::with_capacity(20);
+    emit_two_controlled_swap_even(dimension, c1, c2, target, i, j, borrowed, &mut gates)?;
+    Ok(gates)
+}
+
+/// [`two_controlled_swap_even`], emitted onto the end of `out`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn emit_two_controlled_swap_even(
+    dimension: Dimension,
+    c1: QuditId,
+    c2: QuditId,
+    target: QuditId,
+    i: u32,
+    j: u32,
+    borrowed: QuditId,
+    out: &mut Vec<Gate>,
+) -> Result<()> {
     if dimension.is_odd() {
         return Err(SynthesisError::Lowering {
             reason: format!(
@@ -155,10 +188,9 @@ pub fn two_controlled_swap_even(
             vec![Control::zero(c2)],
         ));
     };
-    let mut gates = Vec::with_capacity(20);
-    block(&mut gates);
-    block(&mut gates);
-    Ok(gates)
+    block(out);
+    block(out);
+    Ok(())
 }
 
 /// Emits a `|0⟩(c1)|0⟩(c2)-Xij` gadget for either parity of `d`.

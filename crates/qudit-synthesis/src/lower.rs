@@ -10,14 +10,13 @@
 //!    the Fig. 2 / Fig. 5 gadgets for the two-controlled cases; and then to
 //! 2. **G-gates** — `{Xij} ∪ {|0⟩-X01}` via `qudit_core::lowering`.
 
-use qudit_core::cache::{CacheCounters, CanonicalSite, LoweringCache, LoweringStage, WidthClass};
-use qudit_core::lowering as core_lowering;
+use qudit_core::lowering::{self as core_lowering, Transpositions};
 use qudit_core::{
-    Circuit, Control, ControlPredicate, Dimension, Gate, GateOp, QuditError, QuditId, SingleQuditOp,
+    Circuit, Control, ControlPredicate, Dimension, Gate, GateOp, QuditId, SingleQuditOp,
 };
 
 use crate::error::{Result, SynthesisError};
-use crate::gadgets::{two_controlled_swap_even, two_controlled_swap_odd};
+use crate::gadgets::{emit_two_controlled_swap_even, emit_two_controlled_swap_odd};
 
 /// Lowers a macro circuit to elementary gates (at most one control per gate).
 ///
@@ -33,13 +32,17 @@ use crate::gadgets::{two_controlled_swap_even, two_controlled_swap_odd};
 /// to provide a borrowed qudit, or when a non-classical gate carries two
 /// controls.
 pub fn lower_to_elementary(circuit: &Circuit) -> Result<Circuit> {
-    let dimension = circuit.dimension();
-    let mut out = Circuit::new(dimension, circuit.width());
+    let mut walk = ElementaryWalk {
+        dimension: circuit.dimension(),
+        width: circuit.width(),
+        levels: Transpositions::default(),
+    };
+    let mut gates = Vec::with_capacity(circuit.len());
     for gate in circuit.gates() {
-        for lowered in lower_macro_gate(gate, dimension, circuit.width())? {
-            out.push(lowered).map_err(SynthesisError::from)?;
-        }
+        walk.emit(gate, &mut gates)?;
     }
+    let mut out = Circuit::new(circuit.dimension(), circuit.width());
+    out.extend_gates(gates)?;
     Ok(out)
 }
 
@@ -64,193 +67,120 @@ pub fn g_gate_count(circuit: &Circuit) -> Result<usize> {
     Ok(lower_to_g_gates(circuit)?.len())
 }
 
-/// [`lower_to_elementary`] through a [`LoweringCache`], tallying hits and
-/// misses into `counters`.
-///
-/// The expensive sites — two-controlled gadget expansions and
-/// value-controlled shifts with an extra control — are canonicalised (wires
-/// renamed to role order, the even-`d` borrowed qudit included as an extra
-/// canonical wire) and shared by `(gate kind, dimension, width-class)`.  The
-/// output is gate-for-gate identical to [`lower_to_elementary`].
-///
-/// # Errors
-///
-/// See [`lower_to_elementary`]; failed lowerings are never cached.
-pub fn lower_to_elementary_cached(
-    circuit: &Circuit,
-    cache: &LoweringCache,
-    counters: &mut CacheCounters,
-) -> Result<Circuit> {
-    let dimension = circuit.dimension();
-    let mut out = Circuit::new(dimension, circuit.width());
-    for gate in circuit.gates() {
-        for lowered in lower_macro_gate_cached(gate, dimension, circuit.width(), cache, counters)? {
-            out.push(lowered).map_err(SynthesisError::from)?;
-        }
-    }
-    Ok(out)
-}
-
-/// [`lower_macro_gate`] through the cache.
-///
-/// Only the gadget-expanding cases are cached; everything else (gates that
-/// are already elementary, or error cases) takes the direct path.  For even
-/// `d` the borrowed qudit is resolved *before* canonicalisation so the
-/// cached expansion can be renamed onto it; when no spare wire exists the
-/// direct path reports the usual error.
-fn lower_macro_gate_cached(
-    gate: &Gate,
+/// One macro-to-elementary lowering walk over a register, with the level
+/// buffers of the operations it decomposes.
+struct ElementaryWalk {
     dimension: Dimension,
     width: usize,
-    cache: &LoweringCache,
-    counters: &mut CacheCounters,
-) -> Result<Vec<Gate>> {
-    let cacheable = matches!(
-        (gate.controls().len(), gate.op()),
-        (2, GateOp::Single(_)) | (1, GateOp::AddFrom { .. })
-    );
-    if !cacheable {
-        return lower_macro_gate(gate, dimension, width);
-    }
-    let mut extra = Vec::new();
-    if dimension.is_even() {
-        match pick_borrowed(width, &gate.qudits()) {
-            Some(borrowed) => extra.push(borrowed),
-            None => return lower_macro_gate(gate, dimension, width),
-        }
-    }
-    let Some(site) = CanonicalSite::of(
-        LoweringStage::Elementary,
-        gate,
-        dimension,
-        WidthClass::of(width),
-        &extra,
-    ) else {
-        return lower_macro_gate(gate, dimension, width);
-    };
-    let canonical = cache
-        .get_or_insert_with(site.key(), counters, || {
-            lower_macro_gate(site.gate(), dimension, site.width()).map_err(|e| match e {
-                SynthesisError::Core(core) => core,
-                other => QuditError::UnsupportedLowering {
-                    reason: other.to_string(),
-                },
-            })
-        })
-        .map_err(SynthesisError::from)?;
-    Ok(site.restore(&canonical))
+    levels: Transpositions,
 }
 
-fn lower_macro_gate(gate: &Gate, dimension: Dimension, width: usize) -> Result<Vec<Gate>> {
-    match (gate.controls().len(), gate.op()) {
-        // Already elementary.
-        (0, GateOp::Single(_)) | (1, GateOp::Single(_)) | (0, GateOp::AddFrom { .. }) => {
-            Ok(vec![gate.clone()])
-        }
-        // |⋆⟩-X±⋆ with one further control: expand the star into one
-        // two-controlled shift per source level.
-        (1, GateOp::AddFrom { source, negate }) => {
-            let d = dimension.get();
-            let mut out = Vec::new();
-            for y in 1..d {
-                let shift = if *negate { (d - y) % d } else { y };
-                if shift == 0 {
-                    continue;
+impl ElementaryWalk {
+    /// Emits the elementary gates of `gate` into `out`.
+    fn emit(&mut self, gate: &Gate, out: &mut Vec<Gate>) -> Result<()> {
+        match (gate.controls(), gate.op()) {
+            // Already elementary.
+            ([] | [_], GateOp::Single(_)) | ([], GateOp::AddFrom { .. }) => out.push(gate.clone()),
+            // |⋆⟩-X±⋆ with one further control: expand the star into one
+            // two-controlled shift per source level.
+            (&[control], GateOp::AddFrom { source, negate }) => {
+                let d = self.dimension.get();
+                for y in 1..d {
+                    let shift = if *negate { d - y } else { y };
+                    let star = Control::level(*source, y);
+                    self.two_controlled(&SingleQuditOp::Add(shift), gate.target(), control, star, out)?;
                 }
-                let expanded = Gate::controlled(
-                    SingleQuditOp::Add(shift),
-                    gate.target(),
-                    vec![gate.controls()[0], Control::level(*source, y)],
-                );
-                out.extend(lower_macro_gate(&expanded, dimension, width)?);
             }
-            Ok(out)
+            (&[c1, c2], GateOp::Single(op)) => self.two_controlled(op, gate.target(), c1, c2, out)?,
+            (controls, GateOp::AddFrom { .. }) => {
+                return Err(SynthesisError::Lowering {
+                    reason: format!(
+                        "value-controlled shift with {} controls cannot be lowered directly",
+                        controls.len()
+                    ),
+                })
+            }
+            (controls, _) => {
+                return Err(SynthesisError::Lowering {
+                    reason: format!(
+                        "gate has {} controls; synthesise it with the multi-controlled constructions instead",
+                        controls.len()
+                    ),
+                })
+            }
         }
-        (2, GateOp::Single(op)) => lower_two_controlled(gate, op, dimension, width),
-        (n, GateOp::AddFrom { .. }) => Err(SynthesisError::Lowering {
-            reason: format!("value-controlled shift with {n} controls cannot be lowered directly"),
-        }),
-        (n, _) => Err(SynthesisError::Lowering {
-            reason: format!(
-                "gate has {n} controls; synthesise it with the multi-controlled constructions instead"
-            ),
-        }),
-    }
-}
-
-fn lower_two_controlled(
-    gate: &Gate,
-    op: &SingleQuditOp,
-    dimension: Dimension,
-    width: usize,
-) -> Result<Vec<Gate>> {
-    // Expand non-level predicates first: a predicate control is a product of
-    // level controls over its matching levels.
-    for (index, control) in gate.controls().iter().enumerate() {
-        if let ControlPredicate::Level(_) = control.predicate {
-            continue;
-        }
-        let mut out = Vec::new();
-        for level in control.predicate.matching_levels(dimension) {
-            let mut controls = gate.controls().to_vec();
-            controls[index] = Control::level(control.qudit, level);
-            let expanded = Gate::controlled(op.clone(), gate.target(), controls);
-            out.extend(lower_two_controlled(&expanded, op, dimension, width)?);
-        }
-        return Ok(out);
+        Ok(())
     }
 
-    if !op.is_classical() {
-        return Err(SynthesisError::Lowering {
-            reason:
-                "two-controlled general unitaries require the clean-ancilla construction (Fig. 1b)"
-                    .to_string(),
-        });
-    }
-
-    let c1 = gate.controls()[0];
-    let c2 = gate.controls()[1];
-    let (l1, l2) = match (c1.predicate, c2.predicate) {
-        (ControlPredicate::Level(a), ControlPredicate::Level(b)) => (a, b),
-        _ => unreachable!("non-level predicates were expanded above"),
-    };
-    let target = gate.target();
-
-    let mut gates = Vec::new();
-    // Conjugate both controls to level 0.
-    if l1 != 0 {
-        gates.push(Gate::single(SingleQuditOp::Swap(0, l1), c1.qudit));
-    }
-    if l2 != 0 {
-        gates.push(Gate::single(SingleQuditOp::Swap(0, l2), c2.qudit));
-    }
-    // The target operation as a product of transpositions, each realised by a
-    // two-controlled-swap gadget.
-    let transpositions = op.transpositions(dimension).map_err(SynthesisError::from)?;
-    for (i, j) in transpositions {
-        if dimension.is_odd() {
-            gates.extend(two_controlled_swap_odd(
-                dimension, c1.qudit, c2.qudit, target, i, j,
-            )?);
-        } else {
-            let borrowed = pick_borrowed(width, &[c1.qudit, c2.qudit, target]).ok_or(
-                SynthesisError::BorrowedAncillaRequired {
-                    dimension: dimension.get(),
-                },
-            )?;
-            gates.extend(two_controlled_swap_even(
-                dimension, c1.qudit, c2.qudit, target, i, j, borrowed,
-            )?);
+    /// Emits `c1 c2-op(target)`.  A non-level control is a product of level
+    /// controls over its matching levels (`c1`'s levels outermost); with two
+    /// level controls, both are conjugated to `|0⟩` around one gadget per
+    /// transposition of `op`.
+    fn two_controlled(
+        &mut self,
+        op: &SingleQuditOp,
+        target: QuditId,
+        c1: Control,
+        c2: Control,
+        out: &mut Vec<Gate>,
+    ) -> Result<()> {
+        let levels = self.dimension.levels();
+        let (l1, l2) = match (c1.predicate, c2.predicate) {
+            (ControlPredicate::Level(l1), ControlPredicate::Level(l2)) => (l1, l2),
+            (ControlPredicate::Level(_), predicate) => {
+                for level in levels.filter(|&level| predicate.matches(level)) {
+                    let c2 = Control::level(c2.qudit, level);
+                    self.two_controlled(op, target, c1, c2, out)?;
+                }
+                return Ok(());
+            }
+            (predicate, _) => {
+                for level in levels.filter(|&level| predicate.matches(level)) {
+                    let c1 = Control::level(c1.qudit, level);
+                    self.two_controlled(op, target, c1, c2, out)?;
+                }
+                return Ok(());
+            }
+        };
+        if !op.is_classical() {
+            return Err(SynthesisError::Lowering {
+                reason:
+                    "two-controlled general unitaries require the clean-ancilla construction (Fig. 1b)"
+                        .to_string(),
+            });
         }
+        let (dimension, width) = (self.dimension, self.width);
+        let (q1, q2) = (c1.qudit, c2.qudit);
+        // Conjugate both controls to level 0.
+        if l1 != 0 {
+            out.push(Gate::single(SingleQuditOp::Swap(0, l1), q1));
+        }
+        if l2 != 0 {
+            out.push(Gate::single(SingleQuditOp::Swap(0, l2), q2));
+        }
+        // The target operation as a product of transpositions, each realised
+        // by a two-controlled-swap gadget.
+        for &(i, j) in self.levels.of(op, dimension)? {
+            if dimension.is_odd() {
+                emit_two_controlled_swap_odd(dimension, q1, q2, target, i, j, out)?;
+            } else {
+                let borrowed = pick_borrowed(width, &[q1, q2, target]).ok_or(
+                    SynthesisError::BorrowedAncillaRequired {
+                        dimension: dimension.get(),
+                    },
+                )?;
+                emit_two_controlled_swap_even(dimension, q1, q2, target, i, j, borrowed, out)?;
+            }
+        }
+        // Undo the control conjugation.
+        if l2 != 0 {
+            out.push(Gate::single(SingleQuditOp::Swap(0, l2), q2));
+        }
+        if l1 != 0 {
+            out.push(Gate::single(SingleQuditOp::Swap(0, l1), q1));
+        }
+        Ok(())
     }
-    // Undo the control conjugation.
-    if l2 != 0 {
-        gates.push(Gate::single(SingleQuditOp::Swap(0, l2), c2.qudit));
-    }
-    if l1 != 0 {
-        gates.push(Gate::single(SingleQuditOp::Swap(0, l1), c1.qudit));
-    }
-    Ok(gates)
 }
 
 /// Picks the lowest-index qudit of the register that is not in `exclude`,

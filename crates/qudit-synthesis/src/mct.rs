@@ -93,7 +93,7 @@ impl MctSynthesis {
     /// Runs the standard flow (lowering plus inverse-pair cancellation) on
     /// the synthesised circuit through the [`crate::compiler::Compiler`]
     /// facade, returning the unified [`CompileResult`] (optimised G-gate
-    /// circuit, per-pass statistics, depth, cache counters).
+    /// circuit, per-pass statistics, depth).
     ///
     /// # Errors
     ///

@@ -20,8 +20,7 @@
 //! the cancellation (the configuration the paper's G-gate counts are
 //! reported in).
 
-use qudit_core::cache::CacheCounters;
-use qudit_core::pipeline::{Pass, PassContext};
+use qudit_core::pipeline::Pass;
 use qudit_core::{Circuit, QuditError};
 
 use crate::error::SynthesisError;
@@ -42,10 +41,8 @@ fn pass_error(pass: &str, error: SynthesisError) -> QuditError {
 /// elementary gates with at most one control
 /// (wraps [`crate::lower::lower_to_elementary`]).
 ///
-/// Like `LowerToGGates`, the pass is one sequential walk over the gates:
-/// with a lowering cache in the run's [`PassContext`] every gadget expansion
-/// is computed once per `(gate kind, dimension, width-class)` and the walk
-/// records its hit and miss tally into the context.
+/// Like `LowerToGGates`, the pass is one sequential walk over the gates that
+/// emits straight into its output.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LowerToElementary;
 
@@ -57,26 +54,12 @@ impl Pass for LowerToElementary {
     fn run(&self, circuit: Circuit) -> qudit_core::Result<Circuit> {
         lower::lower_to_elementary(&circuit).map_err(|e| pass_error(self.name(), e))
     }
-
-    fn run_with(&self, circuit: Circuit, ctx: &mut PassContext) -> qudit_core::Result<Circuit> {
-        let lowered = match ctx.cache() {
-            Some(cache) => {
-                let mut counters = CacheCounters::default();
-                let out = lower::lower_to_elementary_cached(&circuit, cache, &mut counters);
-                ctx.record(counters);
-                out
-            }
-            None => lower::lower_to_elementary(&circuit),
-        };
-        lowered.map_err(|e| pass_error(self.name(), e))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{CompileOptions, KToffoli, OptLevel};
-    use qudit_core::pipeline::CacheMode;
     use qudit_core::{Control, Dimension, Gate, QuditId, SingleQuditOp};
 
     fn dim(d: u32) -> Dimension {
@@ -117,50 +100,6 @@ mod tests {
             .unwrap();
         assert_eq!(report.circuit.len(), synthesis.resources().g_gates);
         assert!(report.circuit.gates().iter().all(Gate::is_g_gate));
-    }
-
-    #[test]
-    fn standard_batch_propagates_non_default_cache_modes() {
-        use qudit_core::cache::LoweringCache;
-
-        let manager_with = |mode: CacheMode| CompileOptions::new().cache(mode).build_manager();
-        // The options' own default is uncached…
-        assert!(matches!(
-            CompileOptions::new().build_manager().cache_mode(),
-            CacheMode::Off
-        ));
-        // …and a caller-selected mode must survive assembly unchanged.
-        assert!(matches!(
-            manager_with(CacheMode::PerRun).cache_mode(),
-            CacheMode::PerRun
-        ));
-        let cache = LoweringCache::shared();
-        let manager = manager_with(CacheMode::Shared(cache.clone()));
-        assert!(matches!(manager.cache_mode(), CacheMode::Shared(_)));
-
-        // The propagated shared cache is the caller's instance, not a fresh
-        // per-run one: a second run must reuse the first run's entries.
-        let synthesis = KToffoli::new(dim(3), 3).unwrap().synthesize().unwrap();
-        manager.run(synthesis.circuit().clone()).unwrap();
-        let second = manager.run(synthesis.circuit().clone()).unwrap();
-        // Cache counters accrue on the lowering stages (gate-fusion, the
-        // flow's first pass, never consults the lowering cache).
-        let counters = second
-            .stats
-            .iter()
-            .find(|s| s.pass == "lower-to-elementary")
-            .unwrap()
-            .cache
-            .expect("caching enabled");
-        assert_eq!(counters.misses, 0, "second run must hit the shared cache");
-        assert!(counters.hits > 0);
-        assert!(cache.counters().hits > 0, "hits land in the caller's cache");
-
-        // And `Off` really disables caching.
-        let report = manager_with(CacheMode::Off)
-            .run(synthesis.circuit().clone())
-            .unwrap();
-        assert!(report.stats.iter().all(|s| s.cache.is_none()));
     }
 
     #[test]

@@ -22,9 +22,11 @@
 //! * **Bounded lines** — a request line longer than 4 MiB gets one typed
 //!   `error` reply and the connection is closed, so a client that never
 //!   sends a newline cannot grow server memory.
-//! * **Shared substrates** — every job compiles sequentially on its worker
-//!   through one [`Compiler`] and one bounded, shared [`LoweringCache`]
-//!   ([`ServiceConfig::cache_capacity`]).
+//! * **Bounded writes** — a reply write that cannot finish within a few
+//!   seconds shuts its connection down, so a client that stops reading
+//!   holds a worker only that long and its later replies fail at once.
+//! * **Shared compiler** — every job compiles sequentially on its worker
+//!   through one [`Compiler`].
 //!
 //! # Protocol
 //!
@@ -70,14 +72,13 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use qudit_core::cache::{CacheMetrics, LoweringCache};
-use qudit_core::pipeline::CacheMode;
+use qudit_core::cache::CacheCounters;
 
 use crate::compiler::{CompileOptions, Compiler};
 
@@ -90,18 +91,20 @@ const POLL_INTERVAL: Duration = Duration::from_millis(25);
 /// bound on what one connection buffers.
 const MAX_LINE_BYTES: usize = 4 << 20;
 
+/// How long one reply write may block on a client that is not reading
+/// before its connection is shut down.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// Configuration of a [`CompileService`].
 ///
-/// The defaults bind an ephemeral loopback port, run two compile workers,
-/// bound the shared cache at 1024 entries, and apply the standard
-/// [`CompileOptions`] flow to every job.
+/// The defaults bind an ephemeral loopback port, run two compile workers
+/// and apply the standard [`CompileOptions`] flow to every job.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     bind: String,
     workers: usize,
     max_queue_depth: usize,
     max_pending: usize,
-    cache_capacity: usize,
     options: CompileOptions,
 }
 
@@ -112,7 +115,6 @@ impl Default for ServiceConfig {
             workers: 2,
             max_queue_depth: 16,
             max_pending: 64,
-            cache_capacity: 1024,
             options: CompileOptions::new(),
         }
     }
@@ -158,17 +160,8 @@ impl ServiceConfig {
         self
     }
 
-    /// Entry bound of the shared lowering cache (default 1024; values below
-    /// 1 are treated as 1).
-    #[must_use]
-    pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = capacity.max(1);
-        self
-    }
-
     /// The compile options applied to every job (default
-    /// [`CompileOptions::new`]).  The cache knob is overridden by the
-    /// service's own shared cache.
+    /// [`CompileOptions::new`]).
     #[must_use]
     pub fn options(mut self, options: CompileOptions) -> Self {
         self.options = options;
@@ -240,8 +233,8 @@ pub struct ServiceStats {
     pub protocol_errors: u64,
     /// Admitted jobs whose compilation failed.
     pub compile_errors: u64,
-    /// Metrics of the shared lowering cache.
-    pub cache: CacheMetrics,
+    /// Inert lowering-cache tallies, always zero: nothing is cached.
+    pub cache: CacheCounters,
 }
 
 /// A queued job plus the connection its reply goes back to.
@@ -276,7 +269,6 @@ struct Shared {
     /// Signals readers that `pending` dropped below the backpressure bound.
     space: Condvar,
     compiler: Compiler,
-    cache: Arc<LoweringCache>,
     max_queue_depth: usize,
     max_pending: usize,
     shutdown: AtomicBool,
@@ -306,12 +298,7 @@ impl CompileService {
     ///
     /// Propagates bind failures.
     pub fn start(config: ServiceConfig) -> io::Result<Self> {
-        let cache = LoweringCache::shared_with_capacity(config.cache_capacity);
-        let compiler = config
-            .options
-            .clone()
-            .cache(CacheMode::Shared(cache.clone()))
-            .compiler();
+        let compiler = config.options.clone().compiler();
         let listener = TcpListener::bind(&config.bind)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
@@ -324,7 +311,6 @@ impl CompileService {
             job_ready: Condvar::new(),
             space: Condvar::new(),
             compiler,
-            cache,
             max_queue_depth: config.max_queue_depth,
             max_pending: config.max_pending,
             shutdown: AtomicBool::new(false),
@@ -361,7 +347,7 @@ impl CompileService {
         self.addr
     }
 
-    /// The service's lifetime counters plus the shared cache's metrics.
+    /// The service's lifetime counters.
     pub fn stats(&self) -> ServiceStats {
         ServiceStats {
             accepted: self.shared.accepted.load(Ordering::Relaxed),
@@ -369,7 +355,7 @@ impl CompileService {
             rejected: self.shared.rejected.load(Ordering::Relaxed),
             protocol_errors: self.shared.protocol_errors.load(Ordering::Relaxed),
             compile_errors: self.shared.compile_errors.load(Ordering::Relaxed),
-            cache: self.shared.cache.metrics(),
+            cache: CacheCounters::default(),
         }
     }
 
@@ -440,6 +426,9 @@ fn reader_loop(stream: TcpStream, shared: &Arc<Shared>) {
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
+    if write_half.set_write_timeout(Some(WRITE_TIMEOUT)).is_err() {
+        return;
+    }
     let reply_to = Arc::new(Mutex::new(write_half));
     if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
         return;
@@ -628,13 +617,18 @@ fn rejected_reply(tenant: &str, id: &str, message: &str) -> String {
     )
 }
 
-/// Writes one reply line to a connection, ignoring write failures (the
-/// client may already have disconnected).
+/// Writes one reply line to a connection.  A failed write — the client left,
+/// or stopped reading for [`WRITE_TIMEOUT`] — shuts the connection down, so
+/// its reader sees the end of the stream and later replies fail at once.
 fn send_reply(reply_to: &Mutex<TcpStream>, reply: &str) {
     let mut stream = lock_unpoisoned(reply_to);
-    let _ = stream.write_all(reply.as_bytes());
-    let _ = stream.write_all(b"\n");
-    let _ = stream.flush();
+    let written = stream
+        .write_all(reply.as_bytes())
+        .and_then(|()| stream.write_all(b"\n"))
+        .and_then(|()| stream.flush());
+    if written.is_err() {
+        let _ = stream.shutdown(Shutdown::Both);
+    }
 }
 
 /// A minimal blocking client for the newline-JSON protocol — what the

@@ -123,20 +123,19 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Cache correctness for the macro-gate stage: cached elementary
-    /// lowering of the synthesised macro circuits is gate-for-gate
-    /// identical to the uncached path, with exact hit/miss counters, across
-    /// random dimensions and control counts (which vary the register
-    /// width); the `lower-to-elementary` pass run with a per-run cache
-    /// reports the same circuit and the same counters.
+    /// The macro-gate walk reuses its level buffers across gates: lowering
+    /// a synthesised macro circuit in one walk must equal lowering each gate
+    /// alone with fresh buffers, across random dimensions and control counts
+    /// (which vary the register width), and the `lower-to-elementary` pass
+    /// must report the same circuit.
     #[test]
-    fn cached_macro_lowering_matches_uncached(
+    fn macro_lowering_walk_matches_per_gate_lowering(
         dimension in any_dimension(),
         k in 2usize..=6,
     ) {
-        use qudit_core::cache::{CacheCounters, LoweringCache};
-        use qudit_core::pipeline::{CacheMode, PassManager};
-        use qudit_synthesis::lower::{lower_to_elementary, lower_to_elementary_cached};
+        use qudit_core::pipeline::PassManager;
+        use qudit_core::Circuit;
+        use qudit_synthesis::lower::lower_to_elementary;
         use qudit_synthesis::LowerToElementary;
 
         let circuit = KToffoli::new(dimension, k)
@@ -145,47 +144,20 @@ proptest! {
             .unwrap()
             .circuit()
             .clone();
-        let reference = lower_to_elementary(&circuit).unwrap();
+        let walk = lower_to_elementary(&circuit).unwrap();
 
-        let cache = LoweringCache::new();
-        let mut counters = CacheCounters::default();
-        let cached = lower_to_elementary_cached(&circuit, &cache, &mut counters).unwrap();
-        prop_assert_eq!(&cached, &reference);
-        prop_assert!(counters.total() > 0, "macro lowering made no cache lookups");
-        prop_assert_eq!(counters.misses, cache.len() as u64);
+        let mut per_gate = Circuit::new(dimension, circuit.width());
+        for gate in circuit.gates() {
+            let mut single = Circuit::new(dimension, circuit.width());
+            single.push(gate.clone()).unwrap();
+            per_gate.append(&lower_to_elementary(&single).unwrap()).unwrap();
+        }
+        prop_assert_eq!(&walk, &per_gate);
 
         let report = PassManager::new()
             .with_pass(LowerToElementary)
-            .with_cache(CacheMode::PerRun)
             .run(circuit)
             .unwrap();
-        prop_assert_eq!(&report.circuit, &reference);
-        prop_assert_eq!(report.stats[0].cache, Some(counters));
-    }
-}
-
-/// The constructions repeat the same conjugated gadgets many times per
-/// sweep, so a realistically sized k-Toffoli must hit the cache.
-#[test]
-fn large_k_toffoli_macro_lowering_hits_the_cache() {
-    use qudit_core::cache::{CacheCounters, LoweringCache};
-    use qudit_synthesis::lower::{lower_to_elementary, lower_to_elementary_cached};
-
-    for d in [3u32, 4] {
-        let dimension = Dimension::new(d).unwrap();
-        let circuit = KToffoli::new(dimension, 8)
-            .unwrap()
-            .synthesize()
-            .unwrap()
-            .circuit()
-            .clone();
-        let cache = LoweringCache::new();
-        let mut counters = CacheCounters::default();
-        let cached = lower_to_elementary_cached(&circuit, &cache, &mut counters).unwrap();
-        assert_eq!(cached, lower_to_elementary(&circuit).unwrap());
-        assert!(
-            counters.hits > 0,
-            "expected cache hits for d={d}, got {counters:?}"
-        );
+        prop_assert_eq!(&report.circuit, &walk);
     }
 }

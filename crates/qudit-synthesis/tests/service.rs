@@ -1,11 +1,11 @@
 //! End-to-end tests of the compile service: concurrent clients, admission
-//! control, backpressure, bounded-cache consistency and the byte-level
+//! control, backpressure, a client that stops reading, and the byte-level
 //! framing of request lines (multi-byte UTF-8 split across reads, invalid
 //! UTF-8, an oversized line).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use qudit_synthesis::service::{
     CompileService, JobRequest, JobStatus, ServiceClient, ServiceConfig,
@@ -38,13 +38,8 @@ fn job(tenant: &str, id: usize, source: String) -> JobRequest {
 
 #[test]
 fn concurrent_tenants_each_get_exactly_one_reply_in_fifo_order() {
-    let service = CompileService::start(
-        ServiceConfig::new()
-            .workers(2)
-            .cache_capacity(4)
-            .max_queue_depth(32),
-    )
-    .expect("service boots");
+    let service = CompileService::start(ServiceConfig::new().workers(2).max_queue_depth(32))
+        .expect("service boots");
     let addr = service.local_addr();
     let clients = 4;
     let jobs_per_client = 8;
@@ -98,12 +93,60 @@ fn concurrent_tenants_each_get_exactly_one_reply_in_fifo_order() {
     assert_eq!(stats.compile_errors, (clients * jobs_per_client / 4) as u64);
     assert_eq!(stats.rejected, 0);
     assert_eq!(stats.protocol_errors, 0);
-    // Bounded-cache consistency: misses count insertions exactly, so the
-    // live entry count is misses minus evictions, within the bound.
-    let cache = stats.cache;
-    assert!(cache.hits + cache.misses > 0);
-    assert_eq!(cache.misses - cache.evictions, cache.entries as u64);
-    assert!(cache.entries <= 4);
+}
+
+#[test]
+fn a_client_that_stops_reading_cannot_stall_other_tenants() {
+    // One worker: a reply write blocked on a client that never reads would
+    // hold it, and every other tenant with it, for good.
+    let service = CompileService::start(ServiceConfig::new().workers(1).max_queue_depth(32))
+        .expect("service boots");
+    // 16 jobs of ~1.5 MB replies each: far more than the loopback socket
+    // buffers hold, so the worker's writes block once they fill.
+    let jobs = 16;
+    let mut stalled = ServiceClient::connect(service.local_addr()).expect("connect");
+    let source = mcs_source(5, 3, (0, 1), 2000);
+    for j in 0..jobs {
+        stalled
+            .send(&job("stalled", j, source.clone()))
+            .expect("send");
+    }
+    // Wait until the worker is stuck on a reply: `completed` stops moving
+    // before every job has compiled.
+    let mut last = (u64::MAX, Instant::now());
+    loop {
+        let completed = service.stats().completed;
+        if completed != last.0 {
+            last = (completed, Instant::now());
+        } else if last.1.elapsed() > Duration::from_millis(500) {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert!(
+        last.0 < jobs as u64,
+        "the stalled client's socket buffers never filled"
+    );
+
+    // Another tenant still gets its reply, within the write timeout plus the
+    // time to compile what the stalled client queued.
+    let addr = service.local_addr();
+    let (sender, receiver) = std::sync::mpsc::channel();
+    let other = std::thread::spawn(move || {
+        let mut other = ServiceClient::connect(addr).expect("connect");
+        let _ = sender.send(other.roundtrip(&job("other", 0, mcs_source(3, 3, (0, 1), 2))));
+    });
+    let reply = receiver.recv_timeout(Duration::from_secs(30));
+    // Closing the stalled socket releases a worker still blocked on it, so a
+    // failure below ends the test instead of hanging its shutdown.
+    drop(stalled);
+    let reply = reply
+        .expect("the other tenant was served while a client stopped reading")
+        .expect("reply");
+    assert!(reply.is_ok(), "{}", reply.message);
+    other.join().expect("the other tenant's client thread");
+    let stats = service.shutdown();
+    assert_eq!(stats.completed, jobs as u64 + 1);
 }
 
 #[test]

@@ -3,12 +3,12 @@
 //!
 //! Demonstrates:
 //!
-//! 1. booting `CompileService` on an ephemeral loopback port with a bounded
-//!    shared cache and a persistent worker pool;
+//! 1. booting `CompileService` on an ephemeral loopback port with two
+//!    compile workers;
 //! 2. the newline-JSON protocol via `ServiceClient` — ok, error and
 //!    rejected replies;
 //! 3. a clean shutdown that drains every job and reports the service's
-//!    lifetime counters and cache metrics.
+//!    lifetime counters.
 //!
 //! Run with:
 //!
@@ -27,13 +27,8 @@ fn gadget_source(dimension: u32, width: usize, levels: (u32, u32)) -> String {
 }
 
 fn main() -> std::io::Result<()> {
-    // 1. Boot: ephemeral loopback port, two workers, a 64-entry cache.
-    let service = CompileService::start(
-        ServiceConfig::new()
-            .workers(2)
-            .cache_capacity(64)
-            .max_queue_depth(8),
-    )?;
+    // 1. Boot: ephemeral loopback port, two workers.
+    let service = CompileService::start(ServiceConfig::new().workers(2).max_queue_depth(8))?;
     let addr = service.local_addr();
     println!("service listening on {addr}");
 
@@ -83,12 +78,8 @@ fn main() -> std::io::Result<()> {
     // 3. Shut down and read the lifetime counters.
     let stats = service.shutdown();
     println!(
-        "service: {} completed, {} errors, cache {} hits / {} misses / {} entries",
-        stats.completed,
-        stats.compile_errors,
-        stats.cache.hits,
-        stats.cache.misses,
-        stats.cache.entries,
+        "service: {} completed, {} errors",
+        stats.completed, stats.compile_errors,
     );
     assert_eq!(stats.completed, 6);
     assert_eq!(stats.compile_errors, 1);

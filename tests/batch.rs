@@ -4,11 +4,10 @@
 //! * sequential (`compile`) and parallel (`compile_batch`) compilation of
 //!   the same jobs report identical gate/G-gate counts and identical
 //!   circuits;
-//! * the shared lowering cache changes nothing about the compiled circuits
-//!   while reusing gadget expansions across jobs;
+//! * the inert cache knob changes nothing about the compiled circuits;
 //! * the self-checking (`Verify::Exhaustive`) pipeline still passes when
-//!   run batched and cached — every parallel/cached path stays verifiable
-//!   by re-simulation.
+//!   run batched with the cache knob set — every parallel path stays
+//!   verifiable by re-simulation.
 
 use qudit_core::cache::LoweringCache;
 use qudit_core::pipeline::CacheMode;
@@ -32,10 +31,7 @@ fn sweep_jobs() -> Vec<Circuit> {
 #[test]
 fn sequential_and_parallel_compilation_agree() {
     let jobs = sweep_jobs();
-    let compiler = CompileOptions::new()
-        .cache(CacheMode::PerRun)
-        .threads(Threads::Fixed(4))
-        .compiler();
+    let compiler = CompileOptions::new().threads(Threads::Fixed(4)).compiler();
 
     let sequential: Vec<_> = jobs
         .iter()
@@ -46,16 +42,11 @@ fn sequential_and_parallel_compilation_agree() {
     for (parallel, reference) in batch.results.iter().zip(&sequential) {
         assert_eq!(parallel.circuit, reference.circuit);
         assert_eq!(parallel.depth, reference.depth);
-        assert_eq!(
-            parallel.cache, reference.cache,
-            "cache tallies must be deterministic"
-        );
         for (a, b) in parallel.stats.iter().zip(&reference.stats) {
             assert_eq!(a.pass, b.pass);
             assert_eq!(a.before.gates, b.before.gates, "gate counts must match");
             assert_eq!(a.after.gates, b.after.gates, "gate counts must match");
             assert_eq!(a.after.g_gates, b.after.g_gates, "G-gate counts must match");
-            assert_eq!(a.cache, b.cache, "cache tallies must be deterministic");
         }
     }
 
@@ -68,35 +59,31 @@ fn sequential_and_parallel_compilation_agree() {
             .sum();
         assert_eq!(entry.gates_after, expected_gates);
     }
-    assert!(
-        batch.cache_counters().hits > 0,
-        "the sweep must hit the cache"
-    );
 }
 
 #[test]
-fn shared_cache_reuses_expansions_across_jobs_without_changing_output() {
+fn cache_modes_leave_batch_output_unchanged() {
     let jobs = sweep_jobs();
-    let uncached = CompileOptions::new().compiler();
+    let plain = CompileOptions::new().compiler();
     let reference: Vec<_> = jobs
         .iter()
-        .map(|job| uncached.compile(job).unwrap().circuit)
+        .map(|job| plain.compile(job).unwrap().circuit)
         .collect();
 
-    let cache = LoweringCache::shared();
-    let shared = CompileOptions::new()
-        .cache(CacheMode::Shared(cache.clone()))
-        .threads(Threads::Fixed(4))
-        .compiler();
-    let batch = shared.compile_batch(&jobs).unwrap();
-    let compiled: Vec<_> = batch.circuits().cloned().collect();
-    assert_eq!(compiled, reference);
-    let counters = cache.counters();
-    assert!(counters.hits > 0);
-    assert!(
-        counters.hits > counters.misses,
-        "most lookups of a sweep should hit the shared cache ({counters:?})"
-    );
+    for mode in [
+        CacheMode::PerRun,
+        CacheMode::Shared(LoweringCache::shared()),
+    ] {
+        let batch = CompileOptions::new()
+            .cache(mode)
+            .threads(Threads::Fixed(4))
+            .compiler()
+            .compile_batch(&jobs)
+            .unwrap();
+        let compiled: Vec<_> = batch.circuits().cloned().collect();
+        assert_eq!(compiled, reference);
+        assert_eq!(batch.cache_counters(), Default::default());
+    }
 }
 
 #[test]
@@ -116,9 +103,6 @@ fn verified_pipeline_passes_batched_and_cached() {
             .iter()
             .all(qudit_core::Gate::is_g_gate));
         assert!(result.verification.is_verified());
-        // Verification wrappers forward the cache context to the wrapped
-        // passes, so cache statistics survive under verification.
         assert!(result.stats.iter().all(|s| s.pass.starts_with("verify(")));
-        assert!(result.cache.map(|c| c.total() > 0).unwrap_or(false));
     }
 }

@@ -11,8 +11,6 @@ mod common;
 
 use common::build_mct_circuit;
 use proptest::prelude::*;
-use qudit_core::cache::LoweringCache;
-use qudit_core::pipeline::CacheMode;
 use qudit_core::pool::WorkStealingPool;
 use qudit_core::{Dimension, Gate};
 use qudit_synthesis::{CompileOptions, KToffoli, OptLevel, Threads, Verify};
@@ -26,58 +24,48 @@ fn dim(d: u32) -> Dimension {
 #[test]
 fn every_knob_combination_assembles() {
     let verifies = [Verify::Off, Verify::Exhaustive, Verify::Sampled(16)];
-    let caches = || {
-        [
-            CacheMode::Off,
-            CacheMode::PerRun,
-            CacheMode::Shared(LoweringCache::shared()),
-        ]
-    };
     let threads = [Threads::Auto, Threads::Fixed(1), Threads::Fixed(4)];
     let mut combinations = 0usize;
     for verify in verifies {
         for fusion in [true, false] {
             for cancel in [true, false] {
                 for schedule in [true, false] {
-                    for cache in caches() {
-                        for thread in threads {
-                            let options = CompileOptions::new()
-                                .verify(verify)
-                                .fusion(fusion)
-                                .cancel(cancel)
-                                .schedule(schedule)
-                                .cache(cache.clone())
-                                .threads(thread);
-                            let manager = options.build_manager();
+                    for thread in threads {
+                        let options = CompileOptions::new()
+                            .verify(verify)
+                            .fusion(fusion)
+                            .cancel(cancel)
+                            .schedule(schedule)
+                            .threads(thread);
+                        let manager = options.build_manager();
 
-                            // The pass list is exactly what the knobs select.
-                            let mut expected = Vec::new();
-                            if fusion {
-                                expected.push("gate-fusion");
-                            }
-                            expected.extend(["lower-to-elementary", "lower-to-g-gates"]);
-                            if cancel {
-                                expected.push("cancel-inverse-pairs");
-                            }
-                            if schedule {
-                                expected.push("schedule-depth");
-                            }
-                            let expected: Vec<String> = expected
-                                .iter()
-                                .map(|stage| match verify {
-                                    Verify::Off => stage.to_string(),
-                                    _ => format!("verify({stage})"),
-                                })
-                                .collect();
-                            assert_eq!(manager.pass_names(), expected, "{options:?}");
-                            combinations += 1;
+                        // The pass list is exactly what the knobs select.
+                        let mut expected = Vec::new();
+                        if fusion {
+                            expected.push("gate-fusion");
                         }
+                        expected.extend(["lower-to-elementary", "lower-to-g-gates"]);
+                        if cancel {
+                            expected.push("cancel-inverse-pairs");
+                        }
+                        if schedule {
+                            expected.push("schedule-depth");
+                        }
+                        let expected: Vec<String> = expected
+                            .iter()
+                            .map(|stage| match verify {
+                                Verify::Off => stage.to_string(),
+                                _ => format!("verify({stage})"),
+                            })
+                            .collect();
+                        assert_eq!(manager.pass_names(), expected, "{options:?}");
+                        combinations += 1;
                     }
                 }
             }
         }
     }
-    assert_eq!(combinations, 3 * 2 * 2 * 2 * 3 * 3);
+    assert_eq!(combinations, 3 * 2 * 2 * 2 * 3);
 }
 
 /// The pinned pool reaches the batch: the job is the unit of parallelism,
@@ -131,7 +119,6 @@ proptest! {
         let compiler = CompileOptions::new()
             .verify(Verify::Exhaustive)
             .schedule(schedule)
-            .cache(CacheMode::PerRun)
             .compiler();
         let result = compiler.compile(&circuit).unwrap();
         prop_assert!(result.verification.is_verified());

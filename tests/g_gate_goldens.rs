@@ -1,9 +1,10 @@
 //! Golden counts of the paper's k-Toffoli construction, pinned byte for
 //! byte in `tests/golden/g_gate_counts.txt`: for every `d ∈ {3, 4, 5}` and
 //! `k ∈ {2, …, 8}`, the `resources()` macro / elementary / G-gate counts and
-//! the facade's output gate count and depth at `O0` and `O2`.  Every row is
-//! compiled uncached and with a per-run lowering cache, and the two must
-//! agree gate for gate.
+//! the facade's output gate count, depth and FNV-1a-64 hash of the printed
+//! circuit at `O0` and `O2`.  The hashes pin the output byte for byte, so a
+//! refactor that reorders or rewrites gates fails here even when the counts
+//! survive.
 //!
 //! Regenerate after an intentional count change with
 //! `QUDIT_BLESS=1 cargo test --test g_gate_goldens`.
@@ -11,46 +12,33 @@
 use std::fs;
 use std::path::Path;
 
-use qudit_core::pipeline::CacheMode;
+use qudit_core::qasm::print_circuit;
 use qudit_core::Dimension;
 use qudit_synthesis::{CompileOptions, CompileResult, KToffoli, OptLevel};
 
 const DIMENSIONS: [u32; 3] = [3, 4, 5];
 const CONTROLS: std::ops::RangeInclusive<usize> = 2..=8;
 
-/// Compiles `circuit` at `level` uncached and with a per-run cache,
-/// asserting the two agree, and returns the uncached result.
-fn compile_both_ways(circuit: &qudit_core::Circuit, level: OptLevel, row: &str) -> CompileResult {
-    let compile = |cache: CacheMode| {
-        CompileOptions::new()
-            .opt_level(level)
-            .cache(cache)
-            .compiler()
-            .compile(circuit)
-            .unwrap_or_else(|e| panic!("{row} {level:?}: compile failed: {e}"))
-    };
-    let plain = compile(CacheMode::Off);
-    let cached = compile(CacheMode::PerRun);
-    assert_eq!(
-        plain.circuit, cached.circuit,
-        "{row} {level:?}: cached compile diverged from the uncached one"
-    );
-    assert_eq!(plain.depth, cached.depth, "{row} {level:?}: depth diverged");
-    assert!(
-        plain.cache.is_none(),
-        "{row} {level:?}: uncached run tallied"
-    );
-    let counters = cached.cache.expect("per-run caching tallies");
-    assert!(
-        counters.total() > 0,
-        "{row} {level:?}: cache never consulted"
-    );
-    plain
+/// Compiles `circuit` at `level` through the facade.
+fn compile(circuit: &qudit_core::Circuit, level: OptLevel, row: &str) -> CompileResult {
+    CompileOptions::new()
+        .opt_level(level)
+        .compiler()
+        .compile(circuit)
+        .unwrap_or_else(|e| panic!("{row} {level:?}: compile failed: {e}"))
+}
+
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
 }
 
 fn golden_table() -> String {
-    let mut table =
-        String::from("# d k macro elementary g_gates o0_gates o0_depth o2_gates o2_depth\n");
+    let mut table = String::from(
+        "# d k macro elementary g_gates o0_gates o0_depth o2_gates o2_depth o0_hash o2_hash\n",
+    );
     for d in DIMENSIONS {
         for k in CONTROLS {
             let row = format!("d={d} k={k}");
@@ -59,10 +47,10 @@ fn golden_table() -> String {
                 .synthesize()
                 .unwrap_or_else(|e| panic!("{row}: synthesis failed: {e}"));
             let resources = synthesis.resources();
-            let o0 = compile_both_ways(synthesis.circuit(), OptLevel::O0, &row);
-            let o2 = compile_both_ways(synthesis.circuit(), OptLevel::O2, &row);
+            let o0 = compile(synthesis.circuit(), OptLevel::O0, &row);
+            let o2 = compile(synthesis.circuit(), OptLevel::O2, &row);
             table.push_str(&format!(
-                "{d} {k} {} {} {} {} {} {} {}\n",
+                "{d} {k} {} {} {} {} {} {} {} {:016x} {:016x}\n",
                 resources.macro_gates,
                 resources.elementary_gates,
                 resources.g_gates,
@@ -70,6 +58,8 @@ fn golden_table() -> String {
                 o0.depth,
                 o2.circuit.len(),
                 o2.depth,
+                fnv1a64(print_circuit(&o0.circuit).as_bytes()),
+                fnv1a64(print_circuit(&o2.circuit).as_bytes()),
             ));
         }
     }
