@@ -1,5 +1,7 @@
 //! Criterion bench: overhead of the `Compiler` facade over a raw
-//! `PassManager::run` of the identical pipeline.
+//! `PassManager::run` of the identical pipeline, and the verified facade on
+//! the two largest jobs of the routed, verified sweep (`verified_chain6_*`:
+//! O1, `Verify::Exhaustive`, a six-site chain).
 //!
 //! The facade adds one circuit clone (`compile` borrows its input where the
 //! raw manager consumes it — the raw loop clones too, for parity) and the
@@ -16,8 +18,9 @@ use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qudit_core::pipeline::PassManager;
+use qudit_core::topology::CouplingGraph;
 use qudit_core::{Circuit, Dimension};
-use qudit_synthesis::{CompileOptions, Compiler, KToffoli};
+use qudit_synthesis::{CompileOptions, Compiler, KToffoli, OptLevel, Verify};
 
 /// The workload: the macro circuit of a mid-size k-Toffoli (d = 3, k = 8).
 fn workload() -> (Dimension, usize, Circuit) {
@@ -77,6 +80,37 @@ fn bench_raw_vs_facade(c: &mut Criterion) {
     group.finish();
 }
 
+/// The verified, routed compile of the sweep's two largest jobs: every
+/// stage self-checked, on a chain of six sites.
+fn bench_verified_chain(c: &mut Criterion) {
+    let compiler = CompileOptions::new()
+        .opt_level(OptLevel::O1)
+        .verify(Verify::Exhaustive)
+        .topology(CouplingGraph::linear(6).unwrap())
+        .compiler();
+    let mut group = c.benchmark_group("compiler_facade");
+    for d in [4u32, 5] {
+        let dimension = Dimension::new(d).unwrap();
+        let circuit = KToffoli::new(dimension, 4)
+            .unwrap()
+            .synthesize()
+            .unwrap()
+            .circuit()
+            .clone();
+        assert!(compiler
+            .compile(&circuit)
+            .unwrap()
+            .verification
+            .is_verified());
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("verified_chain6_d{d}_k4")),
+            &circuit,
+            |b, circuit| b.iter(|| compiler.compile(circuit).unwrap().circuit.len()),
+        );
+    }
+    group.finish();
+}
+
 fn bench_overhead_pin(_c: &mut Criterion) {
     let (dimension, width, circuit) = workload();
     let manager = raw_manager(dimension, width);
@@ -120,5 +154,10 @@ fn bench_overhead_pin(_c: &mut Criterion) {
     );
 }
 
-criterion_group!(benches, bench_raw_vs_facade, bench_overhead_pin);
+criterion_group!(
+    benches,
+    bench_raw_vs_facade,
+    bench_verified_chain,
+    bench_overhead_pin
+);
 criterion_main!(benches);

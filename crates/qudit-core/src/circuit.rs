@@ -82,6 +82,19 @@ impl Circuit {
         self.width
     }
 
+    /// A circuit over `gates`, each validated in place (see
+    /// [`Gate::validate`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first validation error, in gate order.
+    pub fn from_gates(dimension: Dimension, width: usize, gates: Vec<Gate>) -> Result<Self> {
+        for gate in &gates {
+            gate.validate(dimension, width)?;
+        }
+        Ok(Circuit::from_valid_gates(dimension, width, gates))
+    }
+
     /// A circuit over gates already validated for this dimension and width
     /// (a reordering or subsequence of another circuit's gates).
     pub(crate) fn from_valid_gates(dimension: Dimension, width: usize, gates: Vec<Gate>) -> Self {

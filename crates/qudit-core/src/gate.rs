@@ -182,17 +182,40 @@ impl Gate {
     /// control levels do not exist, or the operation itself is invalid for
     /// the dimension.
     pub fn validate(&self, dimension: Dimension, width: usize) -> Result<()> {
-        for q in self.support() {
-            if q.index() >= width {
+        // One walk over the support checks the range and flags a possible
+        // repeat (a bit per qudit below 64; any qudit above always flags);
+        // only a flagged gate pays the pairwise scan that names the repeat.
+        let mut seen = 0u64;
+        let mut maybe_repeated = false;
+        let mut visit = |q: QuditId| {
+            let index = q.index();
+            if index >= width {
                 return Err(QuditError::QuditOutOfRange {
-                    qudit: q.index(),
+                    qudit: index,
                     width,
                 });
             }
+            if index < 64 {
+                let bit = 1u64 << index;
+                maybe_repeated |= seen & bit != 0;
+                seen |= bit;
+            } else {
+                maybe_repeated = true;
+            }
+            Ok(())
+        };
+        for control in &self.controls {
+            visit(control.qudit)?;
         }
-        for (i, a) in self.support().enumerate() {
-            if self.support().skip(i + 1).any(|b| a == b) {
-                return Err(QuditError::DuplicateQudit { qudit: a.index() });
+        if let GateOp::AddFrom { source, .. } = self.op {
+            visit(source)?;
+        }
+        visit(self.target)?;
+        if maybe_repeated {
+            for (i, a) in self.support().enumerate() {
+                if self.support().skip(i + 1).any(|b| a == b) {
+                    return Err(QuditError::DuplicateQudit { qudit: a.index() });
+                }
             }
         }
         for c in &self.controls {

@@ -16,6 +16,7 @@ use crate::dimension::Dimension;
 use crate::error::{QuditError, Result};
 use crate::gate::{Gate, GateOp};
 use crate::ops::{push_transpositions, SingleQuditOp};
+use crate::pipeline::GateWalk;
 use crate::qudit::QuditId;
 
 /// Lowers a single gate with at most one control into G-gates.
@@ -120,21 +121,23 @@ impl Transpositions {
 
 /// One G-gate lowering walk: the buffers of the gate's own operation and of
 /// the conjugations its transpositions need.
-struct GGateWalk {
+pub(crate) struct GGateWalk {
     dimension: Dimension,
     op: Transpositions,
     sigma: Transpositions,
 }
 
 impl GGateWalk {
-    fn new(dimension: Dimension) -> Self {
+    pub(crate) fn new(dimension: Dimension) -> Self {
         GGateWalk {
             dimension,
             op: Transpositions::default(),
             sigma: Transpositions::default(),
         }
     }
+}
 
+impl GateWalk for GGateWalk {
     /// Emits the G-gates of `gate` into `out`.
     fn emit(&mut self, gate: &Gate, out: &mut Vec<Gate>) -> Result<()> {
         if !gate.is_classical() {
@@ -185,7 +188,9 @@ impl GGateWalk {
         }
         Ok(())
     }
+}
 
+impl GGateWalk {
     /// Emits `|level⟩(control)-op(target)`: per transposition `Xij` of `op`,
     /// the control level is conjugated to `0` and the target levels to
     /// `(0, 1)` around one `|0⟩-X01`.

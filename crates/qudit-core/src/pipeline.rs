@@ -71,6 +71,7 @@ use crate::circuit::Circuit;
 use crate::commute;
 use crate::depth::circuit_depth;
 use crate::error::{QuditError, Result};
+use crate::gate::Gate;
 use crate::lowering;
 use crate::optimize;
 use crate::pool::WorkStealingPool;
@@ -122,6 +123,17 @@ pub trait Pass: Send + Sync {
     /// Returns an error when the pass cannot handle the circuit (for
     /// example, lowering a gate with too many controls).
     fn run(&self, circuit: Circuit) -> Result<Circuit>;
+
+    /// The per-gate walk [`Pass::run`] consists of, for a pass that rewrites
+    /// `circuit` one gate at a time: `run` must return exactly the
+    /// concatenation of the walk's [`GateWalk::emit`] outputs over the
+    /// input's gates, in order, on the input's register.  Checkers use it
+    /// to prove each rewrite locally (see `qudit-sim`'s
+    /// `VerifyEquivalence`).  The default, `None`, says the pass has no
+    /// such structure.
+    fn gate_walk(&self, _circuit: &Circuit) -> Option<Box<dyn GateWalk>> {
+        None
+    }
 }
 
 impl Pass for Box<dyn Pass> {
@@ -132,6 +144,21 @@ impl Pass for Box<dyn Pass> {
     fn run(&self, circuit: Circuit) -> Result<Circuit> {
         self.as_ref().run(circuit)
     }
+
+    fn gate_walk(&self, circuit: &Circuit) -> Option<Box<dyn GateWalk>> {
+        self.as_ref().gate_walk(circuit)
+    }
+}
+
+/// One gate-by-gate rewrite of a circuit: the walk a lowering pass's `run`
+/// is made of (see [`Pass::gate_walk`]).
+pub trait GateWalk {
+    /// Emits the gates that replace `gate` into `out`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error the pass's `run` fails with on this gate.
+    fn emit(&mut self, gate: &Gate, out: &mut Vec<Gate>) -> Result<()>;
 }
 
 /// The lowering-cache knob, now inert: lowering keeps no cache, so every
@@ -863,6 +890,10 @@ impl Pass for LowerToGGates {
 
     fn run(&self, circuit: Circuit) -> Result<Circuit> {
         lowering::lower_circuit(&circuit)
+    }
+
+    fn gate_walk(&self, circuit: &Circuit) -> Option<Box<dyn GateWalk>> {
+        Some(Box::new(lowering::GGateWalk::new(circuit.dimension())))
     }
 }
 

@@ -60,11 +60,12 @@ pub mod pipeline;
 pub mod random;
 pub mod stabilizer;
 pub mod statevector;
+mod structural;
 
 pub use basis::{circuit_permutation, BasisBatch};
 pub use dense::{circuit_unitary, simulate_basis, FusedProgram};
 pub use equivalence::{MctSpec, Verification};
-pub use pipeline::{SimBackend, VerifyEquivalence};
+pub use pipeline::{Proof, SimBackend, VerifyEquivalence};
 pub use stabilizer::{
     classify_gate, clifford_circuits_equal, is_clifford_circuit, is_clifford_gate, CliffordTableau,
     StabilizerState,

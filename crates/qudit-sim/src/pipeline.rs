@@ -1,8 +1,28 @@
 //! Simulation-backed pipeline passes: the [`VerifyEquivalence`] wrapper.
 //!
 //! [`VerifyEquivalence`] decorates any [`Pass`] with a semantics-preservation
-//! check in the spirit of refinement checking: after the inner pass runs,
-//! the input and output circuits are compared —
+//! check in the spirit of refinement checking.  Classical stages are first
+//! proved **structurally**, from the shape of the rewrite, exactly and at
+//! any register width:
+//!
+//! * a lowering pass that exposes its per-gate walk ([`Pass::gate_walk`]) is
+//!   driven gate by gate, and each distinct (gate, expansion) shape — wires
+//!   relabelled in first-use order, a borrowed ancilla included — is proved
+//!   once per run by sweeping the basis of its own (at most four) wires;
+//! * an output that is the input routed through `route::wire_swap` ladders
+//!   is un-routed with a running wire map (the ladder is proved a SWAP once,
+//!   on two wires);
+//! * an output that is the input with inverse pairs removed is matched pair
+//!   by pair: the pairs must nest as adjacent brackets on every wire they
+//!   touch, and each is proved inverse on its own wires.
+//!
+//! No rule of the passes being checked (`Gate::is_inverse_of`, the
+//! commutation oracle) is trusted.  A successful structural proof implies
+//! exact equivalence, so the global check below would also accept.  When a
+//! proof fails or does not apply (a non-classical circuit, a pass with no
+//! such structure, such as `gate-fusion` or a custom closure), the input and
+//! output circuits are compared globally, with unchanged verdicts and
+//! `PassFailed` messages —
 //!
 //! * **classical circuits** via the [`BasisBatch`](crate::BasisBatch)
 //!   kernel, which pushes blocks of basis states through both circuits as
@@ -17,9 +37,11 @@
 //!   random dense input states (which are sensitive to relative-phase
 //!   changes) on larger ones.
 //!
-//! The strategy follows from the two circuits alone; there is no engine
-//! option.  A detected mismatch surfaces as [`QuditError::PassFailed`],
-//! naming the wrapped pass and the offending basis state.
+//! The strategy follows from the pass and the two circuits alone; there is
+//! no engine option.  A detected mismatch surfaces as
+//! [`QuditError::PassFailed`], naming the wrapped pass and the offending
+//! basis state.  [`VerifyEquivalence::run_with_proof`] also reports which
+//! [`Proof`] settled the stage.
 
 use qudit_core::math::{Complex, MATRIX_TOLERANCE};
 use qudit_core::pipeline::{Pass, PassManager};
@@ -30,6 +52,7 @@ use rand::{Rng, SeedableRng};
 use crate::basis::{biased_samples, exhaustive_witness, first_witness};
 use crate::dense::{circuit_unitary, FusedProgram};
 use crate::statevector::StateVector;
+use crate::structural;
 
 /// Default register-size bound for exhaustive classical checking.
 const DEFAULT_MAX_EXHAUSTIVE_STATES: usize = 4096;
@@ -68,6 +91,26 @@ pub enum SimBackend {
     /// The strategy follows from the circuits (the only value).
     #[default]
     Auto,
+}
+
+/// How [`VerifyEquivalence`] showed a stage's output equivalent to its
+/// input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Proof {
+    /// Proved from the rewrite's structure — per-gate lowering, un-routing
+    /// through SWAP ladders or inverse-pair removal — with every local
+    /// claim settled on the basis of its own wires.  Exact at any width.
+    Structural,
+    /// Every basis state of the register swept.
+    Exhaustive,
+    /// This many sampled basis states.
+    Sampled(usize),
+    /// Stabilizer tableaus compared (exact up to global phase).
+    Tableau,
+    /// Full unitaries compared up to global phase.
+    Unitary,
+    /// This many random dense states compared by fidelity.
+    DenseSampled(usize),
 }
 
 /// A [`Pass`] decorator that checks the wrapped pass preserved the circuit's
@@ -169,7 +212,58 @@ impl VerifyEquivalence {
         first_witness(before, after, inputs)
     }
 
-    fn check_equivalent(&self, before: &Circuit, after: &Circuit) -> Result<()> {
+    /// Runs the wrapped pass and checks its output, returning the output
+    /// and how it was shown equivalent to the input.
+    ///
+    /// A pass that exposes its per-gate walk ([`Pass::gate_walk`]) is
+    /// driven through it here, so each gate's rewrite is proved locally.
+    /// Otherwise, or when a local proof fails, the pass runs as usual and a
+    /// classical output is first matched against its input as routed
+    /// through SWAP ladders or with inverse pairs removed; only when that
+    /// fails too does the global check of the module docs run, and its
+    /// verdict and witness are the ones reported.
+    ///
+    /// # Errors
+    ///
+    /// Returns the pass's own error, or [`QuditError::PassFailed`] naming
+    /// the wrapped pass when the output is not equivalent to the input.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use qudit_core::pipeline::LowerToGGates;
+    /// use qudit_core::{Circuit, Control, Dimension, Gate, QuditId, SingleQuditOp};
+    /// use qudit_sim::pipeline::{Proof, VerifyEquivalence};
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let mut circuit = Circuit::new(Dimension::new(3)?, 2);
+    /// circuit.push(Gate::controlled(
+    ///     SingleQuditOp::Add(1),
+    ///     QuditId::new(1),
+    ///     vec![Control::level(QuditId::new(0), 2)],
+    /// ))?;
+    /// let verified = VerifyEquivalence::wrap(Box::new(LowerToGGates));
+    /// let (lowered, proof) = verified.run_with_proof(circuit)?;
+    /// assert!(lowered.gates().iter().all(Gate::is_g_gate));
+    /// assert_eq!(proof, Proof::Structural);
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn run_with_proof(&self, circuit: Circuit) -> Result<(Circuit, Proof)> {
+        if let Some(walk) = self.inner.gate_walk(&circuit) {
+            if let Some(output) = structural::lowered(walk, &circuit) {
+                return Ok((output, Proof::Structural));
+            }
+        }
+        let output = self.inner.run(circuit.clone())?;
+        if structural::rewrites(&circuit, &output) {
+            return Ok((output, Proof::Structural));
+        }
+        let proof = self.check_globally(&circuit, &output)?;
+        Ok((output, proof))
+    }
+
+    fn check_globally(&self, before: &Circuit, after: &Circuit) -> Result<Proof> {
         if before.dimension() != after.dimension() || before.width() != after.width() {
             return Err(self.fail(format!(
                 "pass changed the register: d={}, width={} -> d={}, width={}",
@@ -198,19 +292,23 @@ impl VerifyEquivalence {
                         .to_string(),
                 ));
             }
-            return Ok(());
+            return Ok(Proof::Tableau);
         }
         if before.is_classical() && after.is_classical() {
-            let witness = if size <= self.max_exhaustive_states {
-                exhaustive_witness(before, after)?
+            let (witness, proof) = if size <= self.max_exhaustive_states {
+                (exhaustive_witness(before, after)?, Proof::Exhaustive)
             } else {
-                self.sampled_witness(before, after)?
+                (
+                    self.sampled_witness(before, after)?,
+                    Proof::Sampled(self.samples),
+                )
             };
             if let Some(input) = witness {
                 return Err(self.fail(format!(
                     "output circuit is not equivalent to its input (basis state {input:?})"
                 )));
             }
+            Ok(proof)
         } else if size <= MAX_UNITARY_STATES {
             let before_unitary = circuit_unitary(before)?;
             let after_unitary = circuit_unitary(after)?;
@@ -219,6 +317,7 @@ impl VerifyEquivalence {
                     "output unitary differs from the input unitary (up to phase)".to_string(),
                 ));
             }
+            Ok(Proof::Unitary)
         } else if size <= MAX_SAMPLED_STATEVECTOR_STATES {
             // Apply both circuits to random *dense* states and require unit
             // fidelity.  A dense input mixes every column of the unitary, so
@@ -251,13 +350,13 @@ impl VerifyEquivalence {
                     )));
                 }
             }
+            Ok(Proof::DenseSampled(samples))
         } else {
-            return Err(self.fail(format!(
+            Err(self.fail(format!(
                 "cannot verify a non-classical circuit over {size} basis states; \
                  register is too large for state-vector comparison"
-            )));
+            )))
         }
-        Ok(())
     }
 }
 
@@ -267,9 +366,7 @@ impl Pass for VerifyEquivalence {
     }
 
     fn run(&self, circuit: Circuit) -> Result<Circuit> {
-        let output = self.inner.run(circuit.clone())?;
-        self.check_equivalent(&circuit, &output)?;
-        Ok(output)
+        Ok(self.run_with_proof(circuit)?.0)
     }
 }
 

@@ -1,0 +1,417 @@
+//! Structural equivalence proofs for classical pipeline stages.
+//!
+//! The paper's constructions are local rewrites, so a stage's output can be
+//! proved equivalent to its input without simulating either circuit whole:
+//!
+//! * **lowering** ([`lowered`]) — a pass that exposes its per-gate walk
+//!   ([`Pass::gate_walk`](qudit_core::pipeline::Pass::gate_walk)) is driven
+//!   gate by gate; each distinct (gate, expansion) shape, with wires
+//!   relabelled in first-use order, is proved once by sweeping the basis of
+//!   its own wires (a borrowed ancilla among them, which must come back
+//!   restored);
+//! * **routing** ([`unroutes`]) — the output is walked with a running
+//!   site→wire map: every [`wire_swap`] ladder swaps the map (the ladder is
+//!   proved a SWAP once, on two wires), every other gate mapped back must
+//!   be the next input gate, and the map must end as the identity;
+//! * **cancellation** ([`cancels`]) — the output must be the input with
+//!   pairs removed that nest as adjacent brackets on every wire they touch,
+//!   each pair proved inverse by sweeping its wires.
+//!
+//! Every claim is settled by brute force on at most [`MAX_LOCAL_WIRES`]
+//! wires, memoised per canonical shape for the length of one check; no rule
+//! of the rewriting passes (such as `Gate::is_inverse_of` or the
+//! commutation oracle) is trusted.  A `false`/`None` answer proves nothing:
+//! the caller falls back to the global check.
+
+use std::collections::HashMap;
+
+use qudit_core::pipeline::GateWalk;
+use qudit_core::route::wire_swap;
+use qudit_core::{Circuit, ControlPredicate, Dimension, Gate, GateOp, QuditId, SingleQuditOp};
+
+use crate::basis::{exhaustive_witness, BasisBatch};
+
+/// Most wires a local proof sweeps (a two-controlled gadget with its
+/// borrowed ancilla).
+const MAX_LOCAL_WIRES: usize = 4;
+/// Most basis states a local proof sweeps.
+const MAX_LOCAL_STATES: usize = 1 << 16;
+/// Marks a register wire without a label in the current shape.
+const UNLABELLED: u32 = u32::MAX;
+
+/// Drives `walk` over `circuit` and returns its output when every gate's
+/// expansion is proved equivalent to the gate; `None` when a proof fails,
+/// the walk errors, or the circuit is not classical.
+pub(crate) fn lowered(mut walk: Box<dyn GateWalk>, circuit: &Circuit) -> Option<Circuit> {
+    if !circuit.is_classical() {
+        return None;
+    }
+    let mut proofs = LocalProofs::new(circuit.dimension(), circuit.width());
+    let mut out = Vec::with_capacity(circuit.len());
+    for gate in circuit.gates() {
+        let start = out.len();
+        walk.emit(gate, &mut out).ok()?;
+        let expansion = &out[start..];
+        if expansion != std::slice::from_ref(gate) && !proofs.expands_to(gate, expansion) {
+            return None;
+        }
+    }
+    Circuit::from_gates(circuit.dimension(), circuit.width(), out).ok()
+}
+
+/// Whether `after` is `before` rewritten by SWAP ladders or by inverse-pair
+/// removal on the same register — each proved as described in the module
+/// docs, which also shows both circuits classical.
+pub(crate) fn rewrites(before: &Circuit, after: &Circuit) -> bool {
+    if after.dimension() != before.dimension() || after.width() != before.width() {
+        return false;
+    }
+    if after.len() >= before.len() {
+        unroutes(before, after)
+    } else {
+        cancels(before, after)
+    }
+}
+
+/// Un-routes `after` into `before` (see the module docs).  Every gate that
+/// is not a ladder is checked classical as it is matched, so a `true`
+/// answer also says both circuits are classical.
+fn unroutes(before: &Circuit, after: &Circuit) -> bool {
+    let (dimension, width) = (before.dimension(), before.width());
+    let ladder = wire_swap(dimension, 0, 1);
+    let mut ladder_proved = false;
+    // `site_of[wire]` holds the site the input wire currently lives on,
+    // `wire_at[site]` its inverse.
+    let mut site_of: Vec<usize> = (0..width).collect();
+    let mut wire_at: Vec<usize> = (0..width).collect();
+    let mut pending = before.gates().iter();
+    let mut gates = after.gates();
+    while let Some(gate) = gates.first() {
+        if let Some((a, b)) = ladder_sites(gates, &ladder) {
+            if !ladder_proved {
+                if !swaps_two_wires(dimension, &ladder) {
+                    return false;
+                }
+                ladder_proved = true;
+            }
+            wire_at.swap(a, b);
+            site_of[wire_at[a]] = a;
+            site_of[wire_at[b]] = b;
+            gates = &gates[ladder.len()..];
+            continue;
+        }
+        match pending.next() {
+            Some(expected)
+                if gate.is_classical()
+                    && same_gate(gate, expected, |q, r| q.index() == site_of[r.index()]) => {}
+            _ => return false,
+        }
+        gates = &gates[1..];
+    }
+    pending.next().is_none() && site_of.iter().enumerate().all(|(wire, &site)| wire == site)
+}
+
+/// Matches `after` as `before` with inverse pairs removed (see the module
+/// docs).  Kept gates are checked classical as they are matched, and a
+/// removed pair is proved on the basis, so a `true` answer also says both
+/// circuits are classical.
+fn cancels(before: &Circuit, after: &Circuit) -> bool {
+    let width = before.width();
+    let mut proofs = LocalProofs::new(before.dimension(), width);
+    // Per wire, the open gates on it (removed, waiting for their partner),
+    // innermost last.  A kept gate is a wall no bracket may span, so it is
+    // only allowed on wires with no open gate and needs no entry.
+    let mut open: Vec<Vec<usize>> = vec![Vec::new(); width];
+    let mut kept = after.gates().iter().peekable();
+    let mut wires = Vec::new();
+    for (index, gate) in before.gates().iter().enumerate() {
+        wires.clear();
+        wires.extend(gate.support().map(QuditId::index));
+        // A gate closes the bracket of the open gate on top of every one of
+        // its wires, when that gate has the same support and is proved its
+        // inverse.
+        let closes = open[wires[0]].last().is_some_and(|&partner| {
+            let opener = &before.gates()[partner];
+            opener.arity() == wires.len()
+                && wires.iter().all(|&q| open[q].last() == Some(&partner))
+                && proofs.inverse_pair(opener, gate)
+        });
+        if closes {
+            for &q in &wires {
+                open[q].pop();
+            }
+        } else if kept.peek() == Some(&gate) && wires.iter().all(|&q| open[q].is_empty()) {
+            if !gate.is_classical() {
+                return false;
+            }
+            kept.next();
+        } else {
+            for &q in &wires {
+                open[q].push(index);
+            }
+        }
+    }
+    kept.next().is_none() && open.iter().all(Vec::is_empty)
+}
+
+/// The sites `(a, b)` when `gates` opens with the ladder `wire_swap(d, a,
+/// b)` (`ladder` is `wire_swap(d, 0, 1)`).
+fn ladder_sites(gates: &[Gate], ladder: &[Gate]) -> Option<(usize, usize)> {
+    let first = gates.first()?;
+    let GateOp::AddFrom {
+        source,
+        negate: false,
+    } = first.op()
+    else {
+        return None;
+    };
+    let (a, b) = (source.index(), first.target().index());
+    let sites = [a, b];
+    (gates.len() >= ladder.len()
+        && gates.iter().zip(ladder).all(|(gate, reference)| {
+            same_gate(gate, reference, |q, r| q.index() == sites[r.index()])
+        }))
+    .then_some((a, b))
+}
+
+/// Whether `gate` equals `reference` up to its wires, with each pair of
+/// corresponding wires (gate's, reference's) accepted by `wire`, in support
+/// order: controls, the `AddFrom` source, the target.
+fn same_gate(
+    gate: &Gate,
+    reference: &Gate,
+    mut wire: impl FnMut(QuditId, QuditId) -> bool,
+) -> bool {
+    gate.controls().len() == reference.controls().len()
+        && gate
+            .controls()
+            .iter()
+            .zip(reference.controls())
+            .all(|(c, r)| c.predicate == r.predicate && wire(c.qudit, r.qudit))
+        && match (gate.op(), reference.op()) {
+            (GateOp::Single(a), GateOp::Single(b)) => a == b,
+            (
+                GateOp::AddFrom { source, negate },
+                GateOp::AddFrom {
+                    source: reference_source,
+                    negate: reference_negate,
+                },
+            ) => negate == reference_negate && wire(*source, *reference_source),
+            _ => false,
+        }
+        && wire(gate.target(), reference.target())
+}
+
+/// Whether `ladder` (on wires 0 and 1) maps every `(x, y)` to `(y, x)`.
+fn swaps_two_wires(dimension: Dimension, ladder: &[Gate]) -> bool {
+    let Ok(circuit) = Circuit::from_gates(dimension, 2, ladder.to_vec()) else {
+        return false;
+    };
+    let size = dimension.register_size(2);
+    if size > MAX_LOCAL_STATES {
+        return false;
+    }
+    let mut batch = BasisBatch::from_range(dimension, 2, 0..size);
+    if batch.apply(&circuit).is_err() {
+        return false;
+    }
+    let d = dimension.as_usize();
+    batch
+        .indices()
+        .into_iter()
+        .enumerate()
+        .all(|(index, image)| image == (index % d) * d + index / d)
+}
+
+type ShapeMap<V> = HashMap<Vec<u32>, V>;
+
+/// Brute-force verdicts on local shapes, memoised per canonical key for the
+/// length of one check.  A shape's wires are labelled `0, 1, …` in
+/// first-use order, so every placement of a shape shares one proof.
+struct LocalProofs {
+    dimension: Dimension,
+    /// Verdicts on inverse pairs, by the pair's key.
+    pairs: ShapeMap<bool>,
+    /// The expansions proved for each gate, by the gate's key, as gates on
+    /// the labels.
+    expansions: ShapeMap<Vec<Vec<Gate>>>,
+    /// The key being built.
+    key: Vec<u32>,
+    /// Per register wire, its label in the current shape.
+    labels: Vec<u32>,
+    /// The labelled wires, in first-use order.
+    wires: Vec<QuditId>,
+}
+
+impl LocalProofs {
+    fn new(dimension: Dimension, width: usize) -> Self {
+        LocalProofs {
+            dimension,
+            pairs: HashMap::default(),
+            expansions: HashMap::default(),
+            key: Vec::new(),
+            labels: vec![UNLABELLED; width],
+            wires: Vec::new(),
+        }
+    }
+
+    /// Whether `expansion` implements `gate`.  Proved once per gate shape
+    /// and expansion: a later placement of a proved pair only has to match
+    /// it wire for wire.
+    fn expands_to(&mut self, gate: &Gate, expansion: &[Gate]) -> bool {
+        if !self.start(&[gate]) {
+            return false;
+        }
+        let bound = self.wires.len();
+        let LocalProofs {
+            expansions,
+            key,
+            labels,
+            wires,
+            ..
+        } = self;
+        for known in expansions.get(key.as_slice()).into_iter().flatten() {
+            if known.len() == expansion.len()
+                && expansion
+                    .iter()
+                    .zip(known)
+                    .all(|(gate, local)| same_gate(gate, local, |q, l| bind(labels, wires, q, l)))
+            {
+                return true;
+            }
+            for q in wires.drain(bound..) {
+                labels[q.index()] = UNLABELLED;
+            }
+        }
+        if !expansion.iter().all(|gate| self.label_all(gate)) || !self.sweep(&[gate], expansion) {
+            return false;
+        }
+        let local = expansion.iter().map(|gate| self.local(gate)).collect();
+        self.expansions
+            .entry(self.key.clone())
+            .or_default()
+            .push(local);
+        true
+    }
+
+    /// Whether `second` undoes `first` (two gates on the same wires).
+    fn inverse_pair(&mut self, first: &Gate, second: &Gate) -> bool {
+        if !self.start(&[first, second]) {
+            return false;
+        }
+        if let Some(&verdict) = self.pairs.get(self.key.as_slice()) {
+            return verdict;
+        }
+        let verdict = self.sweep(&[first, second], &[]);
+        self.pairs.insert(self.key.clone(), verdict);
+        verdict
+    }
+
+    /// Clears the labels and keys `gates`; `false` when a gate has no
+    /// classical encoding or the shape outgrows a local proof.
+    fn start(&mut self, gates: &[&Gate]) -> bool {
+        for q in self.wires.drain(..) {
+            self.labels[q.index()] = UNLABELLED;
+        }
+        self.key.clear();
+        gates.iter().all(|gate| self.encode(gate))
+    }
+
+    /// Appends `gate` to the key (controls, operation, target, wires by
+    /// label).
+    fn encode(&mut self, gate: &Gate) -> bool {
+        self.key.push(gate.controls().len() as u32);
+        for control in gate.controls() {
+            let predicate = match control.predicate {
+                ControlPredicate::Odd => 0,
+                ControlPredicate::EvenNonzero => 1,
+                ControlPredicate::NonZero => 2,
+                ControlPredicate::Level(level) => level + 3,
+            };
+            let label = self.label(control.qudit);
+            self.key.extend([label, predicate]);
+        }
+        match gate.op() {
+            GateOp::Single(SingleQuditOp::Swap(i, j)) => self.key.extend([0, *i, *j]),
+            GateOp::Single(SingleQuditOp::Add(y)) => self.key.extend([1, *y]),
+            GateOp::Single(SingleQuditOp::ParityFlipEven) => self.key.push(2),
+            GateOp::Single(SingleQuditOp::ParityFlipOdd) => self.key.push(3),
+            GateOp::Single(op) => match op.to_permutation(self.dimension) {
+                Ok(permutation) => {
+                    self.key.push(4);
+                    self.key.extend_from_slice(permutation.as_map());
+                }
+                Err(_) => return false,
+            },
+            GateOp::AddFrom { source, negate } => {
+                let label = self.label(*source);
+                self.key.extend([5, u32::from(*negate), label]);
+            }
+        }
+        let label = self.label(gate.target());
+        self.key.push(label);
+        self.wires.len() <= MAX_LOCAL_WIRES
+    }
+
+    /// Labels every wire of `gate` (a gate outside the input, whose
+    /// operation the key does not need); `false` as [`LocalProofs::encode`].
+    fn label_all(&mut self, gate: &Gate) -> bool {
+        for q in gate.support() {
+            if q.index() >= self.labels.len() {
+                return false;
+            }
+            self.label(q);
+        }
+        self.wires.len() <= MAX_LOCAL_WIRES && gate.is_classical()
+    }
+
+    fn label(&mut self, qudit: QuditId) -> u32 {
+        let slot = &mut self.labels[qudit.index()];
+        if *slot == UNLABELLED {
+            *slot = self.wires.len() as u32;
+            self.wires.push(qudit);
+        }
+        *slot
+    }
+
+    /// `gate` on the labels of its wires.
+    fn local(&self, gate: &Gate) -> Gate {
+        gate.map_qudits(|q| QuditId::new(self.labels[q.index()] as usize))
+    }
+
+    /// Sweeps every basis state of the labelled wires through both sides,
+    /// relabelled onto a register of just those wires.
+    fn sweep(&self, lhs: &[&Gate], rhs: &[Gate]) -> bool {
+        let width = self.wires.len();
+        let states = self.dimension.as_usize().checked_pow(width as u32);
+        if states.is_none_or(|states| states > MAX_LOCAL_STATES) {
+            return false;
+        }
+        let circuit = |gates: &mut dyn Iterator<Item = &Gate>| {
+            Circuit::from_gates(
+                self.dimension,
+                width,
+                gates.map(|g| self.local(g)).collect(),
+            )
+        };
+        match (circuit(&mut lhs.iter().copied()), circuit(&mut rhs.iter())) {
+            (Ok(lhs), Ok(rhs)) => matches!(exhaustive_witness(&lhs, &rhs), Ok(None)),
+            _ => false,
+        }
+    }
+}
+
+/// Matches register wire `q` with `label`: an unlabelled wire takes the
+/// next label, which must be `label` (first-use order); a labelled one
+/// must carry it.
+fn bind(labels: &mut [u32], wires: &mut Vec<QuditId>, q: QuditId, label: QuditId) -> bool {
+    let Some(slot) = labels.get_mut(q.index()) else {
+        return false;
+    };
+    if *slot == UNLABELLED && label.index() == wires.len() {
+        *slot = label.index() as u32;
+        wires.push(q);
+        return true;
+    }
+    *slot as usize == label.index()
+}

@@ -70,15 +70,19 @@ pub enum Verify {
     /// measured in).
     #[default]
     Off,
-    /// Check as strongly as the register size allows: exhaustively over the
-    /// basis for small classical registers, by full unitary comparison for
-    /// small non-classical ones, falling back to deterministic sampling
-    /// above the built-in size bounds.
+    /// Check as strongly as the register size allows.  Lowering,
+    /// inverse-pair cancellation and routing on classical circuits are
+    /// proved structurally (each local rewrite swept over the basis of its
+    /// own wires), which is exact at any width.  Other stages, and any
+    /// stage whose structural proof fails, are checked globally:
+    /// exhaustively over the basis for small classical registers, by full
+    /// unitary comparison for small non-classical ones, falling back to
+    /// deterministic sampling above the built-in size bounds.
     Exhaustive,
     /// Check on a deterministic sample budget instead of sweeping the
-    /// basis: classical circuits are checked on exactly `n` sampled basis
-    /// states regardless of register size (values below 1 are treated
-    /// as 1).  Non-classical comparisons cap the budget at the engine's
+    /// basis: a stage without a structural proof is checked on exactly `n`
+    /// sampled basis states regardless of register size (values below 1
+    /// are treated as 1).  Non-classical comparisons cap the budget at the engine's
     /// dense-state sample bound (currently 8) — random dense inputs are
     /// maximally sensitive, so a handful suffices there.
     Sampled(usize),

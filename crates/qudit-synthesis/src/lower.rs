@@ -32,18 +32,16 @@ use crate::gadgets::{emit_two_controlled_swap_even, emit_two_controlled_swap_odd
 /// to provide a borrowed qudit, or when a non-classical gate carries two
 /// controls.
 pub fn lower_to_elementary(circuit: &Circuit) -> Result<Circuit> {
-    let mut walk = ElementaryWalk {
-        dimension: circuit.dimension(),
-        width: circuit.width(),
-        levels: Transpositions::default(),
-    };
+    let mut walk = ElementaryWalk::new(circuit.dimension(), circuit.width());
     let mut gates = Vec::with_capacity(circuit.len());
     for gate in circuit.gates() {
-        walk.emit(gate, &mut gates)?;
+        walk.expand(gate, &mut gates)?;
     }
-    let mut out = Circuit::new(circuit.dimension(), circuit.width());
-    out.extend_gates(gates)?;
-    Ok(out)
+    Ok(Circuit::from_gates(
+        circuit.dimension(),
+        circuit.width(),
+        gates,
+    )?)
 }
 
 /// Lowers a macro circuit all the way to the elementary G-gate set
@@ -69,15 +67,23 @@ pub fn g_gate_count(circuit: &Circuit) -> Result<usize> {
 
 /// One macro-to-elementary lowering walk over a register, with the level
 /// buffers of the operations it decomposes.
-struct ElementaryWalk {
+pub(crate) struct ElementaryWalk {
     dimension: Dimension,
     width: usize,
     levels: Transpositions,
 }
 
 impl ElementaryWalk {
+    pub(crate) fn new(dimension: Dimension, width: usize) -> Self {
+        ElementaryWalk {
+            dimension,
+            width,
+            levels: Transpositions::default(),
+        }
+    }
+
     /// Emits the elementary gates of `gate` into `out`.
-    fn emit(&mut self, gate: &Gate, out: &mut Vec<Gate>) -> Result<()> {
+    pub(crate) fn expand(&mut self, gate: &Gate, out: &mut Vec<Gate>) -> Result<()> {
         match (gate.controls(), gate.op()) {
             // Already elementary.
             ([] | [_], GateOp::Single(_)) | ([], GateOp::AddFrom { .. }) => out.push(gate.clone()),

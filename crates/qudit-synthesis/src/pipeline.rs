@@ -20,11 +20,11 @@
 //! the cancellation (the configuration the paper's G-gate counts are
 //! reported in).
 
-use qudit_core::pipeline::Pass;
-use qudit_core::{Circuit, QuditError};
+use qudit_core::pipeline::{GateWalk, Pass};
+use qudit_core::{Circuit, Gate, QuditError};
 
 use crate::error::SynthesisError;
-use crate::lower;
+use crate::lower::{self, ElementaryWalk};
 
 /// Converts a synthesis error into the core error type used by passes.
 fn pass_error(pass: &str, error: SynthesisError) -> QuditError {
@@ -53,6 +53,20 @@ impl Pass for LowerToElementary {
 
     fn run(&self, circuit: Circuit) -> qudit_core::Result<Circuit> {
         lower::lower_to_elementary(&circuit).map_err(|e| pass_error(self.name(), e))
+    }
+
+    fn gate_walk(&self, circuit: &Circuit) -> Option<Box<dyn GateWalk>> {
+        Some(Box::new(ElementaryWalk::new(
+            circuit.dimension(),
+            circuit.width(),
+        )))
+    }
+}
+
+impl GateWalk for ElementaryWalk {
+    fn emit(&mut self, gate: &Gate, out: &mut Vec<Gate>) -> qudit_core::Result<()> {
+        self.expand(gate, out)
+            .map_err(|e| pass_error("lower-to-elementary", e))
     }
 }
 

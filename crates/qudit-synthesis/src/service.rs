@@ -24,7 +24,8 @@
 //!   sends a newline cannot grow server memory.
 //! * **Bounded writes** — a reply write that cannot finish within a few
 //!   seconds shuts its connection down, so a client that stops reading
-//!   holds a worker only that long and its later replies fail at once.
+//!   holds a worker only that long; the jobs that connection still has
+//!   queued are dropped uncompiled and counted as rejected.
 //! * **Shared compiler** — every job compiles sequentially on its worker
 //!   through one [`Compiler`].
 //!
@@ -45,8 +46,9 @@
 //! * `"status":"error"` with `error` when the job was malformed or the
 //!   compilation failed.
 //!
-//! Every submitted line gets exactly one reply; after the reply to an
-//! oversized line the service closes the connection.
+//! Every submitted line gets exactly one reply while its connection stays
+//! open; after the reply to an oversized line the service closes the
+//! connection.
 //!
 //! # Example
 //!
@@ -227,7 +229,8 @@ pub struct ServiceStats {
     pub accepted: u64,
     /// Jobs compiled and replied to with `status: ok`.
     pub completed: u64,
-    /// Jobs turned away by admission control.
+    /// Jobs turned away by admission control, or dropped uncompiled
+    /// because their connection was shut down first.
     pub rejected: u64,
     /// Lines that did not parse as job requests.
     pub protocol_errors: u64,
@@ -556,8 +559,11 @@ fn worker_loop(shared: &Arc<Shared>) {
         };
         drop(state);
         let reply = compile_job(shared, &job.request);
-        send_reply(&job.reply_to, &reply);
+        let delivered = send_reply(&job.reply_to, &reply);
         let mut state = lock_unpoisoned(&shared.state);
+        if !delivered {
+            drop_jobs_of(&mut state, shared, &job.reply_to);
+        }
         if let Some(queue) = state.tenants.get_mut(&job.request.tenant) {
             queue.busy = false;
             // A drained tenant leaves the map, so it does not grow with
@@ -573,6 +579,22 @@ fn worker_loop(shared: &Arc<Shared>) {
         shared.space.notify_all();
         shared.job_ready.notify_all();
     }
+}
+
+/// Drops every queued job whose reply goes to `connection`, now shut down,
+/// counting each as rejected; tenants left idle and empty leave the map.
+fn drop_jobs_of(state: &mut SchedulerState, shared: &Shared, connection: &Arc<Mutex<TcpStream>>) {
+    let mut dropped = 0;
+    state.tenants.retain(|_, queue| {
+        let queued = queue.jobs.len();
+        queue
+            .jobs
+            .retain(|job| !Arc::ptr_eq(&job.reply_to, connection));
+        dropped += queued - queue.jobs.len();
+        queue.busy || !queue.jobs.is_empty()
+    });
+    state.pending -= dropped;
+    shared.rejected.fetch_add(dropped as u64, Ordering::Relaxed);
 }
 
 /// Compiles one job and renders its reply line.
@@ -617,10 +639,11 @@ fn rejected_reply(tenant: &str, id: &str, message: &str) -> String {
     )
 }
 
-/// Writes one reply line to a connection.  A failed write — the client left,
-/// or stopped reading for [`WRITE_TIMEOUT`] — shuts the connection down, so
-/// its reader sees the end of the stream and later replies fail at once.
-fn send_reply(reply_to: &Mutex<TcpStream>, reply: &str) {
+/// Writes one reply line to a connection, returning whether it was
+/// delivered.  A failed write — the client left, or stopped reading for
+/// [`WRITE_TIMEOUT`] — shuts the connection down, so its reader sees the end
+/// of the stream and later replies fail at once.
+fn send_reply(reply_to: &Mutex<TcpStream>, reply: &str) -> bool {
     let mut stream = lock_unpoisoned(reply_to);
     let written = stream
         .write_all(reply.as_bytes())
@@ -629,6 +652,7 @@ fn send_reply(reply_to: &Mutex<TcpStream>, reply: &str) {
     if written.is_err() {
         let _ = stream.shutdown(Shutdown::Both);
     }
+    written.is_ok()
 }
 
 /// A minimal blocking client for the newline-JSON protocol — what the
