@@ -147,33 +147,34 @@ impl CleanAncillaMct {
             .map(|i| QuditId::new(k + 1 + i))
             .collect();
         let width = k + 1 + ancilla_count;
-        let mut circuit = Circuit::new(dimension, width);
 
-        if k == 0 {
-            circuit.push(Gate::single(self.op.clone(), target))?;
+        let gates = if k == 0 {
+            vec![Gate::single(self.op.clone(), target)]
         } else if k == 1 {
-            circuit.push(Gate::controlled(
+            vec![Gate::controlled(
                 self.op.clone(),
                 target,
                 vec![Control::zero(controls[0])],
-            ))?;
+            )]
         } else {
             // Compute phase: each ancilla counts the non-zero qudits of its
             // group (previous ancilla + new controls).
             let compute = self.counter_chain(&controls, &clean_ancillas);
-            circuit.extend_gates(compute.iter().cloned())?;
             // The last counter is |0⟩ exactly when all controls are |0⟩.
             let witness = *clean_ancillas
                 .last()
                 .expect("k >= 2 implies at least one ancilla");
-            circuit.push(Gate::controlled(
-                self.op.clone(),
-                target,
-                vec![Control::zero(witness)],
-            ))?;
+            let flip = Gate::controlled(self.op.clone(), target, vec![Control::zero(witness)]);
             // Uncompute phase: the counter chain in reverse, each gate inverted.
-            circuit.extend_gates(compute.iter().rev().map(|g| g.inverse(dimension)))?;
-        }
+            let uncompute = compute.iter().rev().map(|g| g.inverse(dimension));
+            compute
+                .iter()
+                .cloned()
+                .chain(std::iter::once(flip))
+                .chain(uncompute)
+                .collect()
+        };
+        let circuit = Circuit::from_gates(dimension, width, gates)?;
 
         let ancillas = AncillaUsage::of_kind(AncillaKind::Clean, ancilla_count);
         let resources = Resources::for_circuit(&circuit, ancillas)?;

@@ -61,10 +61,8 @@ pub fn exponential_mct(
     let control_ids: Vec<QuditId> = (0..controls).map(QuditId::new).collect();
     let target = QuditId::new(controls);
     let swap = SingleQuditOp::swap(dimension, i, j)?;
-    let mut circuit = Circuit::new(dimension, controls + 1);
     let gates = controlled_swap_recursive(dimension, &control_ids, target, &swap);
-    circuit.extend_gates(gates)?;
-    Ok(circuit)
+    Ok(Circuit::from_gates(dimension, controls + 1, gates)?)
 }
 
 /// Recursively expands `|0^k⟩-swap` into singly-controlled gates using the

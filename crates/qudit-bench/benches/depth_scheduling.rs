@@ -1,9 +1,8 @@
 //! Criterion bench: commutation-aware depth scheduling on the lowered
 //! E10-style k-Toffoli sweep, and the inverse-pair cancellation before it.
 //!
-//! Three timings per workload: building the explicit dependency DAG (the
-//! `schedule_over` reference's input), the fused `schedule_depth` scan, and
-//! the `ScheduleDepth` pass around it.  The scan is one sequential walk
+//! Two timings per workload: the fused `schedule_depth` scan and the
+//! `ScheduleDepth` pass around it.  The scan is one sequential walk
 //! over a run-merged wire history with a running-maximum early exit per
 //! wire; it never builds the DAG.  The workload is the optimised G-gate
 //! circuits of the standard flow — exactly what the scheduled pipeline
@@ -14,7 +13,7 @@
 //! circuits.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use qudit_core::commute::{schedule_depth, DependencyDag};
+use qudit_core::commute::schedule_depth;
 use qudit_core::depth::circuit_depth;
 use qudit_core::optimize::cancel_inverse_pairs;
 use qudit_core::pipeline::{Pass, ScheduleDepth};
@@ -66,19 +65,6 @@ fn distinct_perms(gates: u64) -> Circuit {
     circuit
 }
 
-fn bench_dag_sequential(c: &mut Criterion) {
-    let jobs = lowered_jobs();
-    let mut group = c.benchmark_group("depth_scheduling");
-    for (label, circuit) in &jobs {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("dag_sequential_{label}")),
-            circuit,
-            |b, circuit| b.iter(|| DependencyDag::build(circuit).edge_count()),
-        );
-    }
-    group.finish();
-}
-
 fn bench_schedule(c: &mut Criterion) {
     let mut jobs = lowered_jobs();
     jobs.push(("d5_k4".into(), ktoffoli(CompileOptions::new(), 5, 4)));
@@ -123,11 +109,5 @@ fn bench_pass(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_dag_sequential,
-    bench_schedule,
-    bench_pass,
-    bench_cancel
-);
+criterion_group!(benches, bench_schedule, bench_pass, bench_cancel);
 criterion_main!(benches);

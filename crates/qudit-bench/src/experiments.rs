@@ -208,8 +208,7 @@ pub fn e2_gadgets(scale: Scale) -> Table {
                 4usize,
             )
         };
-        let mut circuit = qudit_core::Circuit::new(dimension, width);
-        circuit.extend_gates(gates).unwrap();
+        let circuit = qudit_core::Circuit::from_gates(dimension, width, gates).unwrap();
         let spec = MctSpec::toffoli(vec![QuditId::new(0), QuditId::new(1)], QuditId::new(2));
         let verified = verify_mct_exhaustive(&circuit, &spec).unwrap().is_pass();
         let g = lowering_compiler(dimension, width)
@@ -524,8 +523,7 @@ pub fn figure_diagrams() -> String {
         1,
     )
     .unwrap();
-    let mut circuit = qudit_core::Circuit::new(d3, 3);
-    circuit.extend_gates(fig5).unwrap();
+    let circuit = qudit_core::Circuit::from_gates(d3, 3, fig5).unwrap();
     out.push_str("Fig. 5 — |00⟩-X01 for odd d (d = 3), ancilla-free:\n\n");
     out.push_str(&qudit_core::diagram::render_with_labels(
         &circuit,
@@ -545,8 +543,7 @@ pub fn figure_diagrams() -> String {
         QuditId::new(3),
     )
     .unwrap();
-    let mut circuit = qudit_core::Circuit::new(d4, 4);
-    circuit.extend_gates(fig2).unwrap();
+    let circuit = qudit_core::Circuit::from_gates(d4, 4, fig2).unwrap();
     out.push_str("Fig. 2 — |00⟩-X01 for even d (d = 4), one borrowed ancilla a:\n\n");
     out.push_str(&qudit_core::diagram::render_with_labels(
         &circuit,
@@ -570,8 +567,7 @@ pub fn figure_diagrams() -> String {
         &[QuditId::new(5), QuditId::new(6)],
     )
     .unwrap();
-    let mut circuit = qudit_core::Circuit::new(d3, 7);
-    circuit.extend_gates(fig7).unwrap();
+    let circuit = qudit_core::Circuit::from_gates(d3, 7, fig7).unwrap();
     out.push_str(
         "Fig. 7 — |0^4⟩-X+1 ladder (d = 3), macro-gate level, borrowed ancillas a1, a2:\n\n",
     );
@@ -631,8 +627,8 @@ pub fn e3_ablation(scale: Scale) -> Table {
                 )
                 .unwrap()
             };
-            let mut ladder_circuit = qudit_core::Circuit::new(dimension, width);
-            ladder_circuit.extend_gates(ladder_gates).unwrap();
+            let ladder_circuit =
+                qudit_core::Circuit::from_gates(dimension, width, ladder_gates).unwrap();
             let ladder_g = lowering_compiler(dimension, width)
                 .compile(&ladder_circuit)
                 .unwrap()
@@ -914,8 +910,7 @@ pub fn figure_verification() -> Table {
             QuditId::new(3),
         )
         .unwrap();
-        let mut circuit = qudit_core::Circuit::new(dimension, 4);
-        circuit.extend_gates(gates).unwrap();
+        let circuit = qudit_core::Circuit::from_gates(dimension, 4, gates).unwrap();
         let ok = verify_mct_exhaustive(
             &circuit,
             &MctSpec::toffoli(vec![QuditId::new(0), QuditId::new(1)], QuditId::new(2)),
@@ -960,8 +955,7 @@ pub fn figure_verification() -> Table {
             1,
         )
         .unwrap();
-        let mut circuit = qudit_core::Circuit::new(dimension, 3);
-        circuit.extend_gates(gates).unwrap();
+        let circuit = qudit_core::Circuit::from_gates(dimension, 3, gates).unwrap();
         let ok = verify_mct_exhaustive(
             &circuit,
             &MctSpec::toffoli(vec![QuditId::new(0), QuditId::new(1)], QuditId::new(2)),
@@ -989,8 +983,7 @@ pub fn figure_verification() -> Table {
             &[QuditId::new(5), QuditId::new(6)],
         )
         .unwrap();
-        let mut circuit = qudit_core::Circuit::new(dimension, 7);
-        circuit.extend_gates(gates).unwrap();
+        let circuit = qudit_core::Circuit::from_gates(dimension, 7, gates).unwrap();
         let spec = MctSpec {
             controls: (0..4).map(QuditId::new).collect(),
             target: QuditId::new(4),

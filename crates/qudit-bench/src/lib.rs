@@ -5,7 +5,7 @@
 //!   (E1–E11 plus the figure-verification table); each returns a
 //!   markdown-renderable [`tables::Table`].  The pipeline sweeps (E10/E11)
 //!   compile their jobs concurrently through
-//!   `PassManager::run_batch`.
+//!   `Compiler::compile_batch`.
 //! * [`tables`] — small table-formatting helpers.
 //!
 //! The `experiments` binary prints the full report

@@ -168,18 +168,6 @@ impl Circuit {
         Ok(())
     }
 
-    /// Appends gates from an iterator, validating each one.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first validation error encountered.
-    pub fn extend_gates<I: IntoIterator<Item = Gate>>(&mut self, gates: I) -> Result<()> {
-        for gate in gates {
-            self.push(gate)?;
-        }
-        Ok(())
-    }
-
     /// Returns the inverse circuit (each gate inverted, in reverse order).
     pub fn inverse(&self) -> Circuit {
         let gates = self
@@ -245,24 +233,6 @@ impl Circuit {
     /// Returns `true` when every gate permutes the computational basis.
     pub fn is_classical(&self) -> bool {
         self.gates.iter().all(Gate::is_classical)
-    }
-
-    /// Counts gates by the number of qudits they touch.
-    ///
-    /// The result maps arity (1, 2, 3, …) to the number of gates with that
-    /// arity; useful for reporting "two-qudit gate" counts.
-    pub fn arity_histogram(&self) -> Vec<(usize, usize)> {
-        let mut counts: std::collections::BTreeMap<usize, usize> =
-            std::collections::BTreeMap::new();
-        for gate in &self.gates {
-            *counts.entry(gate.arity()).or_insert(0) += 1;
-        }
-        counts.into_iter().collect()
-    }
-
-    /// Number of gates acting on exactly two qudits.
-    pub fn two_qudit_gate_count(&self) -> usize {
-        self.gates.iter().filter(|g| g.arity() == 2).count()
     }
 
     /// Number of gates that are elementary G-gates.
@@ -414,10 +384,8 @@ mod tests {
             ],
         ))
         .unwrap();
-        assert_eq!(c.two_qudit_gate_count(), 1);
         assert_eq!(c.g_gate_count(), 2);
         assert_eq!(c.max_controls(), 2);
-        assert_eq!(c.arity_histogram(), vec![(1, 1), (2, 1), (3, 1)]);
         assert_eq!(c.used_qudits().len(), 3);
     }
 

@@ -1,5 +1,5 @@
-//! Commutation analysis: the structural commutation oracle, the gate
-//! dependency DAG, and the commutation-aware ASAP depth scheduler.
+//! Commutation analysis: the structural commutation oracle and the
+//! commutation-aware ASAP depth scheduler.
 //!
 //! Gate count is the paper's primary cost metric, but *depth* — the number
 //! of layers when gates on disjoint qudits run in parallel — is the
@@ -11,33 +11,30 @@
 //! *commuting* gates changes nothing about the circuit's semantics while
 //! potentially packing its layers much tighter.
 //!
-//! This module provides the three pieces of that optimisation:
+//! This module provides the two pieces of that optimisation:
 //!
 //! * [`gates_commute`] — a cheap, **sound** structural commutation oracle:
 //!   when it returns `true` the two gates provably commute as operators;
 //!   when it returns `false` they may or may not (completeness is partial,
 //!   see the rule table below);
-//! * [`DependencyDag`] — the dependency DAG of a circuit under the oracle:
-//!   an edge `i → j` (for `i < j`) records that gate `j` must stay after
-//!   gate `i` because the oracle could not prove them commuting.  The
-//!   scheduler no longer builds it; it survives as the reference the
-//!   scheduler tests compare against;
-//! * [`schedule_depth`] — an as-soon-as-possible list scheduler: each
-//!   gate is placed in the earliest layer that respects its dependencies
-//!   *and* has all of its wires free (first-fit, so a late gate may slide
-//!   into an idle-wire hole that the emission order left behind).  The
-//!   scheduled circuit is a permutation of the input in which only
-//!   oracle-commuting gates changed relative order, its
+//! * [`schedule_depth`] — an as-soon-as-possible list scheduler over the
+//!   circuit's dependency DAG under the oracle (gate `j` must stay after an
+//!   earlier gate `i` the oracle cannot prove it commutes with): each gate
+//!   is placed in the earliest layer that respects its dependencies *and*
+//!   has all of its wires free (first-fit, so a late gate may slide into an
+//!   idle-wire hole that the emission order left behind).  The scheduled
+//!   circuit is a permutation of the input in which only oracle-commuting
+//!   gates changed relative order, its
 //!   [`circuit_depth`](crate::depth::circuit_depth) never exceeds the
-//!   input's, and scheduling is idempotent.  The scheduler fuses the DAG
-//!   scan into layer assignment in one sequential pass: only the *maximum*
-//!   predecessor layer matters, and the oracle is an AND over shared wires,
-//!   so each gate tests each of its wires on its own.  A wire's history
-//!   merges consecutive gates that use it the same way into one run, and
-//!   the backward scan stops as soon as the wire's running maximum of
-//!   assigned layers can no longer raise the bound.  [`schedule_over`] is
-//!   the unfused reference over an explicit DAG, and the two are pinned
-//!   equal by the test suite.
+//!   input's, and scheduling is idempotent.  The scheduler never builds the
+//!   DAG: it fuses the DAG scan into layer assignment in one sequential
+//!   pass.  Only the *maximum* predecessor layer matters, and the oracle is
+//!   an AND over shared wires, so each gate tests each of its wires on its
+//!   own.  A wire's history merges consecutive gates that use it the same
+//!   way into one run, and the backward scan stops as soon as the wire's
+//!   running maximum of assigned layers can no longer raise the bound.  The
+//!   scheduler suite (`tests/scheduler.rs`) pins it equal to an unfused
+//!   reference over an explicit DAG.
 //!
 //! # Oracle rules
 //!
@@ -342,146 +339,6 @@ pub fn gates_commute(dimension: Dimension, a: &Gate, b: &Gate) -> bool {
     )
 }
 
-/// The dependency DAG of a circuit under the commutation oracle.
-///
-/// Nodes are gate indices (in circuit order); an edge `i → j` (always with
-/// `i < j`) records that gates `i` and `j` share a qudit and the oracle
-/// could not prove them commuting, so any semantics-preserving reordering
-/// must keep `i` before `j`.  Gate pairs *without* an edge (in either
-/// direction, including transitively incomparable pairs) provably commute:
-/// disjoint-support pairs trivially, wire-sharing pairs by the oracle.
-///
-/// # Example
-///
-/// ```
-/// use qudit_core::commute::DependencyDag;
-/// use qudit_core::{Circuit, Control, Dimension, Gate, QuditId, SingleQuditOp};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let d = Dimension::new(3)?;
-/// let mut circuit = Circuit::new(d, 2);
-/// circuit.push(Gate::single(SingleQuditOp::Add(1), QuditId::new(0)))?;
-/// circuit.push(Gate::controlled(
-///     SingleQuditOp::Swap(0, 1),
-///     QuditId::new(1),
-///     vec![Control::zero(QuditId::new(0))],
-/// ))?;
-/// let dag = DependencyDag::build(&circuit);
-/// // The X+1 writes the control of the second gate: a real dependency.
-/// assert_eq!(dag.predecessors(1), &[0]);
-/// assert_eq!(dag.critical_path_len(), 2);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DependencyDag {
-    /// `preds[j]` lists every `i < j` with an edge `i → j`, ascending.
-    preds: Vec<Vec<usize>>,
-}
-
-impl DependencyDag {
-    /// Builds the DAG.
-    pub fn build(circuit: &Circuit) -> Self {
-        let gates = circuit.gates();
-        let dimension = circuit.dimension();
-        let infos: Vec<GateInfo> = gates.iter().map(|g| GateInfo::of(g, dimension)).collect();
-        // Per-wire gate index lists (ascending): only wire-sharing pairs can
-        // fail to commute, so each gate scans just the gates on its wires.
-        let mut wire_gates: Vec<Vec<usize>> = vec![Vec::new(); circuit.width()];
-        for (j, gate) in gates.iter().enumerate() {
-            for q in gate.support() {
-                wire_gates[q.index()].push(j);
-            }
-        }
-        // Every earlier wire-sharing gate is tested individually: pairwise
-        // commutation is not transitive, so stopping a wire scan at the
-        // first blocker would drop dependencies hidden behind it.  Each
-        // wire's blockers come out ascending; the (at most arity-many)
-        // per-wire lists are then merged, which both sorts and dedups
-        // without any per-candidate membership scan.
-        let predecessors_of = |j: usize| -> Vec<usize> {
-            let mut per_wire: Vec<Vec<usize>> = Vec::with_capacity(gates[j].arity());
-            for q in gates[j].support() {
-                let blockers: Vec<usize> = wire_gates[q.index()]
-                    .iter()
-                    .take_while(|&&i| i < j)
-                    .filter(|&&i| !commute_with_info(dimension, &infos[i], &infos[j]))
-                    .copied()
-                    .collect();
-                if !blockers.is_empty() {
-                    per_wire.push(blockers);
-                }
-            }
-            match per_wire.len() {
-                0 => Vec::new(),
-                1 => per_wire.pop().expect("one list"),
-                _ => {
-                    let mut merged: Vec<usize> = per_wire.concat();
-                    merged.sort_unstable();
-                    merged.dedup();
-                    merged
-                }
-            }
-        };
-        let preds = (0..gates.len()).map(predecessors_of).collect();
-        DependencyDag { preds }
-    }
-
-    /// Number of gates (nodes).
-    pub fn len(&self) -> usize {
-        self.preds.len()
-    }
-
-    /// Returns `true` when the DAG has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.preds.is_empty()
-    }
-
-    /// The dependency predecessors of gate `j`, ascending.
-    pub fn predecessors(&self, j: usize) -> &[usize] {
-        &self.preds[j]
-    }
-
-    /// Total number of edges.
-    pub fn edge_count(&self) -> usize {
-        self.preds.iter().map(Vec::len).sum()
-    }
-
-    /// Length of the longest dependency chain — the depth the circuit could
-    /// reach on hardware with unlimited wires, a lower bound witness for the
-    /// scheduler.
-    pub fn critical_path_len(&self) -> usize {
-        // `height[j]` is the length of the longest chain ending at j,
-        // counting j itself.
-        let mut height = vec![0usize; self.preds.len()];
-        let mut longest = 0;
-        for j in 0..self.preds.len() {
-            height[j] = 1 + self.preds[j].iter().map(|&i| height[i]).max().unwrap_or(0);
-            longest = longest.max(height[j]);
-        }
-        longest
-    }
-}
-
-/// The result of scheduling a circuit: the reordered circuit plus the layer
-/// assignment that witnesses its depth.
-#[derive(Debug, Clone)]
-pub struct Schedule {
-    /// The reordered circuit (gates sorted by layer, ties in input order).
-    pub circuit: Circuit,
-    /// `layers[i]` is the 1-based layer of the i-th gate **of the scheduled
-    /// circuit**.
-    pub layers: Vec<usize>,
-}
-
-impl Schedule {
-    /// The number of layers — an upper bound on (and in practice equal to)
-    /// the scheduled circuit's [`circuit_depth`](crate::depth::circuit_depth).
-    pub fn depth(&self) -> usize {
-        self.layers.last().copied().unwrap_or(0)
-    }
-}
-
 /// Per-wire layer occupancy used by the first-fit placement.
 struct Occupancy {
     wires: Vec<Vec<bool>>,
@@ -520,7 +377,7 @@ impl Occupancy {
 
 /// Moves a circuit's gates into the order of the given 1-based layer
 /// assignment (stable: ties keep the input order).
-fn assemble_schedule(circuit: Circuit, layer: Vec<usize>) -> Schedule {
+fn into_layer_order(circuit: Circuit, layer: &[usize]) -> Circuit {
     let (dimension, width) = (circuit.dimension(), circuit.width());
     let mut order: Vec<usize> = (0..layer.len()).collect();
     order.sort_by_key(|&j| layer[j]);
@@ -529,53 +386,7 @@ fn assemble_schedule(circuit: Circuit, layer: Vec<usize>) -> Schedule {
         .iter()
         .map(|&j| gates[j].take().expect("each gate moves once"))
         .collect();
-    Schedule {
-        circuit: Circuit::from_valid_gates(dimension, width, gates),
-        layers: order.iter().map(|&j| layer[j]).collect(),
-    }
-}
-
-/// Schedules a circuit over a prebuilt [`DependencyDag`].
-///
-/// Gates are processed in circuit order; each is placed in the earliest
-/// layer after all of its dependency predecessors whose wires are all still
-/// free in that layer (first-fit).  The scheduled order is the layer order
-/// with ties broken by the input order, which makes the scheduler:
-///
-/// * **sound** — two gates only swap relative order when the DAG has no
-///   edge between them, i.e. when they provably commute;
-/// * **monotone** — each gate's layer never exceeds its greedy layer in the
-///   input order, so the scheduled circuit's measured depth never exceeds
-///   the input's;
-/// * **idempotent** — rescheduling the output reproduces it exactly (the
-///   depth-regression suite pins this).
-///
-/// [`schedule_depth`] computes the identical schedule without materialising
-/// the DAG; use this entry point when a DAG is already at hand.
-///
-/// # Panics
-///
-/// Panics when the DAG was built from a different circuit (node count
-/// mismatch).
-pub fn schedule_over(circuit: &Circuit, dag: &DependencyDag) -> Schedule {
-    assert_eq!(
-        dag.len(),
-        circuit.len(),
-        "the DAG must come from the scheduled circuit"
-    );
-    let gates = circuit.gates();
-    let mut layer = vec![0usize; gates.len()];
-    let mut occupied = Occupancy::new(circuit.width());
-    for (j, gate) in gates.iter().enumerate() {
-        let earliest = 1 + dag
-            .predecessors(j)
-            .iter()
-            .map(|&i| layer[i])
-            .max()
-            .unwrap_or(0);
-        layer[j] = occupied.place(gate.support(), earliest);
-    }
-    assemble_schedule(circuit.clone(), layer)
+    Circuit::from_valid_gates(dimension, width, gates)
 }
 
 /// A run of consecutive gates in one wire's history that use the wire the
@@ -590,8 +401,10 @@ struct Run {
     running_max: usize,
 }
 
-/// The fused scheduler: computes exactly the layers of
-/// [`schedule_over`]`(circuit, DependencyDag::build(circuit))` without
+/// The scheduler's layer assignment: each gate, in circuit order, takes the
+/// earliest layer after every earlier gate the oracle cannot prove it
+/// commutes with, in which all of its wires are free (first-fit).  This is
+/// list scheduling over the circuit's dependency DAG, computed without
 /// materialising the DAG.
 ///
 /// Only the *maximum* layer over a gate's non-commuting predecessors
@@ -694,7 +507,7 @@ pub fn schedule_depth(circuit: &Circuit) -> Circuit {
 /// instead of being cloned.
 pub(crate) fn schedule_owned(circuit: Circuit) -> Circuit {
     let layer = schedule_layers(&circuit);
-    assemble_schedule(circuit, layer).circuit
+    into_layer_order(circuit, &layer)
 }
 
 #[cfg(test)]
@@ -909,35 +722,6 @@ mod tests {
     }
 
     #[test]
-    fn dag_records_real_dependencies_only() {
-        let c = sample_circuit();
-        let dag = DependencyDag::build(&c);
-        assert_eq!(dag.len(), 3);
-        // Gate 1 reads q0, written by gate 0.
-        assert_eq!(dag.predecessors(1), &[0]);
-        // Gate 2 (X01 on q1) commutes with gate 1 (|0⟩-X01 onto q1): same
-        // target, same operation; and never touches q0.
-        assert_eq!(dag.predecessors(2), &[] as &[usize]);
-        assert_eq!(dag.edge_count(), 1);
-        assert_eq!(dag.critical_path_len(), 2);
-    }
-
-    #[test]
-    fn parallel_dag_build_matches_sequential() {
-        // The per-wire scans must find exactly the all-pairs dependency
-        // set.
-        let c = random_mixed_circuit(0x9E37_79B9, 3, 4, 600);
-        let dag = DependencyDag::build(&c);
-        let gates = c.gates();
-        for j in 0..gates.len() {
-            let all_pairs: Vec<usize> = (0..j)
-                .filter(|&i| !gates_commute(c.dimension(), &gates[i], &gates[j]))
-                .collect();
-            assert_eq!(dag.predecessors(j), all_pairs.as_slice(), "gate {j}");
-        }
-    }
-
-    #[test]
     fn scheduling_fills_idle_wire_holes() {
         let c = sample_circuit();
         assert_eq!(circuit_depth(&c), 3);
@@ -968,15 +752,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_scheduler_matches_dag_scheduler() {
-        // The fused (early-exit) path must reproduce the explicit DAG-based
-        // schedule exactly on a long circuit.
-        let c = random_mixed_circuit(0xFEED_FACE_CAFE_BEEF, 3, 4, 1061);
-        let via_dag = schedule_over(&c, &DependencyDag::build(&c));
-        assert_eq!(via_dag.circuit, schedule_depth(&c));
-    }
-
-    #[test]
     fn early_exit_sees_past_a_hole_filler() {
         // q1 carries g1 in layer 3 and then g2, which first-fit drops into
         // q1's idle layer 1: the wire's layers run out of order.  g3 gets a
@@ -999,18 +774,15 @@ mod tests {
             c.push(gate).unwrap();
         }
         assert!(!gates_commute(d, &g1, &g3));
-        let reference = schedule_over(&c, &DependencyDag::build(&c));
-        assert_eq!(reference.layers, vec![1, 1, 1, 2, 3, 4]);
-        assert_eq!(reference.circuit.gates()[4], g1);
-        assert_eq!(reference.circuit.gates()[5], g3);
-        assert_eq!(schedule_depth(&c), reference.circuit);
+        assert_eq!(schedule_layers(&c), vec![1, 1, 2, 3, 1, 4]);
+        let scheduled = schedule_depth(&c);
+        assert_eq!(scheduled.gates()[4], g1);
+        assert_eq!(scheduled.gates()[5], g3);
     }
 
     /// A seeded random circuit over any `d ≥ 2` and `width ≥ 2`: plain,
     /// controlled and `X±⋆` gates, with diagonal and dense non-permutation
-    /// unitaries and permutation-valued unitaries among the operations — the
-    /// shared workload of the randomized DAG/scheduler tests (extend the
-    /// grammar here, in one place).
+    /// unitaries and permutation-valued unitaries among the operations.
     fn random_mixed_circuit(seed: u64, d: u32, width: usize, gates: usize) -> Circuit {
         let dimension = dim(d);
         let mut c = Circuit::new(dimension, width);
@@ -1055,40 +827,18 @@ mod tests {
     }
 
     #[test]
-    fn fused_scheduler_matches_dag_scheduler_on_random_circuits() {
-        let mut cases = 0;
-        for seed in 0..56u64 {
-            for d in 2..=5u32 {
-                let width = 2 + (seed as usize + d as usize) % 5;
-                let gates = 20 + (seed as usize * 7) % 60;
-                let c =
-                    random_mixed_circuit(0x5EED_0000 + seed * 31 + u64::from(d), d, width, gates);
-                let reference = schedule_over(&c, &DependencyDag::build(&c));
-                assert_eq!(
-                    schedule_depth(&c),
-                    reference.circuit,
-                    "seed {seed}, d = {d}, width = {width}"
-                );
-                cases += 1;
-            }
-        }
-        assert!(cases >= 200);
-    }
-
-    #[test]
     fn schedule_witness_layers_match_measured_depth() {
         let c = sample_circuit();
-        let schedule = schedule_over(&c, &DependencyDag::build(&c));
-        assert_eq!(schedule.depth(), circuit_depth(&schedule.circuit));
-        assert!(schedule.layers.windows(2).all(|w| w[0] <= w[1]));
+        let layers = schedule_layers(&c);
+        assert_eq!(layers, vec![1, 2, 1]);
+        let depth = layers.iter().copied().max().unwrap_or(0);
+        assert_eq!(depth, circuit_depth(&schedule_depth(&c)));
     }
 
     #[test]
     fn empty_circuit_schedules_to_itself() {
         let c = Circuit::new(dim(3), 2);
         assert_eq!(schedule_depth(&c), c);
-        let schedule = schedule_over(&c, &DependencyDag::build(&c));
-        assert_eq!(schedule.depth(), 0);
-        assert!(DependencyDag::build(&c).is_empty());
+        assert!(schedule_layers(&c).is_empty());
     }
 }

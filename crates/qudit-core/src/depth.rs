@@ -41,25 +41,6 @@ pub fn circuit_depth(circuit: &Circuit) -> usize {
     depth
 }
 
-/// Groups the gates of a circuit into layers under the same greedy schedule,
-/// returning the gate indices of each layer in order.
-pub fn layers(circuit: &Circuit) -> Vec<Vec<usize>> {
-    let mut finish = vec![0usize; circuit.width()];
-    let mut result: Vec<Vec<usize>> = Vec::new();
-    for (index, gate) in circuit.gates().iter().enumerate() {
-        let start = gate.support().map(|q| finish[q.index()]).max().unwrap_or(0);
-        let layer = start + 1;
-        for q in gate.support() {
-            finish[q.index()] = layer;
-        }
-        if result.len() < layer {
-            result.resize_with(layer, Vec::new);
-        }
-        result[layer - 1].push(index);
-    }
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,7 +57,6 @@ mod tests {
     #[test]
     fn empty_circuit_has_depth_zero() {
         assert_eq!(circuit_depth(&Circuit::new(dim(), 3)), 0);
-        assert!(layers(&Circuit::new(dim(), 3)).is_empty());
     }
 
     #[test]
@@ -93,7 +73,6 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(circuit_depth(&c), 1);
-        assert_eq!(layers(&c), vec![vec![0, 1, 2]]);
     }
 
     #[test]
@@ -108,7 +87,6 @@ mod tests {
             .unwrap();
         }
         assert_eq!(circuit_depth(&c), 4);
-        assert_eq!(layers(&c).len(), 4);
     }
 
     #[test]
@@ -127,7 +105,5 @@ mod tests {
         let depth = circuit_depth(&c);
         assert!(depth <= c.len());
         assert!(depth >= 1);
-        let total: usize = layers(&c).iter().map(Vec::len).sum();
-        assert_eq!(total, c.len());
     }
 }

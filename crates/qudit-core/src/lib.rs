@@ -15,13 +15,15 @@
 //! * [`lowering`] — lowering of singly-controlled classical gates to the
 //!   elementary G-gate set `{Xij} ∪ {|0⟩-X01}`, one walk emitting into its
 //!   output with reused level buffers ([`lowering::Transpositions`]);
-//! * [`commute`] — the structural commutation oracle, the gate dependency
-//!   DAG and the commutation-aware depth scheduler behind the
+//! * [`commute`] — the structural commutation oracle and the
+//!   commutation-aware depth scheduler behind the
 //!   [`pipeline::ScheduleDepth`] pass;
 //! * [`pipeline`] — the [`pipeline::Pass`] trait and
 //!   [`pipeline::PassManager`] composing lowering/optimisation stages with
-//!   per-pass statistics, plus parallel batch compilation
-//!   ([`pipeline::PassManager::run_batch`]) with merged statistics;
+//!   per-pass statistics (gate count and depth before and after each
+//!   stage), plus parallel batch compilation
+//!   ([`pipeline::PassManager::run_batch`], one report per job) whose
+//!   statistics [`pipeline::merge_pass_stats`] folds;
 //! * [`pool`] — a hand-rolled scoped-thread work-stealing pool backing
 //!   batch compilation, the one level that fans out (the environment is
 //!   offline, so no `rayon`);

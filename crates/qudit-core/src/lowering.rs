@@ -250,8 +250,7 @@ mod tests {
         }
         let mut original = Circuit::new(dimension, width);
         original.push(gate.clone()).unwrap();
-        let mut replacement = Circuit::new(dimension, width);
-        replacement.extend_gates(lowered).unwrap();
+        let replacement = Circuit::from_gates(dimension, width, lowered).unwrap();
         let size = dimension.register_size(width);
         for index in 0..size {
             let digits = index_to_digits(index, dimension, width);

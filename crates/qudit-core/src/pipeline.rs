@@ -7,7 +7,7 @@
 //!
 //! * [`Pass`] — a named, semantics-preserving circuit transformation;
 //! * [`PassManager`] — composes passes and records a [`PassStats`] entry
-//!   (gate counts, G-gate counts, depth, active qudits, wall time) for each;
+//!   (gate count and depth before and after, wall time) for each;
 //! * [`CancelInversePairs`] and [`LowerToGGates`] — the core passes, wrapping
 //!   [`crate::optimize::cancel_inverse_pairs`] and
 //!   [`crate::lowering::lower_circuit`].
@@ -21,8 +21,9 @@
 //! Passes are `Send + Sync`, and two scaling seams build on that:
 //!
 //! * **Batching** — [`PassManager::run_batch`] compiles many circuits
-//!   concurrently on a [`WorkStealingPool`] and merges the per-pass
-//!   statistics order-independently into a [`BatchReport`].
+//!   concurrently on a [`WorkStealingPool`], one [`PipelineReport`] per
+//!   job; [`merge_pass_stats`] folds their per-pass statistics
+//!   order-independently.
 //! * **Pooling** — [`PassManager::with_pool`] pins the worker pool batch
 //!   jobs run on; unpooled managers size a default pool from the
 //!   environment.  The job is the only unit of parallelism: every pass runs
@@ -208,24 +209,14 @@ pub enum CacheMode {
     Shared(Arc<LoweringCache>),
 }
 
-/// A cheap structural snapshot of a circuit, recorded before and after every
-/// pass.
+/// The paper's two cost metrics of a circuit, recorded before and after
+/// every pass: one length read plus one depth walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CircuitProfile {
     /// Total gate count.
     pub gates: usize,
-    /// Number of gates that are elementary G-gates.
-    pub g_gates: usize,
-    /// Number of gates touching exactly two qudits.
-    pub two_qudit_gates: usize,
     /// Circuit depth under greedy scheduling.
     pub depth: usize,
-    /// The largest control count on any gate.
-    pub max_controls: usize,
-    /// Number of qudits touched by at least one gate (register activity —
-    /// for the synthesis constructions the delta over the controls+target
-    /// set is the ancilla usage).
-    pub active_qudits: usize,
 }
 
 impl CircuitProfile {
@@ -233,11 +224,7 @@ impl CircuitProfile {
     pub fn of(circuit: &Circuit) -> Self {
         CircuitProfile {
             gates: circuit.len(),
-            g_gates: circuit.g_gate_count(),
-            two_qudit_gates: circuit.two_qudit_gate_count(),
             depth: circuit_depth(circuit),
-            max_controls: circuit.max_controls(),
-            active_qudits: circuit.used_qudits().len(),
         }
     }
 }
@@ -318,59 +305,7 @@ impl fmt::Display for PipelineReport {
     }
 }
 
-/// The result of [`PassManager::run_batch`]: one [`PipelineReport`] per
-/// input circuit, in input order.
-#[derive(Debug, Clone)]
-pub struct BatchReport {
-    /// Per-job reports, in input order.
-    pub reports: Vec<PipelineReport>,
-}
-
-impl BatchReport {
-    /// Number of compiled circuits.
-    pub fn len(&self) -> usize {
-        self.reports.len()
-    }
-
-    /// Returns `true` when the batch was empty.
-    pub fn is_empty(&self) -> bool {
-        self.reports.is_empty()
-    }
-
-    /// The compiled circuits, in input order.
-    pub fn circuits(&self) -> impl Iterator<Item = &Circuit> {
-        self.reports.iter().map(|r| &r.circuit)
-    }
-
-    /// Merges the per-job statistics into one [`MergedPassStats`] entry per
-    /// pipeline stage.
-    ///
-    /// Merging only sums per-job values, so the result is independent of the
-    /// order in which jobs finished — sequential and parallel executions of
-    /// the same batch report identical merged gate counts (see
-    /// `merged_stats_are_order_independent` in the crate tests).
-    pub fn merged_stats(&self) -> Vec<MergedPassStats> {
-        merge_pass_stats(self.reports.iter().map(|report| report.stats.as_slice()))
-    }
-
-    /// Total wall-clock pass time summed over every job (CPU time, not
-    /// elapsed time: concurrent jobs overlap).
-    pub fn total_elapsed(&self) -> Duration {
-        self.reports.iter().map(PipelineReport::total_elapsed).sum()
-    }
-}
-
-impl fmt::Display for BatchReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "batch of {} circuits", self.len())?;
-        for merged in self.merged_stats() {
-            writeln!(f, "{merged}")?;
-        }
-        Ok(())
-    }
-}
-
-/// Per-pass statistics summed over every job of a [`BatchReport`].
+/// Per-pass statistics summed over the jobs of a batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MergedPassStats {
     /// Name of the pass.
@@ -381,10 +316,6 @@ pub struct MergedPassStats {
     pub gates_before: usize,
     /// Total output gates across jobs.
     pub gates_after: usize,
-    /// Total input G-gates across jobs.
-    pub g_gates_before: usize,
-    /// Total output G-gates across jobs.
-    pub g_gates_after: usize,
     /// Summed input depth across jobs (a batch-level depth trajectory; the
     /// depth-scheduling experiments report the per-pass reduction from the
     /// before/after sums).
@@ -419,9 +350,9 @@ impl fmt::Display for MergedPassStats {
 /// [`MergedPassStats`] entry per stage.
 ///
 /// Merging only sums per-run values, so the result is independent of the
-/// iteration order — this is the primitive behind
-/// [`BatchReport::merged_stats`], shared with the facade report types in
-/// `qudit-synthesis`.
+/// iteration order — sequential and parallel executions of the same batch
+/// merge to identical statistics.  The facade's `BatchResult` in
+/// `qudit-synthesis` merges through it.
 pub fn merge_pass_stats<'a>(
     runs: impl IntoIterator<Item = &'a [PassStats]>,
 ) -> Vec<MergedPassStats> {
@@ -434,8 +365,6 @@ pub fn merge_pass_stats<'a>(
                     jobs: 0,
                     gates_before: 0,
                     gates_after: 0,
-                    g_gates_before: 0,
-                    g_gates_after: 0,
                     depth_before: 0,
                     depth_after: 0,
                     fused_gates: 0,
@@ -450,8 +379,6 @@ pub fn merge_pass_stats<'a>(
             entry.jobs += 1;
             entry.gates_before += stats.before.gates;
             entry.gates_after += stats.after.gates;
-            entry.g_gates_before += stats.before.g_gates;
-            entry.g_gates_after += stats.after.g_gates;
             entry.depth_before += stats.before.depth;
             entry.depth_after += stats.after.depth;
             if matches!(stats.pass.as_str(), "gate-fusion" | "verify(gate-fusion)") {
@@ -610,12 +537,11 @@ impl PassManager {
 
     /// Compiles many circuits concurrently — on the pool pinned with
     /// [`PassManager::with_pool`], or a default-sized [`WorkStealingPool`]
-    /// otherwise — returning one [`PipelineReport`] per circuit (in input
-    /// order) inside a [`BatchReport`].
+    /// otherwise — returning one [`PipelineReport`] per circuit, in input
+    /// order.
     ///
-    /// Each job is cloned by the worker that compiles it, so the caller pays
-    /// no up-front copy of the whole batch.  Every job runs the same
-    /// pipeline, sequentially on its worker.
+    /// The jobs move into the pool, so no circuit is copied.  Every job runs
+    /// the same pipeline, sequentially on its worker.
     ///
     /// # Errors
     ///
@@ -624,7 +550,7 @@ impl PassManager {
     /// # Example
     ///
     /// ```
-    /// use qudit_core::pipeline::{LowerToGGates, PassManager};
+    /// use qudit_core::pipeline::{merge_pass_stats, LowerToGGates, PassManager};
     /// use qudit_core::{Circuit, Control, Dimension, Gate, QuditId, SingleQuditOp};
     ///
     /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -642,21 +568,19 @@ impl PassManager {
     ///     .collect::<Result<_, _>>()?;
     ///
     /// let manager = PassManager::new().with_pass(LowerToGGates);
-    /// let batch = manager.run_batch(&circuits)?;
-    /// assert_eq!(batch.len(), 4);
-    /// let merged = batch.merged_stats();
+    /// let reports = manager.run_batch(circuits)?;
+    /// assert_eq!(reports.len(), 4);
+    /// let merged = merge_pass_stats(reports.iter().map(|r| r.stats.as_slice()));
     /// assert_eq!(merged[0].pass, "lower-to-g-gates");
     /// assert_eq!(merged[0].jobs, 4);
     /// # Ok(())
     /// # }
     /// ```
-    pub fn run_batch(&self, circuits: &[Circuit]) -> Result<BatchReport> {
+    pub fn run_batch(&self, circuits: Vec<Circuit>) -> Result<Vec<PipelineReport>> {
         let pool = self.pool.clone().unwrap_or_default();
-        let results = pool.map(circuits.iter().collect(), |circuit: &Circuit| {
-            self.run(circuit.clone())
-        });
-        let reports = results.into_iter().collect::<Result<_>>()?;
-        Ok(BatchReport { reports })
+        pool.map(circuits, |circuit| self.run(circuit))
+            .into_iter()
+            .collect()
     }
 
     /// Runs the pipeline and returns only the final circuit.
@@ -1115,12 +1039,7 @@ mod tests {
     fn profile_counts_are_consistent() {
         let circuit = sample_circuit();
         let profile = CircuitProfile::of(&circuit);
-        assert_eq!(profile.gates, 1);
-        assert_eq!(profile.two_qudit_gates, 1);
-        assert_eq!(profile.depth, 1);
-        assert_eq!(profile.max_controls, 1);
-        assert_eq!(profile.active_qudits, 2);
-        assert_eq!(profile.g_gates, 0);
+        assert_eq!(profile, CircuitProfile { gates: 1, depth: 1 });
     }
 
     #[test]
@@ -1154,10 +1073,10 @@ mod tests {
             .collect();
         let batch = manager
             .with_pool(WorkStealingPool::with_threads(4))
-            .run_batch(&circuits)
+            .run_batch(circuits)
             .unwrap();
         assert_eq!(batch.len(), sequential.len());
-        for (batch_report, reference) in batch.reports.iter().zip(&sequential) {
+        for (batch_report, reference) in batch.iter().zip(&sequential) {
             assert_eq!(batch_report.circuit, reference.circuit);
             for (a, b) in batch_report.stats.iter().zip(&reference.stats) {
                 assert_eq!(a.pass, b.pass);
@@ -1173,18 +1092,19 @@ mod tests {
         let manager = PassManager::new()
             .with_pass(LowerToGGates)
             .with_pass(CancelInversePairs);
-        let batch = manager.run_batch(&circuits).unwrap();
-        let merged = batch.merged_stats();
+        let mut batch = manager.run_batch(circuits).unwrap();
+        let merge = |reports: &[PipelineReport]| {
+            merge_pass_stats(reports.iter().map(|r| r.stats.as_slice()))
+        };
+        let merged = merge(&batch);
         assert_eq!(merged.len(), 2);
         assert_eq!(merged[0].jobs, 5);
 
         // Any permutation of the job reports merges to the same statistics.
-        let mut rotated = batch.clone();
-        rotated.reports.rotate_left(2);
-        let mut reversed = batch.clone();
-        reversed.reports.reverse();
-        assert_eq!(rotated.merged_stats(), merged);
-        assert_eq!(reversed.merged_stats(), merged);
+        batch.rotate_left(2);
+        assert_eq!(merge(&batch), merged);
+        batch.reverse();
+        assert_eq!(merge(&batch), merged);
     }
 
     #[test]
@@ -1194,7 +1114,7 @@ mod tests {
             .with_shape(dim(3), 2);
         let good = sample_circuit();
         let bad = Circuit::new(dim(3), 5);
-        let result = manager.run_batch(&[good, bad]);
+        let result = manager.run_batch(vec![good, bad]);
         assert!(matches!(
             result,
             Err(QuditError::IncompatibleCircuits { .. })
@@ -1260,7 +1180,7 @@ mod tests {
         assert_eq!(wrapped.pool().map(|p| p.threads()), Some(2));
         // `run_batch` uses the pinned pool (smoke: results still correct).
         let circuits: Vec<Circuit> = (0..4).map(|_| sample_circuit()).collect();
-        let batch = wrapped.run_batch(&circuits).unwrap();
+        let batch = wrapped.run_batch(circuits).unwrap();
         assert_eq!(batch.len(), 4);
     }
 
@@ -1275,8 +1195,19 @@ mod tests {
             .map(|c| manager.run(c.clone()).unwrap())
             .collect();
         let direct = merge_pass_stats(reports.iter().map(|r| r.stats.as_slice()));
-        let via_batch = BatchReport { reports }.merged_stats();
-        assert_eq!(direct, via_batch);
+        let batch = manager.run_batch(circuits).unwrap();
+        let via_batch = merge_pass_stats(batch.iter().map(|r| r.stats.as_slice()));
+        // Wall times differ between runs; the counts must not.
+        let counts = |merged: &[MergedPassStats]| {
+            merged
+                .iter()
+                .map(|m| MergedPassStats {
+                    elapsed: Duration::ZERO,
+                    ..m.clone()
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(counts(&direct), counts(&via_batch));
         assert_eq!(direct.len(), 2);
         assert_eq!(direct[0].jobs, 4);
     }

@@ -83,7 +83,7 @@ pub const SWAP_LADDER_GATES: usize = 4;
 
 /// How many upcoming two-qudit gates the router scores candidate swaps
 /// against (exponentially decayed).
-const DEFAULT_LOOKAHEAD: usize = 8;
+const LOOKAHEAD: usize = 8;
 
 /// Decay applied per position in the lookahead window.
 const LOOKAHEAD_DECAY: f64 = 0.5;
@@ -526,41 +526,17 @@ fn greedy_placement(circuit: &Circuit, graph: &CouplingGraph) -> Vec<usize> {
 /// The SWAP-ladder router over a [`CouplingGraph`].
 ///
 /// See [`route_circuit`] for the one-call entry point and the module docs
-/// for the algorithm; [`Router::with_lookahead`] and
-/// [`Router::with_identity_placement`] tune it.
+/// for the algorithm: greedy initial placement, then swaps scored against a
+/// window of eight upcoming two-qudit gates.
 pub struct Router<'a> {
     graph: &'a CouplingGraph,
     cost: &'a dyn CostModel,
-    lookahead: usize,
-    greedy: bool,
 }
 
 impl<'a> Router<'a> {
-    /// A router with the default lookahead window and greedy initial
-    /// placement.
+    /// A router over `graph` that breaks swap ties by `cost`.
     pub fn new(graph: &'a CouplingGraph, cost: &'a dyn CostModel) -> Self {
-        Router {
-            graph,
-            cost,
-            lookahead: DEFAULT_LOOKAHEAD,
-            greedy: true,
-        }
-    }
-
-    /// Sets how many upcoming two-qudit gates candidate swaps are scored
-    /// against (0 disables lookahead).
-    #[must_use]
-    pub fn with_lookahead(mut self, lookahead: usize) -> Self {
-        self.lookahead = lookahead;
-        self
-    }
-
-    /// Skips the greedy-placement prologue and starts from the identity
-    /// placement.
-    #[must_use]
-    pub fn with_identity_placement(mut self) -> Self {
-        self.greedy = false;
-        self
+        Router { graph, cost }
     }
 
     /// Routes a circuit onto the graph.
@@ -609,10 +585,8 @@ impl<'a> Router<'a> {
         let mut placement = Placement::identity(sites);
         let mut swaps = 0;
 
-        if self.greedy {
-            let target = greedy_placement(&embedded, self.graph);
-            swaps += drive_to_placement(&mut out, self.graph, &mut placement, &target);
-        }
+        let target = greedy_placement(&embedded, self.graph);
+        swaps += drive_to_placement(&mut out, self.graph, &mut placement, &target);
         let initial_placement = placement.site_of.clone();
 
         // The wire pairs of every upcoming two-qudit gate, for lookahead.
@@ -685,7 +659,7 @@ impl<'a> Router<'a> {
                 }
                 let mut score = after as f64;
                 let mut decay = 1.0;
-                for pair in upcoming.iter().flatten().take(self.lookahead) {
+                for pair in upcoming.iter().flatten().take(LOOKAHEAD) {
                     decay *= LOOKAHEAD_DECAY;
                     let (s1, s2) = (placement.site_of[pair.0], placement.site_of[pair.1]);
                     score += decay * self.graph.distance(moved(s1), moved(s2)) as f64;
@@ -966,34 +940,5 @@ mod tests {
                 out.apply_to_basis(&state).unwrap()
             );
         }
-    }
-
-    #[test]
-    fn lookahead_and_identity_placement_knobs_stay_correct() {
-        let dimension = dim(3);
-        let circuit = far_apart_circuit(dimension, 5);
-        let graph = CouplingGraph::linear(5).unwrap();
-        for router in [
-            Router::new(&graph, &UniformCost).with_lookahead(0),
-            Router::new(&graph, &UniformCost).with_identity_placement(),
-        ] {
-            let routed = router.route(&circuit).unwrap();
-            validate_adjacency(&routed.circuit, &graph).unwrap();
-            let full = routed.with_epilogue(&graph).unwrap();
-            for state in all_states(dimension, 5) {
-                assert_eq!(
-                    circuit.widened(5).unwrap().apply_to_basis(&state).unwrap(),
-                    full.apply_to_basis(&state).unwrap()
-                );
-            }
-        }
-        let identity_routed = Router::new(&graph, &UniformCost)
-            .with_identity_placement()
-            .route(&circuit)
-            .unwrap();
-        assert_eq!(
-            identity_routed.initial_placement,
-            (0..5).collect::<Vec<_>>()
-        );
     }
 }

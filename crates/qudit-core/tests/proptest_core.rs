@@ -249,9 +249,9 @@ proptest! {
         let batch = PassManager::new()
             .with_pass(LowerToGGates)
             .with_pool(WorkStealingPool::with_threads(threads))
-            .run_batch(&[circuit.clone(), circuit])
+            .run_batch(vec![circuit.clone(), circuit])
             .unwrap();
-        for report in &batch.reports {
+        for report in &batch {
             prop_assert_eq!(&report.circuit, &reference);
         }
     }

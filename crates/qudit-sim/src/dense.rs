@@ -765,7 +765,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_execution_is_byte_identical_to_sequential() {
+    fn repeated_runs_are_byte_identical_and_match_the_reference() {
         // At width 10 (3^10 = 59049 amplitudes) repeated runs are
         // byte-identical and match the reference walk.
         let d = dim(3);

@@ -1088,7 +1088,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_tableau_sweep_is_identical() {
+    fn row_major_tableau_sweep_matches_gate_by_gate() {
         let d = dim(3);
         let mut circuit = Circuit::new(d, 6);
         for q in 0..6usize {

@@ -38,6 +38,7 @@
 //! # }
 //! ```
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
@@ -718,6 +719,11 @@ impl Compiler {
     /// ([`Verify`]) and shape mismatches
     /// ([`CompileOptions::shape`]).
     pub fn compile(&self, circuit: &Circuit) -> qudit_core::Result<CompileResult> {
+        self.compile_job(Cow::Borrowed(circuit))
+    }
+
+    /// Embeds one job (see [`Compiler::embed`]) and runs the pipeline on it.
+    fn compile_job(&self, circuit: Cow<'_, Circuit>) -> qudit_core::Result<CompileResult> {
         let report = self.manager.run(self.embed(circuit)?)?;
         Ok(CompileResult::from_report(report, &self.options))
     }
@@ -727,10 +733,13 @@ impl Compiler {
     /// requires width stability) runs over the physical register.  Narrower
     /// graphs are left to the route stage's typed
     /// [`TopologyTooSmall`](qudit_core::QuditError::TopologyTooSmall) error.
-    fn embed(&self, circuit: &Circuit) -> qudit_core::Result<Circuit> {
+    ///
+    /// A job is copied at most once: an owned job that needs no widening
+    /// moves through.
+    fn embed(&self, circuit: Cow<'_, Circuit>) -> qudit_core::Result<Circuit> {
         match &self.options.topology {
             Some(graph) if graph.sites() > circuit.width() => circuit.widened(graph.sites()),
-            _ => Ok(circuit.clone()),
+            _ => Ok(circuit.into_owned()),
         }
     }
 
@@ -771,7 +780,7 @@ impl Compiler {
     pub fn compile_source(&self, source: &str) -> qudit_core::Result<CompileResult> {
         let circuit =
             qudit_core::qasm::parse_source(source).map_err(qudit_core::QuditError::from)?;
-        self.compile(&circuit)
+        self.compile_job(Cow::Owned(circuit))
     }
 
     /// Compiles many circuits concurrently on the compiler's pool
@@ -784,12 +793,11 @@ impl Compiler {
     pub fn compile_batch(&self, circuits: &[Circuit]) -> qudit_core::Result<BatchResult> {
         let embedded: Vec<Circuit> = circuits
             .iter()
-            .map(|circuit| self.embed(circuit))
+            .map(|circuit| self.embed(Cow::Borrowed(circuit)))
             .collect::<qudit_core::Result<_>>()?;
-        let batch = self.manager.run_batch(&embedded)?;
+        let reports = self.manager.run_batch(embedded)?;
         Ok(BatchResult {
-            results: batch
-                .reports
+            results: reports
                 .into_iter()
                 .map(|report| CompileResult::from_report(report, &self.options))
                 .collect(),

@@ -11,7 +11,7 @@ use qudit_core::{
 };
 
 use crate::error::{Result, SynthesisError};
-use crate::mct::{emit_multi_controlled, MctLayout, MctSynthesis};
+use crate::mct::emit_multi_controlled;
 use crate::resources::Resources;
 
 /// Register layout of a [`ControlledUnitary`] synthesis.
@@ -226,10 +226,6 @@ pub fn emit_controlled_unitary(
     )?;
     Ok(())
 }
-
-/// Convenience re-export of the Toffoli layout type for documentation links.
-#[doc(hidden)]
-pub type _MctTypes = (MctLayout, MctSynthesis);
 
 #[cfg(test)]
 mod tests {

@@ -234,8 +234,7 @@ mod tests {
     /// Exhaustively checks that `gates` implements |00⟩-Xij with every other
     /// qudit (in a register of `width`) acting as a borrowed ancilla.
     fn check_gadget(dimension: Dimension, width: usize, gates: Vec<Gate>, i: u32, j: u32) {
-        let mut circuit = Circuit::new(dimension, width);
-        circuit.extend_gates(gates).unwrap();
+        let circuit = Circuit::from_gates(dimension, width, gates).unwrap();
         let d = dimension.as_usize();
         let size = dimension.register_size(width);
         for index in 0..size {

@@ -285,9 +285,7 @@ mod tests {
     }
 
     fn circuit_from(dimension: Dimension, width: usize, gates: Vec<Gate>) -> Circuit {
-        let mut c = Circuit::new(dimension, width);
-        c.extend_gates(gates).unwrap();
-        c
+        Circuit::from_gates(dimension, width, gates).unwrap()
     }
 
     #[test]

@@ -127,8 +127,7 @@ mod tests {
         let target = QuditId::new(k);
         let borrowed = QuditId::new(k + 1);
         let gates = mct_even_gates(dimension, &controls, target, 0, 1, borrowed).unwrap();
-        let mut circuit = Circuit::new(dimension, k + 2);
-        circuit.extend_gates(gates).unwrap();
+        let circuit = Circuit::from_gates(dimension, k + 2, gates).unwrap();
         for state in all_states(dimension, k + 2) {
             let mut expected = state.clone();
             if state[..k].iter().all(|&x| x == 0) {
@@ -165,8 +164,7 @@ mod tests {
         let controls: Vec<QuditId> = (0..3).map(QuditId::new).collect();
         let gates =
             mct_even_gates(dimension, &controls, QuditId::new(3), 2, 3, QuditId::new(4)).unwrap();
-        let mut circuit = Circuit::new(dimension, 5);
-        circuit.extend_gates(gates).unwrap();
+        let circuit = Circuit::from_gates(dimension, 5, gates).unwrap();
         for state in all_states(dimension, 5) {
             let mut expected = state.clone();
             if state[..3].iter().all(|&x| x == 0) {

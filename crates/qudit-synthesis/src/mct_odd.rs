@@ -112,8 +112,7 @@ mod tests {
         let controls: Vec<QuditId> = (0..k).map(QuditId::new).collect();
         let target = QuditId::new(k);
         let gates = mct_odd_gates(dimension, &controls, target, 0, 1).unwrap();
-        let mut circuit = Circuit::new(dimension, k + 1);
-        circuit.extend_gates(gates).unwrap();
+        let circuit = Circuit::from_gates(dimension, k + 1, gates).unwrap();
         for state in all_states(dimension, k + 1) {
             let mut expected = state.clone();
             if state[..k].iter().all(|&x| x == 0) {
@@ -156,8 +155,7 @@ mod tests {
         let dimension = dim(3);
         let controls: Vec<QuditId> = (0..3).map(QuditId::new).collect();
         let gates = mct_odd_gates(dimension, &controls, QuditId::new(3), 1, 2).unwrap();
-        let mut circuit = Circuit::new(dimension, 4);
-        circuit.extend_gates(gates).unwrap();
+        let circuit = Circuit::from_gates(dimension, 4, gates).unwrap();
         for state in all_states(dimension, 4) {
             let mut expected = state.clone();
             if state[..3].iter().all(|&x| x == 0) {

@@ -260,9 +260,7 @@ mod tests {
     }
 
     fn circuit_from(dimension: Dimension, width: usize, gates: Vec<Gate>) -> Circuit {
-        let mut c = Circuit::new(dimension, width);
-        c.extend_gates(gates).unwrap();
-        c
+        Circuit::from_gates(dimension, width, gates).unwrap()
     }
 
     /// Checks that a circuit implements `P_k` on (inputs, target) and leaves
@@ -353,10 +351,8 @@ mod tests {
         let inputs: Vec<QuditId> = (0..3).map(QuditId::new).collect();
         let gates =
             pk_gates_one_ancilla(dimension, &inputs, QuditId::new(3), QuditId::new(4)).unwrap();
-        let mut circuit = circuit_from(dimension, 5, gates.clone());
-        circuit
-            .extend_gates(inverse_gates(&gates, dimension))
-            .unwrap();
+        let round_trip = [gates.clone(), inverse_gates(&gates, dimension)].concat();
+        let circuit = circuit_from(dimension, 5, round_trip);
         for state in all_states(dimension, 5) {
             assert_eq!(circuit.apply_to_basis(&state).unwrap(), state);
         }

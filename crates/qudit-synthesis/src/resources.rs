@@ -4,8 +4,8 @@ use std::fmt;
 
 use qudit_core::{AncillaUsage, Circuit};
 
-use crate::compiler::{CompileOptions, OptLevel};
-use crate::error::{Result, SynthesisError};
+use crate::error::Result;
+use crate::lower::lower_to_elementary;
 
 /// Gate and ancilla counts of a synthesis, at the three circuit levels used
 /// by the evaluation:
@@ -41,21 +41,16 @@ impl Resources {
     /// it contains a general unitary gate, which has no G-gate expansion); in
     /// that case use [`Resources::for_macro_only`].
     pub fn for_circuit(circuit: &Circuit, ancillas: AncillaUsage) -> Result<Self> {
-        // One lowering-only (`O0`) compilation yields every level: the
-        // elementary counts from the first stage's output profile, the
-        // G-gate count from the second's.
-        let compiler = CompileOptions::new()
-            .opt_level(OptLevel::O0)
-            .shape(circuit.dimension(), circuit.width())
-            .compiler();
-        let result = compiler.compile(circuit).map_err(SynthesisError::from)?;
-        let elementary = &result.stats[0].after;
+        // The two lowering stages of an `O0` compilation, run directly so
+        // the elementary circuit can be counted too.
+        let elementary = lower_to_elementary(circuit)?;
+        let g_gates = qudit_core::lowering::lower_circuit(&elementary)?.len();
         Ok(Resources {
             width: circuit.width(),
             macro_gates: circuit.len(),
-            elementary_gates: elementary.gates,
-            two_qudit_gates: elementary.two_qudit_gates,
-            g_gates: result.circuit.len(),
+            elementary_gates: elementary.len(),
+            two_qudit_gates: elementary.iter().filter(|g| g.arity() == 2).count(),
+            g_gates,
             ancillas,
         })
     }

@@ -11,12 +11,12 @@
 //! multi-controlled gates of Section III reduce that to one.
 
 use qudit_core::math::SquareMatrix;
-use qudit_core::pipeline::PassManager;
 use qudit_core::{
     AncillaKind, AncillaUsage, Circuit, Control, Dimension, Gate, QuditId, SingleQuditOp,
 };
 use qudit_sim::basis::index_to_digits;
-use qudit_synthesis::{emit_controlled_unitary, LowerToElementary, Resources, SynthesisError};
+use qudit_synthesis::lower::lower_to_elementary;
+use qudit_synthesis::{emit_controlled_unitary, Resources, SynthesisError};
 
 use crate::two_level::{two_level_decompose, TwoLevelUnitary};
 
@@ -153,17 +153,13 @@ impl UnitarySynthesizer {
             AncillaUsage::none()
         };
         // General unitary gates have no G-gate expansion; report macro and
-        // elementary (two-qudit) counts from the elementary-lowering pass.
-        let report = PassManager::new()
-            .with_pass(LowerToElementary)
-            .run(circuit.clone())
-            .map_err(SynthesisError::from)?;
-        let elementary = &report.stats[0].after;
+        // elementary (two-qudit) counts from the elementary lowering.
+        let elementary = lower_to_elementary(&circuit)?;
         let resources = Resources {
             width: circuit.width(),
             macro_gates: circuit.len(),
-            elementary_gates: elementary.gates,
-            two_qudit_gates: elementary.two_qudit_gates,
+            elementary_gates: elementary.len(),
+            two_qudit_gates: elementary.iter().filter(|g| g.arity() == 2).count(),
             g_gates: 0,
             ancillas,
         };

@@ -44,9 +44,8 @@ fn sequential_and_parallel_compilation_agree() {
         assert_eq!(parallel.depth, reference.depth);
         for (a, b) in parallel.stats.iter().zip(&reference.stats) {
             assert_eq!(a.pass, b.pass);
-            assert_eq!(a.before.gates, b.before.gates, "gate counts must match");
-            assert_eq!(a.after.gates, b.after.gates, "gate counts must match");
-            assert_eq!(a.after.g_gates, b.after.g_gates, "G-gate counts must match");
+            assert_eq!(a.before, b.before, "gate counts and depths must match");
+            assert_eq!(a.after, b.after, "gate counts and depths must match");
         }
     }
 

@@ -101,7 +101,7 @@ fn failure(
     let manager = batch_manager(wrap(only_on(vec![circuit.clone()], inner)));
     let single = pass_failed(manager.run(circuit.clone()));
     let [empty, half] = passing_jobs(&circuit);
-    let batch = pass_failed(manager.run_batch(&[empty, circuit, half]));
+    let batch = pass_failed(manager.run_batch(vec![empty, circuit, half]));
     assert_eq!(batch, single, "the batch must report the job's own error");
     single
 }
@@ -138,16 +138,16 @@ fn a_batch_reports_its_first_failing_job_in_input_order() {
     let [empty5, _] = passing_jobs(&d5);
     let d4_message = "drop-middle: output circuit is not equivalent to its input (basis state [0, 1, 0, 0, 0, 0])";
     let d5_message = "drop-middle: output circuit is not equivalent to its input (basis state [2, 1, 0, 0, 0, 1])";
-    let jobs = [
+    let jobs = vec![
         empty4.clone(),
         d5.clone(),
         half4.clone(),
         d4.clone(),
         empty5.clone(),
     ];
-    assert_eq!(pass_failed(manager.run_batch(&jobs)), d5_message);
-    let jobs = [empty5, d4, half4, d5, empty4];
-    assert_eq!(pass_failed(manager.run_batch(&jobs)), d4_message);
+    assert_eq!(pass_failed(manager.run_batch(jobs)), d5_message);
+    let jobs = vec![empty5, d4, half4, d5, empty4];
+    assert_eq!(pass_failed(manager.run_batch(jobs)), d4_message);
 }
 
 #[test]

@@ -1,28 +1,35 @@
 //! End-to-end suite for the commutation-aware depth scheduler:
 //!
 //! * property-based: scheduled circuits are equivalent to their inputs (as
-//!   permutations and as unitaries), scheduling is idempotent, never increases depth, and the fused scan matches the
-//!   explicit-DAG reference `schedule_over` (the CI thread matrix
+//!   permutations and as unitaries), scheduling is idempotent, never
+//!   increases depth, and the fused scan matches the explicit-DAG reference
+//!   `schedule_over` of `tests/common/dag.rs` (the CI thread matrix
 //!   additionally runs this whole suite under `QUDIT_THREADS=1` and `=4`);
 //! * regression: on the E10 k-Toffoli family, `ScheduleDepth` never
 //!   increases `circuit_depth`, and golden depth values pin a few fixed
 //!   `(d, k)` points so future passes cannot silently regress depth;
-//! * reference: the fused scan equals `schedule_over` on the O2 k-Toffoli
-//!   family, on seeded circuits of all-distinct operations (where no two
-//!   gates share a wire signature, so the history never merges) and on a
-//!   merged run of readers behind a first-fit hole;
+//! * reference: the DAG holds exactly the non-commuting earlier gates, and
+//!   the fused scan equals `schedule_over` on the O2 k-Toffoli family, on
+//!   seeded random circuits over the full gate dialect, on seeded circuits
+//!   of all-distinct operations (where no two gates share a wire signature,
+//!   so the history never merges) and on a merged run of readers behind a
+//!   first-fit hole;
 //! * verification: the fully `VerifyEquivalence`-wrapped scheduled pipeline
 //!   accepts every circuit of the E10 sweep — each stage, including the
 //!   scheduler, is re-simulated and checked.
 
 mod common;
+#[path = "common/dag.rs"]
+mod dag;
 
 use common::build_mct_circuit;
+use dag::{schedule_over, DependencyDag};
 use proptest::prelude::*;
-use qudit_core::commute::{schedule_depth, schedule_over, DependencyDag};
+use qudit_core::commute::{gates_commute, schedule_depth};
 use qudit_core::depth::circuit_depth;
 use qudit_core::{Circuit, Control, Dimension, Gate, Permutation, QuditId, SingleQuditOp};
 use qudit_sim::equivalence::{verify_mct_sampled, MctSpec};
+use qudit_sim::random::random_dialect_circuit;
 use qudit_sim::{circuit_permutation, circuit_unitary};
 use qudit_synthesis::{CompileOptions, CompileResult, Compiler, KToffoli, OptLevel, Verify};
 use rand::rngs::StdRng;
@@ -205,11 +212,72 @@ fn verified_scheduled_pipeline_accepts_the_e10_sweep() {
 
 /// Asserts the fused scan reproduces the explicit-DAG reference schedule.
 fn assert_matches_reference(circuit: &Circuit, what: &str) {
-    let dag = DependencyDag::build(circuit);
-    let reference = schedule_over(circuit, &dag);
+    let reference = schedule_over(circuit, &DependencyDag::build(circuit));
     let scheduled = schedule_depth(circuit);
     assert_eq!(scheduled, reference.circuit, "{what}");
-    assert_eq!(circuit_depth(&scheduled), reference.depth(), "{what}");
+    let depth = reference.layers.last().copied().unwrap_or(0);
+    assert_eq!(circuit_depth(&scheduled), depth, "{what}");
+}
+
+#[test]
+fn dag_records_real_dependencies_only() {
+    let d = Dimension::new(3).unwrap();
+    let q = QuditId::new;
+    let mut circuit = Circuit::new(d, 3);
+    for gate in [
+        Gate::single(SingleQuditOp::Add(1), q(0)),
+        Gate::controlled(SingleQuditOp::Swap(0, 1), q(1), vec![Control::zero(q(0))]),
+        Gate::single(SingleQuditOp::Swap(0, 1), q(1)),
+    ] {
+        circuit.push(gate).unwrap();
+    }
+    let dag = DependencyDag::build(&circuit);
+    // Gate 1 reads q0, written by gate 0.
+    assert_eq!(dag.predecessors(1), &[0]);
+    // Gate 2 (X01 on q1) commutes with gate 1 (|0⟩-X01 onto q1): same
+    // target, same operation; and never touches q0.
+    assert_eq!(dag.predecessors(2), &[] as &[usize]);
+    let reference = schedule_over(&circuit, &dag);
+    assert_eq!(reference.layers, vec![1, 1, 2]);
+}
+
+#[test]
+fn reference_dag_holds_every_non_commuting_pair() {
+    // The per-wire scans must find exactly the all-pairs dependency set.
+    let mut rng = StdRng::seed_from_u64(0x9E37_79B9);
+    let circuit = random_dialect_circuit(Dimension::new(3).unwrap(), 4, 600, &mut rng);
+    let dag = DependencyDag::build(&circuit);
+    let gates = circuit.gates();
+    for j in 0..gates.len() {
+        let all_pairs: Vec<usize> = (0..j)
+            .filter(|&i| !gates_commute(circuit.dimension(), &gates[i], &gates[j]))
+            .collect();
+        let mut found = dag.predecessors(j).to_vec();
+        found.sort_unstable();
+        assert_eq!(found, all_pairs, "gate {j}");
+    }
+}
+
+#[test]
+fn fused_scan_matches_the_reference_on_random_circuits() {
+    for seed in 0..56u64 {
+        for d in 2..=5u32 {
+            let width = 2 + (seed as usize + d as usize) % 5;
+            let gates = 20 + (seed as usize * 7) % 60;
+            let mut rng = StdRng::seed_from_u64(0x5EED_0000 + seed * 31 + u64::from(d));
+            let circuit =
+                random_dialect_circuit(Dimension::new(d).unwrap(), width, gates, &mut rng);
+            assert_matches_reference(&circuit, &format!("seed {seed}, d = {d}, width = {width}"));
+        }
+    }
+}
+
+/// One long circuit, where wire histories grow deep.
+#[test]
+fn fused_scan_matches_the_reference_on_a_long_random_circuit() {
+    let mut rng = StdRng::seed_from_u64(0xFEED_FACE_CAFE_BEEF);
+    let circuit = random_dialect_circuit(Dimension::new(3).unwrap(), 4, 1061, &mut rng);
+    assert_matches_reference(&circuit, "long circuit");
 }
 
 /// The eleven k-Toffolis the O2 service benchmark compiles, with their gate
