@@ -61,7 +61,8 @@ impl CliffordTCostModel {
     /// # Panics
     ///
     /// Panics if the circuit contains a gate that is not a G-gate; lower the
-    /// circuit with `qudit_synthesis::lower::lower_to_g_gates` first.
+    /// circuit with `qudit_synthesis::lower::lower_to_elementary` and then
+    /// `qudit_core::lowering::lower_circuit` first.
     pub fn circuit_cost(&self, circuit: &Circuit) -> u64 {
         circuit.gates().iter().map(|g| self.gate_cost(g)).sum()
     }

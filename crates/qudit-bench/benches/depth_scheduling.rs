@@ -10,7 +10,8 @@
 //! the O2 family, and `schedule_distinct_perms` a 20k-gate circuit of
 //! all-distinct permutations, where the history never merges.  The
 //! `cancel_*` entries time `cancel_inverse_pairs` on the uncancelled O2
-//! circuits.
+//! circuits.  Both functions take their circuit by value, so each iteration
+//! clones the workload first.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qudit_core::commute::schedule_depth;
@@ -74,7 +75,7 @@ fn bench_schedule(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("schedule_{label}")),
             circuit,
-            |b, circuit| b.iter(|| circuit_depth(&schedule_depth(circuit))),
+            |b, circuit| b.iter(|| circuit_depth(&schedule_depth(circuit.clone()))),
         );
     }
     group.finish();
@@ -90,7 +91,7 @@ fn bench_cancel(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("cancel_d{d}_k{k}")),
             &ktoffoli(uncancelled.clone(), d, k),
-            |b, circuit| b.iter(|| cancel_inverse_pairs(circuit).len()),
+            |b, circuit| b.iter(|| cancel_inverse_pairs(circuit.clone()).len()),
         );
     }
     group.finish();

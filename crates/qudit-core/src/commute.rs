@@ -34,7 +34,9 @@
 //!   way into one run, and the backward scan stops as soon as the wire's
 //!   running maximum of assigned layers can no longer raise the bound.  The
 //!   scheduler suite (`tests/scheduler.rs`) pins it equal to an unfused
-//!   reference over an explicit DAG.
+//!   reference over an explicit DAG.  It takes the circuit by value and
+//!   moves its gates into layer order; the `schedule-depth` pass is one
+//!   call to it.
 //!
 //! # Oracle rules
 //!
@@ -81,7 +83,7 @@
 //! let mut circuit = Circuit::new(d, 3);
 //! circuit.push(a)?;
 //! circuit.push(b)?;
-//! let scheduled = schedule_depth(&circuit);
+//! let scheduled = schedule_depth(circuit.clone());
 //! assert!(circuit_depth(&scheduled) <= circuit_depth(&circuit));
 //! # Ok(())
 //! # }
@@ -471,7 +473,7 @@ fn schedule_layers(circuit: &Circuit) -> Vec<usize> {
 /// The returned circuit implements exactly the same operator as the input —
 /// only gate pairs the oracle proves commuting change relative order — and
 /// its [`circuit_depth`](crate::depth::circuit_depth) never exceeds the
-/// input's.
+/// input's.  The gates move into layer order instead of being cloned.
 ///
 /// # Example
 ///
@@ -494,18 +496,12 @@ fn schedule_layers(circuit: &Circuit) -> Vec<usize> {
 /// // layer-1 hole, which the emission order wasted.
 /// circuit.push(Gate::single(SingleQuditOp::Swap(0, 1), QuditId::new(1)))?;
 /// assert_eq!(circuit_depth(&circuit), 3);
-/// let scheduled = schedule_depth(&circuit);
+/// let scheduled = schedule_depth(circuit);
 /// assert_eq!(circuit_depth(&scheduled), 2);
 /// # Ok(())
 /// # }
 /// ```
-pub fn schedule_depth(circuit: &Circuit) -> Circuit {
-    schedule_owned(circuit.clone())
-}
-
-/// [`schedule_depth`] on an owned circuit: the gates move into layer order
-/// instead of being cloned.
-pub(crate) fn schedule_owned(circuit: Circuit) -> Circuit {
+pub fn schedule_depth(circuit: Circuit) -> Circuit {
     let layer = schedule_layers(&circuit);
     into_layer_order(circuit, &layer)
 }
@@ -725,7 +721,7 @@ mod tests {
     fn scheduling_fills_idle_wire_holes() {
         let c = sample_circuit();
         assert_eq!(circuit_depth(&c), 3);
-        let scheduled = schedule_depth(&c);
+        let scheduled = schedule_depth(c.clone());
         // The trailing X01 slides into q1's idle layer-1 slot.
         assert_eq!(circuit_depth(&scheduled), 2);
         // Semantics preserved on every basis state.
@@ -744,10 +740,10 @@ mod tests {
     #[test]
     fn scheduling_never_increases_depth_and_is_idempotent() {
         let c = random_mixed_circuit(0x1234_5678_9ABC_DEF0, 3, 5, 200);
-        let once = schedule_depth(&c);
+        let once = schedule_depth(c.clone());
         assert!(circuit_depth(&once) <= circuit_depth(&c));
         assert_eq!(once.len(), c.len());
-        let twice = schedule_depth(&once);
+        let twice = schedule_depth(once.clone());
         assert_eq!(once, twice, "scheduling must be idempotent");
     }
 
@@ -775,7 +771,7 @@ mod tests {
         }
         assert!(!gates_commute(d, &g1, &g3));
         assert_eq!(schedule_layers(&c), vec![1, 1, 2, 3, 1, 4]);
-        let scheduled = schedule_depth(&c);
+        let scheduled = schedule_depth(c);
         assert_eq!(scheduled.gates()[4], g1);
         assert_eq!(scheduled.gates()[5], g3);
     }
@@ -832,13 +828,13 @@ mod tests {
         let layers = schedule_layers(&c);
         assert_eq!(layers, vec![1, 2, 1]);
         let depth = layers.iter().copied().max().unwrap_or(0);
-        assert_eq!(depth, circuit_depth(&schedule_depth(&c)));
+        assert_eq!(depth, circuit_depth(&schedule_depth(c)));
     }
 
     #[test]
     fn empty_circuit_schedules_to_itself() {
         let c = Circuit::new(dim(3), 2);
-        assert_eq!(schedule_depth(&c), c);
+        assert_eq!(schedule_depth(c.clone()), c);
         assert!(schedule_layers(&c).is_empty());
     }
 }

@@ -8,10 +8,11 @@
 //!   fused program whose kernels traverse the `d^width` amplitude vector
 //!   once per group, applying the member actions back to back on the
 //!   gathered block — see [`plan_fusion`];
-//! * the `gate-fusion` pipeline pass ([`crate::pipeline::GateFusion`])
-//!   rewrites classical runs into a single composed permutation gate when
-//!   that provably does not increase the lowered G-gate cost — see
-//!   [`fuse_circuit`].
+//! * the `gate-fusion` pipeline pass ([`crate::pipeline::GateFusion`], one
+//!   call to [`fuse_circuit`]) rewrites classical runs into a single
+//!   composed permutation gate when that provably does not increase the
+//!   lowered G-gate cost; [`fuse_circuit`] takes the circuit by value and
+//!   moves the gates it keeps.
 //!
 //! # The grouping rule
 //!
@@ -177,8 +178,7 @@ fn canonical_op(permutation: Permutation) -> SingleQuditOp {
     SingleQuditOp::Perm(permutation)
 }
 
-/// Rewrites classical fusion runs of a circuit into single composed gates,
-/// returning the fused circuit and the number of gates removed.
+/// Rewrites classical fusion runs of a circuit into single composed gates.
 ///
 /// A run is rewritten only when that provably does not increase the lowered
 /// G-gate cost:
@@ -194,50 +194,55 @@ fn canonical_op(permutation: Permutation) -> SingleQuditOp {
 /// Non-classical gates, `AddFrom` gates, and gates with no same-support
 /// neighbours pass through unchanged (in plan emission order, which only
 /// reorders across disjoint classical gates — semantics-preserving by the
-/// rule in the module docs).
+/// rule in the module docs).  The gates the rewrite keeps move to the
+/// output instead of being cloned, and every output gate is validated for
+/// the register.
 ///
 /// # Errors
 ///
 /// Returns an error when a gate of the circuit is invalid for its register.
-pub fn fuse_circuit(circuit: &Circuit) -> Result<Circuit> {
-    let dimension = circuit.dimension();
-    let gates = circuit.gates();
-    let plan = plan_fusion(gates, false);
-    let mut out = Circuit::new(dimension, circuit.width());
+pub fn fuse_circuit(circuit: Circuit) -> Result<Circuit> {
+    let (dimension, width) = (circuit.dimension(), circuit.width());
+    let plan = plan_fusion(circuit.gates(), false);
+    // Every gate sits in exactly one group, so each slot is emptied once.
+    let mut slots: Vec<Option<Gate>> = circuit.into_gates().into_iter().map(Some).collect();
+    let mut out = Vec::with_capacity(slots.len());
     for group in &plan.groups {
-        if group.members.len() == 1 {
-            out.push(gates[group.members[0]].clone())?;
-            continue;
-        }
-        let mut composed = Permutation::identity(dimension);
-        let mut member_cost = 0usize;
-        for &index in &group.members {
-            let GateOp::Single(op) = gates[index].op() else {
-                unreachable!("multi-gate groups only contain Single members");
-            };
-            member_cost += transposition_cost(op, dimension)?;
-            // Members apply first-to-last: the run's permutation is
-            // `p_last ∘ … ∘ p_first`.
-            composed = op.to_permutation(dimension)?.compose(&composed);
-        }
-        if composed.is_identity() {
-            continue;
-        }
-        let fused_cost = composed.transpositions().len();
-        if fused_cost < member_cost {
-            let template = &gates[group.first()];
-            out.push(Gate::new(
-                GateOp::Single(canonical_op(composed)),
-                template.target(),
-                template.controls().to_vec(),
-            ))?;
-        } else {
+        if group.members.len() > 1 {
+            let member = |index: usize| slots[index].as_ref().expect("each gate is in one group");
+            let mut composed = Permutation::identity(dimension);
+            let mut member_cost = 0usize;
             for &index in &group.members {
-                out.push(gates[index].clone())?;
+                let GateOp::Single(op) = member(index).op() else {
+                    unreachable!("multi-gate groups only contain Single members");
+                };
+                member_cost += transposition_cost(op, dimension)?;
+                // Members apply first-to-last: the run's permutation is
+                // `p_last ∘ … ∘ p_first`.
+                composed = op.to_permutation(dimension)?.compose(&composed);
+            }
+            if composed.is_identity() {
+                continue;
+            }
+            if composed.transpositions().len() < member_cost {
+                let template = member(group.first());
+                out.push(Gate::new(
+                    GateOp::Single(canonical_op(composed)),
+                    template.target(),
+                    template.controls().to_vec(),
+                ));
+                continue;
             }
         }
+        // Lone gates and runs that would not shrink stay as written.
+        out.extend(
+            group
+                .members
+                .iter()
+                .map(|&index| slots[index].take().expect("each gate is in one group")),
+        );
     }
-    Ok(out)
+    Circuit::from_gates(dimension, width, out)
 }
 
 #[cfg(test)]
@@ -392,7 +397,7 @@ mod tests {
                 controls,
             ))
             .unwrap();
-        let fused = fuse_circuit(&circuit).unwrap();
+        let fused = fuse_circuit(circuit.clone()).unwrap();
         assert!(fused.is_empty());
     }
 
@@ -406,7 +411,7 @@ mod tests {
         circuit
             .push(Gate::single(SingleQuditOp::Add(2), QuditId::new(0)))
             .unwrap();
-        let fused = fuse_circuit(&circuit).unwrap();
+        let fused = fuse_circuit(circuit.clone()).unwrap();
         assert_eq!(fused.len(), 1);
         assert_eq!(
             fused.gates()[0].op(),
@@ -433,7 +438,7 @@ mod tests {
         circuit
             .push(Gate::single(SingleQuditOp::Swap(2, 3), QuditId::new(0)))
             .unwrap();
-        let fused = fuse_circuit(&circuit).unwrap();
+        let fused = fuse_circuit(circuit.clone()).unwrap();
         assert_eq!(fused, circuit);
     }
 
@@ -458,7 +463,7 @@ mod tests {
         circuit
             .push(Gate::single(SingleQuditOp::Add(1), QuditId::new(2)))
             .unwrap();
-        let fused = fuse_circuit(&circuit).unwrap();
+        let fused = fuse_circuit(circuit.clone()).unwrap();
         // The two shifts on q2 compose to the identity and vanish.
         assert_eq!(fused.len(), 2);
         for a in 0..3 {

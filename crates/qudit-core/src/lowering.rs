@@ -6,9 +6,11 @@
 //! final step shared by every construction: conjugating levels so that all
 //! controlled gates become `|0⟩-X01`.
 //!
-//! A lowering is one walk over the gates that emits straight into its output
-//! vector.  The level permutations it decomposes live in [`Transpositions`]
-//! buffers the walk reuses, so a warm walk allocates only the gates it emits.
+//! [`lower_circuit`] is the one entry point (the `lower-to-g-gates` pass is
+//! one call to it): one walk over the gates that emits straight into its
+//! output vector.  The level permutations it decomposes live in
+//! [`Transpositions`] buffers the walk reuses, so a warm walk allocates only
+//! the gates it emits.
 
 use crate::circuit::Circuit;
 use crate::control::Control;
@@ -19,24 +21,14 @@ use crate::ops::{push_transpositions, SingleQuditOp};
 use crate::pipeline::GateWalk;
 use crate::qudit::QuditId;
 
-/// Lowers a single gate with at most one control into G-gates.
+/// Lowers every gate of a circuit, each with at most one control, into
+/// G-gates.
 ///
 /// # Errors
 ///
 /// Returns [`QuditError::UnsupportedLowering`] for gates with two or more
 /// controls (or a value-controlled shift with an extra control), and
 /// [`QuditError::NotClassical`] for non-permutation unitaries.
-pub fn lower_gate(gate: &Gate, dimension: Dimension) -> Result<Vec<Gate>> {
-    let mut out = Vec::new();
-    GGateWalk::new(dimension).emit(gate, &mut out)?;
-    Ok(out)
-}
-
-/// Lowers every gate of a circuit into G-gates.
-///
-/// # Errors
-///
-/// Propagates the per-gate errors of [`lower_gate`].
 pub fn lower_circuit(circuit: &Circuit) -> Result<Circuit> {
     let dimension = circuit.dimension();
     let mut walk = GGateWalk::new(dimension);
@@ -47,15 +39,6 @@ pub fn lower_circuit(circuit: &Circuit) -> Result<Circuit> {
     // Every emitted gate acts on its source gate's wires with levels below
     // `d`, so it is valid for the input's register.
     Ok(Circuit::from_valid_gates(dimension, circuit.width(), out))
-}
-
-/// Returns the number of G-gates a circuit lowers to.
-///
-/// # Errors
-///
-/// Propagates the errors of [`lower_circuit`].
-pub fn g_gate_count(circuit: &Circuit) -> Result<usize> {
-    Ok(lower_circuit(circuit)?.len())
 }
 
 /// A run of transpositions `(i, j)`, in time order.
@@ -241,10 +224,17 @@ mod tests {
         Dimension::new(d).unwrap()
     }
 
+    /// The G-gates of one gate, from a fresh walk.
+    fn walk_one(gate: &Gate, dimension: Dimension) -> Result<Vec<Gate>> {
+        let mut out = Vec::new();
+        GGateWalk::new(dimension).emit(gate, &mut out)?;
+        Ok(out)
+    }
+
     /// Checks that the lowering of `gate` acts identically to `gate` on every
     /// basis state of a width-`width` register.
     fn assert_lowering_equivalent(gate: &Gate, dimension: Dimension, width: usize) {
-        let lowered = lower_gate(gate, dimension).expect("gate should lower");
+        let lowered = walk_one(gate, dimension).expect("gate should lower");
         for g in &lowered {
             assert!(g.is_g_gate(), "lowered gate {g} is not a G-gate");
         }
@@ -368,7 +358,7 @@ mod tests {
             ],
         );
         assert!(matches!(
-            lower_gate(&gate, dimension),
+            walk_one(&gate, dimension),
             Err(QuditError::UnsupportedLowering { .. })
         ));
         let star = Gate::add_from(
@@ -378,7 +368,7 @@ mod tests {
             vec![Control::zero(QuditId::new(1))],
         );
         assert!(matches!(
-            lower_gate(&star, dimension),
+            walk_one(&star, dimension),
             Err(QuditError::UnsupportedLowering { .. })
         ));
     }
@@ -396,7 +386,7 @@ mod tests {
             .unwrap();
         let lowered = lower_circuit(&circuit).unwrap();
         assert!(lowered.gates().iter().all(Gate::is_g_gate));
-        assert_eq!(g_gate_count(&circuit).unwrap(), lowered.len());
+        assert_eq!(lowered.g_gate_count(), lowered.len());
         assert!(!lowered.is_empty());
     }
 
@@ -443,6 +433,6 @@ mod tests {
             QuditId::new(1),
             vec![Control::zero(QuditId::new(0))],
         );
-        assert_eq!(lower_gate(&gate, dimension).unwrap(), vec![gate]);
+        assert_eq!(walk_one(&gate, dimension).unwrap(), vec![gate]);
     }
 }

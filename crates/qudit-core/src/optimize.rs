@@ -14,8 +14,9 @@
 //! gates on disjoint qudits commute, gates sharing a qudit do not), so the
 //! sweep removes every cancellable pair however far apart its gates started,
 //! and the result is fully reduced — a second application is the identity.
-//! The work per gate is bounded by its arity, and the pass moves the gates it
-//! keeps instead of cloning them.
+//! The work per gate is bounded by its arity.  [`cancel_inverse_pairs`] takes
+//! the circuit by value and moves the gates it keeps instead of cloning
+//! them; the `cancel-inverse-pairs` pass is one call to it.
 
 use crate::circuit::Circuit;
 use crate::gate::Gate;
@@ -29,7 +30,8 @@ use crate::gate::Gate;
 /// is then removed as well.
 ///
 /// The result implements exactly the same unitary as the input and contains
-/// no further cancellable pair (see the module docs).
+/// no further cancellable pair (see the module docs).  The retained gates
+/// move to the output instead of being cloned.
 ///
 /// # Example
 ///
@@ -42,24 +44,18 @@ use crate::gate::Gate;
 /// let mut circuit = Circuit::new(d, 1);
 /// circuit.push(Gate::single(SingleQuditOp::Add(1), QuditId::new(0)))?;
 /// circuit.push(Gate::single(SingleQuditOp::Add(2), QuditId::new(0)))?;
-/// assert_eq!(cancel_inverse_pairs(&circuit).len(), 2);
+/// assert_eq!(cancel_inverse_pairs(circuit).len(), 2);
 ///
 /// // X+1 followed by X−1 (= X+4) cancels, leaving only the trailing X+2.
 /// let mut circuit = Circuit::new(d, 1);
 /// circuit.push(Gate::single(SingleQuditOp::Add(1), QuditId::new(0)))?;
 /// circuit.push(Gate::single(SingleQuditOp::Add(4), QuditId::new(0)))?;
 /// circuit.push(Gate::single(SingleQuditOp::Add(2), QuditId::new(0)))?;
-/// assert_eq!(cancel_inverse_pairs(&circuit).len(), 1);
+/// assert_eq!(cancel_inverse_pairs(circuit).len(), 1);
 /// # Ok(())
 /// # }
 /// ```
-pub fn cancel_inverse_pairs(circuit: &Circuit) -> Circuit {
-    cancel_owned(circuit.clone())
-}
-
-/// [`cancel_inverse_pairs`] on an owned circuit: the retained gates move to
-/// the output instead of being cloned.
-pub(crate) fn cancel_owned(circuit: Circuit) -> Circuit {
+pub fn cancel_inverse_pairs(circuit: Circuit) -> Circuit {
     let (dimension, width) = (circuit.dimension(), circuit.width());
     // `kept[i]` is Some(gate) while gate i is still in the output.
     let mut kept: Vec<Option<Gate>> = Vec::with_capacity(circuit.len());
@@ -145,7 +141,7 @@ mod tests {
         );
         c.push(gate.clone()).unwrap();
         c.push(gate).unwrap();
-        let optimized = cancel_inverse_pairs(&c);
+        let optimized = cancel_inverse_pairs(c);
         assert!(optimized.is_empty());
     }
 
@@ -162,7 +158,7 @@ mod tests {
             .unwrap();
         c.push(Gate::single(SingleQuditOp::Add(4), QuditId::new(0)))
             .unwrap();
-        let optimized = cancel_inverse_pairs(&c);
+        let optimized = cancel_inverse_pairs(c);
         assert!(optimized.is_empty());
     }
 
@@ -181,7 +177,7 @@ mod tests {
         ))
         .unwrap();
         c.push(swap).unwrap();
-        let optimized = cancel_inverse_pairs(&c);
+        let optimized = cancel_inverse_pairs(c.clone());
         assert_eq!(optimized.len(), 3);
         assert_same_action(&c, &optimized);
     }
@@ -195,7 +191,7 @@ mod tests {
         c.push(Gate::single(SingleQuditOp::Add(1), QuditId::new(2)))
             .unwrap();
         c.push(swap).unwrap();
-        let optimized = cancel_inverse_pairs(&c);
+        let optimized = cancel_inverse_pairs(c.clone());
         assert_eq!(optimized.len(), 1);
         assert_same_action(&c, &optimized);
     }
@@ -216,7 +212,7 @@ mod tests {
             vec![Control::level(QuditId::new(0), 1)],
         ))
         .unwrap();
-        let optimized = cancel_inverse_pairs(&c);
+        let optimized = cancel_inverse_pairs(c);
         assert_eq!(optimized.len(), 2);
     }
 
@@ -242,7 +238,7 @@ mod tests {
         for gate in gates {
             c.push(gate).unwrap();
         }
-        let optimized = cancel_inverse_pairs(&c);
+        let optimized = cancel_inverse_pairs(c.clone());
         assert!(optimized.len() < c.len());
         assert_same_action(&c, &optimized);
     }
@@ -291,9 +287,9 @@ mod tests {
     fn one_sweep_is_a_fixed_point() {
         for seed in [0x2545_F491_4F6C_DD1D, 7, 0xDEAD_BEEF] {
             let c = mixed_circuit(3172, seed);
-            let once = cancel_inverse_pairs(&c);
+            let once = cancel_inverse_pairs(c.clone());
             assert!(once.len() < c.len(), "the workload must cancel something");
-            let twice = cancel_inverse_pairs(&once);
+            let twice = cancel_inverse_pairs(once.clone());
             assert_eq!(once, twice, "reduction must reach a fixed point");
             assert_same_action(&c, &once);
         }
@@ -316,6 +312,6 @@ mod tests {
             c.push(gate.inverse(d)).unwrap();
         }
         assert_eq!(c.len(), 2048);
-        assert!(cancel_inverse_pairs(&c).is_empty());
+        assert!(cancel_inverse_pairs(c).is_empty());
     }
 }

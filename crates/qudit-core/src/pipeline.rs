@@ -247,11 +247,6 @@ impl PassStats {
     pub fn gate_delta(&self) -> i64 {
         self.after.gates as i64 - self.before.gates as i64
     }
-
-    /// Signed change in depth.
-    pub fn depth_delta(&self) -> i64 {
-        self.after.depth as i64 - self.before.depth as i64
-    }
 }
 
 impl fmt::Display for PassStats {
@@ -773,7 +768,7 @@ impl Pass for GateFusion {
     }
 
     fn run(&self, circuit: Circuit) -> Result<Circuit> {
-        crate::fusion::fuse_circuit(&circuit)
+        crate::fusion::fuse_circuit(circuit)
     }
 }
 
@@ -792,7 +787,7 @@ impl Pass for CancelInversePairs {
     }
 
     fn run(&self, circuit: Circuit) -> Result<Circuit> {
-        Ok(optimize::cancel_owned(circuit))
+        Ok(optimize::cancel_inverse_pairs(circuit))
     }
 }
 
@@ -870,7 +865,7 @@ impl Pass for ScheduleDepth {
     }
 
     fn run(&self, circuit: Circuit) -> Result<Circuit> {
-        Ok(commute::schedule_owned(circuit))
+        Ok(commute::schedule_depth(circuit))
     }
 }
 

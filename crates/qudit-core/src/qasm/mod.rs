@@ -314,7 +314,12 @@ impl From<ParseError> for QuditError {
 ///
 /// # Errors
 ///
-/// Returns the first [`ParseError`] encountered, in source order.
+/// Returns one [`ParseError`].  The stages run one after another over the
+/// whole source — lexing, then parsing, then lowering — and each stops at
+/// its first error, so the error reported is the first of the earliest
+/// failing stage, not the first in source order: any lexical error wins
+/// over any grammar error, and any grammar error wins over any semantic
+/// error (an unknown gate, a bad level, a wrong operand count).
 pub fn parse_source(source: &str) -> Result<Circuit, ParseError> {
     lower::lower_program(&parser::parse_program(source)?)
 }
@@ -327,6 +332,23 @@ mod tests {
     fn spans_format_one_based() {
         assert_eq!(Span::start().to_string(), "line 1, column 1");
         assert_eq!(Span::new(4, 17).to_string(), "line 4, column 17");
+    }
+
+    #[test]
+    fn errors_follow_stage_precedence_not_source_order() {
+        // A later stray character (lexical) wins over an earlier unknown gate
+        // (semantic).
+        let error = parse_source("qudit[3] q[1]; warble q[0]; $").unwrap_err();
+        assert_eq!(error.kind, ParseErrorKind::UnexpectedChar('$'));
+        assert_eq!(error.span, Span::new(1, 29));
+        // A later unclosed parameter list (grammar) wins over an earlier
+        // unknown gate.
+        let error = parse_source("qudit[3] q[1];\nwarble q[0];\nshift(1 q[0];").unwrap_err();
+        assert!(
+            matches!(error.kind, ParseErrorKind::UnexpectedToken { .. }),
+            "{error}"
+        );
+        assert_eq!(error.span.line, 3);
     }
 
     #[test]

@@ -15,9 +15,11 @@ use super::{ParseError, ParseErrorKind, Span};
 ///
 /// # Errors
 ///
-/// Returns the first [`ParseError`] in source order: lexical errors, grammar
-/// violations, a missing/duplicate register declaration, or an unsupported
-/// `OPENQASM` version.
+/// Returns one [`ParseError`]: a lexical error, a grammar violation, a
+/// missing/duplicate register declaration, or an unsupported `OPENQASM`
+/// version.  The whole source is tokenized before any of it is parsed, so
+/// the first lexical error wins over any grammar error, wherever the two
+/// sit; among grammar errors, the first in source order is reported.
 ///
 /// # Example
 ///

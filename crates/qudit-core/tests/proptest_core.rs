@@ -221,8 +221,7 @@ proptest! {
         specs in prop::collection::vec(gate_spec(6, 8), 1..16),
         threads in 1usize..=4,
     ) {
-        use qudit_core::lowering::lower_gate;
-        use qudit_core::pipeline::{LowerToGGates, PassManager};
+        use qudit_core::pipeline::{LowerToGGates, Pass, PassManager};
         use qudit_core::pool::WorkStealingPool;
 
         // Clamp the specs to the chosen dimension and width.
@@ -242,7 +241,8 @@ proptest! {
 
         let mut per_gate = Vec::new();
         for gate in circuit.gates() {
-            per_gate.extend(lower_gate(gate, dimension).unwrap());
+            let mut walk = LowerToGGates.gate_walk(&circuit).unwrap();
+            walk.emit(gate, &mut per_gate).unwrap();
         }
         prop_assert_eq!(reference.gates(), per_gate.as_slice());
 

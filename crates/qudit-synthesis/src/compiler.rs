@@ -333,31 +333,6 @@ impl CompileOptions {
         SimBackend::Auto
     }
 
-    /// Whether the gate-fusion stage is enabled.
-    pub fn fuses(&self) -> bool {
-        self.fusion
-    }
-
-    /// Whether the cancellation stage is enabled.
-    pub fn cancels(&self) -> bool {
-        self.cancel
-    }
-
-    /// Whether the scheduling stage is enabled.
-    pub fn schedules(&self) -> bool {
-        self.schedule
-    }
-
-    /// The configured pool sizing.
-    pub fn thread_mode(&self) -> Threads {
-        self.threads
-    }
-
-    /// The pinned register shape, if any.
-    pub fn register_shape(&self) -> Option<(Dimension, usize)> {
-        self.shape
-    }
-
     /// The coupling graph routing targets, if routing is enabled.
     pub fn coupling_graph(&self) -> Option<&CouplingGraph> {
         self.topology.as_ref()
@@ -380,7 +355,7 @@ impl CompileOptions {
         spec = spec
             .with_stage("lower-to-elementary")
             .with_stage("lower-to-g-gates");
-        if self.cancels() {
+        if self.cancel {
             spec = spec.with_stage("cancel-inverse-pairs");
         }
         if self.topology.is_some() {

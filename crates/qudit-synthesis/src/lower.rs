@@ -1,16 +1,16 @@
 //! Lowering of macro gates (two controls, value-controlled shifts) to
-//! elementary gates and to the G-gate set.
+//! elementary gates.
 //!
 //! The synthesis algorithms emit *macro circuits*: circuits whose gates have
 //! at most two controls, possibly with the value-controlled shift `|⋆⟩-X±⋆`
 //! carrying one additional control.  This module lowers those macro gates to
-//!
-//! 1. **elementary gates** — gates with at most one control and classical
-//!    single-qudit operations (every gate touches at most two qudits), using
-//!    the Fig. 2 / Fig. 5 gadgets for the two-controlled cases; and then to
-//! 2. **G-gates** — `{Xij} ∪ {|0⟩-X01}` via `qudit_core::lowering`.
+//! **elementary gates** — gates with at most one control and classical
+//! single-qudit operations (every gate touches at most two qudits) — using
+//! the Fig. 2 / Fig. 5 gadgets for the two-controlled cases.  The next
+//! stage, `qudit_core::lowering::lower_circuit`, takes elementary gates to
+//! the **G-gate** set `{Xij} ∪ {|0⟩-X01}`.
 
-use qudit_core::lowering::{self as core_lowering, Transpositions};
+use qudit_core::lowering::Transpositions;
 use qudit_core::{
     Circuit, Control, ControlPredicate, Dimension, Gate, GateOp, QuditId, SingleQuditOp,
 };
@@ -42,27 +42,6 @@ pub fn lower_to_elementary(circuit: &Circuit) -> Result<Circuit> {
         circuit.width(),
         gates,
     )?)
-}
-
-/// Lowers a macro circuit all the way to the elementary G-gate set
-/// `{Xij} ∪ {|0⟩-X01}`.
-///
-/// # Errors
-///
-/// See [`lower_to_elementary`]; additionally fails if the circuit contains a
-/// non-classical (general unitary) gate, which has no G-gate expansion.
-pub fn lower_to_g_gates(circuit: &Circuit) -> Result<Circuit> {
-    let elementary = lower_to_elementary(circuit)?;
-    core_lowering::lower_circuit(&elementary).map_err(SynthesisError::from)
-}
-
-/// Counts the G-gates a macro circuit lowers to.
-///
-/// # Errors
-///
-/// See [`lower_to_g_gates`].
-pub fn g_gate_count(circuit: &Circuit) -> Result<usize> {
-    Ok(lower_to_g_gates(circuit)?.len())
 }
 
 /// One macro-to-elementary lowering walk over a register, with the level
@@ -250,7 +229,7 @@ mod tests {
             let elementary = lower_to_elementary(&circuit).unwrap();
             assert!(elementary.max_controls() <= 1);
             assert_equivalent(&circuit, &elementary);
-            let g = lower_to_g_gates(&circuit).unwrap();
+            let g = qudit_core::lowering::lower_circuit(&elementary).unwrap();
             assert!(g.gates().iter().all(Gate::is_g_gate));
             assert_equivalent(&circuit, &g);
         }
@@ -356,22 +335,5 @@ mod tests {
             lower_to_elementary(&circuit),
             Err(SynthesisError::Lowering { .. })
         ));
-    }
-
-    #[test]
-    fn g_gate_count_matches_lowered_length() {
-        let dimension = dim(5);
-        let gate = Gate::controlled(
-            SingleQuditOp::Swap(0, 1),
-            QuditId::new(2),
-            vec![
-                Control::zero(QuditId::new(0)),
-                Control::zero(QuditId::new(1)),
-            ],
-        );
-        let circuit = macro_circuit(dimension, 3, gate);
-        let count = g_gate_count(&circuit).unwrap();
-        assert_eq!(count, lower_to_g_gates(&circuit).unwrap().len());
-        assert!(count > 0);
     }
 }

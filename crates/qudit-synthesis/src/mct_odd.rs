@@ -11,8 +11,9 @@ use crate::pk::pk_gates_one_ancilla;
 ///
 /// The returned gates have at most two controls (plus the value-controlled
 /// shifts of the internal `P_k` constructions); lower them with
-/// [`crate::lower::lower_to_g_gates`] to obtain the `O(k·d³)` G-gate circuit
-/// of the theorem.
+/// [`crate::lower::lower_to_elementary`] and then
+/// `qudit_core::lowering::lower_circuit` to obtain the `O(k·d³)` G-gate
+/// circuit of the theorem.
 ///
 /// # Errors
 ///

@@ -89,9 +89,10 @@ mod tests {
 
             // The default flow opens with macro-level gate fusion, so the
             // manual chain starts from the fused circuit.
-            let fused = qudit_core::fusion::fuse_circuit(&macro_circuit).unwrap();
+            let fused = qudit_core::fusion::fuse_circuit(macro_circuit.clone()).unwrap();
+            let elementary = lower::lower_to_elementary(&fused).unwrap();
             let manual = qudit_core::optimize::cancel_inverse_pairs(
-                &lower::lower_to_g_gates(&fused).unwrap(),
+                qudit_core::lowering::lower_circuit(&elementary).unwrap(),
             );
             let report = CompileOptions::new()
                 .shape(dim(d), width)

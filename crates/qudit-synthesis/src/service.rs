@@ -11,7 +11,9 @@
 //!   object per line (see [Protocol](#protocol)).
 //! * **Scheduling** — jobs enter per-tenant FIFO queues.  At most one job
 //!   per tenant is in flight at a time, so a tenant's replies always come
-//!   back in submission order, and no tenant can monopolise the workers.
+//!   back in submission order.  Workers serve tenants round-robin: a tenant
+//!   with queued work waits in a FIFO ring, and after each job it rejoins
+//!   the back of the ring, so no tenant can monopolise the workers.
 //! * **Admission control** — a tenant whose queue is at
 //!   [`ServiceConfig::max_queue_depth`] gets a typed `rejected` reply
 //!   instead of unbounded buffering.
@@ -259,6 +261,10 @@ struct SchedulerState {
     /// Tenants with a queued or in-flight job; a worker removes a tenant
     /// when it finishes the tenant's last job.
     tenants: HashMap<String, TenantQueue>,
+    /// The tenants with a queued job and none in flight, in the order they
+    /// became runnable: workers serve the front, and a tenant rejoins the
+    /// back after each job.
+    runnable: VecDeque<String>,
     /// Queued plus in-flight jobs — the quantity backpressure bounds.
     pending: usize,
     shutdown: bool,
@@ -308,6 +314,7 @@ impl CompileService {
         let shared = Arc::new(Shared {
             state: Mutex::new(SchedulerState {
                 tenants: HashMap::new(),
+                runnable: VecDeque::new(),
                 pending: 0,
                 shutdown: false,
             }),
@@ -405,14 +412,20 @@ fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 /// The listener thread: accepts connections until shutdown, spawning one
-/// reader thread per connection.
+/// reader thread per connection.  Each accept first joins the readers whose
+/// connection has ended, so closed connections keep no thread; shutdown
+/// joins the live ones.
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, readers: &Mutex<Vec<JoinHandle<()>>>) {
     while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
                 let shared = shared.clone();
                 let handle = std::thread::spawn(move || reader_loop(stream, &shared));
-                lock_unpoisoned(readers).push(handle);
+                let mut readers = lock_unpoisoned(readers);
+                for finished in readers.extract_if(.., |reader| reader.is_finished()) {
+                    let _ = finished.join();
+                }
+                readers.push(handle);
             }
             Err(error) if error.kind() == io::ErrorKind::WouldBlock => {
                 std::thread::sleep(POLL_INTERVAL);
@@ -522,29 +535,29 @@ fn handle_line(line: &str, shared: &Arc<Shared>, reply_to: &Arc<Mutex<TcpStream>
         );
         return;
     }
+    // An idle tenant becomes runnable with its first queued job; a busy one
+    // rejoins the ring when its in-flight job finishes.
+    let joins_ring = !queue.busy && queue.jobs.is_empty();
+    let tenant = joins_ring.then(|| request.tenant.clone());
     queue.jobs.push_back(Job {
         request,
         reply_to: reply_to.clone(),
     });
+    state.runnable.extend(tenant);
     state.pending += 1;
     shared.accepted.fetch_add(1, Ordering::Relaxed);
     drop(state);
     shared.job_ready.notify_all();
 }
 
-/// One compile worker: claims runnable jobs (front of a non-busy tenant's
-/// queue), compiles them and writes the reply.  Exits when shutdown is set
-/// and nothing is runnable — queued jobs are drained first.
+/// One compile worker: claims the next job of the tenant at the front of
+/// the runnable ring, compiles it and writes the reply.  Exits when
+/// shutdown is set and nothing is runnable — queued jobs are drained first.
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
         let mut state = lock_unpoisoned(&shared.state);
         let job = loop {
-            let runnable = state
-                .tenants
-                .iter()
-                .find(|(_, queue)| !queue.busy && !queue.jobs.is_empty())
-                .map(|(tenant, _)| tenant.clone());
-            if let Some(tenant) = runnable {
+            if let Some(tenant) = state.runnable.pop_front() {
                 let queue = state.tenants.get_mut(&tenant).expect("tenant exists");
                 queue.busy = true;
                 break queue.jobs.pop_front().expect("queue is non-empty");
@@ -567,9 +580,11 @@ fn worker_loop(shared: &Arc<Shared>) {
         if let Some(queue) = state.tenants.get_mut(&job.request.tenant) {
             queue.busy = false;
             // A drained tenant leaves the map, so it does not grow with
-            // tenant churn and idle workers scan only live queues.
+            // tenant churn; one with queued work rejoins the ring's back.
             if queue.jobs.is_empty() {
                 state.tenants.remove(&job.request.tenant);
+            } else {
+                state.runnable.push_back(job.request.tenant);
             }
         }
         state.pending -= 1;
@@ -582,7 +597,8 @@ fn worker_loop(shared: &Arc<Shared>) {
 }
 
 /// Drops every queued job whose reply goes to `connection`, now shut down,
-/// counting each as rejected; tenants left idle and empty leave the map.
+/// counting each as rejected; tenants left idle and empty leave the map and
+/// the runnable ring.
 fn drop_jobs_of(state: &mut SchedulerState, shared: &Shared, connection: &Arc<Mutex<TcpStream>>) {
     let mut dropped = 0;
     state.tenants.retain(|_, queue| {
@@ -593,6 +609,8 @@ fn drop_jobs_of(state: &mut SchedulerState, shared: &Shared, connection: &Arc<Mu
         dropped += queued - queue.jobs.len();
         queue.busy || !queue.jobs.is_empty()
     });
+    let tenants = &state.tenants;
+    state.runnable.retain(|tenant| tenants.contains_key(tenant));
     state.pending -= dropped;
     shared.rejected.fetch_add(dropped as u64, Ordering::Relaxed);
 }
@@ -986,6 +1004,26 @@ mod tests {
         // Shutdown joins the workers, so every completion is booked.
         service.shutdown();
         assert_eq!(lock_unpoisoned(&shared.state).tenants.len(), 0);
+    }
+
+    #[test]
+    fn closed_connections_leave_no_reader_threads() {
+        let service = CompileService::start(ServiceConfig::new()).unwrap();
+        let request = JobRequest {
+            tenant: "t".to_string(),
+            id: "0".to_string(),
+            source: "OPENQASM 3.0;\nqudit[3] q[2];\nswap(0, 1) q[0];\n".to_string(),
+        };
+        for _ in 0..50 {
+            let mut client = ServiceClient::connect(service.local_addr()).unwrap();
+            assert!(client.roundtrip(&request).unwrap().is_ok());
+        }
+        // The reply proves the acceptor took this connection, after it had
+        // joined every reader that had already exited.
+        let mut last = ServiceClient::connect(service.local_addr()).unwrap();
+        assert!(last.roundtrip(&request).unwrap().is_ok());
+        let live = lock_unpoisoned(&service.readers).len();
+        assert!(live <= 4, "{live} reader handles kept after 51 connections");
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! End-to-end tests of the compile service: concurrent clients, admission
-//! control, backpressure, a client that stops reading, and the byte-level
-//! framing of request lines (multi-byte UTF-8 split across reads, invalid
-//! UTF-8, an oversized line).
+//! End-to-end tests of the compile service: concurrent clients, round-robin
+//! service of busy tenants, admission control, backpressure, a client that
+//! stops reading, and the byte-level framing of request lines (multi-byte
+//! UTF-8 split across reads, invalid UTF-8, an oversized line).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -93,6 +93,41 @@ fn concurrent_tenants_each_get_exactly_one_reply_in_fifo_order() {
     assert_eq!(stats.compile_errors, (clients * jobs_per_client / 4) as u64);
     assert_eq!(stats.rejected, 0);
     assert_eq!(stats.protocol_errors, 0);
+}
+
+#[test]
+fn one_worker_serves_two_busy_tenants_in_turn() {
+    // One worker, one connection: its replies arrive in exactly the order
+    // the worker finishes the jobs.  A heavy job from a third tenant holds
+    // the worker while every job of tenants "a" and "b" is queued.
+    let service = CompileService::start(ServiceConfig::new().workers(1).max_queue_depth(32))
+        .expect("service boots");
+    let mut client = ServiceClient::connect(service.local_addr()).expect("connect");
+    client
+        .send(&job("blocker", 0, mcs_source(5, 3, (0, 1), 2000)))
+        .expect("send");
+    let (jobs, source) = (6, mcs_source(5, 3, (0, 1), 200));
+    for j in 0..jobs {
+        for tenant in ["a", "b"] {
+            client.send(&job(tenant, j, source.clone())).expect("send");
+        }
+    }
+    assert_eq!(client.recv().expect("reply").tenant, "blocker");
+    let order: Vec<String> = (0..2 * jobs)
+        .map(|_| {
+            let reply = client.recv().expect("one reply per job");
+            assert!(reply.is_ok(), "{}: {}", reply.id, reply.message);
+            reply.tenant
+        })
+        .collect();
+    // No tenant completes two jobs in a row while the other still has one
+    // outstanding (a later reply).
+    for (i, pair) in order.windows(2).enumerate() {
+        let other_waiting = order[i + 2..].iter().any(|tenant| *tenant != pair[1]);
+        assert!(pair[0] != pair[1] || !other_waiting, "{order:?}");
+    }
+    let stats = service.shutdown();
+    assert_eq!(stats.completed, 1 + 2 * jobs as u64);
 }
 
 #[test]

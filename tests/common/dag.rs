@@ -14,7 +14,9 @@ use qudit_core::{Circuit, Gate};
 /// must keep `i` before `j`.
 pub struct DependencyDag {
     /// `preds[j]` lists every `i < j` with an edge `i → j`, wire by wire.
-    preds: Vec<Vec<usize>>,
+    /// The O2 k-Toffolis reach ~41M edges, so each list is an exactly
+    /// sized slice of `u32` indices.
+    preds: Vec<Box<[u32]>>,
 }
 
 impl DependencyDag {
@@ -51,14 +53,15 @@ impl DependencyDag {
         // `tested[i] == j + 1` once gate i was tested against gate j.
         let mut tested = vec![0usize; gates.len()];
         let mut preds = Vec::with_capacity(gates.len());
+        let mut blockers = Vec::new();
         for (j, gate) in gates.iter().enumerate() {
-            let mut blockers = Vec::new();
+            blockers.clear();
             for q in gate.support() {
                 for &i in &wire_gates[q.index()] {
                     if tested[i] != j + 1 {
                         tested[i] = j + 1;
                         if !commute(i, j) {
-                            blockers.push(i);
+                            blockers.push(u32::try_from(i).expect("gate indices fit in u32"));
                         }
                     }
                 }
@@ -66,14 +69,14 @@ impl DependencyDag {
             for q in gate.support() {
                 wire_gates[q.index()].push(j);
             }
-            preds.push(blockers);
+            preds.push(Box::<[u32]>::from(blockers.as_slice()));
         }
         DependencyDag { preds }
     }
 
     /// The dependency predecessors of gate `j`, each once, in no set order.
-    pub fn predecessors(&self, j: usize) -> &[usize] {
-        &self.preds[j]
+    pub fn predecessors(&self, j: usize) -> Vec<usize> {
+        self.preds[j].iter().map(|&i| i as usize).collect()
     }
 }
 
@@ -95,10 +98,9 @@ pub fn schedule_over(circuit: &Circuit, dag: &DependencyDag) -> Schedule {
     // `busy[q][l]` is set when wire q is occupied in layer l.
     let mut busy: Vec<Vec<bool>> = vec![Vec::new(); circuit.width()];
     for (j, gate) in gates.iter().enumerate() {
-        let mut slot = 1 + dag
-            .predecessors(j)
+        let mut slot = 1 + dag.preds[j]
             .iter()
-            .map(|&i| layer[i])
+            .map(|&i| layer[i as usize])
             .max()
             .unwrap_or(0);
         while gate

@@ -6,8 +6,8 @@
 //!   pipeline and by an outside permutation-table comparison), and the
 //!   final circuit consists purely of G-gates;
 //! * regression: the pipeline's G-gate counts equal the pre-refactor manual
-//!   `lower_to_g_gates` / `cancel_inverse_pairs` chains on the paper's
-//!   benchmark cases.
+//!   `lower_to_elementary` / `lower_circuit` / `cancel_inverse_pairs` chains
+//!   on the paper's benchmark cases.
 
 mod common;
 
@@ -71,8 +71,8 @@ proptest! {
 }
 
 /// The paper's benchmark cases: pipeline G-gate counts must be identical to
-/// the pre-refactor manual chains (`lower_to_g_gates`, then
-/// `cancel_inverse_pairs`).
+/// the pre-refactor manual chains (`lower_to_elementary`, `lower_circuit`,
+/// then `cancel_inverse_pairs`).
 #[test]
 fn pipeline_g_gate_counts_match_the_manual_chains() {
     let benchmark_cases = [
@@ -93,8 +93,9 @@ fn pipeline_g_gate_counts_match_the_manual_chains() {
         let macro_circuit = synthesis.circuit().clone();
 
         // Pre-refactor manual chain.
-        let manual_g = qudit_synthesis::lower::lower_to_g_gates(&macro_circuit).unwrap();
-        let manual_optimized = qudit_core::optimize::cancel_inverse_pairs(&manual_g);
+        let elementary = qudit_synthesis::lower::lower_to_elementary(&macro_circuit).unwrap();
+        let manual_g = qudit_core::lowering::lower_circuit(&elementary).unwrap();
+        let manual_optimized = qudit_core::optimize::cancel_inverse_pairs(manual_g.clone());
 
         // Facade equivalents.
         let lowered = CompileOptions::new()

@@ -6,7 +6,7 @@
 //! * every routed circuit passes the adjacency validator, and the
 //!   validator rejects hand-built violating circuits with typed errors;
 //! * routing is idempotent on already-routed circuits (the fast path
-//!   returns them untouched with zero swaps);
+//!   returns them untouched);
 //! * directed witnesses on the wire-SWAP ladder: every single-rung mutation
 //!   of `wire_swap` that changes its function is rejected by
 //!   `VerifyEquivalence`, and the two inputs |1 0⟩ then |0 1⟩ always
@@ -17,7 +17,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use qudit_core::pipeline::{pass_fn, PassManager};
 use qudit_core::route::{
-    route_circuit, validate_adjacency, wire_swap, NoiseAwareCost, RoutePass, Router, UniformCost,
+    route_circuit, validate_adjacency, wire_swap, NoiseAwareCost, RoutePass, UniformCost,
 };
 use qudit_core::topology::CouplingGraph;
 use qudit_core::{Circuit, Control, Dimension, Gate, GateOp, QuditError, QuditId, SingleQuditOp};
@@ -109,7 +109,7 @@ proptest! {
     }
 
     /// Routing an already-routed circuit is a no-op: the router's fast
-    /// path reports zero swaps and returns the circuit untouched.
+    /// path returns the circuit untouched.
     #[test]
     fn routing_is_idempotent_on_routed_circuits(
         d in prop::sample::select(vec![2u32, 3]),
@@ -120,14 +120,9 @@ proptest! {
         let dimension = dim(d);
         let graph = graph_for(width, pick);
         let circuit = build_circuit(dimension, width, &specs);
-        let routed = route_circuit(&circuit, &graph, &NoiseAwareCost::default())
-            .unwrap()
-            .with_epilogue(&graph)
-            .unwrap();
-        let again = route_circuit(&routed, &graph, &NoiseAwareCost::default()).unwrap();
-        prop_assert!(again.is_trivial(), "second route must take the fast path");
-        prop_assert_eq!(again.swap_count, 0usize);
-        prop_assert_eq!(&again.circuit, &routed);
+        let routed = route_circuit(circuit, &graph, &NoiseAwareCost::default()).unwrap();
+        let again = route_circuit(routed.clone(), &graph, &NoiseAwareCost::default()).unwrap();
+        prop_assert_eq!(&again, &routed);
     }
 }
 
@@ -153,12 +148,12 @@ fn validator_rejects_hand_built_violations() {
         other => panic!("expected UncoupledGate {{0, 2}}, got {other:?}"),
     }
     // The router repairs exactly that violation.
-    let routed = route_circuit(&uncoupled, &graph, &UniformCost).unwrap();
+    let routed = route_circuit(uncoupled.clone(), &graph, &UniformCost).unwrap();
     assert!(
-        routed.swap_count > 0,
+        routed.len() > uncoupled.len(),
         "the non-edge forces at least one SWAP"
     );
-    assert!(validate_adjacency(&routed.circuit, &graph).is_ok());
+    assert!(validate_adjacency(&routed, &graph).is_ok());
 
     // A three-qudit gate must be lowered before routing.
     let mut wide = Circuit::new(dimension, 3);
@@ -176,7 +171,7 @@ fn validator_rejects_hand_built_violations() {
         Err(QuditError::UnsupportedLowering { .. })
     ));
     assert!(matches!(
-        Router::new(&graph, &UniformCost).route(&wide),
+        route_circuit(wide, &graph, &UniformCost),
         Err(QuditError::UnsupportedLowering { .. })
     ));
 

@@ -59,7 +59,7 @@ proptest! {
             .compile(&circuit)
             .unwrap()
             .circuit;
-        let scheduled = schedule_depth(&lowered);
+        let scheduled = schedule_depth(lowered.clone());
 
         // Same gate multiset, never deeper, and the same permutation.
         prop_assert_eq!(scheduled.len(), lowered.len());
@@ -73,7 +73,7 @@ proptest! {
         let after = circuit_unitary(&scheduled).unwrap();
         prop_assert!(before.approx_eq(&after, 1e-12), "unitary changed by scheduling");
         // Idempotence: a second run changes nothing.
-        prop_assert_eq!(schedule_depth(&scheduled), scheduled.clone());
+        prop_assert_eq!(schedule_depth(scheduled.clone()), scheduled.clone());
         // The fused scan reproduces the explicit-DAG reference exactly.
         prop_assert_eq!(
             &schedule_over(&lowered, &DependencyDag::build(&lowered)).circuit,
@@ -141,7 +141,7 @@ fn e10_family_depths_match_the_golden_values() {
             depth_before,
             "unscheduled depth moved for d={d}, k={k}"
         );
-        let scheduled = schedule_depth(&plain);
+        let scheduled = schedule_depth(plain);
         assert_eq!(
             circuit_depth(&scheduled),
             depth_after,
@@ -163,13 +163,13 @@ fn schedule_never_increases_depth_on_the_e10_family() {
             .compile(synthesis.circuit())
             .unwrap()
             .circuit;
-        let scheduled = schedule_depth(&plain);
+        let scheduled = schedule_depth(plain.clone());
         assert!(
             circuit_depth(&scheduled) <= circuit_depth(&plain),
             "scheduling deepened d={d}, k={k}"
         );
         assert_eq!(
-            schedule_depth(&scheduled),
+            schedule_depth(scheduled.clone()),
             scheduled,
             "scheduling is not idempotent on d={d}, k={k}"
         );
@@ -213,7 +213,7 @@ fn verified_scheduled_pipeline_accepts_the_e10_sweep() {
 /// Asserts the fused scan reproduces the explicit-DAG reference schedule.
 fn assert_matches_reference(circuit: &Circuit, what: &str) {
     let reference = schedule_over(circuit, &DependencyDag::build(circuit));
-    let scheduled = schedule_depth(circuit);
+    let scheduled = schedule_depth(circuit.clone());
     assert_eq!(scheduled, reference.circuit, "{what}");
     let depth = reference.layers.last().copied().unwrap_or(0);
     assert_eq!(circuit_depth(&scheduled), depth, "{what}");
@@ -391,5 +391,5 @@ fn a_merged_run_of_readers_keeps_its_largest_layer() {
     assert_eq!(reference.circuit.gates()[1], r2);
     assert_eq!(reference.circuit.gates()[4], r1);
     assert_eq!(reference.circuit.gates()[5], w);
-    assert_eq!(schedule_depth(&circuit), reference.circuit);
+    assert_eq!(schedule_depth(circuit), reference.circuit);
 }
