@@ -154,7 +154,7 @@ impl CleanAncillaMct {
             vec![Gate::controlled(
                 self.op.clone(),
                 target,
-                vec![Control::zero(controls[0])],
+                [Control::zero(controls[0])],
             )]
         } else {
             // Compute phase: each ancilla counts the non-zero qudits of its
@@ -164,7 +164,7 @@ impl CleanAncillaMct {
             let witness = *clean_ancillas
                 .last()
                 .expect("k >= 2 implies at least one ancilla");
-            let flip = Gate::controlled(self.op.clone(), target, vec![Control::zero(witness)]);
+            let flip = Gate::controlled(self.op.clone(), target, [Control::zero(witness)]);
             // Uncompute phase: the counter chain in reverse, each gate inverted.
             let uncompute = compute.iter().rev().map(|g| g.inverse(dimension));
             compute
@@ -213,7 +213,7 @@ impl CleanAncillaMct {
                 gates.push(Gate::controlled(
                     SingleQuditOp::Add(1),
                     ancilla,
-                    vec![Control::nonzero(input)],
+                    [Control::nonzero(input)],
                 ));
             }
         }

@@ -78,7 +78,7 @@ fn controlled_swap_recursive(
         1 => vec![Gate::controlled(
             swap.clone(),
             target,
-            vec![Control::zero(controls[0])],
+            [Control::zero(controls[0])],
         )],
         k => {
             let last = controls[k - 1];
@@ -88,13 +88,13 @@ fn controlled_swap_recursive(
             gates.push(Gate::controlled(
                 swap.clone(),
                 target,
-                vec![Control::even_nonzero(last)],
+                [Control::even_nonzero(last)],
             ));
             gates.extend(controlled_shift_recursive(dimension, rest, last, true));
             gates.push(Gate::controlled(
                 swap.clone(),
                 target,
-                vec![Control::even_nonzero(last)],
+                [Control::even_nonzero(last)],
             ));
             gates
         }
@@ -116,11 +116,7 @@ fn controlled_shift_recursive(
     };
     match controls.len() {
         0 => vec![Gate::single(op, target)],
-        1 => vec![Gate::controlled(
-            op,
-            target,
-            vec![Control::zero(controls[0])],
-        )],
+        1 => vec![Gate::controlled(op, target, [Control::zero(controls[0])])],
         _ => {
             let transpositions = op
                 .transpositions(dimension)

@@ -1,23 +1,28 @@
 //! Criterion bench: the text-IR front end (print, parse, compile-from-source).
 //!
-//! Three legs over a parsed corpus of printed random dialect circuits:
+//! Three legs over a parsed corpus of printed random dialect circuits, and
+//! one at reply scale:
 //!
 //! * `print` — `Circuit` → canonical text;
 //! * `parse` — text → `Circuit` (lexer + parser + semantic lowering);
 //! * `compile_source` — text → the full `O1` facade flow on a classical
-//!   workload, i.e. the end-to-end "job file in, verified circuit out" path.
+//!   workload, i.e. the end-to-end "job file in, verified circuit out" path;
+//! * `print_mct_o2` — the 11 `O2` k-Toffoli outputs the compile service
+//!   returns on the `serve_mct` family (about 81k G-gates, 1.7 MB of text),
+//!   printed once per iteration; the bench also reports the rate in MB/s.
 //!
 //! Before any timing, the bench *asserts* the exact round trip on every
 //! corpus member, so a broken printer/parser pair fails the smoke run
 //! outright rather than producing fast nonsense numbers.
 
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qudit_core::qasm::{parse_source, print_circuit};
 use qudit_core::{Circuit, Dimension};
 use qudit_sim::random::{random_classical_dialect_circuit, random_dialect_circuit};
-use qudit_synthesis::{CompileOptions, Compiler, OptLevel};
+use qudit_synthesis::{CompileOptions, Compiler, KToffoli, OptLevel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -54,6 +59,23 @@ fn corpus() -> (Vec<String>, Vec<String>) {
         classical.push(source);
     }
     (full, classical)
+}
+
+/// The `O2` compile of the `serve_mct` family: d ∈ {3, 4} × k ∈ {4, …, 8}
+/// and d = 5, k = 4.
+fn mct_o2_outputs() -> Vec<Circuit> {
+    let compiler: Compiler = CompileOptions::new().opt_level(OptLevel::O2).compiler();
+    let family = [3u32, 4]
+        .into_iter()
+        .flat_map(|d| (4..=8).map(move |k| (d, k)))
+        .chain([(5, 4)]);
+    family
+        .map(|(d, k)| {
+            let dimension = Dimension::new(d).unwrap();
+            let synthesis = KToffoli::new(dimension, k).unwrap().synthesize().unwrap();
+            compiler.compile(synthesis.circuit()).unwrap().circuit
+        })
+        .collect()
 }
 
 fn assert_round_trips(sources: &[String]) {
@@ -109,6 +131,28 @@ fn bench_frontend(c: &mut Criterion) {
             })
         },
     );
+
+    let outputs = mct_o2_outputs();
+    let bytes: usize = outputs.iter().map(|c| print_circuit(c).len()).sum();
+    let (mut elapsed, mut runs) = (Duration::ZERO, 0u32);
+    group.bench_with_input(
+        BenchmarkId::from_parameter("print_mct_o2"),
+        &outputs,
+        |b, outputs| {
+            b.iter(|| {
+                let started = Instant::now();
+                let printed = outputs
+                    .iter()
+                    .map(|c| black_box(print_circuit(c)).len())
+                    .sum::<usize>();
+                elapsed += started.elapsed();
+                runs += 1;
+                printed
+            })
+        },
+    );
+    let mb_per_s = (bytes as f64 * f64::from(runs)) / elapsed.as_secs_f64() / 1e6;
+    println!("bench: qasm_frontend/print_mct_o2: {bytes} bytes per iteration, {mb_per_s:.0} MB/s");
     group.finish();
 }
 

@@ -229,7 +229,7 @@ pub fn fuse_circuit(circuit: Circuit) -> Result<Circuit> {
                 out.push(Gate::new(
                     GateOp::Single(canonical_op(composed)),
                     template.target(),
-                    template.controls().to_vec(),
+                    template.controls().iter().copied(),
                 ));
                 continue;
             }

@@ -52,6 +52,15 @@ impl fmt::Display for GateOp {
 
 /// A gate: an operation applied to a target qudit when every control fires.
 ///
+/// The controls live inline when there is exactly one (every controlled
+/// G-gate of the paper has one), so building, cloning and dropping such a
+/// gate never touches the heap; two or more spill to a `Vec`, and none is an
+/// empty `Vec`, which does not allocate either.  The layout keeps a `Gate`
+/// at 64 bytes.  [`Gate::controls`] reads every case as one slice, and the
+/// constructors take any `IntoIterator<Item = Control>` — a `vec![…]`, an
+/// array or an iterator — so an inline control is built without an
+/// intermediate vector.
+///
 /// # Example
 ///
 /// ```
@@ -68,7 +77,60 @@ impl fmt::Display for GateOp {
 pub struct Gate {
     op: GateOp,
     target: QuditId,
-    controls: Vec<Control>,
+    controls: Controls,
+}
+
+/// The controls of a [`Gate`]: one inline, or any other count in a `Vec`.
+///
+/// Built through [`Controls::collect`], which stores exactly one control as
+/// `One`; equality compares the slices, whatever holds them.
+#[derive(Clone)]
+enum Controls {
+    One(Control),
+    Many(Vec<Control>),
+}
+
+impl Controls {
+    fn none() -> Self {
+        Controls::Many(Vec::new())
+    }
+
+    fn collect(controls: impl IntoIterator<Item = Control>) -> Self {
+        let mut controls = controls.into_iter();
+        let Some(first) = controls.next() else {
+            return Controls::none();
+        };
+        let Some(second) = controls.next() else {
+            return Controls::One(first);
+        };
+        let mut many = Vec::with_capacity(2 + controls.size_hint().0);
+        many.extend([first, second]);
+        many.extend(controls);
+        Controls::Many(many)
+    }
+
+    #[inline]
+    fn as_slice(&self) -> &[Control] {
+        match self {
+            Controls::One(control) => std::slice::from_ref(control),
+            Controls::Many(controls) => controls,
+        }
+    }
+}
+
+impl PartialEq for Controls {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+/// Prints as the slice, so a gate's `Debug` output does not show the
+/// storage.
+impl fmt::Debug for Controls {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.as_slice().fmt(f)
+    }
 }
 
 impl Gate {
@@ -77,25 +139,25 @@ impl Gate {
         Gate {
             op: GateOp::Single(op),
             target,
-            controls: Vec::new(),
+            controls: Controls::none(),
         }
     }
 
     /// Creates a controlled single-qudit gate.
-    pub fn controlled(op: SingleQuditOp, target: QuditId, controls: Vec<Control>) -> Self {
-        Gate {
-            op: GateOp::Single(op),
-            target,
-            controls,
-        }
+    pub fn controlled(
+        op: SingleQuditOp,
+        target: QuditId,
+        controls: impl IntoIterator<Item = Control>,
+    ) -> Self {
+        Gate::new(GateOp::Single(op), target, controls)
     }
 
     /// Creates a gate from an arbitrary [`GateOp`].
-    pub fn new(op: GateOp, target: QuditId, controls: Vec<Control>) -> Self {
+    pub fn new(op: GateOp, target: QuditId, controls: impl IntoIterator<Item = Control>) -> Self {
         Gate {
             op,
             target,
-            controls,
+            controls: Controls::collect(controls),
         }
     }
 
@@ -105,13 +167,9 @@ impl Gate {
         source: QuditId,
         negate: bool,
         target: QuditId,
-        controls: Vec<Control>,
+        controls: impl IntoIterator<Item = Control>,
     ) -> Self {
-        Gate {
-            op: GateOp::AddFrom { source, negate },
-            target,
-            controls,
-        }
+        Gate::new(GateOp::AddFrom { source, negate }, target, controls)
     }
 
     /// The operation applied to the target.
@@ -125,8 +183,9 @@ impl Gate {
     }
 
     /// The controls of the gate.
+    #[inline]
     pub fn controls(&self) -> &[Control] {
-        &self.controls
+        self.controls.as_slice()
     }
 
     /// All qudits the gate touches (controls, the `AddFrom` source, and the
@@ -138,22 +197,24 @@ impl Gate {
 
     /// Iterates over the qudits the gate touches without allocating, in the
     /// order of [`Gate::qudits`]: controls, the `AddFrom` source, the target.
+    #[inline]
     pub fn support(&self) -> impl Iterator<Item = QuditId> + Clone + '_ {
         let source = match self.op {
             GateOp::AddFrom { source, .. } => Some(source),
             GateOp::Single(_) => None,
         };
-        self.controls
-            .iter()
-            .map(|c| c.qudit)
-            .chain(source)
-            .chain(std::iter::once(self.target))
+        Support {
+            controls: self.controls().iter(),
+            source,
+            target: Some(self.target),
+        }
     }
 
     /// Number of qudits the gate touches.
+    #[inline]
     pub fn arity(&self) -> usize {
         let source = usize::from(matches!(self.op, GateOp::AddFrom { .. }));
-        self.controls.len() + source + 1
+        self.controls().len() + source + 1
     }
 
     /// Returns `true` when the gate permutes the computational basis.
@@ -164,11 +225,11 @@ impl Gate {
     /// Returns `true` when the gate is one of the elementary G-gates of the
     /// paper: an uncontrolled `Xij`, or `|0⟩-X01`.
     pub fn is_g_gate(&self) -> bool {
-        match (&self.op, self.controls.len()) {
-            (GateOp::Single(SingleQuditOp::Swap(_, _)), 0) => true,
-            (GateOp::Single(SingleQuditOp::Swap(i, j)), 1) => {
+        match (&self.op, self.controls()) {
+            (GateOp::Single(SingleQuditOp::Swap(_, _)), []) => true,
+            (GateOp::Single(SingleQuditOp::Swap(i, j)), [control]) => {
                 let ordered = (*i == 0 && *j == 1) || (*i == 1 && *j == 0);
-                ordered && self.controls[0].predicate == ControlPredicate::Level(0)
+                ordered && control.predicate == ControlPredicate::Level(0)
             }
             _ => false,
         }
@@ -204,7 +265,7 @@ impl Gate {
             }
             Ok(())
         };
-        for control in &self.controls {
+        for control in self.controls() {
             visit(control.qudit)?;
         }
         if let GateOp::AddFrom { source, .. } = self.op {
@@ -218,7 +279,7 @@ impl Gate {
                 }
             }
         }
-        for c in &self.controls {
+        for c in self.controls() {
             c.predicate.validate(dimension)?;
         }
         match &self.op {
@@ -247,7 +308,6 @@ impl Gate {
     /// building the inverse.
     pub(crate) fn is_inverse_of(&self, other: &Gate, dimension: Dimension) -> bool {
         self.target == other.target
-            && self.controls == other.controls
             && match (&self.op, &other.op) {
                 (GateOp::Single(a), GateOp::Single(b)) => a.is_inverse_of(b, dimension),
                 (
@@ -259,6 +319,7 @@ impl Gate {
                 ) => source == other_source && negate != other_negate,
                 _ => false,
             }
+            && self.controls == other.controls
     }
 
     /// Returns the gate with every qudit id (controls, `AddFrom` source and
@@ -289,15 +350,11 @@ impl Gate {
                 negate: *negate,
             },
         };
-        Gate {
-            op,
-            target: map(self.target),
-            controls: self
-                .controls
-                .iter()
-                .map(|c| Control::new(map(c.qudit), c.predicate))
-                .collect(),
-        }
+        let controls = self
+            .controls()
+            .iter()
+            .map(|c| Control::new(map(c.qudit), c.predicate));
+        Gate::new(op, map(self.target), controls)
     }
 
     /// Returns `true` when all controls fire for the given basis state.
@@ -305,7 +362,7 @@ impl Gate {
     /// `digits[q]` is the level of qudit `q`.
     #[inline]
     pub fn fires(&self, digits: &[u32]) -> bool {
-        self.controls
+        self.controls()
             .iter()
             .all(|c| c.predicate.matches(digits[c.qudit.index()]))
     }
@@ -342,12 +399,41 @@ impl Gate {
     }
 }
 
+/// The iterator of [`Gate::support`]: one small `next` that the hot
+/// per-gate loops inline whole.
+#[derive(Clone)]
+struct Support<'a> {
+    controls: std::slice::Iter<'a, Control>,
+    source: Option<QuditId>,
+    target: Option<QuditId>,
+}
+
+impl Iterator for Support<'_> {
+    type Item = QuditId;
+
+    #[inline]
+    fn next(&mut self) -> Option<QuditId> {
+        match self.controls.next() {
+            Some(control) => Some(control.qudit),
+            None => self.source.take().or_else(|| self.target.take()),
+        }
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let len = self.controls.len()
+            + usize::from(self.source.is_some())
+            + usize::from(self.target.is_some());
+        (len, Some(len))
+    }
+}
+
 impl fmt::Display for Gate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.controls.is_empty() {
+        if self.controls().is_empty() {
             write!(f, "{} -> {}", self.op, self.target)
         } else {
-            let controls: Vec<String> = self.controls.iter().map(|c| c.to_string()).collect();
+            let controls: Vec<String> = self.controls().iter().map(|c| c.to_string()).collect();
             write!(
                 f,
                 "[{}] {} -> {}",
@@ -545,6 +631,33 @@ mod tests {
                 assert_eq!(a.is_inverse_of(b, d), *a == b.inverse(d), "{a} vs {b}");
             }
         }
+    }
+
+    #[test]
+    fn control_storage_is_invisible() {
+        // A gate stays one cache line with its controls stored inline.
+        assert_eq!(std::mem::size_of::<Gate>(), 64);
+        let op = || SingleQuditOp::Swap(0, 1);
+        let zero = Control::zero(QuditId::new(0));
+        let odd = Control::odd(QuditId::new(2));
+        let target = QuditId::new(1);
+        for controls in [vec![], vec![zero], vec![zero, odd]] {
+            let from_vec = Gate::controlled(op(), target, controls.clone());
+            let from_iter = Gate::controlled(op(), target, controls.iter().copied());
+            assert_eq!(from_vec, from_iter);
+            assert_eq!(from_vec.controls(), &controls[..]);
+            assert_eq!(from_vec.map_qudits(|q| q), from_vec);
+        }
+        let one = Gate::controlled(op(), target, [zero]);
+        assert_ne!(one, Gate::controlled(op(), target, [zero, odd]));
+        assert_ne!(one, Gate::single(op(), target));
+        // `Debug` prints the controls as a list, whatever holds them.
+        assert_eq!(
+            format!("{one:?}"),
+            "Gate { op: Single(Swap(0, 1)), target: QuditId(1), controls: \
+             [Control { qudit: QuditId(0), predicate: Level(0) }] }"
+        );
+        assert!(format!("{:?}", Gate::single(op(), target)).ends_with("controls: [] }"));
     }
 
     #[test]

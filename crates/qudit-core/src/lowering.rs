@@ -201,7 +201,7 @@ impl GGateWalk {
             out.push(Gate::controlled(
                 SingleQuditOp::Swap(0, 1),
                 target,
-                vec![Control::zero(control)],
+                [Control::zero(control)],
             ));
             for &(a, b) in conjugate {
                 out.push(Gate::single(SingleQuditOp::Swap(a, b), target));

@@ -57,47 +57,56 @@ use crate::gate::Gate;
 /// ```
 pub fn cancel_inverse_pairs(circuit: Circuit) -> Circuit {
     let (dimension, width) = (circuit.dimension(), circuit.width());
-    // `kept[i]` is Some(gate) while gate i is still in the output.
-    let mut kept: Vec<Option<Gate>> = Vec::with_capacity(circuit.len());
-    // For each qudit, the indices (into `kept`) of the retained gates that
+    // `gates[i]` is Some(gate) while gate i is still in the output.  The
+    // sweep marks removals in the input's own buffer (`Option<Gate>` has the
+    // size of `Gate`, so both conversions reuse it) and compacts it at the
+    // end, allocating no gate storage.
+    let mut gates: Vec<Option<Gate>> = circuit.into_gates().into_iter().map(Some).collect();
+    // For each qudit, the indices (into `gates`) of the retained gates that
     // touch it, in order.
     let mut last_touch: Vec<Vec<usize>> = vec![Vec::new(); width];
 
-    for gate in circuit.into_gates() {
+    for i in 0..gates.len() {
+        let gate = gates[i]
+            .as_ref()
+            .expect("gates ahead of the sweep are present");
         // The candidate for cancellation is the most recent retained gate on
-        // any of this gate's qudits — and it must be the most recent on all
-        // of them.
-        let candidate = gate
-            .support()
-            .filter_map(|q| last_touch[q.index()].last().copied())
-            .max();
-        let cancels = candidate.is_some_and(|index| {
-            let previous = kept[index].as_ref().expect("candidate is retained");
+        // this gate's qudits: it must be the most recent on all of them.
+        let candidate = {
+            let mut latest = gate
+                .support()
+                .map(|q| last_touch[q.index()].last().copied());
+            let first = latest.next().flatten();
+            first.filter(|&index| latest.all(|last| last == Some(index)))
+        };
+        let cancels = candidate.filter(|&index| {
+            let previous = gates[index].as_ref().expect("candidate is retained");
             // `previous` touches every qudit of `gate`; neither gate repeats a
             // qudit, so equal arity means equal supports.
-            gate.support()
-                .all(|q| last_touch[q.index()].last() == Some(&index))
-                && previous.arity() == gate.arity()
-                && gate.is_inverse_of(previous, dimension)
+            previous.arity() == gate.arity() && gate.is_inverse_of(previous, dimension)
         });
-        if let (true, Some(index)) = (cancels, candidate) {
-            // Remove the previous gate and drop the current one.
-            kept[index] = None;
+        if let Some(index) = cancels {
+            // Remove the previous gate and this one.
             for q in gate.support() {
                 let stack = &mut last_touch[q.index()];
                 debug_assert_eq!(stack.last(), Some(&index));
                 stack.pop();
             }
+            gates[index] = None;
+            gates[i] = None;
         } else {
-            let index = kept.len();
             for q in gate.support() {
-                last_touch[q.index()].push(index);
+                last_touch[q.index()].push(i);
             }
-            kept.push(Some(gate));
         }
     }
 
-    Circuit::from_valid_gates(dimension, width, kept.into_iter().flatten().collect())
+    gates.retain(Option::is_some);
+    let kept = gates
+        .into_iter()
+        .map(|gate| gate.expect("only retained gates remain"))
+        .collect();
+    Circuit::from_valid_gates(dimension, width, kept)
 }
 
 #[cfg(test)]

@@ -39,18 +39,29 @@ use crate::ops::SingleQuditOp;
 /// ```
 pub fn print_circuit(circuit: &Circuit) -> String {
     let register = circuit.register_name().unwrap_or("q");
-    let mut out = String::new();
-    out.push_str("OPENQASM 3.0;\n");
-    let _ = writeln!(
-        out,
-        "qudit[{}] {register}[{}];",
-        circuit.dimension().get(),
-        circuit.width()
-    );
+    let mut out = String::with_capacity(printed_len_hint(circuit, register));
+    out.push_str("OPENQASM 3.0;\nqudit[");
+    push_decimal(&mut out, circuit.dimension().get().into());
+    out.push_str("] ");
+    out.push_str(register);
+    out.push('[');
+    push_decimal(&mut out, circuit.width() as u64);
+    out.push_str("];\n");
     for gate in circuit.gates() {
         print_gate(&mut out, gate, register);
     }
     out
+}
+
+/// An upper estimate of the printed length for the common gates (a
+/// controlled G-gate over two-digit wire indices is 35 estimated bytes for
+/// at most 30 printed), so printing a compiled circuit fills one buffer.
+fn printed_len_hint(circuit: &Circuit, register: &str) -> usize {
+    let header = 32 + register.len();
+    let operand = register.len() + 6;
+    circuit.gates().iter().fold(header, |total, gate| {
+        total + 14 + 7 * gate.controls().len() + operand * gate.arity()
+    })
 }
 
 fn print_gate(out: &mut String, gate: &Gate, register: &str) {
@@ -58,7 +69,9 @@ fn print_gate(out: &mut String, gate: &Gate, register: &str) {
         match control.predicate {
             ControlPredicate::Level(0) => out.push_str("ctrl @ "),
             ControlPredicate::Level(l) => {
-                let _ = write!(out, "ctrl({l}) @ ");
+                out.push_str("ctrl(");
+                push_decimal(out, l.into());
+                out.push_str(") @ ");
             }
             ControlPredicate::Odd => out.push_str("ctrl(odd) @ "),
             ControlPredicate::EvenNonzero => out.push_str("ctrl(even) @ "),
@@ -71,16 +84,16 @@ fn print_gate(out: &mut String, gate: &Gate, register: &str) {
             out.push_str(if *negate { "sumdg" } else { "sum" });
         }
     }
-    // Gate::qudits() lists controls, then the AddFrom source, then the
+    // Gate::support() walks controls, then the AddFrom source, then the
     // target — exactly the operand order the parser expects back.
-    let mut first = true;
-    for qudit in gate.qudits() {
-        if first {
-            let _ = write!(out, " {register}[{}]", qudit.index());
-            first = false;
-        } else {
-            let _ = write!(out, ", {register}[{}]", qudit.index());
-        }
+    let mut separator = " ";
+    for qudit in gate.support() {
+        out.push_str(separator);
+        out.push_str(register);
+        out.push('[');
+        push_decimal(out, qudit.index() as u64);
+        out.push(']');
+        separator = ", ";
     }
     out.push_str(";\n");
 }
@@ -88,10 +101,16 @@ fn print_gate(out: &mut String, gate: &Gate, register: &str) {
 fn print_single_op(out: &mut String, op: &SingleQuditOp) {
     match op {
         SingleQuditOp::Swap(i, j) => {
-            let _ = write!(out, "swap({i}, {j})");
+            out.push_str("swap(");
+            push_decimal(out, (*i).into());
+            out.push_str(", ");
+            push_decimal(out, (*j).into());
+            out.push(')');
         }
         SingleQuditOp::Add(y) => {
-            let _ = write!(out, "shift({y})");
+            out.push_str("shift(");
+            push_decimal(out, (*y).into());
+            out.push(')');
         }
         SingleQuditOp::ParityFlipEven => out.push_str("parityflip_e"),
         SingleQuditOp::ParityFlipOdd => out.push_str("parityflip_o"),
@@ -101,7 +120,7 @@ fn print_single_op(out: &mut String, op: &SingleQuditOp) {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                let _ = write!(out, "{to}");
+                push_decimal(out, (*to).into());
             }
             out.push(')');
         }
@@ -118,6 +137,22 @@ fn print_single_op(out: &mut String, op: &SingleQuditOp) {
             out.push(')');
         }
     }
+}
+
+/// Appends `value` in decimal, as `{}` would, without going through
+/// `core::fmt`.
+fn push_decimal(out: &mut String, mut value: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("decimal digits are ASCII"));
 }
 
 /// Prints an `f64` so that the lexer/parser reproduce it bit-for-bit.
@@ -209,6 +244,15 @@ mod tests {
                 assert!(m[(0, 0)].im.is_sign_negative(), "-0.0 must survive");
             }
             other => panic!("expected a unitary, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn decimals_match_display() {
+        for value in [0, 1, 9, 10, 99, 100, 12_345, u64::from(u32::MAX), u64::MAX] {
+            let mut out = String::new();
+            push_decimal(&mut out, value);
+            assert_eq!(out, value.to_string());
         }
     }
 

@@ -188,7 +188,7 @@ impl ReversibleSynthesizer {
                 Gate::controlled(
                     SingleQuditOp::Swap(a[i], b[i]),
                     variables[i],
-                    vec![Control::level(variables[p], b[p])],
+                    [Control::level(variables[p], b[p])],
                 )
             })
             .collect();

@@ -90,7 +90,7 @@ impl MctSpec {
         circuit.push(Gate::controlled(
             self.op.clone(),
             self.target,
-            self.controls.iter().map(|&q| Control::zero(q)).collect(),
+            self.controls.iter().map(|&q| Control::zero(q)),
         ))?;
         Ok(circuit)
     }
@@ -305,7 +305,7 @@ mod tests {
         c.push(Gate::controlled(
             SingleQuditOp::Swap(0, 1),
             QuditId::new(k),
-            (0..k).map(|i| Control::zero(QuditId::new(i))).collect(),
+            (0..k).map(|i| Control::zero(QuditId::new(i))),
         ))
         .unwrap();
         c

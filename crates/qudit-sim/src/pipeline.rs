@@ -456,7 +456,7 @@ mod tests {
             .push(Gate::controlled(
                 SingleQuditOp::Swap(0, 1),
                 QuditId::new(9),
-                (0..9).map(|i| Control::zero(QuditId::new(i))).collect(),
+                (0..9).map(|i| Control::zero(QuditId::new(i))),
             ))
             .unwrap();
         let drop_all = pass_fn("drop-all", |c: Circuit| {

@@ -214,7 +214,7 @@ pub fn emit_controlled_unitary(
     circuit.push(Gate::new(
         qudit_core::GateOp::Single(op.clone()),
         target,
-        vec![Control::level(clean_ancilla, 1)],
+        [Control::level(clean_ancilla, 1)],
     ))?;
     // Restore the ancilla.
     emit_multi_controlled(

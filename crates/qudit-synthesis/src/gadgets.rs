@@ -63,11 +63,11 @@ pub(crate) fn emit_two_controlled_swap_odd(
     let d = dimension.get();
     let swap = SingleQuditOp::swap(dimension, i, j)?;
     out.extend([
-        Gate::controlled(swap.clone(), target, vec![Control::zero(c1)]),
-        Gate::controlled(SingleQuditOp::Add(1), c2, vec![Control::zero(c1)]),
-        Gate::controlled(swap.clone(), target, vec![Control::even_nonzero(c2)]),
-        Gate::controlled(SingleQuditOp::Add(d - 1), c2, vec![Control::zero(c1)]),
-        Gate::controlled(swap, target, vec![Control::even_nonzero(c2)]),
+        Gate::controlled(swap.clone(), target, [Control::zero(c1)]),
+        Gate::controlled(SingleQuditOp::Add(1), c2, [Control::zero(c1)]),
+        Gate::controlled(swap.clone(), target, [Control::even_nonzero(c2)]),
+        Gate::controlled(SingleQuditOp::Add(d - 1), c2, [Control::zero(c1)]),
+        Gate::controlled(swap, target, [Control::even_nonzero(c2)]),
     ]);
     Ok(())
 }
@@ -136,56 +136,52 @@ pub(crate) fn emit_two_controlled_swap_even(
         gates.push(Gate::controlled(
             SingleQuditOp::Swap(0, 1),
             c1,
-            vec![Control::level(c2, 1)],
+            [Control::level(c2, 1)],
         ));
         gates.push(Gate::controlled(
             SingleQuditOp::Swap(0, 1),
             c2,
-            vec![Control::odd(borrowed)],
+            [Control::odd(borrowed)],
         ));
         gates.push(Gate::controlled(
             SingleQuditOp::Swap(0, 1),
             c1,
-            vec![Control::level(c2, 1)],
+            [Control::level(c2, 1)],
         ));
         // 4: the conditional application to the target.
-        gates.push(Gate::controlled(
-            swap.clone(),
-            target,
-            vec![Control::zero(c1)],
-        ));
+        gates.push(Gate::controlled(swap.clone(), target, [Control::zero(c1)]));
         // 5–7: undo steps 1–3.
         gates.push(Gate::controlled(
             SingleQuditOp::Swap(0, 1),
             c1,
-            vec![Control::level(c2, 1)],
+            [Control::level(c2, 1)],
         ));
         gates.push(Gate::controlled(
             SingleQuditOp::Swap(0, 1),
             c2,
-            vec![Control::odd(borrowed)],
+            [Control::odd(borrowed)],
         ));
         gates.push(Gate::controlled(
             SingleQuditOp::Swap(0, 1),
             c1,
-            vec![Control::level(c2, 1)],
+            [Control::level(c2, 1)],
         ));
         // 8–10: flip the parity of the borrowed ancilla exactly when
         // (c2 = 0 ∧ c1 = 0) or (c2 ≠ 0 ∧ c1 = 2).
         gates.push(Gate::controlled(
             SingleQuditOp::Swap(0, 2),
             c1,
-            vec![Control::zero(c2)],
+            [Control::zero(c2)],
         ));
         gates.push(Gate::controlled(
             SingleQuditOp::ParityFlipEven,
             borrowed,
-            vec![Control::level(c1, 2)],
+            [Control::level(c1, 2)],
         ));
         gates.push(Gate::controlled(
             SingleQuditOp::Swap(0, 2),
             c1,
-            vec![Control::zero(c2)],
+            [Control::zero(c2)],
         ));
     };
     block(out);

@@ -103,7 +103,7 @@ pub fn parity_ladder_even(
             Gate::controlled(
                 SingleQuditOp::ParityFlipEven,
                 ancillas[j + 1],
-                vec![Control::odd(ancillas[j]), controls[j + 2]],
+                [Control::odd(ancillas[j]), controls[j + 2]],
             )
         })
         .collect();
@@ -111,7 +111,7 @@ pub fn parity_ladder_even(
     let bottom = Gate::controlled(
         bottom_op.clone(),
         target,
-        vec![Control::odd(ancillas[m - 3]), controls[m - 1]],
+        [Control::odd(ancillas[m - 3]), controls[m - 1]],
     );
 
     // Inner Λ: descend the rungs, apply the top, ascend the rungs.

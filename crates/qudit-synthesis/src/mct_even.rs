@@ -53,7 +53,7 @@ pub fn mct_even_gates(
             return Ok(vec![Gate::controlled(
                 swap,
                 target,
-                vec![Control::zero(controls[0])],
+                [Control::zero(controls[0])],
             )])
         }
         2 => {
@@ -63,7 +63,7 @@ pub fn mct_even_gates(
             return Ok(vec![Gate::controlled(
                 swap,
                 target,
-                vec![Control::zero(controls[0]), Control::zero(controls[1])],
+                [Control::zero(controls[0]), Control::zero(controls[1])],
             )]);
         }
         _ => {}

@@ -46,14 +46,14 @@ pub fn mct_odd_gates(
             return Ok(vec![Gate::controlled(
                 swap,
                 target,
-                vec![Control::zero(controls[0])],
+                [Control::zero(controls[0])],
             )])
         }
         2 => {
             return Ok(vec![Gate::controlled(
                 swap,
                 target,
-                vec![Control::zero(controls[0]), Control::zero(controls[1])],
+                [Control::zero(controls[0]), Control::zero(controls[1])],
             )])
         }
         _ => {}
@@ -66,11 +66,11 @@ pub fn mct_odd_gates(
     let pk = pk_gates_one_ancilla(dimension, rest, last, target)?;
     let pk_inverse = inverse_gates(&pk, dimension);
 
-    let toffoli_bottom = Gate::controlled(swap, target, vec![Control::zero(last)]);
+    let toffoli_bottom = Gate::controlled(swap, target, [Control::zero(last)]);
     // |0⟩(x_k)-(X_eo^o)^{⊗(k−1)}: flip the parity of every non-zero control.
     let parity_flips: Vec<Gate> = rest
         .iter()
-        .map(|&q| Gate::controlled(SingleQuditOp::ParityFlipOdd, q, vec![Control::zero(last)]))
+        .map(|&q| Gate::controlled(SingleQuditOp::ParityFlipOdd, q, [Control::zero(last)]))
         .collect();
 
     let mut gates = Vec::new();

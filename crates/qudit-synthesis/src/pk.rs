@@ -48,8 +48,8 @@ pub fn pk_target_image(inputs: &[u32], target_value: u32, dimension: Dimension) 
 fn p2_gates(dimension: Dimension, input: QuditId, target: QuditId) -> Vec<Gate> {
     let minus_one = SingleQuditOp::Add(dimension.get() - 1);
     vec![
-        Gate::controlled(minus_one.clone(), target, vec![Control::zero(input)]),
-        Gate::controlled(minus_one, target, vec![Control::even_nonzero(input)]),
+        Gate::controlled(minus_one.clone(), target, [Control::zero(input)]),
+        Gate::controlled(minus_one, target, [Control::even_nonzero(input)]),
     ]
 }
 
@@ -70,8 +70,8 @@ fn pk_garbage(
     let last = inputs[k - 2]; // x_{k−1}
     let minus_one = SingleQuditOp::Add(dimension.get() - 1);
     let mut gates = vec![
-        Gate::add_from(carrier, true, target, vec![Control::zero(last)]),
-        Gate::controlled(minus_one, target, vec![Control::even_nonzero(last)]),
+        Gate::add_from(carrier, true, target, [Control::zero(last)]),
+        Gate::controlled(minus_one, target, [Control::even_nonzero(last)]),
     ];
     gates.extend(pk_garbage(
         dimension,
@@ -83,7 +83,7 @@ fn pk_garbage(
         carrier,
         false,
         target,
-        vec![Control::zero(last)],
+        [Control::zero(last)],
     ));
     gates
 }
@@ -131,10 +131,10 @@ pub fn pk_gates_borrowed(
     let carrier = ancillas[k - 3];
     let last = inputs[k - 2];
     let minus_one = SingleQuditOp::Add(dimension.get() - 1);
-    let g1 = Gate::add_from(carrier, true, target, vec![Control::zero(last)]);
-    let g2 = Gate::controlled(minus_one, target, vec![Control::even_nonzero(last)]);
+    let g1 = Gate::add_from(carrier, true, target, [Control::zero(last)]);
+    let g2 = Gate::controlled(minus_one, target, [Control::even_nonzero(last)]);
     let inner = pk_garbage(dimension, &inputs[..k - 2], carrier, &ancillas[..k - 3]);
-    let g3 = Gate::add_from(carrier, false, target, vec![Control::zero(last)]);
+    let g3 = Gate::add_from(carrier, false, target, [Control::zero(last)]);
     let mut gates = vec![g1, g2];
     gates.extend(inner.clone());
     gates.push(g3);

@@ -75,8 +75,9 @@
 //! ```
 
 use std::collections::{HashMap, VecDeque};
+use std::fmt::Write as _;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -86,8 +87,8 @@ use qudit_core::cache::CacheCounters;
 
 use crate::compiler::{CompileOptions, Compiler};
 
-/// How long blocked socket reads and the accept loop sleep between checks
-/// of the shutdown flag.
+/// How long a blocked socket read waits between checks of the shutdown flag,
+/// and how long the acceptor backs off after a failed accept.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
 /// The longest request line (without its newline) a connection may send:
@@ -310,7 +311,6 @@ impl CompileService {
         let compiler = config.options.clone().compiler();
         let listener = TcpListener::bind(&config.bind)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let shared = Arc::new(Shared {
             state: Mutex::new(SchedulerState {
                 tenants: HashMap::new(),
@@ -386,6 +386,17 @@ impl CompileService {
         self.shared.job_ready.notify_all();
         self.shared.space.notify_all();
         if let Some(acceptor) = self.acceptor.take() {
+            // The acceptor blocks in `accept`; one connection wakes it to
+            // see the flag.  An unspecified bind address is reached through
+            // loopback.
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            let _ = TcpStream::connect(wake);
             let _ = acceptor.join();
         }
         let readers = std::mem::take(&mut *lock_unpoisoned(&self.readers));
@@ -411,13 +422,17 @@ fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// The listener thread: accepts connections until shutdown, spawning one
-/// reader thread per connection.  Each accept first joins the readers whose
-/// connection has ended, so closed connections keep no thread; shutdown
-/// joins the live ones.
+/// The listener thread: blocks in `accept` until shutdown (whose wake-up
+/// connection it drops), spawning one reader thread per connection.  Each
+/// accept first joins the readers whose connection has ended, so closed
+/// connections keep no thread; shutdown joins the live ones.
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, readers: &Mutex<Vec<JoinHandle<()>>>) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 let shared = shared.clone();
                 let handle = std::thread::spawn(move || reader_loop(stream, &shared));
@@ -426,9 +441,6 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, readers: &Mutex<Vec
                     let _ = finished.join();
                 }
                 readers.push(handle);
-            }
-            Err(error) if error.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
             }
             Err(_) => std::thread::sleep(POLL_INTERVAL),
         }
@@ -464,7 +476,7 @@ fn reader_loop(stream: TcpStream, shared: &Arc<Shared>) {
                 if line.len() > MAX_LINE_BYTES && line.last() != Some(&b'\n') {
                     shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
                     let reason = format!("request line exceeds {MAX_LINE_BYTES} bytes");
-                    send_reply(&reply_to, &error_reply("", "", &reason));
+                    send_reply(&reply_to, &message_reply("", "", "error", &reason));
                     break;
                 }
                 match std::str::from_utf8(&line) {
@@ -472,7 +484,8 @@ fn reader_loop(stream: TcpStream, shared: &Arc<Shared>) {
                     Ok(text) => handle_line(text.trim(), shared, &reply_to),
                     Err(_) => {
                         shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                        send_reply(&reply_to, &error_reply("", "", "request line is not UTF-8"));
+                        let reply = message_reply("", "", "error", "request line is not UTF-8");
+                        send_reply(&reply_to, &reply);
                     }
                 }
                 line.clear();
@@ -501,10 +514,8 @@ fn handle_line(line: &str, shared: &Arc<Shared>, reply_to: &Arc<Mutex<TcpStream>
         Ok(request) => request,
         Err(error) => {
             shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            send_reply(
-                reply_to,
-                &error_reply(&error.tenant, &error.id, &error.reason),
-            );
+            let reply = message_reply(&error.tenant, &error.id, "error", &error.reason);
+            send_reply(reply_to, &reply);
             return;
         }
     };
@@ -519,20 +530,22 @@ fn handle_line(line: &str, shared: &Arc<Shared>, reply_to: &Arc<Mutex<TcpStream>
     if state.shutdown {
         drop(state);
         shared.rejected.fetch_add(1, Ordering::Relaxed);
-        send_reply(
-            reply_to,
-            &rejected_reply(&request.tenant, &request.id, "service is shutting down"),
-        );
+        let reason = "service is shutting down";
+        let reply = message_reply(&request.tenant, &request.id, "rejected", reason);
+        send_reply(reply_to, &reply);
         return;
     }
     let queue = state.tenants.entry(request.tenant.clone()).or_default();
     if queue.jobs.len() >= shared.max_queue_depth {
         drop(state);
         shared.rejected.fetch_add(1, Ordering::Relaxed);
-        send_reply(
-            reply_to,
-            &rejected_reply(&request.tenant, &request.id, "tenant queue is full"),
+        let reply = message_reply(
+            &request.tenant,
+            &request.id,
+            "rejected",
+            "tenant queue is full",
         );
+        send_reply(reply_to, &reply);
         return;
     }
     // An idle tenant becomes runnable with its first queued job; a busy one
@@ -615,46 +628,55 @@ fn drop_jobs_of(state: &mut SchedulerState, shared: &Shared, connection: &Arc<Mu
     shared.rejected.fetch_add(dropped as u64, Ordering::Relaxed);
 }
 
-/// Compiles one job and renders its reply line.
+/// Compiles one job and renders its reply line: the printed circuit is
+/// escaped straight into the one buffer the line is built in.
 fn compile_job(shared: &Shared, request: &JobRequest) -> String {
     match shared.compiler.compile_source(&request.source) {
         Ok(result) => {
             shared.completed.fetch_add(1, Ordering::Relaxed);
-            format!(
-                "{{\"tenant\":\"{}\",\"id\":\"{}\",\"status\":\"ok\",\"gates\":{},\"depth\":{},\"verified\":{},\"qasm\":\"{}\"}}",
-                json_escape(&request.tenant),
-                json_escape(&request.id),
+            let qasm = result.to_qasm();
+            // Escaping adds a byte per line break, about one in twenty.
+            let capacity = 160 + request.tenant.len() + request.id.len() + qasm.len() * 9 / 8;
+            let mut reply = String::with_capacity(capacity);
+            open_reply(&mut reply, &request.tenant, &request.id, "ok");
+            let _ = write!(
+                reply,
+                ",\"gates\":{},\"depth\":{},\"verified\":{},\"qasm\":\"",
                 result.circuit.len(),
                 result.depth,
                 result.verification.is_verified(),
-                json_escape(&result.to_qasm()),
-            )
+            );
+            json_escape_into(&mut reply, &qasm);
+            reply.push_str("\"}");
+            reply
         }
         Err(error) => {
             shared.compile_errors.fetch_add(1, Ordering::Relaxed);
-            error_reply(&request.tenant, &request.id, &error.to_string())
+            message_reply(&request.tenant, &request.id, "error", &error.to_string())
         }
     }
 }
 
-/// Renders a `status: error` reply line.
-fn error_reply(tenant: &str, id: &str, message: &str) -> String {
-    format!(
-        "{{\"tenant\":\"{}\",\"id\":\"{}\",\"status\":\"error\",\"error\":\"{}\"}}",
-        json_escape(tenant),
-        json_escape(id),
-        json_escape(message),
-    )
+/// Appends the fields every reply line opens with,
+/// `{"tenant":…,"id":…,"status":"<status>"`.
+fn open_reply(reply: &mut String, tenant: &str, id: &str, status: &str) {
+    reply.push_str("{\"tenant\":\"");
+    json_escape_into(reply, tenant);
+    reply.push_str("\",\"id\":\"");
+    json_escape_into(reply, id);
+    reply.push_str("\",\"status\":\"");
+    reply.push_str(status);
+    reply.push('"');
 }
 
-/// Renders a `status: rejected` reply line.
-fn rejected_reply(tenant: &str, id: &str, message: &str) -> String {
-    format!(
-        "{{\"tenant\":\"{}\",\"id\":\"{}\",\"status\":\"rejected\",\"error\":\"{}\"}}",
-        json_escape(tenant),
-        json_escape(id),
-        json_escape(message),
-    )
+/// Renders a `status: error` or `status: rejected` reply line.
+fn message_reply(tenant: &str, id: &str, status: &str, message: &str) -> String {
+    let mut reply = String::with_capacity(64 + tenant.len() + id.len() + message.len());
+    open_reply(&mut reply, tenant, id, status);
+    reply.push_str(",\"error\":\"");
+    json_escape_into(&mut reply, message);
+    reply.push_str("\"}");
+    reply
 }
 
 /// Writes one reply line to a connection, returning whether it was
@@ -702,12 +724,16 @@ impl ServiceClient {
     ///
     /// Propagates socket write failures.
     pub fn send(&mut self, request: &JobRequest) -> io::Result<()> {
-        let line = format!(
-            "{{\"tenant\":\"{}\",\"id\":\"{}\",\"source\":\"{}\"}}\n",
-            json_escape(&request.tenant),
-            json_escape(&request.id),
-            json_escape(&request.source),
-        );
+        let JobRequest { tenant, id, source } = request;
+        let capacity = 48 + tenant.len() + id.len() + source.len() * 9 / 8;
+        let mut line = String::with_capacity(capacity);
+        line.push_str("{\"tenant\":\"");
+        json_escape_into(&mut line, tenant);
+        line.push_str("\",\"id\":\"");
+        json_escape_into(&mut line, id);
+        line.push_str("\",\"source\":\"");
+        json_escape_into(&mut line, source);
+        line.push_str("\"}\n");
         self.writer.write_all(line.as_bytes())?;
         self.writer.flush()
     }
@@ -755,126 +781,146 @@ impl ServiceClient {
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = std::fmt::Write::write_fmt(&mut out, format_args!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+/// Appends `text` escaped for a JSON string literal.  Every byte that needs
+/// an escape is ASCII, so the text is copied in runs between them.
+fn json_escape_into(out: &mut String, text: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut run = 0;
+    for (at, byte) in text.bytes().enumerate() {
+        if byte >= 0x20 && byte != b'"' && byte != b'\\' {
+            continue;
         }
+        out.push_str(&text[run..at]);
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(byte >> 4)]));
+                out.push(char::from(HEX[usize::from(byte & 0xf)]));
+            }
+        }
+        run = at + 1;
     }
-    out
+    out.push_str(&text[run..]);
 }
 
 /// Parses one flat JSON object (string, number, boolean and null values
 /// only — the whole protocol is flat) into key/value pairs.  String values
 /// are unescaped; other values are kept as their raw token text.
 fn parse_flat_json(line: &str) -> Result<HashMap<String, String>, String> {
-    let mut chars = line.chars().peekable();
+    let mut rest = line;
     let mut fields = HashMap::new();
-    skip_ws(&mut chars);
-    if chars.next() != Some('{') {
+    skip_ws(&mut rest);
+    if !eat(&mut rest, '{') {
         return Err("request is not a JSON object".to_string());
     }
-    skip_ws(&mut chars);
-    if chars.peek() == Some(&'}') {
-        chars.next();
-        return finish(chars, fields);
+    skip_ws(&mut rest);
+    if eat(&mut rest, '}') {
+        return finish(rest, fields);
     }
     loop {
-        skip_ws(&mut chars);
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        if chars.next() != Some(':') {
+        skip_ws(&mut rest);
+        let key = parse_string(&mut rest)?;
+        skip_ws(&mut rest);
+        if !eat(&mut rest, ':') {
             return Err(format!("missing ':' after key '{key}'"));
         }
-        skip_ws(&mut chars);
-        let value = match chars.peek() {
-            Some('"') => parse_string(&mut chars)?,
-            Some(c) if c.is_ascii_digit() || *c == '-' || c.is_ascii_alphabetic() => {
-                let mut token = String::new();
-                while let Some(c) = chars.peek() {
-                    if c.is_ascii_alphanumeric() || *c == '-' || *c == '+' || *c == '.' {
-                        token.push(*c);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                token
+        skip_ws(&mut rest);
+        let value = match rest.as_bytes().first() {
+            Some(b'"') => parse_string(&mut rest)?,
+            Some(c) if c.is_ascii_alphanumeric() || *c == b'-' => {
+                let end = rest
+                    .bytes()
+                    .position(|c| !(c.is_ascii_alphanumeric() || matches!(c, b'-' | b'+' | b'.')))
+                    .unwrap_or(rest.len());
+                let (token, tail) = rest.split_at(end);
+                rest = tail;
+                token.to_string()
             }
             _ => return Err(format!("unsupported value for key '{key}'")),
         };
         fields.insert(key, value);
-        skip_ws(&mut chars);
-        match chars.next() {
-            Some(',') => continue,
-            Some('}') => return finish(chars, fields),
-            _ => return Err("expected ',' or '}' after a value".to_string()),
+        skip_ws(&mut rest);
+        if eat(&mut rest, '}') {
+            return finish(rest, fields);
+        }
+        if !eat(&mut rest, ',') {
+            return Err("expected ',' or '}' after a value".to_string());
         }
     }
 }
 
 /// Requires only whitespace to remain after the closing brace.
 fn finish(
-    mut chars: std::iter::Peekable<std::str::Chars<'_>>,
+    mut rest: &str,
     fields: HashMap<String, String>,
 ) -> Result<HashMap<String, String>, String> {
-    skip_ws(&mut chars);
-    if chars.next().is_some() {
+    skip_ws(&mut rest);
+    if !rest.is_empty() {
         return Err("trailing content after the JSON object".to_string());
     }
     Ok(fields)
 }
 
-fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-    while matches!(chars.peek(), Some(' ' | '\t' | '\r' | '\n')) {
-        chars.next();
+fn skip_ws(rest: &mut &str) {
+    *rest = rest.trim_start_matches([' ', '\t', '\r', '\n']);
+}
+
+/// Consumes `c` when the text starts with it.
+fn eat(rest: &mut &str, c: char) -> bool {
+    match rest.strip_prefix(c) {
+        Some(tail) => {
+            *rest = tail;
+            true
+        }
+        None => false,
     }
 }
 
-/// Parses a JSON string literal (the cursor must be on the opening quote).
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<String, String> {
-    if chars.next() != Some('"') {
+/// Parses a JSON string literal (the text must start with the opening
+/// quote), copying each run up to the next quote or backslash at once.
+fn parse_string(rest: &mut &str) -> Result<String, String> {
+    let Some(mut body) = rest.strip_prefix('"') else {
         return Err("expected a string".to_string());
-    }
+    };
     let mut out = String::new();
     loop {
-        match chars.next() {
-            None => return Err("unterminated string".to_string()),
-            Some('"') => return Ok(out),
-            Some('\\') => match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some('/') => out.push('/'),
-                Some('n') => out.push('\n'),
-                Some('r') => out.push('\r'),
-                Some('t') => out.push('\t'),
-                Some('b') => out.push('\u{8}'),
-                Some('f') => out.push('\u{c}'),
-                Some('u') => {
-                    let mut code = 0u32;
-                    for _ in 0..4 {
-                        let digit = chars
-                            .next()
-                            .and_then(|c| c.to_digit(16))
-                            .ok_or_else(|| "invalid \\u escape".to_string())?;
-                        code = code * 16 + digit;
-                    }
-                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                }
-                _ => return Err("unknown escape sequence".to_string()),
-            },
-            Some(c) => out.push(c),
+        let Some(stop) = body.bytes().position(|b| b == b'"' || b == b'\\') else {
+            return Err("unterminated string".to_string());
+        };
+        out.push_str(&body[..stop]);
+        if body.as_bytes()[stop] == b'"' {
+            *rest = &body[stop + 1..];
+            return Ok(out);
         }
+        let mut chars = body[stop + 1..].chars();
+        match chars.next() {
+            Some('"') => out.push('"'),
+            Some('\\') => out.push('\\'),
+            Some('/') => out.push('/'),
+            Some('n') => out.push('\n'),
+            Some('r') => out.push('\r'),
+            Some('t') => out.push('\t'),
+            Some('b') => out.push('\u{8}'),
+            Some('f') => out.push('\u{c}'),
+            Some('u') => {
+                let mut code = 0u32;
+                for _ in 0..4 {
+                    let digit = chars
+                        .next()
+                        .and_then(|c| c.to_digit(16))
+                        .ok_or_else(|| "invalid \\u escape".to_string())?;
+                    code = code * 16 + digit;
+                }
+                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+            }
+            _ => return Err("unknown escape sequence".to_string()),
+        }
+        body = chars.as_str();
     }
 }
 
@@ -887,64 +933,372 @@ struct RequestError {
     reason: String,
 }
 
-/// Parses one request line into a [`JobRequest`].
+/// Parses one request line into a [`JobRequest`], moving each field out of
+/// the parsed object.
 fn parse_request(line: &str) -> Result<JobRequest, RequestError> {
-    let fields = parse_flat_json(line).map_err(|reason| RequestError {
+    let mut fields = parse_flat_json(line).map_err(|reason| RequestError {
         tenant: String::new(),
         id: String::new(),
         reason,
     })?;
-    let text = |name: &str| fields.get(name).cloned().unwrap_or_default();
-    let require = |name: &str| {
-        fields.get(name).cloned().ok_or_else(|| RequestError {
+    let names = ["tenant", "id", "source"];
+    if let Some(missing) = names.into_iter().find(|name| !fields.contains_key(*name)) {
+        let text = |name: &str| fields.get(name).cloned().unwrap_or_default();
+        return Err(RequestError {
             tenant: text("tenant"),
             id: text("id"),
-            reason: format!("missing field '{name}'"),
-        })
-    };
+            reason: format!("missing field '{missing}'"),
+        });
+    }
+    let mut take = |name: &str| fields.remove(name).unwrap_or_default();
     Ok(JobRequest {
-        tenant: require("tenant")?,
-        id: require("id")?,
-        source: require("source")?,
+        tenant: take("tenant"),
+        id: take("id"),
+        source: take("source"),
     })
 }
 
-/// Parses one reply line into a [`JobReply`].
+/// Parses one reply line into a [`JobReply`], moving each field out of the
+/// parsed object.
 fn parse_reply(line: &str) -> Result<JobReply, String> {
-    let fields = parse_flat_json(line)?;
-    let text = |name: &str| fields.get(name).cloned().unwrap_or_default();
-    let number = |name: &str| {
-        fields
-            .get(name)
-            .and_then(|raw| raw.parse::<usize>().ok())
-            .unwrap_or(0)
-    };
-    let status = match text("status").as_str() {
+    let mut fields = parse_flat_json(line)?;
+    let mut take = |name: &str| fields.remove(name).unwrap_or_default();
+    let status = match take("status").as_str() {
         "ok" => JobStatus::Ok,
         "rejected" => JobStatus::Rejected,
         "error" => JobStatus::Error,
         other => return Err(format!("unknown reply status '{other}'")),
     };
+    let number = |raw: String| raw.parse::<usize>().unwrap_or(0);
     Ok(JobReply {
-        tenant: text("tenant"),
-        id: text("id"),
+        tenant: take("tenant"),
+        id: take("id"),
         status,
-        gates: number("gates"),
-        depth: number("depth"),
-        verified: fields.get("verified").map(|v| v == "true").unwrap_or(false),
-        qasm: text("qasm"),
-        message: text("error"),
+        gates: number(take("gates")),
+        depth: number(take("depth")),
+        verified: take("verified") == "true",
+        qasm: take("qasm"),
+        message: take("error"),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
+
+    /// The char-at-a-time JSON layer the run-based one replaced, kept as
+    /// the reference the differential test holds it to.
+    mod reference {
+        use std::collections::HashMap;
+
+        use super::super::{JobReply, JobStatus};
+
+        pub fn json_escape(text: &str) -> String {
+            let mut out = String::with_capacity(text.len());
+            for c in text.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => {
+                        let _ = std::fmt::Write::write_fmt(
+                            &mut out,
+                            format_args!("\\u{:04x}", c as u32),
+                        );
+                    }
+                    c => out.push(c),
+                }
+            }
+            out
+        }
+
+        type Chars<'a> = std::iter::Peekable<std::str::Chars<'a>>;
+
+        pub fn parse_flat_json(line: &str) -> Result<HashMap<String, String>, String> {
+            let mut chars = line.chars().peekable();
+            let mut fields = HashMap::new();
+            skip_ws(&mut chars);
+            if chars.next() != Some('{') {
+                return Err("request is not a JSON object".to_string());
+            }
+            skip_ws(&mut chars);
+            if chars.peek() == Some(&'}') {
+                chars.next();
+                return finish(chars, fields);
+            }
+            loop {
+                skip_ws(&mut chars);
+                let key = parse_string(&mut chars)?;
+                skip_ws(&mut chars);
+                if chars.next() != Some(':') {
+                    return Err(format!("missing ':' after key '{key}'"));
+                }
+                skip_ws(&mut chars);
+                let value = match chars.peek() {
+                    Some('"') => parse_string(&mut chars)?,
+                    Some(c) if c.is_ascii_digit() || *c == '-' || c.is_ascii_alphabetic() => {
+                        let mut token = String::new();
+                        while let Some(c) = chars.peek() {
+                            if c.is_ascii_alphanumeric() || *c == '-' || *c == '+' || *c == '.' {
+                                token.push(*c);
+                                chars.next();
+                            } else {
+                                break;
+                            }
+                        }
+                        token
+                    }
+                    _ => return Err(format!("unsupported value for key '{key}'")),
+                };
+                fields.insert(key, value);
+                skip_ws(&mut chars);
+                match chars.next() {
+                    Some(',') => continue,
+                    Some('}') => return finish(chars, fields),
+                    _ => return Err("expected ',' or '}' after a value".to_string()),
+                }
+            }
+        }
+
+        fn finish(
+            mut chars: Chars<'_>,
+            fields: HashMap<String, String>,
+        ) -> Result<HashMap<String, String>, String> {
+            skip_ws(&mut chars);
+            if chars.next().is_some() {
+                return Err("trailing content after the JSON object".to_string());
+            }
+            Ok(fields)
+        }
+
+        fn skip_ws(chars: &mut Chars<'_>) {
+            while matches!(chars.peek(), Some(' ' | '\t' | '\r' | '\n')) {
+                chars.next();
+            }
+        }
+
+        fn parse_string(chars: &mut Chars<'_>) -> Result<String, String> {
+            if chars.next() != Some('"') {
+                return Err("expected a string".to_string());
+            }
+            let mut out = String::new();
+            loop {
+                match chars.next() {
+                    None => return Err("unterminated string".to_string()),
+                    Some('"') => return Ok(out),
+                    Some('\\') => match chars.next() {
+                        Some('"') => out.push('"'),
+                        Some('\\') => out.push('\\'),
+                        Some('/') => out.push('/'),
+                        Some('n') => out.push('\n'),
+                        Some('r') => out.push('\r'),
+                        Some('t') => out.push('\t'),
+                        Some('b') => out.push('\u{8}'),
+                        Some('f') => out.push('\u{c}'),
+                        Some('u') => {
+                            let mut code = 0u32;
+                            for _ in 0..4 {
+                                let digit = chars
+                                    .next()
+                                    .and_then(|c| c.to_digit(16))
+                                    .ok_or_else(|| "invalid \\u escape".to_string())?;
+                                code = code * 16 + digit;
+                            }
+                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                        }
+                        _ => return Err("unknown escape sequence".to_string()),
+                    },
+                    Some(c) => out.push(c),
+                }
+            }
+        }
+
+        /// `(tenant, id, source)` or `(tenant, id, reason)`.
+        pub fn parse_request(line: &str) -> Result<[String; 3], [String; 3]> {
+            let fields =
+                parse_flat_json(line).map_err(|reason| [String::new(), String::new(), reason])?;
+            let text = |name: &str| fields.get(name).cloned().unwrap_or_default();
+            let require = |name: &str| {
+                fields.get(name).cloned().ok_or_else(|| {
+                    [
+                        text("tenant"),
+                        text("id"),
+                        format!("missing field '{name}'"),
+                    ]
+                })
+            };
+            Ok([require("tenant")?, require("id")?, require("source")?])
+        }
+
+        pub fn parse_reply(line: &str) -> Result<JobReply, String> {
+            let fields = parse_flat_json(line)?;
+            let text = |name: &str| fields.get(name).cloned().unwrap_or_default();
+            let number = |name: &str| {
+                fields
+                    .get(name)
+                    .and_then(|raw| raw.parse::<usize>().ok())
+                    .unwrap_or(0)
+            };
+            let status = match text("status").as_str() {
+                "ok" => JobStatus::Ok,
+                "rejected" => JobStatus::Rejected,
+                "error" => JobStatus::Error,
+                other => return Err(format!("unknown reply status '{other}'")),
+            };
+            Ok(JobReply {
+                tenant: text("tenant"),
+                id: text("id"),
+                status,
+                gates: number("gates"),
+                depth: number("depth"),
+                verified: fields.get("verified").map(|v| v == "true").unwrap_or(false),
+                qasm: text("qasm"),
+                message: text("error"),
+            })
+        }
+    }
+
+    /// A seeded splitmix64 stream for the differential test.
+    struct Draws(u64);
+
+    impl Draws {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
+            &items[self.below(items.len())]
+        }
+    }
+
+    /// Characters that exercise every branch of escaping and parsing.
+    const PALETTE: [char; 24] = [
+        'a', 'Z', '7', ' ', '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{1}', '\u{8}', '\u{c}',
+        '\u{1f}', '\u{7f}', '{', '}', ':', ',', 'é', '€', '😀', '\u{2028}',
+    ];
+
+    /// Raw escapes and literals placed straight into a line, past the
+    /// escaper: valid, surrogate, short and bad `\u` forms among them.
+    const FRAGMENTS: [&str; 14] = [
+        "\\u00e9", "\\u00E9", "\\uD83D", "\\u12", "\\u12G4", "\\/", "\\b", "\\f", "\\x", "\\",
+        "\"", "\\u0022", "\\\\", "\\uFFFF",
+    ];
+
+    fn random_text(draws: &mut Draws) -> String {
+        (0..draws.below(24))
+            .map(|_| *draws.pick(&PALETTE))
+            .collect()
+    }
+
+    fn random_value(draws: &mut Draws) -> String {
+        match draws.below(8) {
+            0 => draws
+                .pick(&["12", "-3", "1.5e+3", "true", "false", "null", "0x1F"])
+                .to_string(),
+            1 => format!("\"{}\"", draws.pick(&FRAGMENTS)),
+            _ => format!("\"{}\"", reference::json_escape(&random_text(draws))),
+        }
+    }
+
+    fn random_line(draws: &mut Draws) -> String {
+        let ws = |draws: &mut Draws| *draws.pick(&["", "", " ", "\t", "\r\n", "  "]);
+        let mut keys = vec!["tenant", "id", "source"];
+        if draws.below(2) == 0 {
+            keys.extend(["status", "gates", "depth", "verified", "qasm", "error"]);
+        }
+        let mut line = format!("{}{{", ws(draws));
+        for (i, key) in keys.iter().enumerate() {
+            if draws.below(20) == 0 {
+                continue;
+            }
+            if i > 0 {
+                line.push(',');
+            }
+            let key = if draws.below(30) == 0 { "tenant" } else { key };
+            let value = match key {
+                "status" => format!("\"{}\"", draws.pick(&["ok", "rejected", "error", "odd"])),
+                _ => random_value(draws),
+            };
+            let (a, b, c) = (ws(draws), ws(draws), ws(draws));
+            let _ = write!(line, "{a}\"{key}\"{b}:{c}{value}");
+        }
+        let _ = write!(line, "{}}}{}", ws(draws), ws(draws));
+        // Mutations: flipped and inserted characters, truncation, dropped
+        // quotes.
+        let mut chars: Vec<char> = line.chars().collect();
+        for _ in 0..draws.below(4) {
+            match draws.below(4) {
+                0 if !chars.is_empty() => {
+                    let at = draws.below(chars.len());
+                    chars[at] = *draws.pick(&PALETTE);
+                }
+                1 => {
+                    let at = draws.below(chars.len() + 1);
+                    chars.insert(at, *draws.pick(&PALETTE));
+                }
+                2 => chars.truncate(draws.below(chars.len() + 1)),
+                _ => {
+                    let quotes: Vec<usize> =
+                        (0..chars.len()).filter(|&i| chars[i] == '"').collect();
+                    if !quotes.is_empty() {
+                        chars.remove(*draws.pick(&quotes));
+                    }
+                }
+            }
+        }
+        chars.into_iter().collect()
+    }
+
+    #[test]
+    fn json_layer_matches_the_char_at_a_time_reference() {
+        let mut draws = Draws(0x5eed_2024);
+        let (mut parsed, mut requests) = (0, 0);
+        for _ in 0..20_000 {
+            let text = random_text(&mut draws);
+            let mut escaped = String::new();
+            json_escape_into(&mut escaped, &text);
+            assert_eq!(escaped, reference::json_escape(&text), "{text:?}");
+
+            let line = random_line(&mut draws);
+            let fields = parse_flat_json(&line);
+            assert_eq!(fields, reference::parse_flat_json(&line), "{line:?}");
+            parsed += usize::from(fields.is_ok());
+            let request = parse_request(&line)
+                .map(|r| [r.tenant, r.id, r.source])
+                .map_err(|e| [e.tenant, e.id, e.reason]);
+            assert_eq!(request, reference::parse_request(&line), "{line:?}");
+            requests += usize::from(request.is_ok());
+            assert_eq!(
+                parse_reply(&line),
+                reference::parse_reply(&line),
+                "{line:?}"
+            );
+        }
+        // Both outcomes are exercised in bulk.
+        assert!(
+            parsed > 5_000 && parsed < 15_000,
+            "{parsed} of 20000 lines parsed"
+        );
+        assert!(requests > 2_000, "{requests} of 20000 lines were requests");
+    }
 
     #[test]
     fn json_round_trips_escapes() {
         let nasty = "line1\nline2\t\"quoted\" \\slash\u{1}";
-        let line = format!("{{\"k\":\"{}\"}}", json_escape(nasty));
+        let mut line = "{\"k\":\"".to_string();
+        json_escape_into(&mut line, nasty);
+        line.push_str("\"}");
         let fields = parse_flat_json(&line).unwrap();
         assert_eq!(fields["k"], nasty);
     }
@@ -1027,6 +1381,27 @@ mod tests {
     }
 
     #[test]
+    fn connections_are_accepted_without_polling() {
+        let service = CompileService::start(ServiceConfig::new()).unwrap();
+        let request = JobRequest {
+            tenant: "t".to_string(),
+            id: "0".to_string(),
+            source: "OPENQASM 3.0;\nqudit[3] q[2];\nswap(0, 1) q[0];\n".to_string(),
+        };
+        let started = Instant::now();
+        for _ in 0..20 {
+            let mut client = ServiceClient::connect(service.local_addr()).unwrap();
+            assert!(client.roundtrip(&request).unwrap().is_ok());
+        }
+        // A polling acceptor waits out most of a 25 ms poll per connection.
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(250),
+            "20 connections took {elapsed:?}"
+        );
+    }
+
+    #[test]
     fn reply_parsing_reads_every_status() {
         let ok = parse_reply(
             "{\"tenant\":\"t\",\"id\":\"1\",\"status\":\"ok\",\"gates\":3,\"depth\":2,\
@@ -1037,10 +1412,11 @@ mod tests {
         assert_eq!((ok.gates, ok.depth), (3, 2));
         assert!(ok.verified);
         assert_eq!(ok.qasm, "OPENQASM 3.0;\n");
-        let rejected = parse_reply(&rejected_reply("t", "2", "tenant queue is full")).unwrap();
+        let rejected =
+            parse_reply(&message_reply("t", "2", "rejected", "tenant queue is full")).unwrap();
         assert_eq!(rejected.status, JobStatus::Rejected);
         assert_eq!(rejected.message, "tenant queue is full");
-        let error = parse_reply(&error_reply("t", "3", "boom")).unwrap();
+        let error = parse_reply(&message_reply("t", "3", "error", "boom")).unwrap();
         assert_eq!(error.status, JobStatus::Error);
         assert!(parse_reply("{\"status\":\"odd\"}").is_err());
     }

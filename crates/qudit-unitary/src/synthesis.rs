@@ -210,7 +210,7 @@ impl UnitarySynthesizer {
                 Gate::controlled(
                     SingleQuditOp::Swap(a[i], b[i]),
                     variables[i],
-                    vec![Control::level(variables[p], b[p])],
+                    [Control::level(variables[p], b[p])],
                 )
             })
             .collect();

@@ -1,0 +1,118 @@
+//! Exact heap-allocation counts of the reply path on the 11 O2 `serve_mct`
+//! shapes (the k-Toffolis for d ∈ {3, 4} × k ∈ {4, …, 8} and d = 5, k = 4,
+//! compiled from their printed macro circuits as the compile service does).
+//!
+//! A counting global allocator makes these counts deterministic, so the
+//! bounds gate a regression exactly on a noisy host:
+//!
+//! * the compile of a parsed job makes at most 0.1 allocations per output
+//!   gate (a controlled G-gate keeps its one control inline);
+//! * printing a compiled circuit makes at most 2 allocations (one reserved
+//!   buffer, and at most one regrowth);
+//! * a `Gate` stays 64 bytes.
+//!
+//! Every allocator call counts: `alloc`, `alloc_zeroed` and `realloc`.  The
+//! counter is global, so this binary holds a single test: a second one
+//! running beside it would add its own allocations.  Run with
+//! `--nocapture` to see the per-shape table.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use qudit_core::qasm::{parse_source, print_circuit};
+use qudit_core::{Dimension, Gate};
+use qudit_synthesis::{CompileOptions, KToffoli, OptLevel};
+
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a plain atomic that
+// never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's guarantees for `layout` pass straight on.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` came from this allocator, which is `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, which is `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// The `serve_mct` family: d ∈ {3, 4, 5}, k ∈ {4, …, 8}, d = 5 capped at
+/// k = 4.
+const MCT_FAMILY: [(u32, usize); 11] = [
+    (3, 4),
+    (3, 5),
+    (3, 6),
+    (3, 7),
+    (3, 8),
+    (4, 4),
+    (4, 5),
+    (4, 6),
+    (4, 7),
+    (4, 8),
+    (5, 4),
+];
+
+/// Runs `f` and returns its result with the allocations it made.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let value = f();
+    (value, ALLOCATIONS.load(Ordering::Relaxed) - before)
+}
+
+#[test]
+fn reply_path_allocations_stay_bounded() {
+    assert_eq!(std::mem::size_of::<Gate>(), 64);
+    let compiler = CompileOptions::new().opt_level(OptLevel::O2).compiler();
+    let (mut total_gates, mut total_compile, mut total_print) = (0u64, 0u64, 0u64);
+    println!("d k gates compile_allocs per_gate print_allocs");
+    for (d, k) in MCT_FAMILY {
+        let dimension = Dimension::new(d).unwrap();
+        let synthesis = KToffoli::new(dimension, k).unwrap().synthesize().unwrap();
+        let source = print_circuit(synthesis.circuit());
+        // The compile of a parsed job is the compile of the source less
+        // its parse; the parse is deterministic, so the difference is exact.
+        let (parsed, parse) = counted(|| parse_source(&source).unwrap());
+        drop(parsed);
+        let (result, compile_and_parse) = counted(|| compiler.compile_source(&source).unwrap());
+        let compile = compile_and_parse - parse;
+        let (printed, print) = counted(|| print_circuit(&result.circuit));
+        let gates = result.circuit.len() as u64;
+        println!(
+            "{d} {k} {gates} {compile} {:.3} {print}",
+            compile as f64 / gates as f64
+        );
+        assert!(print <= 2, "d={d} k={k}: printing made {print} allocations");
+        assert!(!printed.is_empty());
+        total_gates += gates;
+        total_compile += compile;
+        total_print += print;
+    }
+    let per_gate = total_compile as f64 / total_gates as f64;
+    println!("total {total_gates} {total_compile} {per_gate:.3} {total_print}");
+    assert!(
+        per_gate <= 0.1,
+        "compiles made {total_compile} allocations for {total_gates} output gates ({per_gate:.3} per gate)"
+    );
+}

@@ -160,8 +160,7 @@ fn exhaustive_witness_is_the_earliest_across_blocks() {
         let controls = levels
             .iter()
             .enumerate()
-            .map(|(q, &l)| Control::level(QuditId::new(q), l))
-            .collect();
+            .map(|(q, &l)| Control::level(QuditId::new(q), l));
         Gate::controlled(SingleQuditOp::Swap(0, 1), QuditId::new(5), controls)
     };
     let extra = [fires_on(&[4, 4, 4, 4, 4]), fires_on(&[2, 3])];
