@@ -2,7 +2,7 @@
 //! byte in `tests/golden/g_gate_counts.txt`: for every `d ∈ {3, 4, 5}` and
 //! `k ∈ {2, …, 8}`, the `resources()` macro / elementary / G-gate counts and
 //! the facade's output gate count, depth and FNV-1a-64 hash of the printed
-//! circuit at `O0` and `O2`.  The hashes pin the output byte for byte, so a
+//! circuit at `O0`, `O1` (the default flow) and `O2`.  The hashes pin the output byte for byte, so a
 //! refactor that reorders or rewrites gates fails here even when the counts
 //! survive.
 //!
@@ -37,7 +37,8 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 
 fn golden_table() -> String {
     let mut table = String::from(
-        "# d k macro elementary g_gates o0_gates o0_depth o2_gates o2_depth o0_hash o2_hash\n",
+        "# d k macro elementary g_gates o0_gates o0_depth o1_gates o1_depth o2_gates o2_depth \
+         o0_hash o1_hash o2_hash\n",
     );
     for d in DIMENSIONS {
         for k in CONTROLS {
@@ -48,17 +49,21 @@ fn golden_table() -> String {
                 .unwrap_or_else(|e| panic!("{row}: synthesis failed: {e}"));
             let resources = synthesis.resources();
             let o0 = compile(synthesis.circuit(), OptLevel::O0, &row);
+            let o1 = compile(synthesis.circuit(), OptLevel::O1, &row);
             let o2 = compile(synthesis.circuit(), OptLevel::O2, &row);
             table.push_str(&format!(
-                "{d} {k} {} {} {} {} {} {} {} {:016x} {:016x}\n",
+                "{d} {k} {} {} {} {} {} {} {} {} {} {:016x} {:016x} {:016x}\n",
                 resources.macro_gates,
                 resources.elementary_gates,
                 resources.g_gates,
                 o0.circuit.len(),
                 o0.depth,
+                o1.circuit.len(),
+                o1.depth,
                 o2.circuit.len(),
                 o2.depth,
                 fnv1a64(print_circuit(&o0.circuit).as_bytes()),
+                fnv1a64(print_circuit(&o1.circuit).as_bytes()),
                 fnv1a64(print_circuit(&o2.circuit).as_bytes()),
             ));
         }
