@@ -37,7 +37,7 @@ const BATCH_THREADS: Threads = Threads::Fixed(4);
 
 fn bench_sequential(c: &mut Criterion) {
     let jobs = jobs();
-    // Shape-agnostic, so one compiler covers the whole sweep.
+    // One compiler covers the whole heterogeneous sweep.
     let compiler = CompileOptions::new().compiler();
     let mut group = c.benchmark_group("batch_compilation");
     group.bench_with_input(

@@ -23,24 +23,18 @@ use qudit_core::{Circuit, Dimension};
 use qudit_synthesis::{CompileOptions, Compiler, KToffoli, OptLevel, Verify};
 
 /// The workload: the macro circuit of a mid-size k-Toffoli (d = 3, k = 8).
-fn workload() -> (Dimension, usize, Circuit) {
-    let dimension = Dimension::new(3).unwrap();
-    let synthesis = KToffoli::new(dimension, 8).unwrap().synthesize().unwrap();
-    (
-        dimension,
-        synthesis.layout().width,
-        synthesis.circuit().clone(),
-    )
+fn workload() -> Circuit {
+    let synthesis = KToffoli::new(Dimension::new(3).unwrap(), 8)
+        .unwrap()
+        .synthesize()
+        .unwrap();
+    synthesis.circuit().clone()
 }
 
-fn raw_manager(dimension: Dimension, width: usize) -> PassManager {
-    CompileOptions::new()
-        .shape(dimension, width)
-        .build_manager()
-}
-
-fn facade(dimension: Dimension, width: usize) -> Compiler {
-    CompileOptions::new().shape(dimension, width).compiler()
+/// The raw pass manager of the default flow and the facade over it.
+fn raw_and_facade() -> (PassManager, Compiler) {
+    let options = CompileOptions::new();
+    (options.build_manager(), options.compiler())
 }
 
 /// Minimum wall times of `rounds` interleaved runs of `a` and `b` (the
@@ -62,9 +56,8 @@ fn min_times(rounds: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (Durati
 }
 
 fn bench_raw_vs_facade(c: &mut Criterion) {
-    let (dimension, width, circuit) = workload();
-    let manager = raw_manager(dimension, width);
-    let compiler = facade(dimension, width);
+    let circuit = workload();
+    let (manager, compiler) = raw_and_facade();
 
     let mut group = c.benchmark_group("compiler_facade");
     group.bench_with_input(
@@ -112,9 +105,8 @@ fn bench_verified_chain(c: &mut Criterion) {
 }
 
 fn bench_overhead_pin(_c: &mut Criterion) {
-    let (dimension, width, circuit) = workload();
-    let manager = raw_manager(dimension, width);
-    let compiler = facade(dimension, width);
+    let circuit = workload();
+    let (manager, compiler) = raw_and_facade();
 
     // Interleaved minimum-of-rounds comparison, retried a few times so a
     // one-off scheduling hiccup cannot fail the pin; a *persistent* facade

@@ -9,9 +9,9 @@
 //! hands the scheduler.  `schedule_d5_k4` adds the longest wire history of
 //! the O2 family, and `schedule_distinct_perms` a 20k-gate circuit of
 //! all-distinct permutations, where the history never merges.  The
-//! `cancel_*` entries time `cancel_inverse_pairs` on the uncancelled O2
-//! circuits.  Both functions take their circuit by value, so each iteration
-//! clones the workload first.
+//! `cancel_*` entries time `cancel_inverse_pairs` on the fused, lowered
+//! k-Toffoli it receives in the standard flow.  Both functions take their
+//! circuit by value, so each iteration clones the workload first.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qudit_core::commute::schedule_depth;
@@ -19,7 +19,7 @@ use qudit_core::depth::circuit_depth;
 use qudit_core::optimize::cancel_inverse_pairs;
 use qudit_core::pipeline::{Pass, ScheduleDepth};
 use qudit_core::{Circuit, Dimension, Gate, Permutation, QuditId, SingleQuditOp};
-use qudit_synthesis::{CompileOptions, KToffoli, OptLevel};
+use qudit_synthesis::{CompileOptions, KToffoli};
 
 /// The scheduler's inputs: the optimised (cancelled, unscheduled) G-gate
 /// circuits of an E10-style sweep.
@@ -33,17 +33,31 @@ fn lowered_jobs() -> Vec<(String, Circuit)> {
     out
 }
 
-/// A k-Toffoli compiled with the given options.
-fn ktoffoli(options: CompileOptions, d: u32, k: usize) -> Circuit {
-    let synthesis = KToffoli::new(Dimension::new(d).unwrap(), k)
+/// The macro-level k-Toffoli circuit.
+fn ktoffoli_macro(d: u32, k: usize) -> Circuit {
+    KToffoli::new(Dimension::new(d).unwrap(), k)
         .unwrap()
         .synthesize()
-        .unwrap();
+        .unwrap()
+        .circuit()
+        .clone()
+}
+
+/// A k-Toffoli compiled with the given options.
+fn ktoffoli(options: CompileOptions, d: u32, k: usize) -> Circuit {
     options
         .compiler()
-        .compile(synthesis.circuit())
+        .compile(&ktoffoli_macro(d, k))
         .unwrap()
         .circuit
+}
+
+/// The k-Toffoli as `cancel-inverse-pairs` receives it in the standard
+/// flow: fused, then lowered to elementary gates and to G-gates.
+fn uncancelled_ktoffoli(d: u32, k: usize) -> Circuit {
+    let fused = qudit_core::fusion::fuse_circuit(ktoffoli_macro(d, k)).unwrap();
+    let elementary = qudit_synthesis::lower::lower_to_elementary(&fused).unwrap();
+    qudit_core::lowering::lower_circuit(&elementary).unwrap()
 }
 
 /// `gates` single-qudit gates on three d=13 wires; gate i applies the
@@ -82,15 +96,19 @@ fn bench_schedule(c: &mut Criterion) {
 }
 
 fn bench_cancel(c: &mut Criterion) {
-    let uncancelled = CompileOptions::new()
-        .opt_level(OptLevel::O2)
-        .cancel(false)
-        .schedule(false);
     let mut group = c.benchmark_group("depth_scheduling");
-    for (d, k) in [(3, 8), (5, 4)] {
+    // The gate counts the standard flow hands the cancellation stage.
+    for (d, k, gates) in [(3, 8, 14_441), (5, 4, 24_919)] {
+        let uncancelled = uncancelled_ktoffoli(d, k);
+        assert_eq!(uncancelled.len(), gates, "d={d}, k={k}");
+        assert_eq!(
+            cancel_inverse_pairs(uncancelled.clone()),
+            ktoffoli(CompileOptions::new(), d, k),
+            "the stage chain plus cancellation is the O1 compile (d={d}, k={k})"
+        );
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("cancel_d{d}_k{k}")),
-            &ktoffoli(uncancelled.clone(), d, k),
+            &uncancelled,
             |b, circuit| b.iter(|| cancel_inverse_pairs(circuit.clone()).len()),
         );
     }

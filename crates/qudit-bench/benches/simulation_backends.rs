@@ -36,9 +36,7 @@ use qudit_synthesis::{CompileOptions, KToffoli};
 fn classical_job(k: usize) -> Circuit {
     let dimension = Dimension::new(3).unwrap();
     let synthesis = KToffoli::new(dimension, k).unwrap().synthesize().unwrap();
-    let width = synthesis.layout().width;
     CompileOptions::new()
-        .shape(dimension, width)
         .compiler()
         .compile(synthesis.circuit())
         .unwrap()
@@ -148,7 +146,6 @@ fn bench_verify_classical(c: &mut Criterion) {
         let synthesis = KToffoli::new(dimension, 4).unwrap().synthesize().unwrap();
         let input = synthesis.circuit().widened(6).unwrap();
         let lowered = CompileOptions::new()
-            .shape(dimension, 6)
             .compiler()
             .compile(&input)
             .unwrap()

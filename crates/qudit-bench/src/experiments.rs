@@ -31,18 +31,14 @@ fn dim(d: u32) -> Dimension {
 
 /// The lowering-only (`O0`) compiler the G-gate-count experiments measure
 /// with — the configuration the paper reports.
-fn lowering_compiler(dimension: Dimension, width: usize) -> Compiler {
-    CompileOptions::new()
-        .opt_level(OptLevel::O0)
-        .shape(dimension, width)
-        .compiler()
+fn lowering_compiler() -> Compiler {
+    CompileOptions::new().opt_level(OptLevel::O0).compiler()
 }
 
-/// The scheduled compiler of the E10/E11 sweeps (the
-/// standard flow plus depth scheduling, shape-agnostic for heterogeneous
-/// batches).
+/// The scheduled compiler of the E10/E11 sweeps (`O2`: the standard flow
+/// plus depth scheduling).
 fn scheduled_sweep_compiler() -> Compiler {
-    CompileOptions::new().schedule(true).compiler()
+    CompileOptions::new().opt_level(OptLevel::O2).compiler()
 }
 
 /// The routed leg of the E10/E11 sweeps: the same scheduled flow with a
@@ -55,7 +51,7 @@ fn scheduled_sweep_compiler() -> Compiler {
 fn routed_sweep_options(jobs: &[qudit_core::Circuit]) -> CompileOptions {
     let sites = jobs.iter().map(|job| job.width()).max().unwrap_or(1);
     CompileOptions::new()
-        .schedule(true)
+        .opt_level(OptLevel::O2)
         .topology(CouplingGraph::linear(sites).expect("the sweep's widest job fits a chain"))
         .cost(NoiseAwareCost::default())
 }
@@ -211,10 +207,7 @@ pub fn e2_gadgets(scale: Scale) -> Table {
         let circuit = qudit_core::Circuit::from_gates(dimension, width, gates).unwrap();
         let spec = MctSpec::toffoli(vec![QuditId::new(0), QuditId::new(1)], QuditId::new(2));
         let verified = verify_mct_exhaustive(&circuit, &spec).unwrap().is_pass();
-        let g = lowering_compiler(dimension, width)
-            .compile(&circuit)
-            .unwrap()
-            .circuit;
+        let g = lowering_compiler().compile(&circuit).unwrap().circuit;
         table.push_row(vec![
             d.to_string(),
             figure.to_string(),
@@ -629,7 +622,7 @@ pub fn e3_ablation(scale: Scale) -> Table {
             };
             let ladder_circuit =
                 qudit_core::Circuit::from_gates(dimension, width, ladder_gates).unwrap();
-            let ladder_g = lowering_compiler(dimension, width)
+            let ladder_g = lowering_compiler()
                 .compile(&ladder_circuit)
                 .unwrap()
                 .circuit
@@ -1195,7 +1188,7 @@ mod tests {
             .collect();
         // Batch path, forced multi-threaded, on both legs.
         let batch = CompileOptions::new()
-            .schedule(true)
+            .opt_level(OptLevel::O2)
             .threads(Threads::Fixed(4))
             .compiler()
             .compile_batch(&jobs)
@@ -1264,7 +1257,7 @@ mod tests {
             .map(|job| routed_compiler.compile(job).unwrap())
             .collect();
         let batch = CompileOptions::new()
-            .schedule(true)
+            .opt_level(OptLevel::O2)
             .threads(Threads::Fixed(4))
             .compiler()
             .compile_batch(&jobs)

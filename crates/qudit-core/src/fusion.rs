@@ -39,7 +39,6 @@ use crate::circuit::Circuit;
 use crate::error::Result;
 use crate::gate::{Gate, GateOp};
 use crate::ops::{Permutation, SingleQuditOp};
-use crate::qudit::QuditId;
 
 /// One fused group: indices into the planned gate list, in time order.
 ///
@@ -79,11 +78,11 @@ impl FusionPlan {
     }
 }
 
-/// An open (still growing) group during planning.
-struct OpenGroup {
-    target: QuditId,
-    controls_match: Vec<crate::control::Control>,
-    support: Vec<QuditId>,
+/// An open (still growing) group during planning.  Every member has the
+/// target and controls of the first, so the first gate stands for the
+/// group's key and support.
+struct OpenGroup<'a> {
+    first: &'a Gate,
     members: Vec<usize>,
 }
 
@@ -104,7 +103,9 @@ pub fn plan_fusion(gates: &[Gate], fuse_non_classical: bool) -> FusionPlan {
         // Join an open group with the identical (target, controls) key.
         let joined = if fusable {
             open.iter_mut()
-                .find(|g| g.target == gate.target() && g.controls_match == gate.controls())
+                .find(|g| {
+                    g.first.target() == gate.target() && g.first.controls() == gate.controls()
+                })
                 .map(|g| g.members.push(index))
                 .is_some()
         } else {
@@ -114,13 +115,15 @@ pub fn plan_fusion(gates: &[Gate], fuse_non_classical: bool) -> FusionPlan {
         // Every open group this gate is *not* a member of sees it as an
         // interleaved gate: keep the group open only across classical gates
         // on disjoint wires.
-        let qudits = gate.qudits();
         let last = if joined { Some(index) } else { None };
         open.retain_mut(|g| {
             if g.members.last() == last.as_ref() {
                 return true; // the group it just joined
             }
-            let keep = gate.is_classical() && qudits.iter().all(|q| !g.support.contains(q));
+            let keep = gate.is_classical()
+                && gate
+                    .support()
+                    .all(|q| g.first.support().all(|member| member != q));
             if !keep {
                 groups.push(FusionGroup {
                     members: std::mem::take(&mut g.members),
@@ -132,9 +135,7 @@ pub fn plan_fusion(gates: &[Gate], fuse_non_classical: bool) -> FusionPlan {
         if !joined {
             if fusable {
                 open.push(OpenGroup {
-                    target: gate.target(),
-                    controls_match: gate.controls().to_vec(),
-                    support: gate.qudits(),
+                    first: gate,
                     members: vec![index],
                 });
             } else {
@@ -251,6 +252,7 @@ mod tests {
     use crate::control::Control;
     use crate::dimension::Dimension;
     use crate::math::{Complex, SquareMatrix};
+    use crate::qudit::QuditId;
 
     fn dim(d: u32) -> Dimension {
         Dimension::new(d).unwrap()

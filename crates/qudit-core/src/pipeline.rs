@@ -387,9 +387,6 @@ pub fn merge_pass_stats<'a>(
 
 /// Composes [`Pass`]es into a pipeline and records per-pass statistics.
 ///
-/// Optionally pins the register shape (dimension and width) the pipeline is
-/// built for, rejecting mismatched circuits up front.
-///
 /// # Example
 ///
 /// ```
@@ -406,8 +403,7 @@ pub fn merge_pass_stats<'a>(
 /// ))?;
 /// let manager = PassManager::new()
 ///     .with_pass(LowerToGGates)
-///     .with_pass(CancelInversePairs)
-///     .with_shape(d, 2);
+///     .with_pass(CancelInversePairs);
 /// let report = manager.run(circuit)?;
 /// assert_eq!(report.stats.len(), 2);
 /// assert!(report.circuit.gates().iter().all(|g| g.is_g_gate()));
@@ -417,7 +413,6 @@ pub fn merge_pass_stats<'a>(
 #[derive(Default)]
 pub struct PassManager {
     passes: Vec<Box<dyn Pass>>,
-    shape: Option<(crate::dimension::Dimension, usize)>,
     pool: Option<WorkStealingPool>,
 }
 
@@ -437,14 +432,6 @@ impl PassManager {
     /// Appends a boxed pass.
     pub fn push_pass(&mut self, pass: Box<dyn Pass>) {
         self.passes.push(pass);
-    }
-
-    /// Pins the register shape: [`PassManager::run`] will reject circuits
-    /// whose dimension or width differs.
-    #[must_use]
-    pub fn with_shape(mut self, dimension: crate::dimension::Dimension, width: usize) -> Self {
-        self.shape = Some((dimension, width));
-        self
     }
 
     /// Pins the worker pool [`PassManager::run_batch`] distributes jobs on,
@@ -467,7 +454,6 @@ impl PassManager {
     pub fn map_passes(self, wrap: impl FnMut(Box<dyn Pass>) -> Box<dyn Pass>) -> Self {
         PassManager {
             passes: self.passes.into_iter().map(wrap).collect(),
-            shape: self.shape,
             pool: self.pool,
         }
     }
@@ -492,20 +478,8 @@ impl PassManager {
     ///
     /// # Errors
     ///
-    /// Returns the first pass error, or [`QuditError::IncompatibleCircuits`]
-    /// when the circuit does not match a pinned shape.
+    /// Returns the first pass error.
     pub fn run(&self, circuit: Circuit) -> Result<PipelineReport> {
-        if let Some((dimension, width)) = self.shape {
-            if circuit.dimension() != dimension || circuit.width() != width {
-                return Err(QuditError::IncompatibleCircuits {
-                    reason: format!(
-                        "pipeline was built for d={dimension}, width={width} but got d={}, width={}",
-                        circuit.dimension(),
-                        circuit.width()
-                    ),
-                });
-            }
-        }
         let mut current = circuit;
         let mut stats = Vec::with_capacity(self.passes.len());
         // Each pass's input profile is the previous pass's output profile;
@@ -592,14 +566,13 @@ impl fmt::Debug for PassManager {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PassManager")
             .field("passes", &self.pass_names())
-            .field("shape", &self.shape)
             .field("pool", &self.pool)
             .finish()
     }
 }
 
-/// A data-driven pipeline description: ordered stage names plus the
-/// register shape of the assembled [`PassManager`].
+/// A data-driven pipeline description: the ordered stage names of a
+/// [`PassManager`].
 ///
 /// Specs carry *data only* — resolving a stage name to a concrete [`Pass`]
 /// is the job of a [`PassRegistry`].  Configuration surfaces (such as
@@ -625,9 +598,6 @@ impl fmt::Debug for PassManager {
 pub struct PipelineSpec {
     /// Stage names, in execution order (resolved by a [`PassRegistry`]).
     pub stages: Vec<String>,
-    /// Register shape the manager is pinned to, if any
-    /// (see [`PassManager::with_shape`]).
-    pub shape: Option<(crate::dimension::Dimension, usize)>,
     /// The inert cache knob (see [`CacheMode`]); assembly ignores it.
     pub cache: CacheMode,
 }
@@ -642,13 +612,6 @@ impl PipelineSpec {
     #[must_use]
     pub fn with_stage(mut self, name: impl Into<String>) -> Self {
         self.stages.push(name.into());
-        self
-    }
-
-    /// Pins the register shape of the assembled manager.
-    #[must_use]
-    pub fn with_shape(mut self, dimension: crate::dimension::Dimension, width: usize) -> Self {
-        self.shape = Some((dimension, width));
         self
     }
 
@@ -714,7 +677,7 @@ impl PassRegistry {
     }
 
     /// Assembles a [`PassManager`] from a spec: one factory-built pass per
-    /// stage, plus the spec's shape pin.
+    /// stage.
     ///
     /// # Errors
     ///
@@ -730,9 +693,6 @@ impl PassRegistry {
                     stage: stage.clone(),
                 })?;
             manager.push_pass(factory());
-        }
-        if let Some((dimension, width)) = spec.shape {
-            manager = manager.with_shape(dimension, width);
         }
         Ok(manager)
     }
@@ -969,21 +929,6 @@ mod tests {
     }
 
     #[test]
-    fn shape_pinning_rejects_mismatched_circuits() {
-        let manager = PassManager::new()
-            .with_pass(CancelInversePairs)
-            .with_shape(dim(3), 3);
-        assert!(matches!(
-            manager.run(sample_circuit()),
-            Err(QuditError::IncompatibleCircuits { .. })
-        ));
-        let ok = PassManager::new()
-            .with_pass(CancelInversePairs)
-            .with_shape(dim(3), 2);
-        assert!(ok.run(sample_circuit()).is_ok());
-    }
-
-    #[test]
     fn fn_pass_and_map_passes_compose() {
         let reverse = pass_fn("reverse", |c: Circuit| Ok(c.inverse()));
         let manager = PassManager::new().with_pass(reverse);
@@ -1104,16 +1049,25 @@ mod tests {
 
     #[test]
     fn run_batch_returns_the_first_error_in_input_order() {
-        let manager = PassManager::new()
-            .with_pass(CancelInversePairs)
-            .with_shape(dim(3), 2);
-        let good = sample_circuit();
-        let bad = Circuit::new(dim(3), 5);
-        let result = manager.run_batch(vec![good, bad]);
-        assert!(matches!(
-            result,
-            Err(QuditError::IncompatibleCircuits { .. })
-        ));
+        let narrow_only = pass_fn("narrow-only", |c: Circuit| {
+            if c.width() <= 2 {
+                return Ok(c);
+            }
+            Err(QuditError::PassFailed {
+                pass: "narrow-only".into(),
+                reason: format!("width {}", c.width()),
+            })
+        });
+        let manager = PassManager::new().with_pass(narrow_only);
+        let jobs = vec![
+            sample_circuit(),
+            Circuit::new(dim(3), 4),
+            Circuit::new(dim(3), 5),
+        ];
+        match manager.run_batch(jobs) {
+            Err(QuditError::PassFailed { reason, .. }) => assert_eq!(reason, "width 4"),
+            other => panic!("expected the width-4 job's error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1121,8 +1075,7 @@ mod tests {
         let spec = PipelineSpec::new()
             .with_stage("lower-to-g-gates")
             .with_stage("cancel-inverse-pairs")
-            .with_stage("schedule-depth")
-            .with_shape(dim(3), 2);
+            .with_stage("schedule-depth");
         let manager = PassRegistry::core().assemble(&spec).unwrap();
         assert_eq!(
             manager.pass_names(),
@@ -1130,8 +1083,6 @@ mod tests {
         );
         let report = manager.run(sample_circuit()).unwrap();
         assert!(report.circuit.gates().iter().all(Gate::is_g_gate));
-        // The shape pin made it through assembly.
-        assert!(manager.run(Circuit::new(dim(3), 4)).is_err());
     }
 
     #[test]

@@ -208,6 +208,14 @@ fn lower_statement(
 /// `qudit[4000000000]` register would make lowering allocate gigabytes.
 pub const MAX_DENSE_SUGAR_DIMENSION: u32 = 64;
 
+/// The widest `qudit` register a source may declare.
+///
+/// A declaration costs a few bytes of source whatever its width, but every
+/// compile stage after it keeps per-wire state, so a one-gate source costs
+/// time in proportion to its declared width.  The cap bounds that work, and
+/// keeps a width near `usize::MAX` from overflowing a per-wire allocation.
+pub const MAX_REGISTER_WIDTH: usize = 1 << 20;
+
 fn check_dense_dimension(statement: &GateStmt, dimension: Dimension) -> Result<(), ParseError> {
     let d = dimension.get();
     if d <= MAX_DENSE_SUGAR_DIMENSION {

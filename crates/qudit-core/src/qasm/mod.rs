@@ -189,6 +189,14 @@ pub enum ParseErrorKind {
         /// The declared register dimension.
         found: u32,
     },
+    /// A `qudit` register declared wider than
+    /// [`lower::MAX_REGISTER_WIDTH`].
+    RegisterTooWide {
+        /// The widest supported register.
+        max: usize,
+        /// The declared width.
+        found: usize,
+    },
     /// A gate called with the wrong number of operands (controls included).
     WrongOperandCount {
         /// The gate name.
@@ -246,6 +254,9 @@ impl fmt::Display for ParseErrorKind {
                     f,
                     "gate '{gate}' supports dimensions up to {max}, found {found}"
                 )
+            }
+            ParseErrorKind::RegisterTooWide { max, found } => {
+                write!(f, "registers may be up to {max} qudits wide, found {found}")
             }
             ParseErrorKind::WrongOperandCount {
                 gate,

@@ -2,13 +2,15 @@
 //!
 //! The parser is a plain cursor over the token stream produced by
 //! [`super::lexer::tokenize`].  It enforces the grammar of the
-//! [module-level sketch](super) and nothing more; whether a statement
+//! [module-level sketch](super) and one size cap: a register may be at most
+//! [`MAX_REGISTER_WIDTH`] qudits wide.  Whether a statement
 //! *means* anything (known gate, valid levels, operand arity) is decided by
 //! [`super::lower`].  Every rejection is a spanned [`ParseError`] — the
 //! parser is total and never panics, whatever the input.
 
 use super::ast::{CtrlMod, CtrlPred, GateStmt, Operand, Param, Program, RegisterDecl};
 use super::lexer::{tokenize, Token, TokenKind};
+use super::lower::MAX_REGISTER_WIDTH;
 use super::{ParseError, ParseErrorKind, Span};
 
 /// Parses a complete source into its syntax tree.
@@ -183,6 +185,15 @@ impl Parser {
         let size = usize::try_from(size).map_err(|_| {
             ParseError::new(ParseErrorKind::ExpectedInteger(size.to_string()), size_span)
         })?;
+        if size > MAX_REGISTER_WIDTH {
+            return Err(ParseError::new(
+                ParseErrorKind::RegisterTooWide {
+                    max: MAX_REGISTER_WIDTH,
+                    found: size,
+                },
+                size_span,
+            ));
+        }
         self.expect(&TokenKind::RBracket, "']' after the register width")?;
         self.expect(&TokenKind::Semicolon, "';' after the register declaration")?;
         Ok(RegisterDecl {
@@ -371,6 +382,24 @@ mod tests {
         let duplicate = parse_program("qudit[3] q[1]; qudit[3] r[1];").unwrap_err();
         assert_eq!(duplicate.kind, ParseErrorKind::DuplicateRegister);
         assert_eq!(duplicate.span, Span::new(1, 16));
+    }
+
+    #[test]
+    fn register_width_is_capped() {
+        let widest = format!("qudit[3] q[{MAX_REGISTER_WIDTH}];");
+        assert_eq!(
+            parse_program(&widest).unwrap().register.size,
+            MAX_REGISTER_WIDTH
+        );
+        let error = parse_program("qudit[3] q[2305843009213693952];").unwrap_err();
+        assert_eq!(
+            error.kind,
+            ParseErrorKind::RegisterTooWide {
+                max: MAX_REGISTER_WIDTH,
+                found: 2_305_843_009_213_693_952,
+            }
+        );
+        assert_eq!(error.span, Span::new(1, 12));
     }
 
     #[test]

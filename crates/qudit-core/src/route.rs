@@ -223,23 +223,31 @@ pub fn validate_adjacency(circuit: &Circuit, graph: &CouplingGraph) -> Result<()
         });
     }
     for (index, gate) in circuit.gates().iter().enumerate() {
-        let qudits = gate.qudits();
-        match qudits.len() {
-            0 | 1 => {}
-            2 => {
-                let (a, b) = (qudits[0].index(), qudits[1].index());
-                if !graph.are_coupled(a, b) {
-                    return Err(QuditError::UncoupledGate {
-                        gate: index,
-                        a: a.min(b),
-                        b: a.max(b),
-                    });
-                }
+        let arity = gate.arity();
+        if arity > 2 {
+            return Err(too_wide(index, arity));
+        }
+        if let Some((a, b)) = wire_pair(gate) {
+            if !graph.are_coupled(a, b) {
+                return Err(QuditError::UncoupledGate {
+                    gate: index,
+                    a: a.min(b),
+                    b: a.max(b),
+                });
             }
-            arity => return Err(too_wide(index, arity)),
         }
     }
     Ok(())
+}
+
+/// The two wires of a two-qudit gate, in [`Gate::support`] order; `None`
+/// for any other arity.
+fn wire_pair(gate: &Gate) -> Option<(usize, usize)> {
+    if gate.arity() != 2 {
+        return None;
+    }
+    let mut support = gate.support().map(QuditId::index);
+    support.next().zip(support.next())
 }
 
 /// The error for gate `index`, which touches `arity` ≥ 3 qudits.
@@ -374,9 +382,7 @@ fn greedy_placement(circuit: &Circuit, graph: &CouplingGraph) -> Vec<usize> {
     let mut pair_weight: BTreeMap<(usize, usize), f64> = BTreeMap::new();
     let mut wire_weight = vec![0.0f64; sites];
     for gate in circuit.gates() {
-        let qudits = gate.qudits();
-        if qudits.len() == 2 {
-            let (a, b) = (qudits[0].index(), qudits[1].index());
+        if let Some((a, b)) = wire_pair(gate) {
             *pair_weight.entry((a.min(b), a.max(b))).or_insert(0.0) += 1.0;
             wire_weight[a] += 1.0;
             wire_weight[b] += 1.0;
@@ -503,14 +509,7 @@ pub fn route_circuit(
     drive_to_placement(&mut out, graph, &mut placement, &target);
 
     // The wire pairs of every upcoming two-qudit gate, for lookahead.
-    let pairs: Vec<Option<(usize, usize)>> = circuit
-        .gates()
-        .iter()
-        .map(|gate| {
-            let qudits = gate.qudits();
-            (qudits.len() == 2).then(|| (qudits[0].index(), qudits[1].index()))
-        })
-        .collect();
+    let pairs: Vec<Option<(usize, usize)>> = circuit.gates().iter().map(wire_pair).collect();
 
     for (index, gate) in circuit.gates().iter().enumerate() {
         if let Some((l1, l2)) = pairs[index] {

@@ -2,9 +2,9 @@
 //!
 //! One composable configuration surface for the paper's flow:
 //!
-//! * [`CompileOptions`] — a builder with orthogonal typed knobs
-//!   ([`Verify`], scheduling, [`Threads`], routing)
-//!   plus the [`OptLevel`] shorthand for pass selection;
+//! * [`CompileOptions`] — a builder whose one pass selector is the
+//!   [`OptLevel`], plus orthogonal typed knobs for [`Verify`],
+//!   [`Threads`] and routing;
 //! * [`Compiler`] — the facade owning the worker pool and the assembled
 //!   [`PassManager`], with [`Compiler::compile`] and
 //!   [`Compiler::compile_batch`] returning the unified [`CompileResult`] /
@@ -52,7 +52,7 @@ use qudit_core::pipeline::{
 use qudit_core::pool::WorkStealingPool;
 use qudit_core::route::{CostModel, RoutePass, UniformCost, SWAP_LADDER_GATES};
 use qudit_core::topology::CouplingGraph;
-use qudit_core::{Circuit, Dimension};
+use qudit_core::Circuit;
 use qudit_sim::pipeline::VerifyEquivalence;
 use qudit_sim::SimBackend;
 
@@ -112,15 +112,15 @@ impl Threads {
     }
 }
 
-/// Optimisation-level shorthand for the pass-selection knobs
-/// (see [`CompileOptions::opt_level`]).
+/// The optimisation level: the one selector of the pass list a
+/// [`Compiler`] runs (see [`CompileOptions::opt_level`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OptLevel {
     /// Lowering only (macro → elementary → G-gates) — the configuration the
     /// paper's G-gate counts are reported in.
     O0,
-    /// `O0` plus inverse-pair cancellation (the standard flow, and the
-    /// default knob setting).
+    /// `O0` plus macro-level gate fusion before lowering and inverse-pair
+    /// cancellation after it (the standard flow, and the default).
     O1,
     /// `O1` plus commutation-aware depth scheduling.
     O2,
@@ -129,8 +129,8 @@ pub enum OptLevel {
 /// Typed, orthogonal configuration of a [`Compiler`].
 ///
 /// Every knob composes with every other; the default
-/// (`CompileOptions::new()`) is the paper's standard flow — lowering plus
-/// inverse-pair cancellation, unverified, shape-agnostic,
+/// (`CompileOptions::new()`) is the paper's standard flow ([`OptLevel::O1`]:
+/// fusion, lowering and inverse-pair cancellation), unverified, on an
 /// environment-sized pool.
 ///
 /// Jobs can enter the pipeline as Rust [`Circuit`]s
@@ -145,7 +145,7 @@ pub enum OptLevel {
 /// use qudit_synthesis::{CompileOptions, OptLevel, Threads, Verify};
 ///
 /// let options = CompileOptions::new()
-///     .opt_level(OptLevel::O2)             // cancel + schedule
+///     .opt_level(OptLevel::O2)             // fusion, cancel, schedule
 ///     .verify(Verify::Sampled(64))         // self-check on 64 samples
 ///     .threads(Threads::Fixed(2));
 /// assert_eq!(
@@ -162,12 +162,9 @@ pub enum OptLevel {
 #[derive(Clone)]
 pub struct CompileOptions {
     verify: Verify,
-    fusion: bool,
-    cancel: bool,
-    schedule: bool,
+    opt_level: OptLevel,
     threads: Threads,
     pool: Option<WorkStealingPool>,
-    shape: Option<(Dimension, usize)>,
     topology: Option<CouplingGraph>,
     cost: Arc<dyn CostModel>,
 }
@@ -176,12 +173,9 @@ impl fmt::Debug for CompileOptions {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CompileOptions")
             .field("verify", &self.verify)
-            .field("fusion", &self.fusion)
-            .field("cancel", &self.cancel)
-            .field("schedule", &self.schedule)
+            .field("opt_level", &self.opt_level)
             .field("threads", &self.threads)
             .field("pool", &self.pool)
-            .field("shape", &self.shape)
             .field("topology", &self.topology)
             .field("cost", &self.cost.name())
             .finish()
@@ -192,12 +186,9 @@ impl Default for CompileOptions {
     fn default() -> Self {
         CompileOptions {
             verify: Verify::Off,
-            fusion: true,
-            cancel: true,
-            schedule: false,
+            opt_level: OptLevel::O1,
             threads: Threads::Auto,
             pool: None,
-            shape: None,
             topology: None,
             cost: Arc::new(UniformCost),
         }
@@ -206,7 +197,7 @@ impl Default for CompileOptions {
 
 impl CompileOptions {
     /// The default options: the standard flow (`O1`), unverified,
-    /// shape-agnostic, environment-sized pool.
+    /// environment-sized pool.
     pub fn new() -> Self {
         CompileOptions::default()
     }
@@ -221,42 +212,19 @@ impl CompileOptions {
         self
     }
 
-    /// Enables or disables the macro-level gate-fusion stage (default on;
-    /// off at [`OptLevel::O0`]).  Fusion composes runs of same-support
-    /// classical gates into one permutation gate *before* lowering, and
-    /// only rewrites a run when that provably does not increase the lowered
-    /// G-gate cost.
+    /// Selects the pass list (default [`OptLevel::O1`]).
+    ///
+    /// * `O0` lowers only: macro → elementary → G-gates.
+    /// * `O1` adds `gate-fusion` ahead of lowering, which composes runs of
+    ///   same-support classical gates into one permutation gate and only
+    ///   rewrites a run when that provably does not increase the lowered
+    ///   G-gate cost, and `cancel-inverse-pairs` after it.
+    /// * `O2` adds `schedule-depth` last, which permutes commuting gates to
+    ///   cut depth and never rewrites them.
     #[must_use]
-    pub fn fusion(mut self, fusion: bool) -> Self {
-        self.fusion = fusion;
+    pub fn opt_level(mut self, level: OptLevel) -> Self {
+        self.opt_level = level;
         self
-    }
-
-    /// Enables or disables the final inverse-pair cancellation stage
-    /// (default on).
-    #[must_use]
-    pub fn cancel(mut self, cancel: bool) -> Self {
-        self.cancel = cancel;
-        self
-    }
-
-    /// Enables or disables the commutation-aware depth-scheduling stage
-    /// (default off; scheduling permutes commuting gates, never rewrites
-    /// them).
-    #[must_use]
-    pub fn schedule(mut self, schedule: bool) -> Self {
-        self.schedule = schedule;
-        self
-    }
-
-    /// Sets both pass-selection knobs at once (see [`OptLevel`]).
-    #[must_use]
-    pub fn opt_level(self, level: OptLevel) -> Self {
-        match level {
-            OptLevel::O0 => self.fusion(false).cancel(false).schedule(false),
-            OptLevel::O1 => self.fusion(true).cancel(true).schedule(false),
-            OptLevel::O2 => self.fusion(true).cancel(true).schedule(true),
-        }
     }
 
     /// The inert cache knob: lowering keeps no cache, so every
@@ -283,15 +251,6 @@ impl CompileOptions {
         self
     }
 
-    /// Pins the register shape: compilations of circuits with a different
-    /// dimension or width are rejected up front (default: shape-agnostic,
-    /// as heterogeneous batch sweeps need).
-    #[must_use]
-    pub fn shape(mut self, dimension: Dimension, width: usize) -> Self {
-        self.shape = Some((dimension, width));
-        self
-    }
-
     /// Routes compiled circuits onto a device coupling graph (default: off —
     /// all-to-all connectivity, no `"route"` stage).
     ///
@@ -303,10 +262,6 @@ impl CompileOptions {
     /// semantics-preserving (and verifies under every [`Verify`] mode).
     /// [`CompileResult`] then reports `swap_count`,
     /// `routed_depth` and `weighted_cost`.
-    ///
-    /// Composes with [`CompileOptions::shape`] only when the pinned width
-    /// equals the graph's site count (the pipeline sees the embedded
-    /// circuit).
     #[must_use]
     pub fn topology(mut self, graph: CouplingGraph) -> Self {
         self.topology = Some(graph);
@@ -346,8 +301,9 @@ impl CompileOptions {
     /// The data-driven pipeline description these options select — the
     /// stage list handed to [`registry`] for assembly.
     pub fn spec(&self) -> PipelineSpec {
+        let optimise = self.opt_level != OptLevel::O0;
         let mut spec = PipelineSpec::new();
-        if self.fusion {
+        if optimise {
             // Fusion runs first, at the macro level, where same-support
             // runs are still visible (lowering breaks them apart).
             spec = spec.with_stage("gate-fusion");
@@ -355,7 +311,7 @@ impl CompileOptions {
         spec = spec
             .with_stage("lower-to-elementary")
             .with_stage("lower-to-g-gates");
-        if self.cancel {
+        if optimise {
             spec = spec.with_stage("cancel-inverse-pairs");
         }
         if self.topology.is_some() {
@@ -364,11 +320,8 @@ impl CompileOptions {
             // the pipeline measures.
             spec = spec.with_stage("route");
         }
-        if self.schedule {
+        if self.opt_level == OptLevel::O2 {
             spec = spec.with_stage("schedule-depth");
-        }
-        if let Some((dimension, width)) = self.shape {
-            spec = spec.with_shape(dimension, width);
         }
         spec
     }
@@ -645,7 +598,7 @@ impl fmt::Display for BatchResult {
 /// use qudit_synthesis::{CompileOptions, Compiler, KToffoli};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// // A heterogeneous sweep through one shape-agnostic compiler.
+/// // A heterogeneous sweep through one compiler.
 /// let mut jobs = Vec::new();
 /// for (d, k) in [(3u32, 4usize), (4, 3), (5, 2)] {
 ///     let synthesis = KToffoli::new(Dimension::new(d)?, k)?.synthesize()?;
@@ -690,9 +643,8 @@ impl Compiler {
     ///
     /// # Errors
     ///
-    /// Returns the first pass error — including verification failures
-    /// ([`Verify`]) and shape mismatches
-    /// ([`CompileOptions::shape`]).
+    /// Returns the first pass error, including verification failures
+    /// ([`Verify`]).
     pub fn compile(&self, circuit: &Circuit) -> qudit_core::Result<CompileResult> {
         self.compile_job(Cow::Borrowed(circuit))
     }
@@ -793,7 +745,7 @@ impl fmt::Debug for Compiler {
 mod tests {
     use super::*;
     use crate::KToffoli;
-    use qudit_core::Gate;
+    use qudit_core::{Dimension, Gate};
 
     fn dim(d: u32) -> Dimension {
         Dimension::new(d).unwrap()
@@ -811,7 +763,6 @@ mod tests {
                 "cancel-inverse-pairs"
             ]
         );
-        assert!(spec.shape.is_none());
         assert!(matches!(spec.cache, CacheMode::Off));
     }
 
@@ -846,9 +797,7 @@ mod tests {
     #[test]
     fn compile_produces_the_unified_report() {
         let synthesis = KToffoli::new(dim(3), 3).unwrap().synthesize().unwrap();
-        let compiler = CompileOptions::new()
-            .shape(dim(3), synthesis.layout().width)
-            .compiler();
+        let compiler = CompileOptions::new().compiler();
         let result = compiler.compile(synthesis.circuit()).unwrap();
         assert!(result.circuit.gates().iter().all(Gate::is_g_gate));
         assert_eq!(result.stats.len(), 4);
@@ -857,9 +806,6 @@ mod tests {
         assert!(result.stats_for("gate-fusion").is_some());
         assert!(result.stats_for("cancel-inverse-pairs").is_some());
         assert!(result.to_string().contains("verification skipped"));
-
-        // Shape pinning rejects mismatched circuits.
-        assert!(compiler.compile(&Circuit::new(dim(3), 2)).is_err());
     }
 
     #[test]

@@ -80,10 +80,7 @@ impl MctSynthesis {
     /// Propagates lowering errors (they cannot occur for circuits produced by
     /// this crate's constructions).
     pub fn g_gate_circuit(&self) -> Result<Circuit> {
-        let compiler = CompileOptions::new()
-            .opt_level(OptLevel::O0)
-            .shape(self.circuit.dimension(), self.circuit.width())
-            .compiler();
+        let compiler = CompileOptions::new().opt_level(OptLevel::O0).compiler();
         compiler
             .compile(&self.circuit)
             .map(|result| result.circuit)
@@ -100,9 +97,7 @@ impl MctSynthesis {
     /// Propagates pipeline errors (they cannot occur for circuits produced
     /// by this crate's constructions).
     pub fn compile(&self) -> Result<CompileResult> {
-        let compiler = CompileOptions::new()
-            .shape(self.circuit.dimension(), self.circuit.width())
-            .compiler();
+        let compiler = CompileOptions::new().compiler();
         compiler
             .compile(&self.circuit)
             .map_err(SynthesisError::from)

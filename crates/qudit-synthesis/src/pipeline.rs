@@ -84,7 +84,6 @@ mod tests {
     fn standard_pipeline_reproduces_the_manual_chain() {
         for d in [3u32, 4] {
             let synthesis = KToffoli::new(dim(d), 3).unwrap().synthesize().unwrap();
-            let width = synthesis.layout().width;
             let macro_circuit = synthesis.circuit().clone();
 
             // The default flow opens with macro-level gate fusion, so the
@@ -95,7 +94,6 @@ mod tests {
                 qudit_core::lowering::lower_circuit(&elementary).unwrap(),
             );
             let report = CompileOptions::new()
-                .shape(dim(d), width)
                 .build_manager()
                 .run(macro_circuit)
                 .unwrap();
@@ -109,7 +107,6 @@ mod tests {
         let synthesis = KToffoli::new(dim(3), 4).unwrap().synthesize().unwrap();
         let report = CompileOptions::new()
             .opt_level(OptLevel::O0)
-            .shape(dim(3), synthesis.layout().width)
             .build_manager()
             .run(synthesis.circuit().clone())
             .unwrap();
@@ -132,10 +129,7 @@ mod tests {
                 ],
             ))
             .unwrap();
-        let result = CompileOptions::new()
-            .shape(dim(3), 4)
-            .build_manager()
-            .run(circuit);
+        let result = CompileOptions::new().build_manager().run(circuit);
         assert!(matches!(result, Err(QuditError::PassFailed { .. })));
     }
 }

@@ -1361,6 +1361,40 @@ mod tests {
     }
 
     #[test]
+    fn a_hostile_register_width_is_an_error_reply_and_spares_the_worker() {
+        let service = CompileService::start(ServiceConfig::new().workers(1)).unwrap();
+        let connect = || {
+            let client = ServiceClient::connect(service.local_addr()).unwrap();
+            // A dead worker would leave these reads waiting forever.
+            let timeout = Some(Duration::from_secs(10));
+            client.reader.get_ref().set_read_timeout(timeout).unwrap();
+            client
+        };
+        let hostile = connect().roundtrip(&JobRequest {
+            tenant: "hostile".to_string(),
+            id: "0".to_string(),
+            source: "qudit[3] q[2305843009213693952];\nshift(1) q[0];".to_string(),
+        });
+        let hostile = hostile.unwrap();
+        assert_eq!(hostile.status, JobStatus::Error);
+        assert!(
+            hostile.message.contains("registers may be up to"),
+            "{}",
+            hostile.message
+        );
+        // The one worker survived: another tenant on another connection is
+        // served.
+        let other = connect().roundtrip(&JobRequest {
+            tenant: "other".to_string(),
+            id: "0".to_string(),
+            source: "OPENQASM 3.0;\nqudit[3] q[2];\nswap(0, 1) q[0];\n".to_string(),
+        });
+        assert!(other.unwrap().is_ok());
+        let stats = service.shutdown();
+        assert_eq!((stats.completed, stats.compile_errors), (1, 1));
+    }
+
+    #[test]
     fn closed_connections_leave_no_reader_threads() {
         let service = CompileService::start(ServiceConfig::new()).unwrap();
         let request = JobRequest {

@@ -53,11 +53,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Synthesise a 5-controlled Toffoli (ancilla-free for odd d).
     let synthesis = KToffoli::new(dimension, 5)?.synthesize()?;
-    let width = synthesis.layout().width;
 
     // 1. The default options with the unified report.
     println!("Default CompileOptions on the 5-controlled Toffoli (d = 3):");
-    let compiler = CompileOptions::new().shape(dimension, width).compiler();
+    let compiler = CompileOptions::new().compiler();
     let result = compiler.compile(synthesis.circuit())?;
     for stats in &result.stats {
         println!("  {stats}");
@@ -70,10 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Extending the assembled pipeline with a custom pass.
     println!("Extended pipeline with a custom pass:");
-    let extended = CompileOptions::new()
-        .shape(dimension, width)
-        .build_manager()
-        .with_pass(CountSwaps);
+    let extended = CompileOptions::new().build_manager().with_pass(CountSwaps);
     let extended_report = extended.run(synthesis.circuit().clone())?;
     assert_eq!(extended_report.circuit, result.circuit);
     println!();
@@ -81,10 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Self-verifying compilation: every stage checks semantics
     //    preservation, and the report carries the verdict.
     println!("Self-verifying compilation (Verify::Exhaustive):");
-    let verified = CompileOptions::new()
-        .verify(Verify::Exhaustive)
-        .shape(dimension, width)
-        .compiler();
+    let verified = CompileOptions::new().verify(Verify::Exhaustive).compiler();
     let verified_result = verified.compile(synthesis.circuit())?;
     for stats in &verified_result.stats {
         println!("  {stats}");

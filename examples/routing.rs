@@ -20,7 +20,7 @@
 use qudit_core::route::{validate_adjacency, NoiseAwareCost, UniformCost};
 use qudit_core::topology::CouplingGraph;
 use qudit_core::Dimension;
-use qudit_synthesis::{CompileOptions, KToffoli, Verify};
+use qudit_synthesis::{CompileOptions, KToffoli, OptLevel, Verify};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dimension = Dimension::new(3)?;
@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let routed = CompileOptions::new()
         .topology(chain.clone())
         .cost(NoiseAwareCost::default())
-        .schedule(true)
+        .opt_level(OptLevel::O2)
         .verify(Verify::Exhaustive)
         .compiler()
         .compile(synthesis.circuit())?;
@@ -76,7 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let uniform = CompileOptions::new()
         .topology(chain.clone())
         .cost(UniformCost)
-        .schedule(true)
+        .opt_level(OptLevel::O2)
         .compiler()
         .compile(synthesis.circuit())?;
     validate_adjacency(&uniform.circuit, &chain)?;

@@ -20,7 +20,6 @@ fn lowered_toffoli(d: u32) -> Circuit {
     let dimension = Dimension::new(d).unwrap();
     let synthesis = KToffoli::new(dimension, 4).unwrap().synthesize().unwrap();
     let lowered = CompileOptions::new()
-        .shape(dimension, 6)
         .compiler()
         .compile(&synthesis.circuit().widened(6).unwrap())
         .unwrap()

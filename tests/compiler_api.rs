@@ -1,8 +1,8 @@
 //! End-to-end suite for the `Compiler` / `CompileOptions` facade:
 //!
-//! * knob coverage: every combination of the orthogonal option knobs
-//!   assembles, and the assembled pass list is exactly the one the options
-//!   describe;
+//! * knob coverage: every combination of opt level, verification mode and
+//!   thread count assembles, and the assembled pass list is exactly the one
+//!   the opt level selects;
 //! * property-based round-trip: random mixed multi-controlled circuits
 //!   compile and verify under `Verify::Exhaustive` (the CI thread matrix
 //!   additionally runs the whole suite under `QUDIT_THREADS=1` and `=4`).
@@ -19,53 +19,53 @@ fn dim(d: u32) -> Dimension {
     Dimension::new(d).unwrap()
 }
 
-/// Every combination of the orthogonal knobs assembles, and the assembled
-/// pass list is exactly the one the options describe.
+/// Every combination of opt level, verification mode and thread count
+/// assembles, and the assembled pass list is exactly the one the opt level
+/// selects.
 #[test]
 fn every_knob_combination_assembles() {
+    let levels = [OptLevel::O0, OptLevel::O1, OptLevel::O2];
     let verifies = [Verify::Off, Verify::Exhaustive, Verify::Sampled(16)];
     let threads = [Threads::Auto, Threads::Fixed(1), Threads::Fixed(4)];
     let mut combinations = 0usize;
-    for verify in verifies {
-        for fusion in [true, false] {
-            for cancel in [true, false] {
-                for schedule in [true, false] {
-                    for thread in threads {
-                        let options = CompileOptions::new()
-                            .verify(verify)
-                            .fusion(fusion)
-                            .cancel(cancel)
-                            .schedule(schedule)
-                            .threads(thread);
-                        let manager = options.build_manager();
+    for level in levels {
+        for verify in verifies {
+            for thread in threads {
+                let options = CompileOptions::new()
+                    .opt_level(level)
+                    .verify(verify)
+                    .threads(thread);
+                let manager = options.build_manager();
 
-                        // The pass list is exactly what the knobs select.
-                        let mut expected = Vec::new();
-                        if fusion {
-                            expected.push("gate-fusion");
-                        }
-                        expected.extend(["lower-to-elementary", "lower-to-g-gates"]);
-                        if cancel {
-                            expected.push("cancel-inverse-pairs");
-                        }
-                        if schedule {
-                            expected.push("schedule-depth");
-                        }
-                        let expected: Vec<String> = expected
-                            .iter()
-                            .map(|stage| match verify {
-                                Verify::Off => stage.to_string(),
-                                _ => format!("verify({stage})"),
-                            })
-                            .collect();
-                        assert_eq!(manager.pass_names(), expected, "{options:?}");
-                        combinations += 1;
-                    }
-                }
+                let expected: &[&str] = match level {
+                    OptLevel::O0 => &["lower-to-elementary", "lower-to-g-gates"],
+                    OptLevel::O1 => &[
+                        "gate-fusion",
+                        "lower-to-elementary",
+                        "lower-to-g-gates",
+                        "cancel-inverse-pairs",
+                    ],
+                    OptLevel::O2 => &[
+                        "gate-fusion",
+                        "lower-to-elementary",
+                        "lower-to-g-gates",
+                        "cancel-inverse-pairs",
+                        "schedule-depth",
+                    ],
+                };
+                let expected: Vec<String> = expected
+                    .iter()
+                    .map(|stage| match verify {
+                        Verify::Off => stage.to_string(),
+                        _ => format!("verify({stage})"),
+                    })
+                    .collect();
+                assert_eq!(manager.pass_names(), expected, "{options:?}");
+                combinations += 1;
             }
         }
     }
-    assert_eq!(combinations, 3 * 2 * 2 * 2 * 3);
+    assert_eq!(combinations, 3 * 3 * 3);
 }
 
 /// The pinned pool reaches the batch: the job is the unit of parallelism,
@@ -112,13 +112,13 @@ proptest! {
     fn options_round_trip_on_random_mixed_circuits(
         d in 3u32..=4,
         specs in prop::collection::vec((1usize..=2, 0usize..4, 0u8..3, 0u32..8, 0u32..8), 1..3),
-        schedule in any::<bool>(),
+        level in prop::sample::select(vec![OptLevel::O1, OptLevel::O2]),
     ) {
         let dimension = Dimension::new(d).unwrap();
         let circuit = build_mct_circuit(dimension, &specs);
         let compiler = CompileOptions::new()
             .verify(Verify::Exhaustive)
-            .schedule(schedule)
+            .opt_level(level)
             .compiler();
         let result = compiler.compile(&circuit).unwrap();
         prop_assert!(result.verification.is_verified());
@@ -129,12 +129,11 @@ proptest! {
         );
     }
 
-    /// Re-compiling compiled output is monotone for the full flow (fusion
+    /// Re-compiling compiled output is monotone at every opt level (fusion
     /// runs *before* lowering, so a re-compile may legitimately fuse runs
     /// inside freshly re-lowered gadget interiors — but never grow the
-    /// circuit), and a strict fixpoint once the fusion stage is disabled:
-    /// compiling is idempotent on already-compiled circuits at every opt
-    /// level for the fusion-free flow.
+    /// circuit), and the lowering-only flow (`O0`) is a strict fixpoint on
+    /// every level's output.
     #[test]
     fn compilation_is_idempotent_per_opt_level(
         d in 3u32..=4,
@@ -149,12 +148,8 @@ proptest! {
         let twice = compiler.compile(&once).unwrap().circuit;
         prop_assert!(twice.len() <= once.len(), "re-compile grew the circuit");
 
-        let fixed = CompileOptions::new()
-            .opt_level(level)
-            .fusion(false)
-            .compiler();
-        let once = fixed.compile(&circuit).unwrap().circuit;
-        let twice = fixed.compile(&once).unwrap().circuit;
-        prop_assert_eq!(once, twice);
+        let lowering = CompileOptions::new().opt_level(OptLevel::O0).compiler();
+        let relowered = lowering.compile(&once).unwrap().circuit;
+        prop_assert_eq!(relowered, once);
     }
 }

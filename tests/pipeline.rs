@@ -34,7 +34,6 @@ proptest! {
         let circuit = build_mct_circuit(dimension, &specs);
         let compiler = CompileOptions::new()
             .verify(Verify::Exhaustive)
-            .shape(dimension, circuit.width())
             .compiler();
         let report = compiler.compile(&circuit).unwrap();
         prop_assert!(report.verification.is_verified());
@@ -61,7 +60,6 @@ proptest! {
         let synthesis = KToffoli::new(dimension, k).unwrap().synthesize().unwrap();
         let report = CompileOptions::new()
             .opt_level(OptLevel::O0)
-            .shape(dimension, synthesis.layout().width)
             .compiler()
             .compile(synthesis.circuit())
             .unwrap();
@@ -89,7 +87,6 @@ fn pipeline_g_gate_counts_match_the_manual_chains() {
     for (d, k) in benchmark_cases {
         let dimension = Dimension::new(d).unwrap();
         let synthesis = KToffoli::new(dimension, k).unwrap().synthesize().unwrap();
-        let width = synthesis.layout().width;
         let macro_circuit = synthesis.circuit().clone();
 
         // Pre-refactor manual chain.
@@ -100,13 +97,11 @@ fn pipeline_g_gate_counts_match_the_manual_chains() {
         // Facade equivalents.
         let lowered = CompileOptions::new()
             .opt_level(OptLevel::O0)
-            .shape(dimension, width)
             .compiler()
             .compile(&macro_circuit)
             .unwrap()
             .circuit;
         let standard = CompileOptions::new()
-            .shape(dimension, width)
             .compiler()
             .compile(&macro_circuit)
             .unwrap();

@@ -31,14 +31,9 @@ use qudit_core::{Circuit, Control, Dimension, Gate, Permutation, QuditId, Single
 use qudit_sim::equivalence::{verify_mct_sampled, MctSpec};
 use qudit_sim::random::random_dialect_circuit;
 use qudit_sim::{circuit_permutation, circuit_unitary};
-use qudit_synthesis::{CompileOptions, CompileResult, Compiler, KToffoli, OptLevel, Verify};
+use qudit_synthesis::{CompileOptions, CompileResult, KToffoli, OptLevel, Verify};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// The standard-flow compiler pinned to one register shape.
-fn standard_compiler(dimension: Dimension, width: usize) -> Compiler {
-    CompileOptions::new().shape(dimension, width).compiler()
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -55,7 +50,7 @@ proptest! {
         let circuit = build_mct_circuit(dimension, &specs);
         // Schedule the fully lowered circuit — the form the pipeline
         // schedules, and the one with reordering freedom.
-        let lowered = standard_compiler(dimension, circuit.width())
+        let lowered = CompileOptions::new().compiler()
             .compile(&circuit)
             .unwrap()
             .circuit;
@@ -90,13 +85,12 @@ proptest! {
     ) {
         let dimension = Dimension::new(d).unwrap();
         let circuit = build_mct_circuit(dimension, &specs);
-        let plain = standard_compiler(dimension, circuit.width())
+        let plain = CompileOptions::new().compiler()
             .compile(&circuit)
             .unwrap()
             .circuit;
         let report = CompileOptions::new()
-            .schedule(true)
-            .shape(dimension, circuit.width())
+            .opt_level(OptLevel::O2)
             .compiler()
             .compile(&circuit)
             .unwrap();
@@ -131,8 +125,8 @@ fn e10_family_depths_match_the_golden_values() {
     for &(d, k, depth_before, depth_after) in GOLDEN_DEPTHS {
         let dimension = Dimension::new(d).unwrap();
         let synthesis = KToffoli::new(dimension, k).unwrap().synthesize().unwrap();
-        let width = synthesis.layout().width;
-        let plain = standard_compiler(dimension, width)
+        let plain = CompileOptions::new()
+            .compiler()
             .compile(synthesis.circuit())
             .unwrap()
             .circuit;
@@ -158,8 +152,8 @@ fn schedule_never_increases_depth_on_the_e10_family() {
     for (d, k) in qudit_bench::experiments::e10_sweep(qudit_bench::experiments::Scale::Quick) {
         let dimension = Dimension::new(d).unwrap();
         let synthesis = KToffoli::new(dimension, k).unwrap().synthesize().unwrap();
-        let width = synthesis.layout().width;
-        let plain = standard_compiler(dimension, width)
+        let plain = CompileOptions::new()
+            .compiler()
             .compile(synthesis.circuit())
             .unwrap()
             .circuit;
@@ -184,11 +178,9 @@ fn verified_scheduled_pipeline_accepts_the_e10_sweep() {
     for (d, k) in qudit_bench::experiments::e10_sweep(qudit_bench::experiments::Scale::Quick) {
         let dimension = Dimension::new(d).unwrap();
         let synthesis = KToffoli::new(dimension, k).unwrap().synthesize().unwrap();
-        let width = synthesis.layout().width;
         let report = CompileOptions::new()
-            .schedule(true)
+            .opt_level(OptLevel::O2)
             .verify(Verify::Exhaustive)
-            .shape(dimension, width)
             .compiler()
             .compile(synthesis.circuit())
             .unwrap_or_else(|e| panic!("verification failed for d={d}, k={k}: {e}"));
@@ -302,9 +294,8 @@ fn o2_unscheduled(d: u32, k: usize) -> CompileResult {
         .unwrap()
         .synthesize()
         .unwrap();
-    let options = CompileOptions::new()
-        .opt_level(OptLevel::O2)
-        .schedule(false);
+    // O2 is O1 plus a final `schedule-depth` stage.
+    let options = CompileOptions::new().opt_level(OptLevel::O1);
     options.compiler().compile(synthesis.circuit()).unwrap()
 }
 
