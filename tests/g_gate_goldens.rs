@@ -6,6 +6,10 @@
 //! refactor that reorders or rewrites gates fails here even when the counts
 //! survive.
 //!
+//! A second section pins the paper's asymptotics past `k = 8`: for every
+//! `d ∈ {3, 4, 5, 6}` the `resources()` G-gate count at `k ∈ {16, 24, 32}`,
+//! where both steps must be equal (the count is linear in `k`).
+//!
 //! Regenerate after an intentional count change with
 //! `QUDIT_BLESS=1 cargo test --test g_gate_goldens`.
 
@@ -18,6 +22,8 @@ use qudit_synthesis::{CompileOptions, CompileResult, KToffoli, OptLevel};
 
 const DIMENSIONS: [u32; 3] = [3, 4, 5];
 const CONTROLS: std::ops::RangeInclusive<usize> = 2..=8;
+const SLOPE_DIMENSIONS: [u32; 4] = [3, 4, 5, 6];
+const SLOPE_CONTROLS: [usize; 3] = [16, 24, 32];
 
 /// Compiles `circuit` at `level` through the facade.
 fn compile(circuit: &qudit_core::Circuit, level: OptLevel, row: &str) -> CompileResult {
@@ -71,9 +77,32 @@ fn golden_table() -> String {
     table
 }
 
+/// The slope section: the G-gates at each of `SLOPE_CONTROLS` and the one
+/// step between them, after asserting that both steps are equal.
+fn slope_table() -> String {
+    let mut table = String::from("# slope: d g_gates@k=16 g_gates@k=24 g_gates@k=32 step\n");
+    for d in SLOPE_DIMENSIONS {
+        let [g16, g24, g32] = SLOPE_CONTROLS.map(|k| {
+            KToffoli::new(Dimension::new(d).unwrap(), k)
+                .unwrap()
+                .synthesize()
+                .unwrap_or_else(|e| panic!("d={d} k={k}: synthesis failed: {e}"))
+                .resources()
+                .g_gates
+        });
+        assert_eq!(
+            g24 - g16,
+            g32 - g24,
+            "d={d}: the G-gate count is not linear in k ({g16}, {g24}, {g32})"
+        );
+        table.push_str(&format!("{d} {g16} {g24} {g32} {}\n", g32 - g24));
+    }
+    table
+}
+
 #[test]
 fn k_toffoli_counts_match_goldens() {
-    let table = golden_table();
+    let table = golden_table() + &slope_table();
     let golden_path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("golden")
