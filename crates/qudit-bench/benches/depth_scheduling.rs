@@ -6,8 +6,8 @@
 //! over a run-merged wire history with a running-maximum early exit per
 //! wire; it never builds the DAG.  The workload is the optimised G-gate
 //! circuits of the standard flow — exactly what the scheduled pipeline
-//! hands the scheduler.  `schedule_d5_k4` adds the longest wire history of
-//! the O2 family, and `schedule_distinct_perms` a 20k-gate circuit of
+//! hands the scheduler.  `schedule_d5_k4` adds the d = 5 job of the O2
+//! family, and `schedule_distinct_perms` a 20k-gate circuit of
 //! all-distinct permutations, where the history never merges.  The
 //! `cancel_*` entries time `cancel_inverse_pairs` on the fused, lowered
 //! k-Toffoli it receives in the standard flow.  Both functions take their
@@ -98,7 +98,7 @@ fn bench_schedule(c: &mut Criterion) {
 fn bench_cancel(c: &mut Criterion) {
     let mut group = c.benchmark_group("depth_scheduling");
     // The gate counts the standard flow hands the cancellation stage.
-    for (d, k, gates) in [(3, 8, 14_441), (5, 4, 24_919)] {
+    for (d, k, gates) in [(3, 8, 8_457), (5, 4, 7_303)] {
         let uncancelled = uncancelled_ktoffoli(d, k);
         assert_eq!(uncancelled.len(), gates, "d={d}, k={k}");
         assert_eq!(

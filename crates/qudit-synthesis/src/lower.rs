@@ -5,14 +5,26 @@
 //! at most two controls, possibly with the value-controlled shift `|⋆⟩-X±⋆`
 //! carrying one additional control.  This module lowers those macro gates to
 //! **elementary gates** — gates with at most one control and classical
-//! single-qudit operations (every gate touches at most two qudits) — using
-//! the Fig. 2 / Fig. 5 gadgets for the two-controlled cases.  The next
-//! stage, `qudit_core::lowering::lower_circuit`, takes elementary gates to
-//! the **G-gate** set `{Xij} ∪ {|0⟩-X01}`.
+//! single-qudit operations (every gate touches at most two qudits).  The
+//! next stage, `qudit_core::lowering::lower_circuit`, takes elementary gates
+//! to the **G-gate** set `{Xij} ∪ {|0⟩-X01}`.
+//!
+//! * Two-controlled gates use the Fig. 5 gadget (odd `d`) or the Fig. 2
+//!   gadget with a borrowed wire (even `d`), one per transposition of the
+//!   operation.
+//! * The one-controlled value shift `|c⟩|⋆⟩-X±⋆` at odd `d` is a four-gate
+//!   commutator: with `m₂: x ↦ 2x mod d` (a level permutation, because 2 is
+//!   invertible mod odd `d`), the time-ordered gates
+//!   `|⋆⟩-X∓⋆`, `|c⟩-m₂(source)`, `|⋆⟩-X±⋆`, `|c⟩-m₂⁻¹(source)` add
+//!   `±(2s − s) = ±s` to the target when `c` fires and `±(s − s) = 0`
+//!   otherwise, whatever the control's predicate.  Every gate has at most
+//!   one control.  At even `d`, `m₂` is not a permutation, so the shift
+//!   expands into one two-controlled shift per source level.
 
 use qudit_core::lowering::Transpositions;
 use qudit_core::{
-    Circuit, Control, ControlPredicate, Dimension, Gate, GateOp, QuditId, SingleQuditOp,
+    Circuit, Control, ControlPredicate, Dimension, Gate, GateOp, Permutation, QuditId,
+    SingleQuditOp,
 };
 
 use crate::error::{Result, SynthesisError};
@@ -23,7 +35,8 @@ use crate::gadgets::{emit_two_controlled_swap_even, emit_two_controlled_swap_odd
 /// Two-controlled gates are expanded with the Fig. 5 gadget when `d` is odd
 /// and the Fig. 2 gadget when `d` is even; in the even case a borrowed qudit
 /// is chosen among the circuit's other wires, so the circuit must have width
-/// at least 4.
+/// at least 4.  A one-controlled value shift is the four-gate commutator of
+/// the module docs when `d` is odd.
 ///
 /// # Errors
 ///
@@ -50,14 +63,27 @@ pub(crate) struct ElementaryWalk {
     dimension: Dimension,
     width: usize,
     levels: Transpositions,
+    /// The transpositions of `m₂: x ↦ 2x mod d` in time order, at odd `d`
+    /// (empty at even `d`).
+    doubling: Vec<(u32, u32)>,
 }
 
 impl ElementaryWalk {
     pub(crate) fn new(dimension: Dimension, width: usize) -> Self {
+        let d = dimension.get();
+        let doubling = if dimension.is_odd() {
+            let map = (0..d).map(|x| 2 * x % d).collect();
+            Permutation::from_map(map)
+                .expect("x ↦ 2x mod d is a permutation at odd d")
+                .transpositions()
+        } else {
+            Vec::new()
+        };
         ElementaryWalk {
             dimension,
             width,
             levels: Transpositions::default(),
+            doubling,
         }
     }
 
@@ -66,8 +92,20 @@ impl ElementaryWalk {
         match (gate.controls(), gate.op()) {
             // Already elementary.
             ([] | [_], GateOp::Single(_)) | ([], GateOp::AddFrom { .. }) => out.push(gate.clone()),
-            // |⋆⟩-X±⋆ with one further control: expand the star into one
-            // two-controlled shift per source level.
+            // |⋆⟩-X±⋆ with one further control at odd d: the commutator of
+            // the module docs, m₂ and m₂⁻¹ as controlled transpositions.
+            (&[control], &GateOp::AddFrom { source, negate }) if self.dimension.is_odd() => {
+                let target = gate.target();
+                let doubling = |&(i, j): &(u32, u32)| {
+                    Gate::controlled(SingleQuditOp::Swap(i, j), source, [control])
+                };
+                out.push(Gate::add_from(source, !negate, target, []));
+                out.extend(self.doubling.iter().map(doubling));
+                out.push(Gate::add_from(source, negate, target, []));
+                out.extend(self.doubling.iter().rev().map(doubling));
+            }
+            // At even d, expand the star into one two-controlled shift per
+            // source level.
             (&[control], GateOp::AddFrom { source, negate }) => {
                 let d = self.dimension.get();
                 for y in 1..d {
@@ -296,6 +334,64 @@ mod tests {
                 assert!(elementary.max_controls() <= 1);
                 assert_equivalent(&circuit, &elementary);
             }
+        }
+    }
+
+    #[test]
+    fn the_value_shift_commutator_is_exact_at_odd_d() {
+        let wire_orders = [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ];
+        for d in [3u32, 5, 7, 9] {
+            let dimension = dim(d);
+            let doubling = ElementaryWalk::new(dimension, 3).doubling.len();
+            let predicates = (0..d).map(ControlPredicate::Level).chain([
+                ControlPredicate::Odd,
+                ControlPredicate::EvenNonzero,
+                ControlPredicate::NonZero,
+            ]);
+            for predicate in predicates {
+                for negate in [false, true] {
+                    for [control, source, target] in wire_orders {
+                        let gate = Gate::add_from(
+                            QuditId::new(source),
+                            negate,
+                            QuditId::new(target),
+                            [Control::new(QuditId::new(control), predicate)],
+                        );
+                        let circuit = macro_circuit(dimension, 3, gate);
+                        let elementary = lower_to_elementary(&circuit).unwrap();
+                        assert!(elementary.max_controls() <= 1);
+                        assert_eq!(elementary.len(), 2 + 2 * doubling);
+                        assert_equivalent(&circuit, &elementary);
+                        let g = qudit_core::lowering::lower_circuit(&elementary).unwrap();
+                        assert_equivalent(&circuit, &g);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn controlled_sums_from_text_compile_verified_at_odd_d() {
+        let compiler = crate::CompileOptions::new()
+            .verify(crate::Verify::Exhaustive)
+            .compiler();
+        for gate in ["sum", "sumdg"] {
+            let source =
+                format!("OPENQASM 3.0;\nqudit[5] q[3];\nctrl @ {gate} q[0], q[1], q[2];\n");
+            let result = compiler.compile_source(&source).unwrap();
+            assert!(
+                result.verification.is_verified(),
+                "{gate}: {}",
+                result.verification
+            );
+            assert!(result.circuit.gates().iter().all(Gate::is_g_gate), "{gate}");
         }
     }
 

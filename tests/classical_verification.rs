@@ -119,7 +119,7 @@ fn sampled_path_pins_the_first_witness_in_draw_order() {
     let circuit = lowered_toffoli(5);
     assert_eq!(
         failure(circuit, drop_middle_gate(), VerifyEquivalence::wrap),
-        "drop-middle: output circuit is not equivalent to its input (basis state [2, 1, 0, 0, 0, 1])"
+        "drop-middle: output circuit is not equivalent to its input (basis state [3, 2, 0, 1, 0, 0])"
     );
 }
 
@@ -136,7 +136,7 @@ fn a_batch_reports_its_first_failing_job_in_input_order() {
     let [empty4, half4] = passing_jobs(&d4);
     let [empty5, _] = passing_jobs(&d5);
     let d4_message = "drop-middle: output circuit is not equivalent to its input (basis state [0, 1, 0, 0, 0, 0])";
-    let d5_message = "drop-middle: output circuit is not equivalent to its input (basis state [2, 1, 0, 0, 0, 1])";
+    let d5_message = "drop-middle: output circuit is not equivalent to its input (basis state [3, 2, 0, 1, 0, 0])";
     let jobs = vec![
         empty4.clone(),
         d5.clone(),

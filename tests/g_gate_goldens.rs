@@ -7,7 +7,7 @@
 //! survive.
 //!
 //! A second section pins the paper's asymptotics past `k = 8`: for every
-//! `d ∈ {3, 4, 5, 6}` the `resources()` G-gate count at `k ∈ {16, 24, 32}`,
+//! `d ∈ {3, …, 7}` the `resources()` G-gate count at `k ∈ {16, 24, 32}`,
 //! where both steps must be equal (the count is linear in `k`).
 //!
 //! Regenerate after an intentional count change with
@@ -22,7 +22,7 @@ use qudit_synthesis::{CompileOptions, CompileResult, KToffoli, OptLevel};
 
 const DIMENSIONS: [u32; 3] = [3, 4, 5];
 const CONTROLS: std::ops::RangeInclusive<usize> = 2..=8;
-const SLOPE_DIMENSIONS: [u32; 4] = [3, 4, 5, 6];
+const SLOPE_DIMENSIONS: [u32; 5] = [3, 4, 5, 6, 7];
 const SLOPE_CONTROLS: [usize; 3] = [16, 24, 32];
 
 /// Compiles `circuit` at `level` through the facade.

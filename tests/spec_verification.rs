@@ -105,14 +105,14 @@ const PINNED: &[(&str, &str)] = &[
     ("d=3 k=3 intact: sampled seed=1 n=200", "Pass { inputs_checked: 200 } then 4236234623"),
     ("d=3 k=3 intact: sampled seed=2 n=5000", "Pass { inputs_checked: 5000 } then 4007038012"),
     ("d=3 k=3 intact: clean ancilla", "Pass { inputs_checked: 81 }"),
-    ("d=3 k=3 drop 197: exhaustive", "Fail { input: [0, 0, 0, 0, 0], expected: [0, 0, 0, 1, 0], actual: [0, 2, 0, 0, 0] }"),
-    ("d=3 k=3 drop 197: sampled seed=1 n=200", "Fail { input: [0, 0, 0, 2, 0], expected: [0, 0, 0, 2, 0], actual: [0, 2, 0, 2, 0] } then 4236234623"),
-    ("d=3 k=3 drop 197: sampled seed=2 n=5000", "Fail { input: [0, 0, 0, 0, 1], expected: [0, 0, 0, 1, 1], actual: [0, 2, 0, 0, 1] } then 4007038012"),
-    ("d=3 k=3 drop 197: clean ancilla", "Fail { input: [0, 0, 0, 0, 0], expected: [0, 0, 0, 1, 0], actual: [0, 2, 0, 0, 0] }"),
-    ("d=3 k=3 drop 395: exhaustive", "Fail { input: [0, 0, 0, 0, 0], expected: [0, 0, 0, 1, 0], actual: [0, 1, 0, 1, 0] }"),
-    ("d=3 k=3 drop 395: sampled seed=1 n=200", "Fail { input: [0, 0, 0, 2, 0], expected: [0, 0, 0, 2, 0], actual: [0, 1, 0, 2, 0] } then 4236234623"),
-    ("d=3 k=3 drop 395: sampled seed=2 n=5000", "Fail { input: [0, 0, 0, 0, 1], expected: [0, 0, 0, 1, 1], actual: [0, 1, 0, 1, 1] } then 4007038012"),
-    ("d=3 k=3 drop 395: clean ancilla", "Fail { input: [0, 0, 0, 0, 0], expected: [0, 0, 0, 1, 0], actual: [0, 1, 0, 1, 0] }"),
+    ("d=3 k=3 drop 129: exhaustive", "Fail { input: [0, 0, 0, 0, 0], expected: [0, 0, 0, 1, 0], actual: [0, 2, 0, 0, 0] }"),
+    ("d=3 k=3 drop 129: sampled seed=1 n=200", "Fail { input: [0, 0, 0, 2, 0], expected: [0, 0, 0, 2, 0], actual: [0, 2, 0, 2, 0] } then 4236234623"),
+    ("d=3 k=3 drop 129: sampled seed=2 n=5000", "Fail { input: [0, 0, 0, 0, 1], expected: [0, 0, 0, 1, 1], actual: [0, 2, 0, 0, 1] } then 4007038012"),
+    ("d=3 k=3 drop 129: clean ancilla", "Fail { input: [0, 0, 0, 0, 0], expected: [0, 0, 0, 1, 0], actual: [0, 2, 0, 0, 0] }"),
+    ("d=3 k=3 drop 259: exhaustive", "Fail { input: [0, 0, 0, 0, 0], expected: [0, 0, 0, 1, 0], actual: [0, 1, 0, 1, 0] }"),
+    ("d=3 k=3 drop 259: sampled seed=1 n=200", "Fail { input: [0, 0, 0, 2, 0], expected: [0, 0, 0, 2, 0], actual: [0, 1, 0, 2, 0] } then 4236234623"),
+    ("d=3 k=3 drop 259: sampled seed=2 n=5000", "Fail { input: [0, 0, 0, 0, 1], expected: [0, 0, 0, 1, 1], actual: [0, 1, 0, 1, 1] } then 4007038012"),
+    ("d=3 k=3 drop 259: clean ancilla", "Fail { input: [0, 0, 0, 0, 0], expected: [0, 0, 0, 1, 0], actual: [0, 1, 0, 1, 0] }"),
     ("d=3 k=3 late flip: exhaustive", "Fail { input: [2, 2, 0, 0, 0], expected: [2, 2, 0, 0, 0], actual: [2, 2, 0, 0, 1] }"),
     ("d=3 k=3 late flip: sampled seed=1 n=200", "Fail { input: [2, 2, 2, 0, 2], expected: [2, 2, 2, 0, 2], actual: [2, 2, 2, 0, 0] } then 4236234623"),
     ("d=3 k=3 late flip: sampled seed=2 n=5000", "Fail { input: [2, 2, 2, 0, 2], expected: [2, 2, 2, 0, 2], actual: [2, 2, 2, 0, 0] } then 4007038012"),
@@ -137,14 +137,14 @@ const PINNED: &[(&str, &str)] = &[
     ("d=5 k=3 intact: sampled seed=1 n=200", "Pass { inputs_checked: 200 } then 4236234623"),
     ("d=5 k=3 intact: sampled seed=2 n=5000", "Pass { inputs_checked: 5000 } then 4007038012"),
     ("d=5 k=3 intact: clean ancilla", "Pass { inputs_checked: 625 }"),
-    ("d=5 k=3 drop 2158: exhaustive", "Fail { input: [0, 0, 3, 0, 0], expected: [0, 0, 3, 0, 0], actual: [0, 0, 4, 0, 0] }"),
-    ("d=5 k=3 drop 2158: sampled seed=1 n=200", "Fail { input: [0, 0, 3, 1, 3], expected: [0, 0, 3, 1, 3], actual: [0, 0, 4, 1, 3] } then 4236234623"),
-    ("d=5 k=3 drop 2158: sampled seed=2 n=5000", "Fail { input: [0, 1, 3, 4, 1], expected: [0, 1, 3, 4, 1], actual: [0, 1, 2, 4, 1] } then 4007038012"),
-    ("d=5 k=3 drop 2158: clean ancilla", "Fail { input: [0, 0, 3, 0, 0], expected: [0, 0, 3, 0, 0], actual: [0, 0, 4, 0, 0] }"),
-    ("d=5 k=3 drop 4317: exhaustive", "Fail { input: [0, 0, 0, 0, 0], expected: [0, 0, 0, 1, 0], actual: [0, 1, 0, 1, 0] }"),
-    ("d=5 k=3 drop 4317: sampled seed=1 n=200", "Fail { input: [0, 0, 0, 0, 1], expected: [0, 0, 0, 1, 1], actual: [0, 1, 0, 1, 1] } then 4236234623"),
-    ("d=5 k=3 drop 4317: sampled seed=2 n=5000", "Fail { input: [0, 0, 0, 1, 4], expected: [0, 0, 0, 0, 4], actual: [0, 1, 0, 0, 4] } then 4007038012"),
-    ("d=5 k=3 drop 4317: clean ancilla", "Fail { input: [0, 0, 0, 0, 0], expected: [0, 0, 0, 1, 0], actual: [0, 1, 0, 1, 0] }"),
+    ("d=5 k=3 drop 690: exhaustive", "Fail { input: [0, 0, 3, 0, 0], expected: [0, 0, 3, 0, 0], actual: [0, 0, 4, 0, 0] }"),
+    ("d=5 k=3 drop 690: sampled seed=1 n=200", "Fail { input: [0, 0, 3, 1, 3], expected: [0, 0, 3, 1, 3], actual: [0, 0, 4, 1, 3] } then 4236234623"),
+    ("d=5 k=3 drop 690: sampled seed=2 n=5000", "Fail { input: [0, 1, 3, 4, 1], expected: [0, 1, 3, 4, 1], actual: [0, 1, 2, 4, 1] } then 4007038012"),
+    ("d=5 k=3 drop 690: clean ancilla", "Fail { input: [0, 0, 3, 0, 0], expected: [0, 0, 3, 0, 0], actual: [0, 0, 4, 0, 0] }"),
+    ("d=5 k=3 drop 1381: exhaustive", "Fail { input: [0, 0, 0, 0, 0], expected: [0, 0, 0, 1, 0], actual: [0, 1, 0, 1, 0] }"),
+    ("d=5 k=3 drop 1381: sampled seed=1 n=200", "Fail { input: [0, 0, 0, 0, 1], expected: [0, 0, 0, 1, 1], actual: [0, 1, 0, 1, 1] } then 4236234623"),
+    ("d=5 k=3 drop 1381: sampled seed=2 n=5000", "Fail { input: [0, 0, 0, 1, 4], expected: [0, 0, 0, 0, 4], actual: [0, 1, 0, 0, 4] } then 4007038012"),
+    ("d=5 k=3 drop 1381: clean ancilla", "Fail { input: [0, 0, 0, 0, 0], expected: [0, 0, 0, 1, 0], actual: [0, 1, 0, 1, 0] }"),
     ("d=5 k=3 late flip: exhaustive", "Fail { input: [4, 4, 0, 0, 0], expected: [4, 4, 0, 0, 0], actual: [4, 4, 0, 0, 1] }"),
     ("d=5 k=3 late flip: sampled seed=1 n=200", "Fail { input: [4, 4, 4, 1, 2], expected: [4, 4, 4, 1, 2], actual: [4, 4, 4, 1, 3] } then 4236234623"),
     ("d=5 k=3 late flip: sampled seed=2 n=5000", "Fail { input: [4, 4, 4, 4, 1], expected: [4, 4, 4, 4, 1], actual: [4, 4, 4, 4, 2] } then 4007038012"),
@@ -153,14 +153,14 @@ const PINNED: &[(&str, &str)] = &[
     ("d=3 k=5 intact: sampled seed=1 n=200", "Pass { inputs_checked: 200 } then 3728443929"),
     ("d=3 k=5 intact: sampled seed=2 n=5000", "Pass { inputs_checked: 5000 } then 3024131623"),
     ("d=3 k=5 intact: clean ancilla", "Pass { inputs_checked: 729 }"),
-    ("d=3 k=5 drop 1206: exhaustive", "Fail { input: [0, 0, 0, 0, 0, 0, 0], expected: [0, 0, 0, 0, 0, 1, 0], actual: [0, 0, 2, 0, 0, 0, 0] }"),
-    ("d=3 k=5 drop 1206: sampled seed=1 n=200", "Fail { input: [0, 0, 0, 0, 0, 2, 0], expected: [0, 0, 0, 0, 0, 2, 0], actual: [0, 0, 2, 0, 0, 2, 0] } then 3728443929"),
-    ("d=3 k=5 drop 1206: sampled seed=2 n=5000", "Fail { input: [0, 0, 0, 0, 0, 0, 2], expected: [0, 0, 0, 0, 0, 1, 2], actual: [0, 0, 2, 0, 0, 0, 2] } then 3024131623"),
-    ("d=3 k=5 drop 1206: clean ancilla", "Fail { input: [0, 0, 0, 0, 0, 0, 0], expected: [0, 0, 0, 0, 0, 1, 0], actual: [0, 0, 2, 0, 0, 0, 0] }"),
-    ("d=3 k=5 drop 2413: exhaustive", "Fail { input: [0, 0, 0, 0, 0, 0, 0], expected: [0, 0, 0, 0, 0, 1, 0], actual: [0, 0, 0, 1, 0, 1, 0] }"),
-    ("d=3 k=5 drop 2413: sampled seed=1 n=200", "Fail { input: [0, 0, 0, 0, 0, 2, 0], expected: [0, 0, 0, 0, 0, 2, 0], actual: [0, 0, 0, 1, 0, 2, 0] } then 3728443929"),
-    ("d=3 k=5 drop 2413: sampled seed=2 n=5000", "Fail { input: [0, 0, 0, 0, 0, 0, 2], expected: [0, 0, 0, 0, 0, 1, 2], actual: [0, 0, 0, 1, 0, 1, 2] } then 3024131623"),
-    ("d=3 k=5 drop 2413: clean ancilla", "Fail { input: [0, 0, 0, 0, 0, 0, 0], expected: [0, 0, 0, 0, 0, 1, 0], actual: [0, 0, 0, 1, 0, 1, 0] }"),
+    ("d=3 k=5 drop 730: exhaustive", "Fail { input: [0, 0, 0, 0, 0, 0, 0], expected: [0, 0, 0, 0, 0, 1, 0], actual: [0, 0, 2, 0, 0, 0, 0] }"),
+    ("d=3 k=5 drop 730: sampled seed=1 n=200", "Fail { input: [0, 0, 0, 0, 0, 2, 0], expected: [0, 0, 0, 0, 0, 2, 0], actual: [0, 0, 2, 0, 0, 2, 0] } then 3728443929"),
+    ("d=3 k=5 drop 730: sampled seed=2 n=5000", "Fail { input: [0, 0, 0, 0, 0, 0, 2], expected: [0, 0, 0, 0, 0, 1, 2], actual: [0, 0, 2, 0, 0, 0, 2] } then 3024131623"),
+    ("d=3 k=5 drop 730: clean ancilla", "Fail { input: [0, 0, 0, 0, 0, 0, 0], expected: [0, 0, 0, 0, 0, 1, 0], actual: [0, 0, 2, 0, 0, 0, 0] }"),
+    ("d=3 k=5 drop 1461: exhaustive", "Fail { input: [0, 0, 0, 0, 0, 0, 0], expected: [0, 0, 0, 0, 0, 1, 0], actual: [0, 0, 0, 1, 0, 1, 0] }"),
+    ("d=3 k=5 drop 1461: sampled seed=1 n=200", "Fail { input: [0, 0, 0, 0, 0, 2, 0], expected: [0, 0, 0, 0, 0, 2, 0], actual: [0, 0, 0, 1, 0, 2, 0] } then 3728443929"),
+    ("d=3 k=5 drop 1461: sampled seed=2 n=5000", "Fail { input: [0, 0, 0, 0, 0, 0, 2], expected: [0, 0, 0, 0, 0, 1, 2], actual: [0, 0, 0, 1, 0, 1, 2] } then 3024131623"),
+    ("d=3 k=5 drop 1461: clean ancilla", "Fail { input: [0, 0, 0, 0, 0, 0, 0], expected: [0, 0, 0, 0, 0, 1, 0], actual: [0, 0, 0, 1, 0, 1, 0] }"),
     ("d=3 k=5 late flip: exhaustive", "Fail { input: [2, 2, 0, 0, 0, 0, 0], expected: [2, 2, 0, 0, 0, 0, 0], actual: [2, 2, 0, 0, 0, 0, 1] }"),
     ("d=3 k=5 late flip: sampled seed=1 n=200", "Fail { input: [2, 2, 0, 1, 0, 2, 1], expected: [2, 2, 0, 1, 0, 2, 1], actual: [2, 2, 0, 1, 0, 2, 2] } then 3728443929"),
     ("d=3 k=5 late flip: sampled seed=2 n=5000", "Fail { input: [2, 2, 1, 0, 0, 2, 1], expected: [2, 2, 1, 0, 0, 2, 1], actual: [2, 2, 1, 0, 0, 2, 2] } then 3024131623"),
