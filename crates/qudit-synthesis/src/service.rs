@@ -46,7 +46,8 @@
 //! * `"status":"rejected"` with `error` when admission control turned the
 //!   job away (the job was **not** compiled);
 //! * `"status":"error"` with `error` when the job was malformed or the
-//!   compilation failed.
+//!   compilation failed (a panic inside the compile included: the worker
+//!   replies and goes on serving).
 //!
 //! Every submitted line gets exactly one reply while its connection stays
 //! open; after the reply to an oversized line the service closes the
@@ -78,6 +79,7 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -584,7 +586,19 @@ fn worker_loop(shared: &Arc<Shared>) {
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
         };
         drop(state);
-        let reply = compile_job(shared, &job.request);
+        // A panic in a pass or the printer becomes this job's error reply,
+        // so the tenant's bookkeeping below still runs and the worker lives.
+        let reply = panic::catch_unwind(AssertUnwindSafe(|| compile_job(shared, &job.request)))
+            .unwrap_or_else(|payload| {
+                shared.compile_errors.fetch_add(1, Ordering::Relaxed);
+                let cause = payload
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("no message");
+                let message = format!("compilation panicked: {cause}");
+                message_reply(&job.request.tenant, &job.request.id, "error", &message)
+            });
         let delivered = send_reply(&job.reply_to, &reply);
         let mut state = lock_unpoisoned(&shared.state);
         if !delivered {
@@ -633,7 +647,6 @@ fn drop_jobs_of(state: &mut SchedulerState, shared: &Shared, connection: &Arc<Mu
 fn compile_job(shared: &Shared, request: &JobRequest) -> String {
     match shared.compiler.compile_source(&request.source) {
         Ok(result) => {
-            shared.completed.fetch_add(1, Ordering::Relaxed);
             let qasm = result.to_qasm();
             // Escaping adds a byte per line break, about one in twenty.
             let capacity = 160 + request.tenant.len() + request.id.len() + qasm.len() * 9 / 8;
@@ -648,6 +661,7 @@ fn compile_job(shared: &Shared, request: &JobRequest) -> String {
             );
             json_escape_into(&mut reply, &qasm);
             reply.push_str("\"}");
+            shared.completed.fetch_add(1, Ordering::Relaxed);
             reply
         }
         Err(error) => {
@@ -1392,6 +1406,58 @@ mod tests {
         assert!(other.unwrap().is_ok());
         let stats = service.shutdown();
         assert_eq!((stats.completed, stats.compile_errors), (1, 1));
+    }
+
+    /// A cost model that panics when it prices the transposition `X12`.
+    struct PanicsOnX12;
+
+    impl qudit_core::route::CostModel for PanicsOnX12 {
+        fn name(&self) -> &str {
+            "panics-on-x12"
+        }
+
+        fn gate_cost(&self, gate: &qudit_core::Gate) -> f64 {
+            let x12 = qudit_core::GateOp::Single(qudit_core::SingleQuditOp::Swap(1, 2));
+            assert!(*gate.op() != x12, "cost model refuses X12");
+            1.0
+        }
+    }
+
+    #[test]
+    fn a_panicking_compile_is_an_error_reply_and_spares_the_worker() {
+        let options = CompileOptions::new()
+            .topology(qudit_core::topology::CouplingGraph::linear(3).unwrap())
+            .cost(PanicsOnX12);
+        let config = ServiceConfig::new().workers(1).options(options);
+        let service = CompileService::start(config).unwrap();
+        let connect = || {
+            let client = ServiceClient::connect(service.local_addr()).unwrap();
+            // A dead worker would leave these reads waiting forever.
+            let timeout = Some(Duration::from_secs(10));
+            client.reader.get_ref().set_read_timeout(timeout).unwrap();
+            client
+        };
+        let mut panicking = connect();
+        let job = |tenant: &str, levels: &str| JobRequest {
+            tenant: tenant.to_string(),
+            id: "0".to_string(),
+            source: format!("OPENQASM 3.0;\nqudit[3] q[2];\nswap({levels}) q[0];\n"),
+        };
+        let reply = panicking.roundtrip(&job("panicking", "1, 2")).unwrap();
+        assert_eq!(reply.status, JobStatus::Error);
+        assert!(
+            reply.message.contains("cost model refuses X12"),
+            "{}",
+            reply.message
+        );
+        // The worker released the tenant: it is served again, and so is
+        // another tenant on another connection.
+        let again = panicking.roundtrip(&job("panicking", "0, 1")).unwrap();
+        assert!(again.is_ok(), "{}", again.message);
+        let other = connect().roundtrip(&job("other", "0, 1")).unwrap();
+        assert!(other.is_ok(), "{}", other.message);
+        let stats = service.shutdown();
+        assert_eq!((stats.completed, stats.compile_errors), (2, 1));
     }
 
     #[test]
