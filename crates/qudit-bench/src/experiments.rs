@@ -8,16 +8,19 @@ use qudit_baselines::{
     clean_ancilla_count, di_wei_cubic_count, exponential_gate_count, yeh_wetering_clifford_t_count,
     CleanAncillaMct, CliffordTCostModel,
 };
+use std::collections::BTreeMap;
+
+use qudit_core::pipeline::{LowerToGGates, Pass};
 use qudit_core::route::NoiseAwareCost;
 use qudit_core::topology::CouplingGraph;
-use qudit_core::{Dimension, QuditId, SingleQuditOp};
+use qudit_core::{Circuit, Dimension, Gate, GateOp, QuditId, SingleQuditOp};
 use qudit_reversible::{lower_bound, ReversibleFunction, ReversibleSynthesizer};
 use qudit_sim::equivalence::{verify_mct_exhaustive, verify_mct_sampled, MctSpec};
 use qudit_sim::is_clifford_circuit;
 use qudit_sim::random::random_unitary;
 use qudit_synthesis::{
     gadgets, ladders, CompileOptions, CompileResult, Compiler, ControlledUnitary, KToffoli,
-    MultiControlledGate, OptLevel,
+    LowerToElementary, MultiControlledGate, OptLevel,
 };
 use qudit_unitary::UnitarySynthesizer;
 use rand::rngs::StdRng;
@@ -221,7 +224,8 @@ pub fn e2_gadgets(scale: Scale) -> Table {
 }
 
 /// E3 — linear scaling of the k-Toffoli G-gate count (Theorems III.2 and
-/// III.6), with a least-squares slope per dimension.
+/// III.6), with each row's G-gates attributed to the macro-gate kinds they
+/// come from ([`g_gates_by_kind`]).
 pub fn e3_linear_scaling(scale: Scale) -> Table {
     let mut table = Table::new(
         "E3 — k-Toffoli G-gate count vs. k (linear in k)",
@@ -233,6 +237,7 @@ pub fn e3_linear_scaling(scale: Scale) -> Table {
             "G-gates",
             "depth",
             "G-gates / k",
+            "G-gates by macro kind",
         ],
     );
     for &d in &scale.dimensions() {
@@ -240,6 +245,10 @@ pub fn e3_linear_scaling(scale: Scale) -> Table {
             let synthesis = KToffoli::new(dim(d), k).unwrap().synthesize().unwrap();
             let r = synthesis.resources();
             let depth = qudit_core::depth::circuit_depth(&synthesis.g_gate_circuit().unwrap());
+            let by_kind: Vec<String> = g_gates_by_kind(synthesis.circuit())
+                .iter()
+                .map(|(kind, g)| format!("{kind} {:.1}%", 100.0 * *g as f64 / r.g_gates as f64))
+                .collect();
             table.push_row(vec![
                 d.to_string(),
                 k.to_string(),
@@ -248,10 +257,64 @@ pub fn e3_linear_scaling(scale: Scale) -> Table {
                 r.g_gates.to_string(),
                 depth.to_string(),
                 fmt_f64(r.g_gates as f64 / k as f64),
+                by_kind.join(", "),
             ]);
         }
     }
     table
+}
+
+/// The G-gates of a macro circuit's `O0` lowering per macro-gate kind
+/// (control count × operation, e.g. `1c X±⋆` for the one-controlled value
+/// shift), largest first.  One walk over the macro gates lowers each to
+/// elementary gates and on to G-gates, counting them against its kind; the
+/// counts sum to the lowered circuit's length.
+///
+/// # Panics
+///
+/// Panics when a gate does not lower (the paper's macro circuits always
+/// do).
+pub fn g_gates_by_kind(circuit: &Circuit) -> Vec<(String, usize)> {
+    let walks = (
+        LowerToElementary.gate_walk(circuit),
+        LowerToGGates.gate_walk(circuit),
+    );
+    let (Some(mut to_elementary), Some(mut to_g_gates)) = walks else {
+        unreachable!("both lowering passes expose their gate walk");
+    };
+    let mut totals: BTreeMap<String, usize> = BTreeMap::new();
+    let (mut elementary, mut g_gates) = (Vec::new(), Vec::new());
+    for gate in circuit.gates() {
+        elementary.clear();
+        g_gates.clear();
+        to_elementary
+            .emit(gate, &mut elementary)
+            .expect("a macro gate lowers to elementary gates");
+        for gate in &elementary {
+            to_g_gates
+                .emit(gate, &mut g_gates)
+                .expect("an elementary gate lowers to G-gates");
+        }
+        *totals.entry(macro_kind(gate)).or_default() += g_gates.len();
+    }
+    let mut kinds: Vec<(String, usize)> = totals.into_iter().collect();
+    kinds.sort_by_key(|(_, g_gates)| std::cmp::Reverse(*g_gates));
+    kinds
+}
+
+/// A macro gate's kind: its control count and its operation in the paper's
+/// notation.
+fn macro_kind(gate: &Gate) -> String {
+    let op = match gate.op() {
+        GateOp::AddFrom { .. } => "X±⋆",
+        GateOp::Single(SingleQuditOp::Swap(..)) => "Xij",
+        GateOp::Single(SingleQuditOp::Add(_)) => "X+y",
+        GateOp::Single(SingleQuditOp::ParityFlipEven) => "X_eo^e",
+        GateOp::Single(SingleQuditOp::ParityFlipOdd) => "X_eo^o",
+        GateOp::Single(SingleQuditOp::Perm(_)) => "perm",
+        GateOp::Single(SingleQuditOp::Unitary(_)) => "U",
+    };
+    format!("{}c {op}", gate.controls().len())
 }
 
 /// The `(d, k)` parameter sweep of the E10 peephole experiment.
@@ -1103,6 +1166,20 @@ pub fn full_report(scale: Scale) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_kind_attribution_sums_to_the_g_gate_count() {
+        for d in [3u32, 4, 5] {
+            let synthesis = KToffoli::new(dim(d), 5).unwrap().synthesize().unwrap();
+            let by_kind = g_gates_by_kind(synthesis.circuit());
+            let total: usize = by_kind.iter().map(|(_, g)| g).sum();
+            assert_eq!(total, synthesis.resources().g_gates, "d={d}");
+            assert!(
+                by_kind.windows(2).all(|w| w[0].1 >= w[1].1),
+                "d={d}: {by_kind:?}"
+            );
+        }
+    }
 
     #[test]
     fn quick_tables_have_rows() {
