@@ -8,7 +8,7 @@
 //! * `compile_source` — text → the full `O1` facade flow on a classical
 //!   workload, i.e. the end-to-end "job file in, verified circuit out" path;
 //! * `print_mct_o2` — the 11 `O2` k-Toffoli outputs the compile service
-//!   returns on the `serve_mct` family (about 81k G-gates, 1.7 MB of text),
+//!   returns on the `serve_mct` family (about 52k G-gates, 1.1 MB of text),
 //!   printed once per iteration; the bench also reports the rate in MB/s.
 //!
 //! Before any timing, the bench *asserts* the exact round trip on every

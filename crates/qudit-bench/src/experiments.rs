@@ -225,7 +225,7 @@ pub fn e2_gadgets(scale: Scale) -> Table {
 
 /// E3 — linear scaling of the k-Toffoli G-gate count (Theorems III.2 and
 /// III.6), with each row's G-gates attributed to the macro-gate kinds they
-/// come from ([`g_gates_by_kind`]).
+/// come from (`g_gates_by_kind`).
 pub fn e3_linear_scaling(scale: Scale) -> Table {
     let mut table = Table::new(
         "E3 — k-Toffoli G-gate count vs. k (linear in k)",
@@ -274,7 +274,7 @@ pub fn e3_linear_scaling(scale: Scale) -> Table {
 ///
 /// Panics when a gate does not lower (the paper's macro circuits always
 /// do).
-pub fn g_gates_by_kind(circuit: &Circuit) -> Vec<(String, usize)> {
+fn g_gates_by_kind(circuit: &Circuit) -> Vec<(String, usize)> {
     let walks = (
         LowerToElementary.gate_walk(circuit),
         LowerToGGates.gate_walk(circuit),

@@ -96,13 +96,13 @@ impl ElementaryWalk {
             // the module docs, m₂ and m₂⁻¹ as controlled transpositions.
             (&[control], &GateOp::AddFrom { source, negate }) if self.dimension.is_odd() => {
                 let target = gate.target();
-                let doubling = |&(i, j): &(u32, u32)| {
+                let controlled_swap = |&(i, j): &(u32, u32)| {
                     Gate::controlled(SingleQuditOp::Swap(i, j), source, [control])
                 };
                 out.push(Gate::add_from(source, !negate, target, []));
-                out.extend(self.doubling.iter().map(doubling));
+                out.extend(self.doubling.iter().map(controlled_swap));
                 out.push(Gate::add_from(source, negate, target, []));
-                out.extend(self.doubling.iter().rev().map(doubling));
+                out.extend(self.doubling.iter().rev().map(controlled_swap));
             }
             // At even d, expand the star into one two-controlled shift per
             // source level.
