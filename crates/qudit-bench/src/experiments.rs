@@ -4,12 +4,12 @@
 //! Each function returns a [`Table`] so that the `experiments` binary, the
 //! integration tests and EXPERIMENTS.md all draw from the same code.
 
+use std::collections::BTreeMap;
+
 use qudit_baselines::{
     clean_ancilla_count, di_wei_cubic_count, exponential_gate_count, yeh_wetering_clifford_t_count,
     CleanAncillaMct, CliffordTCostModel,
 };
-use std::collections::BTreeMap;
-
 use qudit_core::pipeline::{LowerToGGates, Pass};
 use qudit_core::route::NoiseAwareCost;
 use qudit_core::topology::CouplingGraph;
