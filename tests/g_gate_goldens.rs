@@ -8,7 +8,9 @@
 //!
 //! A second section pins the paper's asymptotics past `k = 8`: for every
 //! `d ∈ {3, …, 7}` the `resources()` G-gate count at `k ∈ {16, 24, 32}`,
-//! where both steps must be equal (the count is linear in `k`).
+//! where both steps of eight controls must be equal (at odd `d` the step
+//! per control alternates with the parity of `k`, so the count is linear
+//! over pairs of controls).
 //!
 //! Regenerate after an intentional count change with
 //! `QUDIT_BLESS=1 cargo test --test g_gate_goldens`.
