@@ -19,6 +19,12 @@
 //! Defaults: 50 000 iterations, seed `0xDAC23`.  The run is a pure
 //! function of `(iterations, seed)`, so CI failures replay locally with the
 //! printed reproducer arguments.
+//!
+//! The last line also prints a 64-bit FNV-1a digest of every outcome, in
+//! order: the printed circuit of an accepted source, or the `Display` text
+//! of a rejected source's error.  Two front ends that agree on the digest
+//! accept the same sources into the same circuits and reject the rest with
+//! the same diagnostics.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
@@ -159,20 +165,36 @@ fn find_number(bytes: &[u8], rng: &mut StdRng) -> Option<(usize, usize)> {
     Some((start, len))
 }
 
+/// The outcome of one accepted or rejected source.
+enum Outcome {
+    /// The source parsed; the printed circuit.
+    Accepted(String),
+    /// The source was rejected; the error's `Display` text.
+    Rejected(String),
+}
+
 /// One fuzz probe: parse; on success, print and reparse and require
 /// structural equality.  Returns an error description on any violation.
-fn probe(source: &str) -> Result<(), String> {
+fn probe(source: &str) -> Result<Outcome, String> {
     match parse_source(source) {
-        Err(_) => Ok(()),
+        Err(error) => Ok(Outcome::Rejected(error.to_string())),
         Ok(circuit) => {
             let printed = print_circuit(&circuit);
             match parse_source(&printed) {
-                Ok(reparsed) if reparsed == circuit => Ok(()),
+                Ok(reparsed) if reparsed == circuit => Ok(Outcome::Accepted(printed)),
                 Ok(_) => Err("print → parse round trip diverged".to_string()),
                 Err(e) => Err(format!("printed form failed to reparse: {e}")),
             }
         }
     }
+}
+
+/// Folds `bytes` and then a `0xFF` separator (never a UTF-8 byte) into a
+/// 64-bit FNV-1a digest.
+fn fold(digest: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().chain(&[0xFF]).fold(digest, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
 }
 
 fn main() -> ExitCode {
@@ -197,6 +219,7 @@ fn main() -> ExitCode {
 
     let mut accepted = 0u64;
     let mut rejected = 0u64;
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
     for i in 0..iterations {
         let mut bytes = pool[rng.gen_range(0..pool.len())].clone().into_bytes();
         for _ in 0..rng.gen_range(1..=4u32) {
@@ -205,12 +228,13 @@ fn main() -> ExitCode {
         let source = String::from_utf8_lossy(&bytes).into_owned();
         let verdict = panic::catch_unwind(AssertUnwindSafe(|| probe(&source)));
         match verdict {
-            Ok(Ok(())) => {
-                if parse_source(&source).is_ok() {
-                    accepted += 1;
-                } else {
-                    rejected += 1;
-                }
+            Ok(Ok(Outcome::Accepted(printed))) => {
+                accepted += 1;
+                digest = fold(digest, printed.as_bytes());
+            }
+            Ok(Ok(Outcome::Rejected(message))) => {
+                rejected += 1;
+                digest = fold(digest, message.as_bytes());
             }
             Ok(Err(violation)) => {
                 let _ = panic::take_hook();
@@ -236,7 +260,7 @@ fn main() -> ExitCode {
     }
     let _ = panic::take_hook();
     println!(
-        "fuzz_qasm: {iterations} mutated sources, 0 panics, {accepted} parsed, {rejected} rejected (seed {seed})"
+        "fuzz_qasm: {iterations} mutated sources, 0 panics, {accepted} parsed, {rejected} rejected (seed {seed}), outcome digest {digest:016x}"
     );
     ExitCode::SUCCESS
 }
