@@ -61,7 +61,7 @@ impl Circuit {
     }
 
     /// The register name the circuit carries for text-IR printing, when it
-    /// has one (set by the QASM lowering, `None` for programmatically built
+    /// has one (set by the QASM parser, `None` for programmatically built
     /// circuits, which print as the canonical register `q`).
     pub fn register_name(&self) -> Option<&str> {
         self.register_name.as_deref()

@@ -1,23 +1,30 @@
-//! Lexer for the qudit text IR: source text to spanned [`Token`]s.
+//! Lexer for the qudit text IR: source text to spanned [`Token`]s that
+//! borrow their text from the source.
 //!
 //! The alphabet is deliberately small — identifiers, unsigned numeric
 //! literals, punctuation (`( ) [ ] , ; @ -`) and `//` line comments.  Any
 //! other character is a typed [`ParseError`], never a panic: the lexer is
 //! the first line of the parser-never-unwinds contract the fuzz-smoke CI
 //! job enforces.
+//!
+//! Columns count bytes from the start of the line.  They equal character
+//! columns wherever a token starts: a non-ASCII character outside a comment
+//! is the lexical error itself, and a comment runs to the end of its line.
+//! Only the end of input can follow a comment on its line, so its column
+//! alone counts characters.
 
 use std::fmt;
 
 use super::{ParseError, ParseErrorKind, Span};
 
 /// The kind of a lexed token.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TokenKind {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum TokenKind<'a> {
     /// An identifier or keyword (`qudit`, `ctrl`, gate names, …).
-    Ident(String),
+    Ident(&'a str),
     /// An unsigned numeric literal, kept raw (`3`, `0.5`, `1e-3`); signs
     /// are separate [`TokenKind::Minus`] tokens.
-    Number(String),
+    Number(&'a str),
     /// `(`
     LParen,
     /// `)`
@@ -34,11 +41,11 @@ pub enum TokenKind {
     At,
     /// `-`
     Minus,
-    /// End of input (always the final token).
+    /// End of input (returned again on every later call).
     Eof,
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TokenKind::Ident(name) => write!(f, "'{name}'"),
@@ -57,143 +64,172 @@ impl fmt::Display for TokenKind {
 }
 
 /// A token together with the [`Span`] of its first character.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct Token<'a> {
     /// The token itself.
-    pub kind: TokenKind,
+    pub(super) kind: TokenKind<'a>,
     /// 1-based position of the token's first character.
-    pub span: Span,
+    pub(super) span: Span,
 }
 
-/// Tokenises a complete source, ending with a [`TokenKind::Eof`] token.
-///
-/// # Errors
-///
-/// Returns [`ParseErrorKind::UnexpectedChar`] at the first character
-/// outside the dialect alphabet.
-///
-/// # Example
-///
-/// ```
-/// use qudit_core::qasm::lexer::{tokenize, TokenKind};
-///
-/// let tokens = tokenize("qudit[3] q[2]; // register")?;
-/// assert_eq!(tokens.first().unwrap().kind, TokenKind::Ident("qudit".into()));
-/// assert_eq!(tokens.last().unwrap().kind, TokenKind::Eof);
-/// # Ok::<(), qudit_core::qasm::ParseError>(())
-/// ```
-pub fn tokenize(source: &str) -> Result<Vec<Token>, ParseError> {
-    let mut tokens = Vec::new();
-    let mut chars = source.chars().peekable();
-    let mut line: u32 = 1;
-    let mut column: u32 = 1;
+/// A cursor that lexes one token per call.
+pub(super) struct Lexer<'a> {
+    source: &'a str,
+    /// Byte offset of the next unread character.
+    at: usize,
+    line: u32,
+    /// Byte offset of the current line's first character.
+    line_start: usize,
+}
 
-    macro_rules! bump {
-        () => {{
-            let c = chars.next();
-            if let Some(c) = c {
-                if c == '\n' {
-                    line = line.saturating_add(1);
-                    column = 1;
-                } else {
-                    column = column.saturating_add(1);
-                }
-            }
-            c
-        }};
-    }
+/// A 1-based line or column, saturating as the character walk did.
+fn one_based(count: usize) -> u32 {
+    u32::try_from(count).map_or(u32::MAX, |n| n.saturating_add(1))
+}
 
-    while let Some(&c) = chars.peek() {
-        let span = Span::new(line, column);
-        match c {
-            ' ' | '\t' | '\r' | '\n' => {
-                bump!();
-            }
-            '/' => {
-                bump!();
-                if chars.peek() == Some(&'/') {
-                    while let Some(&next) = chars.peek() {
-                        if next == '\n' {
-                            break;
-                        }
-                        bump!();
-                    }
-                } else {
-                    return Err(ParseError::new(ParseErrorKind::UnexpectedChar('/'), span));
-                }
-            }
-            '(' | ')' | '[' | ']' | ',' | ';' | '@' | '-' => {
-                bump!();
-                let kind = match c {
-                    '(' => TokenKind::LParen,
-                    ')' => TokenKind::RParen,
-                    '[' => TokenKind::LBracket,
-                    ']' => TokenKind::RBracket,
-                    ',' => TokenKind::Comma,
-                    ';' => TokenKind::Semicolon,
-                    '@' => TokenKind::At,
-                    _ => TokenKind::Minus,
-                };
-                tokens.push(Token { kind, span });
-            }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let mut name = String::new();
-                while let Some(&next) = chars.peek() {
-                    if next.is_ascii_alphanumeric() || next == '_' {
-                        name.push(next);
-                        bump!();
-                    } else {
-                        break;
-                    }
-                }
-                tokens.push(Token {
-                    kind: TokenKind::Ident(name),
-                    span,
-                });
-            }
-            c if c.is_ascii_digit() => {
-                let mut raw = String::new();
-                let mut seen_dot = false;
-                let mut seen_exp = false;
-                while let Some(&next) = chars.peek() {
-                    let take = next.is_ascii_digit()
-                        || (next == '.' && !seen_dot && !seen_exp)
-                        || ((next == 'e' || next == 'E') && !seen_exp)
-                        || ((next == '+' || next == '-')
-                            && matches!(raw.chars().last(), Some('e') | Some('E')));
-                    if !take {
-                        break;
-                    }
-                    seen_dot |= next == '.';
-                    seen_exp |= next == 'e' || next == 'E';
-                    raw.push(next);
-                    bump!();
-                }
-                if raw.parse::<f64>().is_err() {
-                    return Err(ParseError::new(ParseErrorKind::InvalidNumber(raw), span));
-                }
-                tokens.push(Token {
-                    kind: TokenKind::Number(raw),
-                    span,
-                });
-            }
-            other => {
-                return Err(ParseError::new(ParseErrorKind::UnexpectedChar(other), span));
-            }
+impl<'a> Lexer<'a> {
+    pub(super) fn new(source: &'a str) -> Self {
+        Lexer {
+            source,
+            at: 0,
+            line: 1,
+            line_start: 0,
         }
     }
-    tokens.push(Token {
-        kind: TokenKind::Eof,
-        span: Span::new(line, column),
-    });
-    Ok(tokens)
+
+    fn span(&self) -> Span {
+        Span::new(self.line, one_based(self.at - self.line_start))
+    }
+
+    /// The next token.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ParseErrorKind::UnexpectedChar`] at a character outside
+    /// the dialect alphabet and [`ParseErrorKind::InvalidNumber`] at a
+    /// literal that does not scan as a number.  The cursor stays on the
+    /// offending token, so every later call returns the same error.
+    pub(super) fn next_token(&mut self) -> Result<Token<'a>, ParseError> {
+        let bytes = self.source.as_bytes();
+        loop {
+            let Some(&byte) = bytes.get(self.at) else {
+                let column = one_based(self.source[self.line_start..].chars().count());
+                return Ok(Token {
+                    kind: TokenKind::Eof,
+                    span: Span::new(self.line, column),
+                });
+            };
+            let span = self.span();
+            let start = self.at;
+            let kind = match byte {
+                b'\n' => {
+                    self.at += 1;
+                    self.line = self.line.saturating_add(1);
+                    self.line_start = self.at;
+                    continue;
+                }
+                b' ' | b'\t' | b'\r' => {
+                    self.at += 1;
+                    continue;
+                }
+                b'/' if bytes.get(self.at + 1) == Some(&b'/') => {
+                    self.at = bytes[self.at..]
+                        .iter()
+                        .position(|&b| b == b'\n')
+                        .map_or(bytes.len(), |offset| self.at + offset);
+                    continue;
+                }
+                b if b.is_ascii_alphabetic() || b == b'_' => {
+                    self.at = bytes[start..]
+                        .iter()
+                        .position(|&b| !(b.is_ascii_alphanumeric() || b == b'_'))
+                        .map_or(bytes.len(), |len| start + len);
+                    TokenKind::Ident(&self.source[start..self.at])
+                }
+                b if b.is_ascii_digit() => {
+                    let raw = self.number();
+                    if raw.parse::<f64>().is_err() {
+                        self.at = start;
+                        return Err(ParseError::new(
+                            ParseErrorKind::InvalidNumber(raw.to_string()),
+                            span,
+                        ));
+                    }
+                    TokenKind::Number(raw)
+                }
+                _ => {
+                    let kind = match byte {
+                        b'(' => TokenKind::LParen,
+                        b')' => TokenKind::RParen,
+                        b'[' => TokenKind::LBracket,
+                        b']' => TokenKind::RBracket,
+                        b',' => TokenKind::Comma,
+                        b';' => TokenKind::Semicolon,
+                        b'@' => TokenKind::At,
+                        b'-' => TokenKind::Minus,
+                        _ => {
+                            let c = self.source[start..].chars().next().unwrap_or_default();
+                            return Err(ParseError::new(ParseErrorKind::UnexpectedChar(c), span));
+                        }
+                    };
+                    self.at += 1;
+                    kind
+                }
+            };
+            return Ok(Token { kind, span });
+        }
+    }
+
+    /// Scans a numeric literal: digits with at most one `.` before an
+    /// optional exponent `e`/`E`, whose sign may follow it directly.
+    fn number(&mut self) -> &'a str {
+        let bytes = self.source.as_bytes();
+        let start = self.at;
+        let (mut seen_dot, mut seen_exp) = (false, false);
+        while let Some(&next) = bytes.get(self.at) {
+            let take = next.is_ascii_digit()
+                || (next == b'.' && !seen_dot && !seen_exp)
+                || ((next == b'e' || next == b'E') && !seen_exp)
+                || ((next == b'+' || next == b'-') && matches!(bytes[self.at - 1], b'e' | b'E'));
+            if !take {
+                break;
+            }
+            seen_dot |= next == b'.';
+            seen_exp |= next == b'e' || next == b'E';
+            self.at += 1;
+        }
+        &self.source[start..self.at]
+    }
+
+    /// Lexes the rest of the source.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first lexical error in the rest of the source.
+    pub(super) fn finish(&mut self) -> Result<(), ParseError> {
+        while self.next_token()?.kind != TokenKind::Eof {}
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn kinds(source: &str) -> Vec<TokenKind> {
+    /// Every token of `source`, the final `Eof` included.
+    fn tokenize(source: &str) -> Result<Vec<Token<'_>>, ParseError> {
+        let mut lexer = Lexer::new(source);
+        let mut tokens = Vec::new();
+        loop {
+            let token = lexer.next_token()?;
+            tokens.push(token);
+            if token.kind == TokenKind::Eof {
+                return Ok(tokens);
+            }
+        }
+    }
+
+    fn kinds(source: &str) -> Vec<TokenKind<'_>> {
         tokenize(source)
             .unwrap()
             .into_iter()
@@ -206,15 +242,15 @@ mod tests {
         assert_eq!(
             kinds("ctrl(0) @ swap q[1];"),
             vec![
-                TokenKind::Ident("ctrl".into()),
+                TokenKind::Ident("ctrl"),
                 TokenKind::LParen,
-                TokenKind::Number("0".into()),
+                TokenKind::Number("0"),
                 TokenKind::RParen,
                 TokenKind::At,
-                TokenKind::Ident("swap".into()),
-                TokenKind::Ident("q".into()),
+                TokenKind::Ident("swap"),
+                TokenKind::Ident("q"),
                 TokenKind::LBracket,
-                TokenKind::Number("1".into()),
+                TokenKind::Number("1"),
                 TokenKind::RBracket,
                 TokenKind::Semicolon,
                 TokenKind::Eof,
@@ -227,11 +263,11 @@ mod tests {
         assert_eq!(
             kinds("3.0 0.5 1e-3 2E+6 7"),
             vec![
-                TokenKind::Number("3.0".into()),
-                TokenKind::Number("0.5".into()),
-                TokenKind::Number("1e-3".into()),
-                TokenKind::Number("2E+6".into()),
-                TokenKind::Number("7".into()),
+                TokenKind::Number("3.0"),
+                TokenKind::Number("0.5"),
+                TokenKind::Number("1e-3"),
+                TokenKind::Number("2E+6"),
+                TokenKind::Number("7"),
                 TokenKind::Eof,
             ]
         );
@@ -240,8 +276,11 @@ mod tests {
     #[test]
     fn comments_are_skipped_and_spans_track_lines() {
         let tokens = tokenize("// header\n  swap").unwrap();
-        assert_eq!(tokens[0].kind, TokenKind::Ident("swap".into()));
+        assert_eq!(tokens[0].kind, TokenKind::Ident("swap"));
         assert_eq!(tokens[0].span, Span::new(2, 3));
+        // The end of input counts characters, not bytes, after a comment.
+        let tokens = tokenize("q // é…\nq // π").unwrap();
+        assert_eq!(tokens[2].span, Span::new(2, 7));
     }
 
     #[test]
@@ -253,6 +292,9 @@ mod tests {
         assert_eq!(second_dot.kind, ParseErrorKind::UnexpectedChar('.'));
         let lone_slash = tokenize("/").unwrap_err();
         assert_eq!(lone_slash.kind, ParseErrorKind::UnexpectedChar('/'));
+        let wide = tokenize("q[0] é").unwrap_err();
+        assert_eq!(wide.kind, ParseErrorKind::UnexpectedChar('é'));
+        assert_eq!(wide.span, Span::new(1, 6));
     }
 
     #[test]
@@ -261,5 +303,13 @@ mod tests {
         assert_eq!(error.kind, ParseErrorKind::InvalidNumber("1e".into()));
         let error = tokenize("3e+;").unwrap_err();
         assert!(matches!(error.kind, ParseErrorKind::InvalidNumber(_)));
+        // The cursor stays on the bad literal: a later call reports it again.
+        let mut lexer = Lexer::new("1e 2");
+        assert_eq!(lexer.next_token(), Err(error_at("1e")));
+        assert_eq!(lexer.finish(), Err(error_at("1e")));
+    }
+
+    fn error_at(raw: &str) -> ParseError {
+        ParseError::new(ParseErrorKind::InvalidNumber(raw.into()), Span::new(1, 1))
     }
 }

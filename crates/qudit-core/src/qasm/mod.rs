@@ -3,12 +3,12 @@
 //! Every workload used to be born inside the repo as a Rust-constructed
 //! [`Circuit`]; this module is the interchange boundary that lets circuits
 //! arrive (and leave) as text — external benchmark corpora, compile jobs
-//! over a wire, and fuzzing all speak this dialect.  The pipeline follows
-//! the classic lexer → parser → semantic-lowering split:
+//! over a wire, and fuzzing all speak this dialect.  It has one function
+//! per direction:
 //!
-//! * [`lexer`] — source text to spanned tokens ([`lexer::Token`]);
-//! * [`parser`] — tokens to the syntax tree ([`ast::Program`]);
-//! * [`lower`] — the syntax tree to a validated [`Circuit`];
+//! * [`parse_source`] — source text straight to a validated [`Circuit`] in
+//!   one pass: each statement is lexed, parsed, checked against the gate
+//!   table and pushed before the next one is read;
 //! * [`printer`] — the exact inverse: a [`Circuit`] back to canonical text,
 //!   with `parse(print(c)) == c` *structurally* (float literals use Rust's
 //!   shortest round-trip formatting, so even unitary matrices survive
@@ -103,13 +103,28 @@ use crate::gate::Gate;
 #[allow(unused_imports)] // intra-doc links above
 use crate::ops::SingleQuditOp;
 
-pub mod ast;
-pub mod lexer;
-pub mod lower;
-pub mod parser;
+mod lexer;
+mod parser;
 pub mod printer;
 
 pub use printer::print_circuit;
+
+/// The largest dimension the `fourier`/`phase` sugar materialises a dense
+/// `d × d` matrix for.
+///
+/// Every other statement's cost is bounded by the source length (a `perm`
+/// or `unitary` needs one literal per entry), but these two conjure a
+/// matrix out of a single keyword — without a cap, a fuzzed
+/// `qudit[4000000000]` register would make parsing allocate gigabytes.
+pub const MAX_DENSE_SUGAR_DIMENSION: u32 = 64;
+
+/// The widest `qudit` register a source may declare.
+///
+/// A declaration costs a few bytes of source whatever its width, but every
+/// compile stage after it keeps per-wire state, so a one-gate source costs
+/// time in proportion to its declared width.  The cap bounds that work, and
+/// keeps a width near `usize::MAX` from overflowing a per-wire allocation.
+pub const MAX_REGISTER_WIDTH: usize = 1 << 20;
 
 /// A 1-based line/column position in a source text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -138,7 +153,7 @@ impl fmt::Display for Span {
     }
 }
 
-/// What went wrong while parsing or lowering a source (see [`ParseError`]).
+/// What went wrong while parsing a source (see [`ParseError`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ParseErrorKind {
@@ -189,8 +204,7 @@ pub enum ParseErrorKind {
         /// The declared register dimension.
         found: u32,
     },
-    /// A `qudit` register declared wider than
-    /// [`lower::MAX_REGISTER_WIDTH`].
+    /// A `qudit` register declared wider than [`MAX_REGISTER_WIDTH`].
     RegisterTooWide {
         /// The widest supported register.
         max: usize,
@@ -273,7 +287,7 @@ impl fmt::Display for ParseErrorKind {
     }
 }
 
-/// A typed parse/lowering diagnostic with a source [`Span`].
+/// A typed parse diagnostic with a source [`Span`].
 ///
 /// # Example
 ///
@@ -319,20 +333,20 @@ impl From<ParseError> for QuditError {
 
 /// Parses a dialect source all the way to a validated [`Circuit`].
 ///
-/// This is the composition [`lower::lower_program`] ∘
-/// [`parser::parse_program`]; it returns `Err` on any invalid input and
-/// never panics.
+/// One walk reads the source: each statement is parsed, checked against the
+/// gate table and pushed into the circuit before the next one is read.  It
+/// returns `Err` on any invalid input and never panics.
 ///
 /// # Errors
 ///
-/// Returns one [`ParseError`].  The stages run one after another over the
-/// whole source — lexing, then parsing, then lowering — and each stops at
-/// its first error, so the error reported is the first of the earliest
-/// failing stage, not the first in source order: any lexical error wins
-/// over any grammar error, and any grammar error wins over any semantic
-/// error (an unknown gate, a bad level, a wrong operand count).
+/// Returns one [`ParseError`], chosen as if the source were lexed, then
+/// parsed, then checked, each stage over the whole source and stopping at
+/// its first error: the error reported is the first of the earliest failing
+/// stage, not the first in source order.  Any lexical error wins over any
+/// grammar error, and any grammar error wins over any semantic error (an
+/// unknown gate, a bad level, a wrong operand count).
 pub fn parse_source(source: &str) -> Result<Circuit, ParseError> {
-    lower::lower_program(&parser::parse_program(source)?)
+    parser::parse(source)
 }
 
 #[cfg(test)]

@@ -63,27 +63,29 @@ pub(crate) struct ElementaryWalk {
     dimension: Dimension,
     width: usize,
     levels: Transpositions,
-    /// The transpositions of `m₂: x ↦ 2x mod d` in time order, at odd `d`
-    /// (empty at even `d`).
-    doubling: Vec<(u32, u32)>,
+    /// The transpositions of `m₂: x ↦ 2x mod d` in time order, built the
+    /// first time a value shift needs them (odd `d` only).
+    doubling: Option<Vec<(u32, u32)>>,
+}
+
+/// The transpositions of `m₂: x ↦ 2x mod d` in time order, at odd `d`.
+fn doubling_transpositions(dimension: Dimension) -> Vec<(u32, u32)> {
+    let d = u64::from(dimension.get());
+    let map = (0..d)
+        .map(|x| u32::try_from(2 * x % d).expect("2x mod d is below d"))
+        .collect();
+    Permutation::from_map(map)
+        .expect("x ↦ 2x mod d is a permutation at odd d")
+        .transpositions()
 }
 
 impl ElementaryWalk {
     pub(crate) fn new(dimension: Dimension, width: usize) -> Self {
-        let d = dimension.get();
-        let doubling = if dimension.is_odd() {
-            let map = (0..d).map(|x| 2 * x % d).collect();
-            Permutation::from_map(map)
-                .expect("x ↦ 2x mod d is a permutation at odd d")
-                .transpositions()
-        } else {
-            Vec::new()
-        };
         ElementaryWalk {
             dimension,
             width,
             levels: Transpositions::default(),
-            doubling,
+            doubling: None,
         }
     }
 
@@ -96,13 +98,17 @@ impl ElementaryWalk {
             // the module docs, m₂ and m₂⁻¹ as controlled transpositions.
             (&[control], &GateOp::AddFrom { source, negate }) if self.dimension.is_odd() => {
                 let target = gate.target();
+                let dimension = self.dimension;
+                let doubling = self
+                    .doubling
+                    .get_or_insert_with(|| doubling_transpositions(dimension));
                 let controlled_swap = |&(i, j): &(u32, u32)| {
                     Gate::controlled(SingleQuditOp::Swap(i, j), source, [control])
                 };
                 out.push(Gate::add_from(source, !negate, target, []));
-                out.extend(self.doubling.iter().map(controlled_swap));
+                out.extend(doubling.iter().map(controlled_swap));
                 out.push(Gate::add_from(source, negate, target, []));
-                out.extend(self.doubling.iter().rev().map(controlled_swap));
+                out.extend(doubling.iter().rev().map(controlled_swap));
             }
             // At even d, expand the star into one two-controlled shift per
             // source level.
@@ -349,7 +355,7 @@ mod tests {
         ];
         for d in [3u32, 5, 7, 9] {
             let dimension = dim(d);
-            let doubling = ElementaryWalk::new(dimension, 3).doubling.len();
+            let doubling = doubling_transpositions(dimension).len();
             let predicates = (0..d).map(ControlPredicate::Level).chain([
                 ControlPredicate::Odd,
                 ControlPredicate::EvenNonzero,
@@ -431,5 +437,22 @@ mod tests {
             lower_to_elementary(&circuit),
             Err(SynthesisError::Lowering { .. })
         ));
+    }
+
+    #[test]
+    fn a_huge_odd_dimension_costs_nothing_without_a_value_shift() {
+        // The doubling map has d levels and is built only for a value
+        // shift, so a one-swap source must not pay for it at a huge odd d.
+        let compiler = crate::CompileOptions::new().compiler();
+        let started = std::time::Instant::now();
+        let result = compiler
+            .compile_source("qudit[10000001] q[2]; swap(0, 1) q[0];")
+            .unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(result.circuit.len(), 1);
+        assert!(
+            elapsed < std::time::Duration::from_millis(250),
+            "compiling one swap at d = 10,000,001 took {elapsed:?}"
+        );
     }
 }

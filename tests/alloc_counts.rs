@@ -5,6 +5,9 @@
 //! A counting global allocator makes these counts deterministic, so the
 //! bounds gate a regression exactly on a noisy host:
 //!
+//! * parsing a job's source makes at most 0.5 allocations per parsed gate
+//!   (tokens borrow from the source, and each gate goes straight into the
+//!   circuit);
 //! * the compile of a parsed job makes at most 0.1 allocations per output
 //!   gate (a controlled G-gate keeps its one control inline);
 //! * printing a compiled circuit makes at most 2 allocations (one reserved
@@ -14,7 +17,8 @@
 //! Every allocator call counts: `alloc`, `alloc_zeroed` and `realloc`.  The
 //! counter is global, so this binary holds a single test: a second one
 //! running beside it would add its own allocations.  Run with
-//! `--nocapture` to see the per-shape table.
+//! `--nocapture` to see the per-shape table and the parse of one
+//! `serve_gadgets` source.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -86,7 +90,8 @@ fn reply_path_allocations_stay_bounded() {
     assert_eq!(std::mem::size_of::<Gate>(), 64);
     let compiler = CompileOptions::new().opt_level(OptLevel::O2).compiler();
     let (mut total_gates, mut total_compile, mut total_print) = (0u64, 0u64, 0u64);
-    println!("d k gates compile_allocs per_gate print_allocs");
+    let (mut total_parsed, mut total_parse) = (0u64, 0u64);
+    println!("d k parsed_gates parse_allocs gates compile_allocs per_gate print_allocs");
     for (d, k) in MCT_FAMILY {
         let dimension = Dimension::new(d).unwrap();
         let synthesis = KToffoli::new(dimension, k).unwrap().synthesize().unwrap();
@@ -94,13 +99,14 @@ fn reply_path_allocations_stay_bounded() {
         // The compile of a parsed job is the compile of the source less
         // its parse; the parse is deterministic, so the difference is exact.
         let (parsed, parse) = counted(|| parse_source(&source).unwrap());
+        let parsed_gates = parsed.len() as u64;
         drop(parsed);
         let (result, compile_and_parse) = counted(|| compiler.compile_source(&source).unwrap());
         let compile = compile_and_parse - parse;
         let (printed, print) = counted(|| print_circuit(&result.circuit));
         let gates = result.circuit.len() as u64;
         println!(
-            "{d} {k} {gates} {compile} {:.3} {print}",
+            "{d} {k} {parsed_gates} {parse} {gates} {compile} {:.3} {print}",
             compile as f64 / gates as f64
         );
         assert!(print <= 2, "d={d} k={k}: printing made {print} allocations");
@@ -108,9 +114,22 @@ fn reply_path_allocations_stay_bounded() {
         total_gates += gates;
         total_compile += compile;
         total_print += print;
+        total_parsed += parsed_gates;
+        total_parse += parse;
     }
     let per_gate = total_compile as f64 / total_gates as f64;
-    println!("total {total_gates} {total_compile} {per_gate:.3} {total_print}");
+    let per_parsed = total_parse as f64 / total_parsed as f64;
+    println!(
+        "total {total_parsed} {total_parse} {total_gates} {total_compile} {per_gate:.3} {total_print}"
+    );
+    let gadget =
+        "OPENQASM 3.0;\nqudit[5] q[4];\nctrl(1) @ ctrl(0) @ swap(0, 2) q[3], q[0], q[1];\n";
+    let (_, gadget_parse) = counted(|| parse_source(gadget).unwrap());
+    println!("serve_gadgets source: {gadget_parse} parse allocations");
+    assert!(
+        per_parsed <= 0.5,
+        "parses made {total_parse} allocations for {total_parsed} parsed gates ({per_parsed:.3} per gate)"
+    );
     assert!(
         per_gate <= 0.1,
         "compiles made {total_compile} allocations for {total_gates} output gates ({per_gate:.3} per gate)"

@@ -27,7 +27,7 @@ const MAX_CONTROLS: usize = 3;
 /// dimension `d`, controls not included.
 fn kinds(d: u32) -> [(&'static str, String, usize); 7] {
     let reversal: Vec<String> = (0..d).rev().map(|level| level.to_string()).collect();
-    let parity = if d % 2 == 0 { "e" } else { "o" };
+    let parity = if d.is_multiple_of(2) { "e" } else { "o" };
     [
         ("swap", "swap(0, 1)".to_string(), 1),
         ("shift", "shift(1)".to_string(), 1),
