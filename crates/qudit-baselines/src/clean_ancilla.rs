@@ -9,9 +9,10 @@
 //! controlled gate fires on it, and the counter chain is uncomputed.
 
 use qudit_core::{
-    AncillaKind, AncillaUsage, Circuit, Control, Dimension, Gate, QuditId, SingleQuditOp,
+    AncillaKind, AncillaUsage, Circuit, Control, Dimension, Gate, QuditError, QuditId, Result,
+    SingleQuditOp,
 };
-use qudit_synthesis::{Resources, SynthesisError};
+use qudit_synthesis::Resources;
 
 /// Register layout of a [`CleanAncillaMct`] synthesis.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,20 +98,16 @@ impl CleanAncillaMct {
     /// # Errors
     ///
     /// Returns an error when `d < 3` or the operation is not classical.
-    pub fn new(
-        dimension: Dimension,
-        controls: usize,
-        op: SingleQuditOp,
-    ) -> Result<Self, SynthesisError> {
+    pub fn new(dimension: Dimension, controls: usize, op: SingleQuditOp) -> Result<Self> {
         if dimension.get() < 3 {
-            return Err(SynthesisError::DimensionTooSmall {
+            return Err(QuditError::DimensionTooSmall {
                 dimension: dimension.get(),
                 minimum: 3,
             });
         }
         op.validate(dimension)?;
         if !op.is_classical() {
-            return Err(SynthesisError::NotClassicalTarget);
+            return Err(QuditError::NotClassicalTarget);
         }
         Ok(CleanAncillaMct {
             dimension,
@@ -137,7 +134,7 @@ impl CleanAncillaMct {
     /// # Errors
     ///
     /// Returns an error when circuit construction fails (indicates a bug).
-    pub fn synthesize(&self) -> Result<CleanAncillaSynthesis, SynthesisError> {
+    pub fn synthesize(&self) -> Result<CleanAncillaSynthesis> {
         let dimension = self.dimension;
         let k = self.controls;
         let controls: Vec<QuditId> = (0..k).map(QuditId::new).collect();

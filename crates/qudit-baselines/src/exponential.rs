@@ -16,8 +16,7 @@
 //! an ancilla-free construction does not exist at all, by the parity
 //! argument after Theorem III.2).
 
-use qudit_core::{Circuit, Control, Dimension, Gate, QuditId, SingleQuditOp};
-use qudit_synthesis::SynthesisError;
+use qudit_core::{Circuit, Control, Dimension, Gate, QuditError, QuditId, Result, SingleQuditOp};
 
 /// Maximum number of controls for which the exponential baseline will build
 /// an explicit circuit (the gate count grows as `(2d − 1)^k`).
@@ -32,26 +31,21 @@ pub const MAX_EXPLICIT_CONTROLS: usize = 9;
 ///
 /// Returns an error when `d` is even (no ancilla-free construction exists),
 /// `d < 3`, or `k` exceeds [`MAX_EXPLICIT_CONTROLS`].
-pub fn exponential_mct(
-    dimension: Dimension,
-    controls: usize,
-    i: u32,
-    j: u32,
-) -> Result<Circuit, SynthesisError> {
+pub fn exponential_mct(dimension: Dimension, controls: usize, i: u32, j: u32) -> Result<Circuit> {
     if dimension.get() < 3 {
-        return Err(SynthesisError::DimensionTooSmall {
+        return Err(QuditError::DimensionTooSmall {
             dimension: dimension.get(),
             minimum: 3,
         });
     }
     if dimension.is_even() {
-        return Err(SynthesisError::Lowering {
+        return Err(QuditError::CannotLower {
             reason: "an ancilla-free multi-controlled gate does not exist for even dimensions"
                 .to_string(),
         });
     }
     if controls > MAX_EXPLICIT_CONTROLS {
-        return Err(SynthesisError::Lowering {
+        return Err(QuditError::CannotLower {
             reason: format!(
                 "the exponential baseline only builds explicit circuits for k ≤ {MAX_EXPLICIT_CONTROLS}; \
                  use exponential_gate_count for larger k"
@@ -62,7 +56,7 @@ pub fn exponential_mct(
     let target = QuditId::new(controls);
     let swap = SingleQuditOp::swap(dimension, i, j)?;
     let gates = controlled_swap_recursive(dimension, &control_ids, target, &swap);
-    Ok(Circuit::from_gates(dimension, controls + 1, gates)?)
+    Circuit::from_gates(dimension, controls + 1, gates)
 }
 
 /// Recursively expands `|0^k⟩-swap` into singly-controlled gates using the

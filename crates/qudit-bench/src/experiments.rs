@@ -32,6 +32,21 @@ fn dim(d: u32) -> Dimension {
     Dimension::new(d).expect("valid dimension")
 }
 
+/// The 2-controlled `|00⟩-X01` gadget of `d`'s parity on controls 0 and 1
+/// and target 2: Fig. 5 for odd `d`, Fig. 2 borrowing qudit 3 for even `d`.
+fn gadget_gates(dimension: Dimension) -> Vec<Gate> {
+    let (c1, c2, target) = (QuditId::new(0), QuditId::new(1), QuditId::new(2));
+    let mut gates = Vec::new();
+    if dimension.is_odd() {
+        gadgets::two_controlled_swap_odd(dimension, c1, c2, target, 0, 1, &mut gates)
+    } else {
+        let borrowed = QuditId::new(3);
+        gadgets::two_controlled_swap_even(dimension, c1, c2, target, 0, 1, borrowed, &mut gates)
+    }
+    .expect("both gadgets build X01 at every d ≥ 3");
+    gates
+}
+
 /// The lowering-only (`O0`) compiler the G-gate-count experiments measure
 /// with — the configuration the paper reports.
 fn lowering_compiler() -> Compiler {
@@ -175,39 +190,13 @@ pub fn e2_gadgets(scale: Scale) -> Table {
     };
     for d in 3..=max_d {
         let dimension = dim(d);
-        let (figure, gates, borrowed, width) = if dimension.is_odd() {
-            (
-                "Fig. 5",
-                gadgets::two_controlled_swap_odd(
-                    dimension,
-                    QuditId::new(0),
-                    QuditId::new(1),
-                    QuditId::new(2),
-                    0,
-                    1,
-                )
-                .unwrap(),
-                0usize,
-                3usize,
-            )
+        let (figure, borrowed, width) = if dimension.is_odd() {
+            ("Fig. 5", 0usize, 3usize)
         } else {
-            (
-                "Fig. 2",
-                gadgets::two_controlled_swap_even(
-                    dimension,
-                    QuditId::new(0),
-                    QuditId::new(1),
-                    QuditId::new(2),
-                    0,
-                    1,
-                    QuditId::new(3),
-                )
-                .unwrap(),
-                1usize,
-                4usize,
-            )
+            ("Fig. 2", 1, 4)
         };
-        let circuit = qudit_core::Circuit::from_gates(dimension, width, gates).unwrap();
+        let circuit =
+            qudit_core::Circuit::from_gates(dimension, width, gadget_gates(dimension)).unwrap();
         let spec = MctSpec::toffoli(vec![QuditId::new(0), QuditId::new(1)], QuditId::new(2));
         let verified = verify_mct_exhaustive(&circuit, &spec).unwrap().is_pass();
         let g = lowering_compiler().compile(&circuit).unwrap().circuit;
@@ -570,15 +559,7 @@ pub fn figure_diagrams() -> String {
 
     // Fig. 5: odd-d 2-Toffoli gadget.
     let d3 = dim(3);
-    let fig5 = gadgets::two_controlled_swap_odd(
-        d3,
-        QuditId::new(0),
-        QuditId::new(1),
-        QuditId::new(2),
-        0,
-        1,
-    )
-    .unwrap();
+    let fig5 = gadget_gates(d3);
     let circuit = qudit_core::Circuit::from_gates(d3, 3, fig5).unwrap();
     out.push_str("Fig. 5 — |00⟩-X01 for odd d (d = 3), ancilla-free:\n\n");
     out.push_str(&qudit_core::diagram::render_with_labels(
@@ -589,16 +570,7 @@ pub fn figure_diagrams() -> String {
 
     // Fig. 2: even-d 2-Toffoli gadget with one borrowed ancilla.
     let d4 = dim(4);
-    let fig2 = gadgets::two_controlled_swap_even(
-        d4,
-        QuditId::new(0),
-        QuditId::new(1),
-        QuditId::new(2),
-        0,
-        1,
-        QuditId::new(3),
-    )
-    .unwrap();
+    let fig2 = gadget_gates(d4);
     let circuit = qudit_core::Circuit::from_gates(d4, 4, fig2).unwrap();
     out.push_str("Fig. 2 — |00⟩-X01 for even d (d = 4), one borrowed ancilla a:\n\n");
     out.push_str(&qudit_core::diagram::render_with_labels(
@@ -956,16 +928,7 @@ pub fn figure_verification() -> Table {
     // Fig. 2: even-d 2-Toffoli with one borrowed ancilla.
     {
         let dimension = dim(4);
-        let gates = gadgets::two_controlled_swap_even(
-            dimension,
-            QuditId::new(0),
-            QuditId::new(1),
-            QuditId::new(2),
-            0,
-            1,
-            QuditId::new(3),
-        )
-        .unwrap();
+        let gates = gadget_gates(dimension);
         let circuit = qudit_core::Circuit::from_gates(dimension, 4, gates).unwrap();
         let ok = verify_mct_exhaustive(
             &circuit,
@@ -1002,15 +965,7 @@ pub fn figure_verification() -> Table {
     // Fig. 5: odd-d 2-Toffoli, ancilla-free.
     {
         let dimension = dim(5);
-        let gates = gadgets::two_controlled_swap_odd(
-            dimension,
-            QuditId::new(0),
-            QuditId::new(1),
-            QuditId::new(2),
-            0,
-            1,
-        )
-        .unwrap();
+        let gates = gadget_gates(dimension);
         let circuit = qudit_core::Circuit::from_gates(dimension, 3, gates).unwrap();
         let ok = verify_mct_exhaustive(
             &circuit,

@@ -65,6 +65,30 @@ pub enum QuditError {
     /// A non-classical (unitary) operation was used where a classical
     /// permutation operation is required.
     NotClassical,
+    /// A multi-controlled construction of the synthesis crate needs a larger
+    /// dimension: `d ≥ 3` for the k-Toffoli, `d ≥ 4` for the even-`d`
+    /// gadget.
+    DimensionTooSmall {
+        /// The rejected dimension.
+        dimension: u32,
+        /// The smallest supported dimension.
+        minimum: u32,
+    },
+    /// For even dimensions the k-Toffoli requires one borrowed ancilla
+    /// (the parity argument after Theorem III.2), but none was available.
+    BorrowedAncillaRequired {
+        /// The (even) dimension for which the ancilla is required.
+        dimension: u32,
+    },
+    /// A construction that only accepts classical (permutation) target
+    /// operations was given a general unitary.
+    NotClassicalTarget,
+    /// A synthesis construction, or the macro-gate lowering to elementary
+    /// gates, refused its input.
+    CannotLower {
+        /// Human readable description of the refusal.
+        reason: String,
+    },
     /// A gate is not a generalised-Pauli Clifford operation, so the
     /// stabilizer tableau engine cannot simulate it (see
     /// `qudit_sim::stabilizer`).
@@ -203,6 +227,22 @@ impl fmt::Display for QuditError {
                     "operation is not a classical permutation of the computational basis"
                 )
             }
+            QuditError::DimensionTooSmall { dimension, minimum } => {
+                write!(f, "qudit dimension {dimension} is too small; the synthesis requires d ≥ {minimum}")
+            }
+            QuditError::BorrowedAncillaRequired { dimension } => {
+                write!(
+                    f,
+                    "even dimension d = {dimension} requires one borrowed ancilla qudit for the multi-controlled Toffoli"
+                )
+            }
+            QuditError::NotClassicalTarget => {
+                write!(
+                    f,
+                    "target operation must be a classical level permutation for this construction"
+                )
+            }
+            QuditError::CannotLower { reason } => write!(f, "cannot lower gate: {reason}"),
             QuditError::NonClifford { reason } => {
                 write!(f, "gate is not a qudit clifford operation: {reason}")
             }
@@ -297,6 +337,15 @@ mod tests {
                 reason: "two controls".into(),
             },
             QuditError::NotClassical,
+            QuditError::DimensionTooSmall {
+                dimension: 2,
+                minimum: 3,
+            },
+            QuditError::BorrowedAncillaRequired { dimension: 4 },
+            QuditError::NotClassicalTarget,
+            QuditError::CannotLower {
+                reason: "three controls".into(),
+            },
             QuditError::NonClifford {
                 reason: "gate acts on 3 qudits".into(),
             },

@@ -14,9 +14,10 @@
 //! 3. step 1 is repeated to undo the relabelling.
 
 use qudit_core::{
-    AncillaKind, AncillaUsage, Circuit, Control, Dimension, Gate, QuditId, SingleQuditOp,
+    AncillaKind, AncillaUsage, Circuit, Control, Dimension, Gate, QuditError, QuditId, Result,
+    SingleQuditOp,
 };
-use qudit_synthesis::{emit_multi_controlled, Resources, SynthesisError};
+use qudit_synthesis::{emit_multi_controlled, Resources};
 
 use crate::function::ReversibleFunction;
 
@@ -89,9 +90,9 @@ impl ReversibleSynthesizer {
     /// # Errors
     ///
     /// Returns an error when `d < 3`.
-    pub fn new(dimension: Dimension) -> Result<Self, SynthesisError> {
+    pub fn new(dimension: Dimension) -> Result<Self> {
         if dimension.get() < 3 {
-            return Err(SynthesisError::DimensionTooSmall {
+            return Err(QuditError::DimensionTooSmall {
                 dimension: dimension.get(),
                 minimum: 3,
             });
@@ -113,12 +114,9 @@ impl ReversibleSynthesizer {
     ///
     /// Returns an error when the function's dimension does not match the
     /// compiler's, or when circuit construction fails.
-    pub fn synthesize(
-        &self,
-        function: &ReversibleFunction,
-    ) -> Result<ReversibleSynthesis, SynthesisError> {
+    pub fn synthesize(&self, function: &ReversibleFunction) -> Result<ReversibleSynthesis> {
         if function.dimension() != self.dimension {
-            return Err(SynthesisError::Lowering {
+            return Err(QuditError::CannotLower {
                 reason: format!(
                     "function dimension {} does not match synthesiser dimension {}",
                     function.dimension(),
@@ -172,7 +170,7 @@ impl ReversibleSynthesizer {
         a: &[u32],
         b: &[u32],
         borrowed_pool: &[QuditId],
-    ) -> Result<(), SynthesisError> {
+    ) -> Result<()> {
         let n = variables.len();
         // The distinguished position p where a and b differ (the paper takes
         // p = n w.l.o.g.; we take the last differing position).

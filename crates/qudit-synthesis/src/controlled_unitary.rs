@@ -7,10 +7,10 @@
 //! and a second k-Toffoli restores the ancilla to `|0⟩`.
 
 use qudit_core::{
-    AncillaKind, AncillaUsage, Circuit, Control, Dimension, Gate, QuditId, SingleQuditOp,
+    AncillaKind, AncillaUsage, Circuit, Control, Dimension, Gate, QuditError, QuditId, Result,
+    SingleQuditOp,
 };
 
-use crate::error::{Result, SynthesisError};
 use crate::mct::emit_multi_controlled;
 use crate::resources::Resources;
 
@@ -88,7 +88,7 @@ impl ControlledUnitary {
     /// dimension.
     pub fn new(dimension: Dimension, controls: usize, op: SingleQuditOp) -> Result<Self> {
         if dimension.get() < 3 {
-            return Err(SynthesisError::DimensionTooSmall {
+            return Err(QuditError::DimensionTooSmall {
                 dimension: dimension.get(),
                 minimum: 3,
             });
@@ -195,7 +195,7 @@ pub fn emit_controlled_unitary(
         return Ok(());
     }
     if controls.contains(&clean_ancilla) || clean_ancilla == target {
-        return Err(SynthesisError::Lowering {
+        return Err(QuditError::CannotLower {
             reason: "the clean ancilla must be distinct from the controls and target".to_string(),
         });
     }

@@ -9,12 +9,10 @@
 //! Both gadgets produce gates with **at most one control**, so the result can
 //! be lowered to G-gates by `qudit_core::lowering`.
 
-use qudit_core::{Control, Dimension, Gate, QuditId, SingleQuditOp};
+use qudit_core::{Control, Dimension, Gate, QuditError, QuditId, Result, SingleQuditOp};
 
-use crate::error::{Result, SynthesisError};
-
-/// Emits the Fig. 5 gadget: `|0⟩(c1)|0⟩(c2)-Xij` on `target` for **odd** `d`,
-/// using five singly-controlled gates and no ancilla.
+/// Appends the Fig. 5 gadget to `out`: `|0⟩(c1)|0⟩(c2)-Xij` on `target` for
+/// **odd** `d`, using five singly-controlled gates and no ancilla.
 ///
 /// The correctness argument (Lemma III.3) relies on `d` being odd: for even
 /// `d` the level `d − 1` would wrap to `0` under `X+1` and break the parity
@@ -30,30 +28,16 @@ pub fn two_controlled_swap_odd(
     target: QuditId,
     i: u32,
     j: u32,
-) -> Result<Vec<Gate>> {
-    let mut gates = Vec::with_capacity(5);
-    emit_two_controlled_swap_odd(dimension, c1, c2, target, i, j, &mut gates)?;
-    Ok(gates)
-}
-
-/// [`two_controlled_swap_odd`], emitted onto the end of `out`.
-pub(crate) fn emit_two_controlled_swap_odd(
-    dimension: Dimension,
-    c1: QuditId,
-    c2: QuditId,
-    target: QuditId,
-    i: u32,
-    j: u32,
     out: &mut Vec<Gate>,
 ) -> Result<()> {
     if dimension.get() < 3 {
-        return Err(SynthesisError::DimensionTooSmall {
+        return Err(QuditError::DimensionTooSmall {
             dimension: dimension.get(),
             minimum: 3,
         });
     }
     if dimension.is_even() {
-        return Err(SynthesisError::Lowering {
+        return Err(QuditError::CannotLower {
             reason: format!(
                 "Fig. 5 gadget requires odd dimension, got d = {}",
                 dimension
@@ -72,9 +56,9 @@ pub(crate) fn emit_two_controlled_swap_odd(
     Ok(())
 }
 
-/// Emits the Fig. 2 gadget: `|0⟩(c1)|0⟩(c2)-Xij` on `target` for **even**
-/// `d ≥ 4`, using twenty singly-controlled gates and the qudit `borrowed` as
-/// a borrowed ancilla (returned to its initial state).
+/// Appends the Fig. 2 gadget to `out`: `|0⟩(c1)|0⟩(c2)-Xij` on `target` for
+/// **even** `d ≥ 4`, using twenty singly-controlled gates and the qudit
+/// `borrowed` as a borrowed ancilla (returned to its initial state).
 ///
 /// The gate order is reconstructed from the activation conditions listed in
 /// the proof of Lemma III.1; see DESIGN.md for the substitution note.
@@ -83,23 +67,8 @@ pub(crate) fn emit_two_controlled_swap_odd(
 ///
 /// Returns an error when `d` is odd or smaller than 4, or when the borrowed
 /// qudit coincides with one of the other three qudits.
-pub fn two_controlled_swap_even(
-    dimension: Dimension,
-    c1: QuditId,
-    c2: QuditId,
-    target: QuditId,
-    i: u32,
-    j: u32,
-    borrowed: QuditId,
-) -> Result<Vec<Gate>> {
-    let mut gates = Vec::with_capacity(20);
-    emit_two_controlled_swap_even(dimension, c1, c2, target, i, j, borrowed, &mut gates)?;
-    Ok(gates)
-}
-
-/// [`two_controlled_swap_even`], emitted onto the end of `out`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn emit_two_controlled_swap_even(
+pub fn two_controlled_swap_even(
     dimension: Dimension,
     c1: QuditId,
     c2: QuditId,
@@ -110,7 +79,7 @@ pub(crate) fn emit_two_controlled_swap_even(
     out: &mut Vec<Gate>,
 ) -> Result<()> {
     if dimension.is_odd() {
-        return Err(SynthesisError::Lowering {
+        return Err(QuditError::CannotLower {
             reason: format!(
                 "Fig. 2 gadget requires even dimension, got d = {}",
                 dimension
@@ -118,13 +87,13 @@ pub(crate) fn emit_two_controlled_swap_even(
         });
     }
     if dimension.get() < 4 {
-        return Err(SynthesisError::DimensionTooSmall {
+        return Err(QuditError::DimensionTooSmall {
             dimension: dimension.get(),
             minimum: 4,
         });
     }
     if borrowed == c1 || borrowed == c2 || borrowed == target {
-        return Err(SynthesisError::Lowering {
+        return Err(QuditError::CannotLower {
             reason: "borrowed ancilla must be distinct from the gadget's controls and target"
                 .to_string(),
         });
@@ -189,35 +158,6 @@ pub(crate) fn emit_two_controlled_swap_even(
     Ok(())
 }
 
-/// Emits a `|0⟩(c1)|0⟩(c2)-Xij` gadget for either parity of `d`.
-///
-/// For odd `d` the ancilla-free Fig. 5 gadget is used and `borrowed` is
-/// ignored; for even `d` the Fig. 2 gadget is used and `borrowed` must name a
-/// distinct fourth qudit.
-///
-/// # Errors
-///
-/// Returns an error when `d < 3`, or when `d` is even and no borrowed qudit
-/// is supplied.
-pub fn two_controlled_swap(
-    dimension: Dimension,
-    c1: QuditId,
-    c2: QuditId,
-    target: QuditId,
-    i: u32,
-    j: u32,
-    borrowed: Option<QuditId>,
-) -> Result<Vec<Gate>> {
-    if dimension.is_odd() {
-        two_controlled_swap_odd(dimension, c1, c2, target, i, j)
-    } else {
-        let borrowed = borrowed.ok_or(SynthesisError::BorrowedAncillaRequired {
-            dimension: dimension.get(),
-        })?;
-        two_controlled_swap_even(dimension, c1, c2, target, i, j, borrowed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,42 +196,37 @@ mod tests {
         }
     }
 
+    /// The Fig. 5 gadget on controls 0, 1 and target 2.
+    fn odd_gadget(d: u32, i: u32, j: u32) -> Result<Vec<Gate>> {
+        let (c1, c2, target) = (QuditId::new(0), QuditId::new(1), QuditId::new(2));
+        let mut gates = Vec::new();
+        two_controlled_swap_odd(dim(d), c1, c2, target, i, j, &mut gates)?;
+        Ok(gates)
+    }
+
+    /// The Fig. 2 gadget on controls 0, 1 and target 2, borrowing `borrowed`.
+    fn even_gadget(d: u32, i: u32, j: u32, borrowed: usize) -> Result<Vec<Gate>> {
+        let (c1, c2, target) = (QuditId::new(0), QuditId::new(1), QuditId::new(2));
+        let borrowed = QuditId::new(borrowed);
+        let mut gates = Vec::new();
+        two_controlled_swap_even(dim(d), c1, c2, target, i, j, borrowed, &mut gates)?;
+        Ok(gates)
+    }
+
     #[test]
     fn odd_gadget_implements_two_controlled_swap() {
         for d in [3u32, 5, 7] {
-            let dimension = dim(d);
-            let gates = two_controlled_swap_odd(
-                dimension,
-                QuditId::new(0),
-                QuditId::new(1),
-                QuditId::new(2),
-                0,
-                1,
-            )
-            .unwrap();
+            let gates = odd_gadget(d, 0, 1).unwrap();
             assert_eq!(gates.len(), 5);
-            check_gadget(dimension, 3, gates, 0, 1);
+            check_gadget(dim(d), 3, gates, 0, 1);
         }
     }
 
     #[test]
     fn odd_gadget_supports_arbitrary_target_levels() {
-        let dimension = dim(5);
         for i in 0..5u32 {
-            for j in 0..5u32 {
-                if i == j {
-                    continue;
-                }
-                let gates = two_controlled_swap_odd(
-                    dimension,
-                    QuditId::new(0),
-                    QuditId::new(1),
-                    QuditId::new(2),
-                    i,
-                    j,
-                )
-                .unwrap();
-                check_gadget(dimension, 3, gates, i, j);
+            for j in (0..5u32).filter(|&j| j != i) {
+                check_gadget(dim(5), 3, odd_gadget(5, i, j).unwrap(), i, j);
             }
         }
     }
@@ -299,43 +234,28 @@ mod tests {
     #[test]
     fn even_gadget_implements_two_controlled_swap_with_borrowed_ancilla() {
         for d in [4u32, 6] {
-            let dimension = dim(d);
-            let gates = two_controlled_swap_even(
-                dimension,
-                QuditId::new(0),
-                QuditId::new(1),
-                QuditId::new(2),
-                0,
-                1,
-                QuditId::new(3),
-            )
-            .unwrap();
+            let gates = even_gadget(d, 0, 1, 3).unwrap();
             assert_eq!(gates.len(), 20);
-            check_gadget(dimension, 4, gates, 0, 1);
+            check_gadget(dim(d), 4, gates, 0, 1);
         }
     }
 
     #[test]
     fn even_gadget_supports_arbitrary_target_levels() {
-        let dimension = dim(4);
         for i in 0..4u32 {
-            for j in 0..4u32 {
-                if i == j {
-                    continue;
-                }
-                let gates = two_controlled_swap_even(
-                    dimension,
-                    QuditId::new(0),
-                    QuditId::new(1),
-                    QuditId::new(2),
-                    i,
-                    j,
-                    QuditId::new(3),
-                )
-                .unwrap();
-                check_gadget(dimension, 4, gates, i, j);
+            for j in (0..4u32).filter(|&j| j != i) {
+                check_gadget(dim(4), 4, even_gadget(4, i, j, 3).unwrap(), i, j);
             }
         }
+    }
+
+    #[test]
+    fn gadgets_append_after_existing_gates() {
+        let (c1, c2, target) = (QuditId::new(0), QuditId::new(1), QuditId::new(2));
+        let mut gates = vec![Gate::single(SingleQuditOp::Add(1), target)];
+        two_controlled_swap_odd(dim(3), c1, c2, target, 0, 1, &mut gates).unwrap();
+        assert_eq!(gates.len(), 6);
+        assert_eq!(gates[1..], odd_gadget(3, 0, 1).unwrap()[..]);
     }
 
     #[test]
@@ -343,69 +263,14 @@ mod tests {
         // O(d) claim of Lemmas III.1 and III.3: the number of singly
         // controlled gates is constant, and each lowers to O(d) G-gates.
         for d in [3u32, 5, 7, 9, 11] {
-            let gates = two_controlled_swap_odd(
-                dim(d),
-                QuditId::new(0),
-                QuditId::new(1),
-                QuditId::new(2),
-                0,
-                1,
-            )
-            .unwrap();
-            assert_eq!(gates.len(), 5);
+            assert_eq!(odd_gadget(d, 0, 1).unwrap().len(), 5);
         }
     }
 
     #[test]
     fn parity_mismatches_are_rejected() {
-        assert!(two_controlled_swap_odd(
-            dim(4),
-            QuditId::new(0),
-            QuditId::new(1),
-            QuditId::new(2),
-            0,
-            1
-        )
-        .is_err());
-        assert!(two_controlled_swap_even(
-            dim(5),
-            QuditId::new(0),
-            QuditId::new(1),
-            QuditId::new(2),
-            0,
-            1,
-            QuditId::new(3)
-        )
-        .is_err());
-        assert!(two_controlled_swap_even(
-            dim(4),
-            QuditId::new(0),
-            QuditId::new(1),
-            QuditId::new(2),
-            0,
-            1,
-            QuditId::new(2)
-        )
-        .is_err());
-        assert!(two_controlled_swap(
-            dim(4),
-            QuditId::new(0),
-            QuditId::new(1),
-            QuditId::new(2),
-            0,
-            1,
-            None
-        )
-        .is_err());
-        assert!(two_controlled_swap(
-            dim(3),
-            QuditId::new(0),
-            QuditId::new(1),
-            QuditId::new(2),
-            0,
-            1,
-            None
-        )
-        .is_ok());
+        assert!(odd_gadget(4, 0, 1).is_err());
+        assert!(even_gadget(5, 0, 1, 3).is_err());
+        assert!(even_gadget(4, 0, 1, 2).is_err());
     }
 }

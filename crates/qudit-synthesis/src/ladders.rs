@@ -12,27 +12,28 @@
 //! All ladders restore their borrowed ancillas by appending the inverse of
 //! the inner part of the Λ, exactly as described in the paper's proofs.
 
-use qudit_core::{Control, Dimension, Gate, QuditId, SingleQuditOp};
-
-use crate::error::{Result, SynthesisError};
+use qudit_core::{Control, Dimension, Gate, QuditError, QuditId, Result, SingleQuditOp};
 
 /// Checks that a borrowed-ancilla pool provides `needed` qudits, none of
 /// which collide with the `busy` qudits, and returns the chosen ancillas.
-fn take_ancillas(borrowed: &[QuditId], needed: usize, busy: &[QuditId]) -> Result<Vec<QuditId>> {
-    let available: Vec<QuditId> = borrowed
+pub(crate) fn take_ancillas(
+    borrowed: &[QuditId],
+    needed: usize,
+    busy: &[QuditId],
+) -> Result<Vec<QuditId>> {
+    let mut available: Vec<QuditId> = borrowed
         .iter()
         .copied()
         .filter(|q| !busy.contains(q))
         .collect();
     if available.len() < needed {
-        return Err(SynthesisError::Core(
-            qudit_core::QuditError::InsufficientAncillas {
-                required: needed,
-                available: available.len(),
-            },
-        ));
+        return Err(QuditError::InsufficientAncillas {
+            required: needed,
+            available: available.len(),
+        });
     }
-    Ok(available[..needed].to_vec())
+    available.truncate(needed);
+    Ok(available)
 }
 
 /// Inverts a gate sequence (reverse order, each gate inverted).
@@ -59,12 +60,12 @@ pub fn parity_ladder_even(
     borrowed: &[QuditId],
 ) -> Result<Vec<Gate>> {
     if dimension.is_odd() {
-        return Err(SynthesisError::Lowering {
+        return Err(QuditError::CannotLower {
             reason: "the parity ladder (Fig. 3) requires an even dimension".to_string(),
         });
     }
     if !bottom_op.is_involution(dimension) {
-        return Err(SynthesisError::Lowering {
+        return Err(QuditError::CannotLower {
             reason: "the parity ladder requires an involutive target operation".to_string(),
         });
     }
@@ -171,7 +172,7 @@ pub fn add_one_ladder_odd(
     borrowed: &[QuditId],
 ) -> Result<Vec<Gate>> {
     if dimension.is_even() {
-        return Err(SynthesisError::Lowering {
+        return Err(QuditError::CannotLower {
             reason: "the increment ladder (Fig. 7) requires an odd dimension".to_string(),
         });
     }
@@ -229,7 +230,7 @@ pub fn star_add_ladder_odd(
     borrowed: &[QuditId],
 ) -> Result<Vec<Gate>> {
     if dimension.is_even() {
-        return Err(SynthesisError::Lowering {
+        return Err(QuditError::CannotLower {
             reason: "the increment ladder (Fig. 7) requires an odd dimension".to_string(),
         });
     }

@@ -22,6 +22,12 @@
 //! the synthesised circuits goes through the [`Compiler`] facade configured
 //! by [`CompileOptions`] (see [`compiler`]).
 //!
+//! Every fallible function returns [`qudit_core::Result`]: a builder that
+//! cannot build its parameters fails with a [`qudit_core::QuditError`]
+//! variant such as `DimensionTooSmall`, `BorrowedAncillaRequired`,
+//! `NotClassicalTarget` or `CannotLower`, the same type the circuit
+//! substrate and the compilation passes report.
+//!
 //! # Example
 //!
 //! ```
@@ -45,7 +51,6 @@
 
 pub mod compiler;
 mod controlled_unitary;
-mod error;
 pub mod gadgets;
 pub mod ladders;
 pub mod lower;
@@ -63,7 +68,6 @@ pub use compiler::{
 pub use controlled_unitary::{
     emit_controlled_unitary, ControlledUnitary, ControlledUnitaryLayout, ControlledUnitarySynthesis,
 };
-pub use error::{Result, SynthesisError};
 pub use mct::{emit_multi_controlled, KToffoli, MctLayout, MctSynthesis, MultiControlledGate};
 pub use pipeline::LowerToElementary;
 pub use resources::Resources;

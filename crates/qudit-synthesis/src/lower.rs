@@ -23,12 +23,11 @@
 
 use qudit_core::lowering::Transpositions;
 use qudit_core::{
-    Circuit, Control, ControlPredicate, Dimension, Gate, GateOp, Permutation, QuditId,
-    SingleQuditOp,
+    Circuit, Control, ControlPredicate, Dimension, Gate, GateOp, Permutation, QuditError, QuditId,
+    Result, SingleQuditOp,
 };
 
-use crate::error::{Result, SynthesisError};
-use crate::gadgets::{emit_two_controlled_swap_even, emit_two_controlled_swap_odd};
+use crate::gadgets::{two_controlled_swap_even, two_controlled_swap_odd};
 
 /// Lowers a macro circuit to elementary gates (at most one control per gate).
 ///
@@ -50,11 +49,7 @@ pub fn lower_to_elementary(circuit: &Circuit) -> Result<Circuit> {
     for gate in circuit.gates() {
         walk.expand(gate, &mut gates)?;
     }
-    Ok(Circuit::from_gates(
-        circuit.dimension(),
-        circuit.width(),
-        gates,
-    )?)
+    Circuit::from_gates(circuit.dimension(), circuit.width(), gates)
 }
 
 /// One macro-to-elementary lowering walk over a register, with the level
@@ -122,7 +117,7 @@ impl ElementaryWalk {
             }
             (&[c1, c2], GateOp::Single(op)) => self.two_controlled(op, gate.target(), c1, c2, out)?,
             (controls, GateOp::AddFrom { .. }) => {
-                return Err(SynthesisError::Lowering {
+                return Err(QuditError::CannotLower {
                     reason: format!(
                         "value-controlled shift with {} controls cannot be lowered directly",
                         controls.len()
@@ -130,7 +125,7 @@ impl ElementaryWalk {
                 })
             }
             (controls, _) => {
-                return Err(SynthesisError::Lowering {
+                return Err(QuditError::CannotLower {
                     reason: format!(
                         "gate has {} controls; synthesise it with the multi-controlled constructions instead",
                         controls.len()
@@ -172,7 +167,7 @@ impl ElementaryWalk {
             }
         };
         if !op.is_classical() {
-            return Err(SynthesisError::Lowering {
+            return Err(QuditError::CannotLower {
                 reason:
                     "two-controlled general unitaries require the clean-ancilla construction (Fig. 1b)"
                         .to_string(),
@@ -191,14 +186,14 @@ impl ElementaryWalk {
         // by a two-controlled-swap gadget.
         for &(i, j) in self.levels.of(op, dimension)? {
             if dimension.is_odd() {
-                emit_two_controlled_swap_odd(dimension, q1, q2, target, i, j, out)?;
+                two_controlled_swap_odd(dimension, q1, q2, target, i, j, out)?;
             } else {
                 let borrowed = pick_borrowed(width, &[q1, q2, target]).ok_or(
-                    SynthesisError::BorrowedAncillaRequired {
+                    QuditError::BorrowedAncillaRequired {
                         dimension: dimension.get(),
                     },
                 )?;
-                emit_two_controlled_swap_even(dimension, q1, q2, target, i, j, borrowed, out)?;
+                two_controlled_swap_even(dimension, q1, q2, target, i, j, borrowed, out)?;
             }
         }
         // Undo the control conjugation.
@@ -416,7 +411,7 @@ mod tests {
         let circuit = macro_circuit(dimension, 3, gate);
         assert!(matches!(
             lower_to_elementary(&circuit),
-            Err(SynthesisError::BorrowedAncillaRequired { .. })
+            Err(QuditError::BorrowedAncillaRequired { .. })
         ));
     }
 
@@ -435,7 +430,7 @@ mod tests {
         let circuit = macro_circuit(dimension, 4, gate);
         assert!(matches!(
             lower_to_elementary(&circuit),
-            Err(SynthesisError::Lowering { .. })
+            Err(QuditError::CannotLower { .. })
         ));
     }
 

@@ -9,10 +9,11 @@
 //!   reversible-function crates.
 
 use qudit_core::pipeline::PassManager;
-use qudit_core::{AncillaKind, AncillaUsage, Circuit, Dimension, Gate, QuditId, SingleQuditOp};
+use qudit_core::{
+    AncillaKind, AncillaUsage, Circuit, Dimension, Gate, QuditError, QuditId, Result, SingleQuditOp,
+};
 
 use crate::compiler::{CompileOptions, CompileResult, OptLevel};
-use crate::error::{Result, SynthesisError};
 use crate::mct_even::mct_even_gates;
 use crate::mct_odd::mct_odd_gates;
 use crate::pipeline::LowerToElementary;
@@ -68,7 +69,6 @@ impl MctSynthesis {
         PassManager::new()
             .with_pass(LowerToElementary)
             .run_circuit(self.circuit.clone())
-            .map_err(SynthesisError::from)
     }
 
     /// The circuit lowered to the G-gate set `{Xij} ∪ {|0⟩-X01}` (the
@@ -81,10 +81,7 @@ impl MctSynthesis {
     /// this crate's constructions).
     pub fn g_gate_circuit(&self) -> Result<Circuit> {
         let compiler = CompileOptions::new().opt_level(OptLevel::O0).compiler();
-        compiler
-            .compile(&self.circuit)
-            .map(|result| result.circuit)
-            .map_err(SynthesisError::from)
+        compiler.compile(&self.circuit).map(|result| result.circuit)
     }
 
     /// Runs the standard flow (lowering plus inverse-pair cancellation) on
@@ -98,9 +95,7 @@ impl MctSynthesis {
     /// by this crate's constructions).
     pub fn compile(&self) -> Result<CompileResult> {
         let compiler = CompileOptions::new().compiler();
-        compiler
-            .compile(&self.circuit)
-            .map_err(SynthesisError::from)
+        compiler.compile(&self.circuit)
     }
 }
 
@@ -136,7 +131,7 @@ impl KToffoli {
     /// Returns an error when `d < 3`.
     pub fn new(dimension: Dimension, controls: usize) -> Result<Self> {
         if dimension.get() < 3 {
-            return Err(SynthesisError::DimensionTooSmall {
+            return Err(QuditError::DimensionTooSmall {
                 dimension: dimension.get(),
                 minimum: 3,
             });
@@ -192,14 +187,14 @@ impl MultiControlledGate {
     /// [`crate::ControlledUnitary`] for general unitaries).
     pub fn new(dimension: Dimension, controls: usize, op: SingleQuditOp) -> Result<Self> {
         if dimension.get() < 3 {
-            return Err(SynthesisError::DimensionTooSmall {
+            return Err(QuditError::DimensionTooSmall {
                 dimension: dimension.get(),
                 minimum: 3,
             });
         }
         op.validate(dimension)?;
         if !op.is_classical() {
-            return Err(SynthesisError::NotClassicalTarget);
+            return Err(QuditError::NotClassicalTarget);
         }
         Ok(MultiControlledGate {
             dimension,
@@ -297,13 +292,13 @@ pub fn emit_multi_controlled(
 ) -> Result<()> {
     let dimension = circuit.dimension();
     if dimension.get() < 3 {
-        return Err(SynthesisError::DimensionTooSmall {
+        return Err(QuditError::DimensionTooSmall {
             dimension: dimension.get(),
             minimum: 3,
         });
     }
     if !op.is_classical() {
-        return Err(SynthesisError::NotClassicalTarget);
+        return Err(QuditError::NotClassicalTarget);
     }
     let control_qudits: Vec<QuditId> = controls.iter().map(|(q, _)| *q).collect();
 
@@ -334,7 +329,7 @@ pub fn emit_multi_controlled(
     } else {
         // Decompose the operation into transpositions; each becomes a
         // multi-controlled swap.
-        let transpositions = op.transpositions(dimension).map_err(SynthesisError::from)?;
+        let transpositions = op.transpositions(dimension)?;
         for (i, j) in transpositions {
             let gates = if dimension.is_odd() {
                 mct_odd_gates(dimension, &control_qudits, target, i, j)?
@@ -343,7 +338,7 @@ pub fn emit_multi_controlled(
                     .iter()
                     .copied()
                     .find(|q| !control_qudits.contains(q) && *q != target)
-                    .ok_or(SynthesisError::BorrowedAncillaRequired {
+                    .ok_or(QuditError::BorrowedAncillaRequired {
                         dimension: dimension.get(),
                     })?;
                 mct_even_gates(dimension, &control_qudits, target, i, j, borrowed)?
@@ -477,7 +472,7 @@ mod tests {
         );
         assert!(matches!(
             result,
-            Err(SynthesisError::BorrowedAncillaRequired { .. })
+            Err(QuditError::BorrowedAncillaRequired { .. })
         ));
     }
 
@@ -486,7 +481,7 @@ mod tests {
         let dimension = dim(3);
         let matrix = qudit_sim_free_unitary();
         let result = MultiControlledGate::new(dimension, 2, SingleQuditOp::Unitary(matrix));
-        assert!(matches!(result, Err(SynthesisError::NotClassicalTarget)));
+        assert!(matches!(result, Err(QuditError::NotClassicalTarget)));
     }
 
     /// A small non-permutation unitary used by the rejection test.

@@ -1,9 +1,8 @@
 //! Theorem III.2 / Fig. 4: the k-Toffoli with one borrowed ancilla for even
 //! dimensions.
 
-use qudit_core::{Control, Dimension, Gate, QuditId, SingleQuditOp};
+use qudit_core::{Control, Dimension, Gate, QuditError, QuditId, Result, SingleQuditOp};
 
-use crate::error::{Result, SynthesisError};
 use crate::ladders::parity_ladder_even;
 
 /// Emits the Fig. 4 circuit: `|0^k⟩-Xij` on `target` with controls
@@ -28,19 +27,19 @@ pub fn mct_even_gates(
     borrowed: QuditId,
 ) -> Result<Vec<Gate>> {
     if dimension.is_odd() {
-        return Err(SynthesisError::Lowering {
+        return Err(QuditError::CannotLower {
             reason: "Fig. 4 requires an even dimension; use the odd-dimension construction"
                 .to_string(),
         });
     }
     if dimension.get() < 4 {
-        return Err(SynthesisError::DimensionTooSmall {
+        return Err(QuditError::DimensionTooSmall {
             dimension: dimension.get(),
             minimum: 4,
         });
     }
     if controls.contains(&borrowed) || borrowed == target {
-        return Err(SynthesisError::Lowering {
+        return Err(QuditError::CannotLower {
             reason: "the borrowed ancilla must be distinct from the controls and target"
                 .to_string(),
         });

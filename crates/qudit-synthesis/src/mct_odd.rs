@@ -1,8 +1,7 @@
 //! Theorem III.6 / Fig. 10: the ancilla-free k-Toffoli for odd dimensions.
 
-use qudit_core::{Control, Dimension, Gate, QuditId, SingleQuditOp};
+use qudit_core::{Control, Dimension, Gate, QuditError, QuditId, Result, SingleQuditOp};
 
-use crate::error::{Result, SynthesisError};
 use crate::ladders::inverse_gates;
 use crate::pk::pk_gates_one_ancilla;
 
@@ -27,13 +26,13 @@ pub fn mct_odd_gates(
     j: u32,
 ) -> Result<Vec<Gate>> {
     if dimension.get() < 3 {
-        return Err(SynthesisError::DimensionTooSmall {
+        return Err(QuditError::DimensionTooSmall {
             dimension: dimension.get(),
             minimum: 3,
         });
     }
     if dimension.is_even() {
-        return Err(SynthesisError::Lowering {
+        return Err(QuditError::CannotLower {
             reason: "Fig. 10 requires an odd dimension; use the even-dimension construction"
                 .to_string(),
         });

@@ -23,17 +23,22 @@
 use qudit_core::pipeline::{GateWalk, Pass};
 use qudit_core::{Circuit, Gate, QuditError};
 
-use crate::error::SynthesisError;
 use crate::lower::{self, ElementaryWalk};
 
-/// Converts a synthesis error into the core error type used by passes.
-fn pass_error(pass: &str, error: SynthesisError) -> QuditError {
+/// The error `lower-to-elementary` reports for `error`: the macro-gate
+/// walk's own refusals (and the gadget refusals it hits) name the pass, while
+/// errors of the circuit substrate (level decomposition, circuit assembly)
+/// pass through as they are.
+fn pass_error(error: QuditError) -> QuditError {
     match error {
-        SynthesisError::Core(e) => e,
-        other => QuditError::PassFailed {
-            pass: pass.to_string(),
-            reason: other.to_string(),
+        QuditError::DimensionTooSmall { .. }
+        | QuditError::BorrowedAncillaRequired { .. }
+        | QuditError::NotClassicalTarget
+        | QuditError::CannotLower { .. } => QuditError::PassFailed {
+            pass: LowerToElementary.name().to_string(),
+            reason: error.to_string(),
         },
+        other => other,
     }
 }
 
@@ -52,7 +57,7 @@ impl Pass for LowerToElementary {
     }
 
     fn run(&self, circuit: Circuit) -> qudit_core::Result<Circuit> {
-        lower::lower_to_elementary(&circuit).map_err(|e| pass_error(self.name(), e))
+        lower::lower_to_elementary(&circuit).map_err(pass_error)
     }
 
     fn gate_walk(&self, circuit: &Circuit) -> Option<Box<dyn GateWalk>> {
@@ -65,8 +70,7 @@ impl Pass for LowerToElementary {
 
 impl GateWalk for ElementaryWalk {
     fn emit(&mut self, gate: &Gate, out: &mut Vec<Gate>) -> qudit_core::Result<()> {
-        self.expand(gate, out)
-            .map_err(|e| pass_error("lower-to-elementary", e))
+        self.expand(gate, out).map_err(pass_error)
     }
 }
 

@@ -11,10 +11,9 @@
 //! all zero).  It is the workhorse of the ancilla-free odd-dimension
 //! k-Toffoli (Fig. 10).
 
-use qudit_core::{Control, Dimension, Gate, QuditId, SingleQuditOp};
+use qudit_core::{Control, Dimension, Gate, QuditError, QuditId, Result, SingleQuditOp};
 
-use crate::error::{Result, SynthesisError};
-use crate::ladders::{add_one_ladder_odd, inverse_gates, star_add_ladder_odd};
+use crate::ladders::{add_one_ladder_odd, inverse_gates, star_add_ladder_odd, take_ancillas};
 
 /// The classical specification of `P_k`: the new value of the target digit.
 ///
@@ -105,7 +104,7 @@ pub fn pk_gates_borrowed(
     check_odd(dimension)?;
     let k = inputs.len() + 1;
     if k < 2 {
-        return Err(SynthesisError::Lowering {
+        return Err(QuditError::CannotLower {
             reason: "P_k requires at least one input qudit".to_string(),
         });
     }
@@ -114,20 +113,7 @@ pub fn pk_gates_borrowed(
     }
     let mut busy: Vec<QuditId> = inputs.to_vec();
     busy.push(target);
-    let available: Vec<QuditId> = borrowed
-        .iter()
-        .copied()
-        .filter(|q| !busy.contains(q))
-        .collect();
-    if available.len() < k - 2 {
-        return Err(SynthesisError::Core(
-            qudit_core::QuditError::InsufficientAncillas {
-                required: k - 2,
-                available: available.len(),
-            },
-        ));
-    }
-    let ancillas = &available[..k - 2];
+    let ancillas = take_ancillas(borrowed, k - 2, &busy)?;
     let carrier = ancillas[k - 3];
     let last = inputs[k - 2];
     let minus_one = SingleQuditOp::Add(dimension.get() - 1);
@@ -163,12 +149,12 @@ pub fn pk_gates_one_ancilla(
     check_odd(dimension)?;
     let k = inputs.len() + 1;
     if k < 2 {
-        return Err(SynthesisError::Lowering {
+        return Err(QuditError::CannotLower {
             reason: "P_k requires at least one input qudit".to_string(),
         });
     }
     if inputs.contains(&ancilla) || ancilla == target {
-        return Err(SynthesisError::Lowering {
+        return Err(QuditError::CannotLower {
             reason: "the borrowed ancilla of P_k must be distinct from its inputs and target"
                 .to_string(),
         });
@@ -223,13 +209,13 @@ pub fn pk_gates_one_ancilla(
 
 fn check_odd(dimension: Dimension) -> Result<()> {
     if dimension.get() < 3 {
-        return Err(SynthesisError::DimensionTooSmall {
+        return Err(QuditError::DimensionTooSmall {
             dimension: dimension.get(),
             minimum: 3,
         });
     }
     if dimension.is_even() {
-        return Err(SynthesisError::Lowering {
+        return Err(QuditError::CannotLower {
             reason: "P_k is only used by the odd-dimension constructions".to_string(),
         });
     }

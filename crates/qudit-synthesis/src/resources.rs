@@ -2,9 +2,8 @@
 
 use std::fmt;
 
-use qudit_core::{AncillaUsage, Circuit};
+use qudit_core::{AncillaUsage, Circuit, Result};
 
-use crate::error::Result;
 use crate::lower::lower_to_elementary;
 
 /// Gate and ancilla counts of a synthesis, at the three circuit levels used

@@ -12,11 +12,12 @@
 
 use qudit_core::math::SquareMatrix;
 use qudit_core::{
-    AncillaKind, AncillaUsage, Circuit, Control, Dimension, Gate, QuditId, SingleQuditOp,
+    AncillaKind, AncillaUsage, Circuit, Control, Dimension, Gate, QuditError, QuditId, Result,
+    SingleQuditOp,
 };
 use qudit_sim::basis::index_to_digits;
 use qudit_synthesis::lower::lower_to_elementary;
-use qudit_synthesis::{emit_controlled_unitary, Resources, SynthesisError};
+use qudit_synthesis::{emit_controlled_unitary, Resources};
 
 use crate::two_level::{two_level_decompose, TwoLevelUnitary};
 
@@ -92,9 +93,9 @@ impl UnitarySynthesizer {
     /// # Errors
     ///
     /// Returns an error when `d < 3`.
-    pub fn new(dimension: Dimension) -> Result<Self, SynthesisError> {
+    pub fn new(dimension: Dimension) -> Result<Self> {
         if dimension.get() < 3 {
-            return Err(SynthesisError::DimensionTooSmall {
+            return Err(QuditError::DimensionTooSmall {
                 dimension: dimension.get(),
                 minimum: 3,
             });
@@ -116,22 +117,16 @@ impl UnitarySynthesizer {
     ///
     /// Returns an error when the matrix size is not `d^n` or the matrix is
     /// not unitary.
-    pub fn synthesize(
-        &self,
-        unitary: &SquareMatrix,
-        variables: usize,
-    ) -> Result<UnitarySynthesis, SynthesisError> {
+    pub fn synthesize(&self, unitary: &SquareMatrix, variables: usize) -> Result<UnitarySynthesis> {
         let dimension = self.dimension;
         let expected = dimension.register_size(variables);
         if unitary.size() != expected {
-            return Err(SynthesisError::Core(
-                qudit_core::QuditError::MatrixShapeMismatch {
-                    found: unitary.size(),
-                    expected,
-                },
-            ));
+            return Err(QuditError::MatrixShapeMismatch {
+                found: unitary.size(),
+                expected,
+            });
         }
-        let factors = two_level_decompose(unitary).map_err(SynthesisError::from)?;
+        let factors = two_level_decompose(unitary)?;
 
         let needs_ancilla = variables >= 3;
         let width = variables + usize::from(needs_ancilla || variables >= 2);
@@ -183,7 +178,7 @@ impl UnitarySynthesizer {
         variables: &[QuditId],
         factor: &TwoLevelUnitary,
         clean: Option<QuditId>,
-    ) -> Result<(), SynthesisError> {
+    ) -> Result<()> {
         let dimension = self.dimension;
         let n = variables.len();
         let a = index_to_digits(factor.i, dimension, n);
@@ -236,7 +231,7 @@ impl UnitarySynthesizer {
             circuit.push(gate.clone())?;
         }
         let op = embed_block(dimension, a[p], b[p], factor);
-        let clean = clean.ok_or_else(|| SynthesisError::Lowering {
+        let clean = clean.ok_or_else(|| QuditError::CannotLower {
             reason: "multi-qudit unitary synthesis requires the clean ancilla qudit".to_string(),
         })?;
         emit_controlled_unitary(circuit, &controls, variables[p], &op, clean)?;
