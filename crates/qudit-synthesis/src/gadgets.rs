@@ -250,15 +250,6 @@ mod tests {
     }
 
     #[test]
-    fn gadgets_append_after_existing_gates() {
-        let (c1, c2, target) = (QuditId::new(0), QuditId::new(1), QuditId::new(2));
-        let mut gates = vec![Gate::single(SingleQuditOp::Add(1), target)];
-        two_controlled_swap_odd(dim(3), c1, c2, target, 0, 1, &mut gates).unwrap();
-        assert_eq!(gates.len(), 6);
-        assert_eq!(gates[1..], odd_gadget(3, 0, 1).unwrap()[..]);
-    }
-
-    #[test]
     fn gadget_gate_count_is_linear_in_d() {
         // O(d) claim of Lemmas III.1 and III.3: the number of singly
         // controlled gates is constant, and each lowers to O(d) G-gates.
