@@ -396,6 +396,36 @@ mod tests {
     }
 
     #[test]
+    fn displays_are_informative() {
+        let cases = [
+            (
+                QuditError::DimensionTooSmall {
+                    dimension: 2,
+                    minimum: 3,
+                },
+                "qudit dimension 2 is too small; the synthesis requires d ≥ 3",
+            ),
+            (
+                QuditError::BorrowedAncillaRequired { dimension: 4 },
+                "even dimension d = 4 requires one borrowed ancilla qudit for the multi-controlled Toffoli",
+            ),
+            (
+                QuditError::NotClassicalTarget,
+                "target operation must be a classical level permutation for this construction",
+            ),
+            (
+                QuditError::CannotLower {
+                    reason: "three controls".into(),
+                },
+                "cannot lower gate: three controls",
+            ),
+        ];
+        for (error, expected) in cases {
+            assert_eq!(error.to_string(), expected);
+        }
+    }
+
+    #[test]
     fn errors_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<QuditError>();
