@@ -24,9 +24,9 @@
 //!   stage), plus parallel batch compilation
 //!   ([`pipeline::PassManager::run_batch`], one report per job) whose
 //!   statistics [`pipeline::merge_pass_stats`] folds;
-//! * [`pool`] — a hand-rolled scoped-thread work-stealing pool backing
-//!   batch compilation, the one level that fans out (the environment is
-//!   offline, so no `rayon`);
+//! * [`pool`] — a hand-rolled scoped-thread pool whose workers claim jobs
+//!   from one shared cursor, backing batch compilation, the one level that
+//!   fans out (the environment is offline, so no `rayon`);
 //! * [`cache`] — inert stand-ins for the retired lowering cache (nothing is
 //!   cached; the names remain for existing callers);
 //! * [`qasm`] — the OpenQASM-3-flavoured text IR: lexer, parser, semantic

@@ -21,13 +21,15 @@
 //! Passes are `Send + Sync`, and two scaling seams build on that:
 //!
 //! * **Batching** — [`PassManager::run_batch`] compiles many circuits
-//!   concurrently on a [`WorkStealingPool`], one [`PipelineReport`] per
-//!   job; [`merge_pass_stats`] folds their per-pass statistics
+//!   concurrently on a [`WorkStealingPool`], whose workers claim jobs from
+//!   one shared cursor, one [`PipelineReport`] per job;
+//!   [`merge_pass_stats`] folds their per-pass statistics
 //!   order-independently.
-//! * **Pooling** — [`PassManager::with_pool`] pins the worker pool batch
-//!   jobs run on; unpooled managers size a default pool from the
-//!   environment.  The job is the only unit of parallelism: every pass runs
-//!   sequentially inside its job.
+//! * **Pooling** — a pool is only its thread count:
+//!   [`PassManager::with_pool`] pins it, and unpooled managers take the
+//!   process-wide default (`QUDIT_THREADS`, else the available
+//!   parallelism).  The job is the only unit of parallelism: every pass
+//!   runs sequentially inside its job.
 //!
 //! Pipelines can also be *assembled from data* instead of hard-coded
 //! builder chains: a [`PipelineSpec`] names the stages and shape, and a

@@ -1,22 +1,22 @@
-//! A hand-rolled work-stealing pool over scoped threads.
+//! A hand-rolled thread pool over scoped threads.
 //!
 //! Batch compilation is the one place the compilation flow fans out: every
 //! job is independent, and each job (a single compile plus its
 //! verification) is millisecond-scale work that runs sequentially on one
-//! worker.  The build environment is offline (no `rayon`), so this module
-//! provides the minimal parallel primitive [`PassManager::run_batch`]
-//! needs: [`WorkStealingPool`], a fixed-size pool with per-worker deques and
-//! work stealing.
+//! worker.  Jobs never spawn jobs.  The build environment is offline (no
+//! `rayon`), so this module provides the minimal parallel primitive
+//! [`PassManager::run_batch`] needs: [`WorkStealingPool`], a pool that is
+//! nothing but its thread count.
 //!
 //! Every [`WorkStealingPool::map`] call spawns its workers inside a
 //! [`std::thread::scope`], which lets the tasks borrow from the caller's
-//! stack (shared caches, pass managers) without `'static` bounds, and joins
-//! them before returning.  Tasks are distributed over the workers in
-//! contiguous chunks; an idle worker first drains its own deque from the
-//! front and then steals from the back of a victim's deque, so load
-//! imbalance (one circuit much larger than the rest) does not serialise the
-//! batch.  Results are returned in input order regardless of execution
-//! order, which keeps every caller deterministic.
+//! stack (pass managers, compiled inputs) without `'static` bounds, and
+//! joins them before returning.  The workers share one cursor over the
+//! jobs: each claims the next unclaimed job until none is left, so a worker
+//! that finishes early keeps claiming while a peer is busy with a large
+//! circuit, and load imbalance does not serialise the batch.  Results are
+//! returned in input order regardless of execution order, which keeps every
+//! caller deterministic.
 //!
 //! [`PassManager::run_batch`]: crate::pipeline::PassManager::run_batch
 //!
@@ -31,25 +31,13 @@
 //! assert_eq!(squares.len(), 100);
 //! ```
 
-use std::any::Any;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Mutex, OnceLock};
 use std::thread;
 
 /// Environment variable overriding the default worker count.
 pub const THREADS_ENV_VAR: &str = "QUDIT_THREADS";
-
-/// Locks a mutex, recovering the guard when a peer worker poisoned it.
-///
-/// Worker panics are caught and propagated as the original payload (see
-/// [`WorkStealingPool::map`]); the data behind these locks is only
-/// index/result bookkeeping that stays consistent across a mid-task unwind,
-/// so poisoning carries no information the pool does not already track.
-fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// The process-wide default worker count: `QUDIT_THREADS` if set to a
 /// positive integer, else `std::thread::available_parallelism`.
@@ -74,11 +62,11 @@ fn default_threads() -> usize {
     })
 }
 
-/// A fixed-size work-stealing pool.
+/// A fixed-size pool: its configured thread count and nothing else.
 ///
 /// Each [`WorkStealingPool::map`] call spawns its workers inside a
-/// [`std::thread::scope`] and joins them before returning; the pool itself
-/// is just its configured size, so clones are plain copies.
+/// [`std::thread::scope`] and joins them before returning, so clones are
+/// plain copies and one pool serves any number of concurrent callers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkStealingPool {
     threads: usize,
@@ -130,7 +118,7 @@ impl WorkStealingPool {
     /// # Panics
     ///
     /// Propagates the first panic from `f` (by its original payload) after
-    /// every worker has exited; the remaining tasks are abandoned, and the
+    /// every worker has exited; no job is claimed after the panic, and the
     /// pool stays usable for later calls.
     pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
@@ -143,111 +131,46 @@ impl WorkStealingPool {
         if workers <= 1 {
             return items.into_iter().map(f).collect();
         }
-        let batch = BatchState::new(items, workers, &f);
-        thread::scope(|scope| {
-            for slot in 0..workers {
-                let batch = &batch;
-                scope.spawn(move || batch.work(slot));
+        // The shared cursor: the next unclaimed job and its input index.
+        let cursor = Mutex::new(items.into_iter().enumerate());
+        // Set by a panicking job so no worker claims another.  It publishes
+        // no data (the payload travels through `join`), hence `Relaxed`.
+        let stop = AtomicBool::new(false);
+        let worker = || {
+            let mut done = Vec::new();
+            while !stop.load(Ordering::Relaxed) {
+                // Bind the claim first so the lock is released before `f`.
+                let claimed = cursor
+                    .lock()
+                    .expect("no job runs while the cursor is locked")
+                    .next();
+                let Some((index, item)) = claimed else { break };
+                match catch_unwind(AssertUnwindSafe(|| f(item))) {
+                    Ok(result) => done.push((index, result)),
+                    Err(payload) => {
+                        stop.store(true, Ordering::Relaxed);
+                        resume_unwind(payload);
+                    }
+                }
             }
+            done
+        };
+        let joined: Vec<thread::Result<Vec<(usize, R)>>> = thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+            handles.into_iter().map(|handle| handle.join()).collect()
         });
-        batch.finish(n)
-    }
-}
-
-/// One in-flight `map` batch: the chunked task deques, the shared result
-/// sink and the panic bookkeeping, shared by reference with every worker.
-struct BatchState<'f, T, R, F> {
-    /// Per-slot task deques (contiguous chunks of the input).
-    queues: Vec<Mutex<VecDeque<(usize, T)>>>,
-    /// The mapped function, borrowed from the caller.
-    f: &'f F,
-    /// Results, in completion order; sorted by index at the end.
-    collected: Mutex<Vec<(usize, R)>>,
-    /// The first caught panic payload, resumed by [`BatchState::finish`].
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
-    /// Set when a task panicked: peers stop popping and retire early.
-    abort: AtomicBool,
-}
-
-impl<'f, T, R, F> BatchState<'f, T, R, F>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    fn new(items: Vec<T>, workers: usize, f: &'f F) -> Self {
-        let n = items.len();
-        let chunk = n.div_ceil(workers);
-        let mut queues: Vec<Mutex<VecDeque<(usize, T)>>> = Vec::with_capacity(workers);
-        let mut tasks = items.into_iter().enumerate();
-        for _ in 0..workers {
-            queues.push(Mutex::new(tasks.by_ref().take(chunk).collect()));
+        let mut results = Vec::with_capacity(n);
+        for part in joined {
+            // The first worker (in spawn order) that panicked decides the
+            // payload; any later panics are dropped with their jobs.
+            results.extend(part.unwrap_or_else(|payload| resume_unwind(payload)));
         }
-        BatchState {
-            queues,
-            f,
-            collected: Mutex::new(Vec::with_capacity(n)),
-            panic: Mutex::new(None),
-            abort: AtomicBool::new(false),
-        }
-    }
-
-    /// One worker's task loop: drain the own deque from the front, then
-    /// steal from a victim's back to keep the victim's cache-warm front
-    /// intact.  Stops early when a peer recorded a panic.
-    fn work(&self, me: usize) {
-        let workers = self.queues.len();
-        let mut local: Vec<(usize, R)> = Vec::new();
-        loop {
-            if self.abort.load(Ordering::Acquire) {
-                break;
-            }
-            let mut task = lock_unpoisoned(&self.queues[me]).pop_front();
-            if task.is_none() {
-                for offset in 1..workers {
-                    let victim = (me + offset) % workers;
-                    task = lock_unpoisoned(&self.queues[victim]).pop_back();
-                    if task.is_some() {
-                        break;
-                    }
-                }
-            }
-            // Tasks never spawn tasks, so globally empty deques mean this
-            // worker is done.
-            let Some((index, item)) = task else { break };
-            match catch_unwind(AssertUnwindSafe(|| (self.f)(item))) {
-                Ok(result) => local.push((index, result)),
-                Err(payload) => {
-                    // Keep the first payload; later panics (if any) are
-                    // dropped with their tasks, like a joined scope would.
-                    let mut slot = lock_unpoisoned(&self.panic);
-                    if slot.is_none() {
-                        *slot = Some(payload);
-                    }
-                    self.abort.store(true, Ordering::Release);
-                    break;
-                }
-            }
-        }
-        lock_unpoisoned(&self.collected).extend(local);
-    }
-
-    /// Retires the batch on the calling thread once every worker has
-    /// exited: resumes a caught panic, or sorts and returns the results.
-    fn finish(self, n: usize) -> Vec<R> {
-        if let Some(payload) = lock_unpoisoned(&self.panic).take() {
-            resume_unwind(payload);
-        }
-        let mut with_index = self
-            .collected
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
         // A real invariant, not a debug assertion: a lost task means a
         // silently wrong (shorter) result vector, which release builds must
         // catch too.
-        assert_eq!(with_index.len(), n, "every pool task must run exactly once");
-        with_index.sort_unstable_by_key(|(index, _)| *index);
-        with_index.into_iter().map(|(_, result)| result).collect()
+        assert_eq!(results.len(), n, "every pool task must run exactly once");
+        results.sort_unstable_by_key(|(index, _)| *index);
+        results.into_iter().map(|(_, result)| result).collect()
     }
 }
 
@@ -256,7 +179,7 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
     use std::sync::atomic::AtomicUsize;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn results_preserve_input_order() {
@@ -298,18 +221,26 @@ mod tests {
     }
 
     #[test]
-    fn uneven_tasks_are_stolen_not_serialised() {
-        // Worker 0's chunk holds all the slow tasks; stealing must spread
-        // them out, which we observe as every task still completing with the
-        // correct result and order.
-        let pool = WorkStealingPool::with_threads(4);
-        let out = pool.map((0..64usize).collect(), |i| {
-            if i < 16 {
-                thread::sleep(Duration::from_millis(2));
+    fn an_idle_worker_keeps_claiming_while_a_peer_is_busy() {
+        // Job 0 blocks its worker until every other job has run, so the
+        // batch completes only if the second worker claims all of them; a
+        // static split of the jobs between the two workers would stall.
+        let pool = WorkStealingPool::with_threads(2);
+        let others_done = AtomicUsize::new(0);
+        let jobs = 64usize;
+        let out = pool.map((0..jobs).collect(), |i| {
+            if i == 0 {
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while others_done.load(Ordering::Acquire) < jobs - 1 {
+                    assert!(Instant::now() < deadline, "job 0 waited 10 s");
+                    thread::yield_now();
+                }
+            } else {
+                others_done.fetch_add(1, Ordering::Release);
             }
             i * 3
         });
-        assert_eq!(out, (0..64).map(|i| i * 3).collect::<Vec<_>>());
+        assert_eq!(out, (0..jobs).map(|i| i * 3).collect::<Vec<_>>());
     }
 
     #[test]
@@ -365,42 +296,11 @@ mod tests {
     }
 
     #[test]
-    fn persistent_panic_propagates_and_crew_survives() {
-        let pool = WorkStealingPool::persistent(4);
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.map((0..64usize).collect(), |i| {
-                if i == 7 {
-                    panic!("persistent task 7 exploded");
-                }
-                i
-            })
-        }))
-        .expect_err("the task panic must propagate");
-        let message = caught
-            .downcast_ref::<&str>()
-            .copied()
-            .map(String::from)
-            .or_else(|| caught.downcast_ref::<String>().cloned())
-            .expect("payload is the original panic message");
-        assert!(message.contains("persistent task 7 exploded"));
-        // The alias pool keeps serving after a panicked batch.
-        let out = pool.map((0..100usize).collect(), |x| x + 1);
-        assert_eq!(out, (1..=100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn persistent_results_are_byte_identical_to_scoped() {
-        let scoped = WorkStealingPool::with_threads(4);
-        let persistent = WorkStealingPool::persistent(4);
-        assert_eq!(persistent, scoped);
-        for size in [0usize, 1, 7, 64, 1000] {
-            let items: Vec<u64> = (0..size as u64).collect();
-            let a = scoped.map(items.clone(), |x| {
-                x.wrapping_mul(0x9E37_79B9).rotate_left(7)
-            });
-            let b = persistent.map(items, |x| x.wrapping_mul(0x9E37_79B9).rotate_left(7));
-            assert_eq!(a, b, "batch size {size}");
-        }
+    fn persistent_is_an_alias_of_with_threads() {
+        assert_eq!(
+            WorkStealingPool::persistent(4),
+            WorkStealingPool::with_threads(4)
+        );
     }
 
     #[test]

@@ -101,17 +101,6 @@ pub enum Threads {
     Fixed(usize),
 }
 
-impl Threads {
-    /// The pool this sizing pins on the compiler, or `None` for the
-    /// environment-sized default resolved at run time.
-    fn pool(self) -> Option<WorkStealingPool> {
-        match self {
-            Threads::Auto => None,
-            Threads::Fixed(threads) => Some(WorkStealingPool::with_threads(threads)),
-        }
-    }
-}
-
 /// The optimisation level: the one selector of the pass list a
 /// [`Compiler`] runs (see [`CompileOptions::opt_level`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,7 +153,6 @@ pub struct CompileOptions {
     verify: Verify,
     opt_level: OptLevel,
     threads: Threads,
-    pool: Option<WorkStealingPool>,
     topology: Option<CouplingGraph>,
     cost: Arc<dyn CostModel>,
 }
@@ -175,7 +163,6 @@ impl fmt::Debug for CompileOptions {
             .field("verify", &self.verify)
             .field("opt_level", &self.opt_level)
             .field("threads", &self.threads)
-            .field("pool", &self.pool)
             .field("topology", &self.topology)
             .field("cost", &self.cost.name())
             .finish()
@@ -188,7 +175,6 @@ impl Default for CompileOptions {
             verify: Verify::Off,
             opt_level: OptLevel::O1,
             threads: Threads::Auto,
-            pool: None,
             topology: None,
             cost: Arc::new(UniformCost),
         }
@@ -241,14 +227,13 @@ impl CompileOptions {
         self
     }
 
-    /// Pins an existing pool on the compiler instead of letting it build
-    /// its own — overrides [`CompileOptions::threads`].  Only
-    /// [`Compiler::compile_batch`] dispatches on it; every pass runs
-    /// sequentially inside its job.
+    /// An alias of `.threads(Threads::Fixed(pool.threads()))`: a pool is
+    /// nothing but its thread count.  Like every setter, the last of
+    /// `pool` and [`CompileOptions::threads`] wins.  Kept only because the
+    /// `e2ebench` harness calls it.
     #[must_use]
-    pub fn pool(mut self, pool: WorkStealingPool) -> Self {
-        self.pool = Some(pool);
-        self
+    pub fn pool(self, pool: WorkStealingPool) -> Self {
+        self.threads(Threads::Fixed(pool.threads()))
     }
 
     /// Routes compiled circuits onto a device coupling graph (default: off —
@@ -343,9 +328,9 @@ impl CompileOptions {
         let manager = registry
             .assemble(&self.spec())
             .expect("every stage the options select is registered");
-        let manager = match self.pool.clone().or_else(|| self.threads.pool()) {
-            Some(pool) => manager.with_pool(pool),
-            None => manager,
+        let manager = match self.threads {
+            Threads::Auto => manager,
+            Threads::Fixed(threads) => manager.with_pool(WorkStealingPool::with_threads(threads)),
         };
         match self.verify {
             Verify::Off => manager,

@@ -176,7 +176,8 @@ impl ControlledUnitary {
 /// # Errors
 ///
 /// Returns an error when the ancilla collides with a control or the target,
-/// or when the underlying Toffoli synthesis fails.
+/// when the underlying Toffoli synthesis fails, or when a gate is invalid
+/// for the circuit.  On an error the circuit is left unchanged.
 pub fn emit_controlled_unitary(
     circuit: &mut Circuit,
     controls: &[QuditId],
@@ -200,31 +201,34 @@ pub fn emit_controlled_unitary(
         });
     }
     let control_levels: Vec<(QuditId, u32)> = controls.iter().map(|&q| (q, 0)).collect();
+    // Built apart and appended on success, so a refusal leaves the caller's
+    // circuit untouched.
+    let mut emitted = Circuit::new(circuit.dimension(), circuit.width());
     // Flip the clean ancilla 0 ↔ 1 when every control is |0⟩.  For even
     // dimensions the Toffoli borrows the (currently idle) target qudit.
     let borrowed_pool = [target];
     emit_multi_controlled(
-        circuit,
+        &mut emitted,
         &control_levels,
         clean_ancilla,
         &SingleQuditOp::Swap(0, 1),
         &borrowed_pool,
     )?;
     // Apply U to the target when the ancilla is |1⟩.
-    circuit.push(Gate::new(
+    emitted.push(Gate::new(
         qudit_core::GateOp::Single(op.clone()),
         target,
         [Control::level(clean_ancilla, 1)],
     ))?;
     // Restore the ancilla.
     emit_multi_controlled(
-        circuit,
+        &mut emitted,
         &control_levels,
         clean_ancilla,
         &SingleQuditOp::Swap(0, 1),
         &borrowed_pool,
     )?;
-    Ok(())
+    circuit.append(&emitted)
 }
 
 #[cfg(test)]

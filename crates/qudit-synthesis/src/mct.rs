@@ -281,8 +281,9 @@ impl MultiControlledGate {
 ///
 /// # Errors
 ///
-/// Returns an error when `d < 3`, the operation is not classical, or an even
-/// dimension has no usable borrowed qudit.
+/// Returns an error when `d < 3`, the operation is not classical, an even
+/// dimension has no usable borrowed qudit, or a gate is invalid for the
+/// circuit.  On an error the circuit is left unchanged.
 pub fn emit_multi_controlled(
     circuit: &mut Circuit,
     controls: &[(QuditId, u32)],
@@ -301,6 +302,9 @@ pub fn emit_multi_controlled(
         return Err(QuditError::NotClassicalTarget);
     }
     let control_qudits: Vec<QuditId> = controls.iter().map(|(q, _)| *q).collect();
+    // The emission builds here and reaches the caller's circuit only once
+    // every gate is in, so a refusal leaves that circuit untouched.
+    let mut emitted = Circuit::new(dimension, circuit.width());
 
     // Conjugate every control level to 0.
     let mut conjugation = Vec::new();
@@ -311,7 +315,7 @@ pub fn emit_multi_controlled(
         }
     }
     for gate in &conjugation {
-        circuit.push(gate.clone())?;
+        emitted.push(gate.clone())?;
     }
 
     // With zero or one control no ancilla is ever needed: emit the
@@ -321,7 +325,7 @@ pub fn emit_multi_controlled(
             .iter()
             .map(|&q| qudit_core::Control::zero(q))
             .collect();
-        circuit.push(Gate::new(
+        emitted.push(Gate::new(
             qudit_core::GateOp::Single(op.clone()),
             target,
             zero_controls,
@@ -344,16 +348,16 @@ pub fn emit_multi_controlled(
                 mct_even_gates(dimension, &control_qudits, target, i, j, borrowed)?
             };
             for gate in gates {
-                circuit.push(gate)?;
+                emitted.push(gate)?;
             }
         }
     }
 
     // Undo the control conjugation.
     for gate in conjugation.iter().rev() {
-        circuit.push(gate.clone())?;
+        emitted.push(gate.clone())?;
     }
-    Ok(())
+    circuit.append(&emitted)
 }
 
 #[cfg(test)]
@@ -474,6 +478,47 @@ mod tests {
             result,
             Err(QuditError::BorrowedAncillaRequired { .. })
         ));
+    }
+
+    #[test]
+    fn refused_emissions_leave_the_circuit_untouched() {
+        let q = QuditId::new;
+        // d = 4: the control-level conjugation comes before the missing
+        // borrowed wire is noticed.
+        let mut circuit = Circuit::new(dim(4), 3);
+        circuit
+            .push(Gate::single(SingleQuditOp::Add(1), q(0)))
+            .unwrap();
+        let result = emit_multi_controlled(
+            &mut circuit,
+            &[(q(0), 2), (q(1), 3)],
+            q(2),
+            &SingleQuditOp::Swap(0, 1),
+            &[],
+        );
+        assert!(matches!(
+            result,
+            Err(QuditError::BorrowedAncillaRequired { .. })
+        ));
+        assert_eq!(circuit.len(), 1);
+        // d = 3: the ancilla flip is emitted before the out-of-range target
+        // operation is refused.
+        let mut circuit = Circuit::new(dim(3), 4);
+        circuit
+            .push(Gate::single(SingleQuditOp::Add(1), q(0)))
+            .unwrap();
+        let result = crate::controlled_unitary::emit_controlled_unitary(
+            &mut circuit,
+            &[q(0), q(1)],
+            q(2),
+            &SingleQuditOp::Swap(0, 5),
+            q(3),
+        );
+        assert!(matches!(
+            result,
+            Err(QuditError::LevelOutOfRange { level: 5, .. })
+        ));
+        assert_eq!(circuit.len(), 1);
     }
 
     #[test]

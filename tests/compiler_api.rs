@@ -69,9 +69,10 @@ fn every_knob_combination_assembles() {
 }
 
 /// The pinned pool reaches the batch: the job is the unit of parallelism,
-/// so `Fixed(4)` and a pinned pool fan `compile_batch` out while every
+/// so `Fixed(4)` and the `pool` alias fan `compile_batch` out while every
 /// exhaustively verified job runs sequentially inside its worker, with
-/// verdicts and outputs equal to a single `compile`.
+/// verdicts and outputs equal to a single `compile`.  Of `threads` and
+/// `pool`, the last setter wins.
 #[test]
 fn pinned_pools_reach_the_verification_sweep() {
     // d=4, k=4 → width 6, 4^6 = 4096 basis states, within the exhaustive
@@ -88,8 +89,14 @@ fn pinned_pools_reach_the_verification_sweep() {
         CompileOptions::new().threads(Threads::Fixed(1)),
         CompileOptions::new().threads(Threads::Fixed(4)),
         CompileOptions::new().pool(WorkStealingPool::with_threads(4)),
+        CompileOptions::new()
+            .threads(Threads::Fixed(2))
+            .pool(WorkStealingPool::with_threads(4)),
+        CompileOptions::new()
+            .pool(WorkStealingPool::with_threads(4))
+            .threads(Threads::Fixed(2)),
     ];
-    for (options, threads) in options.into_iter().zip([1, 4, 4]) {
+    for (options, threads) in options.into_iter().zip([1, 4, 4, 4, 2]) {
         let compiler = options.verify(Verify::Exhaustive).compiler();
         assert_eq!(
             compiler.manager().pool().map(|p| p.threads()),
