@@ -296,11 +296,42 @@ mod tests {
     }
 
     #[test]
-    fn persistent_is_an_alias_of_with_threads() {
-        assert_eq!(
-            WorkStealingPool::persistent(4),
-            WorkStealingPool::with_threads(4)
-        );
+    fn persistent_panic_propagates_and_crew_survives() {
+        let pool = WorkStealingPool::persistent(4);
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.map((0..64usize).collect(), |i| {
+                if i == 7 {
+                    panic!("persistent task 7 exploded");
+                }
+                i
+            })
+        }))
+        .expect_err("the task panic must propagate");
+        let message = caught
+            .downcast_ref::<&str>()
+            .copied()
+            .map(String::from)
+            .or_else(|| caught.downcast_ref::<String>().cloned())
+            .expect("payload is the original panic message");
+        assert!(message.contains("persistent task 7 exploded"));
+        // The alias pool keeps serving after a panicked batch.
+        let out = pool.map((0..100usize).collect(), |x| x + 1);
+        assert_eq!(out, (1..=100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn persistent_results_are_byte_identical_to_scoped() {
+        let scoped = WorkStealingPool::with_threads(4);
+        let persistent = WorkStealingPool::persistent(4);
+        assert_eq!(persistent, scoped);
+        for size in [0usize, 1, 7, 64, 1000] {
+            let items: Vec<u64> = (0..size as u64).collect();
+            let a = scoped.map(items.clone(), |x| {
+                x.wrapping_mul(0x9E37_79B9).rotate_left(7)
+            });
+            let b = persistent.map(items, |x| x.wrapping_mul(0x9E37_79B9).rotate_left(7));
+            assert_eq!(a, b, "batch size {size}");
+        }
     }
 
     #[test]
