@@ -95,9 +95,13 @@ impl Circuit {
         Ok(Circuit::from_valid_gates(dimension, width, gates))
     }
 
-    /// A circuit over gates already validated for this dimension and width
-    /// (a reordering or subsequence of another circuit's gates).
-    pub(crate) fn from_valid_gates(dimension: Dimension, width: usize, gates: Vec<Gate>) -> Self {
+    /// A circuit over gates the caller has already shown valid for this
+    /// dimension and width — a reordering or subsequence of another
+    /// circuit's gates, or gates built or matched against validated ones by
+    /// construction.  Nothing is checked here: an invalid gate surfaces as
+    /// an error (or a panic) wherever the circuit is read.  Use
+    /// [`Circuit::from_gates`] for gates from anywhere else.
+    pub fn from_valid_gates(dimension: Dimension, width: usize, gates: Vec<Gate>) -> Self {
         Circuit {
             gates,
             ..Circuit::new(dimension, width)
@@ -139,6 +143,12 @@ impl Circuit {
         gate.validate(self.dimension, self.width)?;
         self.gates.push(gate);
         Ok(())
+    }
+
+    /// Keeps only the gates for which `keep` returns `true`, in order and in
+    /// place (a subsequence of valid gates stays valid).
+    pub fn retain(&mut self, keep: impl FnMut(&Gate) -> bool) {
+        self.gates.retain(keep);
     }
 
     /// Appends all gates of `other`.

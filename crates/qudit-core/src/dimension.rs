@@ -128,15 +128,16 @@ impl Dimension {
     ///
     /// # Panics
     ///
-    /// Panics if the result does not fit in a `usize`.
+    /// Panics if the result does not fit in a `usize`; see
+    /// [`Dimension::checked_register_size`].
     pub fn register_size(self, width: usize) -> usize {
-        let mut size: usize = 1;
-        for _ in 0..width {
-            size = size
-                .checked_mul(self.0 as usize)
-                .expect("register size overflows usize");
-        }
-        size
+        self.checked_register_size(width)
+            .expect("register size overflows usize")
+    }
+
+    /// `d^width`, or `None` when it does not fit in a `usize`.
+    pub fn checked_register_size(self, width: usize) -> Option<usize> {
+        (0..width).try_fold(1usize, |size, _| size.checked_mul(self.0 as usize))
     }
 }
 
@@ -206,6 +207,10 @@ mod tests {
         let d = Dimension::new(3).unwrap();
         assert_eq!(d.register_size(0), 1);
         assert_eq!(d.register_size(4), 81);
+        let d = Dimension::new(4).unwrap();
+        assert_eq!(d.checked_register_size(31), Some(1 << 62));
+        assert_eq!(d.checked_register_size(32), None);
+        assert_eq!(d.checked_register_size(usize::MAX), None);
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //!
 //! [`lower_circuit`] is the one entry point (the `lower-to-g-gates` pass is
 //! one call to it): one walk over the gates that emits straight into its
-//! output vector.  The level permutations it decomposes live in
+//! output vector, sized once from the walk's own exact count
+//! ([`GateWalk::count`], the same walk writing into a
+//! [`Tally`]).  The level permutations it decomposes live in
 //! [`Transpositions`] buffers the walk reuses, so a warm walk allocates only
-//! the gates it emits.
+//! its output.
 
 use crate::circuit::Circuit;
 use crate::control::Control;
@@ -18,7 +20,7 @@ use crate::dimension::Dimension;
 use crate::error::{QuditError, Result};
 use crate::gate::{Gate, GateOp};
 use crate::ops::{push_transpositions, SingleQuditOp};
-use crate::pipeline::GateWalk;
+use crate::pipeline::{GateSink, GateWalk, Tally};
 use crate::qudit::QuditId;
 
 /// Lowers every gate of a circuit, each with at most one control, into
@@ -32,7 +34,8 @@ use crate::qudit::QuditId;
 pub fn lower_circuit(circuit: &Circuit) -> Result<Circuit> {
     let dimension = circuit.dimension();
     let mut walk = GGateWalk::new(dimension);
-    let mut out = Vec::with_capacity(circuit.len());
+    let total = circuit.gates().iter().map(|gate| walk.count(gate)).sum();
+    let mut out = Vec::with_capacity(total);
     for gate in circuit.gates() {
         walk.emit(gate, &mut out)?;
     }
@@ -102,12 +105,54 @@ impl Transpositions {
     }
 }
 
-/// One G-gate lowering walk: the buffers of the gate's own operation and of
+/// Largest dimension whose conjugations a walk memoises (a table of `d²`
+/// spans); above it each conjugation is decomposed where it is needed.
+const MEMO_DIMENSION: usize = 16;
+
+/// The conjugations a walk needs, each decomposed once per walk when
+/// `d ≤ MEMO_DIMENSION` (see [`Transpositions::conjugation`]).
+#[derive(Debug, Default)]
+struct Conjugations {
+    scratch: Transpositions,
+    /// Per level pair `(i, j)`, at `i·d + j`: its transpositions' span in
+    /// `pairs` as `(start, split, end)`; `end == 0` marks a pair not met
+    /// yet (every pair but `(0, 1)` and `(1, 0)` has transpositions).
+    spans: Vec<(u32, u32, u32)>,
+    pairs: Vec<(u32, u32)>,
+}
+
+impl Conjugations {
+    /// The transpositions of `σ⁻¹` and `σ` for the pair `(i, j)`.
+    fn of(&mut self, dimension: Dimension, i: u32, j: u32) -> (&Pairs, &Pairs) {
+        let d = dimension.as_usize();
+        if d > MEMO_DIMENSION {
+            return self.scratch.conjugation(dimension, i, j);
+        }
+        if self.spans.is_empty() {
+            self.spans.resize(d * d, (0, 0, 0));
+        }
+        let slot = i as usize * d + j as usize;
+        if self.spans[slot].2 == 0 {
+            let (unconjugate, conjugate) = self.scratch.conjugation(dimension, i, j);
+            let start = self.pairs.len();
+            self.pairs.extend_from_slice(unconjugate);
+            let split = self.pairs.len();
+            self.pairs.extend_from_slice(conjugate);
+            let span = |at: usize| u32::try_from(at).expect("at most d² · 2d pairs");
+            self.spans[slot] = (span(start), span(split), span(self.pairs.len()));
+        }
+        let (start, split, end) = self.spans[slot];
+        let (start, split, end) = (start as usize, split as usize, end as usize);
+        (&self.pairs[start..split], &self.pairs[split..end])
+    }
+}
+
+/// One G-gate lowering walk: the buffers of the gate's own operation and
 /// the conjugations its transpositions need.
 pub(crate) struct GGateWalk {
     dimension: Dimension,
     op: Transpositions,
-    sigma: Transpositions,
+    sigma: Conjugations,
 }
 
 impl GGateWalk {
@@ -115,7 +160,7 @@ impl GGateWalk {
         GGateWalk {
             dimension,
             op: Transpositions::default(),
-            sigma: Transpositions::default(),
+            sigma: Conjugations::default(),
         }
     }
 }
@@ -123,11 +168,23 @@ impl GGateWalk {
 impl GateWalk for GGateWalk {
     /// Emits the G-gates of `gate` into `out`.
     fn emit(&mut self, gate: &Gate, out: &mut Vec<Gate>) -> Result<()> {
+        self.walk(gate, out)
+    }
+
+    fn count(&mut self, gate: &Gate) -> usize {
+        let mut tally = Tally::default();
+        self.walk(gate, &mut tally).map_or(0, |()| tally.0)
+    }
+}
+
+impl GGateWalk {
+    /// Writes the G-gates of `gate` into `out`.
+    fn walk(&mut self, gate: &Gate, out: &mut impl GateSink) -> Result<()> {
         if !gate.is_classical() {
             return Err(QuditError::NotClassical);
         }
         if gate.is_g_gate() {
-            out.push(gate.clone());
+            out.push_copy(gate);
             return Ok(());
         }
         let target = gate.target();
@@ -171,9 +228,7 @@ impl GateWalk for GGateWalk {
         }
         Ok(())
     }
-}
 
-impl GGateWalk {
     /// Emits `|level⟩(control)-op(target)`: per transposition `Xij` of `op`,
     /// the control level is conjugated to `0` and the target levels to
     /// `(0, 1)` around one `|0⟩-X01`.
@@ -183,7 +238,7 @@ impl GGateWalk {
         target: QuditId,
         control: QuditId,
         level: u32,
-        out: &mut Vec<Gate>,
+        out: &mut impl GateSink,
     ) -> Result<()> {
         let dimension = self.dimension;
         for &(i, j) in self.op.of(op, dimension)? {
@@ -193,7 +248,7 @@ impl GGateWalk {
             let (unconjugate, conjugate) = if matches!((i, j), (0, 1) | (1, 0)) {
                 (&[][..], &[][..])
             } else {
-                self.sigma.conjugation(dimension, i, j)
+                self.sigma.of(dimension, i, j)
             };
             for &(a, b) in unconjugate {
                 out.push(Gate::single(SingleQuditOp::Swap(a, b), target));
@@ -224,11 +279,39 @@ mod tests {
         Dimension::new(d).unwrap()
     }
 
-    /// The G-gates of one gate, from a fresh walk.
+    /// The G-gates of one gate, from a fresh walk, whose count — fresh and
+    /// from the walk's memoised conjugations — must be exact.
     fn walk_one(gate: &Gate, dimension: Dimension) -> Result<Vec<Gate>> {
+        let mut walk = GGateWalk::new(dimension);
+        let fresh = GGateWalk::new(dimension).count(gate);
         let mut out = Vec::new();
-        GGateWalk::new(dimension).emit(gate, &mut out)?;
+        walk.emit(gate, &mut out)?;
+        assert_eq!((fresh, walk.count(gate)), (out.len(), out.len()), "{gate}");
         Ok(out)
+    }
+
+    #[test]
+    fn memoised_conjugations_emit_what_fresh_ones_do() {
+        // d = 17 is above the memo's bound and decomposes every time.
+        for d in [5u32, 17] {
+            let dimension = dim(d);
+            let mut warm = GGateWalk::new(dimension);
+            for (i, j) in (0..d).flat_map(|i| (0..d).map(move |j| (i, j))) {
+                if i == j {
+                    continue;
+                }
+                let gate = Gate::controlled(
+                    SingleQuditOp::Swap(i, j),
+                    QuditId::new(1),
+                    [Control::level(QuditId::new(0), j)],
+                );
+                let mut out = Vec::new();
+                warm.emit(&gate, &mut out).unwrap();
+                warm.emit(&gate, &mut out).unwrap();
+                let once = walk_one(&gate, dimension).unwrap();
+                assert_eq!(out, [once.clone(), once].concat(), "d={d} {gate}");
+            }
+        }
     }
 
     /// Checks that the lowering of `gate` acts identically to `gate` on every

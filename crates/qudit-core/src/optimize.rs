@@ -14,12 +14,15 @@
 //! gates on disjoint qudits commute, gates sharing a qudit do not), so the
 //! sweep removes every cancellable pair however far apart its gates started,
 //! and the result is fully reduced — a second application is the identity.
-//! The work per gate is bounded by its arity.  [`cancel_inverse_pairs`] takes
-//! the circuit by value and moves the gates it keeps instead of cloning
-//! them; the `cancel-inverse-pairs` pass is one call to it.
+//! The work per gate is bounded by its arity.  [`inverse_pairs`] runs the
+//! sweep on a borrowed circuit and returns the pairs it removes — the
+//! rewrite the `cancel-inverse-pairs` pass hands a checker — and
+//! [`cancel_inverse_pairs`] takes the circuit by value and removes those
+//! pairs in place, moving the gates it keeps instead of cloning them; the
+//! pass is one call to it.
 
 use crate::circuit::Circuit;
-use crate::gate::Gate;
+use crate::error::{QuditError, Result};
 
 /// Removes adjacent gate/inverse pairs from a circuit.
 ///
@@ -56,20 +59,22 @@ use crate::gate::Gate;
 /// # }
 /// ```
 pub fn cancel_inverse_pairs(circuit: Circuit) -> Circuit {
-    let (dimension, width) = (circuit.dimension(), circuit.width());
-    // `gates[i]` is Some(gate) while gate i is still in the output.  The
-    // sweep marks removals in the input's own buffer (`Option<Gate>` has the
-    // size of `Gate`, so both conversions reuse it) and compacts it at the
-    // end, allocating no gate storage.
-    let mut gates: Vec<Option<Gate>> = circuit.into_gates().into_iter().map(Some).collect();
-    // For each qudit, the indices (into `gates`) of the retained gates that
-    // touch it, in order.
-    let mut last_touch: Vec<Vec<usize>> = vec![Vec::new(); width];
+    let pairs = inverse_pairs(&circuit);
+    remove_pairs(circuit, &pairs).expect("the sweep's pairs name distinct gates of its input")
+}
 
-    for i in 0..gates.len() {
-        let gate = gates[i]
-            .as_ref()
-            .expect("gates ahead of the sweep are present");
+/// The pairs [`cancel_inverse_pairs`] removes from `circuit`, as
+/// `(first, second)` gate indices in increasing order of `second`: the
+/// one stack sweep of the module docs, reading the gates in place.  This
+/// is the `cancel-inverse-pairs` pass's [`Rewrite`](crate::pipeline::Rewrite).
+pub fn inverse_pairs(circuit: &Circuit) -> Vec<(usize, usize)> {
+    let (dimension, gates) = (circuit.dimension(), circuit.gates());
+    let mut pairs = Vec::new();
+    // For each qudit, the indices of the retained gates that touch it, in
+    // order.
+    let mut last_touch: Vec<Vec<usize>> = vec![Vec::new(); circuit.width()];
+
+    for (i, gate) in gates.iter().enumerate() {
         // The candidate for cancellation is the most recent retained gate on
         // this gate's qudits: it must be the most recent on all of them.
         let candidate = {
@@ -80,7 +85,7 @@ pub fn cancel_inverse_pairs(circuit: Circuit) -> Circuit {
             first.filter(|&index| latest.all(|last| last == Some(index)))
         };
         let cancels = candidate.filter(|&index| {
-            let previous = gates[index].as_ref().expect("candidate is retained");
+            let previous = &gates[index];
             // `previous` touches every qudit of `gate`; neither gate repeats a
             // qudit, so equal arity means equal supports.
             previous.arity() == gate.arity() && gate.is_inverse_of(previous, dimension)
@@ -92,21 +97,38 @@ pub fn cancel_inverse_pairs(circuit: Circuit) -> Circuit {
                 debug_assert_eq!(stack.last(), Some(&index));
                 stack.pop();
             }
-            gates[index] = None;
-            gates[i] = None;
+            pairs.push((index, i));
         } else {
             for q in gate.support() {
                 last_touch[q.index()].push(i);
             }
         }
     }
+    pairs
+}
 
-    gates.retain(Option::is_some);
-    let kept = gates
-        .into_iter()
-        .map(|gate| gate.expect("only retained gates remain"))
-        .collect();
-    Circuit::from_valid_gates(dimension, width, kept)
+/// `circuit` without the gates of `pairs`, the kept gates moved in place
+/// (see [`Rewrite::Cancel`](crate::pipeline::Rewrite::Cancel)).
+pub(crate) fn remove_pairs(mut circuit: Circuit, pairs: &[(usize, usize)]) -> Result<Circuit> {
+    let mut removed = vec![false; circuit.len()];
+    for &(first, second) in pairs {
+        if first >= second || second >= removed.len() || removed[first] || removed[second] {
+            return Err(QuditError::IncompatibleCircuits {
+                reason: format!(
+                    "pair ({first}, {second}) does not name two unpaired gates, in order, of a {}-gate circuit",
+                    removed.len()
+                ),
+            });
+        }
+        removed[first] = true;
+        removed[second] = true;
+    }
+    let mut index = 0;
+    circuit.retain(|_| {
+        index += 1;
+        !removed[index - 1]
+    });
+    Ok(circuit)
 }
 
 #[cfg(test)]
@@ -114,6 +136,7 @@ mod tests {
     use super::*;
     use crate::control::Control;
     use crate::dimension::Dimension;
+    use crate::gate::Gate;
     use crate::ops::SingleQuditOp;
     use crate::qudit::QuditId;
 

@@ -137,6 +137,17 @@ pub trait Pass: Send + Sync {
     fn gate_walk(&self, _circuit: &Circuit) -> Option<Box<dyn GateWalk>> {
         None
     }
+
+    /// The rewrite [`Pass::run`] applies to `circuit`, for a pass that only
+    /// deletes gates in inverse pairs or re-places them on a coupling
+    /// graph: `run` must return exactly `rewrite.apply(circuit)`.  Checkers
+    /// use it to prove each step and apply it to the input they already
+    /// own (see `qudit-sim`'s `VerifyEquivalence`).  The default, `None`,
+    /// says the pass has no such structure; a pass also returns `None` for
+    /// a circuit its `run` refuses.
+    fn rewrite(&self, _circuit: &Circuit) -> Option<Rewrite> {
+        None
+    }
 }
 
 impl Pass for Box<dyn Pass> {
@@ -151,6 +162,10 @@ impl Pass for Box<dyn Pass> {
     fn gate_walk(&self, circuit: &Circuit) -> Option<Box<dyn GateWalk>> {
         self.as_ref().gate_walk(circuit)
     }
+
+    fn rewrite(&self, circuit: &Circuit) -> Option<Rewrite> {
+        self.as_ref().rewrite(circuit)
+    }
 }
 
 /// One gate-by-gate rewrite of a circuit: the walk a lowering pass's `run`
@@ -162,6 +177,74 @@ pub trait GateWalk {
     ///
     /// Returns the error the pass's `run` fails with on this gate.
     fn emit(&mut self, gate: &Gate, out: &mut Vec<Gate>) -> Result<()>;
+
+    /// At least as many gates as [`GateWalk::emit`] writes for `gate`
+    /// (any number when it fails), so a driver can size its output once;
+    /// the library's walks count exactly.
+    fn count(&mut self, gate: &Gate) -> usize;
+}
+
+/// Where a gate walk writes its gates: the output vector, or a [`Tally`]
+/// that counts them so the output can be sized before the walk.
+pub trait GateSink {
+    /// Writes `gate`.
+    fn push(&mut self, gate: Gate);
+
+    /// Writes a copy of `gate` (a [`Tally`] counts it without copying).
+    fn push_copy(&mut self, gate: &Gate) {
+        self.push(gate.clone());
+    }
+}
+
+impl GateSink for Vec<Gate> {
+    fn push(&mut self, gate: Gate) {
+        Vec::push(self, gate);
+    }
+}
+
+/// A [`GateSink`] that only counts the gates written to it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Tally(pub usize);
+
+impl GateSink for Tally {
+    fn push(&mut self, _gate: Gate) {
+        self.0 += 1;
+    }
+
+    fn push_copy(&mut self, _gate: &Gate) {
+        self.0 += 1;
+    }
+}
+
+/// A rewrite that keeps its input's gates, only deleting some of them in
+/// inverse pairs or re-placing them on a coupling graph's sites: what
+/// [`Pass::rewrite`] hands a checker.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Rewrite {
+    /// Delete the gates of each pair `(first, second)` of input indices,
+    /// `first < second`, listed in increasing order of `second` (see
+    /// [`optimize::inverse_pairs`]).
+    Cancel(Vec<(usize, usize)>),
+    /// Re-place the gates through wire-SWAP ladders (see
+    /// [`crate::route::Routing`]).
+    Route(crate::route::Routing),
+}
+
+impl Rewrite {
+    /// Applies the rewrite to `circuit`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QuditError::IncompatibleCircuits`] when the rewrite does not
+    /// fit the circuit: a pair that does not name two distinct gates (or
+    /// shares one with another pair), or a ladder out of order, past the
+    /// last gate or on sites outside the register.
+    pub fn apply(&self, circuit: Circuit) -> Result<Circuit> {
+        match self {
+            Rewrite::Cancel(pairs) => optimize::remove_pairs(circuit, pairs),
+            Rewrite::Route(routing) => routing.apply(circuit),
+        }
+    }
 }
 
 /// The lowering-cache knob, now inert: lowering keeps no cache, so every
@@ -750,6 +833,10 @@ impl Pass for CancelInversePairs {
 
     fn run(&self, circuit: Circuit) -> Result<Circuit> {
         Ok(optimize::cancel_inverse_pairs(circuit))
+    }
+
+    fn rewrite(&self, circuit: &Circuit) -> Option<Rewrite> {
+        Some(Rewrite::Cancel(optimize::inverse_pairs(circuit)))
     }
 }
 

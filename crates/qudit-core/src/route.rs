@@ -64,14 +64,14 @@
 //! # }
 //! ```
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use crate::circuit::Circuit;
 use crate::dimension::Dimension;
 use crate::error::{QuditError, Result};
 use crate::gate::{Gate, GateOp};
 use crate::ops::{Permutation, SingleQuditOp};
-use crate::pipeline::Pass;
+use crate::pipeline::{Pass, Rewrite};
 use crate::qudit::QuditId;
 use crate::topology::CouplingGraph;
 
@@ -337,18 +337,19 @@ fn bfs_path_within(graph: &CouplingGraph, allowed: &[bool], from: usize, to: usi
     path
 }
 
-/// Emits wire-SWAP ladders until the placement matches `target` (a full
-/// wire→site bijection).  Sites are finalised deepest-BFS-first, and each
-/// token walks only through not-yet-finalised sites — every prefix of the
-/// BFS order is connected, so a path always exists.
+/// Records wire-SWAP ladders, all before input gate `before`, until the
+/// placement matches `target` (a full wire→site bijection).  Sites are
+/// finalised deepest-BFS-first, and each token walks only through
+/// not-yet-finalised sites — every prefix of the BFS order is connected, so
+/// a path always exists.
 fn drive_to_placement(
-    out: &mut Circuit,
+    ladders: &mut Vec<Ladder>,
+    before: usize,
     graph: &CouplingGraph,
     placement: &mut Placement,
     target: &[usize],
 ) {
     let sites = graph.sites();
-    let dimension = out.dimension();
     let mut target_wire_at = vec![0; sites];
     for (wire, &site) in target.iter().enumerate() {
         target_wire_at[site] = wire;
@@ -361,9 +362,10 @@ fn drive_to_placement(
         if current != site {
             let path = bfs_path_within(graph, &allowed, current, site);
             for step in path.windows(2) {
-                for gate in wire_swap(dimension, step[0], step[1]) {
-                    out.push(gate).expect("ladder gates are valid");
-                }
+                ladders.push(Ladder {
+                    before,
+                    sites: (step[0], step[1]),
+                });
                 placement.swap_sites(step[0], step[1]);
             }
         }
@@ -466,8 +468,9 @@ fn greedy_placement(circuit: &Circuit, graph: &CouplingGraph) -> Vec<usize> {
 ///
 /// A circuit that already satisfies the adjacency invariant on the full
 /// site register is returned unchanged, which makes routing idempotent.
-/// Routing reads the input's gates in place; the routed gates are written
-/// straight into the output.
+/// Routing is [`Routing::plan`] on the input's gates in place, then
+/// [`Routing::apply`], which writes the routed gates into an output sized
+/// once.
 ///
 /// # Errors
 ///
@@ -479,60 +482,180 @@ pub fn route_circuit(
     graph: &CouplingGraph,
     cost: &dyn CostModel,
 ) -> Result<Circuit> {
-    let sites = graph.sites();
-    if circuit.width() > sites {
-        return Err(QuditError::TopologyTooSmall {
-            sites,
-            minimum: circuit.width(),
-        });
-    }
-    if let Some((index, gate)) = circuit
-        .gates()
-        .iter()
-        .enumerate()
-        .find(|(_, g)| g.arity() > 2)
-    {
-        return Err(too_wide(index, gate.arity()));
-    }
-    // Already-routed circuits are fixpoints: no placement, no swaps.
-    if circuit.width() == sites && validate_adjacency(&circuit, graph).is_ok() {
-        return Ok(circuit);
-    }
+    Routing::plan(&circuit, graph, cost)?.apply(circuit)
+}
 
-    // A narrower circuit needs no widening: its gates are valid on the
-    // site register, and the wires it does not declare are idle.
-    let dimension = circuit.dimension();
-    let mut out = Circuit::new(dimension, sites);
-    let mut placement = Placement::identity(sites);
+/// One wire-SWAP ladder of a [`Routing`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Ladder {
+    /// The input gate the ladder precedes (the input's length for the
+    /// epilogue).
+    pub before: usize,
+    /// The two sites whose values the ladder exchanges.
+    pub sites: (usize, usize),
+}
 
-    let target = greedy_placement(&circuit, graph);
-    drive_to_placement(&mut out, graph, &mut placement, &target);
+/// A routing of a circuit onto `sites` wires, as the ladders it inserts:
+/// every wire starts on its own site, and the output holds the input's
+/// gates in order, each remapped onto the sites its wires occupy at that
+/// point, with the [`wire_swap`] ladder of each [`Ladder`] inserted before
+/// its input gate, in list order.  This is the `"route"` stage's
+/// [`Rewrite`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Routing {
+    /// Width of the output register.
+    pub sites: usize,
+    /// The ladders, in output order.
+    pub ladders: Vec<Ladder>,
+}
 
-    // The wire pairs of every upcoming two-qudit gate, for lookahead.
-    let pairs: Vec<Option<(usize, usize)>> = circuit.gates().iter().map(wire_pair).collect();
+impl Routing {
+    /// The routing [`route_circuit`] applies to `circuit`, read from its
+    /// gates in place.
+    ///
+    /// # Errors
+    ///
+    /// As [`route_circuit`].
+    pub fn plan(circuit: &Circuit, graph: &CouplingGraph, cost: &dyn CostModel) -> Result<Self> {
+        let sites = graph.sites();
+        if circuit.width() > sites {
+            return Err(QuditError::TopologyTooSmall {
+                sites,
+                minimum: circuit.width(),
+            });
+        }
+        let gates = circuit.gates();
+        if let Some((index, gate)) = gates.iter().enumerate().find(|(_, g)| g.arity() > 2) {
+            return Err(too_wide(index, gate.arity()));
+        }
+        let mut ladders = Vec::new();
+        // Already-routed circuits are fixpoints: no placement, no swaps.
+        if circuit.width() == sites && validate_adjacency(circuit, graph).is_ok() {
+            return Ok(Routing { sites, ladders });
+        }
 
-    for (index, gate) in circuit.gates().iter().enumerate() {
-        if let Some((l1, l2)) = pairs[index] {
-            loop {
-                let (a, b) = (placement.site_of[l1], placement.site_of[l2]);
-                if graph.are_coupled(a, b) {
-                    break;
-                }
-                let edge = pick_swap(graph, cost, &placement, (l1, l2), &pairs[index + 1..]);
-                for ladder_gate in wire_swap(dimension, edge.0, edge.1) {
-                    out.push(ladder_gate).expect("ladder gates are valid");
-                }
+        // A narrower circuit needs no widening: its gates are valid on the
+        // site register, and the wires it does not declare are idle.
+        let mut placement = Placement::identity(sites);
+        let target = greedy_placement(circuit, graph);
+        drive_to_placement(&mut ladders, 0, graph, &mut placement, &target);
+
+        let mut prices = LadderPrices::new(cost);
+        for (index, gate) in gates.iter().enumerate() {
+            let Some((l1, l2)) = wire_pair(gate) else {
+                continue;
+            };
+            if graph.are_coupled(placement.site_of[l1], placement.site_of[l2]) {
+                continue;
+            }
+            // The wire pairs of the upcoming two-qudit gates, for lookahead.
+            let (mut upcoming, mut len) = ([(0, 0); LOOKAHEAD], 0);
+            let next = gates[index + 1..].iter().filter_map(wire_pair);
+            for (slot, pair) in upcoming.iter_mut().zip(next) {
+                *slot = pair;
+                len += 1;
+            }
+            while !graph.are_coupled(placement.site_of[l1], placement.site_of[l2]) {
+                let edge = pick_swap(graph, &mut prices, &placement, (l1, l2), &upcoming[..len]);
+                ladders.push(Ladder {
+                    before: index,
+                    sites: edge,
+                });
                 placement.swap_sites(edge.0, edge.1);
             }
         }
-        out.push(gate.map_qudits(|q| QuditId::new(placement.site_of[q.index()])))
-            .expect("remapped gates stay valid on the site register");
+
+        // The epilogue: undo the final permutation.
+        let identity: Vec<usize> = (0..sites).collect();
+        drive_to_placement(&mut ladders, gates.len(), graph, &mut placement, &identity);
+        Ok(Routing { sites, ladders })
     }
 
-    // The epilogue: undo the final permutation.
-    let identity: Vec<usize> = (0..sites).collect();
-    drive_to_placement(&mut out, graph, &mut placement, &identity);
-    Ok(out)
+    /// Writes the routed circuit into an output sized once (see the type
+    /// docs); with no ladder the input's gates move through untouched.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QuditError::IncompatibleCircuits`] when the routing does not
+    /// fit `circuit`: fewer sites than its width, or a ladder out of order,
+    /// past its last gate or on sites that are equal or outside the
+    /// register.
+    pub fn apply(&self, circuit: Circuit) -> Result<Circuit> {
+        let (dimension, sites, len) = (circuit.dimension(), self.sites, circuit.len());
+        let mut previous = 0;
+        for ladder in &self.ladders {
+            let (a, b) = ladder.sites;
+            if ladder.before < previous || ladder.before > len || a == b || a.max(b) >= sites {
+                return Err(QuditError::IncompatibleCircuits {
+                    reason: format!(
+                        "ladder {ladder:?} does not fit a {len}-gate circuit over {sites} sites"
+                    ),
+                });
+            }
+            previous = ladder.before;
+        }
+        if sites < circuit.width() {
+            return Err(QuditError::TopologyTooSmall {
+                sites,
+                minimum: circuit.width(),
+            });
+        }
+        if self.ladders.is_empty() {
+            return Ok(if circuit.width() == sites {
+                circuit
+            } else {
+                Circuit::from_valid_gates(dimension, sites, circuit.into_gates())
+            });
+        }
+        let template = wire_swap(dimension, 0, 1);
+        let mut placement = Placement::identity(sites);
+        let mut out = Vec::with_capacity(len + SWAP_LADDER_GATES * self.ladders.len());
+        let mut ladders = self.ladders.iter().peekable();
+        for index in 0..=len {
+            while let Some(ladder) = ladders.next_if(|ladder| ladder.before == index) {
+                let ends = [ladder.sites.0, ladder.sites.1];
+                let on_ends = |q: QuditId| QuditId::new(ends[q.index()]);
+                out.extend(template.iter().map(|gate| gate.map_qudits(on_ends)));
+                placement.swap_sites(ends[0], ends[1]);
+            }
+            if let Some(gate) = circuit.gates().get(index) {
+                out.push(gate.map_qudits(|q| QuditId::new(placement.site_of[q.index()])));
+            }
+        }
+        // Each gate is a valid gate of the input, or of the ladder on two
+        // distinct sites, relabelled injectively into the site register.
+        Ok(Circuit::from_valid_gates(dimension, sites, out))
+    }
+}
+
+/// The weighted cost of the ladder on each candidate edge, priced once per
+/// edge and routing.
+struct LadderPrices<'a> {
+    cost: &'a dyn CostModel,
+    known: HashMap<(usize, usize), f64>,
+}
+
+impl<'a> LadderPrices<'a> {
+    fn new(cost: &'a dyn CostModel) -> Self {
+        LadderPrices {
+            cost,
+            known: HashMap::new(),
+        }
+    }
+
+    /// The cost of the ladder on `(u, v)`; with per-gate-kind weights this
+    /// is edge-independent, but it keeps the tie order under the configured
+    /// objective.
+    fn of(&mut self, u: usize, v: usize) -> f64 {
+        let cost = self.cost;
+        *self.known.entry((u, v)).or_insert_with(|| {
+            let probe = Dimension::new(2).expect("2 is a valid dimension");
+            wire_swap(probe, u, v)
+                .iter()
+                .map(|g| cost.gate_cost(g))
+                .sum()
+        })
+    }
 }
 
 /// Picks the swap edge for the current non-adjacent gate: among the edges
@@ -542,14 +665,13 @@ pub fn route_circuit(
 /// the candidate ladder's weighted cost, then on the edge itself.
 fn pick_swap(
     graph: &CouplingGraph,
-    cost: &dyn CostModel,
+    prices: &mut LadderPrices<'_>,
     placement: &Placement,
     current: (usize, usize),
-    upcoming: &[Option<(usize, usize)>],
+    upcoming: &[(usize, usize)],
 ) -> (usize, usize) {
     let (a, b) = (placement.site_of[current.0], placement.site_of[current.1]);
     let distance_now = graph.distance(a, b);
-    let dimension_probe = Dimension::new(2).expect("2 is a valid dimension");
     let mut best: Option<((usize, usize), f64, f64)> = None;
     for &u in &[a, b] {
         for &v in graph.neighbors(u) {
@@ -568,18 +690,12 @@ fn pick_swap(
             }
             let mut score = after as f64;
             let mut decay = 1.0;
-            for pair in upcoming.iter().flatten().take(LOOKAHEAD) {
+            for pair in upcoming {
                 decay *= LOOKAHEAD_DECAY;
                 let (s1, s2) = (placement.site_of[pair.0], placement.site_of[pair.1]);
                 score += decay * graph.distance(moved(s1), moved(s2)) as f64;
             }
-            // The candidate ladder's weighted cost; with per-gate-kind
-            // weights this is edge-independent, but it keeps the tie order
-            // under the configured objective.
-            let ladder_cost: f64 = wire_swap(dimension_probe, u, v)
-                .iter()
-                .map(|g| cost.gate_cost(g))
-                .sum();
+            let ladder_cost = prices.of(u, v);
             let candidate = ((u.min(v), u.max(v)), score, ladder_cost);
             let better = match &best {
                 None => true,
@@ -622,6 +738,12 @@ impl Pass for RoutePass {
 
     fn run(&self, circuit: Circuit) -> Result<Circuit> {
         route_circuit(circuit, &self.graph, self.cost.as_ref())
+    }
+
+    fn rewrite(&self, circuit: &Circuit) -> Option<Rewrite> {
+        Routing::plan(circuit, &self.graph, self.cost.as_ref())
+            .ok()
+            .map(Rewrite::Route)
     }
 }
 
@@ -794,6 +916,47 @@ mod tests {
         assert!((noisy.circuit_cost(&circuit) - 16.0).abs() < 1e-12);
         assert_eq!(noisy.name(), "noise-aware");
         assert_eq!(UniformCost.name(), "uniform");
+    }
+
+    #[test]
+    fn rewrites_that_do_not_fit_their_circuit_are_typed_errors() {
+        let circuit = far_apart_circuit(dim(3), 4);
+        let len = circuit.len();
+        let ladder = |before, sites| Ladder { before, sites };
+        for ladders in [
+            vec![ladder(0, (1, 1))],
+            vec![ladder(0, (0, 4))],
+            vec![ladder(len + 1, (0, 1))],
+            vec![ladder(2, (0, 1)), ladder(1, (1, 2))],
+        ] {
+            let routing = Rewrite::Route(Routing { sites: 4, ladders });
+            assert!(matches!(
+                routing.apply(circuit.clone()),
+                Err(QuditError::IncompatibleCircuits { .. })
+            ));
+        }
+        let narrow = Rewrite::Route(Routing {
+            sites: 3,
+            ladders: Vec::new(),
+        });
+        assert!(matches!(
+            narrow.apply(circuit.clone()),
+            Err(QuditError::TopologyTooSmall { .. })
+        ));
+        for pairs in [vec![(1, 1)], vec![(0, len)], vec![(0, 1), (1, 2)]] {
+            assert!(matches!(
+                Rewrite::Cancel(pairs).apply(circuit.clone()),
+                Err(QuditError::IncompatibleCircuits { .. })
+            ));
+        }
+        // A planned routing applies to exactly what `route_circuit` returns.
+        let graph = CouplingGraph::linear(4).unwrap();
+        let routing = Routing::plan(&circuit, &graph, &UniformCost).unwrap();
+        assert!(!routing.ladders.is_empty());
+        assert_eq!(
+            Rewrite::Route(routing).apply(circuit.clone()).unwrap(),
+            route_circuit(circuit, &graph, &UniformCost).unwrap()
+        );
     }
 
     #[test]

@@ -6,18 +6,25 @@
 //! any register width:
 //!
 //! * a lowering pass that exposes its per-gate walk ([`Pass::gate_walk`]) is
-//!   driven gate by gate, and each distinct (gate, expansion) shape — wires
-//!   relabelled in first-use order, a borrowed ancilla included — is proved
-//!   once per run by sweeping the basis of its own (at most four) wires;
-//! * an output that is the input routed through `route::wire_swap` ladders
-//!   is un-routed with a running wire map (the ladder is proved a SWAP once,
-//!   on two wires);
-//! * an output that is the input with inverse pairs removed is matched pair
-//!   by pair: the pairs must nest as adjacent brackets on every wire they
-//!   touch, and each is proved inverse on its own wires.
+//!   driven gate by gate into an output sized once from the walk's count,
+//!   and each distinct (gate, expansion) shape — wires relabelled in
+//!   first-use order, a borrowed ancilla included — is proved once per run
+//!   by sweeping the basis of its own (at most four) wires;
+//! * a pass that hands over its rewrite ([`Pass::rewrite`]:
+//!   `cancel-inverse-pairs` its removed pairs, `route` its
+//!   `route::wire_swap` ladders) has it applied here, to the input the
+//!   wrapper owns: removed pairs must nest as adjacent brackets on every
+//!   wire they touch, each proved inverse on its own wires, and the kept
+//!   gates move in place; ladders (the ladder proved a SWAP once, on two
+//!   wires) swap a running wire map through which every input gate is
+//!   remapped, and the map must end as the identity;
+//! * any other pass runs on a copy of its input, and an output that is the
+//!   input with inverse pairs removed is matched pair by pair as above.
 //!
-//! No rule of the passes being checked (`Gate::is_inverse_of`, the
-//! commutation oracle) is trusted.  A successful structural proof implies
+//! So the lowering, cancellation and routing stages are checked without a
+//! copy of their input.  No rule of the passes being checked
+//! (`Gate::is_inverse_of`, the commutation oracle, the router's choice of
+//! ladders) is trusted.  A successful structural proof implies
 //! exact equivalence, so the global check below would also accept.  When a
 //! proof fails or does not apply (a non-classical circuit, a pass with no
 //! such structure, such as `gate-fusion` or a custom closure), the input and
@@ -97,7 +104,7 @@ pub enum SimBackend {
 /// input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Proof {
-    /// Proved from the rewrite's structure — per-gate lowering, un-routing
+    /// Proved from the rewrite's structure — per-gate lowering, routing
     /// through SWAP ladders or inverse-pair removal — with every local
     /// claim settled on the basis of its own wires.  Exact at any width.
     Structural,
@@ -216,12 +223,13 @@ impl VerifyEquivalence {
     /// and how it was shown equivalent to the input.
     ///
     /// A pass that exposes its per-gate walk ([`Pass::gate_walk`]) is
-    /// driven through it here, so each gate's rewrite is proved locally.
-    /// Otherwise, or when a local proof fails, the pass runs as usual and a
-    /// classical output is first matched against its input as routed
-    /// through SWAP ladders or with inverse pairs removed; only when that
-    /// fails too does the global check of the module docs run, and its
-    /// verdict and witness are the ones reported.
+    /// driven through it here, so each gate's rewrite is proved locally; a
+    /// pass that hands over its rewrite ([`Pass::rewrite`]) has it
+    /// proved and applied here, to `circuit` itself.  Otherwise, or when a
+    /// local proof fails, the pass runs as usual on a copy of `circuit` and
+    /// a classical output is first matched against its input with inverse
+    /// pairs removed; only when that fails too does the global check of the
+    /// module docs run, and its verdict and witness are the ones reported.
     ///
     /// # Errors
     ///
@@ -255,8 +263,16 @@ impl VerifyEquivalence {
                 return Ok((output, Proof::Structural));
             }
         }
+        let circuit = match self.inner.rewrite(&circuit) {
+            Some(rewrite) => match structural::applied(&rewrite, circuit) {
+                Ok(output) => return Ok((output, Proof::Structural)),
+                Err(circuit) => circuit,
+            },
+            None => circuit,
+        };
+        // Only a pass without a proved rewrite pays for a copy of its input.
         let output = self.inner.run(circuit.clone())?;
-        if structural::rewrites(&circuit, &output) {
+        if structural::removes_pairs(&circuit, &output) {
             return Ok((output, Proof::Structural));
         }
         let proof = self.check_globally(&circuit, &output)?;
@@ -274,7 +290,8 @@ impl VerifyEquivalence {
             )));
         }
         let dimension = before.dimension();
-        let size = dimension.register_size(before.width());
+        // `None` when `d^width` overflows: far past every exhaustive bound.
+        let size = dimension.checked_register_size(before.width());
         // Tableau fast path: when both circuits are all-Clifford over a
         // prime dimension, their stabilizer tableaus compare exactly (up to
         // global phase) in `O(gates · width²)` — independent of `d^width`,
@@ -295,7 +312,7 @@ impl VerifyEquivalence {
             return Ok(Proof::Tableau);
         }
         if before.is_classical() && after.is_classical() {
-            let (witness, proof) = if size <= self.max_exhaustive_states {
+            let (witness, proof) = if size.is_some_and(|size| size <= self.max_exhaustive_states) {
                 (exhaustive_witness(before, after)?, Proof::Exhaustive)
             } else {
                 (
@@ -309,7 +326,7 @@ impl VerifyEquivalence {
                 )));
             }
             Ok(proof)
-        } else if size <= MAX_UNITARY_STATES {
+        } else if size.is_some_and(|size| size <= MAX_UNITARY_STATES) {
             let before_unitary = circuit_unitary(before)?;
             let after_unitary = circuit_unitary(after)?;
             if !before_unitary.approx_eq_up_to_phase(&after_unitary, MATRIX_TOLERANCE.max(1e-7)) {
@@ -318,7 +335,7 @@ impl VerifyEquivalence {
                 ));
             }
             Ok(Proof::Unitary)
-        } else if size <= MAX_SAMPLED_STATEVECTOR_STATES {
+        } else if let Some(size) = size.filter(|&size| size <= MAX_SAMPLED_STATEVECTOR_STATES) {
             // Apply both circuits to random *dense* states and require unit
             // fidelity.  A dense input mixes every column of the unitary, so
             // a relative (per-basis-state) phase change — invisible to
@@ -352,8 +369,12 @@ impl VerifyEquivalence {
             }
             Ok(Proof::DenseSampled(samples))
         } else {
+            let states = size.map_or_else(
+                || format!("{dimension}^{}", before.width()),
+                |size| size.to_string(),
+            );
             Err(self.fail(format!(
-                "cannot verify a non-classical circuit over {size} basis states; \
+                "cannot verify a non-classical circuit over {states} basis states; \
                  register is too large for state-vector comparison"
             )))
         }

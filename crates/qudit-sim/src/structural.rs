@@ -1,32 +1,40 @@
 //! Structural equivalence proofs for classical pipeline stages.
 //!
 //! The paper's constructions are local rewrites, so a stage's output can be
-//! proved equivalent to its input without simulating either circuit whole:
+//! proved equivalent to its input without simulating either circuit whole.
+//! Three stages hand the checker their rewrite, and the checker applies it
+//! to the input it owns, proving each step — no stage's input is copied:
 //!
 //! * **lowering** ([`lowered`]) — a pass that exposes its per-gate walk
 //!   ([`Pass::gate_walk`](qudit_core::pipeline::Pass::gate_walk)) is driven
-//!   gate by gate; each distinct (gate, expansion) shape, with wires
-//!   relabelled in first-use order, is proved once by sweeping the basis of
-//!   its own wires (a borrowed ancilla among them, which must come back
-//!   restored);
-//! * **routing** ([`unroutes`]) — the output is walked with a running
-//!   site→wire map: every [`wire_swap`] ladder swaps the map (the ladder is
-//!   proved a SWAP once, on two wires), every other gate mapped back must
-//!   be the next input gate, and the map must end as the identity;
-//! * **cancellation** ([`cancels`]) — the output must be the input with
-//!   pairs removed that nest as adjacent brackets on every wire they touch,
-//!   each pair proved inverse by sweeping its wires.
+//!   gate by gate into an output sized once from the walk's count; each
+//!   distinct (gate, expansion) shape, with wires relabelled in first-use
+//!   order, is proved once by sweeping the basis of its own wires (a
+//!   borrowed ancilla among them, which must come back restored);
+//! * **cancellation** ([`applied`] on a
+//!   [`Rewrite::Cancel`]) — the removed pairs must nest as adjacent
+//!   brackets on every wire they touch, each pair proved inverse by
+//!   sweeping its wires; the kept gates then move in place;
+//! * **routing** ([`applied`] on a [`Rewrite::Route`]) — the output is
+//!   written with a running site→wire map: every ladder is the
+//!   [`wire_swap`] ladder, proved a SWAP once on two wires and relabelled
+//!   onto its sites, and swaps the map; every input gate is remapped
+//!   through the map, which must end as the identity.
+//!
+//! A pass that hands over nothing (`gate-fusion`, a custom closure) is run
+//! as usual, and its output is matched against the input as the input with
+//! inverse pairs removed ([`removes_pairs`]), proved the same way.
 //!
 //! Every claim is settled by brute force on at most [`MAX_LOCAL_WIRES`]
 //! wires, memoised per canonical shape for the length of one check; no rule
-//! of the rewriting passes (such as `Gate::is_inverse_of` or the
-//! commutation oracle) is trusted.  A `false`/`None` answer proves nothing:
-//! the caller falls back to the global check.
+//! of the rewriting passes (such as `Gate::is_inverse_of`, the commutation
+//! oracle or the router's choice of ladders) is trusted.  A failed proof
+//! proves nothing: the caller falls back to the global check.
 
 use std::collections::HashMap;
 
-use qudit_core::pipeline::GateWalk;
-use qudit_core::route::wire_swap;
+use qudit_core::pipeline::{GateWalk, Rewrite};
+use qudit_core::route::{wire_swap, Ladder, Routing};
 use qudit_core::{Circuit, ControlPredicate, Dimension, Gate, GateOp, QuditId, SingleQuditOp};
 
 use crate::basis::{exhaustive_witness, BasisBatch};
@@ -41,13 +49,15 @@ const UNLABELLED: u32 = u32::MAX;
 
 /// Drives `walk` over `circuit` and returns its output when every gate's
 /// expansion is proved equivalent to the gate; `None` when a proof fails,
-/// the walk errors, or the circuit is not classical.
+/// the walk errors, or the circuit is not classical.  The output is sized
+/// once, from the walk's own count.
 pub(crate) fn lowered(mut walk: Box<dyn GateWalk>, circuit: &Circuit) -> Option<Circuit> {
     if !circuit.is_classical() {
         return None;
     }
     let mut proofs = LocalProofs::new(circuit.dimension(), circuit.width());
-    let mut out = Vec::with_capacity(circuit.len());
+    let total = circuit.gates().iter().map(|gate| walk.count(gate)).sum();
+    let mut out = Vec::with_capacity(total);
     for gate in circuit.gates() {
         let start = out.len();
         walk.emit(gate, &mut out).ok()?;
@@ -56,66 +66,140 @@ pub(crate) fn lowered(mut walk: Box<dyn GateWalk>, circuit: &Circuit) -> Option<
             return None;
         }
     }
-    Circuit::from_gates(circuit.dimension(), circuit.width(), out).ok()
+    // Every emitted gate is the input gate itself or was matched wire for
+    // wire, injectively into the register, against a proved expansion whose
+    // gates were validated when it was swept.
+    Some(Circuit::from_valid_gates(
+        circuit.dimension(),
+        circuit.width(),
+        out,
+    ))
 }
 
-/// Whether `after` is `before` rewritten by SWAP ladders or by inverse-pair
-/// removal on the same register — each proved as described in the module
-/// docs, which also shows both circuits classical.
-pub(crate) fn rewrites(before: &Circuit, after: &Circuit) -> bool {
-    if after.dimension() != before.dimension() || after.width() != before.width() {
-        return false;
-    }
-    if after.len() >= before.len() {
-        unroutes(before, after)
-    } else {
-        cancels(before, after)
+/// Applies `rewrite` to `circuit`, proving each step as described in the
+/// module docs; the input comes back as the error when a proof fails.  The
+/// proofs also show the circuit classical.
+pub(crate) fn applied(rewrite: &Rewrite, circuit: Circuit) -> Result<Circuit, Circuit> {
+    match rewrite {
+        Rewrite::Cancel(pairs) => cancelled(pairs, circuit),
+        Rewrite::Route(routing) => routed(routing, circuit),
     }
 }
 
-/// Un-routes `after` into `before` (see the module docs).  Every gate that
-/// is not a ladder is checked classical as it is matched, so a `true`
-/// answer also says both circuits are classical.
-fn unroutes(before: &Circuit, after: &Circuit) -> bool {
-    let (dimension, width) = (before.dimension(), before.width());
+/// Removes `pairs` from `circuit` in place once they are proved to nest as
+/// adjacent brackets on every wire they touch, each an inverse pair, with
+/// every kept gate classical.
+fn cancelled(pairs: &[(usize, usize)], mut circuit: Circuit) -> Result<Circuit, Circuit> {
+    let mut removed = vec![false; circuit.len()];
+    for &(first, second) in pairs {
+        if first >= second || second >= removed.len() || removed[first] || removed[second] {
+            return Err(circuit);
+        }
+        removed[first] = true;
+        removed[second] = true;
+    }
+    let gates = circuit.gates();
+    let mut proofs = LocalProofs::new(circuit.dimension(), circuit.width());
+    // Per wire, the open removed gates on it, innermost last; a kept gate
+    // is a wall no bracket may span.
+    let mut open: Vec<Vec<usize>> = vec![Vec::new(); circuit.width()];
+    let mut closing = pairs.iter().peekable();
+    let mut wires = Vec::new();
+    for (index, gate) in gates.iter().enumerate() {
+        wires.clear();
+        wires.extend(gate.support().map(QuditId::index));
+        let proved = if !removed[index] {
+            gate.is_classical() && wires.iter().all(|&q| open[q].is_empty())
+        } else if let Some(&(opener, _)) = closing.next_if(|&&(_, second)| second == index) {
+            let closes = gates[opener].arity() == wires.len()
+                && wires.iter().all(|&q| open[q].last() == Some(&opener))
+                && proofs.inverse_pair(&gates[opener], gate);
+            for &q in &wires {
+                open[q].pop();
+            }
+            closes
+        } else {
+            for &q in &wires {
+                open[q].push(index);
+            }
+            true
+        };
+        if !proved {
+            return Err(circuit);
+        }
+    }
+    if closing.next().is_some() || !open.iter().all(Vec::is_empty) {
+        return Err(circuit);
+    }
+    let mut index = 0;
+    circuit.retain(|_| {
+        index += 1;
+        !removed[index - 1]
+    });
+    Ok(circuit)
+}
+
+/// Writes `routing` of `circuit` with a running site→wire map: every
+/// ladder is the [`wire_swap`] ladder proved a SWAP on two wires,
+/// relabelled onto its sites, and swaps the map; every input gate is
+/// remapped through it, and the map must end as the identity.
+fn routed(routing: &Routing, circuit: Circuit) -> Result<Circuit, Circuit> {
+    let (dimension, width, len) = (circuit.dimension(), circuit.width(), circuit.len());
+    if routing.sites != width || !circuit.is_classical() {
+        return Err(circuit);
+    }
+    if routing.ladders.is_empty() {
+        return Ok(circuit);
+    }
     let ladder = wire_swap(dimension, 0, 1);
-    let mut ladder_proved = false;
+    if !swaps_two_wires(dimension, &ladder) {
+        return Err(circuit);
+    }
     // `site_of[wire]` holds the site the input wire currently lives on,
     // `wire_at[site]` its inverse.
     let mut site_of: Vec<usize> = (0..width).collect();
     let mut wire_at: Vec<usize> = (0..width).collect();
-    let mut pending = before.gates().iter();
-    let mut gates = after.gates();
-    while let Some(gate) = gates.first() {
-        if let Some((a, b)) = ladder_sites(gates, &ladder) {
-            if !ladder_proved {
-                if !swaps_two_wires(dimension, &ladder) {
-                    return false;
-                }
-                ladder_proved = true;
+    let mut out = Vec::with_capacity(len + ladder.len() * routing.ladders.len());
+    let mut ladders = routing.ladders.iter().peekable();
+    for index in 0..=len {
+        while let Some(&Ladder { sites: (a, b), .. }) = ladders.next_if(|l| l.before == index) {
+            if a == b || a.max(b) >= width {
+                return Err(circuit);
             }
+            let ends = [a, b];
+            out.extend(
+                ladder
+                    .iter()
+                    .map(|gate| gate.map_qudits(|q| QuditId::new(ends[q.index()]))),
+            );
             wire_at.swap(a, b);
             site_of[wire_at[a]] = a;
             site_of[wire_at[b]] = b;
-            gates = &gates[ladder.len()..];
-            continue;
         }
-        match pending.next() {
-            Some(expected)
-                if gate.is_classical()
-                    && same_gate(gate, expected, |q, r| q.index() == site_of[r.index()]) => {}
-            _ => return false,
+        if let Some(gate) = circuit.gates().get(index) {
+            out.push(gate.map_qudits(|q| QuditId::new(site_of[q.index()])));
         }
-        gates = &gates[1..];
     }
-    pending.next().is_none() && site_of.iter().enumerate().all(|(wire, &site)| wire == site)
+    if ladders.next().is_some() || site_of.iter().enumerate().any(|(wire, &site)| wire != site) {
+        return Err(circuit);
+    }
+    // Input gates and the validated ladder, relabelled by bijections of
+    // the register.
+    Ok(Circuit::from_valid_gates(dimension, width, out))
 }
 
-/// Matches `after` as `before` with inverse pairs removed (see the module
-/// docs).  Kept gates are checked classical as they are matched, and a
-/// removed pair is proved on the basis, so a `true` answer also says both
-/// circuits are classical.
-fn cancels(before: &Circuit, after: &Circuit) -> bool {
+/// Whether `after` is `before` with inverse pairs removed, for a pass that
+/// hands over no [`Rewrite`] (such as `gate-fusion` when it only drops
+/// pairs, or a pass that returns its input): the pairs are found by
+/// matching `after` against `before` and proved as in [`cancelled`].  A
+/// `true` answer also says both circuits are classical.
+pub(crate) fn removes_pairs(before: &Circuit, after: &Circuit) -> bool {
+    if after.dimension() != before.dimension()
+        || after.width() != before.width()
+        || after.len() > before.len()
+    {
+        return false;
+    }
     let width = before.width();
     let mut proofs = LocalProofs::new(before.dimension(), width);
     // Per wire, the open gates on it (removed, waiting for their partner),
@@ -152,26 +236,6 @@ fn cancels(before: &Circuit, after: &Circuit) -> bool {
         }
     }
     kept.next().is_none() && open.iter().all(Vec::is_empty)
-}
-
-/// The sites `(a, b)` when `gates` opens with the ladder `wire_swap(d, a,
-/// b)` (`ladder` is `wire_swap(d, 0, 1)`).
-fn ladder_sites(gates: &[Gate], ladder: &[Gate]) -> Option<(usize, usize)> {
-    let first = gates.first()?;
-    let GateOp::AddFrom {
-        source,
-        negate: false,
-    } = first.op()
-    else {
-        return None;
-    };
-    let (a, b) = (source.index(), first.target().index());
-    let sites = [a, b];
-    (gates.len() >= ladder.len()
-        && gates.iter().zip(ladder).all(|(gate, reference)| {
-            same_gate(gate, reference, |q, r| q.index() == sites[r.index()])
-        }))
-    .then_some((a, b))
 }
 
 /// Whether `gate` equals `reference` up to its wires, with each pair of

@@ -7,8 +7,11 @@
 //!   ancilla.
 //!
 //! Both gadgets produce gates with **at most one control**, so the result can
-//! be lowered to G-gates by `qudit_core::lowering`.
+//! be lowered to G-gates by `qudit_core::lowering`.  They write into any
+//! [`GateSink`]: a gate vector, or a `Tally` that counts the gates to size
+//! the vector first.
 
+use qudit_core::pipeline::GateSink;
 use qudit_core::{Control, Dimension, Gate, QuditError, QuditId, Result, SingleQuditOp};
 
 /// Appends the Fig. 5 gadget to `out`: `|0⟩(c1)|0⟩(c2)-Xij` on `target` for
@@ -28,7 +31,7 @@ pub fn two_controlled_swap_odd(
     target: QuditId,
     i: u32,
     j: u32,
-    out: &mut Vec<Gate>,
+    out: &mut impl GateSink,
 ) -> Result<()> {
     if dimension.get() < 3 {
         return Err(QuditError::DimensionTooSmall {
@@ -46,13 +49,23 @@ pub fn two_controlled_swap_odd(
     }
     let d = dimension.get();
     let swap = SingleQuditOp::swap(dimension, i, j)?;
-    out.extend([
-        Gate::controlled(swap.clone(), target, [Control::zero(c1)]),
-        Gate::controlled(SingleQuditOp::Add(1), c2, [Control::zero(c1)]),
-        Gate::controlled(swap.clone(), target, [Control::even_nonzero(c2)]),
-        Gate::controlled(SingleQuditOp::Add(d - 1), c2, [Control::zero(c1)]),
-        Gate::controlled(swap, target, [Control::even_nonzero(c2)]),
-    ]);
+    out.push(Gate::controlled(swap.clone(), target, [Control::zero(c1)]));
+    out.push(Gate::controlled(
+        SingleQuditOp::Add(1),
+        c2,
+        [Control::zero(c1)],
+    ));
+    out.push(Gate::controlled(
+        swap.clone(),
+        target,
+        [Control::even_nonzero(c2)],
+    ));
+    out.push(Gate::controlled(
+        SingleQuditOp::Add(d - 1),
+        c2,
+        [Control::zero(c1)],
+    ));
+    out.push(Gate::controlled(swap, target, [Control::even_nonzero(c2)]));
     Ok(())
 }
 
@@ -68,7 +81,7 @@ pub fn two_controlled_swap_odd(
 /// Returns an error when `d` is odd or smaller than 4, or when the borrowed
 /// qudit coincides with one of the other three qudits.
 #[allow(clippy::too_many_arguments)]
-pub fn two_controlled_swap_even(
+pub fn two_controlled_swap_even<S: GateSink>(
     dimension: Dimension,
     c1: QuditId,
     c2: QuditId,
@@ -76,7 +89,7 @@ pub fn two_controlled_swap_even(
     i: u32,
     j: u32,
     borrowed: QuditId,
-    out: &mut Vec<Gate>,
+    out: &mut S,
 ) -> Result<()> {
     if dimension.is_odd() {
         return Err(QuditError::CannotLower {
@@ -99,7 +112,7 @@ pub fn two_controlled_swap_even(
         });
     }
     let swap = SingleQuditOp::swap(dimension, i, j)?;
-    let block = |gates: &mut Vec<Gate>| {
+    let block = |gates: &mut S| {
         // 1–3: conditionally move |0⟩ of c1 out of the way based on c2 and the
         // parity of the borrowed ancilla.
         gates.push(Gate::controlled(

@@ -22,6 +22,7 @@
 //!   expands into one two-controlled shift per source level.
 
 use qudit_core::lowering::Transpositions;
+use qudit_core::pipeline::{GateSink, Tally};
 use qudit_core::{
     Circuit, Control, ControlPredicate, Dimension, Gate, GateOp, Permutation, QuditError, QuditId,
     Result, SingleQuditOp,
@@ -45,11 +46,19 @@ use crate::gadgets::{two_controlled_swap_even, two_controlled_swap_odd};
 /// controls.
 pub fn lower_to_elementary(circuit: &Circuit) -> Result<Circuit> {
     let mut walk = ElementaryWalk::new(circuit.dimension(), circuit.width());
-    let mut gates = Vec::with_capacity(circuit.len());
+    let total = circuit.gates().iter().map(|gate| walk.count(gate)).sum();
+    let mut gates = Vec::with_capacity(total);
     for gate in circuit.gates() {
         walk.expand(gate, &mut gates)?;
     }
-    Circuit::from_gates(circuit.dimension(), circuit.width(), gates)
+    // Every emitted gate acts on distinct wires of its source gate (or on
+    // the borrowed wire, chosen distinct from them) with levels below `d`,
+    // so it is valid for the input's register.
+    Ok(Circuit::from_valid_gates(
+        circuit.dimension(),
+        circuit.width(),
+        gates,
+    ))
 }
 
 /// One macro-to-elementary lowering walk over a register, with the level
@@ -84,11 +93,18 @@ impl ElementaryWalk {
         }
     }
 
+    /// The number of elementary gates `expand` writes for `gate` (0 when it
+    /// fails).
+    pub(crate) fn count(&mut self, gate: &Gate) -> usize {
+        let mut tally = Tally::default();
+        self.expand(gate, &mut tally).map_or(0, |()| tally.0)
+    }
+
     /// Emits the elementary gates of `gate` into `out`.
-    pub(crate) fn expand(&mut self, gate: &Gate, out: &mut Vec<Gate>) -> Result<()> {
+    pub(crate) fn expand(&mut self, gate: &Gate, out: &mut impl GateSink) -> Result<()> {
         match (gate.controls(), gate.op()) {
             // Already elementary.
-            ([] | [_], GateOp::Single(_)) | ([], GateOp::AddFrom { .. }) => out.push(gate.clone()),
+            ([] | [_], GateOp::Single(_)) | ([], GateOp::AddFrom { .. }) => out.push_copy(gate),
             // |⋆⟩-X±⋆ with one further control at odd d: the commutator of
             // the module docs, m₂ and m₂⁻¹ as controlled transpositions.
             (&[control], &GateOp::AddFrom { source, negate }) if self.dimension.is_odd() => {
@@ -101,9 +117,13 @@ impl ElementaryWalk {
                     Gate::controlled(SingleQuditOp::Swap(i, j), source, [control])
                 };
                 out.push(Gate::add_from(source, !negate, target, []));
-                out.extend(doubling.iter().map(controlled_swap));
+                for pair in doubling.iter() {
+                    out.push(controlled_swap(pair));
+                }
                 out.push(Gate::add_from(source, negate, target, []));
-                out.extend(doubling.iter().rev().map(controlled_swap));
+                for pair in doubling.iter().rev() {
+                    out.push(controlled_swap(pair));
+                }
             }
             // At even d, expand the star into one two-controlled shift per
             // source level.
@@ -146,7 +166,7 @@ impl ElementaryWalk {
         target: QuditId,
         c1: Control,
         c2: Control,
-        out: &mut Vec<Gate>,
+        out: &mut impl GateSink,
     ) -> Result<()> {
         let levels = self.dimension.levels();
         let (l1, l2) = match (c1.predicate, c2.predicate) {

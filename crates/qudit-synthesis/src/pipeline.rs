@@ -72,6 +72,10 @@ impl GateWalk for ElementaryWalk {
     fn emit(&mut self, gate: &Gate, out: &mut Vec<Gate>) -> qudit_core::Result<()> {
         self.expand(gate, out).map_err(pass_error)
     }
+
+    fn count(&mut self, gate: &Gate) -> usize {
+        ElementaryWalk::count(self, gate)
+    }
 }
 
 #[cfg(test)]

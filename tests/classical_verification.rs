@@ -7,12 +7,16 @@
 //! messages below are pinned byte-for-byte, for a single run and for the
 //! same job inside a 4-worker batch (the one level that fans out), where
 //! the first failing job in input order decides the batch's error.
+//!
+//! A register whose basis overflows `usize` takes the sampled path: a
+//! verified O2 compile of the d = 4, k = 30 k-Toffoli (width 32, 4^32 =
+//! 2^64 states) verifies instead of panicking on the register size.
 
-use qudit_core::pipeline::{pass_fn, Pass, PassManager};
+use qudit_core::pipeline::{pass_fn, Pass, PassManager, ScheduleDepth};
 use qudit_core::pool::WorkStealingPool;
 use qudit_core::{Circuit, Control, Dimension, Gate, QuditError, QuditId, SingleQuditOp};
-use qudit_sim::VerifyEquivalence;
-use qudit_synthesis::{CompileOptions, KToffoli};
+use qudit_sim::{Proof, VerifyEquivalence};
+use qudit_synthesis::{CompileOptions, KToffoli, OptLevel, Verify};
 
 /// The G-gate lowering of the `(d, k = 4)` k-Toffoli on a width-6 register
 /// (4 096 basis states at d = 4, exhaustive; 15 625 at d = 5, sampled).
@@ -205,4 +209,30 @@ fn wide_lane_sampled_path_pins_its_witness() {
         failure(circuit, drop_middle_gate(), VerifyEquivalence::wrap),
         "drop-middle: output circuit is not equivalent to its input (basis state [33, 186])"
     );
+}
+
+#[test]
+fn registers_past_usize_take_the_sampled_path() {
+    let dimension = Dimension::new(4).unwrap();
+    let synthesis = KToffoli::new(dimension, 30).unwrap().synthesize().unwrap();
+    let width = synthesis.circuit().width();
+    assert_eq!(4usize.checked_pow(width as u32), None, "width {width}");
+    let result = CompileOptions::new()
+        .opt_level(OptLevel::O2)
+        .verify(Verify::Exhaustive)
+        .compiler()
+        .compile(synthesis.circuit())
+        .unwrap();
+    assert!(result.verification.is_verified());
+
+    // `schedule-depth`, the stage with no structural proof, is the one that
+    // reaches the global check; its default limits sample 256 states.
+    let lowered = CompileOptions::new()
+        .compiler()
+        .compile(synthesis.circuit())
+        .unwrap()
+        .circuit;
+    let scheduled = VerifyEquivalence::wrap(Box::new(ScheduleDepth));
+    let (_, proof) = scheduled.run_with_proof(lowered).unwrap();
+    assert_eq!(proof, Proof::Sampled(256));
 }

@@ -8,15 +8,19 @@
 //! * witness parity — every single-gate mutation (delete, relevel,
 //!   retarget) of the lowered, cancelled and routed k-Toffoli (d ∈ {3, 4},
 //!   k = 3) gets exactly the verdict and message of the global exhaustive
-//!   sweep;
+//!   sweep, and so does every mutated rewrite the cancellation and routing
+//!   stages hand the verifier (a removed pair that is not inverse or not
+//!   adjacent on every wire, a ladder on the wrong pair, a dropped epilogue
+//!   ladder), while the unmutated rewrites prove structurally and give the
+//!   bare stages' outputs;
 //! * routed circuits — un-routing agrees with a brute-force basis sweep on
 //!   every routed `sweep_verified` shape, and a dropped ladder gate is
 //!   rejected with the global sweep's witness.
 
 use qudit_core::pipeline::{
-    pass_fn, CancelInversePairs, GateFusion, GateWalk, LowerToGGates, Pass, ScheduleDepth,
+    pass_fn, CancelInversePairs, GateFusion, GateWalk, LowerToGGates, Pass, Rewrite, ScheduleDepth,
 };
-use qudit_core::route::RoutePass;
+use qudit_core::route::{Ladder, RoutePass, Routing};
 use qudit_core::topology::CouplingGraph;
 use qudit_core::{
     Circuit, Control, ControlPredicate, Dimension, Gate, GateOp, Permutation, QuditError, QuditId,
@@ -287,6 +291,12 @@ impl GateWalk for MutatedWalk {
         self.emitted += emitted;
         Ok(())
     }
+
+    /// The unmutated count: a deletion leaves it one above the emission,
+    /// which a bound allows.
+    fn count(&mut self, gate: &Gate) -> usize {
+        self.inner.count(gate)
+    }
 }
 
 impl Pass for MutatedLowering {
@@ -368,6 +378,180 @@ fn mutations_get_the_global_sweeps_verdict_and_witness() {
             rejected * 10 > total * 9,
             "d={d}: {rejected} of {total} rejected"
         );
+    }
+}
+
+/// A stage that hands the verifier a fixed rewrite, and whose `run` applies
+/// it, under the name of the stage it mutates.
+struct Rewritten {
+    name: &'static str,
+    rewrite: Rewrite,
+}
+
+impl Pass for Rewritten {
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    fn run(&self, circuit: Circuit) -> Result<Circuit> {
+        self.rewrite.apply(circuit)
+    }
+
+    fn rewrite(&self, _circuit: &Circuit) -> Option<Rewrite> {
+        Some(self.rewrite.clone())
+    }
+}
+
+/// The cancellation rewrites of `before` that break one of `pairs`: each
+/// pair re-partnered with the first kept gate after its opener (not an
+/// inverse, or not on the same wires), each pair's partner swapped with the
+/// next pair's (not nested), each kept gate added in a pair with the next
+/// gate on its wires when that one is kept on the same wires but is not its
+/// inverse (adjacent, not inverse), and each inverse pair of kept gates
+/// with a kept gate between them on a shared wire added (inverse, not
+/// adjacent).
+fn mutated_pairs(before: &Circuit, pairs: &[(usize, usize)]) -> Vec<Vec<(usize, usize)>> {
+    let mut removed = vec![false; before.len()];
+    for &(first, second) in pairs {
+        removed[first] = true;
+        removed[second] = true;
+    }
+    let sorted = |mut pairs: Vec<(usize, usize)>| {
+        pairs.sort_by_key(|&(_, second)| second);
+        pairs
+    };
+    let mut mutants = Vec::new();
+    for (p, &(first, _)) in pairs.iter().enumerate() {
+        if let Some(kept) = (first + 1..before.len()).find(|&i| !removed[i]) {
+            let mut mutant = pairs.to_vec();
+            mutant[p] = (first, kept);
+            mutants.push(sorted(mutant));
+        }
+        if let Some(&(next_first, next_second)) = pairs.get(p + 1) {
+            let (first, second) = pairs[p];
+            if next_first < second {
+                let mut mutant = pairs.to_vec();
+                mutant[p] = (first, next_second);
+                mutant[p + 1] = (next_first, second);
+                mutants.push(sorted(mutant));
+            }
+        }
+    }
+    let gates = before.gates();
+    let dimension = before.dimension();
+    let shares_a_wire = |a: &Gate, b: &Gate| a.support().any(|q| b.support().any(|r| r == q));
+    for i in (0..gates.len()).filter(|&i| !removed[i]) {
+        let next = (i + 1..gates.len()).find(|&j| shares_a_wire(&gates[i], &gates[j]));
+        if let Some(j) = next.filter(|&j| {
+            !removed[j]
+                && gates[j].arity() == gates[i].arity()
+                && gates[j]
+                    .support()
+                    .all(|q| gates[i].support().any(|r| r == q))
+                && gates[j] != gates[i].inverse(dimension)
+        }) {
+            let mut mutant = pairs.to_vec();
+            mutant.push((i, j));
+            mutants.push(sorted(mutant));
+        }
+        let partner = (i + 1..gates.len())
+            .filter(|&j| !removed[j])
+            .find(|&j| gates[j] == gates[i].inverse(dimension));
+        let Some(j) = partner else { continue };
+        let walled = (i + 1..j)
+            .any(|between| !removed[between] && shares_a_wire(&gates[i], &gates[between]));
+        if walled {
+            let mut mutant = pairs.to_vec();
+            mutant.push((i, j));
+            mutants.push(sorted(mutant));
+        }
+    }
+    mutants
+}
+
+/// The routings that break `routing`: each ladder moved onto the wrong
+/// pair (its first site with the next site it does not touch), and each
+/// epilogue ladder dropped.
+fn mutated_routings(routing: &Routing, len: usize) -> Vec<Routing> {
+    let sites = routing.sites;
+    let mut mutants = Vec::new();
+    for (l, ladder) in routing.ladders.iter().enumerate() {
+        let (a, b) = ladder.sites;
+        let c = (1..sites)
+            .map(|step| (a + step) % sites)
+            .find(|&c| c != b)
+            .unwrap();
+        let mut mutant = routing.clone();
+        mutant.ladders[l] = Ladder {
+            before: ladder.before,
+            sites: (a, c),
+        };
+        mutants.push(mutant);
+        if ladder.before == len {
+            let mut mutant = routing.clone();
+            mutant.ladders.remove(l);
+            mutants.push(mutant);
+        }
+    }
+    mutants
+}
+
+#[test]
+fn mutated_rewrites_get_the_global_sweeps_verdict_and_witness() {
+    for d in [3u32, 4] {
+        let elementary = LowerToElementary.run(toffoli(d, 3)).unwrap();
+        let width = elementary.width();
+        let lowered = LowerToGGates.run(elementary).unwrap();
+        let route = RoutePass::new(
+            CouplingGraph::linear(width).unwrap(),
+            std::sync::Arc::new(qudit_core::route::UniformCost),
+        );
+        let cancelled = CancelInversePairs.run(lowered.clone()).unwrap();
+        let stages: [(&'static str, &dyn Pass, &Circuit); 2] = [
+            ("cancel-inverse-pairs", &CancelInversePairs, &lowered),
+            ("route", &route, &cancelled),
+        ];
+        for (name, stage, before) in stages {
+            let rewrite = stage
+                .rewrite(before)
+                .expect("the stage hands over its rewrite");
+            let faithful = Rewritten {
+                name,
+                rewrite: rewrite.clone(),
+            };
+            let (output, proof) = VerifyEquivalence::wrap(Box::new(faithful))
+                .run_with_proof(before.clone())
+                .unwrap();
+            assert_eq!(proof, Proof::Structural, "d={d} {name}");
+            assert_eq!(output, stage.run(before.clone()).unwrap(), "d={d} {name}");
+
+            let mutants: Vec<Rewrite> = match &rewrite {
+                Rewrite::Cancel(pairs) => mutated_pairs(before, pairs)
+                    .into_iter()
+                    .map(Rewrite::Cancel)
+                    .collect(),
+                Rewrite::Route(routing) => mutated_routings(routing, before.len())
+                    .into_iter()
+                    .map(Rewrite::Route)
+                    .collect(),
+            };
+            assert!(
+                mutants.len() >= 10,
+                "d={d} {name}: {} mutants",
+                mutants.len()
+            );
+            let mut rejected = 0;
+            for (m, rewrite) in mutants.into_iter().enumerate() {
+                let mutated = rewrite.apply(before.clone()).unwrap();
+                let pass = Rewritten { name, rewrite };
+                let got =
+                    verdict(VerifyEquivalence::wrap(Box::new(pass)).run_with_proof(before.clone()));
+                let want = swept_verdict(name, before, &mutated);
+                assert_eq!(got, want, "d={d} {name} mutant {m}");
+                rejected += usize::from(got.is_err());
+            }
+            assert!(rejected > 0, "d={d} {name}: no mutant was rejected");
+        }
     }
 }
 
