@@ -540,7 +540,7 @@ impl Routing {
         let target = greedy_placement(circuit, graph);
         drive_to_placement(&mut ladders, 0, graph, &mut placement, &target);
 
-        let mut prices = LadderPrices::new(cost);
+        let mut prices = HashMap::new();
         for (index, gate) in gates.iter().enumerate() {
             let Some((l1, l2)) = wire_pair(gate) else {
                 continue;
@@ -556,7 +556,14 @@ impl Routing {
                 len += 1;
             }
             while !graph.are_coupled(placement.site_of[l1], placement.site_of[l2]) {
-                let edge = pick_swap(graph, &mut prices, &placement, (l1, l2), &upcoming[..len]);
+                let edge = pick_swap(
+                    graph,
+                    cost,
+                    &mut prices,
+                    &placement,
+                    (l1, l2),
+                    &upcoming[..len],
+                );
                 ladders.push(Ladder {
                     before: index,
                     sites: edge,
@@ -628,36 +635,6 @@ impl Routing {
     }
 }
 
-/// The weighted cost of the ladder on each candidate edge, priced once per
-/// edge and routing.
-struct LadderPrices<'a> {
-    cost: &'a dyn CostModel,
-    known: HashMap<(usize, usize), f64>,
-}
-
-impl<'a> LadderPrices<'a> {
-    fn new(cost: &'a dyn CostModel) -> Self {
-        LadderPrices {
-            cost,
-            known: HashMap::new(),
-        }
-    }
-
-    /// The cost of the ladder on `(u, v)`; with per-gate-kind weights this
-    /// is edge-independent, but it keeps the tie order under the configured
-    /// objective.
-    fn of(&mut self, u: usize, v: usize) -> f64 {
-        let cost = self.cost;
-        *self.known.entry((u, v)).or_insert_with(|| {
-            let probe = Dimension::new(2).expect("2 is a valid dimension");
-            wire_swap(probe, u, v)
-                .iter()
-                .map(|g| cost.gate_cost(g))
-                .sum()
-        })
-    }
-}
-
 /// Picks the swap edge for the current non-adjacent gate: among the edges
 /// touching either endpoint that strictly shorten the current gate's
 /// distance (so the router always terminates), the one with the best
@@ -665,7 +642,8 @@ impl<'a> LadderPrices<'a> {
 /// the candidate ladder's weighted cost, then on the edge itself.
 fn pick_swap(
     graph: &CouplingGraph,
-    prices: &mut LadderPrices<'_>,
+    cost: &dyn CostModel,
+    prices: &mut HashMap<(usize, usize), f64>,
     placement: &Placement,
     current: (usize, usize),
     upcoming: &[(usize, usize)],
@@ -695,7 +673,16 @@ fn pick_swap(
                 let (s1, s2) = (placement.site_of[pair.0], placement.site_of[pair.1]);
                 score += decay * graph.distance(moved(s1), moved(s2)) as f64;
             }
-            let ladder_cost = prices.of(u, v);
+            // The candidate ladder's weighted cost, priced once per edge;
+            // with per-gate-kind weights it is edge-independent, but it
+            // keeps the tie order under the configured objective.
+            let ladder_cost = *prices.entry((u, v)).or_insert_with(|| {
+                let probe = Dimension::new(2).expect("2 is a valid dimension");
+                wire_swap(probe, u, v)
+                    .iter()
+                    .map(|g| cost.gate_cost(g))
+                    .sum()
+            });
             let candidate = ((u.min(v), u.max(v)), score, ladder_cost);
             let better = match &best {
                 None => true,
