@@ -92,7 +92,7 @@ impl Circuit {
         for gate in &gates {
             gate.validate(dimension, width)?;
         }
-        Ok(Circuit::from_valid_gates(dimension, width, gates))
+        Ok(Circuit::from_gates_unchecked(dimension, width, gates))
     }
 
     /// A circuit over gates the caller has already shown valid for this
@@ -100,8 +100,11 @@ impl Circuit {
     /// circuit's gates, or gates built or matched against validated ones by
     /// construction.  Nothing is checked here: an invalid gate surfaces as
     /// an error (or a panic) wherever the circuit is read.  Use
-    /// [`Circuit::from_gates`] for gates from anywhere else.
-    pub fn from_valid_gates(dimension: Dimension, width: usize, gates: Vec<Gate>) -> Self {
+    /// [`Circuit::from_gates`] for gates from anywhere else.  Public only so
+    /// the workspace's other crates can build their lowering outputs with
+    /// it; hidden from the docs.
+    #[doc(hidden)]
+    pub fn from_gates_unchecked(dimension: Dimension, width: usize, gates: Vec<Gate>) -> Self {
         Circuit {
             gates,
             ..Circuit::new(dimension, width)

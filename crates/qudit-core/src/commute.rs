@@ -388,7 +388,7 @@ fn into_layer_order(circuit: Circuit, layer: &[usize]) -> Circuit {
         .iter()
         .map(|&j| gates[j].take().expect("each gate moves once"))
         .collect();
-    Circuit::from_valid_gates(dimension, width, gates)
+    Circuit::from_gates_unchecked(dimension, width, gates)
 }
 
 /// A run of consecutive gates in one wire's history that use the wire the

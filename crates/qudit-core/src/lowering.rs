@@ -8,11 +8,14 @@
 //!
 //! [`lower_circuit`] is the one entry point (the `lower-to-g-gates` pass is
 //! one call to it): one walk over the gates that emits straight into its
-//! output vector, sized once from the walk's own exact count
-//! ([`GateWalk::count`], the same walk writing into a
-//! [`Tally`]).  The level permutations it decomposes live in
-//! [`Transpositions`] buffers the walk reuses, so a warm walk allocates only
-//! its output.
+//! output vector.  The walk also counts a gate's expansion exactly from
+//! the transpositions alone ([`GateWalk::count`]), which a checker driving
+//! it uses to size its output once.  The level permutations it decomposes
+//! live in [`Transpositions`] buffers the walk reuses, and each level
+//! pair's conjugation is decomposed once per walk, so a warm walk
+//! allocates only its output.
+
+use std::collections::BTreeMap;
 
 use crate::circuit::Circuit;
 use crate::control::Control;
@@ -20,7 +23,7 @@ use crate::dimension::Dimension;
 use crate::error::{QuditError, Result};
 use crate::gate::{Gate, GateOp};
 use crate::ops::{push_transpositions, SingleQuditOp};
-use crate::pipeline::{GateSink, GateWalk, Tally};
+use crate::pipeline::GateWalk;
 use crate::qudit::QuditId;
 
 /// Lowers every gate of a circuit, each with at most one control, into
@@ -34,14 +37,20 @@ use crate::qudit::QuditId;
 pub fn lower_circuit(circuit: &Circuit) -> Result<Circuit> {
     let dimension = circuit.dimension();
     let mut walk = GGateWalk::new(dimension);
-    let total = circuit.gates().iter().map(|gate| walk.count(gate)).sum();
-    let mut out = Vec::with_capacity(total);
+    // Grown, not sized from `walk.count`: served unverified O2 compiles
+    // with an exactly sized output here had glibc trim and re-fault the
+    // worker heaps on every job.
+    let mut out = Vec::with_capacity(circuit.len());
     for gate in circuit.gates() {
         walk.emit(gate, &mut out)?;
     }
     // Every emitted gate acts on its source gate's wires with levels below
     // `d`, so it is valid for the input's register.
-    Ok(Circuit::from_valid_gates(dimension, circuit.width(), out))
+    Ok(Circuit::from_gates_unchecked(
+        dimension,
+        circuit.width(),
+        out,
+    ))
 }
 
 /// A run of transpositions `(i, j)`, in time order.
@@ -105,44 +114,28 @@ impl Transpositions {
     }
 }
 
-/// Largest dimension whose conjugations a walk memoises (a table of `d²`
-/// spans); above it each conjugation is decomposed where it is needed.
-const MEMO_DIMENSION: usize = 16;
-
-/// The conjugations a walk needs, each decomposed once per walk when
-/// `d ≤ MEMO_DIMENSION` (see [`Transpositions::conjugation`]).
+/// The conjugations a walk needs, each decomposed once per walk (see
+/// [`Transpositions::conjugation`]) and kept only for the pairs it meets.
 #[derive(Debug, Default)]
 struct Conjugations {
     scratch: Transpositions,
-    /// Per level pair `(i, j)`, at `i·d + j`: its transpositions' span in
-    /// `pairs` as `(start, split, end)`; `end == 0` marks a pair not met
-    /// yet (every pair but `(0, 1)` and `(1, 0)` has transpositions).
-    spans: Vec<(u32, u32, u32)>,
+    /// Per level pair `(i, j)` met: its transpositions' span in `pairs` as
+    /// `(start, split, end)`.
+    spans: BTreeMap<(u32, u32), (usize, usize, usize)>,
     pairs: Vec<(u32, u32)>,
 }
 
 impl Conjugations {
     /// The transpositions of `σ⁻¹` and `σ` for the pair `(i, j)`.
     fn of(&mut self, dimension: Dimension, i: u32, j: u32) -> (&Pairs, &Pairs) {
-        let d = dimension.as_usize();
-        if d > MEMO_DIMENSION {
-            return self.scratch.conjugation(dimension, i, j);
-        }
-        if self.spans.is_empty() {
-            self.spans.resize(d * d, (0, 0, 0));
-        }
-        let slot = i as usize * d + j as usize;
-        if self.spans[slot].2 == 0 {
+        let (start, split, end) = *self.spans.entry((i, j)).or_insert_with(|| {
             let (unconjugate, conjugate) = self.scratch.conjugation(dimension, i, j);
             let start = self.pairs.len();
             self.pairs.extend_from_slice(unconjugate);
             let split = self.pairs.len();
             self.pairs.extend_from_slice(conjugate);
-            let span = |at: usize| u32::try_from(at).expect("at most d² · 2d pairs");
-            self.spans[slot] = (span(start), span(split), span(self.pairs.len()));
-        }
-        let (start, split, end) = self.spans[slot];
-        let (start, split, end) = (start as usize, split as usize, end as usize);
+            (start, split, self.pairs.len())
+        });
         (&self.pairs[start..split], &self.pairs[split..end])
     }
 }
@@ -168,53 +161,58 @@ impl GGateWalk {
 impl GateWalk for GGateWalk {
     /// Emits the G-gates of `gate` into `out`.
     fn emit(&mut self, gate: &Gate, out: &mut Vec<Gate>) -> Result<()> {
-        self.walk(gate, out)
-    }
-
-    fn count(&mut self, gate: &Gate) -> usize {
-        let mut tally = Tally::default();
-        self.walk(gate, &mut tally).map_or(0, |()| tally.0)
-    }
-}
-
-impl GGateWalk {
-    /// Writes the G-gates of `gate` into `out`.
-    fn walk(&mut self, gate: &Gate, out: &mut impl GateSink) -> Result<()> {
         if !gate.is_classical() {
             return Err(QuditError::NotClassical);
         }
         if gate.is_g_gate() {
-            out.push_copy(gate);
+            out.push(gate.clone());
             return Ok(());
         }
+        let dimension = self.dimension;
         let target = gate.target();
         match (gate.controls(), gate.op()) {
             ([], GateOp::Single(op)) => {
-                for &(i, j) in self.op.of(op, self.dimension)? {
+                for &(i, j) in self.op.of(op, dimension)? {
                     out.push(Gate::single(SingleQuditOp::Swap(i, j), target));
                 }
             }
             ([], GateOp::AddFrom { source, negate }) => {
                 // target += ±value(source) = ∏_{y≠0} |y⟩(source)-X±y.
-                let d = self.dimension.get();
+                let d = dimension.get();
                 for y in 1..d {
                     let shift = if *negate { d - y } else { y };
-                    self.level_controlled(&SingleQuditOp::Add(shift), target, *source, y, out)?;
+                    let pairs = self.op.of(&SingleQuditOp::Add(shift), dimension)?;
+                    level_controlled(&mut self.sigma, dimension, pairs, target, *source, y, out);
                 }
             }
             ([control], op) => {
                 // Expand the predicate into one level-controlled gate per
                 // matching level; different control levels commute.
-                let levels = self.dimension.levels();
-                for level in levels.filter(|&level| control.predicate.matches(level)) {
-                    let GateOp::Single(op) = op else {
-                        return Err(QuditError::UnsupportedLowering {
-                            reason: "value-controlled shift with an additional control is a \
-                                     three-qudit gate; use qudit-synthesis to lower it"
-                                .to_string(),
-                        });
-                    };
-                    self.level_controlled(op, target, control.qudit, level, out)?;
+                let mut levels = dimension
+                    .levels()
+                    .filter(|&level| control.predicate.matches(level))
+                    .peekable();
+                if levels.peek().is_none() {
+                    return Ok(());
+                }
+                let GateOp::Single(op) = op else {
+                    return Err(QuditError::UnsupportedLowering {
+                        reason: "value-controlled shift with an additional control is a \
+                                 three-qudit gate; use qudit-synthesis to lower it"
+                            .to_string(),
+                    });
+                };
+                let pairs = self.op.of(op, dimension)?;
+                for level in levels {
+                    level_controlled(
+                        &mut self.sigma,
+                        dimension,
+                        pairs,
+                        target,
+                        control.qudit,
+                        level,
+                        out,
+                    );
                 }
             }
             (controls, _) => {
@@ -229,44 +227,101 @@ impl GGateWalk {
         Ok(())
     }
 
-    /// Emits `|level⟩(control)-op(target)`: per transposition `Xij` of `op`,
-    /// the control level is conjugated to `0` and the target levels to
-    /// `(0, 1)` around one `|0⟩-X01`.
-    fn level_controlled(
-        &mut self,
-        op: &SingleQuditOp,
-        target: QuditId,
-        control: QuditId,
-        level: u32,
-        out: &mut impl GateSink,
-    ) -> Result<()> {
-        let dimension = self.dimension;
-        for &(i, j) in self.op.of(op, dimension)? {
-            if level != 0 {
-                out.push(Gate::single(SingleQuditOp::Swap(0, level), control));
-            }
-            let (unconjugate, conjugate) = if matches!((i, j), (0, 1) | (1, 0)) {
-                (&[][..], &[][..])
-            } else {
-                self.sigma.of(dimension, i, j)
-            };
-            for &(a, b) in unconjugate {
-                out.push(Gate::single(SingleQuditOp::Swap(a, b), target));
-            }
-            out.push(Gate::controlled(
-                SingleQuditOp::Swap(0, 1),
-                target,
-                [Control::zero(control)],
-            ));
-            for &(a, b) in conjugate {
-                out.push(Gate::single(SingleQuditOp::Swap(a, b), target));
-            }
-            if level != 0 {
-                out.push(Gate::single(SingleQuditOp::Swap(0, level), control));
-            }
+    /// Counts from the transpositions alone, mirroring `emit` arm by arm.
+    fn count(&mut self, gate: &Gate) -> usize {
+        if !gate.is_classical() {
+            return 0;
         }
-        Ok(())
+        if gate.is_g_gate() {
+            return 1;
+        }
+        let dimension = self.dimension;
+        match (gate.controls(), gate.op()) {
+            ([], GateOp::Single(op)) => self.op.of(op, dimension).map_or(0, <[_]>::len),
+            ([], GateOp::AddFrom { negate, .. }) => {
+                let d = dimension.get();
+                (1..d)
+                    .map(|y| {
+                        let shift = if *negate { d - y } else { y };
+                        let pairs = self.op.of(&SingleQuditOp::Add(shift), dimension);
+                        pairs.map_or(0, |pairs| level_controlled_count(pairs, 1, 1))
+                    })
+                    .sum()
+            }
+            ([control], GateOp::Single(op)) => {
+                let (levels, nonzero) = dimension
+                    .levels()
+                    .filter(|&level| control.predicate.matches(level))
+                    .fold((0, 0), |(n, nonzero), level| {
+                        (n + 1, nonzero + usize::from(level != 0))
+                    });
+                let pairs = self.op.of(op, dimension);
+                pairs.map_or(0, |pairs| level_controlled_count(pairs, levels, nonzero))
+            }
+            _ => 0,
+        }
     }
+}
+
+/// Emits `|level⟩(control)-X(target)` for the transpositions `pairs` of `X`:
+/// per transposition `Xij`, the control level is conjugated to `0` and the
+/// target levels to `(0, 1)` around one `|0⟩-X01`.
+fn level_controlled(
+    sigma: &mut Conjugations,
+    dimension: Dimension,
+    pairs: &Pairs,
+    target: QuditId,
+    control: QuditId,
+    level: u32,
+    out: &mut Vec<Gate>,
+) {
+    for &(i, j) in pairs {
+        if level != 0 {
+            out.push(Gate::single(SingleQuditOp::Swap(0, level), control));
+        }
+        let (unconjugate, conjugate) = if matches!((i, j), (0, 1) | (1, 0)) {
+            (&[][..], &[][..])
+        } else {
+            sigma.of(dimension, i, j)
+        };
+        for &(a, b) in unconjugate {
+            out.push(Gate::single(SingleQuditOp::Swap(a, b), target));
+        }
+        out.push(Gate::controlled(
+            SingleQuditOp::Swap(0, 1),
+            target,
+            [Control::zero(control)],
+        ));
+        for &(a, b) in conjugate {
+            out.push(Gate::single(SingleQuditOp::Swap(a, b), target));
+        }
+        if level != 0 {
+            out.push(Gate::single(SingleQuditOp::Swap(0, level), control));
+        }
+    }
+}
+
+/// The number of gates [`level_controlled`] emits for `pairs` over
+/// `levels` control levels, `nonzero` of them other than `0`.
+fn level_controlled_count(pairs: &Pairs, levels: usize, nonzero: usize) -> usize {
+    let conjugated: usize = pairs.iter().map(|&(i, j)| 1 + conjugation_len(i, j)).sum();
+    levels * conjugated + 2 * nonzero * pairs.len()
+}
+
+/// The number of transpositions [`Transpositions::conjugation`] gives the
+/// pair `(i, j)`, and none for `(0, 1)` and `(1, 0)`, which the walk does
+/// not conjugate.  `σ⁻¹` fixes every level above `high = max(i, j)`, steps
+/// the levels below `low = min(i, j)` by two and those between by one, and
+/// sends `i, j` to `0, 1`; so `0..=high` is two cycles when `low` is even
+/// and `i < j` or odd and `i > j`, one cycle otherwise.  `σ` has the same
+/// cycles, and a cycle of `n` levels is `n − 1` transpositions.
+fn conjugation_len(i: u32, j: u32) -> usize {
+    if matches!((i, j), (0, 1) | (1, 0)) {
+        return 0;
+    }
+    let (low, high) = (i.min(j), i.max(j) as usize);
+    let cycles = if (low % 2 == 0) == (i < j) { 2 } else { 1 };
+    2 * (high + 1 - cycles)
 }
 
 #[cfg(test)]
@@ -279,37 +334,41 @@ mod tests {
         Dimension::new(d).unwrap()
     }
 
-    /// The G-gates of one gate, from a fresh walk, whose count — fresh and
-    /// from the walk's memoised conjugations — must be exact.
+    /// The G-gates of one gate, from a fresh walk, whose count must be
+    /// exact.
     fn walk_one(gate: &Gate, dimension: Dimension) -> Result<Vec<Gate>> {
         let mut walk = GGateWalk::new(dimension);
-        let fresh = GGateWalk::new(dimension).count(gate);
+        let count = walk.count(gate);
         let mut out = Vec::new();
         walk.emit(gate, &mut out)?;
-        assert_eq!((fresh, walk.count(gate)), (out.len(), out.len()), "{gate}");
+        assert_eq!(count, out.len(), "{gate}");
         Ok(out)
     }
 
     #[test]
-    fn memoised_conjugations_emit_what_fresh_ones_do() {
-        // d = 17 is above the memo's bound and decomposes every time.
-        for d in [5u32, 17] {
+    fn conjugation_lengths_match_the_decomposition() {
+        let mut buffers = Transpositions::default();
+        for d in 2u32..=17 {
             let dimension = dim(d);
-            let mut warm = GGateWalk::new(dimension);
             for (i, j) in (0..d).flat_map(|i| (0..d).map(move |j| (i, j))) {
                 if i == j {
                     continue;
                 }
-                let gate = Gate::controlled(
-                    SingleQuditOp::Swap(i, j),
-                    QuditId::new(1),
-                    [Control::level(QuditId::new(0), j)],
-                );
-                let mut out = Vec::new();
-                warm.emit(&gate, &mut out).unwrap();
-                warm.emit(&gate, &mut out).unwrap();
-                let once = walk_one(&gate, dimension).unwrap();
-                assert_eq!(out, [once.clone(), once].concat(), "d={d} {gate}");
+                let (unconjugate, conjugate) = buffers.conjugation(dimension, i, j);
+                let len = if matches!((i, j), (0, 1) | (1, 0)) {
+                    0
+                } else {
+                    unconjugate.len() + conjugate.len()
+                };
+                assert_eq!(conjugation_len(i, j), len, "d={d} ({i}, {j})");
+                for level in [0, j] {
+                    let gate = Gate::controlled(
+                        SingleQuditOp::Swap(i, j),
+                        QuditId::new(1),
+                        [Control::level(QuditId::new(0), level)],
+                    );
+                    walk_one(&gate, dimension).unwrap();
+                }
             }
         }
     }

@@ -184,38 +184,6 @@ pub trait GateWalk {
     fn count(&mut self, gate: &Gate) -> usize;
 }
 
-/// Where a gate walk writes its gates: the output vector, or a [`Tally`]
-/// that counts them so the output can be sized before the walk.
-pub trait GateSink {
-    /// Writes `gate`.
-    fn push(&mut self, gate: Gate);
-
-    /// Writes a copy of `gate` (a [`Tally`] counts it without copying).
-    fn push_copy(&mut self, gate: &Gate) {
-        self.push(gate.clone());
-    }
-}
-
-impl GateSink for Vec<Gate> {
-    fn push(&mut self, gate: Gate) {
-        Vec::push(self, gate);
-    }
-}
-
-/// A [`GateSink`] that only counts the gates written to it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Tally(pub usize);
-
-impl GateSink for Tally {
-    fn push(&mut self, _gate: Gate) {
-        self.0 += 1;
-    }
-
-    fn push_copy(&mut self, _gate: &Gate) {
-        self.0 += 1;
-    }
-}
-
 /// A rewrite that keeps its input's gates, only deleting some of them in
 /// inverse pairs or re-placing them on a coupling graph's sites: what
 /// [`Pass::rewrite`] hands a checker.

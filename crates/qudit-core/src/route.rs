@@ -611,7 +611,7 @@ impl Routing {
             return Ok(if circuit.width() == sites {
                 circuit
             } else {
-                Circuit::from_valid_gates(dimension, sites, circuit.into_gates())
+                Circuit::from_gates_unchecked(dimension, sites, circuit.into_gates())
             });
         }
         let template = wire_swap(dimension, 0, 1);
@@ -631,7 +631,7 @@ impl Routing {
         }
         // Each gate is a valid gate of the input, or of the ladder on two
         // distinct sites, relabelled injectively into the site register.
-        Ok(Circuit::from_valid_gates(dimension, sites, out))
+        Ok(Circuit::from_gates_unchecked(dimension, sites, out))
     }
 }
 

@@ -19,7 +19,9 @@
 //!   wires) swap a running wire map through which every input gate is
 //!   remapped, and the map must end as the identity;
 //! * any other pass runs on a copy of its input, and an output that is the
-//!   input with inverse pairs removed is matched pair by pair as above.
+//!   input with inverse pairs removed is matched pair by pair as above.  A
+//!   handed-over rewrite whose proof fails is likewise applied to a copy,
+//!   as planned, so no stage plans twice.
 //!
 //! So the lowering, cancellation and routing stages are checked without a
 //! copy of their input.  No rule of the passes being checked
@@ -226,10 +228,12 @@ impl VerifyEquivalence {
     /// driven through it here, so each gate's rewrite is proved locally; a
     /// pass that hands over its rewrite ([`Pass::rewrite`]) has it
     /// proved and applied here, to `circuit` itself.  Otherwise, or when a
-    /// local proof fails, the pass runs as usual on a copy of `circuit` and
-    /// a classical output is first matched against its input with inverse
-    /// pairs removed; only when that fails too does the global check of the
-    /// module docs run, and its verdict and witness are the ones reported.
+    /// local proof fails, the output is built on a copy of `circuit` — the
+    /// handed-over rewrite applied as planned, or the pass run as usual —
+    /// and a classical output is first matched against its input with
+    /// inverse pairs removed; only when that fails too does the global check
+    /// of the module docs run, and its verdict and witness are the ones
+    /// reported.
     ///
     /// # Errors
     ///
@@ -263,15 +267,20 @@ impl VerifyEquivalence {
                 return Ok((output, Proof::Structural));
             }
         }
-        let circuit = match self.inner.rewrite(&circuit) {
+        let (circuit, rewrite) = match self.inner.rewrite(&circuit) {
             Some(rewrite) => match structural::applied(&rewrite, circuit) {
                 Ok(output) => return Ok((output, Proof::Structural)),
-                Err(circuit) => circuit,
+                Err(circuit) => (circuit, Some(rewrite)),
             },
-            None => circuit,
+            None => (circuit, None),
         };
-        // Only a pass without a proved rewrite pays for a copy of its input.
-        let output = self.inner.run(circuit.clone())?;
+        // Only a pass without a proved rewrite pays for a copy of its input;
+        // an unproved rewrite is applied as planned (what `run` returns), so
+        // the pass does not plan it again.
+        let output = match rewrite {
+            Some(rewrite) => rewrite.apply(circuit.clone())?,
+            None => self.inner.run(circuit.clone())?,
+        };
         if structural::removes_pairs(&circuit, &output) {
             return Ok((output, Proof::Structural));
         }

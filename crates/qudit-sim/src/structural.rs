@@ -69,7 +69,7 @@ pub(crate) fn lowered(mut walk: Box<dyn GateWalk>, circuit: &Circuit) -> Option<
     // Every emitted gate is the input gate itself or was matched wire for
     // wire, injectively into the register, against a proved expansion whose
     // gates were validated when it was swept.
-    Some(Circuit::from_valid_gates(
+    Some(Circuit::from_gates_unchecked(
         circuit.dimension(),
         circuit.width(),
         out,
@@ -185,7 +185,7 @@ fn routed(routing: &Routing, circuit: Circuit) -> Result<Circuit, Circuit> {
     }
     // Input gates and the validated ladder, relabelled by bijections of
     // the register.
-    Ok(Circuit::from_valid_gates(dimension, width, out))
+    Ok(Circuit::from_gates_unchecked(dimension, width, out))
 }
 
 /// Whether `after` is `before` with inverse pairs removed, for a pass that

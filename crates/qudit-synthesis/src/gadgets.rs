@@ -7,12 +7,14 @@
 //!   ancilla.
 //!
 //! Both gadgets produce gates with **at most one control**, so the result can
-//! be lowered to G-gates by `qudit_core::lowering`.  They write into any
-//! [`GateSink`]: a gate vector, or a `Tally` that counts the gates to size
-//! the vector first.
+//! be lowered to G-gates by `qudit_core::lowering`.
 
-use qudit_core::pipeline::GateSink;
 use qudit_core::{Control, Dimension, Gate, QuditError, QuditId, Result, SingleQuditOp};
+
+/// The number of gates [`two_controlled_swap_odd`] appends.
+pub(crate) const ODD_GADGET_GATES: usize = 5;
+/// The number of gates [`two_controlled_swap_even`] appends.
+pub(crate) const EVEN_GADGET_GATES: usize = 20;
 
 /// Appends the Fig. 5 gadget to `out`: `|0⟩(c1)|0⟩(c2)-Xij` on `target` for
 /// **odd** `d`, using five singly-controlled gates and no ancilla.
@@ -31,7 +33,7 @@ pub fn two_controlled_swap_odd(
     target: QuditId,
     i: u32,
     j: u32,
-    out: &mut impl GateSink,
+    out: &mut Vec<Gate>,
 ) -> Result<()> {
     if dimension.get() < 3 {
         return Err(QuditError::DimensionTooSmall {
@@ -49,23 +51,13 @@ pub fn two_controlled_swap_odd(
     }
     let d = dimension.get();
     let swap = SingleQuditOp::swap(dimension, i, j)?;
-    out.push(Gate::controlled(swap.clone(), target, [Control::zero(c1)]));
-    out.push(Gate::controlled(
-        SingleQuditOp::Add(1),
-        c2,
-        [Control::zero(c1)],
-    ));
-    out.push(Gate::controlled(
-        swap.clone(),
-        target,
-        [Control::even_nonzero(c2)],
-    ));
-    out.push(Gate::controlled(
-        SingleQuditOp::Add(d - 1),
-        c2,
-        [Control::zero(c1)],
-    ));
-    out.push(Gate::controlled(swap, target, [Control::even_nonzero(c2)]));
+    out.extend([
+        Gate::controlled(swap.clone(), target, [Control::zero(c1)]),
+        Gate::controlled(SingleQuditOp::Add(1), c2, [Control::zero(c1)]),
+        Gate::controlled(swap.clone(), target, [Control::even_nonzero(c2)]),
+        Gate::controlled(SingleQuditOp::Add(d - 1), c2, [Control::zero(c1)]),
+        Gate::controlled(swap, target, [Control::even_nonzero(c2)]),
+    ]);
     Ok(())
 }
 
@@ -81,7 +73,7 @@ pub fn two_controlled_swap_odd(
 /// Returns an error when `d` is odd or smaller than 4, or when the borrowed
 /// qudit coincides with one of the other three qudits.
 #[allow(clippy::too_many_arguments)]
-pub fn two_controlled_swap_even<S: GateSink>(
+pub fn two_controlled_swap_even(
     dimension: Dimension,
     c1: QuditId,
     c2: QuditId,
@@ -89,7 +81,7 @@ pub fn two_controlled_swap_even<S: GateSink>(
     i: u32,
     j: u32,
     borrowed: QuditId,
-    out: &mut S,
+    out: &mut Vec<Gate>,
 ) -> Result<()> {
     if dimension.is_odd() {
         return Err(QuditError::CannotLower {
@@ -112,7 +104,7 @@ pub fn two_controlled_swap_even<S: GateSink>(
         });
     }
     let swap = SingleQuditOp::swap(dimension, i, j)?;
-    let block = |gates: &mut S| {
+    let block = |gates: &mut Vec<Gate>| {
         // 1–3: conditionally move |0⟩ of c1 out of the way based on c2 and the
         // parity of the borrowed ancilla.
         gates.push(Gate::controlled(
@@ -230,7 +222,7 @@ mod tests {
     fn odd_gadget_implements_two_controlled_swap() {
         for d in [3u32, 5, 7] {
             let gates = odd_gadget(d, 0, 1).unwrap();
-            assert_eq!(gates.len(), 5);
+            assert_eq!(gates.len(), ODD_GADGET_GATES);
             check_gadget(dim(d), 3, gates, 0, 1);
         }
     }
@@ -239,7 +231,9 @@ mod tests {
     fn odd_gadget_supports_arbitrary_target_levels() {
         for i in 0..5u32 {
             for j in (0..5u32).filter(|&j| j != i) {
-                check_gadget(dim(5), 3, odd_gadget(5, i, j).unwrap(), i, j);
+                let gates = odd_gadget(5, i, j).unwrap();
+                assert_eq!(gates.len(), ODD_GADGET_GATES);
+                check_gadget(dim(5), 3, gates, i, j);
             }
         }
     }
@@ -248,7 +242,7 @@ mod tests {
     fn even_gadget_implements_two_controlled_swap_with_borrowed_ancilla() {
         for d in [4u32, 6] {
             let gates = even_gadget(d, 0, 1, 3).unwrap();
-            assert_eq!(gates.len(), 20);
+            assert_eq!(gates.len(), EVEN_GADGET_GATES);
             check_gadget(dim(d), 4, gates, 0, 1);
         }
     }
@@ -257,7 +251,9 @@ mod tests {
     fn even_gadget_supports_arbitrary_target_levels() {
         for i in 0..4u32 {
             for j in (0..4u32).filter(|&j| j != i) {
-                check_gadget(dim(4), 4, even_gadget(4, i, j, 3).unwrap(), i, j);
+                let gates = even_gadget(4, i, j, 3).unwrap();
+                assert_eq!(gates.len(), EVEN_GADGET_GATES);
+                check_gadget(dim(4), 4, gates, i, j);
             }
         }
     }

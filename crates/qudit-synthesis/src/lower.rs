@@ -22,13 +22,14 @@
 //!   expands into one two-controlled shift per source level.
 
 use qudit_core::lowering::Transpositions;
-use qudit_core::pipeline::{GateSink, Tally};
 use qudit_core::{
     Circuit, Control, ControlPredicate, Dimension, Gate, GateOp, Permutation, QuditError, QuditId,
     Result, SingleQuditOp,
 };
 
-use crate::gadgets::{two_controlled_swap_even, two_controlled_swap_odd};
+use crate::gadgets::{
+    two_controlled_swap_even, two_controlled_swap_odd, EVEN_GADGET_GATES, ODD_GADGET_GATES,
+};
 
 /// Lowers a macro circuit to elementary gates (at most one control per gate).
 ///
@@ -51,10 +52,11 @@ pub fn lower_to_elementary(circuit: &Circuit) -> Result<Circuit> {
     for gate in circuit.gates() {
         walk.expand(gate, &mut gates)?;
     }
+    debug_assert_eq!(gates.len(), total, "the walk counts exactly");
     // Every emitted gate acts on distinct wires of its source gate (or on
     // the borrowed wire, chosen distinct from them) with levels below `d`,
     // so it is valid for the input's register.
-    Ok(Circuit::from_valid_gates(
+    Ok(Circuit::from_gates_unchecked(
         circuit.dimension(),
         circuit.width(),
         gates,
@@ -93,18 +95,64 @@ impl ElementaryWalk {
         }
     }
 
-    /// The number of elementary gates `expand` writes for `gate` (0 when it
-    /// fails).
+    /// The number of elementary gates `expand` writes for `gate` (any
+    /// number when it fails), counted from the transpositions alone, arm by
+    /// arm.
     pub(crate) fn count(&mut self, gate: &Gate) -> usize {
-        let mut tally = Tally::default();
-        self.expand(gate, &mut tally).map_or(0, |()| tally.0)
+        match (gate.controls(), gate.op()) {
+            ([] | [_], GateOp::Single(_)) | ([], GateOp::AddFrom { .. }) => 1,
+            ([_], GateOp::AddFrom { .. }) if self.dimension.is_odd() => {
+                let dimension = self.dimension;
+                let doubling = self
+                    .doubling
+                    .get_or_insert_with(|| doubling_transpositions(dimension));
+                2 + 2 * doubling.len()
+            }
+            (&[control], GateOp::AddFrom { source, negate }) => {
+                let d = self.dimension.get();
+                (1..d)
+                    .map(|y| {
+                        let shift = if *negate { d - y } else { y };
+                        let star = Control::level(*source, y);
+                        self.two_controlled_count(&SingleQuditOp::Add(shift), control, star)
+                    })
+                    .sum()
+            }
+            (&[c1, c2], GateOp::Single(op)) => self.two_controlled_count(op, c1, c2),
+            _ => 0,
+        }
+    }
+
+    /// The number of gates [`ElementaryWalk::two_controlled`] emits: per
+    /// pair of matching control levels, one gadget per transposition of
+    /// `op` and two swaps per nonzero level.
+    fn two_controlled_count(&mut self, op: &SingleQuditOp, c1: Control, c2: Control) -> usize {
+        let dimension = self.dimension;
+        let gadget = if dimension.is_odd() {
+            ODD_GADGET_GATES
+        } else {
+            EVEN_GADGET_GATES
+        };
+        let Ok(pairs) = self.levels.of(op, dimension) else {
+            return 0;
+        };
+        // (matching levels, nonzero matching levels) of each control.
+        let matching = |control: Control| match control.predicate {
+            ControlPredicate::Level(level) => (1, usize::from(level != 0)),
+            predicate => {
+                let n = dimension.levels().filter(|&l| predicate.matches(l)).count();
+                (n, n - usize::from(predicate.matches(0)))
+            }
+        };
+        let ((n1, nonzero1), (n2, nonzero2)) = (matching(c1), matching(c2));
+        n1 * n2 * pairs.len() * gadget + 2 * (nonzero1 * n2 + n1 * nonzero2)
     }
 
     /// Emits the elementary gates of `gate` into `out`.
-    pub(crate) fn expand(&mut self, gate: &Gate, out: &mut impl GateSink) -> Result<()> {
+    pub(crate) fn expand(&mut self, gate: &Gate, out: &mut Vec<Gate>) -> Result<()> {
         match (gate.controls(), gate.op()) {
             // Already elementary.
-            ([] | [_], GateOp::Single(_)) | ([], GateOp::AddFrom { .. }) => out.push_copy(gate),
+            ([] | [_], GateOp::Single(_)) | ([], GateOp::AddFrom { .. }) => out.push(gate.clone()),
             // |⋆⟩-X±⋆ with one further control at odd d: the commutator of
             // the module docs, m₂ and m₂⁻¹ as controlled transpositions.
             (&[control], &GateOp::AddFrom { source, negate }) if self.dimension.is_odd() => {
@@ -117,13 +165,9 @@ impl ElementaryWalk {
                     Gate::controlled(SingleQuditOp::Swap(i, j), source, [control])
                 };
                 out.push(Gate::add_from(source, !negate, target, []));
-                for pair in doubling.iter() {
-                    out.push(controlled_swap(pair));
-                }
+                out.extend(doubling.iter().map(controlled_swap));
                 out.push(Gate::add_from(source, negate, target, []));
-                for pair in doubling.iter().rev() {
-                    out.push(controlled_swap(pair));
-                }
+                out.extend(doubling.iter().rev().map(controlled_swap));
             }
             // At even d, expand the star into one two-controlled shift per
             // source level.
@@ -166,7 +210,7 @@ impl ElementaryWalk {
         target: QuditId,
         c1: Control,
         c2: Control,
-        out: &mut impl GateSink,
+        out: &mut Vec<Gate>,
     ) -> Result<()> {
         let levels = self.dimension.levels();
         let (l1, l2) = match (c1.predicate, c2.predicate) {

@@ -17,6 +17,9 @@
 //!   every routed `sweep_verified` shape, and a dropped ladder gate is
 //!   rejected with the global sweep's witness.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
 use qudit_core::pipeline::{
     pass_fn, CancelInversePairs, GateFusion, GateWalk, LowerToGGates, Pass, Rewrite, ScheduleDepth,
 };
@@ -382,10 +385,11 @@ fn mutations_get_the_global_sweeps_verdict_and_witness() {
 }
 
 /// A stage that hands the verifier a fixed rewrite, and whose `run` applies
-/// it, under the name of the stage it mutates.
+/// it, under the name of the stage it mutates, counting its runs.
 struct Rewritten {
     name: &'static str,
     rewrite: Rewrite,
+    runs: Arc<AtomicUsize>,
 }
 
 impl Pass for Rewritten {
@@ -394,6 +398,7 @@ impl Pass for Rewritten {
     }
 
     fn run(&self, circuit: Circuit) -> Result<Circuit> {
+        self.runs.fetch_add(1, Ordering::Relaxed);
         self.rewrite.apply(circuit)
     }
 
@@ -515,9 +520,13 @@ fn mutated_rewrites_get_the_global_sweeps_verdict_and_witness() {
             let rewrite = stage
                 .rewrite(before)
                 .expect("the stage hands over its rewrite");
+            // The verifier applies a handed-over rewrite itself, proved or
+            // not, so it never runs (and re-plans) the stage.
+            let runs = Arc::new(AtomicUsize::new(0));
             let faithful = Rewritten {
                 name,
                 rewrite: rewrite.clone(),
+                runs: Arc::clone(&runs),
             };
             let (output, proof) = VerifyEquivalence::wrap(Box::new(faithful))
                 .run_with_proof(before.clone())
@@ -543,7 +552,12 @@ fn mutated_rewrites_get_the_global_sweeps_verdict_and_witness() {
             let mut rejected = 0;
             for (m, rewrite) in mutants.into_iter().enumerate() {
                 let mutated = rewrite.apply(before.clone()).unwrap();
-                let pass = Rewritten { name, rewrite };
+                let runs = Arc::clone(&runs);
+                let pass = Rewritten {
+                    name,
+                    rewrite,
+                    runs,
+                };
                 let got =
                     verdict(VerifyEquivalence::wrap(Box::new(pass)).run_with_proof(before.clone()));
                 let want = swept_verdict(name, before, &mutated);
@@ -551,6 +565,11 @@ fn mutated_rewrites_get_the_global_sweeps_verdict_and_witness() {
                 rejected += usize::from(got.is_err());
             }
             assert!(rejected > 0, "d={d} {name}: no mutant was rejected");
+            assert_eq!(
+                runs.load(Ordering::Relaxed),
+                0,
+                "d={d} {name}: the stage ran"
+            );
         }
     }
 }
