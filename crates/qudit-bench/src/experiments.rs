@@ -16,7 +16,6 @@ use qudit_core::topology::CouplingGraph;
 use qudit_core::{Circuit, Dimension, Gate, GateOp, QuditId, SingleQuditOp};
 use qudit_reversible::{lower_bound, ReversibleFunction, ReversibleSynthesizer};
 use qudit_sim::equivalence::{verify_mct_exhaustive, verify_mct_sampled, MctSpec};
-use qudit_sim::is_clifford_circuit;
 use qudit_sim::random::random_unitary;
 use qudit_synthesis::{
     gadgets, ladders, CompileOptions, CompileResult, Compiler, ControlledUnitary, KToffoli,
@@ -387,7 +386,6 @@ pub fn e10_table_from_results(
             "routed depth",
             "swaps",
             "weighted cost",
-            "clifford",
             "verified",
         ],
     );
@@ -445,7 +443,6 @@ pub fn e10_table_from_results(
             routed_depth.to_string(),
             swaps.to_string(),
             fmt_f64(weighted),
-            is_clifford_circuit(&report.circuit).to_string(),
             verified.to_string(),
         ]);
     }
@@ -506,7 +503,6 @@ pub fn e11_table_from_results(
             "depth in",
             "depth out",
             "fused gates",
-            "clifford",
             "qasm bytes",
             "routed depth",
             "swap count",
@@ -515,11 +511,9 @@ pub fn e11_table_from_results(
         ],
     );
     for ((&(d, k), report), routed) in sweep.iter().zip(results).zip(routed) {
-        // Whether the compiled circuit is all-Clifford (tableau-verifiable
-        // at any width).  `qasm bytes` is the size of the compiled circuit in the
-        // canonical text IR (see `qudit_core::qasm`) — the artefact a job
-        // exported with `CompileResult::to_qasm` would occupy on disk.
-        let clifford = is_clifford_circuit(&report.circuit);
+        // `qasm bytes` is the size of the compiled circuit in the canonical
+        // text IR (see `qudit_core::qasm`) — the artefact a job exported
+        // with `CompileResult::to_qasm` would occupy on disk.
         let qasm_bytes = qudit_core::qasm::print_circuit(&report.circuit).len();
         let routed_depth = routed
             .routed_depth
@@ -540,7 +534,6 @@ pub fn e11_table_from_results(
                 stats.before.depth.to_string(),
                 stats.after.depth.to_string(),
                 report.fused_gates.to_string(),
-                clifford.to_string(),
                 qasm_bytes.to_string(),
                 routed_depth.to_string(),
                 swap_count.to_string(),

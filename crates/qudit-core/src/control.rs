@@ -53,6 +53,17 @@ impl ControlPredicate {
         }
     }
 
+    /// Returns `true` if the predicate fires on some level of dimension `d`,
+    /// decided without listing the levels.  Every validated predicate does
+    /// except [`ControlPredicate::EvenNonzero`] at `d = 2`.
+    pub fn can_fire(self, dimension: Dimension) -> bool {
+        match self {
+            ControlPredicate::Level(l) => l < dimension.get(),
+            ControlPredicate::Odd | ControlPredicate::NonZero => true,
+            ControlPredicate::EvenNonzero => dimension.get() > 2,
+        }
+    }
+
     /// Lists the levels on which the predicate fires for dimension `d`.
     pub fn matching_levels(self, dimension: Dimension) -> Vec<u32> {
         dimension.levels().filter(|l| self.matches(*l)).collect()
@@ -188,6 +199,25 @@ mod tests {
             let mut all: Vec<u32> = odd.into_iter().chain(even).chain(zero).collect();
             all.sort_unstable();
             assert_eq!(all, dim.levels().collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn can_fire_agrees_with_the_matching_levels() {
+        for d in 2..10 {
+            let dim = Dimension::new(d).unwrap();
+            let predicates = [
+                ControlPredicate::Odd,
+                ControlPredicate::EvenNonzero,
+                ControlPredicate::NonZero,
+            ];
+            for predicate in predicates
+                .into_iter()
+                .chain(dim.levels().map(ControlPredicate::Level))
+            {
+                let fires = !predicate.matching_levels(dim).is_empty();
+                assert_eq!(predicate.can_fire(dim), fires, "{predicate} at d={d}");
+            }
         }
     }
 

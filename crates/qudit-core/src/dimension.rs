@@ -76,37 +76,6 @@ impl Dimension {
         (0..self.0).filter(|l| *l != 0 && l % 2 == 0)
     }
 
-    /// Returns `true` if the dimension is a prime number.
-    ///
-    /// The generalised-Pauli stabilizer formalism (and therefore the
-    /// stabilizer simulation backend) is only available for prime `d`, where
-    /// `Z_d` is a field and symplectic row reduction is exact.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// # use qudit_core::Dimension;
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// assert!(Dimension::new(5)?.is_prime());
-    /// assert!(!Dimension::new(9)?.is_prime());
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn is_prime(self) -> bool {
-        let d = self.0;
-        if d < 2 {
-            return false;
-        }
-        let mut f = 2u32;
-        while f.saturating_mul(f) <= d {
-            if d.is_multiple_of(f) {
-                return false;
-            }
-            f += 1;
-        }
-        true
-    }
-
     /// Checks that `level < d`.
     ///
     /// # Errors
@@ -211,18 +180,6 @@ mod tests {
         assert_eq!(d.checked_register_size(31), Some(1 << 62));
         assert_eq!(d.checked_register_size(32), None);
         assert_eq!(d.checked_register_size(usize::MAX), None);
-    }
-
-    #[test]
-    fn primality() {
-        let primes = [2u32, 3, 5, 7, 11, 13];
-        let composites = [4u32, 6, 8, 9, 10, 12, 15, 16, 25];
-        for d in primes {
-            assert!(Dimension::new(d).unwrap().is_prime(), "{d} is prime");
-        }
-        for d in composites {
-            assert!(!Dimension::new(d).unwrap().is_prime(), "{d} is composite");
-        }
     }
 
     #[test]

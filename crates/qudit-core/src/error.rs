@@ -57,7 +57,9 @@ pub enum QuditError {
         expected: usize,
     },
     /// A lowering pass encountered a gate it cannot handle (for example a
-    /// gate with two or more controls, which requires the synthesis crate).
+    /// gate with two or more controls, which requires the synthesis crate),
+    /// or the compile facade was handed a non-classical gate, which no
+    /// G-gate sequence expresses.
     UnsupportedLowering {
         /// Human readable description of the unsupported gate.
         reason: String,
@@ -87,13 +89,6 @@ pub enum QuditError {
     /// gates, refused its input.
     CannotLower {
         /// Human readable description of the refusal.
-        reason: String,
-    },
-    /// A gate is not a generalised-Pauli Clifford operation, so the
-    /// stabilizer tableau engine cannot simulate it (see
-    /// `qudit_sim::stabilizer`).
-    NonClifford {
-        /// Human readable description of why the gate was rejected.
         reason: String,
     },
     /// A construction required more borrowed/clean ancilla qudits than were
@@ -243,9 +238,6 @@ impl fmt::Display for QuditError {
                 )
             }
             QuditError::CannotLower { reason } => write!(f, "cannot lower gate: {reason}"),
-            QuditError::NonClifford { reason } => {
-                write!(f, "gate is not a qudit clifford operation: {reason}")
-            }
             QuditError::InsufficientAncillas {
                 required,
                 available,
@@ -345,9 +337,6 @@ mod tests {
             QuditError::NotClassicalTarget,
             QuditError::CannotLower {
                 reason: "three controls".into(),
-            },
-            QuditError::NonClifford {
-                reason: "gate acts on 3 qudits".into(),
             },
             QuditError::InsufficientAncillas {
                 required: 3,

@@ -357,6 +357,16 @@ impl Gate {
         Gate::new(op, map(self.target), controls)
     }
 
+    /// Returns `true` when some basis state of a dimension-`d` register
+    /// makes every control fire.  The controls sit on distinct wires, so
+    /// that holds when each of them can fire on its own; a gate that can
+    /// never fire is the identity.
+    pub fn can_fire(&self, dimension: Dimension) -> bool {
+        self.controls()
+            .iter()
+            .all(|control| control.predicate.can_fire(dimension))
+    }
+
     /// Returns `true` when all controls fire for the given basis state.
     ///
     /// `digits[q]` is the level of qudit `q`.

@@ -12,10 +12,10 @@
 //! ([`MctSpec::circuit`]) on the [`BasisBatch`](crate::BasisBatch) witness
 //! search that [`VerifyEquivalence`](crate::VerifyEquivalence) runs too.
 //! Only a failing witness is replayed through [`Circuit::apply_to_basis`],
-//! to report its expected and actual outputs.  [`verify_mct_unitary`] and
-//! [`circuits_equal_up_to_phase`] compare unitaries instead.
+//! to report its expected and actual outputs.  [`verify_mct_unitary`]
+//! compares unitaries instead.
 
-use qudit_core::math::{SquareMatrix, MATRIX_TOLERANCE};
+use qudit_core::math::SquareMatrix;
 use qudit_core::{Circuit, Control, Dimension, Gate, QuditError, QuditId, Result, SingleQuditOp};
 use rand::Rng;
 
@@ -23,7 +23,6 @@ use crate::basis::{
     all_basis_states, biased_samples, exhaustive_witness, first_witness, index_to_digits,
 };
 use crate::dense::circuit_unitary;
-use crate::stabilizer::{clifford_circuits_equal, is_clifford_circuit};
 
 /// Specification of a multi-controlled gate `|0^k⟩-op`.
 ///
@@ -259,39 +258,10 @@ pub fn verify_mct_unitary(circuit: &Circuit, spec: &MctSpec) -> Result<bool> {
     Ok(actual.approx_eq(&expected, 1e-7))
 }
 
-/// Checks that two circuits implement the same unitary up to global phase.
-///
-/// The register contract is settled first, as [`clifford_circuits_equal`]
-/// documents it: circuits over different dimensions are incompatible, and
-/// the narrower circuit is widened to the wider register (the extra qudits
-/// act as identity).  A pair of all-Clifford circuits over a prime
-/// dimension is then compared by exact stabilizer tableaus, which stays
-/// tractable at any register width; any other pair compares dense
-/// unitaries ([`circuit_unitary`]).
-///
-/// # Errors
-///
-/// Returns [`QuditError::IncompatibleCircuits`] when the dimensions differ,
-/// and an error when either circuit cannot be simulated.
-pub fn circuits_equal_up_to_phase(a: &Circuit, b: &Circuit) -> Result<bool> {
-    if a.dimension() != b.dimension() {
-        return Err(QuditError::IncompatibleCircuits {
-            reason: "circuit dimensions differ".to_string(),
-        });
-    }
-    let width = a.width().max(b.width());
-    let (a, b) = (a.widened(width)?, b.widened(width)?);
-    if is_clifford_circuit(&a) && is_clifford_circuit(&b) {
-        return clifford_circuits_equal(&a, &b);
-    }
-    let ua = circuit_unitary(&a)?;
-    let ub = circuit_unitary(&b)?;
-    Ok(ua.approx_eq_up_to_phase(&ub, MATRIX_TOLERANCE.max(1e-7)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qudit_core::math::MATRIX_TOLERANCE;
     use qudit_core::{Control, Gate};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -399,69 +369,6 @@ mod tests {
         };
         let u = mct_unitary(&spec, d, 2).unwrap();
         assert!(u.is_unitary(MATRIX_TOLERANCE));
-    }
-
-    #[test]
-    fn phase_equivalence_of_identical_circuits() {
-        let d = dim(3);
-        let a = macro_toffoli(d, 2);
-        let b = macro_toffoli(d, 2);
-        assert!(circuits_equal_up_to_phase(&a, &b).unwrap());
-    }
-
-    #[test]
-    fn phase_equivalence_settles_the_register_first() {
-        let add = |d: u32, width: usize| {
-            let mut circuit = Circuit::new(dim(d), width);
-            circuit
-                .push(Gate::single(SingleQuditOp::Add(1), QuditId::new(0)))
-                .unwrap();
-            circuit
-        };
-        // The narrower circuit is widened, on the tableau path (prime d)
-        // and on the dense path (d = 4) alike.
-        for d in [3, 4] {
-            assert!(circuits_equal_up_to_phase(&add(d, 2), &add(d, 3)).unwrap());
-            assert!(circuits_equal_up_to_phase(&add(d, 3), &add(d, 2)).unwrap());
-            assert!(!circuits_equal_up_to_phase(&add(d, 2), &Circuit::new(dim(d), 3)).unwrap());
-        }
-        // Different dimensions are incompatible whichever path would run.
-        for (da, db) in [(3, 5), (4, 3), (4, 6)] {
-            assert!(matches!(
-                circuits_equal_up_to_phase(&add(da, 2), &add(db, 2)),
-                Err(QuditError::IncompatibleCircuits { .. })
-            ));
-        }
-    }
-
-    #[test]
-    fn clifford_pairs_compare_by_tableau_at_any_width() {
-        // Width 20 over qutrits: 3^20 ≈ 3.5·10⁹ — the dense unitary path
-        // would need exabytes, so a verdict proves the tableau fast path ran.
-        let d = dim(3);
-        let width = 20;
-        let mut a = Circuit::new(d, width);
-        for q in 0..width - 1 {
-            a.push(Gate::add_from(
-                QuditId::new(q),
-                false,
-                QuditId::new(q + 1),
-                vec![],
-            ))
-            .unwrap();
-        }
-        let b = a.clone();
-        assert!(circuits_equal_up_to_phase(&a, &b).unwrap());
-        // Appending one more SUM gate breaks equality.
-        let mut c = a.clone();
-        c.push(Gate::add_from(
-            QuditId::new(0),
-            false,
-            QuditId::new(1),
-            vec![],
-        ))
-        .unwrap();
-        assert!(!circuits_equal_up_to_phase(&a, &c).unwrap());
     }
 
     #[test]

@@ -17,18 +17,14 @@
 //!   [`circuit_unitary`] run on it from basis inputs, walking a circuit's
 //!   leading classical gates on the digit vector first;
 //! * [`equivalence`] — specification checkers for multi-controlled gates with
-//!   borrowed- or clean-ancilla semantics (exhaustive, sampled or on the
-//!   clean-ancilla subspace), and unitary equivalence up to global phase;
+//!   borrowed- or clean-ancilla semantics (exhaustive, sampled, on the
+//!   clean-ancilla subspace or by dense unitary);
 //! * [`pipeline`] — the [`VerifyEquivalence`] pass wrapper that makes any
 //!   compilation pipeline self-check semantics preservation after each stage,
 //!   choosing its strategy from the circuits: [`BasisBatch`] for classical
-//!   pairs, the tableau for prime all-Clifford pairs, dense otherwise;
-//! * [`stabilizer`] — the generalised-Pauli tableau engine for prime
-//!   dimensions: Clifford gate classification, exact tableau equivalence up
-//!   to global phase, and `O(n³)` basis-probability queries at widths far
-//!   beyond dense reach ([`StabilizerState`]);
+//!   pairs, the dense engine otherwise;
 //! * [`random`] — random unitaries, permutations, reversible functions and
-//!   Clifford circuits for workloads.
+//!   dialect circuits for workloads.
 //!
 //! # Example
 //!
@@ -58,7 +54,6 @@ pub mod dense;
 pub mod equivalence;
 pub mod pipeline;
 pub mod random;
-pub mod stabilizer;
 pub mod statevector;
 mod structural;
 
@@ -66,8 +61,4 @@ pub use basis::{circuit_permutation, BasisBatch};
 pub use dense::{circuit_unitary, simulate_basis, FusedProgram};
 pub use equivalence::{MctSpec, Verification};
 pub use pipeline::{Proof, SimBackend, VerifyEquivalence};
-pub use stabilizer::{
-    classify_gate, clifford_circuits_equal, is_clifford_circuit, is_clifford_gate, CliffordTableau,
-    StabilizerState,
-};
 pub use statevector::StateVector;

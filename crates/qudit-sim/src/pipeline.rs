@@ -38,13 +38,12 @@
 //!   digit rows with vectorised compare/select loops — every basis state in
 //!   blocks when the register is small, a deterministic draw of random
 //!   basis states otherwise — in `O(width × block)` memory either way;
-//! * **all-Clifford circuits** over prime dimensions via exact stabilizer
-//!   tableau comparison ([`crate::stabilizer`]) — complete up to global
-//!   phase at *any* register width;
-//! * **other non-classical circuits** via the state-vector simulator — full
+//! * **non-classical circuits** via the state-vector simulator — full
 //!   unitary comparison up to global phase on small registers, fidelity on
 //!   random dense input states (which are sensitive to relative-phase
-//!   changes) on larger ones.
+//!   changes) up to `2^20` basis states, and a typed refusal beyond.  The
+//!   compile facade refuses non-classical gates before its first stage,
+//!   so only custom pipelines reach this branch.
 //!
 //! The strategy follows from the pass and the two circuits alone; there is
 //! no engine option.  A detected mismatch surfaces as
@@ -114,8 +113,6 @@ pub enum Proof {
     Exhaustive,
     /// This many sampled basis states.
     Sampled(usize),
-    /// Stabilizer tableaus compared (exact up to global phase).
-    Tableau,
     /// Full unitaries compared up to global phase.
     Unitary,
     /// This many random dense states compared by fidelity.
@@ -301,25 +298,6 @@ impl VerifyEquivalence {
         let dimension = before.dimension();
         // `None` when `d^width` overflows: far past every exhaustive bound.
         let size = dimension.checked_register_size(before.width());
-        // Tableau fast path: when both circuits are all-Clifford over a
-        // prime dimension, their stabilizer tableaus compare exactly (up to
-        // global phase) in `O(gates · width²)` — independent of `d^width`,
-        // so this is the branch that verifies at widths the dense engine
-        // cannot touch.  Classical pairs keep the permutation sweep below
-        // (it is cheaper and never pays for classification).
-        if dimension.is_prime()
-            && !(before.is_classical() && after.is_classical())
-            && crate::stabilizer::is_clifford_circuit(before)
-            && crate::stabilizer::is_clifford_circuit(after)
-        {
-            if !crate::stabilizer::clifford_circuits_equal(before, after)? {
-                return Err(self.fail(
-                    "output circuit is not equivalent to its input (stabilizer tableaus differ)"
-                        .to_string(),
-                ));
-            }
-            return Ok(Proof::Tableau);
-        }
         if before.is_classical() && after.is_classical() {
             let (witness, proof) = if size.is_some_and(|size| size <= self.max_exhaustive_states) {
                 (exhaustive_witness(before, after)?, Proof::Exhaustive)
@@ -562,65 +540,6 @@ mod tests {
         let manager = PassManager::new().with_pass(VerifyEquivalence::wrap(Box::new(drop_all)));
         match manager.run(circuit) {
             Err(QuditError::PassFailed { pass, .. }) => assert_eq!(pass, "drop-all"),
-            other => panic!("expected PassFailed, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn clifford_circuits_verify_via_tableaus_beyond_dense_reach() {
-        use qudit_core::math::{Complex, SquareMatrix};
-        // Width 24 over qutrits: 3^24 ≈ 2.8·10¹¹ basis states — every
-        // state-vector path would refuse or exhaust memory, so a passing
-        // verdict proves the tableau branch ran.
-        let omega = 2.0 * std::f64::consts::PI / 3.0;
-        let s = 1.0 / 3.0f64.sqrt();
-        let mut entries = Vec::new();
-        for r in 0..3u32 {
-            for c in 0..3u32 {
-                entries.push(Complex::from_phase(omega * f64::from(r * c)).scale(s));
-            }
-        }
-        let fourier = SquareMatrix::from_rows(3, entries).unwrap();
-        let width = 24;
-        let mut circuit = Circuit::new(dim(3), width);
-        for q in 0..width {
-            circuit
-                .push(Gate::single(
-                    SingleQuditOp::Unitary(fourier.clone()),
-                    QuditId::new(q),
-                ))
-                .unwrap();
-            if q + 1 < width {
-                circuit
-                    .push(Gate::add_from(
-                        QuditId::new(q),
-                        false,
-                        QuditId::new(q + 1),
-                        vec![],
-                    ))
-                    .unwrap();
-            }
-        }
-
-        let identity = pass_fn("identity", Ok);
-        let manager = PassManager::new().with_pass(VerifyEquivalence::wrap(Box::new(identity)));
-        assert!(manager.run(circuit.clone()).is_ok());
-
-        // Dropping one gate flips the verdict (the "pass" output is still
-        // all-Clifford, so the tableau branch is the one that catches it).
-        let drop_last = pass_fn("drop-last", |c: Circuit| {
-            let mut out = Circuit::new(c.dimension(), c.width());
-            for gate in c.gates().iter().take(c.len() - 1) {
-                out.push(gate.clone())?;
-            }
-            Ok(out)
-        });
-        let manager = PassManager::new().with_pass(VerifyEquivalence::wrap(Box::new(drop_last)));
-        match manager.run(circuit) {
-            Err(QuditError::PassFailed { pass, reason }) => {
-                assert_eq!(pass, "drop-last");
-                assert!(reason.contains("stabilizer"), "{reason}");
-            }
             other => panic!("expected PassFailed, got {other:?}"),
         }
     }

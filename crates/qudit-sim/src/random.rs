@@ -1,5 +1,5 @@
 //! Random workload generators: Haar-like unitaries, random permutations,
-//! random reversible functions and random Clifford circuits.
+//! random reversible functions and random dialect circuits.
 
 use qudit_core::math::{Complex, SquareMatrix};
 use qudit_core::{Circuit, Control, Dimension, Gate, Permutation, QuditId, SingleQuditOp};
@@ -249,77 +249,6 @@ pub fn random_classical_dialect_circuit<R: Rng>(
     circuit
 }
 
-/// Generates a uniformly-gated random all-Clifford circuit over a prime
-/// dimension.
-///
-/// Each of the `gates` gates is drawn from the generalised-Pauli Clifford
-/// repertoire: the Fourier gate `F`, the phase gate `S`, cyclic shifts
-/// `X+y`, affine level permutations `j ↦ a·j + b (mod d)` and — on registers
-/// of two or more qudits — the `SUM` gate ([`Gate::add_from`]) between two
-/// distinct random qudits.  The result always satisfies
-/// [`is_clifford_circuit`](crate::stabilizer::is_clifford_circuit()), so it
-/// simulates on the [`StabilizerState`](crate::StabilizerState) tableau at
-/// any width.
-///
-/// # Panics
-///
-/// Panics when the dimension is not prime (the stabilizer formalism, and the
-/// affine permutations drawn here, require `Z_d` to be a field) or when
-/// `width == 0`.
-///
-/// # Example
-///
-/// ```
-/// # use rand::SeedableRng;
-/// # use qudit_core::Dimension;
-/// # use qudit_sim::random::random_clifford_circuit;
-/// # use qudit_sim::stabilizer::is_clifford_circuit;
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-/// let circuit = random_clifford_circuit(Dimension::new(3).unwrap(), 4, 20, &mut rng);
-/// assert!(is_clifford_circuit(&circuit));
-/// ```
-pub fn random_clifford_circuit<R: Rng>(
-    dimension: Dimension,
-    width: usize,
-    gates: usize,
-    rng: &mut R,
-) -> Circuit {
-    assert!(
-        dimension.is_prime(),
-        "clifford circuits require a prime dimension, got {dimension}"
-    );
-    assert!(width > 0, "register width must be positive");
-    let d = dimension.get();
-    let mut circuit = Circuit::new(dimension, width);
-    for _ in 0..gates {
-        let qudit = QuditId::new(rng.gen_range(0..width));
-        let kind = rng.gen_range(0u32..if width >= 2 { 5 } else { 4 });
-        let gate = match kind {
-            0 => Gate::single(SingleQuditOp::fourier(dimension), qudit),
-            1 => Gate::single(SingleQuditOp::clifford_phase(dimension), qudit),
-            2 => Gate::single(SingleQuditOp::Add(rng.gen_range(1..d)), qudit),
-            3 => {
-                // j ↦ a·j + b (mod d) is a bijection for any a ∈ 1..d when d
-                // is prime, and conjugates X ↦ X^a, Z ↦ Z^{a⁻¹} up to phase.
-                let a = rng.gen_range(1..d);
-                let b = rng.gen_range(0..d);
-                let map = (0..d).map(|j| (a * j + b) % d).collect();
-                let perm = Permutation::from_map(map).expect("affine map is a bijection");
-                Gate::single(SingleQuditOp::Perm(perm), qudit)
-            }
-            _ => {
-                let target =
-                    QuditId::new((qudit.index() + 1 + rng.gen_range(0..width - 1)) % width);
-                Gate::add_from(qudit, rng.gen_range(0..2u32) == 1, target, vec![])
-            }
-        };
-        circuit
-            .push(gate)
-            .expect("generated gate fits the register");
-    }
-    circuit
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,27 +281,6 @@ mod tests {
         let d = Dimension::new(3).unwrap();
         let table = random_reversible_table(d, 3, &mut rng);
         assert_eq!(table.len(), 27);
-    }
-
-    #[test]
-    fn random_clifford_circuits_are_clifford() {
-        use crate::stabilizer::is_clifford_circuit;
-        let mut rng = StdRng::seed_from_u64(9);
-        for d in [2u32, 3, 5] {
-            for width in [1usize, 2, 4] {
-                let circuit =
-                    random_clifford_circuit(Dimension::new(d).unwrap(), width, 30, &mut rng);
-                assert_eq!(circuit.len(), 30);
-                assert!(is_clifford_circuit(&circuit), "d={d} width={width}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "prime dimension")]
-    fn clifford_generation_rejects_composite_dimensions() {
-        let mut rng = StdRng::seed_from_u64(2);
-        random_clifford_circuit(Dimension::new(4).unwrap(), 2, 5, &mut rng);
     }
 
     #[test]

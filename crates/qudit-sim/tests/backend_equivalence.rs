@@ -154,7 +154,7 @@ proptest! {
     }
 
     /// `VerifyEquivalence`, whichever strategy the circuits select
-    /// (basis batch, tableau or dense), returns the verdict the reference
+    /// (basis batch or dense), returns the verdict the reference
     /// unitaries imply: a faithful (identity) pass passes, and dropping the
     /// last gate passes exactly when the reference unitaries agree up to
     /// phase.

@@ -52,7 +52,7 @@ use qudit_core::pipeline::{
 use qudit_core::pool::WorkStealingPool;
 use qudit_core::route::{CostModel, RoutePass, UniformCost, SWAP_LADDER_GATES};
 use qudit_core::topology::CouplingGraph;
-use qudit_core::Circuit;
+use qudit_core::{Circuit, QuditError};
 use qudit_sim::pipeline::VerifyEquivalence;
 use qudit_sim::SimBackend;
 
@@ -63,8 +63,9 @@ use crate::pipeline::LowerToElementary;
 ///
 /// Verification wraps each assembled pass in
 /// [`VerifyEquivalence`], so a stage that changes the circuit's operator
-/// fails the compilation with
-/// [`QuditError::PassFailed`](qudit_core::QuditError::PassFailed).
+/// fails the compilation with [`QuditError::PassFailed`].  The facade
+/// refuses non-classical gates before the first stage, so every stage it
+/// checks is classical.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Verify {
     /// No verification (the default — the configuration gate counts are
@@ -76,16 +77,13 @@ pub enum Verify {
     /// proved structurally (each local rewrite swept over the basis of its
     /// own wires), which is exact at any width.  Other stages, and any
     /// stage whose structural proof fails, are checked globally:
-    /// exhaustively over the basis for small classical registers, by full
-    /// unitary comparison for small non-classical ones, falling back to
-    /// deterministic sampling above the built-in size bounds.
+    /// exhaustively over the basis for small registers, on a deterministic
+    /// sample of basis states above the built-in size bound.
     Exhaustive,
     /// Check on a deterministic sample budget instead of sweeping the
     /// basis: a stage without a structural proof is checked on exactly `n`
     /// sampled basis states regardless of register size (values below 1
-    /// are treated as 1).  Non-classical comparisons cap the budget at the engine's
-    /// dense-state sample bound (currently 8) — random dense inputs are
-    /// maximally sensitive, so a handful suffices there.
+    /// are treated as 1).
     Sampled(usize),
 }
 
@@ -628,27 +626,32 @@ impl Compiler {
     ///
     /// # Errors
     ///
-    /// Returns the first pass error, including verification failures
-    /// ([`Verify`]).
+    /// Returns [`QuditError::UnsupportedLowering`] for a non-classical gate
+    /// whose controls can fire, since the G-gates are all classical.  Gates
+    /// whose controls can never fire are dropped as the identity before the
+    /// first stage.  Otherwise returns the first pass error, including
+    /// verification failures ([`Verify`]).
     pub fn compile(&self, circuit: &Circuit) -> qudit_core::Result<CompileResult> {
         self.compile_job(Cow::Borrowed(circuit))
     }
 
-    /// Embeds one job (see [`Compiler::embed`]) and runs the pipeline on it.
+    /// Admits and embeds one job (see [`Compiler::embed`]) and runs the
+    /// pipeline on it.
     fn compile_job(&self, circuit: Cow<'_, Circuit>) -> qudit_core::Result<CompileResult> {
         let report = self.manager.run(self.embed(circuit)?)?;
         Ok(CompileResult::from_report(report, &self.options))
     }
 
-    /// Embeds a job in the coupling graph's full site register when routing
-    /// is enabled, so every stage (and its verification wrapper, which
-    /// requires width stability) runs over the physical register.  Narrower
-    /// graphs are left to the route stage's typed
-    /// [`TopologyTooSmall`](qudit_core::QuditError::TopologyTooSmall) error.
+    /// Admits a job (see [`admit`]), then embeds it in the coupling graph's
+    /// full site register when routing is enabled, so every stage (and its
+    /// verification wrapper, which requires width stability) runs over the
+    /// physical register.  Narrower graphs are left to the route stage's
+    /// typed [`TopologyTooSmall`](QuditError::TopologyTooSmall) error.
     ///
-    /// A job is copied at most once: an owned job that needs no widening
-    /// moves through.
+    /// A job is copied at most once: an owned job that has no gate to drop
+    /// and needs no widening moves through.
     fn embed(&self, circuit: Cow<'_, Circuit>) -> qudit_core::Result<Circuit> {
+        let circuit = admit(circuit)?;
         match &self.options.topology {
             Some(graph) if graph.sites() > circuit.width() => circuit.widened(graph.sites()),
             _ => Ok(circuit.into_owned()),
@@ -715,6 +718,49 @@ impl Compiler {
                 .collect(),
         })
     }
+}
+
+/// The facade's front door: one walk over a job's gates before the first
+/// stage.  A gate whose controls can never fire (such as `ctrl(even)` at
+/// `d = 2`) is the identity and is dropped.  Every other gate must be
+/// classical, because every G-gate of `{Xij} ∪ {|0⟩-X01}` is, so no stage
+/// could lower it.  A job with no gate to drop is returned as it came.
+///
+/// # Errors
+///
+/// [`QuditError::UnsupportedLowering`] naming the index of the first gate
+/// that can fire and is not classical.
+fn admit(circuit: Cow<'_, Circuit>) -> qudit_core::Result<Cow<'_, Circuit>> {
+    let dimension = circuit.dimension();
+    let mut idle = false;
+    for (index, gate) in circuit.gates().iter().enumerate() {
+        if !gate.can_fire(dimension) {
+            idle = true;
+        } else if !gate.is_classical() {
+            return Err(QuditError::UnsupportedLowering {
+                reason: format!(
+                    "gate {index} is not a classical permutation (the G-gates are); \
+                     synthesise it with qudit_unitary::UnitarySynthesizer (Theorem IV.1) \
+                     or the Fig. 1(b) ControlledUnitary"
+                ),
+            });
+        }
+    }
+    if !idle {
+        return Ok(circuit);
+    }
+    let gates = circuit
+        .gates()
+        .iter()
+        .filter(|gate| gate.can_fire(dimension))
+        .cloned()
+        .collect();
+    // The kept gates were valid for this register already.
+    Ok(Cow::Owned(Circuit::from_gates_unchecked(
+        dimension,
+        circuit.width(),
+        gates,
+    )))
 }
 
 impl fmt::Debug for Compiler {
@@ -980,5 +1026,38 @@ mod tests {
             compiler.compile(synthesis.circuit()),
             Err(qudit_core::QuditError::TopologyTooSmall { .. })
         ));
+    }
+
+    #[test]
+    fn every_entry_point_refuses_non_classical_gates_by_index() {
+        use qudit_core::{Control, QuditId, SingleQuditOp};
+        let (q0, q1) = (QuditId::new(0), QuditId::new(1));
+        let mut circuit = Circuit::new(dim(3), 2);
+        circuit
+            .push(Gate::single(SingleQuditOp::Swap(0, 1), q0))
+            .unwrap();
+        circuit
+            .push(Gate::controlled(
+                SingleQuditOp::fourier(dim(3)),
+                q1,
+                [Control::odd(q0)],
+            ))
+            .unwrap();
+        fn refused<T: fmt::Debug>(outcome: qudit_core::Result<T>) {
+            match outcome {
+                Err(QuditError::UnsupportedLowering { reason }) => {
+                    assert!(reason.starts_with("gate 1 is not a classical"), "{reason}");
+                }
+                other => panic!("expected the refusal, got {other:?}"),
+            }
+        }
+        let source = qudit_core::qasm::print_circuit(&circuit);
+        let routed = CompileOptions::new().topology(CouplingGraph::linear(3).unwrap());
+        for options in [CompileOptions::new().verify(Verify::Exhaustive), routed] {
+            let compiler = options.compiler();
+            refused(compiler.compile(&circuit));
+            refused(compiler.compile_source(&source));
+            refused(compiler.compile_batch(std::slice::from_ref(&circuit)));
+        }
     }
 }

@@ -1,7 +1,8 @@
 //! Exact heap-allocation counts of the reply path on the 11 O2 `serve_mct`
 //! shapes (the k-Toffolis for d ∈ {3, 4} × k ∈ {4, …, 8} and d = 5, k = 4,
 //! compiled from their printed macro circuits as the compile service does),
-//! and of the verified, routed compile on the 7 `sweep_verified` shapes.
+//! of the verified, routed compile on the 7 `sweep_verified` shapes, and of
+//! one hostile source.
 //!
 //! A counting global allocator makes these counts deterministic, so the
 //! bounds gate a regression exactly on a noisy host:
@@ -17,7 +18,10 @@
 //! * the verified O1 compile routed on a chain of six sites (every stage
 //!   checked by `VerifyEquivalence`) makes at most 0.3 allocator calls and
 //!   requests at most 400 bytes per output gate: each stage's output is
-//!   sized once, and the verifier copies no stage's input.
+//!   sized once, and the verifier copies no stage's input;
+//! * the verified compile of `fourier q[0];` on 4,096 qutrits is refused
+//!   before the first stage and requests at most 1 MB: no stage, and no
+//!   verifier, sizes anything by the register.
 //!
 //! Every allocator call counts: `alloc`, `alloc_zeroed` and `realloc`; the
 //! bytes requested are the sizes those calls ask for.  The
@@ -31,7 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use qudit_core::qasm::{parse_source, print_circuit};
 use qudit_core::topology::CouplingGraph;
-use qudit_core::{Dimension, Gate};
+use qudit_core::{Dimension, Gate, QuditError};
 use qudit_synthesis::{CompileOptions, KToffoli, OptLevel, Verify};
 
 struct Counting;
@@ -199,5 +203,19 @@ fn reply_path_allocations_stay_bounded() {
     assert!(
         bytes_per_gate <= 400.0,
         "verified compiles requested {total_bytes} bytes for {total_gates} output gates ({bytes_per_gate:.0} per gate)"
+    );
+
+    // One hostile line: a non-classical gate on a wide register.
+    let compiler = CompileOptions::new().verify(Verify::Exhaustive).compiler();
+    let hostile = "OPENQASM 3.0;\nqudit[3] q[4096];\nfourier q[0];\n";
+    let (refused, calls, bytes) = weighed(|| compiler.compile_source(hostile));
+    println!("hostile fourier source: {calls} allocator calls, {bytes} bytes");
+    assert!(
+        bytes <= 1 << 20,
+        "the hostile source requested {bytes} bytes before its refusal"
+    );
+    assert!(
+        matches!(refused, Err(QuditError::UnsupportedLowering { .. })),
+        "{refused:?}"
     );
 }

@@ -8,17 +8,13 @@
 //!   standard `O1` flow, with identical `VerifyEquivalence` verdicts (the
 //!   CI matrix additionally runs the whole suite under `QUDIT_THREADS=1`
 //!   and `=4`);
-//! * the same equivalence on all-Clifford workloads, which verification
-//!   checks on the stabilizer tableau.
+//! * the facade's front door on the full repertoire: a non-classical gate
+//!   that can fire is refused by index, one that never fires is dropped.
 
 use proptest::prelude::*;
-use qudit_core::pipeline::{pass_fn, PassManager};
 use qudit_core::qasm::{parse_source, print_circuit};
-use qudit_core::{Circuit, Dimension};
-use qudit_sim::random::{
-    random_classical_dialect_circuit, random_clifford_circuit, random_dialect_circuit,
-};
-use qudit_sim::VerifyEquivalence;
+use qudit_core::{Circuit, Dimension, Gate, QuditError};
+use qudit_sim::random::{random_classical_dialect_circuit, random_dialect_circuit};
 use qudit_synthesis::{CompileOptions, OptLevel, Verify};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -106,26 +102,60 @@ proptest! {
             ),
         }
     }
+}
 
-    /// The refinement check of the round trip itself: `VerifyEquivalence`
-    /// — on the stabilizer tableau — accepts
-    /// `c → parse(print(c))` as an equivalence-preserving "pass" on random
-    /// all-Clifford circuits.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The facade's front door on the full repertoire.  A non-classical
+    /// gate whose controls can fire is refused before the first stage,
+    /// naming the first such gate.  Without those gates, a non-classical
+    /// gate whose controls can never fire (`ctrl(even)` at d = 2) is
+    /// dropped, so the source compiles exactly as it does without it.
     #[test]
-    fn clifford_round_trip_verifies_on_the_stabilizer_backend(
+    fn the_front_door_refuses_or_drops_non_classical_gates(
         seed in any::<u64>(),
-        d in prop::sample::select(vec![2u32, 3, 5]),
+        d in prop::sample::select(vec![2u32, 2, 3, 5]),
+        width in 1usize..5,
+        gates in 1usize..8,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let circuit = random_clifford_circuit(dim(d), 3, 12, &mut rng);
-        prop_assert_eq!(&parse_source(&print_circuit(&circuit)).unwrap(), &circuit);
-        let round_trip = pass_fn("qasm-round-trip", |c: Circuit| {
-            let printed = print_circuit(&c);
-            parse_source(&printed).map_err(qudit_core::QuditError::from)
-        });
-        let manager =
-            PassManager::new().with_pass(VerifyEquivalence::wrap(Box::new(round_trip)));
-        prop_assert!(manager.run(circuit).is_ok(), "round trip rejected");
+        let circuit = random_dialect_circuit(dim(d), width, gates, &mut rng);
+        let dimension = circuit.dimension();
+        let compiler = CompileOptions::new()
+            .opt_level(OptLevel::O1)
+            .verify(Verify::Exhaustive)
+            .compiler();
+        let compile = |keep: &dyn Fn(&Gate) -> bool| {
+            let mut kept = Circuit::new(dimension, width);
+            for gate in circuit.gates().iter().filter(|gate| keep(gate)) {
+                kept.push(gate.clone()).unwrap();
+            }
+            compiler.compile_source(&print_circuit(&kept))
+        };
+        let firing = circuit
+            .gates()
+            .iter()
+            .position(|gate| gate.can_fire(dimension) && !gate.is_classical());
+        if let Some(index) = firing {
+            match compile(&|_| true) {
+                Err(QuditError::UnsupportedLowering { reason }) => prop_assert!(
+                    reason.starts_with(&format!("gate {index} is not a classical permutation")),
+                    "{}", reason
+                ),
+                other => prop_assert!(false, "gate {} not refused: {:?}", index, other),
+            }
+        }
+        let silenced = compile(&|gate| gate.is_classical() || !gate.can_fire(dimension));
+        match (silenced, compile(&Gate::is_classical)) {
+            (Ok(with), Ok(without)) => prop_assert_eq!(with.to_qasm(), without.to_qasm()),
+            (Err(with), Err(without)) => prop_assert_eq!(with, without),
+            (with, without) => prop_assert!(
+                false,
+                "dropping never-firing gates changed the outcome: {:?} vs {:?}",
+                with.map(|r| r.to_qasm()), without.map(|r| r.to_qasm())
+            ),
+        }
     }
 }
 
