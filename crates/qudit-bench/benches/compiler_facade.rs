@@ -4,10 +4,11 @@
 //! O1, `Verify::Exhaustive`, a six-site chain).
 //!
 //! The facade adds one circuit clone (`compile` borrows its input where the
-//! raw manager consumes it — the raw loop clones too, for parity) and the
-//! `CompileResult` assembly (which reuses the last pass's depth profile
-//! rather than rescanning) on top of the pass manager; everything else is
-//! shared.  The `overhead` check pins
+//! raw manager consumes it — the raw loop clones too, for parity), the
+//! front-door walk and the `CompileResult` assembly (whose one depth walk
+//! over the final circuit the raw manager, which records only gate counts,
+//! does not make) on top of the pass manager; everything else is shared.
+//! The `overhead` check pins
 //! the facade at ≤ 1% over raw — plus a fixed 200 µs timer-noise epsilon
 //! (~1.5% of the ~13 ms workload), the price of keeping a wall-clock
 //! ratio assertion stable on shared CI runners — on the minimum-of-rounds

@@ -10,8 +10,9 @@ use qudit_baselines::{
     clean_ancilla_count, di_wei_cubic_count, exponential_gate_count, yeh_wetering_clifford_t_count,
     CleanAncillaMct, CliffordTCostModel,
 };
-use qudit_core::pipeline::{LowerToGGates, Pass};
-use qudit_core::route::NoiseAwareCost;
+use qudit_core::depth::circuit_depth;
+use qudit_core::pipeline::{LowerToGGates, Pass, PipelineSpec};
+use qudit_core::route::{NoiseAwareCost, RoutePass};
 use qudit_core::topology::CouplingGraph;
 use qudit_core::{Circuit, Dimension, Gate, GateOp, QuditId, SingleQuditOp};
 use qudit_reversible::{lower_bound, ReversibleFunction, ReversibleSynthesizer};
@@ -54,8 +55,12 @@ fn lowering_compiler() -> Compiler {
 
 /// The scheduled compiler of the E10/E11 sweeps (`O2`: the standard flow
 /// plus depth scheduling).
+fn scheduled_sweep_options() -> CompileOptions {
+    CompileOptions::new().opt_level(OptLevel::O2)
+}
+
 fn scheduled_sweep_compiler() -> Compiler {
-    CompileOptions::new().opt_level(OptLevel::O2).compiler()
+    scheduled_sweep_options().compiler()
 }
 
 /// The routed leg of the E10/E11 sweeps: the same scheduled flow with a
@@ -75,6 +80,59 @@ fn routed_sweep_options(jobs: &[qudit_core::Circuit]) -> CompileOptions {
 
 fn routed_sweep_compiler(jobs: &[qudit_core::Circuit]) -> Compiler {
     routed_sweep_options(jobs).compiler()
+}
+
+/// The circuit depth at every stage boundary of the pipeline `options`
+/// select, per job: entry 0 is the depth of the job as the first stage
+/// receives it, entry `i + 1` the depth after stage `i` (so the last entry
+/// is the compiled depth).  The facade walks only its final circuit's
+/// depth, so this runs the stages one at a time as single-stage managers
+/// and walks every boundary itself.  `results` are the facade's compiles of
+/// the same jobs; the stage walk must end in each one's circuit.
+pub fn stage_depths(
+    options: &CompileOptions,
+    jobs: &[Circuit],
+    results: &[CompileResult],
+) -> Vec<Vec<usize>> {
+    let mut registry = qudit_synthesis::compiler::registry();
+    if let Some(graph) = options.coupling_graph() {
+        let (graph, cost) = (graph.clone(), options.cost_model().clone());
+        registry.register("route", move || {
+            Box::new(RoutePass::new(graph.clone(), cost.clone()))
+        });
+    }
+    let stages: Vec<_> = options
+        .spec()
+        .stages
+        .into_iter()
+        .map(|stage| {
+            registry
+                .assemble(&PipelineSpec::new().with_stage(stage))
+                .expect("every stage the options select is registered")
+        })
+        .collect();
+    jobs.iter()
+        .zip(results)
+        .map(|(job, result)| {
+            // The facade embeds a job in the coupling graph's full register.
+            let mut current = match options.coupling_graph() {
+                Some(graph) if graph.sites() > job.width() => {
+                    job.widened(graph.sites()).expect("the job fits the graph")
+                }
+                _ => job.clone(),
+            };
+            let mut depths = vec![circuit_depth(&current)];
+            for stage in &stages {
+                current = stage.run_circuit(current).expect("the stage runs");
+                depths.push(circuit_depth(&current));
+            }
+            assert_eq!(
+                current, result.circuit,
+                "the stage walk reproduces the facade's compile"
+            );
+            depths
+        })
+        .collect()
 }
 
 /// Parameter scale of the experiment suite.
@@ -340,7 +398,7 @@ pub fn sweep_jobs(sweep: &[(u32, usize)]) -> Vec<qudit_core::Circuit> {
 /// noticeable fraction of the G-gates cancels; the emission order then
 /// leaves idle-wire holes that
 /// [`ScheduleDepth`](qudit_core::pipeline::ScheduleDepth) packs away, which
-/// the depth columns report.
+/// the depth columns report (from [`stage_depths`]).
 ///
 /// The whole sweep is compiled concurrently through
 /// [`Compiler::compile_batch`] on the scheduled compiler;
@@ -359,18 +417,35 @@ pub fn e10_peephole(scale: Scale) -> Table {
     let routed = routed_sweep_compiler(&jobs)
         .compile_batch(&jobs)
         .expect("the routed k-Toffoli sweep compiles");
-    e10_table_from_results(&sweep, &syntheses, &batch.results, &routed.results)
+    let depths = stage_depths(&scheduled_sweep_options(), &jobs, &batch.results);
+    let routed_depths = stage_depths(&routed_sweep_options(&jobs), &jobs, &routed.results);
+    e10_table_from_results(
+        &sweep,
+        &syntheses,
+        (&batch.results, &depths),
+        (&routed.results, &routed_depths),
+    )
+}
+
+/// The index of the named stage in a compile's statistics.
+fn stage_index(result: &CompileResult, stage: &str) -> usize {
+    result
+        .stats
+        .iter()
+        .position(|stats| stats.pass == stage)
+        .unwrap_or_else(|| panic!("the sweep's pipeline runs {stage}"))
 }
 
 /// Renders the E10 table from per-job syntheses and compile results (one of
-/// each per sweep entry; `routed` holds the same jobs compiled through the
-/// linear-chain routed flow of `routed_sweep_options`).  Exposed so tests
-/// can compare the batch path against a sequentially compiled sweep.
+/// each per sweep entry, each result with its [`stage_depths`]; `routed`
+/// holds the same jobs compiled through the linear-chain routed flow of
+/// `routed_sweep_options`).  Exposed so tests can compare the batch path
+/// against a sequentially compiled sweep.
 pub fn e10_table_from_results(
     sweep: &[(u32, usize)],
     syntheses: &[qudit_synthesis::MctSynthesis],
-    results: &[CompileResult],
-    routed: &[CompileResult],
+    (results, depths): (&[CompileResult], &[Vec<usize>]),
+    (routed, routed_depths): (&[CompileResult], &[Vec<usize>]),
 ) -> Table {
     let mut table = Table::new(
         "E10 — peephole optimisation and depth scheduling of the lowered k-Toffoli circuits",
@@ -389,17 +464,16 @@ pub fn e10_table_from_results(
             "verified",
         ],
     );
-    for (((&(d, k), synthesis), report), routed) in
-        sweep.iter().zip(syntheses).zip(results).zip(routed)
+    for (job, ((&(d, k), synthesis), report)) in
+        sweep.iter().zip(syntheses).zip(results).enumerate()
     {
+        let routed = &routed[job];
         let cancel = report
             .stats_for("cancel-inverse-pairs")
             .expect("the scheduled pipeline cancels inverse pairs");
-        let (g_gates, optimized_gates) = (cancel.before.gates, cancel.after.gates);
-        let schedule = report
-            .stats_for("schedule-depth")
-            .expect("the scheduled pipeline ends with depth scheduling");
-        let (depth_before, depth_after) = (schedule.before.depth, schedule.after.depth);
+        let (g_gates, optimized_gates) = (cancel.gates_before, cancel.gates_after);
+        let schedule = stage_index(report, "schedule-depth");
+        let (depth_before, depth_after) = (depths[job][schedule], depths[job][schedule + 1]);
         // Verify that the optimised circuit still implements the Toffoli
         // (sampled for larger registers, exhaustive for small ones).
         let spec = MctSpec::toffoli(
@@ -422,9 +496,7 @@ pub fn e10_table_from_results(
         // ladders are in (before the final scheduling stage packs it), the
         // number of inserted SWAPs, and the noise-aware weighted cost of
         // the routed circuit.
-        let routed_depth = routed
-            .routed_depth
-            .expect("the routed sweep reports a routed depth");
+        let routed_depth = routed_depths[job][stage_index(routed, "route") + 1];
         let swaps = routed
             .swap_count
             .expect("the routed sweep reports a swap count");
@@ -461,12 +533,12 @@ pub fn e11_sweep(scale: Scale) -> Vec<(u32, usize)> {
         .collect()
 }
 
-/// E11 — the compilation pipeline itself: per-pass statistics (gate counts,
-/// depth, wall time) of the scheduled standard flow
-/// (macro → elementary → G → optimised → depth-scheduled) on the k-Toffoli
-/// circuits, as recorded by the `PassManager`.  The `schedule-depth` rows'
-/// depth-in/depth-out columns are the depth trajectory of the new
-/// scheduling stage.
+/// E11 — the compilation pipeline itself: per-pass statistics of the
+/// scheduled standard flow (macro → elementary → G → optimised →
+/// depth-scheduled) on the k-Toffoli circuits.  Gate counts and wall times
+/// are the `PassManager`'s; the depth-in/depth-out columns come from
+/// [`stage_depths`], and the `schedule-depth` rows' pair is the depth
+/// trajectory of the scheduling stage.
 ///
 /// The sweep is compiled concurrently through [`Compiler::compile_batch`];
 /// the table matches the sequential path (wall times aside).
@@ -479,18 +551,25 @@ pub fn e11_pipeline(scale: Scale) -> Table {
     let routed = routed_sweep_compiler(&jobs)
         .compile_batch(&jobs)
         .expect("the routed k-Toffoli sweep compiles");
-    e11_table_from_results(&sweep, &batch.results, &routed.results)
+    let depths = stage_depths(&scheduled_sweep_options(), &jobs, &batch.results);
+    let routed_depths = stage_depths(&routed_sweep_options(&jobs), &jobs, &routed.results);
+    e11_table_from_results(
+        &sweep,
+        (&batch.results, &depths),
+        (&routed.results, &routed_depths),
+    )
 }
 
 /// Renders the E11 table from per-job compile results (one per sweep
-/// entry; `routed` holds the same jobs compiled through the linear-chain
-/// routed flow, whose per-job routed-depth / swap-count / weighted-cost
-/// figures repeat on every pass row of that job).  Exposed so tests can
-/// compare the batch path against a sequentially compiled sweep.
+/// entry, each with its [`stage_depths`]; `routed` holds the same jobs
+/// compiled through the linear-chain routed flow, whose per-job
+/// routed-depth / swap-count / weighted-cost figures repeat on every pass
+/// row of that job).  Exposed so tests can compare the batch path against a
+/// sequentially compiled sweep.
 pub fn e11_table_from_results(
     sweep: &[(u32, usize)],
-    results: &[CompileResult],
-    routed: &[CompileResult],
+    (results, depths): (&[CompileResult], &[Vec<usize>]),
+    (routed, routed_depths): (&[CompileResult], &[Vec<usize>]),
 ) -> Table {
     let mut table = Table::new(
         "E11 — standard pipeline per-pass statistics (macro -> fused -> elementary -> G -> optimised)",
@@ -510,29 +589,28 @@ pub fn e11_table_from_results(
             "elapsed µs",
         ],
     );
-    for ((&(d, k), report), routed) in sweep.iter().zip(results).zip(routed) {
+    for (job, (&(d, k), report)) in sweep.iter().zip(results).enumerate() {
+        let routed = &routed[job];
         // `qasm bytes` is the size of the compiled circuit in the canonical
         // text IR (see `qudit_core::qasm`) — the artefact a job exported
         // with `CompileResult::to_qasm` would occupy on disk.
         let qasm_bytes = qudit_core::qasm::print_circuit(&report.circuit).len();
-        let routed_depth = routed
-            .routed_depth
-            .expect("the routed sweep reports a routed depth");
+        let routed_depth = routed_depths[job][stage_index(routed, "route") + 1];
         let swap_count = routed
             .swap_count
             .expect("the routed sweep reports a swap count");
         let weighted = routed
             .weighted_cost
             .expect("the routed sweep reports a weighted cost");
-        for stats in &report.stats {
+        for (stage, stats) in report.stats.iter().enumerate() {
             table.push_row(vec![
                 d.to_string(),
                 k.to_string(),
                 stats.pass.clone(),
-                stats.before.gates.to_string(),
-                stats.after.gates.to_string(),
-                stats.before.depth.to_string(),
-                stats.after.depth.to_string(),
+                stats.gates_before.to_string(),
+                stats.gates_after.to_string(),
+                depths[job][stage].to_string(),
+                depths[job][stage + 1].to_string(),
                 report.fused_gates.to_string(),
                 qasm_bytes.to_string(),
                 routed_depth.to_string(),
@@ -1224,8 +1302,19 @@ mod tests {
             .compile_batch(&jobs)
             .unwrap();
 
-        let sequential_table = e11_table_from_results(&sweep, &sequential, &routed_sequential);
-        let batch_table = e11_table_from_results(&sweep, &batch.results, &routed_batch.results);
+        let depths = stage_depths(&scheduled_sweep_options(), &jobs, &batch.results);
+        let routed_depths =
+            stage_depths(&routed_sweep_options(&jobs), &jobs, &routed_batch.results);
+        let sequential_table = e11_table_from_results(
+            &sweep,
+            (&sequential, &depths),
+            (&routed_sequential, &routed_depths),
+        );
+        let batch_table = e11_table_from_results(
+            &sweep,
+            (&batch.results, &depths),
+            (&routed_batch.results, &routed_depths),
+        );
         assert_eq!(
             without_elapsed(&sequential_table),
             without_elapsed(&batch_table),
@@ -1292,9 +1381,24 @@ mod tests {
             .compiler()
             .compile_batch(&jobs)
             .unwrap();
+        let depths = stage_depths(&scheduled_sweep_options(), &jobs, &batch.results);
+        let routed_depths =
+            stage_depths(&routed_sweep_options(&jobs), &jobs, &routed_batch.results);
         assert_eq!(
-            e10_table_from_results(&sweep, &syntheses, &sequential, &routed_sequential).rows,
-            e10_table_from_results(&sweep, &syntheses, &batch.results, &routed_batch.results).rows,
+            e10_table_from_results(
+                &sweep,
+                &syntheses,
+                (&sequential, &depths),
+                (&routed_sequential, &routed_depths)
+            )
+            .rows,
+            e10_table_from_results(
+                &sweep,
+                &syntheses,
+                (&batch.results, &depths),
+                (&routed_batch.results, &routed_depths)
+            )
+            .rows,
             "batch compilation must reproduce the sequential E10 table"
         );
     }
@@ -1318,9 +1422,7 @@ mod tests {
             validate_adjacency(&report.circuit, &graph)
                 .unwrap_or_else(|e| panic!("routed d={d} k={k} violates the chain: {e}"));
             assert!(
-                report.swap_count.is_some()
-                    && report.routed_depth.is_some()
-                    && report.weighted_cost.is_some(),
+                report.swap_count.is_some() && report.weighted_cost.is_some(),
                 "routed d={d} k={k} must report the routing columns"
             );
             let spec = MctSpec::toffoli(

@@ -38,6 +38,14 @@
 //!   moves its gates into layer order; the `schedule-depth` pass is one
 //!   call to it.
 //!
+//! The per-gate bookkeeping is kept small.  Each gate's oracle facts
+//! (level map, additive, diagonal; a transposition skips the `d`-level
+//! diagonal check) are computed once and kept by the wire runs the gate
+//! starts, so no per-gate table is built; its roles are read once into a
+//! reused buffer; and the layer order is a stable counting sort by layer
+//! whose result is swapped into place within the circuit's own gate
+//! buffer, so no second gate buffer is allocated.
+//!
 //! # Oracle rules
 //!
 //! A gate *writes* its target and *reads* its controls and (for the
@@ -93,8 +101,8 @@ use crate::circuit::Circuit;
 use crate::control::ControlPredicate;
 use crate::dimension::Dimension;
 use crate::gate::{Gate, GateOp};
-use crate::math::MATRIX_TOLERANCE;
-use crate::ops::{Permutation, SingleQuditOp};
+use crate::math::{Complex, SquareMatrix, MATRIX_TOLERANCE};
+use crate::ops::SingleQuditOp;
 use crate::qudit::QuditId;
 
 /// How a gate uses one of its qudits.
@@ -129,12 +137,16 @@ fn roles(gate: &Gate) -> impl Iterator<Item = (QuditId, Role)> + '_ {
 
 /// The fixed level map a gate applies to its target, read without
 /// allocating: a classical operation acts level by level through
-/// [`SingleQuditOp::apply_level`] (a `Perm` reads its own table), and only
-/// a permutation-valued unitary has its table extracted (once per gate).
+/// [`SingleQuditOp::apply_level`] (a `Perm` reads its own table), and a
+/// permutation-valued unitary through the one entry equal to 1 in the
+/// level's column.
+#[derive(Clone, Copy)]
 enum LevelMap<'a> {
     /// `Swap`, `Add`, the parity flips or `Perm`.
     Op(&'a SingleQuditOp),
-    Table(Permutation),
+    /// A unitary [`SingleQuditOp::to_permutation`] accepts: a permutation
+    /// matrix.
+    Matrix(&'a SquareMatrix),
 }
 
 impl LevelMap<'_> {
@@ -143,7 +155,12 @@ impl LevelMap<'_> {
             LevelMap::Op(op) => op
                 .apply_level(level, dimension)
                 .expect("only classical operations are stored"),
-            LevelMap::Table(permutation) => permutation.apply(level),
+            LevelMap::Matrix(matrix) => (0..matrix.size())
+                .find(|&row| {
+                    matrix[(row, level as usize)].approx_eq(Complex::ONE, MATRIX_TOLERANCE)
+                })
+                .expect("a permutation matrix has a 1 in every column")
+                as u32,
         }
     }
 }
@@ -165,10 +182,11 @@ fn predicate_invariant_under(
         .all(|l| predicate.matches(map.apply(l, dimension)) == predicate.matches(l))
 }
 
-/// Precomputed per-gate facts the oracle consults for every pair.  The DAG
-/// builder and the scheduler compute these once per gate instead of once per
-/// pair, which is what keeps the oracle cheap on multi-thousand-gate
-/// circuits.
+/// Precomputed per-gate facts the oracle consults for every pair.  The
+/// scheduler computes these once per gate instead of once per pair, which is
+/// what keeps the oracle cheap on multi-thousand-gate circuits, and each
+/// wire's run keeps the facts of its first gate.
+#[derive(Clone, Copy)]
 struct GateInfo<'a> {
     gate: &'a Gate,
     /// The fixed level map the gate applies to its target, when it has one
@@ -183,20 +201,23 @@ struct GateInfo<'a> {
     /// (the whole gate is then a diagonal operator — controls are basis
     /// projectors — so it commutes with anything that only reads its
     /// target).  A permutation is diagonal exactly when it is the identity,
-    /// so only non-permutation unitaries need their matrix.
+    /// so only non-permutation unitaries need their matrix, and a
+    /// transposition (`i ≠ j`, as validation ensures) never is.
     diagonal: bool,
 }
 
 impl<'a> GateInfo<'a> {
     fn of(gate: &'a Gate, dimension: Dimension) -> Self {
         let map = match gate.op() {
-            GateOp::Single(op @ SingleQuditOp::Unitary(_)) => {
-                op.to_permutation(dimension).ok().map(LevelMap::Table)
-            }
+            GateOp::Single(op @ SingleQuditOp::Unitary(matrix)) => op
+                .to_permutation(dimension)
+                .ok()
+                .map(|_| LevelMap::Matrix(matrix)),
             GateOp::Single(op) => Some(LevelMap::Op(op)),
             GateOp::AddFrom { .. } => None,
         };
         let diagonal = match (gate.op(), &map) {
+            (GateOp::Single(SingleQuditOp::Swap(..)), _) => false,
             (GateOp::Single(SingleQuditOp::Unitary(matrix)), _) => {
                 let size = matrix.size();
                 (0..size)
@@ -272,23 +293,31 @@ fn compatible_on(
         // controls only ever substitute the identity, which commutes with
         // everything).
         (Role::Target, Role::Target) => ops_commute(dimension, a, b),
-        // Write-read through a control: a diagonal writer is invisible to
-        // any basis-diagonal reader; otherwise the writer must apply a fixed
+        // A writer against a reader, in either order.
+        (Role::Target, reader) => write_is_unread(dimension, a, reader),
+        (reader, Role::Target) => write_is_unread(dimension, b, reader),
+    }
+}
+
+/// Whether `writer`'s write to a qudit is invisible to a gate reading it
+/// with role `reader`.
+fn write_is_unread(dimension: Dimension, writer: &GateInfo<'_>, reader: Role) -> bool {
+    match reader {
+        // Through a control: a diagonal writer is invisible to any
+        // basis-diagonal reader; otherwise the writer must apply a fixed
         // classical permutation that the reader's predicate cannot observe.
-        (Role::Target, Role::Control(predicate)) => {
-            a.diagonal
-                || a.map
+        Role::Control(predicate) => {
+            writer.diagonal
+                || writer
+                    .map
                     .as_ref()
                     .is_some_and(|map| predicate_invariant_under(predicate, map, dimension))
         }
-        // Write-read through an `X±⋆` source: the source *value* feeds the
-        // shift, so only a diagonal write (which never changes the value) is
-        // compatible.
-        (Role::Target, Role::Source) => a.diagonal,
-        // A reader against a writer: the rules above, with the roles swapped.
-        (Role::Source | Role::Control(_), Role::Target) => {
-            compatible_on(dimension, b, role_b, a, role_a)
-        }
+        // Through an `X±⋆` source: the source *value* feeds the shift, so
+        // only a diagonal write (which never changes the value) is
+        // compatible.  (Two writers are the write-write case, decided by
+        // the caller.)
+        Role::Source | Role::Target => writer.diagonal,
     }
 }
 
@@ -377,25 +406,50 @@ impl Occupancy {
     }
 }
 
+/// Turns a 1-based layer assignment into each gate's position in layer
+/// order, in place: a stable counting sort by layer, so ties keep the input
+/// order.
+fn layer_positions(slots: &mut [usize]) {
+    let depth = slots.iter().copied().max().unwrap_or(0);
+    // `next[l]` counts layer `l`'s gates, then becomes its next free slot.
+    let mut next = vec![0usize; depth + 1];
+    for &layer in slots.iter() {
+        next[layer] += 1;
+    }
+    let mut start = 0;
+    for slot in &mut next {
+        start += std::mem::replace(slot, start);
+    }
+    for slot in slots {
+        let layer = *slot;
+        *slot = next[layer];
+        next[layer] += 1;
+    }
+}
+
 /// Moves a circuit's gates into the order of the given 1-based layer
-/// assignment (stable: ties keep the input order).
-fn into_layer_order(circuit: Circuit, layer: &[usize]) -> Circuit {
+/// assignment (stable: ties keep the input order), within the circuit's
+/// own gate buffer: each swap puts one gate in its final place.
+fn into_layer_order(circuit: Circuit, mut layer: Vec<usize>) -> Circuit {
     let (dimension, width) = (circuit.dimension(), circuit.width());
-    let mut order: Vec<usize> = (0..layer.len()).collect();
-    order.sort_by_key(|&j| layer[j]);
-    let mut gates: Vec<Option<Gate>> = circuit.into_gates().into_iter().map(Some).collect();
-    let gates = order
-        .iter()
-        .map(|&j| gates[j].take().expect("each gate moves once"))
-        .collect();
+    layer_positions(&mut layer);
+    let destination = &mut layer;
+    let mut gates = circuit.into_gates();
+    for i in 0..gates.len() {
+        while destination[i] != i {
+            let j = destination[i];
+            gates.swap(i, j);
+            destination.swap(i, j);
+        }
+    }
     Circuit::from_gates_unchecked(dimension, width, gates)
 }
 
 /// A run of consecutive gates in one wire's history that use the wire the
 /// same way: the same [`Role`] and, for a target, the same operation.
-struct Run {
-    /// The first gate of the run, which stands for all of them.
-    gate: usize,
+struct Run<'a> {
+    /// The facts of the run's first gate, which stands for all of them.
+    first: GateInfo<'a>,
     role: Role,
     /// The largest layer of the run's gates.
     layer: usize,
@@ -420,35 +474,39 @@ struct Run {
 /// the running maximum up to the current run is at most the bound.  The exit
 /// is exact even where first-fit left a wire's layers out of order, because
 /// nothing earlier on the wire has a larger layer.
+///
+/// Each gate's roles are read once into a reused buffer, which the bound
+/// scan, the placement and the history update share.
 fn schedule_layers(circuit: &Circuit) -> Vec<usize> {
     let dimension = circuit.dimension();
-    let infos: Vec<GateInfo<'_>> = circuit.iter().map(|g| GateInfo::of(g, dimension)).collect();
-    let mut wires: Vec<Vec<Run>> = (0..circuit.width()).map(|_| Vec::new()).collect();
-    let mut layer = vec![0usize; infos.len()];
+    let mut wires: Vec<Vec<Run<'_>>> = (0..circuit.width()).map(|_| Vec::new()).collect();
+    let mut layer = Vec::with_capacity(circuit.len());
     let mut occupied = Occupancy::new(circuit.width());
-    for (j, info) in infos.iter().enumerate() {
+    let mut gate_roles: Vec<(QuditId, Role)> = Vec::new();
+    for gate in circuit.iter() {
+        let info = GateInfo::of(gate, dimension);
+        gate_roles.clear();
+        gate_roles.extend(roles(gate));
         let mut bound = 0usize;
-        for (q, role) in roles(info.gate) {
+        for &(q, role) in &gate_roles {
             for run in wires[q.index()].iter().rev() {
                 if run.running_max <= bound {
                     break;
                 }
-                if run.layer > bound
-                    && !compatible_on(dimension, &infos[run.gate], run.role, info, role)
+                if run.layer > bound && !compatible_on(dimension, &run.first, run.role, &info, role)
                 {
                     bound = run.layer;
                 }
             }
         }
-        let placed = occupied.place(info.gate.support(), bound + 1);
-        layer[j] = placed;
-        for (q, role) in roles(info.gate) {
+        let placed = occupied.place(gate_roles.iter().map(|&(q, _)| q), bound + 1);
+        layer.push(placed);
+        for &(q, role) in &gate_roles {
             let wire = &mut wires[q.index()];
             match wire.last_mut() {
                 Some(run)
                     if run.role == role
-                        && (role != Role::Target
-                            || infos[run.gate].gate.op() == info.gate.op()) =>
+                        && (role != Role::Target || run.first.gate.op() == gate.op()) =>
                 {
                     run.layer = run.layer.max(placed);
                     run.running_max = run.running_max.max(placed);
@@ -456,7 +514,7 @@ fn schedule_layers(circuit: &Circuit) -> Vec<usize> {
                 last => {
                     let running_max = last.map_or(placed, |run| run.running_max.max(placed));
                     wire.push(Run {
-                        gate: j,
+                        first: info,
                         role,
                         layer: placed,
                         running_max,
@@ -503,7 +561,7 @@ fn schedule_layers(circuit: &Circuit) -> Vec<usize> {
 /// ```
 pub fn schedule_depth(circuit: Circuit) -> Circuit {
     let layer = schedule_layers(&circuit);
-    into_layer_order(circuit, &layer)
+    into_layer_order(circuit, layer)
 }
 
 #[cfg(test)]
@@ -829,6 +887,30 @@ mod tests {
         assert_eq!(layers, vec![1, 2, 1]);
         let depth = layers.iter().copied().max().unwrap_or(0);
         assert_eq!(depth, circuit_depth(&schedule_depth(c)));
+    }
+
+    #[test]
+    fn counting_sort_matches_the_stable_sort_by_layer() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for (len, depth) in [(0, 1), (1, 1), (7, 1), (64, 3), (500, 40), (2_000, 2_000)] {
+            let layers: Vec<usize> = (0..len)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    1 + (state >> 11) as usize % depth
+                })
+                .collect();
+            let mut order: Vec<usize> = (0..len).collect();
+            order.sort_by_key(|&j| layers[j]);
+            let mut positions = layers.clone();
+            layer_positions(&mut positions);
+            let mut placed = vec![usize::MAX; len];
+            for (j, &position) in positions.iter().enumerate() {
+                placed[position] = j;
+            }
+            assert_eq!(placed, order, "{len} gates over {depth} layers");
+        }
     }
 
     #[test]

@@ -40,41 +40,58 @@ use crate::error::Result;
 use crate::gate::{Gate, GateOp};
 use crate::ops::{Permutation, SingleQuditOp};
 
-/// One fused group: indices into the planned gate list, in time order.
-///
-/// Groups of length 1 are gates that did not fuse with anything (including
-/// every gate kind that can never be a member, such as `AddFrom`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FusionGroup {
-    /// Indices of the member gates, ascending.
-    pub members: Vec<usize>,
-}
-
-impl FusionGroup {
-    /// The index of the first member — the group's position in the fused
-    /// emission order.
-    pub fn first(&self) -> usize {
-        self.members[0]
-    }
-}
-
 /// The fusion plan of a gate list: every gate appears in exactly one group,
 /// and groups are ordered by their first member.
 ///
 /// Emitting each group's members back to back at the position of its first
 /// member is semantics-preserving by the grouping rule (see the module
 /// docs), and bit-identical for dense simulation.
+///
+/// A group is a span of one member buffer that holds every gate index once,
+/// group after group, each group's members ascending.  A group of length 1
+/// is a gate that did not fuse with anything (including every gate kind
+/// that can never be a member, such as `AddFrom`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FusionPlan {
-    /// The groups, ordered by first member index.
-    pub groups: Vec<FusionGroup>,
+    /// Every gate index, grouped.
+    members: Vec<usize>,
+    /// The end of each group's span in `members`.
+    ends: Vec<usize>,
 }
 
 impl FusionPlan {
+    /// The number of groups.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Returns `true` when the plan has no groups (an empty gate list).
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The members of group `index`: indices into the planned gate list,
+    /// ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `index >= self.len()`.
+    pub fn group(&self, index: usize) -> &[usize] {
+        let start = index
+            .checked_sub(1)
+            .map_or(0, |previous| self.ends[previous]);
+        &self.members[start..self.ends[index]]
+    }
+
+    /// The groups in emission order (ordered by first member).
+    pub fn groups(&self) -> impl ExactSizeIterator<Item = &[usize]> + '_ {
+        (0..self.len()).map(|index| self.group(index))
+    }
+
     /// Number of gates that were absorbed into a larger group — the
     /// traversal (or macro-gate) savings of the plan.
     pub fn fused_gates(&self) -> usize {
-        self.groups.iter().map(|g| g.members.len() - 1).sum()
+        self.members.len() - self.ends.len()
     }
 }
 
@@ -83,7 +100,8 @@ impl FusionPlan {
 /// group's key and support.
 struct OpenGroup<'a> {
     first: &'a Gate,
-    members: Vec<usize>,
+    /// The index of the first member, which names the group.
+    leader: usize,
 }
 
 /// Plans fusion groups over a gate list (see the module docs for the rule).
@@ -92,9 +110,16 @@ struct OpenGroup<'a> {
 /// (general unitaries) may be group members: the dense simulator fuses them
 /// at the traversal level, while the circuit-level rewrite only composes
 /// classical permutations and passes `false`.
+///
+/// The walk records each gate's group leader (its first member); a stable
+/// counting sort by leader then lays the groups out in one member buffer,
+/// so planning allocates a fixed number of buffers however many groups it
+/// forms.
 pub fn plan_fusion(gates: &[Gate], fuse_non_classical: bool) -> FusionPlan {
     let mut open: Vec<OpenGroup> = Vec::new();
-    let mut groups: Vec<FusionGroup> = Vec::new();
+    // `leader[index]` is the first member of the gate's group.
+    let mut leader: Vec<usize> = Vec::with_capacity(gates.len());
+    let mut groups = 0;
 
     for (index, gate) in gates.iter().enumerate() {
         let fusable =
@@ -102,54 +127,59 @@ pub fn plan_fusion(gates: &[Gate], fuse_non_classical: bool) -> FusionPlan {
 
         // Join an open group with the identical (target, controls) key.
         let joined = if fusable {
-            open.iter_mut()
+            open.iter()
                 .find(|g| {
                     g.first.target() == gate.target() && g.first.controls() == gate.controls()
                 })
-                .map(|g| g.members.push(index))
-                .is_some()
+                .map(|g| g.leader)
         } else {
-            false
+            None
         };
+        leader.push(joined.unwrap_or(index));
+        groups += usize::from(joined.is_none());
 
         // Every open group this gate is *not* a member of sees it as an
         // interleaved gate: keep the group open only across classical gates
         // on disjoint wires.
-        let last = if joined { Some(index) } else { None };
-        open.retain_mut(|g| {
-            if g.members.last() == last.as_ref() {
-                return true; // the group it just joined
-            }
-            let keep = gate.is_classical()
-                && gate
-                    .support()
-                    .all(|q| g.first.support().all(|member| member != q));
-            if !keep {
-                groups.push(FusionGroup {
-                    members: std::mem::take(&mut g.members),
-                });
-            }
-            keep
+        open.retain(|g| {
+            Some(g.leader) == joined
+                || gate.is_classical()
+                    && gate
+                        .support()
+                        .all(|q| g.first.support().all(|member| member != q))
         });
 
-        if !joined {
-            if fusable {
-                open.push(OpenGroup {
-                    first: gate,
-                    members: vec![index],
-                });
-            } else {
-                groups.push(FusionGroup {
-                    members: vec![index],
-                });
-            }
+        if joined.is_none() && fusable {
+            open.push(OpenGroup {
+                first: gate,
+                leader: index,
+            });
         }
     }
-    for g in open {
-        groups.push(FusionGroup { members: g.members });
+
+    // A group's leader is its first member, so a stable counting sort of
+    // the gates by leader lays the groups out in first-member order, each
+    // one's members ascending.  `next[l]` counts leader `l`'s members, then
+    // becomes the next free slot of its span.
+    let mut next = vec![0usize; gates.len()];
+    for &l in &leader {
+        next[l] += 1;
     }
-    groups.sort_by_key(FusionGroup::first);
-    FusionPlan { groups }
+    let mut ends = Vec::with_capacity(groups);
+    let mut start = 0;
+    for slot in &mut next {
+        let count = std::mem::replace(slot, start);
+        start += count;
+        if count > 0 {
+            ends.push(start);
+        }
+    }
+    let mut members = vec![0usize; gates.len()];
+    for (index, &l) in leader.iter().enumerate() {
+        members[next[l]] = index;
+        next[l] += 1;
+    }
+    FusionPlan { members, ends }
 }
 
 /// The lowered G-gate cost proxy of a classical single-qudit operation: the
@@ -208,12 +238,12 @@ pub fn fuse_circuit(circuit: Circuit) -> Result<Circuit> {
     // Every gate sits in exactly one group, so each slot is emptied once.
     let mut slots: Vec<Option<Gate>> = circuit.into_gates().into_iter().map(Some).collect();
     let mut out = Vec::with_capacity(slots.len());
-    for group in &plan.groups {
-        if group.members.len() > 1 {
+    for group in plan.groups() {
+        if group.len() > 1 {
             let member = |index: usize| slots[index].as_ref().expect("each gate is in one group");
             let mut composed = Permutation::identity(dimension);
             let mut member_cost = 0usize;
-            for &index in &group.members {
+            for &index in group {
                 let GateOp::Single(op) = member(index).op() else {
                     unreachable!("multi-gate groups only contain Single members");
                 };
@@ -226,7 +256,7 @@ pub fn fuse_circuit(circuit: Circuit) -> Result<Circuit> {
                 continue;
             }
             if composed.transpositions().len() < member_cost {
-                let template = member(group.first());
+                let template = member(group[0]);
                 out.push(Gate::new(
                     GateOp::Single(canonical_op(composed)),
                     template.target(),
@@ -238,7 +268,6 @@ pub fn fuse_circuit(circuit: Circuit) -> Result<Circuit> {
         // Lone gates and runs that would not shrink stay as written.
         out.extend(
             group
-                .members
                 .iter()
                 .map(|&index| slots[index].take().expect("each gate is in one group")),
         );
@@ -294,8 +323,8 @@ mod tests {
             ))
             .unwrap();
         let plan = plan_fusion(circuit.gates(), true);
-        assert_eq!(plan.groups.len(), 1);
-        assert_eq!(plan.groups[0].members, vec![0, 1]);
+        assert_eq!(plan.len(), 1);
+        assert_eq!(plan.group(0), [0, 1]);
         assert_eq!(plan.fused_gates(), 1);
     }
 
@@ -318,7 +347,7 @@ mod tests {
             ))
             .unwrap();
         let plan = plan_fusion(circuit.gates(), true);
-        assert_eq!(plan.groups.len(), 2);
+        assert_eq!(plan.len(), 2);
     }
 
     #[test]
@@ -336,9 +365,9 @@ mod tests {
             .push(Gate::single(SingleQuditOp::Add(1), QuditId::new(0)))
             .unwrap();
         let plan = plan_fusion(circuit.gates(), true);
-        assert_eq!(plan.groups.len(), 2);
-        assert_eq!(plan.groups[0].members, vec![0, 2]);
-        assert_eq!(plan.groups[1].members, vec![1]);
+        assert_eq!(plan.len(), 2);
+        assert_eq!(plan.group(0), [0, 2]);
+        assert_eq!(plan.group(1), [1]);
     }
 
     #[test]
@@ -360,7 +389,7 @@ mod tests {
             .push(Gate::single(SingleQuditOp::Add(1), QuditId::new(0)))
             .unwrap();
         let plan = plan_fusion(overlap.gates(), true);
-        assert_eq!(plan.groups.len(), 3, "overlapping support must split");
+        assert_eq!(plan.len(), 3, "overlapping support must split");
 
         // A disjoint but non-classical gate also splits.
         let mut unitary = Circuit::new(d, 2);
@@ -377,7 +406,7 @@ mod tests {
             .push(Gate::single(SingleQuditOp::Add(1), QuditId::new(0)))
             .unwrap();
         let plan = plan_fusion(unitary.gates(), true);
-        assert_eq!(plan.groups.len(), 3, "non-classical gates must split");
+        assert_eq!(plan.len(), 3, "non-classical gates must split");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! * [`Pass`] — a named, semantics-preserving circuit transformation;
 //! * [`PassManager`] — composes passes and records a [`PassStats`] entry
-//!   (gate count and depth before and after, wall time) for each;
+//!   (gate count before and after, wall time) for each;
 //! * [`CancelInversePairs`] and [`LowerToGGates`] — the core passes, wrapping
 //!   [`crate::optimize::cancel_inverse_pairs`] and
 //!   [`crate::lowering::lower_circuit`].
@@ -262,8 +262,10 @@ pub enum CacheMode {
     Shared(Arc<LoweringCache>),
 }
 
-/// The paper's two cost metrics of a circuit, recorded before and after
-/// every pass: one length read plus one depth walk.
+/// The paper's two cost metrics of a circuit: one length read plus one
+/// depth walk.  [`PassManager::run`] records only gate counts, which are a
+/// length read; a caller that wants the depth at a stage boundary profiles
+/// the circuit there itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CircuitProfile {
     /// Total gate count.
@@ -282,15 +284,19 @@ impl CircuitProfile {
     }
 }
 
-/// Statistics of one pass execution.
-#[derive(Debug, Clone)]
+/// Statistics of one pass execution: its gate counts, which cost a length
+/// read each, and its wall time.  No depth is recorded per stage: a depth
+/// is a walk over the circuit, so the facade measures only the final
+/// circuit's, and a caller that wants the trajectory walks the stages one at
+/// a time and profiles each boundary ([`CircuitProfile::of`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PassStats {
     /// Name of the pass.
     pub pass: String,
-    /// Profile of the input circuit.
-    pub before: CircuitProfile,
-    /// Profile of the output circuit.
-    pub after: CircuitProfile,
+    /// Gate count of the input circuit.
+    pub gates_before: usize,
+    /// Gate count of the output circuit.
+    pub gates_after: usize,
     /// Wall-clock time the pass took.
     pub elapsed: Duration,
 }
@@ -298,7 +304,7 @@ pub struct PassStats {
 impl PassStats {
     /// Signed change in gate count (negative when the pass removed gates).
     pub fn gate_delta(&self) -> i64 {
-        self.after.gates as i64 - self.before.gates as i64
+        self.gates_after as i64 - self.gates_before as i64
     }
 }
 
@@ -306,12 +312,10 @@ impl fmt::Display for PassStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}: gates {} -> {}, depth {} -> {}, {:.1} µs",
+            "{}: gates {} -> {}, {:.1} µs",
             self.pass,
-            self.before.gates,
-            self.after.gates,
-            self.before.depth,
-            self.after.depth,
+            self.gates_before,
+            self.gates_after,
             self.elapsed.as_secs_f64() * 1e6,
         )
     }
@@ -364,12 +368,6 @@ pub struct MergedPassStats {
     pub gates_before: usize,
     /// Total output gates across jobs.
     pub gates_after: usize,
-    /// Summed input depth across jobs (a batch-level depth trajectory; the
-    /// depth-scheduling experiments report the per-pass reduction from the
-    /// before/after sums).
-    pub depth_before: usize,
-    /// Summed output depth across jobs.
-    pub depth_after: usize,
     /// Total gates removed by fusion across jobs (non-zero only for the
     /// `gate-fusion` stage and its verified wrapper).
     pub fused_gates: usize,
@@ -381,13 +379,11 @@ impl fmt::Display for MergedPassStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}: {} jobs, gates {} -> {}, depth {} -> {}, {:.1} ms",
+            "{}: {} jobs, gates {} -> {}, {:.1} ms",
             self.pass,
             self.jobs,
             self.gates_before,
             self.gates_after,
-            self.depth_before,
-            self.depth_after,
             self.elapsed.as_secs_f64() * 1e3,
         )
     }
@@ -413,8 +409,6 @@ pub fn merge_pass_stats<'a>(
                     jobs: 0,
                     gates_before: 0,
                     gates_after: 0,
-                    depth_before: 0,
-                    depth_after: 0,
                     fused_gates: 0,
                     elapsed: Duration::ZERO,
                 });
@@ -425,12 +419,10 @@ pub fn merge_pass_stats<'a>(
                 "merged runs must come from the same pipeline"
             );
             entry.jobs += 1;
-            entry.gates_before += stats.before.gates;
-            entry.gates_after += stats.after.gates;
-            entry.depth_before += stats.before.depth;
-            entry.depth_after += stats.after.depth;
+            entry.gates_before += stats.gates_before;
+            entry.gates_after += stats.gates_after;
             if matches!(stats.pass.as_str(), "gate-fusion" | "verify(gate-fusion)") {
-                entry.fused_gates += stats.before.gates.saturating_sub(stats.after.gates);
+                entry.fused_gates += stats.gates_before.saturating_sub(stats.gates_after);
             }
             entry.elapsed += stats.elapsed;
         }
@@ -526,8 +518,8 @@ impl PassManager {
         self.passes.is_empty()
     }
 
-    /// Runs every pass in order, profiling the circuit before and after
-    /// each one.
+    /// Runs every pass in order, recording each one's gate counts and wall
+    /// time (see [`PassStats`]).
     ///
     /// # Errors
     ///
@@ -535,21 +527,17 @@ impl PassManager {
     pub fn run(&self, circuit: Circuit) -> Result<PipelineReport> {
         let mut current = circuit;
         let mut stats = Vec::with_capacity(self.passes.len());
-        // Each pass's input profile is the previous pass's output profile;
-        // profile each intermediate circuit only once.
-        let mut before = CircuitProfile::of(&current);
         for pass in &self.passes {
+            let gates_before = current.len();
             let start = Instant::now();
             current = pass.run(current)?;
             let elapsed = start.elapsed();
-            let after = CircuitProfile::of(&current);
             stats.push(PassStats {
                 pass: pass.name().to_string(),
-                before,
-                after,
+                gates_before,
+                gates_after: current.len(),
                 elapsed,
             });
-            before = after;
         }
         Ok(PipelineReport {
             circuit: current,
@@ -865,11 +853,12 @@ impl Pass for LowerToGGates {
 /// ))?;
 /// circuit.push(Gate::single(SingleQuditOp::Swap(0, 1), QuditId::new(1)))?;
 ///
+/// let depth = circuit_depth(&circuit);
 /// let report = PassManager::new().with_pass(ScheduleDepth).run(circuit)?;
 /// let stats = &report.stats[0];
 /// assert_eq!(stats.pass, "schedule-depth");
-/// assert!(stats.after.depth < stats.before.depth);
-/// assert_eq!(circuit_depth(&report.circuit), stats.after.depth);
+/// assert_eq!(stats.gates_after, stats.gates_before);
+/// assert!(circuit_depth(&report.circuit) < depth);
 /// # Ok(())
 /// # }
 /// ```
@@ -960,9 +949,9 @@ mod tests {
         assert!(report.circuit.gates().iter().all(Gate::is_g_gate));
         assert_eq!(report.stats.len(), 2);
         assert_eq!(report.stats[0].pass, "lower-to-g-gates");
-        assert_eq!(report.stats[0].before.gates, 1);
-        assert_eq!(report.stats[0].after.gates, report.stats[1].before.gates);
-        assert_eq!(report.stats[1].after.gates, report.circuit.len());
+        assert_eq!(report.stats[0].gates_before, 1);
+        assert_eq!(report.stats[0].gates_after, report.stats[1].gates_before);
+        assert_eq!(report.stats[1].gates_after, report.circuit.len());
         assert!(report.stats_for("lower-to-g-gates").is_some());
         assert!(report.stats_for("nonexistent").is_none());
         assert!(report.total_elapsed() >= Duration::ZERO);
@@ -1077,8 +1066,8 @@ mod tests {
             assert_eq!(batch_report.circuit, reference.circuit);
             for (a, b) in batch_report.stats.iter().zip(&reference.stats) {
                 assert_eq!(a.pass, b.pass);
-                assert_eq!(a.before, b.before);
-                assert_eq!(a.after, b.after);
+                assert_eq!(a.gates_before, b.gates_before);
+                assert_eq!(a.gates_after, b.gates_after);
             }
         }
     }

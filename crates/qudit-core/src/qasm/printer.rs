@@ -7,6 +7,14 @@
 //! arbitrary unitary matrices survive bit-for-bit.  The Fourier and phase
 //! sugar statements are *input-only*: their lowered unitaries print as
 //! `unitary(…)`, which reparses to the same [`SingleQuditOp::Unitary`].
+//!
+//! Printing is one walk that appends byte slices to one reserved buffer.
+//! Every wire's operand text (`, q[i]`) is rendered once per circuit into
+//! a second buffer, so a gate's operands are one copy each instead of a
+//! register name, brackets and a decimal conversion; a small level is a
+//! table lookup.  A circuit prints with at most two allocations: the
+//! operand buffer, sized by the register width, and the output, whose
+//! reserve is an upper estimate for the common gates.
 
 use std::fmt::Write as _;
 
@@ -39,7 +47,8 @@ use crate::ops::SingleQuditOp;
 /// ```
 pub fn print_circuit(circuit: &Circuit) -> String {
     let register = circuit.register_name().unwrap_or("q");
-    let mut out = String::with_capacity(printed_len_hint(circuit, register));
+    let operands = Operands::render(register, circuit.width());
+    let mut out = String::with_capacity(printed_len_hint(circuit, &operands));
     out.push_str("OPENQASM 3.0;\nqudit[");
     push_decimal(&mut out, circuit.dimension().get().into());
     out.push_str("] ");
@@ -48,23 +57,62 @@ pub fn print_circuit(circuit: &Circuit) -> String {
     push_decimal(&mut out, circuit.width() as u64);
     out.push_str("];\n");
     for gate in circuit.gates() {
-        print_gate(&mut out, gate, register);
+        print_gate(&mut out, gate, &operands);
     }
     out
 }
 
+/// Every wire's operand text, rendered once per circuit into one buffer:
+/// wire `i`'s slot starts at `i · stride` and holds `, <register>[i]`,
+/// padded with spaces to the stride.
+struct Operands<'a> {
+    text: String,
+    stride: usize,
+    register: &'a str,
+}
+
+impl<'a> Operands<'a> {
+    fn render(register: &'a str, width: usize) -> Self {
+        let stride = register.len() + 4 + decimal_len(width.saturating_sub(1) as u64);
+        let mut text = String::with_capacity(stride * width);
+        for wire in 0..width {
+            let end = text.len() + stride;
+            text.push_str(", ");
+            text.push_str(register);
+            text.push('[');
+            push_decimal(&mut text, wire as u64);
+            text.push(']');
+            while text.len() < end {
+                text.push(' ');
+            }
+        }
+        Operands {
+            text,
+            stride,
+            register,
+        }
+    }
+
+    /// Wire `wire`'s operand, led by `, `, or by ` ` for a gate's first
+    /// operand.
+    fn get(&self, wire: usize, first: bool) -> &str {
+        let start = wire * self.stride;
+        let end = start + self.register.len() + 4 + decimal_len(wire as u64);
+        &self.text[start + usize::from(first)..end]
+    }
+}
+
 /// An upper estimate of the printed length for the common gates (a
-/// controlled G-gate over two-digit wire indices is 35 estimated bytes for
-/// at most 30 printed), so printing a compiled circuit fills one buffer.
-fn printed_len_hint(circuit: &Circuit, register: &str) -> usize {
-    let header = 32 + register.len();
-    let operand = register.len() + 6;
+/// controlled G-gate is at most 21 bytes besides its two operands), so
+/// printing a compiled circuit fills one buffer.
+fn printed_len_hint(circuit: &Circuit, operands: &Operands<'_>) -> usize {
+    let header = 32 + operands.register.len();
     circuit.gates().iter().fold(header, |total, gate| {
-        total + 14 + 7 * gate.controls().len() + operand * gate.arity()
+        total + 14 + 7 * gate.controls().len() + operands.stride * gate.arity()
     })
 }
 
-fn print_gate(out: &mut String, gate: &Gate, register: &str) {
+fn print_gate(out: &mut String, gate: &Gate, operands: &Operands<'_>) {
     for control in gate.controls() {
         match control.predicate {
             ControlPredicate::Level(0) => out.push_str("ctrl @ "),
@@ -86,14 +134,10 @@ fn print_gate(out: &mut String, gate: &Gate, register: &str) {
     }
     // Gate::support() walks controls, then the AddFrom source, then the
     // target — exactly the operand order the parser expects back.
-    let mut separator = " ";
+    let mut first = true;
     for qudit in gate.support() {
-        out.push_str(separator);
-        out.push_str(register);
-        out.push('[');
-        push_decimal(out, qudit.index() as u64);
-        out.push(']');
-        separator = ", ";
+        out.push_str(operands.get(qudit.index(), first));
+        first = false;
     }
     out.push_str(";\n");
 }
@@ -139,9 +183,16 @@ fn print_single_op(out: &mut String, op: &SingleQuditOp) {
     }
 }
 
+/// The decimal text of every value below ten.
+const DIGITS: [&str; 10] = ["0", "1", "2", "3", "4", "5", "6", "7", "8", "9"];
+
 /// Appends `value` in decimal, as `{}` would, without going through
 /// `core::fmt`.
 fn push_decimal(out: &mut String, mut value: u64) {
+    if value < 10 {
+        out.push_str(DIGITS[value as usize]);
+        return;
+    }
     let mut digits = [0u8; 20];
     let mut start = digits.len();
     loop {
@@ -153,6 +204,11 @@ fn push_decimal(out: &mut String, mut value: u64) {
         }
     }
     out.push_str(std::str::from_utf8(&digits[start..]).expect("decimal digits are ASCII"));
+}
+
+/// The number of decimal digits of `value`.
+fn decimal_len(value: u64) -> usize {
+    value.checked_ilog10().map_or(1, |log| log as usize + 1)
 }
 
 /// Prints an `f64` so that the lexer/parser reproduce it bit-for-bit.
@@ -253,6 +309,7 @@ mod tests {
             let mut out = String::new();
             push_decimal(&mut out, value);
             assert_eq!(out, value.to_string());
+            assert_eq!(decimal_len(value), out.len());
         }
     }
 

@@ -168,7 +168,7 @@ proptest! {
             .with_pass(CancelInversePairs);
         let report = manager.run(circuit.clone()).unwrap();
         let lowered = lower_circuit(&circuit).unwrap();
-        prop_assert_eq!(&report.stats[0].after.gates, &lowered.len());
+        prop_assert_eq!(&report.stats[0].gates_after, &lowered.len());
         let optimized = report.circuit;
         let mut round_trip = circuit.clone();
         round_trip.append(&circuit.inverse()).unwrap();

@@ -192,9 +192,9 @@ impl FusedProgram {
         let d = dimension.as_usize();
         let stride_of = |qudit: usize| d.pow((width - 1 - qudit) as u32);
         let plan = qudit_core::fusion::plan_fusion(gates, true);
-        let mut ops = Vec::with_capacity(plan.groups.len());
-        for group in &plan.groups {
-            let template = &gates[group.members[0]];
+        let mut ops = Vec::with_capacity(plan.len());
+        for group in plan.groups() {
+            let template = &gates[group[0]];
             template.validate(dimension, width)?;
             let t_stride = stride_of(template.target().index());
             let block = t_stride * d;
@@ -208,8 +208,8 @@ impl FusedProgram {
                     inner_controls.push((stride, control.predicate));
                 }
             }
-            let mut actions = Vec::with_capacity(group.members.len());
-            for &index in &group.members {
+            let mut actions = Vec::with_capacity(group.len());
+            for &index in group {
                 let gate = &gates[index];
                 gate.validate(dimension, width)?;
                 actions.push(match gate.op() {

@@ -243,8 +243,7 @@ impl CompileOptions {
     /// two-qudit gate acts on a coupled pair, appending the
     /// inverse-permutation SWAP epilogue so the stage is
     /// semantics-preserving (and verifies under every [`Verify`] mode).
-    /// [`CompileResult`] then reports `swap_count`,
-    /// `routed_depth` and `weighted_cost`.
+    /// [`CompileResult`] then reports `swap_count` and `weighted_cost`.
     #[must_use]
     pub fn topology(mut self, graph: CouplingGraph) -> Self {
         self.topology = Some(graph);
@@ -396,7 +395,7 @@ pub struct CompileResult {
     /// Per-pass statistics, in execution order (verification wrappers
     /// report as `verify(<pass>)`).
     pub stats: Vec<PassStats>,
-    /// Depth of the compiled circuit.
+    /// Depth of the compiled circuit: the one depth walk of a compile.
     pub depth: usize,
     /// Gates removed by the macro-level `gate-fusion` stage (zero when the
     /// stage was disabled or found nothing profitable to fuse).
@@ -404,9 +403,6 @@ pub struct CompileResult {
     /// Wire-SWAP ladders the `"route"` stage inserted — `Some` whenever a
     /// [`CompileOptions::topology`] was set, `None` otherwise.
     pub swap_count: Option<usize>,
-    /// Depth of the circuit right after routing (before any scheduling) —
-    /// `Some` whenever a topology was set.
-    pub routed_depth: Option<usize>,
     /// The configured [`CostModel`]'s cost of the final circuit — `Some`
     /// whenever a topology was set.
     pub weighted_cost: Option<f64>,
@@ -417,18 +413,12 @@ pub struct CompileResult {
 impl CompileResult {
     fn from_report(report: PipelineReport, options: &CompileOptions) -> Self {
         let verify = options.verify;
-        // The last pass's output profile already measured the final
-        // circuit's depth; only an empty pipeline needs a fresh scan.
-        let depth = report
-            .stats
-            .last()
-            .map(|stats| stats.after.depth)
-            .unwrap_or_else(|| circuit_depth(&report.circuit));
+        let depth = circuit_depth(&report.circuit);
         let fused_gates = report
             .stats
             .iter()
             .filter(|stats| matches!(stats.pass.as_str(), "gate-fusion" | "verify(gate-fusion)"))
-            .map(|stats| stats.before.gates.saturating_sub(stats.after.gates))
+            .map(|stats| stats.gates_before.saturating_sub(stats.gates_after))
             .sum();
         let route_stats = report
             .stats
@@ -437,8 +427,7 @@ impl CompileResult {
         // The route stage only ever *adds* gates, all of them in
         // four-gate SWAP ladders, so the gate delta recovers the count.
         let swap_count = route_stats
-            .map(|stats| stats.after.gates.saturating_sub(stats.before.gates) / SWAP_LADDER_GATES);
-        let routed_depth = route_stats.map(|stats| stats.after.depth);
+            .map(|stats| stats.gates_after.saturating_sub(stats.gates_before) / SWAP_LADDER_GATES);
         let weighted_cost = options
             .topology
             .is_some()
@@ -449,7 +438,6 @@ impl CompileResult {
             stats: report.stats,
             fused_gates,
             swap_count,
-            routed_depth,
             weighted_cost,
             verification: match verify {
                 Verify::Off => VerifyOutcome::Skipped,
@@ -957,7 +945,6 @@ mod tests {
         let unrouted = baseline.compile(synthesis.circuit()).unwrap();
         assert!(validate_adjacency(&unrouted.circuit, &graph).is_err());
         assert_eq!(unrouted.swap_count, None);
-        assert_eq!(unrouted.routed_depth, None);
         assert_eq!(unrouted.weighted_cost, None);
 
         let compiler = CompileOptions::new()
@@ -968,12 +955,18 @@ mod tests {
         let routed = compiler.compile(synthesis.circuit()).unwrap();
         validate_adjacency(&routed.circuit, &graph).unwrap();
         assert!(routed.swap_count.unwrap() > 0);
-        assert!(routed.routed_depth.unwrap() > 0);
         assert!(routed.weighted_cost.unwrap() > 0.0);
         // Scheduling after routing must not break adjacency (it only
         // permutes commuting gates) and the final depth is the scheduled
-        // one.
-        assert!(routed.depth <= routed.routed_depth.unwrap());
+        // one: the O1 leg of the same flow stops right after routing.
+        let unscheduled = CompileOptions::new()
+            .topology(graph.clone())
+            .cost(NoiseAwareCost::default())
+            .compiler()
+            .compile(synthesis.circuit())
+            .unwrap();
+        assert_eq!(unscheduled.swap_count, routed.swap_count);
+        assert!(routed.depth <= unscheduled.depth);
     }
 
     #[test]

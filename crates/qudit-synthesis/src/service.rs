@@ -1361,13 +1361,18 @@ mod tests {
         let service = CompileService::start(ServiceConfig::new()).unwrap();
         let shared = service.shared.clone();
         let mut client = ServiceClient::connect(service.local_addr()).unwrap();
+        // Every job goes out before the first reply is read: one roundtrip
+        // at a time would wait out the delayed-ACK stall on each reply.
         for tenant in 0..100 {
-            let reply = client.roundtrip(&JobRequest {
+            let job = JobRequest {
                 tenant: format!("t{tenant}"),
                 id: "0".to_string(),
                 source: "OPENQASM 3.0;\nqudit[3] q[2];\nswap(0, 1) q[0];\n".to_string(),
-            });
-            assert!(reply.unwrap().is_ok());
+            };
+            client.send(&job).unwrap();
+        }
+        for _ in 0..100 {
+            assert!(client.recv().unwrap().is_ok());
         }
         // Shutdown joins the workers, so every completion is booked.
         service.shutdown();

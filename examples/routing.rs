@@ -59,8 +59,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {stats}");
     }
     println!(
-        "  routed depth {}, {} SWAPs inserted, weighted cost {:.1}, verified: {}",
-        routed.routed_depth.expect("routed compile reports a depth"),
+        "  scheduled depth {}, {} SWAPs inserted, weighted cost {:.1}, verified: {}",
+        routed.depth,
         routed.swap_count.expect("routed compile reports swaps"),
         routed.weighted_cost.expect("routed compile reports a cost"),
         routed.verification

@@ -12,8 +12,9 @@
 //!   circuit);
 //! * the compile of a parsed job makes at most 0.1 allocations per output
 //!   gate (a controlled G-gate keeps its one control inline);
-//! * printing a compiled circuit makes at most 2 allocations (one reserved
-//!   buffer, and at most one regrowth);
+//! * printing a compiled circuit makes at most 2 allocations (the
+//!   per-circuit operand text and one reserved output buffer, which never
+//!   regrows on these circuits);
 //! * a `Gate` stays 64 bytes;
 //! * the verified O1 compile routed on a chain of six sites (every stage
 //!   checked by `VerifyEquivalence`) makes at most 0.3 allocator calls and

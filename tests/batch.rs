@@ -44,8 +44,8 @@ fn sequential_and_parallel_compilation_agree() {
         assert_eq!(parallel.depth, reference.depth);
         for (a, b) in parallel.stats.iter().zip(&reference.stats) {
             assert_eq!(a.pass, b.pass);
-            assert_eq!(a.before, b.before, "gate counts and depths must match");
-            assert_eq!(a.after, b.after, "gate counts and depths must match");
+            assert_eq!(a.gates_before, b.gates_before, "gate counts must match");
+            assert_eq!(a.gates_after, b.gates_after, "gate counts must match");
         }
     }
 
@@ -54,7 +54,7 @@ fn sequential_and_parallel_compilation_agree() {
     for (position, entry) in merged.iter().enumerate() {
         let expected_gates: usize = sequential
             .iter()
-            .map(|r| r.stats[position].after.gates)
+            .map(|r| r.stats[position].gates_after)
             .sum();
         assert_eq!(entry.gates_after, expected_gates);
     }

@@ -160,3 +160,52 @@ proptest! {
         prop_assert_eq!(relowered, once);
     }
 }
+
+/// The `serve_mct` family (d ∈ {3, 4} × k ∈ {4, …, 8}, and d = 5, k = 4)
+/// and the `sweep_verified` family.
+const SERVED_AND_SWEPT: [(u32, usize); 18] = [
+    (3, 4),
+    (3, 5),
+    (3, 6),
+    (3, 7),
+    (3, 8),
+    (4, 4),
+    (4, 5),
+    (4, 6),
+    (4, 7),
+    (4, 8),
+    (5, 4),
+    (3, 3),
+    (3, 4),
+    (3, 5),
+    (4, 3),
+    (4, 4),
+    (5, 3),
+    (5, 4),
+];
+
+/// `CompileResult::depth` is the one depth walk of a compile: it equals a
+/// fresh walk of the compiled circuit at every opt level, unrouted and
+/// routed on a chain of six sites (or of the job's width, when wider).
+#[test]
+fn the_reported_depth_is_the_compiled_circuits_depth() {
+    use qudit_core::depth::circuit_depth;
+    use qudit_core::topology::CouplingGraph;
+
+    for (d, k) in SERVED_AND_SWEPT {
+        let synthesis = KToffoli::new(dim(d), k).unwrap().synthesize().unwrap();
+        let chain = CouplingGraph::linear(synthesis.layout().width.max(6)).unwrap();
+        for level in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
+            let unrouted = CompileOptions::new().opt_level(level);
+            for options in [unrouted.clone(), unrouted.topology(chain.clone())] {
+                let result = options.compiler().compile(synthesis.circuit()).unwrap();
+                assert_eq!(
+                    result.depth,
+                    circuit_depth(&result.circuit),
+                    "d={d} k={k} {level:?}, routed: {}",
+                    result.swap_count.is_some()
+                );
+            }
+        }
+    }
+}

@@ -64,7 +64,7 @@ proptest! {
             .compile(synthesis.circuit())
             .unwrap();
         prop_assert_eq!(report.circuit.len(), synthesis.resources().g_gates);
-        prop_assert_eq!(report.stats[0].after.gates, synthesis.resources().elementary_gates);
+        prop_assert_eq!(report.stats[0].gates_after, synthesis.resources().elementary_gates);
     }
 }
 
@@ -130,8 +130,8 @@ fn pipeline_g_gate_counts_match_the_manual_chains() {
     }
 }
 
-/// The pipeline statistics chain consistently: each stage's input profile is
-/// the previous stage's output profile, and the gate counts match the
+/// The pipeline statistics chain consistently: each stage's input gate count
+/// is the previous stage's output gate count, and the counts match the
 /// returned circuit.
 #[test]
 fn pipeline_statistics_are_consistent() {
@@ -140,14 +140,14 @@ fn pipeline_statistics_are_consistent() {
     let report = synthesis.compile().unwrap();
     assert_eq!(report.stats.len(), 4);
     for window in report.stats.windows(2) {
-        assert_eq!(window[0].after, window[1].before);
+        assert_eq!(window[0].gates_after, window[1].gates_before);
     }
     assert_eq!(
-        report.stats.first().unwrap().before.gates,
+        report.stats.first().unwrap().gates_before,
         synthesis.circuit().len()
     );
     assert_eq!(
-        report.stats.last().unwrap().after.gates,
+        report.stats.last().unwrap().gates_after,
         report.circuit.len()
     );
     // Cancellation only removes gates.

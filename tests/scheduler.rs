@@ -100,8 +100,8 @@ proptest! {
         );
         let schedule_stats = report.stats.last().unwrap();
         prop_assert_eq!(schedule_stats.pass.as_str(), "schedule-depth");
-        prop_assert!(schedule_stats.after.depth <= schedule_stats.before.depth);
-        prop_assert_eq!(circuit_depth(&report.circuit), schedule_stats.after.depth);
+        prop_assert!(report.depth <= circuit_depth(&plain));
+        prop_assert_eq!(circuit_depth(&report.circuit), report.depth);
     }
 }
 
@@ -305,7 +305,7 @@ fn o2_cancellation_removes_the_recorded_gate_counts() {
         let cancel = o2_unscheduled(d, k)
             .stats_for("cancel-inverse-pairs")
             .cloned();
-        let counts = cancel.map(|stats| (stats.before.gates, stats.after.gates));
+        let counts = cancel.map(|stats| (stats.gates_before, stats.gates_after));
         assert_eq!(counts, Some((gates_in, gates_out)), "d={d}, k={k}");
     }
 }
