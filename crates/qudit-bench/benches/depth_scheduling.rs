@@ -1,5 +1,5 @@
 //! Criterion bench: commutation-aware depth scheduling on the lowered
-//! E10-style k-Toffoli sweep, and the inverse-pair cancellation before it.
+//! E10-style k-Toffoli sweep.
 //!
 //! Two timings per workload: the fused `schedule_depth` scan and the
 //! `ScheduleDepth` pass around it.  The scan is one sequential walk
@@ -9,14 +9,13 @@
 //! hands the scheduler.  `schedule_d5_k4` adds the d = 5 job of the O2
 //! family, and `schedule_distinct_perms` a 20k-gate circuit of
 //! all-distinct permutations, where the history never merges.  The
-//! `cancel_*` entries time `cancel_inverse_pairs` on the fused, lowered
-//! k-Toffoli it receives in the standard flow.  Both functions take their
-//! circuit by value, so each iteration clones the workload first.
+//! scheduler takes its circuit by value, so each iteration clones the
+//! workload first.  The group's `cancel_*` entries are timed in their own
+//! process by the `cancellation` bench.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qudit_core::commute::schedule_depth;
 use qudit_core::depth::circuit_depth;
-use qudit_core::optimize::cancel_inverse_pairs;
 use qudit_core::pipeline::{Pass, ScheduleDepth};
 use qudit_core::{Circuit, Dimension, Gate, Permutation, QuditId, SingleQuditOp};
 use qudit_synthesis::{CompileOptions, KToffoli};
@@ -50,14 +49,6 @@ fn ktoffoli(options: CompileOptions, d: u32, k: usize) -> Circuit {
         .compile(&ktoffoli_macro(d, k))
         .unwrap()
         .circuit
-}
-
-/// The k-Toffoli as `cancel-inverse-pairs` receives it in the standard
-/// flow: fused, then lowered to elementary gates and to G-gates.
-fn uncancelled_ktoffoli(d: u32, k: usize) -> Circuit {
-    let fused = qudit_core::fusion::fuse_circuit(ktoffoli_macro(d, k)).unwrap();
-    let elementary = qudit_synthesis::lower::lower_to_elementary(&fused).unwrap();
-    qudit_core::lowering::lower_circuit(&elementary).unwrap()
 }
 
 /// `gates` single-qudit gates on three d=13 wires; gate i applies the
@@ -95,26 +86,6 @@ fn bench_schedule(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_cancel(c: &mut Criterion) {
-    let mut group = c.benchmark_group("depth_scheduling");
-    // The gate counts the standard flow hands the cancellation stage.
-    for (d, k, gates) in [(3, 8, 8_457), (5, 4, 7_303)] {
-        let uncancelled = uncancelled_ktoffoli(d, k);
-        assert_eq!(uncancelled.len(), gates, "d={d}, k={k}");
-        assert_eq!(
-            cancel_inverse_pairs(uncancelled.clone()),
-            ktoffoli(CompileOptions::new(), d, k),
-            "the stage chain plus cancellation is the O1 compile (d={d}, k={k})"
-        );
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("cancel_d{d}_k{k}")),
-            &uncancelled,
-            |b, circuit| b.iter(|| cancel_inverse_pairs(circuit.clone()).len()),
-        );
-    }
-    group.finish();
-}
-
 fn bench_pass(c: &mut Criterion) {
     let jobs = lowered_jobs();
     let mut group = c.benchmark_group("depth_scheduling");
@@ -128,5 +99,5 @@ fn bench_pass(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_schedule, bench_pass, bench_cancel);
+criterion_group!(benches, bench_schedule, bench_pass);
 criterion_main!(benches);

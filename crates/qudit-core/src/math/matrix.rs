@@ -140,34 +140,6 @@ impl SquareMatrix {
                 .all(|(a, b)| a.approx_eq(*b, tol))
     }
 
-    /// Checks equality up to a global phase factor.
-    pub fn approx_eq_up_to_phase(&self, other: &SquareMatrix, tol: f64) -> bool {
-        if self.size != other.size {
-            return false;
-        }
-        // Find the entry of largest magnitude in `other` to fix the phase.
-        let mut best = 0;
-        for (i, z) in other.data.iter().enumerate() {
-            if z.norm_sqr() > other.data[best].norm_sqr() {
-                best = i;
-            }
-        }
-        if other.data[best].norm() <= tol {
-            return self.approx_eq(other, tol);
-        }
-        if self.data[best].norm() <= tol {
-            return false;
-        }
-        let phase = self.data[best] / other.data[best];
-        if (phase.norm() - 1.0).abs() > 1e-6 {
-            return false;
-        }
-        self.data
-            .iter()
-            .zip(other.data.iter())
-            .all(|(a, b)| a.approx_eq(*b * phase, tol))
-    }
-
     /// Returns the Frobenius norm of the difference with `other`.
     ///
     /// # Panics
@@ -270,18 +242,6 @@ mod tests {
         let ab = &a * &b;
         let expected = &b.adjoint() * &a.adjoint();
         assert!(ab.adjoint().approx_eq(&expected, MATRIX_TOLERANCE));
-    }
-
-    #[test]
-    fn phase_equality() {
-        let a = SquareMatrix::identity(2);
-        let mut b = SquareMatrix::identity(2);
-        let phase = Complex::from_phase(0.7);
-        for r in 0..2 {
-            b[(r, r)] = phase;
-        }
-        assert!(b.approx_eq_up_to_phase(&a, MATRIX_TOLERANCE));
-        assert!(!b.approx_eq(&a, MATRIX_TOLERANCE));
     }
 
     #[test]

@@ -368,9 +368,6 @@ pub struct MergedPassStats {
     pub gates_before: usize,
     /// Total output gates across jobs.
     pub gates_after: usize,
-    /// Total gates removed by fusion across jobs (non-zero only for the
-    /// `gate-fusion` stage and its verified wrapper).
-    pub fused_gates: usize,
     /// Total wall-clock time across jobs.
     pub elapsed: Duration,
 }
@@ -409,7 +406,6 @@ pub fn merge_pass_stats<'a>(
                     jobs: 0,
                     gates_before: 0,
                     gates_after: 0,
-                    fused_gates: 0,
                     elapsed: Duration::ZERO,
                 });
             }
@@ -421,9 +417,6 @@ pub fn merge_pass_stats<'a>(
             entry.jobs += 1;
             entry.gates_before += stats.gates_before;
             entry.gates_after += stats.gates_after;
-            if matches!(stats.pass.as_str(), "gate-fusion" | "verify(gate-fusion)") {
-                entry.fused_gates += stats.gates_before.saturating_sub(stats.gates_after);
-            }
             entry.elapsed += stats.elapsed;
         }
     }

@@ -19,10 +19,10 @@
 //! * [`equivalence`] — specification checkers for multi-controlled gates with
 //!   borrowed- or clean-ancilla semantics (exhaustive, sampled, on the
 //!   clean-ancilla subspace or by dense unitary);
-//! * [`pipeline`] — the [`VerifyEquivalence`] pass wrapper that makes any
-//!   compilation pipeline self-check semantics preservation after each stage,
-//!   choosing its strategy from the circuits: [`BasisBatch`] for classical
-//!   pairs, the dense engine otherwise;
+//! * [`pipeline`] — the [`VerifyEquivalence`] pass wrapper that makes a
+//!   classical compilation pipeline self-check semantics preservation after
+//!   each stage: a structural proof of the rewrite where the stage hands one
+//!   over, else a [`BasisBatch`] sweep; a non-classical stage fails closed;
 //! * [`random`] — random unitaries, permutations, reversible functions and
 //!   dialect circuits for workloads.
 //!

@@ -28,22 +28,18 @@
 //! (`Gate::is_inverse_of`, the commutation oracle, the router's choice of
 //! ladders) is trusted.  A successful structural proof implies
 //! exact equivalence, so the global check below would also accept.  When a
-//! proof fails or does not apply (a non-classical circuit, a pass with no
-//! such structure, such as `gate-fusion` or a custom closure), the input and
-//! output circuits are compared globally, with unchanged verdicts and
-//! `PassFailed` messages —
+//! proof fails or does not apply (a pass with no such structure, such as
+//! `gate-fusion` or a custom closure), the input and output circuits are
+//! compared globally via the [`BasisBatch`](crate::BasisBatch) kernel, which
+//! pushes blocks of basis states through both circuits as digit rows with
+//! vectorised compare/select loops — every basis state in blocks when the
+//! register is small, a deterministic draw of random basis states otherwise
+//! — in `O(width × block)` memory either way.
 //!
-//! * **classical circuits** via the [`BasisBatch`](crate::BasisBatch)
-//!   kernel, which pushes blocks of basis states through both circuits as
-//!   digit rows with vectorised compare/select loops — every basis state in
-//!   blocks when the register is small, a deterministic draw of random
-//!   basis states otherwise — in `O(width × block)` memory either way;
-//! * **non-classical circuits** via the state-vector simulator — full
-//!   unitary comparison up to global phase on small registers, fidelity on
-//!   random dense input states (which are sensitive to relative-phase
-//!   changes) up to `2^20` basis states, and a typed refusal beyond.  The
-//!   compile facade refuses non-classical gates before its first stage,
-//!   so only custom pipelines reach this branch.
+//! Only classical stages are verified: the paper's G-gate set is all
+//! classical, and the compile facade refuses non-classical gates before its
+//! first stage.  A non-classical input or output fails closed with
+//! [`QuditError::PassFailed`] naming the wrapped pass.
 //!
 //! The strategy follows from the pass and the two circuits alone; there is
 //! no engine option.  A detected mismatch surfaces as
@@ -51,30 +47,18 @@
 //! basis state.  [`VerifyEquivalence::run_with_proof`] also reports which
 //! [`Proof`] settled the stage.
 
-use qudit_core::math::{Complex, MATRIX_TOLERANCE};
 use qudit_core::pipeline::{Pass, PassManager};
 use qudit_core::{Circuit, QuditError, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::basis::{biased_samples, exhaustive_witness, first_witness};
-use crate::dense::{circuit_unitary, FusedProgram};
-use crate::statevector::StateVector;
 use crate::structural;
 
 /// Default register-size bound for exhaustive classical checking.
 const DEFAULT_MAX_EXHAUSTIVE_STATES: usize = 4096;
 /// Default number of sampled basis states above the exhaustive bound.
 const DEFAULT_SAMPLES: usize = 256;
-/// Register-size bound for full-unitary checking of non-classical circuits.
-const MAX_UNITARY_STATES: usize = 256;
-/// Register-size bound for the sampled state-vector fallback (each sample
-/// costs one full state-vector simulation of both circuits).
-const MAX_SAMPLED_STATEVECTOR_STATES: usize = 1 << 20;
-/// Cap on state-vector samples (they are much more expensive than the
-/// classical basis-state samples, and dense random inputs are maximally
-/// sensitive, so a handful suffices).
-const MAX_STATEVECTOR_SAMPLES: usize = 8;
 /// Fixed seed so verification failures are reproducible.
 const SAMPLE_SEED: u64 = 0x5EED_CAFE;
 
@@ -113,10 +97,6 @@ pub enum Proof {
     Exhaustive,
     /// This many sampled basis states.
     Sampled(usize),
-    /// Full unitaries compared up to global phase.
-    Unitary,
-    /// This many random dense states compared by fidelity.
-    DenseSampled(usize),
 }
 
 /// A [`Pass`] decorator that checks the wrapped pass preserved the circuit's
@@ -295,76 +275,32 @@ impl VerifyEquivalence {
                 after.width()
             )));
         }
-        let dimension = before.dimension();
-        // `None` when `d^width` overflows: far past every exhaustive bound.
-        let size = dimension.checked_register_size(before.width());
-        if before.is_classical() && after.is_classical() {
-            let (witness, proof) = if size.is_some_and(|size| size <= self.max_exhaustive_states) {
-                (exhaustive_witness(before, after)?, Proof::Exhaustive)
+        if !before.is_classical() || !after.is_classical() {
+            let side = if before.is_classical() {
+                "output"
             } else {
-                (
-                    self.sampled_witness(before, after)?,
-                    Proof::Sampled(self.samples),
-                )
+                "input"
             };
-            if let Some(input) = witness {
-                return Err(self.fail(format!(
-                    "output circuit is not equivalent to its input (basis state {input:?})"
-                )));
-            }
-            Ok(proof)
-        } else if size.is_some_and(|size| size <= MAX_UNITARY_STATES) {
-            let before_unitary = circuit_unitary(before)?;
-            let after_unitary = circuit_unitary(after)?;
-            if !before_unitary.approx_eq_up_to_phase(&after_unitary, MATRIX_TOLERANCE.max(1e-7)) {
-                return Err(self.fail(
-                    "output unitary differs from the input unitary (up to phase)".to_string(),
-                ));
-            }
-            Ok(Proof::Unitary)
-        } else if let Some(size) = size.filter(|&size| size <= MAX_SAMPLED_STATEVECTOR_STATES) {
-            // Apply both circuits to random *dense* states and require unit
-            // fidelity.  A dense input mixes every column of the unitary, so
-            // a relative (per-basis-state) phase change — invisible to
-            // basis-state inputs — destroys the fidelity with probability 1;
-            // only a consistent global phase survives, matching the
-            // small-register comparison above.  Each circuit is compiled
-            // once.
-            let width = before.width();
-            let before_program = FusedProgram::compile(before, width)?;
-            let after_program = FusedProgram::compile(after, width)?;
-            let mut rng = StdRng::seed_from_u64(SAMPLE_SEED);
-            let samples = self.samples.clamp(1, MAX_STATEVECTOR_SAMPLES);
-            for sample in 0..samples {
-                let amplitudes: Vec<Complex> = (0..size)
-                    .map(|_| Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
-                    .collect();
-                let norm = amplitudes.iter().map(|a| a.norm_sqr()).sum::<f64>().sqrt();
-                let amplitudes: Vec<Complex> =
-                    amplitudes.iter().map(|a| a.scale(1.0 / norm)).collect();
-                let mut state_before =
-                    StateVector::from_amplitudes(dimension, width, amplitudes.clone())?;
-                state_before.apply_fused(&before_program)?;
-                let mut state_after = StateVector::from_amplitudes(dimension, width, amplitudes)?;
-                state_after.apply_fused(&after_program)?;
-                if (state_before.fidelity(&state_after) - 1.0).abs() > 1e-9 {
-                    return Err(self.fail(format!(
-                        "output circuit is not equivalent to its input \
-                         (random dense state sample {sample}, seed {SAMPLE_SEED:#x})"
-                    )));
-                }
-            }
-            Ok(Proof::DenseSampled(samples))
-        } else {
-            let states = size.map_or_else(
-                || format!("{dimension}^{}", before.width()),
-                |size| size.to_string(),
-            );
-            Err(self.fail(format!(
-                "cannot verify a non-classical circuit over {states} basis states; \
-                 register is too large for state-vector comparison"
-            )))
+            return Err(self.fail(format!(
+                "cannot verify a non-classical {side} circuit: only classical stages are checked"
+            )));
         }
+        // `None` when `d^width` overflows: far past every exhaustive bound.
+        let size = before.dimension().checked_register_size(before.width());
+        let (witness, proof) = if size.is_some_and(|size| size <= self.max_exhaustive_states) {
+            (exhaustive_witness(before, after)?, Proof::Exhaustive)
+        } else {
+            (
+                self.sampled_witness(before, after)?,
+                Proof::Sampled(self.samples),
+            )
+        };
+        if let Some(input) = witness {
+            return Err(self.fail(format!(
+                "output circuit is not equivalent to its input (basis state {input:?})"
+            )));
+        }
+        Ok(proof)
     }
 }
 
@@ -478,69 +414,41 @@ mod tests {
     }
 
     #[test]
-    fn non_classical_circuits_use_the_statevector_path() {
-        use qudit_core::math::{Complex, SquareMatrix};
-        let s = 1.0 / 2.0f64.sqrt();
-        let mut m = SquareMatrix::identity(3);
-        m[(0, 0)] = Complex::from_real(s);
-        m[(0, 1)] = Complex::from_real(s);
-        m[(1, 0)] = Complex::from_real(s);
-        m[(1, 1)] = Complex::from_real(-s);
-        let mut circuit = Circuit::new(dim(3), 1);
-        circuit
-            .push(Gate::single(SingleQuditOp::Unitary(m), QuditId::new(0)))
-            .unwrap();
-
-        // The identity pass trivially preserves the unitary.
-        let identity = pass_fn("identity", Ok);
-        let manager = PassManager::new().with_pass(VerifyEquivalence::wrap(Box::new(identity)));
-        assert!(manager.run(circuit.clone()).is_ok());
-
-        // Dropping the gate does not.
-        let drop_all = pass_fn("drop-all", |c: Circuit| {
-            Ok(Circuit::new(c.dimension(), c.width()))
-        });
-        let manager = PassManager::new().with_pass(VerifyEquivalence::wrap(Box::new(drop_all)));
-        assert!(matches!(
-            manager.run(circuit),
-            Err(QuditError::PassFailed { .. })
-        ));
-    }
-
-    #[test]
-    fn large_non_classical_circuits_use_the_sampled_statevector_path() {
-        use qudit_core::math::{Complex, SquareMatrix};
-        let s = 1.0 / 2.0f64.sqrt();
-        let mut m = SquareMatrix::identity(3);
-        m[(0, 0)] = Complex::from_real(s);
-        m[(0, 1)] = Complex::from_real(s);
-        m[(1, 0)] = Complex::from_real(s);
-        m[(1, 1)] = Complex::from_real(-s);
-        // Width 6 over qutrits: 3^6 = 729 > MAX_UNITARY_STATES, so the
-        // sampled column-fidelity fallback must kick in rather than erroring.
-        let mut circuit = Circuit::new(dim(3), 6);
-        circuit
-            .push(Gate::single(SingleQuditOp::Unitary(m), QuditId::new(2)))
-            .unwrap();
-        circuit
-            .push(Gate::controlled(
-                SingleQuditOp::Add(1),
-                QuditId::new(5),
-                vec![Control::zero(QuditId::new(0))],
-            ))
-            .unwrap();
-
-        let identity = pass_fn("identity", Ok);
-        let manager = PassManager::new().with_pass(VerifyEquivalence::wrap(Box::new(identity)));
-        assert!(manager.run(circuit.clone()).is_ok());
-
-        let drop_all = pass_fn("drop-all", |c: Circuit| {
-            Ok(Circuit::new(c.dimension(), c.width()))
-        });
-        let manager = PassManager::new().with_pass(VerifyEquivalence::wrap(Box::new(drop_all)));
-        match manager.run(circuit) {
-            Err(QuditError::PassFailed { pass, .. }) => assert_eq!(pass, "drop-all"),
-            other => panic!("expected PassFailed, got {other:?}"),
+    fn non_classical_stages_fail_closed() {
+        let non_classical = |c: &Circuit| -> Result<Circuit> {
+            let mut out = c.clone();
+            out.push(Gate::single(
+                SingleQuditOp::clifford_phase(c.dimension()),
+                QuditId::new(0),
+            ))?;
+            Ok(out)
+        };
+        // An identity pass over a non-classical circuit, and a pass that
+        // turns a classical input into a non-classical output.
+        let cases = [
+            (
+                non_classical(&sample_circuit()).unwrap(),
+                "identity",
+                "input",
+            ),
+            (sample_circuit(), "add-unitary", "output"),
+        ];
+        for (circuit, name, side) in cases {
+            let pass = pass_fn(name, move |c: Circuit| match name {
+                "identity" => Ok(c),
+                _ => non_classical(&c),
+            });
+            let manager = PassManager::new().with_pass(VerifyEquivalence::wrap(Box::new(pass)));
+            match manager.run(circuit) {
+                Err(QuditError::PassFailed { pass, reason }) => {
+                    assert_eq!(pass, name);
+                    assert!(
+                        reason.contains(&format!("non-classical {side}")),
+                        "{reason}"
+                    );
+                }
+                other => panic!("expected PassFailed, got {other:?}"),
+            }
         }
     }
 
@@ -562,59 +470,5 @@ mod tests {
             bad.run(sample_circuit()),
             Err(QuditError::PassFailed { .. })
         ));
-    }
-
-    #[test]
-    fn sampled_statevector_path_catches_relative_phase_changes() {
-        use qudit_core::math::{Complex, SquareMatrix};
-        // Width 6 over qutrits (729 states) forces the sampled fallback; the
-        // extra unitary gate keeps the circuit non-classical on both sides.
-        let hadamard_like = {
-            let s = 1.0 / 2.0f64.sqrt();
-            let mut m = SquareMatrix::identity(3);
-            m[(0, 0)] = Complex::from_real(s);
-            m[(0, 1)] = Complex::from_real(s);
-            m[(1, 0)] = Complex::from_real(s);
-            m[(1, 1)] = Complex::from_real(-s);
-            m
-        };
-        let mut circuit = Circuit::new(dim(3), 6);
-        circuit
-            .push(Gate::single(
-                SingleQuditOp::Unitary(hadamard_like),
-                QuditId::new(0),
-            ))
-            .unwrap();
-        circuit
-            .push(Gate::single(SingleQuditOp::Swap(0, 1), QuditId::new(5)))
-            .unwrap();
-
-        // A pass that replaces the trailing X01 with a phase-twisted swap:
-        // |0> -> |1>, |1> -> e^{i phi}|0>.  Basis-state inputs cannot see the
-        // relative phase; random dense inputs must.
-        let twist = pass_fn("phase-twist", |c: Circuit| {
-            let mut twisted = SquareMatrix::identity(3);
-            twisted[(0, 0)] = Complex::ZERO;
-            twisted[(1, 1)] = Complex::ZERO;
-            twisted[(1, 0)] = Complex::ONE;
-            twisted[(0, 1)] = Complex::from_phase(1.0);
-            let mut out = Circuit::new(c.dimension(), c.width());
-            for gate in c.gates().iter().take(c.len() - 1) {
-                out.push(gate.clone())?;
-            }
-            out.push(Gate::single(
-                SingleQuditOp::Unitary(twisted),
-                QuditId::new(5),
-            ))?;
-            Ok(out)
-        });
-        let manager = PassManager::new().with_pass(VerifyEquivalence::wrap(Box::new(twist)));
-        match manager.run(circuit) {
-            Err(QuditError::PassFailed { pass, reason }) => {
-                assert_eq!(pass, "phase-twist");
-                assert!(reason.contains("random dense state"), "{reason}");
-            }
-            other => panic!("expected PassFailed, got {other:?}"),
-        }
     }
 }

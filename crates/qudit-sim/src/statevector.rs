@@ -81,30 +81,6 @@ impl StateVector {
         })
     }
 
-    /// Creates a state vector from raw amplitudes.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the number of amplitudes is not `d^width`.
-    pub fn from_amplitudes(
-        dimension: Dimension,
-        width: usize,
-        amplitudes: Vec<Complex>,
-    ) -> Result<Self> {
-        let expected = dimension.register_size(width);
-        if amplitudes.len() != expected {
-            return Err(QuditError::MatrixShapeMismatch {
-                found: amplitudes.len(),
-                expected,
-            });
-        }
-        Ok(StateVector {
-            dimension,
-            width,
-            amplitudes,
-        })
-    }
-
     /// The qudit dimension.
     pub fn dimension(&self) -> Dimension {
         self.dimension
@@ -138,29 +114,6 @@ impl StateVector {
     /// The squared norm of the state (should be 1 for a physical state).
     pub fn norm_sqr(&self) -> f64 {
         self.amplitudes.iter().map(|a| a.norm_sqr()).sum()
-    }
-
-    /// The inner product `⟨self|other⟩`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the states have different sizes.
-    pub fn inner_product(&self, other: &StateVector) -> Complex {
-        assert_eq!(
-            self.amplitudes.len(),
-            other.amplitudes.len(),
-            "state sizes must match"
-        );
-        self.amplitudes
-            .iter()
-            .zip(other.amplitudes.iter())
-            .map(|(a, b)| a.conj() * *b)
-            .sum()
-    }
-
-    /// The fidelity `|⟨self|other⟩|²`.
-    pub fn fidelity(&self, other: &StateVector) -> f64 {
-        self.inner_product(other).norm_sqr()
     }
 
     /// Applies a single gate.
@@ -397,22 +350,5 @@ mod tests {
         let table = crate::basis::circuit_permutation(&circuit).unwrap();
         let expected = SquareMatrix::from_permutation(&table).unwrap();
         assert!(unitary.approx_eq(&expected, MATRIX_TOLERANCE));
-    }
-
-    #[test]
-    fn inner_product_and_fidelity() {
-        let d = dim(3);
-        let a = StateVector::from_basis(d, &[0, 1]).unwrap();
-        let b = StateVector::from_basis(d, &[0, 1]).unwrap();
-        let c = StateVector::from_basis(d, &[1, 1]).unwrap();
-        assert!((a.fidelity(&b) - 1.0).abs() < 1e-12);
-        assert!(a.fidelity(&c) < 1e-12);
-    }
-
-    #[test]
-    fn from_amplitudes_validates_length() {
-        let d = dim(3);
-        assert!(StateVector::from_amplitudes(d, 2, vec![Complex::ZERO; 8]).is_err());
-        assert!(StateVector::from_amplitudes(d, 2, vec![Complex::ZERO; 9]).is_ok());
     }
 }

@@ -73,18 +73,13 @@ pub enum Verify {
     #[default]
     Off,
     /// Check as strongly as the register size allows.  Lowering,
-    /// inverse-pair cancellation and routing on classical circuits are
-    /// proved structurally (each local rewrite swept over the basis of its
-    /// own wires), which is exact at any width.  Other stages, and any
-    /// stage whose structural proof fails, are checked globally:
-    /// exhaustively over the basis for small registers, on a deterministic
-    /// sample of basis states above the built-in size bound.
+    /// inverse-pair cancellation and routing are proved structurally (each
+    /// local rewrite swept over the basis of its own wires), which is exact
+    /// at any width.  Other stages, and any stage whose structural proof
+    /// fails, are checked globally: exhaustively over the basis for small
+    /// registers, on a deterministic sample of basis states above the
+    /// built-in size bound.
     Exhaustive,
-    /// Check on a deterministic sample budget instead of sweeping the
-    /// basis: a stage without a structural proof is checked on exactly `n`
-    /// sampled basis states regardless of register size (values below 1
-    /// are treated as 1).
-    Sampled(usize),
 }
 
 /// Worker-pool sizing of a [`Compiler`].
@@ -133,7 +128,7 @@ pub enum OptLevel {
 ///
 /// let options = CompileOptions::new()
 ///     .opt_level(OptLevel::O2)             // fusion, cancel, schedule
-///     .verify(Verify::Sampled(64))         // self-check on 64 samples
+///     .verify(Verify::Exhaustive)          // self-check every stage
 ///     .threads(Threads::Fixed(2));
 /// assert_eq!(
 ///     options.compiler().pass_names(),
@@ -189,10 +184,7 @@ impl CompileOptions {
     /// Selects the verification mode (default [`Verify::Off`]).
     #[must_use]
     pub fn verify(mut self, verify: Verify) -> Self {
-        self.verify = match verify {
-            Verify::Sampled(samples) => Verify::Sampled(samples.max(1)),
-            other => other,
-        };
+        self.verify = verify;
         self
     }
 
@@ -332,9 +324,6 @@ impl CompileOptions {
         match self.verify {
             Verify::Off => manager,
             Verify::Exhaustive => VerifyEquivalence::wrap_manager(manager),
-            Verify::Sampled(samples) => manager.map_passes(|inner| {
-                Box::new(VerifyEquivalence::wrap(inner).with_limits(0, samples))
-            }),
         }
     }
 
@@ -361,13 +350,13 @@ pub enum VerifyOutcome {
     /// output provably implements the input's operator under the checked
     /// inputs.  (A failed check never produces a result: it fails the
     /// compilation instead.)
-    Verified(Verify),
+    Verified,
 }
 
 impl VerifyOutcome {
     /// Returns `true` when the compilation was verified.
     pub fn is_verified(&self) -> bool {
-        matches!(self, VerifyOutcome::Verified(_))
+        matches!(self, VerifyOutcome::Verified)
     }
 }
 
@@ -375,10 +364,7 @@ impl fmt::Display for VerifyOutcome {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             VerifyOutcome::Skipped => write!(f, "skipped"),
-            VerifyOutcome::Verified(Verify::Sampled(samples)) => {
-                write!(f, "verified ({samples} samples)")
-            }
-            VerifyOutcome::Verified(_) => write!(f, "verified"),
+            VerifyOutcome::Verified => write!(f, "verified"),
         }
     }
 }
@@ -441,7 +427,7 @@ impl CompileResult {
             weighted_cost,
             verification: match verify {
                 Verify::Off => VerifyOutcome::Skipped,
-                verified => VerifyOutcome::Verified(verified),
+                Verify::Exhaustive => VerifyOutcome::Verified,
             },
         }
     }
@@ -830,23 +816,14 @@ mod tests {
     #[test]
     fn verification_knobs_wrap_every_stage() {
         let synthesis = KToffoli::new(dim(3), 2).unwrap().synthesize().unwrap();
-        for verify in [Verify::Exhaustive, Verify::Sampled(16)] {
-            let compiler = CompileOptions::new().verify(verify).compiler();
-            assert!(compiler
-                .pass_names()
-                .iter()
-                .all(|name| name.starts_with("verify(")));
-            let result = compiler.compile(synthesis.circuit()).unwrap();
-            assert_eq!(result.verification, VerifyOutcome::Verified(verify));
-            assert!(result.verification.is_verified());
-        }
-        // Sampled(0) is clamped rather than vacuous.
-        assert_eq!(
-            CompileOptions::new()
-                .verify(Verify::Sampled(0))
-                .verify_mode(),
-            Verify::Sampled(1)
-        );
+        let compiler = CompileOptions::new().verify(Verify::Exhaustive).compiler();
+        assert!(compiler
+            .pass_names()
+            .iter()
+            .all(|name| name.starts_with("verify(")));
+        let result = compiler.compile(synthesis.circuit()).unwrap();
+        assert_eq!(result.verification, VerifyOutcome::Verified);
+        assert!(result.verification.is_verified());
     }
 
     #[test]

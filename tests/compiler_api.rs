@@ -25,7 +25,7 @@ fn dim(d: u32) -> Dimension {
 #[test]
 fn every_knob_combination_assembles() {
     let levels = [OptLevel::O0, OptLevel::O1, OptLevel::O2];
-    let verifies = [Verify::Off, Verify::Exhaustive, Verify::Sampled(16)];
+    let verifies = [Verify::Off, Verify::Exhaustive];
     let threads = [Threads::Auto, Threads::Fixed(1), Threads::Fixed(4)];
     let mut combinations = 0usize;
     for level in levels {
@@ -57,7 +57,7 @@ fn every_knob_combination_assembles() {
                     .iter()
                     .map(|stage| match verify {
                         Verify::Off => stage.to_string(),
-                        _ => format!("verify({stage})"),
+                        Verify::Exhaustive => format!("verify({stage})"),
                     })
                     .collect();
                 assert_eq!(manager.pass_names(), expected, "{options:?}");
@@ -65,7 +65,7 @@ fn every_knob_combination_assembles() {
             }
         }
     }
-    assert_eq!(combinations, 3 * 3 * 3);
+    assert_eq!(combinations, 3 * 2 * 3);
 }
 
 /// The pinned pool reaches the batch: the job is the unit of parallelism,
