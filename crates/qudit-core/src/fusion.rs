@@ -12,7 +12,8 @@
 //!   call to [`fuse_circuit`]) rewrites classical runs into a single
 //!   composed permutation gate when that provably does not increase the
 //!   lowered G-gate cost; [`fuse_circuit`] takes the circuit by value and
-//!   moves the gates it keeps.
+//!   moves the gates it keeps; `dropped_pairs` lists the pairs it drops
+//!   for checkers when that is all it does.
 //!
 //! # The grouping rule
 //!
@@ -182,15 +183,6 @@ pub fn plan_fusion(gates: &[Gate], fuse_non_classical: bool) -> FusionPlan {
     FusionPlan { members, ends }
 }
 
-/// The lowered G-gate cost proxy of a classical single-qudit operation: the
-/// number of transpositions it decomposes into.  Gates in a group share
-/// their control list, so the per-transposition control overhead is a
-/// common factor and transposition counts compare fused against unfused
-/// runs exactly.
-fn transposition_cost(op: &SingleQuditOp, dimension: crate::Dimension) -> Result<usize> {
-    Ok(op.transpositions(dimension)?.len())
-}
-
 /// The most specific [`SingleQuditOp`] implementing a permutation: a single
 /// transposition becomes [`SingleQuditOp::Swap`], a cyclic shift becomes
 /// [`SingleQuditOp::Add`], everything else stays a general
@@ -207,6 +199,49 @@ fn canonical_op(permutation: Permutation) -> SingleQuditOp {
         return SingleQuditOp::Add(shift);
     }
     SingleQuditOp::Perm(permutation)
+}
+
+/// What [`fuse_circuit`] does with a group: keep its gates as written (a
+/// lone gate, or a run that would not shrink), drop the run (it composes to
+/// the identity), or replace it with one gate of the composed operation.
+enum Fate {
+    Keep,
+    Drop,
+    Replace(SingleQuditOp),
+}
+
+/// Classifies a group by its members, in order, by [`fuse_circuit`]'s
+/// rules.  Members share their control list, so transposition counts
+/// compare fused against unfused runs exactly; a run is only counted when
+/// it is not the identity.
+fn fate<'a>(
+    members: impl ExactSizeIterator<Item = &'a Gate> + Clone,
+    dimension: crate::Dimension,
+) -> Result<Fate> {
+    if members.len() == 1 {
+        return Ok(Fate::Keep);
+    }
+    let ops = members.map(|member| match member.op() {
+        GateOp::Single(op) => op,
+        GateOp::AddFrom { .. } => unreachable!("multi-gate groups only contain Single members"),
+    });
+    // Members apply first-to-last: the run's permutation is
+    // `p_last ∘ … ∘ p_first`.
+    let mut composed = Permutation::identity(dimension);
+    for op in ops.clone() {
+        composed = op.to_permutation(dimension)?.compose(&composed);
+    }
+    if composed.is_identity() {
+        return Ok(Fate::Drop);
+    }
+    let member_cost: usize = ops
+        .map(|op| Ok(op.transpositions(dimension)?.len()))
+        .sum::<Result<_>>()?;
+    Ok(if composed.transpositions().len() < member_cost {
+        Fate::Replace(canonical_op(composed))
+    } else {
+        Fate::Keep
+    })
 }
 
 /// Rewrites classical fusion runs of a circuit into single composed gates.
@@ -239,40 +274,44 @@ pub fn fuse_circuit(circuit: Circuit) -> Result<Circuit> {
     let mut slots: Vec<Option<Gate>> = circuit.into_gates().into_iter().map(Some).collect();
     let mut out = Vec::with_capacity(slots.len());
     for group in plan.groups() {
-        if group.len() > 1 {
-            let member = |index: usize| slots[index].as_ref().expect("each gate is in one group");
-            let mut composed = Permutation::identity(dimension);
-            let mut member_cost = 0usize;
-            for &index in group {
-                let GateOp::Single(op) = member(index).op() else {
-                    unreachable!("multi-gate groups only contain Single members");
-                };
-                member_cost += transposition_cost(op, dimension)?;
-                // Members apply first-to-last: the run's permutation is
-                // `p_last ∘ … ∘ p_first`.
-                composed = op.to_permutation(dimension)?.compose(&composed);
-            }
-            if composed.is_identity() {
-                continue;
-            }
-            if composed.transpositions().len() < member_cost {
-                let template = member(group[0]);
+        let member = |index: &usize| slots[*index].as_ref().expect("each gate is in one group");
+        match fate(group.iter().map(member), dimension)? {
+            Fate::Drop => {}
+            Fate::Replace(op) => {
+                let template = member(&group[0]);
                 out.push(Gate::new(
-                    GateOp::Single(canonical_op(composed)),
+                    GateOp::Single(op),
                     template.target(),
                     template.controls().iter().copied(),
                 ));
-                continue;
             }
+            Fate::Keep => out.extend(
+                group
+                    .iter()
+                    .map(|&index| slots[index].take().expect("each gate is in one group")),
+            ),
         }
-        // Lone gates and runs that would not shrink stay as written.
-        out.extend(
-            group
-                .iter()
-                .map(|&index| slots[index].take().expect("each gate is in one group")),
-        );
     }
     Circuit::from_gates(dimension, width, out)
+}
+
+/// The two-gate identity runs [`fuse_circuit`] drops from `circuit`, by
+/// increasing second index, when that is all it does (its output is then
+/// the input without them); `None` when it keeps or replaces a run, or
+/// refuses the circuit.
+pub(crate) fn dropped_pairs(circuit: &Circuit) -> Option<Vec<(usize, usize)>> {
+    let gates = circuit.gates();
+    let mut pairs = Vec::new();
+    for group in plan_fusion(gates, false).groups() {
+        let members = group.iter().map(|&index| &gates[index]);
+        match (group, fate(members, circuit.dimension()).ok()?) {
+            ([_], _) => {}
+            (&[first, second], Fate::Drop) => pairs.push((first, second)),
+            _ => return None,
+        }
+    }
+    pairs.sort_unstable_by_key(|&(_, second)| second);
+    Some(pairs)
 }
 
 #[cfg(test)]

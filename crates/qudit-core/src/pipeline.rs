@@ -139,12 +139,13 @@ pub trait Pass: Send + Sync {
     }
 
     /// The rewrite [`Pass::run`] applies to `circuit`, for a pass that only
-    /// deletes gates in inverse pairs or re-places them on a coupling
-    /// graph: `run` must return exactly `rewrite.apply(circuit)`.  Checkers
-    /// use it to prove each step and apply it to the input they already
-    /// own (see `qudit-sim`'s `VerifyEquivalence`).  The default, `None`,
-    /// says the pass has no such structure; a pass also returns `None` for
-    /// a circuit its `run` refuses.
+    /// deletes gates in inverse pairs (cancellation, or fusion that only
+    /// drops pairs) or re-places them on a coupling graph: `run` must
+    /// return exactly `rewrite.apply(circuit)`.  Checkers use it to prove
+    /// each step and apply it to the input they already own (see
+    /// `qudit-sim`'s `VerifyEquivalence`).  The default, `None`, says the
+    /// pass has no such structure; a pass also returns `None` for a circuit
+    /// its `run` refuses.
     fn rewrite(&self, _circuit: &Circuit) -> Option<Rewrite> {
         None
     }
@@ -190,8 +191,9 @@ pub trait GateWalk {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Rewrite {
     /// Delete the gates of each pair `(first, second)` of input indices,
-    /// `first < second`, listed in increasing order of `second` (see
-    /// [`optimize::inverse_pairs`]).
+    /// `first < second`, listed in increasing order of `second`: the pairs
+    /// [`optimize::inverse_pairs`] cancels, or the two-gate identity runs
+    /// [`GateFusion`] drops.
     Cancel(Vec<(usize, usize)>),
     /// Re-place the gates through wire-SWAP ladders (see
     /// [`crate::route::Routing`]).
@@ -753,6 +755,7 @@ impl fmt::Debug for PassRegistry {
 /// the transposition count (or is the identity, where the run is dropped),
 /// so the pass never increases the lowered G-gate cost.  It runs best on
 /// macro-level circuits, before `lower-to-g-gates` breaks the runs apart.
+/// Its rewrite is the identity pairs it drops, when that is all it does.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GateFusion;
 
@@ -763,6 +766,10 @@ impl Pass for GateFusion {
 
     fn run(&self, circuit: Circuit) -> Result<Circuit> {
         crate::fusion::fuse_circuit(circuit)
+    }
+
+    fn rewrite(&self, circuit: &Circuit) -> Option<Rewrite> {
+        crate::fusion::dropped_pairs(circuit).map(Rewrite::Cancel)
     }
 }
 

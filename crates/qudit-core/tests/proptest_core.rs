@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use qudit_core::depth::circuit_depth;
 use qudit_core::lowering::lower_circuit;
-use qudit_core::pipeline::{CancelInversePairs, LowerToGGates, PassManager};
+use qudit_core::pipeline::{CancelInversePairs, GateFusion, LowerToGGates, Pass, PassManager};
 use qudit_core::{
     Circuit, Control, ControlPredicate, Dimension, Gate, Permutation, QuditId, SingleQuditOp,
 };
@@ -145,7 +145,8 @@ proptest! {
     }
 
     /// Lowering, inversion and optimisation all preserve the circuit's action
-    /// on the computational basis.
+    /// on the computational basis, and fusion's handed-over rewrite is its
+    /// output.
     #[test]
     fn circuit_transformations_preserve_semantics(
         dimension in any_dimension(),
@@ -180,6 +181,13 @@ proptest! {
         }
         prop_assert!(optimized.len() <= lowered.len());
         prop_assert!(circuit_depth(&optimized) <= circuit_depth(&lowered).max(1));
+        // A handed-over rewrite is exactly what the pass's `run` does.
+        if let Some(rewrite) = GateFusion.rewrite(&circuit) {
+            prop_assert_eq!(
+                rewrite.apply(circuit.clone()).unwrap(),
+                GateFusion.run(circuit).unwrap()
+            );
+        }
     }
 
     /// Depth is bounded by the gate count and monotone under concatenation.
@@ -221,7 +229,6 @@ proptest! {
         specs in prop::collection::vec(gate_spec(6, 8), 1..16),
         threads in 1usize..=4,
     ) {
-        use qudit_core::pipeline::{LowerToGGates, Pass, PassManager};
         use qudit_core::pool::WorkStealingPool;
 
         // Clamp the specs to the chosen dimension and width.

@@ -11,41 +11,34 @@
 //!   first-use order, a borrowed ancilla included — is proved once per run
 //!   by sweeping the basis of its own (at most four) wires;
 //! * a pass that hands over its rewrite ([`Pass::rewrite`]:
-//!   `cancel-inverse-pairs` its removed pairs, `route` its
+//!   `cancel-inverse-pairs` its removed pairs, `gate-fusion` the identity
+//!   runs it drops when that is all it does, `route` its
 //!   `route::wire_swap` ladders) has it applied here, to the input the
 //!   wrapper owns: removed pairs must nest as adjacent brackets on every
 //!   wire they touch, each proved inverse on its own wires, and the kept
 //!   gates move in place; ladders (the ladder proved a SWAP once, on two
 //!   wires) swap a running wire map through which every input gate is
-//!   remapped, and the map must end as the identity;
-//! * any other pass runs on a copy of its input, and an output that is the
-//!   input with inverse pairs removed is matched pair by pair as above.  A
-//!   handed-over rewrite whose proof fails is likewise applied to a copy,
-//!   as planned, so no stage plans twice.
+//!   remapped, and the map must end as the identity.
 //!
-//! So the lowering, cancellation and routing stages are checked without a
-//! copy of their input.  No rule of the passes being checked
-//! (`Gate::is_inverse_of`, the commutation oracle, the router's choice of
-//! ladders) is trusted.  A successful structural proof implies
-//! exact equivalence, so the global check below would also accept.  When a
-//! proof fails or does not apply (a pass with no such structure, such as
-//! `gate-fusion` or a custom closure), the input and output circuits are
-//! compared globally via the [`BasisBatch`](crate::BasisBatch) kernel, which
-//! pushes blocks of basis states through both circuits as digit rows with
-//! vectorised compare/select loops — every basis state in blocks when the
-//! register is small, a deterministic draw of random basis states otherwise
-//! — in `O(width × block)` memory either way.
+//! No rule of the passes being checked (`Gate::is_inverse_of`, the fusion
+//! plan, the commutation oracle, the router's choice of ladders) is
+//! trusted, and a successful structural proof implies exact equivalence.
+//! Every other stage (`schedule-depth`, a custom closure, fusion that
+//! composes a run, a rewrite whose proof fails) is built on a copy of its
+//! input and compared globally via the [`BasisBatch`](crate::BasisBatch)
+//! kernel, which pushes blocks of basis states through both circuits as
+//! digit rows with vectorised compare/select loops — every basis state in
+//! blocks when the register is small, a deterministic draw of random basis
+//! states otherwise — in `O(width × block)` memory either way.
 //!
 //! Only classical stages are verified: the paper's G-gate set is all
 //! classical, and the compile facade refuses non-classical gates before its
-//! first stage.  A non-classical input or output fails closed with
-//! [`QuditError::PassFailed`] naming the wrapped pass.
-//!
-//! The strategy follows from the pass and the two circuits alone; there is
-//! no engine option.  A detected mismatch surfaces as
-//! [`QuditError::PassFailed`], naming the wrapped pass and the offending
-//! basis state.  [`VerifyEquivalence::run_with_proof`] also reports which
-//! [`Proof`] settled the stage.
+//! first stage.  The strategy follows from the pass and the two circuits
+//! alone; there is no engine option.  A non-classical input or output, or a
+//! detected mismatch (with the offending basis state), fails with
+//! [`QuditError::PassFailed`] naming the wrapped pass;
+//! [`VerifyEquivalence::run_with_proof`] also reports which [`Proof`]
+//! settled the stage.
 
 use qudit_core::pipeline::{Pass, PassManager};
 use qudit_core::{Circuit, QuditError, Result};
@@ -207,10 +200,8 @@ impl VerifyEquivalence {
     /// proved and applied here, to `circuit` itself.  Otherwise, or when a
     /// local proof fails, the output is built on a copy of `circuit` — the
     /// handed-over rewrite applied as planned, or the pass run as usual —
-    /// and a classical output is first matched against its input with
-    /// inverse pairs removed; only when that fails too does the global check
-    /// of the module docs run, and its verdict and witness are the ones
-    /// reported.
+    /// and the global check of the module docs settles the stage: its
+    /// verdict and witness are the ones reported.
     ///
     /// # Errors
     ///
@@ -238,29 +229,25 @@ impl VerifyEquivalence {
     /// # Ok(())
     /// # }
     /// ```
-    pub fn run_with_proof(&self, circuit: Circuit) -> Result<(Circuit, Proof)> {
+    pub fn run_with_proof(&self, mut circuit: Circuit) -> Result<(Circuit, Proof)> {
         if let Some(walk) = self.inner.gate_walk(&circuit) {
             if let Some(output) = structural::lowered(walk, &circuit) {
                 return Ok((output, Proof::Structural));
             }
         }
-        let (circuit, rewrite) = match self.inner.rewrite(&circuit) {
-            Some(rewrite) => match structural::applied(&rewrite, circuit) {
-                Ok(output) => return Ok((output, Proof::Structural)),
-                Err(circuit) => (circuit, Some(rewrite)),
-            },
-            None => (circuit, None),
-        };
         // Only a pass without a proved rewrite pays for a copy of its input;
         // an unproved rewrite is applied as planned (what `run` returns), so
         // the pass does not plan it again.
-        let output = match rewrite {
-            Some(rewrite) => rewrite.apply(circuit.clone())?,
+        let output = match self.inner.rewrite(&circuit) {
+            Some(rewrite) => match structural::applied(&rewrite, circuit) {
+                Ok(output) => return Ok((output, Proof::Structural)),
+                Err(input) => {
+                    circuit = input;
+                    rewrite.apply(circuit.clone())?
+                }
+            },
             None => self.inner.run(circuit.clone())?,
         };
-        if structural::removes_pairs(&circuit, &output) {
-            return Ok((output, Proof::Structural));
-        }
         let proof = self.check_globally(&circuit, &output)?;
         Ok((output, proof))
     }

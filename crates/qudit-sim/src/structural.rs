@@ -2,7 +2,7 @@
 //!
 //! The paper's constructions are local rewrites, so a stage's output can be
 //! proved equivalent to its input without simulating either circuit whole.
-//! Three stages hand the checker their rewrite, and the checker applies it
+//! Four stages hand the checker their rewrite, and the checker applies it
 //! to the input it owns, proving each step — no stage's input is copied:
 //!
 //! * **lowering** ([`lowered`]) — a pass that exposes its per-gate walk
@@ -11,25 +11,23 @@
 //!   distinct (gate, expansion) shape, with wires relabelled in first-use
 //!   order, is proved once by sweeping the basis of its own wires (a
 //!   borrowed ancilla among them, which must come back restored);
-//! * **cancellation** ([`applied`] on a
-//!   [`Rewrite::Cancel`]) — the removed pairs must nest as adjacent
-//!   brackets on every wire they touch, each pair proved inverse by
-//!   sweeping its wires; the kept gates then move in place;
+//! * **cancellation and fusion** ([`applied`] on a [`Rewrite::Cancel`]:
+//!   the pairs `cancel-inverse-pairs` removes or `gate-fusion` drops) — the
+//!   removed pairs must nest as adjacent brackets on every wire they touch,
+//!   each pair proved inverse by sweeping its wires; the kept gates then
+//!   move in place;
 //! * **routing** ([`applied`] on a [`Rewrite::Route`]) — the output is
 //!   written with a running site→wire map: every ladder is the
 //!   [`wire_swap`] ladder, proved a SWAP once on two wires and relabelled
 //!   onto its sites, and swaps the map; every input gate is remapped
 //!   through the map, which must end as the identity.
 //!
-//! A pass that hands over nothing (`gate-fusion`, a custom closure) is run
-//! as usual, and its output is matched against the input as the input with
-//! inverse pairs removed ([`removes_pairs`]), proved the same way.
-//!
 //! Every claim is settled by brute force on at most [`MAX_LOCAL_WIRES`]
 //! wires, memoised per canonical shape for the length of one check; no rule
-//! of the rewriting passes (such as `Gate::is_inverse_of`, the commutation
-//! oracle or the router's choice of ladders) is trusted.  A failed proof
-//! proves nothing: the caller falls back to the global check.
+//! of the rewriting passes (such as `Gate::is_inverse_of`, the fusion plan,
+//! the commutation oracle or the router's choice of ladders) is trusted.  A
+//! failed proof, like a pass that hands over nothing, proves nothing: the
+//! caller falls back to the global check.
 
 use std::collections::HashMap;
 
@@ -186,56 +184,6 @@ fn routed(routing: &Routing, circuit: Circuit) -> Result<Circuit, Circuit> {
     // Input gates and the validated ladder, relabelled by bijections of
     // the register.
     Ok(Circuit::from_gates_unchecked(dimension, width, out))
-}
-
-/// Whether `after` is `before` with inverse pairs removed, for a pass that
-/// hands over no [`Rewrite`] (such as `gate-fusion` when it only drops
-/// pairs, or a pass that returns its input): the pairs are found by
-/// matching `after` against `before` and proved as in [`cancelled`].  A
-/// `true` answer also says both circuits are classical.
-pub(crate) fn removes_pairs(before: &Circuit, after: &Circuit) -> bool {
-    if after.dimension() != before.dimension()
-        || after.width() != before.width()
-        || after.len() > before.len()
-    {
-        return false;
-    }
-    let width = before.width();
-    let mut proofs = LocalProofs::new(before.dimension(), width);
-    // Per wire, the open gates on it (removed, waiting for their partner),
-    // innermost last.  A kept gate is a wall no bracket may span, so it is
-    // only allowed on wires with no open gate and needs no entry.
-    let mut open: Vec<Vec<usize>> = vec![Vec::new(); width];
-    let mut kept = after.gates().iter().peekable();
-    let mut wires = Vec::new();
-    for (index, gate) in before.gates().iter().enumerate() {
-        wires.clear();
-        wires.extend(gate.support().map(QuditId::index));
-        // A gate closes the bracket of the open gate on top of every one of
-        // its wires, when that gate has the same support and is proved its
-        // inverse.
-        let closes = open[wires[0]].last().is_some_and(|&partner| {
-            let opener = &before.gates()[partner];
-            opener.arity() == wires.len()
-                && wires.iter().all(|&q| open[q].last() == Some(&partner))
-                && proofs.inverse_pair(opener, gate)
-        });
-        if closes {
-            for &q in &wires {
-                open[q].pop();
-            }
-        } else if kept.peek() == Some(&gate) && wires.iter().all(|&q| open[q].is_empty()) {
-            if !gate.is_classical() {
-                return false;
-            }
-            kept.next();
-        } else {
-            for &q in &wires {
-                open[q].push(index);
-            }
-        }
-    }
-    kept.next().is_none() && open.iter().all(Vec::is_empty)
 }
 
 /// Whether `gate` equals `reference` up to its wires, with each pair of

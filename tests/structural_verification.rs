@@ -1,18 +1,18 @@
 //! Structural verification: `VerifyEquivalence` proves lowering once per
-//! gate shape, un-routes through SWAP ladders and matches cancelled inverse
-//! pairs before it falls back to the global check.
+//! gate shape, un-routes through SWAP ladders and proves handed-over
+//! inverse pairs before it falls back to the global check.
 //!
 //! * coverage — every `sweep_verified` shape (6-chain, O1) and every
-//!   `serve_mct` shape (O1 and O2, all-to-all) proves its lowering,
+//!   `serve_mct` shape (O1 and O2, all-to-all) proves its fusion, lowering,
 //!   cancellation and routing stages structurally, with no fallback;
 //! * witness parity — every single-gate mutation (delete, relevel,
 //!   retarget) of the lowered, cancelled and routed k-Toffoli (d ∈ {3, 4},
 //!   k = 3) gets exactly the verdict and message of the global exhaustive
-//!   sweep, and so does every mutated rewrite the cancellation and routing
-//!   stages hand the verifier (a removed pair that is not inverse or not
-//!   adjacent on every wire, a ladder on the wrong pair, a dropped epilogue
-//!   ladder), while the unmutated rewrites prove structurally and give the
-//!   bare stages' outputs;
+//!   sweep, and so does every mutated rewrite the fusion, cancellation and
+//!   routing stages hand the verifier (a removed pair that is not inverse
+//!   or not adjacent on every wire, a ladder on the wrong pair, a dropped
+//!   epilogue ladder), while the unmutated rewrites prove structurally and
+//!   give the bare stages' outputs;
 //! * routed circuits — un-routing agrees with a brute-force basis sweep on
 //!   every routed `sweep_verified` shape, and a dropped ladder gate is
 //!   rejected with the global sweep's witness.
@@ -35,7 +35,8 @@ use qudit_synthesis::pipeline::LowerToElementary;
 use qudit_synthesis::{CompileOptions, KToffoli, OptLevel, Verify};
 
 /// The stages proved structurally whenever they run.
-const STRUCTURAL_STAGES: [&str; 4] = [
+const STRUCTURAL_STAGES: [&str; 5] = [
+    "gate-fusion",
     "lower-to-elementary",
     "lower-to-g-gates",
     "cancel-inverse-pairs",
@@ -132,9 +133,9 @@ fn assert_structural(options: &CompileOptions, label: &str, circuit: &Circuit) {
         .filter(|(name, _)| STRUCTURAL_STAGES.contains(&name.as_str()))
         .count();
     let expected = if options.coupling_graph().is_some() {
-        4
+        5
     } else {
-        3
+        4
     };
     assert_eq!(proved, expected, "{label}: stages {proofs:?}");
 }
@@ -387,14 +388,14 @@ fn mutations_get_the_global_sweeps_verdict_and_witness() {
 /// A stage that hands the verifier a fixed rewrite, and whose `run` applies
 /// it, under the name of the stage it mutates, counting its runs.
 struct Rewritten {
-    name: &'static str,
+    name: String,
     rewrite: Rewrite,
     runs: Arc<AtomicUsize>,
 }
 
 impl Pass for Rewritten {
     fn name(&self) -> &str {
-        self.name
+        &self.name
     }
 
     fn run(&self, circuit: Circuit) -> Result<Circuit> {
@@ -503,6 +504,15 @@ fn mutated_routings(routing: &Routing, len: usize) -> Vec<Routing> {
 
 #[test]
 fn mutated_rewrites_get_the_global_sweeps_verdict_and_witness() {
+    // Fusion drops pairs from the macro circuit at odd d, none at d = 4.
+    assert_eq!(
+        GateFusion.rewrite(&toffoli(4, 4)),
+        Some(Rewrite::Cancel(Vec::new()))
+    );
+    let mut stages: Vec<(String, Box<dyn Pass>, Circuit)> = Vec::new();
+    for d in [3u32, 5] {
+        stages.push((format!("d={d} k=4"), Box::new(GateFusion), toffoli(d, 4)));
+    }
     for d in [3u32, 4] {
         let elementary = LowerToElementary.run(toffoli(d, 3)).unwrap();
         let width = elementary.width();
@@ -512,65 +522,65 @@ fn mutated_rewrites_get_the_global_sweeps_verdict_and_witness() {
             std::sync::Arc::new(qudit_core::route::UniformCost),
         );
         let cancelled = CancelInversePairs.run(lowered.clone()).unwrap();
-        let stages: [(&'static str, &dyn Pass, &Circuit); 2] = [
-            ("cancel-inverse-pairs", &CancelInversePairs, &lowered),
-            ("route", &route, &cancelled),
-        ];
-        for (name, stage, before) in stages {
-            let rewrite = stage
-                .rewrite(before)
-                .expect("the stage hands over its rewrite");
-            // The verifier applies a handed-over rewrite itself, proved or
-            // not, so it never runs (and re-plans) the stage.
-            let runs = Arc::new(AtomicUsize::new(0));
-            let faithful = Rewritten {
-                name,
-                rewrite: rewrite.clone(),
-                runs: Arc::clone(&runs),
-            };
-            let (output, proof) = VerifyEquivalence::wrap(Box::new(faithful))
-                .run_with_proof(before.clone())
-                .unwrap();
-            assert_eq!(proof, Proof::Structural, "d={d} {name}");
-            assert_eq!(output, stage.run(before.clone()).unwrap(), "d={d} {name}");
+        stages.push((format!("d={d}"), Box::new(CancelInversePairs), lowered));
+        stages.push((format!("d={d}"), Box::new(route), cancelled));
+    }
+    for (label, stage, before) in stages {
+        let name = stage.name();
+        let rewrite = stage
+            .rewrite(&before)
+            .expect("the stage hands over its rewrite");
+        assert_ne!(rewrite, Rewrite::Cancel(Vec::new()), "{label} {name}");
+        // The verifier applies a handed-over rewrite itself, proved or not,
+        // so it never runs (and re-plans) the stage.
+        let runs = Arc::new(AtomicUsize::new(0));
+        let faithful = Rewritten {
+            name: name.to_string(),
+            rewrite: rewrite.clone(),
+            runs: Arc::clone(&runs),
+        };
+        let (output, proof) = VerifyEquivalence::wrap(Box::new(faithful))
+            .run_with_proof(before.clone())
+            .unwrap();
+        assert_eq!(proof, Proof::Structural, "{label} {name}");
+        assert_eq!(output, stage.run(before.clone()).unwrap(), "{label} {name}");
 
-            let mutants: Vec<Rewrite> = match &rewrite {
-                Rewrite::Cancel(pairs) => mutated_pairs(before, pairs)
-                    .into_iter()
-                    .map(Rewrite::Cancel)
-                    .collect(),
-                Rewrite::Route(routing) => mutated_routings(routing, before.len())
-                    .into_iter()
-                    .map(Rewrite::Route)
-                    .collect(),
+        let mutants: Vec<Rewrite> = match &rewrite {
+            Rewrite::Cancel(pairs) => mutated_pairs(&before, pairs)
+                .into_iter()
+                .map(Rewrite::Cancel)
+                .collect(),
+            Rewrite::Route(routing) => mutated_routings(routing, before.len())
+                .into_iter()
+                .map(Rewrite::Route)
+                .collect(),
+        };
+        assert!(
+            mutants.len() >= 10,
+            "{label} {name}: {} mutants",
+            mutants.len()
+        );
+        let mut rejected = 0;
+        for (m, rewrite) in mutants.into_iter().enumerate() {
+            let mutated = rewrite.apply(before.clone()).unwrap();
+            let runs = Arc::clone(&runs);
+            let pass = Rewritten {
+                name: name.to_string(),
+                rewrite,
+                runs,
             };
-            assert!(
-                mutants.len() >= 10,
-                "d={d} {name}: {} mutants",
-                mutants.len()
-            );
-            let mut rejected = 0;
-            for (m, rewrite) in mutants.into_iter().enumerate() {
-                let mutated = rewrite.apply(before.clone()).unwrap();
-                let runs = Arc::clone(&runs);
-                let pass = Rewritten {
-                    name,
-                    rewrite,
-                    runs,
-                };
-                let got =
-                    verdict(VerifyEquivalence::wrap(Box::new(pass)).run_with_proof(before.clone()));
-                let want = swept_verdict(name, before, &mutated);
-                assert_eq!(got, want, "d={d} {name} mutant {m}");
-                rejected += usize::from(got.is_err());
-            }
-            assert!(rejected > 0, "d={d} {name}: no mutant was rejected");
-            assert_eq!(
-                runs.load(Ordering::Relaxed),
-                0,
-                "d={d} {name}: the stage ran"
-            );
+            let got =
+                verdict(VerifyEquivalence::wrap(Box::new(pass)).run_with_proof(before.clone()));
+            let want = swept_verdict(name, &before, &mutated);
+            assert_eq!(got, want, "{label} {name} mutant {m}");
+            rejected += usize::from(got.is_err());
         }
+        assert!(rejected > 0, "{label} {name}: no mutant was rejected");
+        assert_eq!(
+            runs.load(Ordering::Relaxed),
+            0,
+            "{label} {name}: the stage ran"
+        );
     }
 }
 
